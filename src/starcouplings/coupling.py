@@ -62,7 +62,8 @@ FAMILIES = ("delta", "delta_prime_s", "delta_p", "delta_prime")
 UNITARITY_TOL = 1e-12
 #: max-entry norm allowed for A B* - (A B*)*
 HERMITICITY_TOL = 1e-12
-#: eigenvalues within this distance of -1 belong to the decoupled eigenspace
+#: eigenvalues within this distance of -1 belong to the decoupled eigenspace;
+#: bound_states also merges eigenvalues this close and drops those at +-1
 DECOUPLED_EIGENVALUE_TOL = 1e-9
 #: condition estimate beyond which A + iB counts as numerically singular
 SINGULAR_COND = 1e12
@@ -106,6 +107,8 @@ class VertexCoupling:
         if u.shape != (self.n, self.n):
             raise InvalidCouplingError(
                 f"U must be {self.n}x{self.n}, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise InvalidCouplingError("U has non-finite entries")
         defect = unitarity_defect(u)
         if defect > UNITARITY_TOL:
             raise InvalidCouplingError(

@@ -10,6 +10,11 @@ singular (it would need a U-eigenvalue of modulus |k + 1| / |k - 1| > 1);
 poles appear only on the positive imaginary axis k = i kappa, kappa > 0,
 where each zero of det((i kappa + 1) I + (i kappa - 1) U) is a bound state
 of energy -kappa^2.
+
+Those zeros have a closed form in the eigenphases of U: an eigenvalue
+e^{i theta} with theta in (0, pi) gives a bound state at
+kappa = tan(theta / 2), with the eigenvalue's multiplicity (Kostrykin and
+Schrader, J. Phys. A 32 (1999) 595).
 """
 
 from __future__ import annotations
@@ -19,17 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .coupling import VertexCoupling
+from .coupling import DECOUPLED_EIGENVALUE_TOL, VertexCoupling
 from .errors import PoleError
-
-#: singular values below this fraction of the largest count as null space
-NULLSPACE_TOL = 1e-8
-#: strict local minima of |det| below this fraction of its grid maximum are
-#: polished and rank-tested (catches even-multiplicity zeros, which produce
-#: no sign change)
-DET_DIP_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -70,9 +67,9 @@ class BoundState(NamedTuple):
 
 
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
-    """On-shell scattering matrix at real momentum k > 0."""
-    if not k > 0:
-        raise ValueError(f"momentum must be positive, got {k}")
+    """On-shell scattering matrix at real finite momentum k > 0."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"momentum must be positive and finite, got {k}")
     n = coupling.n
     eye = np.eye(n)
     den = (k + 1.0) * eye + (k - 1.0) * coupling.u
@@ -87,89 +84,39 @@ def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     return np.linalg.solve(den, num)
 
 
-def _pole_matrix(u: np.ndarray, kappa: float) -> np.ndarray:
-    return (1j * kappa + 1.0) * np.eye(u.shape[0]) + (1j * kappa - 1.0) * u
-
-
-def _det_normalized(u: np.ndarray, kappa: float) -> complex:
-    # dividing by (1 + kappa^2)^(n/2) keeps every spectral factor in [0, 2]
-    n = u.shape[0]
-    return np.linalg.det(_pole_matrix(u, kappa)) \
-        / (1.0 + kappa * kappa) ** (n / 2.0)
-
-
-def _sigma_min(u: np.ndarray, kappa: float) -> float:
-    sv = np.linalg.svd(_pole_matrix(u, kappa), compute_uv=False)
-    return float(sv[-1]) / math.sqrt(1.0 + kappa * kappa)
-
-
-def _multiplicity(u: np.ndarray, kappa: float) -> int:
-    # singular values are compared against the natural matrix scale
-    # sqrt(1 + kappa^2) rather than sigma_max, which itself vanishes when
-    # every eigenvalue hits the root at once
-    sv = np.linalg.svd(_pole_matrix(u, kappa), compute_uv=False)
-    return int(np.sum(sv <= NULLSPACE_TOL * math.sqrt(1.0 + kappa * kappa)))
-
-
-def bound_states(coupling: VertexCoupling, kappa_max: float, *,
-                 grid_points: int = 4000) -> list[BoundState]:
+def bound_states(coupling: VertexCoupling,
+                 kappa_max: float) -> list[BoundState]:
     """All kappa in (0, kappa_max] with det((i kappa + 1) I + (i kappa - 1) U) = 0.
 
-    The normalized determinant is sampled on a log-spaced grid.  Sign
-    changes of its real and imaginary parts are bracketed and refined with
-    Brent's method (along the real kappa axis each simple zero factors as
-    (kappa - kappa0) g(kappa), so either part vanishes exactly at the
-    root).  Even-multiplicity zeros produce no sign change, so strict
-    local minima of |det| that fall below DET_DIP_FRACTION of the grid
-    maximum are polished by bounded minimization as well.  Every candidate
-    must pass a rank test: the matrix at the root has to be numerically
-    rank deficient, and the null-space dimension is reported as the
-    multiplicity.
+    U is normal, so the determinant is a product over its eigenvalues
+    e^{i theta} of 2 i e^{i theta / 2} (kappa cos(theta / 2) - sin(theta / 2)),
+    which vanishes only at kappa = tan(theta / 2).  Each eigenvalue with
+    theta in (0, pi) therefore gives one bound state, with the eigenvalue's
+    multiplicity.  Eigenvalues within DECOUPLED_EIGENVALUE_TOL of each other
+    count as one degenerate eigenvalue; clusters at +1 (threshold, kappa = 0)
+    and at -1 (Dirichlet, kappa = inf) carry no state.  kappa_max may be
+    inf.  States are returned in increasing kappa.
     """
     if not kappa_max > 0:
         raise ValueError(f"kappa_max must be positive, got {kappa_max}")
-    u = coupling.u
-    grid = np.geomspace(kappa_max * 1e-10, kappa_max, grid_points)
-    vals = np.array([_det_normalized(u, kap) for kap in grid])
-
-    bracketed: list[float] = []
-    for part in (np.real, np.imag):
-        p = part(vals)
-        sign = np.sign(p)
-        crossings = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        for i in crossings:
-            root = brentq(lambda kap: float(part(_det_normalized(u, kap))),
-                          grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
-            bracketed.append(float(root))
-
-    dips: list[float] = []
-    mags = np.abs(vals)
-    dip_cut = DET_DIP_FRACTION * float(np.max(mags))
-    for i in range(1, len(grid) - 1):
-        if mags[i] < mags[i - 1] and mags[i] <= mags[i + 1] \
-                and mags[i] < dip_cut:
-            # sigma_min is V-shaped at a zero of any multiplicity, so the
-            # bounded search localizes it far better than the flat |det|
-            res = minimize_scalar(
-                lambda kap: _sigma_min(u, kap),
-                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                options={"xatol": 1e-13})
-            dips.append(float(res.x))
-
-    def near(kap: float, existing: list[float], tol: float) -> bool:
-        return any(abs(kap - other) <= tol * max(1.0, kap)
-                   for other in existing)
-
-    # bracketed roots are machine-accurate and take precedence over the
-    # |det|-dip candidates, whose localization is much coarser; the dedupe
-    # radii reflect those accuracies
-    accepted: list[float] = []
-    for kap in sorted(bracketed):
-        if not near(kap, accepted, 1e-8) and _multiplicity(u, kap) >= 1:
-            accepted.append(kap)
-    for kap in sorted(dips):
-        if not near(kap, accepted, 1e-6) and _multiplicity(u, kap) >= 1:
-            accepted.append(kap)
-
-    return [BoundState(kappa=kap, multiplicity=_multiplicity(u, kap))
-            for kap in sorted(accepted)]
+    lams = np.linalg.eigvals(coupling.u)
+    lams = lams[np.argsort(np.angle(lams))]
+    # a cluster at -1 may be split across +-pi; harmless, -1 is dropped
+    clusters: list[list[complex]] = [[lams[0]]]
+    for lam in lams[1:]:
+        if abs(lam - clusters[-1][-1]) <= DECOUPLED_EIGENVALUE_TOL:
+            clusters[-1].append(lam)
+        else:
+            clusters.append([lam])
+    states = []
+    for cluster in clusters:
+        centre = complex(np.mean(cluster))
+        if abs(centre - 1.0) <= DECOUPLED_EIGENVALUE_TOL \
+                or abs(centre + 1.0) <= DECOUPLED_EIGENVALUE_TOL:
+            continue
+        theta = math.atan2(centre.imag, centre.real)
+        if 0.0 < theta < math.pi:
+            kappa = math.tan(theta / 2.0)
+            if kappa <= kappa_max:
+                states.append(BoundState(kappa, len(cluster)))
+    return states

@@ -16,6 +16,7 @@ from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
                            make_coupling, ones_matrix, rescale_length,
                            satisfies_vertex_condition, to_ab,
                            unitarity_defect, validate_ab)
+from starcouplings.coupling import FAMILIES
 
 RNG = np.random.default_rng(20260810)
 
@@ -65,6 +66,11 @@ class TestMakeCoupling:
         with pytest.raises(InvalidCouplingError):
             make_coupling("delta", 0, 1.0)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rejects_nan_parameter(self, family):
+        with pytest.raises(InvalidCouplingError):
+            make_coupling(family, 3, math.nan)
+
     def test_delta_eigenstructure(self):
         # J has eigenvalue n on constants and 0 on the complement, so the
         # delta matrix has (n - i a)/(n + i a) and -1
@@ -84,6 +90,15 @@ class TestVertexCoupling:
     def test_rejects_nonunitary(self):
         with pytest.raises(InvalidCouplingError):
             VertexCoupling(n=2, u=np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidCouplingError):
+            VertexCoupling.custom(np.full((2, 2), bad))
+        u = np.eye(3, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(InvalidCouplingError):
+            VertexCoupling.custom(u)
 
     def test_matrix_is_readonly(self):
         c = make_coupling("delta", 2, 1.0)

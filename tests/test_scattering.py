@@ -5,12 +5,22 @@ U = p J + q I the matrix S is the same function of U applied to the
 eigenvalues on the constant vector and its complement.  Bound-state
 positions come from the one-channel Robin conditions: a decaying state
 e^{-kappa x} satisfies psi'(0) = (alpha/n) psi(0) at kappa = -alpha/n and
-psi(0) = (beta/n) psi'(0) at kappa = -n/beta.
+psi(0) = (beta/n) psi'(0) at kappa = -n/beta.  The property tests check
+bound_states, which works from the eigenvalues of U, against the
+determinant definition instead: the pole matrix must be singular at each
+returned kappa, with the returned multiplicity, and nowhere in between.
 """
+
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import starcouplings
 from conftest import random_unitary
 from starcouplings import (SpectralParameter, VertexCoupling, bound_states,
                            make_coupling, s_matrix)
@@ -70,6 +80,11 @@ class TestSMatrix:
         with pytest.raises(ValueError):
             s_matrix(c, -1.0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_rejects_non_finite_momentum(self, k):
+        with pytest.raises(ValueError):
+            s_matrix(make_coupling("delta", 2, 1.0), k)
+
 
 # ======================================================================
 #  bound_states
@@ -125,6 +140,98 @@ class TestBoundStates:
     def test_rejects_nonpositive_kappa_max(self):
         with pytest.raises(ValueError):
             bound_states(make_coupling("delta", 2, -1.0), 0.0)
+        with pytest.raises(ValueError):
+            bound_states(make_coupling("delta", 2, -1.0), math.nan)
+
+    def test_infinite_kappa_max_keeps_every_state(self):
+        found = bound_states(make_coupling("delta", 2, -1.0), math.inf)
+        assert len(found) == 1
+        assert abs(found[0].kappa - 0.5) < 1e-14
+        assert found[0].multiplicity == 1
+
+    @pytest.mark.parametrize("family,n", [
+        ("delta", 5), ("delta_prime", 5), ("delta_p", 4), ("delta_p", 5),
+        ("delta_prime_s", 4), ("delta_prime_s", 5)])
+    def test_zero_parameter_threshold_is_no_state(self, family, n):
+        # U has eigenvalue +1 (kappa = 0, the continuum threshold), which
+        # must not be reported as a state just above zero
+        assert bound_states(make_coupling(family, n, 0.0), 10.0) == []
+
+    @pytest.mark.parametrize("family", ["delta_p", "delta_prime"])
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("param", [-0.5, -1.0, -3.0, -7.0])
+    def test_degenerate_state_of_the_complement(self, family, n, param):
+        # the n - 1 dimensional complement of the constants carries the
+        # Robin state psi' = (alpha/n) psi resp. psi = (beta/n) psi'
+        exact = -param / n if family == "delta_p" else -n / param
+        found = bound_states(make_coupling(family, n, param), 100.0)
+        assert len(found) == 1
+        assert abs(found[0].kappa - exact) <= 1e-13 * exact
+        assert found[0].multiplicity == n - 1
+
+    def test_delta_p_degenerate_kappa_to_rounding(self):
+        found = bound_states(make_coupling("delta_p", 5, -3.0), 10.0)
+        assert len(found) == 1
+        assert abs(found[0].kappa - 0.6) <= 1e-14
+        assert found[0].multiplicity == 4
+
+
+# ======================================================================
+#  bound_states against the determinant definition
+# ======================================================================
+
+def _null_dimension(u: np.ndarray, kappa: float) -> int:
+    """Singular values of the pole matrix at or below 1e-10 of its scale."""
+    m = (1j * kappa + 1.0) * np.eye(u.shape[0]) + (1j * kappa - 1.0) * u
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv <= 1e-10 * math.sqrt(1.0 + kappa * kappa)))
+
+
+#: eigenphases for spectra with repeated eigenvalues, including +1 and -1;
+#: the kappa_max values drawn with them avoid every tan(theta / 2)
+PHASES = (0.0, math.pi, math.pi / 3, math.pi / 2, 2.0, 2.9, -1.0, -2.5)
+
+
+def _check_against_determinant(u: np.ndarray, kappa_max: float) -> None:
+    found = bound_states(VertexCoupling.custom(u), kappa_max)
+    kappas = [f.kappa for f in found]
+    assert kappas == sorted(kappas)
+    assert all(0.0 < k <= kappa_max for k in kappas)
+    for state in found:
+        assert _null_dimension(u, state.kappa) == state.multiplicity
+    for lo, hi in zip(kappas, kappas[1:]):
+        assert _null_dimension(u, 0.5 * (lo + hi)) == 0
+    assert _null_dimension(u, kappa_max) == 0
+
+
+class TestBoundStatesProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+           kappa_max=st.floats(0.05, 50.0))
+    def test_haar_unitaries(self, n, seed, kappa_max):
+        u = random_unitary(n, np.random.default_rng(seed))
+        _check_against_determinant(u, kappa_max)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(phases=st.lists(st.sampled_from(PHASES), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kappa_max=st.sampled_from([0.3, 1.3, 2.5, 20.0]))
+    def test_repeated_eigenvalues(self, phases, seed, kappa_max):
+        q = random_unitary(len(phases), np.random.default_rng(seed))
+        u = (q * np.exp(1j * np.array(phases))) @ q.conj().T
+        _check_against_determinant(u, kappa_max)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(starcouplings.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, starcouplings; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ======================================================================
