@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -248,7 +247,7 @@ def _cmd_converge(args) -> int:
     grid = _parse_grid(args.grid)
     a_list = _parse_a_list(args.a_list)
     report = convergence_sweep(family, args.beta, args.n, args.kappa, a_list,
-                               grid, threads=args.threads)
+                               grid)
     if args.emit == "json":
         _emit_json({
             "family": args.family,
@@ -413,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     converge.add_argument("--kappa", type=float, default=1.0)
     converge.add_argument("--a-list", required=True, dest="a_list",
                           help="comma-separated, strictly decreasing")
-    converge.add_argument("--grid", default="12,400", metavar="L,N")
+    converge.add_argument("--grid", default="12,400", metavar="L,N",
+                          help="only L, the end of the window [a, L], is "
+                               "read: the sector norms are exact")
     converge.add_argument("--emit", choices=("json", "csv"), default="csv")
-    converge.add_argument("--threads", type=int,
-                          default=os.cpu_count() or 1)
     converge.set_defaults(func=_cmd_converge)
 
     oracle = sub.add_parser(

@@ -18,37 +18,61 @@ which under either schedule equals n / (beta - n a) and tends to n / beta,
 the constant of the limiting boundary condition (see effective_robin for
 the energy-dependent constant the kernels actually see).
 
-Per symmetry sector the experiment samples the difference between the
-point-decorated approximant kernel and the limit kernel on the tensor grid
-over [a, L]^2 (the satellite position a is the first node, so the kink
-lines x = a and y = a lie on the grid) and takes the Hilbert-Schmidt norm
-by 2-D trapezoidal quadrature.  The window starts at a rather than 0:
-below the satellite the approximant keeps an O(1) boundary layer that is
-no part of the interior limit, and its Hilbert-Schmidt mass only decays
-like sqrt(a), which would mask the O(a) rate of the kernels being
-compared.  On [a, L]^2 the difference is uniformly O(a) and the fitted
-log-log slope comes out near 1.
+Per symmetry sector the experiment measures the difference between the
+point-decorated approximant kernel and the limit kernel on the window
+[a, L]^2.  The window starts at a rather than 0: below the satellite the
+approximant keeps an O(1) boundary layer that is no part of the interior
+limit, and its Hilbert-Schmidt mass only decays like sqrt(a), which would
+mask the O(a) rate of the kernels being compared.
+
+On the window the difference is exactly rank one.  Both kernels have the
+reflection form (e^{-kappa |x-y|} + R e^{-kappa (x+y)}) / (2 kappa) for
+x, y >= a, so
+
+    diff(x, y) = dR(a) e^{-kappa (x + y)} / (2 kappa),
+    ||diff||_HS = |dR(a)| (e^{-2 kappa a} - e^{-2 kappa L}) / (4 kappa^2),
+
+where dR is the reflection constant of the base condition plus the
+satellite minus that of the target.  The sweep evaluates this closed form;
+it reads only L from its grid.  Both sector pairs of both families are one
+pair in homogeneous form (sigma, tau): target tau psi(0) = sigma psi'(0),
+base tau a^2 psi'(0) = -sigma psi(0) (the scheduled Robin value), plus
+c = -1/a at a.  (sigma, tau) = (beta, n) is the Robin pair,
+(1, 0) the Dirichlet base with a Neumann target.  With x = kappa a,
+f(x) = x cosh x - sinh x, s = sinh x, h = cosh x and E = e^{2x},
+
+    P = -tau a x (h - x s) - sigma f         (the effective Robin constant
+    Q = tau x a^2 h - sigma a s               seen from x > a is P / Q)
+    dR = [(E - 1)(sigma kappa^2 Q - tau P)
+          + kappa (E + 1)(tau^2 x a^2 h + sigma f (tau a + sigma)
+                          - sigma tau a x^2 s)]
+         / ((kappa Q + P)(sigma kappa + tau)).
+
+dR is O(a) while the reflection constants are O(1); this form takes no
+difference of O(1) terms (f is summed as a series for small x, E - 1 is
+expm1), and it is evaluated with every hyperbolic factor scaled by e^{-x},
+so that dR e^{-2 kappa a} stays finite for large kappa a.  The
+hs_norm/sector_difference pair samples the kernels themselves and remains
+as the independent test oracle.
 
 Sector norms combine with multiplicities,
 
     norm_total^2 = norm_lead^2 + (n - 1) norm_rest^2,
 
-which is exact because the sectors are orthogonal.  Stages of a sweep are
-independent; convergence_sweep can run them on a thread pool.
+which is exact because the sectors are orthogonal.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleError
 from .finite_difference import GridSpec
-from .greens import (PointInteraction, SectorSpec, StarModel,
-                     sector_decompose, sector_green)
+from .greens import (KREIN_POLE_TOL, PointInteraction, SectorSpec, StarModel,
+                     check_kappa, sector_decompose, sector_green)
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
@@ -206,29 +230,77 @@ class ConvergenceReport:
     fitted_intercept: float | None
 
 
+#: Taylor coefficients 2k / (2k + 1)! of f(x) / x^3 in powers of x^2,
+#: highest first; seven terms reach float64 precision for x < 1/2
+_F_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1))
+
+
+def _f_scaled(x: float) -> float:
+    """(x cosh x - sinh x) e^{-x} for x > 0, without cancellation."""
+    if x < 0.5:
+        x2 = x * x
+        acc = 0.0
+        for coeff in _F_SERIES:
+            acc = acc * x2 + coeff
+        return acc * x2 * x * math.exp(-x)
+    return 0.5 * (x * (1.0 + math.exp(-2.0 * x)) + math.expm1(-2.0 * x))
+
+
+def _reflection_shift(sigma: float, tau: float, kappa: float,
+                      a: float) -> float:
+    """dR(a) e^{-2 kappa a} for the sector pair (sigma, tau); see the
+    module docstring.  Raises PoleError when the approximant kernel sits
+    on a pole: the Krein denominator 1 + c G(a, a) = (kappa + B) / (kappa
+    + B_0), with B = P / Q the effective Robin constant and B_0 = B + 1/a
+    that of the base, falls below KREIN_POLE_TOL."""
+    x = kappa * a
+    em = -math.expm1(-2.0 * x)    # (E - 1) / E
+    ep = 2.0 - em                 # (E + 1) / E
+    sh = 0.5 * em                 # sinh x e^{-x}
+    ch = 0.5 * ep                 # cosh x e^{-x}
+    f = _f_scaled(x)
+    p = -tau * a * x * (ch - x * sh) - sigma * f
+    q = tau * x * a * a * ch - sigma * a * sh
+    pole = kappa * q + p
+    # a (kappa q + p) + q = x a (tau kappa a^2 - sigma): 1 + c G(a, a) is
+    # pole / (x (tau kappa a^2 - sigma)), compared without dividing
+    if abs(pole) < KREIN_POLE_TOL * abs(x * (tau * kappa * a * a - sigma)):
+        raise PoleError(
+            f"Krein denominator |1 + c G(a,a)| below {KREIN_POLE_TOL}: "
+            f"energy -kappa^2 = {-kappa**2} sits on an eigenvalue of the "
+            "perturbed operator")
+    num = em * (sigma * kappa**2 * q - tau * p) \
+        + kappa * ep * (tau * tau * x * a * a * ch
+                        + sigma * f * (tau * a + sigma)
+                        - sigma * tau * a * x * x * sh)
+    return num / (pole * (sigma * kappa + tau))
+
+
 def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
-               grid: GridSpec) -> StageResult:
+               length: float) -> StageResult:
     stage = schedule(family, beta, n, a)
     try:
         targets = sector_decompose(target_model(family, n, beta))
         approxs = sector_decompose(approximant_model(stage))
-        # pre-flight: the RobinScaled target pole must stay well away
+        # pre-flight: the RobinScaled target pole must stay well away (this
+        # also covers that sector's ROBIN_POLE_TOL guard)
         for sector in targets:
             if sector.bc.kind == "robin_scaled":
                 if abs(sector.bc.n + sector.bc.beta * kappa) < TARGET_POLE_TOL:
                     raise PoleError(
                         f"target sector pole: |n + beta kappa| < {TARGET_POLE_TOL}")
-        norm_lead = hs_norm(sector_difference(targets[0], approxs[0],
-                                              kappa, a, grid))
-        if n > 1:
-            norm_rest = hs_norm(sector_difference(targets[1], approxs[1],
-                                                  kappa, a, grid))
-        else:
-            norm_rest = 0.0
+        window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
+        norms = []
+        for target, approx in zip(targets, approxs):
+            approx.bc.reflection(kappa)  # Robin pole guard of the base
+            if target.bc.kind == "neumann":
+                sigma, tau = 1.0, 0.0
+            else:
+                sigma, tau = target.bc.beta, target.bc.n
+            norms.append(abs(_reflection_shift(sigma, tau, kappa, a)) * window)
+        norm_lead = norms[0]
+        norm_rest = norms[1] if n > 1 else 0.0
         total = math.sqrt(norm_lead**2 + (n - 1) * norm_rest**2)
-        # orthogonality of the sector combination, by construction
-        assert abs(total**2 - norm_lead**2 - (n - 1) * norm_rest**2) \
-            <= 1e-10 * max(total**2, 1e-300)
         return StageResult(a=stage.a, b=stage.b, c=stage.c,
                            per_channel_b=stage.per_channel_b,
                            norm_sym=norm_lead, norm_comp=norm_rest,
@@ -241,28 +313,27 @@ def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
 
 
 def convergence_sweep(family: str, beta: float, n: int, kappa: float,
-                      a_list, grid: GridSpec,
-                      threads: int = 1) -> ConvergenceReport:
+                      a_list, grid: GridSpec) -> ConvergenceReport:
     """Run the approximation experiment over a strictly decreasing list of
     distances and fit the log-log slope of norm_total against a.
 
-    The fit uses the smallest three valid distances (asymptotic regime);
-    with fewer than two valid stages the slope is None.  Stages that hit a
-    pole guard are reported as invalid and excluded from the fit.
+    Sector norms are exact (see the module docstring), so only the window
+    end grid.L is read from ``grid``; its node count does not matter.  The
+    fit uses the smallest three valid distances (asymptotic regime); with
+    fewer than two valid stages the slope is None.  Stages that hit a pole
+    guard are reported as invalid and excluded from the fit.
     """
+    check_kappa(kappa)
     a_values = [float(a) for a in a_list]
     if len(a_values) == 0:
         raise ValueError("need at least one distance")
     if any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
         raise ValueError("distances must be strictly decreasing")
-    if threads > 1 and len(a_values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stages = list(pool.map(
-                lambda a: _run_stage(family, beta, n, kappa, a, grid),
-                a_values))
-    else:
-        stages = [_run_stage(family, beta, n, kappa, a, grid)
-                  for a in a_values]
+    for a in a_values:
+        if not 0.0 < a < grid.L:
+            raise ValueError(f"window start {a} outside (0, {grid.L})")
+    stages = [_run_stage(family, beta, n, kappa, a, grid.L)
+              for a in a_values]
 
     valid = [s for s in stages if s.valid and s.norm_total > 0.0]
     slope = intercept = None

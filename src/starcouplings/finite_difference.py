@@ -53,7 +53,7 @@ from scipy.sparse.linalg import splu
 
 from .coupling import make_coupling, to_ab
 from .errors import PoleError
-from .greens import HalflineBC, PointInteraction, StarModel
+from .greens import HalflineBC, PointInteraction, StarModel, check_kappa
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
                           kappa: float, grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
     half line at energy -kappa^2."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_kappa(kappa)
     h = grid.h
     n_pts = grid.N
     diag = np.full(n_pts, 2.0 / h**2 + kappa**2)
@@ -241,8 +240,7 @@ def fd_resolvent_star(model: StarModel, kappa: float,
     """Finite-difference kernel of the star-graph operator at energy
     -kappa^2, all n edges coupled at the origin by the model's central
     vertex condition."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_kappa(kappa)
     n = model.n
     h = grid.h
     pair = to_ab(_central_coupling(model))

@@ -146,15 +146,24 @@ class PointInteraction:
     c: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"point interaction position must be > 0, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError("point interaction position must be finite and "
+                             f"> 0, got {self.a}")
+        if math.isnan(self.c):
+            raise ValueError("point interaction strength must not be NaN; "
+                             "use math.inf for the hard screen")
+
+
+def check_kappa(kappa: float) -> None:
+    """Raise ValueError unless kappa (energy -kappa^2) is finite and > 0."""
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
 
 
 def halfline_green(bc: HalflineBC, kappa: float, x, y):
     """Resolvent kernel of the half line with boundary condition ``bc`` at
     energy -kappa^2.  Broadcasts over array arguments; values are real."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_kappa(kappa)
     refl = bc.reflection(kappa)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -192,8 +201,7 @@ def krein_insert(bc: HalflineBC, point: PointInteraction, kappa: float, x, y):
 def halfline_kernel(bc: HalflineBC, points, kappa: float):
     """Evaluator (x, y) -> kernel for a half line with any number of point
     interactions, built by chaining the rank-one update once per point."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    check_kappa(kappa)
     bc.reflection(kappa)  # trigger pole guards up front
 
     evaluate = lambda x, y: halfline_green(bc, kappa, x, y)  # noqa: E731

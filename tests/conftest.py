@@ -24,21 +24,21 @@ def random_invertible(n: int, rng: np.random.Generator,
     return (u * s) @ v
 
 
-def separable_factor(r_base: float, r_target: float, a: float, c: float,
-                     kappa: float) -> float:
+def separable_factor(r_base, r_target, a, c, kappa, exp=math.exp):
     """K(a) in diff(x, y) = K(a) e^{-kappa (x + y)}, the exact sector
     difference on [a, L]^2 between a base kernel with reflection constant
     r_base plus a delta of strength c at a, and a target kernel with
-    reflection constant r_target (see the test_convergence docstring)."""
-    g_a = (math.exp(kappa * a) + r_base * math.exp(-kappa * a)) / (2 * kappa)
-    g_aa = (1.0 + r_base * math.exp(-2 * kappa * a)) / (2 * kappa)
-    den = -1.0 / c - g_aa
+    reflection constant r_target (see the test_convergence docstring).
+    Pass mpmath numbers and exp=mpmath.exp to evaluate it at high
+    precision."""
+    g_a = (exp(kappa * a) + r_base * exp(-kappa * a)) / (2 * kappa)
+    g_aa = (1 + r_base * exp(-2 * kappa * a)) / (2 * kappa)
+    den = -1 / c - g_aa
     return (r_base - r_target) / (2 * kappa) + g_a * g_a / den
 
 
-def expected_norm(r_base: float, r_target: float, a: float, c: float,
-                  kappa: float, length: float) -> float:
+def expected_norm(r_base, r_target, a, c, kappa, length, exp=math.exp):
     """Hilbert-Schmidt norm of the separable difference over [a, length]^2."""
-    k = separable_factor(r_base, r_target, a, c, kappa)
-    return abs(k) * (math.exp(-2 * kappa * a)
-                     - math.exp(-2 * kappa * length)) / (2 * kappa)
+    k = separable_factor(r_base, r_target, a, c, kappa, exp)
+    return abs(k) * (exp(-2 * kappa * a)
+                     - exp(-2 * kappa * length)) / (2 * kappa)

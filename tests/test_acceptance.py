@@ -10,8 +10,10 @@ Neumann, and the base of the other is Neumann (Robin 0) and its target
 Dirichlet, so on [a, L]^2 each sector difference is exactly rank one,
 K(a) e^{-kappa (x + y)} with |K(a)| linear in a (conftest.separable_factor).
 Every stage's sector norms and total norm must lie within 1e-3 relative
-of that closed form; the remainder is the trapezoid error of the sweep
-grid (about 3e-4).  The decay is first order, so over a in [1e-3, 1e-1]
+of that closed form.  The sweep evaluates its norms in closed form too,
+so the two differ by rounding only (the 1e-3 bound dates from the
+trapezoid quadrature the sweep used before, whose error was about 3e-4,
+and is kept as it was).  The decay is first order, so over a in [1e-3, 1e-1]
 the exact final/initial ratio is 9.98e-3 for n = 2, 1.009e-2 and 1.026e-2
 for n = 3 and 5 (delta_prime_s), 9.92e-3 and 9.89e-3 (delta_prime).
 """

@@ -198,7 +198,7 @@ class TestConvergeCommand:
         code, out, _ = run(capsys, "converge", "--family", "delta-prime-s",
                            "--n", "2", "--beta", "1",
                            "--a-list", "0.01,0.003,0.001",
-                           "--grid", "12,200", "--threads", "1")
+                           "--grid", "12,200")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "a,b,c,per_channel_b,norm_sym,norm_comp,norm_total"
@@ -212,7 +212,7 @@ class TestConvergeCommand:
         code, out, _ = run(capsys, "converge", "--family", "delta-prime",
                            "--n", "3", "--beta", "-0.5",
                            "--a-list", "0.01,0.001", "--grid", "12,200",
-                           "--emit", "json", "--threads", "1")
+                           "--emit", "json")
         assert code == 0
         doc = json.loads(out)
         rep = convergence_sweep("delta_prime", -0.5, 3, 1.0, [0.01, 0.001],
@@ -224,8 +224,7 @@ class TestConvergeCommand:
     def test_single_stage_has_null_slope(self, capsys):
         code, out, _ = run(capsys, "converge", "--family", "delta-prime-s",
                            "--n", "2", "--beta", "1", "--a-list", "0.1",
-                           "--grid", "12,200", "--emit", "json",
-                           "--threads", "1")
+                           "--grid", "12,200", "--emit", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["fitted_slope"] is None
@@ -234,7 +233,7 @@ class TestConvergeCommand:
         code, out, err = run(capsys, "converge", "--family", "delta-prime-s",
                              "--n", "2", "--beta", "-2",
                              "--a-list", "0.01,0.001", "--grid", "12,200",
-                             "--emit", "json", "--threads", "1")
+                             "--emit", "json")
         assert code == 4
         doc = json.loads(out)
         assert all(not s["valid"] for s in doc["stages"])
@@ -314,8 +313,7 @@ class TestDeterminism:
 
     def test_converge_runs_are_byte_identical(self, capsys):
         argv = ("converge", "--family", "delta-prime-s", "--n", "2",
-                "--beta", "1", "--a-list", "0.01,0.001", "--grid", "12,100",
-                "--threads", "2")
+                "--beta", "1", "--a-list", "0.01,0.001", "--grid", "12,100")
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
@@ -330,7 +328,6 @@ class TestDeterminism:
     def test_nan_free_json(self, capsys):
         _, out, _ = run(capsys, "converge", "--family", "delta-prime-s",
                         "--n", "2", "--beta", "-2", "--a-list", "0.01",
-                        "--grid", "12,100", "--emit", "json",
-                        "--threads", "1")
+                        "--grid", "12,100", "--emit", "json")
         assert "NaN" not in out and "nan" not in out
         json.loads(out)  # must stay strictly parseable

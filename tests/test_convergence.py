@@ -12,11 +12,14 @@ kernel cancel and the rank-one correction is a product of exponentials.
 Its Hilbert-Schmidt norm is |K(a)| (e^{-2 kappa a} - e^{-2 kappa L}) /
 (2 kappa).  The tests compute K(a) from scratch (separable_factor and
 expected_norm in conftest.py) and compare the sampled quadrature against
-it.
+it.  convergence_sweep evaluates this norm in a cancellation-free closed
+form of its own; TestClosedFormNorms gates it against the same K(a)
+evaluated with 50-digit mpmath, and against the sampled quadrature.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            convergence_sweep, effective_robin, halfline_green,
                            hs_norm, krein_insert, schedule, sector_decompose,
                            sector_difference, sector_green, target_model)
+from starcouplings.convergence import SCHEDULE_FAMILIES
 
 KAPPA = 1.0
 GRID = GridSpec(12.0, 400)
@@ -349,16 +353,123 @@ class TestConvergenceSweep:
             convergence_sweep("delta_prime_s", 1.0, 2, KAPPA, [1e-3, 1e-2],
                               GridSpec(12.0, 200))
 
-    def test_threads_do_not_change_results(self):
-        args = ("delta_prime", -0.5, 2, KAPPA, [1e-2, 3e-3, 1e-3],
-                GridSpec(12.0, 200))
-        serial = convergence_sweep(*args, threads=1)
-        parallel = convergence_sweep(*args, threads=4)
-        assert serial == parallel
-
     def test_single_edge_sweep(self):
         rep = convergence_sweep("delta_prime_s", 1.0, 1, KAPPA,
                                 [1e-2, 1e-3], GridSpec(12.0, 200))
         for s in rep.stages:
             assert s.norm_comp == 0.0
             assert s.norm_total == s.norm_sym
+
+
+# ======================================================================
+#  closed-form stage norms
+# ======================================================================
+
+def _mp_sector_norms(family, beta, n, kappa, a, length):
+    """(norm_sym, norm_comp) of one stage from the Krein form of K(a) at
+    50 digits, with the reflection constants built from beta, n and a."""
+    with mpmath.workdps(50):
+        kappa, a, beta = mpmath.mpf(kappa), mpmath.mpf(a), mpmath.mpf(beta)
+        b = -beta / (n * a * a)
+        robin = ((kappa - b) / (kappa + b),
+                 (beta * kappa - n) / (beta * kappa + n))
+        dirichlet = (-1, 1)
+        pairs = (robin, dirichlet) if family == "delta_prime_s" \
+            else (dirichlet, robin)
+        return tuple(expected_norm(r_base, r_target, a, -1 / a, kappa,
+                                   mpmath.mpf(length), exp=mpmath.exp)
+                     for r_base, r_target in pairs)
+
+
+class TestClosedFormNorms:
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stage_norms_match_mpmath(self, family, n):
+        # 0.26 and 0.24 put kappa a on both sides of the switch from the
+        # series to the direct form of x cosh x - sinh x (at x = 1/2)
+        a_list = [0.26, 0.24, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+        for beta in (1.0, -0.5, 0.0, 0.3, 3.0):
+            for kappa in (0.5, 1.0, 2.0):
+                if n + beta * kappa == 0.0:
+                    continue  # the target pole
+                rep = convergence_sweep(family, beta, n, kappa, a_list, GRID)
+                for stage in rep.stages:
+                    assert stage.valid, stage.error
+                    lead, rest = _mp_sector_norms(family, beta, n, kappa,
+                                                  stage.a, GRID.L)
+                    if n == 1:
+                        rest = mpmath.mpf(0)
+                    total = mpmath.sqrt(lead**2 + (n - 1) * rest**2)
+                    for got, want in ((stage.norm_sym, lead),
+                                      (stage.norm_comp, rest),
+                                      (stage.norm_total, total)):
+                        assert abs(got - want) <= 1e-12 * abs(want), \
+                            (beta, kappa, stage.a, got, float(want))
+
+    def test_large_kappa_a_stays_finite(self):
+        # e^{2 kappa a} alone would overflow; the norms are ~1e-200 here
+        rep = convergence_sweep("delta_prime", 1.0, 3, 100.0, [3.0, 2.0],
+                                GRID)
+        for stage in rep.stages:
+            lead, rest = _mp_sector_norms("delta_prime", 1.0, 3, 100.0,
+                                          stage.a, GRID.L)
+            assert stage.norm_sym == pytest.approx(float(lead), rel=1e-12)
+            assert stage.norm_comp == pytest.approx(float(rest), rel=1e-12)
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    def test_report_does_not_depend_on_node_count(self, family):
+        args = (family, -0.5, 3, KAPPA, [1e-1, 1e-2, 1e-3])
+        assert convergence_sweep(*args, GridSpec(12.0, 200)) \
+            == convergence_sweep(*args, GridSpec(12.0, 1600))
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("beta", [1.0, -0.5, 0.0])
+    def test_stage_norms_match_quadrature_oracle(self, family, beta):
+        n, grid = 3, GridSpec(12.0, 801)
+        rep = convergence_sweep(family, beta, n, KAPPA, [1e-1, 1e-3], grid)
+        for stage in rep.stages:
+            st = schedule(family, beta, n, stage.a)
+            targets = sector_decompose(target_model(family, n, beta))
+            approxs = sector_decompose(approximant_model(st))
+            quad = [hs_norm(sector_difference(t, s, KAPPA, st.a, grid))
+                    for t, s in zip(targets, approxs)]
+            assert stage.norm_sym == pytest.approx(quad[0], rel=1e-3)
+            assert stage.norm_comp == pytest.approx(quad[1], rel=1e-3)
+
+    def test_krein_pole_marks_stage_invalid(self):
+        # beta where 1 + c G(a, a) of the scheduled Robin base vanishes at
+        # a = 0.1, found with the 50-digit Krein form
+        a, n = 0.1, 2
+
+        def krein(beta):
+            b = -beta / (n * a * a)
+            refl = (KAPPA - b) / (KAPPA + b)
+            return a - (1 + refl * mpmath.exp(-2 * KAPPA * a)) / (2 * KAPPA)
+
+        with mpmath.workdps(50):
+            beta = float(mpmath.findroot(krein, -1.75))
+        rep = convergence_sweep("delta_prime_s", beta, n, KAPPA, [a, 1e-2],
+                                GRID)
+        assert not rep.stages[0].valid
+        assert "Krein" in rep.stages[0].error
+        assert rep.stages[1].valid
+
+    def test_base_robin_pole_marks_stage_invalid(self):
+        # beta = kappa n a^2 puts the scheduled Robin base at b = -kappa
+        rep = convergence_sweep("delta_prime_s", 0.02, 2, KAPPA, [0.1, 1e-2],
+                                GRID)
+        assert not rep.stages[0].valid
+        assert "Robin kernel pole" in rep.stages[0].error
+        assert rep.stages[1].valid
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValueError):
+            convergence_sweep("delta_prime_s", 1.0, 2, kappa, [1e-2, 1e-3],
+                              GRID)
+
+    @pytest.mark.parametrize("a_list", [[20.0, 1e-2], [12.0], [1e-2, 0.0],
+                                        [1e-2, -1e-3]])
+    def test_rejects_window_start_outside_grid(self, a_list):
+        with pytest.raises(ValueError):
+            convergence_sweep("delta_prime_s", 1.0, 2, KAPPA, a_list, GRID)

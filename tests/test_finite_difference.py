@@ -153,6 +153,13 @@ class TestHalflineSolver:
             fd_resolvent_halfline(HalflineBC.dirichlet(),
                                   [PointInteraction(1.0, np.inf)], KAPPA, grid)
 
+    def test_rejects_infinite_kappa(self):
+        grid = GridSpec(12.0, 99)
+        with pytest.raises(ValueError):
+            fd_resolvent_halfline(HalflineBC.neumann(), [], np.inf, grid)
+        with pytest.raises(ValueError):
+            fd_resolvent_star(StarModel.delta_prime_s(2, 1.0), np.inf, grid)
+
 
 # ======================================================================
 #  star solver

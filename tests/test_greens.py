@@ -130,6 +130,25 @@ class TestHalflineGreen:
         with pytest.raises(ValueError):
             halfline_green(HalflineBC.dirichlet(), 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_every_kernel_entry_rejects_nonfinite_kappa(self, kappa):
+        bc = HalflineBC.robin(1.5)
+        point = PointInteraction(0.5, -2.0)
+        approximant = StarModel.central_delta(2, 1.5, point)
+        calls = [
+            lambda: halfline_green(HalflineBC.dirichlet(), kappa, 1.0, 2.0),
+            lambda: halfline_kernel(bc, [point], kappa),
+            lambda: krein_insert(bc, point, kappa, 1.0, 2.0),
+            lambda: sector_green(sector_decompose(approximant)[0], kappa,
+                                 1.0, 2.0),
+            lambda: star_green(approximant, kappa, 0, 1.0, 1, 2.0),
+            lambda: star_green(StarModel.delta_prime_s(2, 1.0), kappa,
+                               0, 1.0, 1, 2.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
     @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind + str(bc.b))
     def test_residual_and_jump(self, bc):
         # -G'' + kappa^2 G = 0 away from the diagonal; dG/dx jumps by -1
@@ -230,6 +249,16 @@ class TestKreinInsert:
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
             PointInteraction(a=0.0, c=1.0)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_rejects_nonfinite_position(self, a):
+        with pytest.raises(ValueError):
+            PointInteraction(a=a, c=1.0)
+
+    def test_rejects_nan_strength(self):
+        # before the check, krein_insert returned nan for this point
+        with pytest.raises(ValueError):
+            PointInteraction(a=0.5, c=math.nan)
 
 
 # ======================================================================
