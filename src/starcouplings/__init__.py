@@ -23,7 +23,8 @@ from .finite_difference import (GridSpec, KernelErrorStats, SampledKernel,
                                 fd_resolvent_halfline, fd_resolvent_star)
 from .greens import (HalflineBC, PointInteraction, SectorSpec, StarModel,
                      halfline_green, halfline_kernel, krein_insert,
-                     sector_decompose, sector_green, star_green)
+                     sector_decompose, sector_green, star_green,
+                     vertex_kernel)
 from .scattering import BoundState, SpectralParameter, bound_states, s_matrix
 
 __version__ = "0.1.0"
@@ -41,5 +42,5 @@ __all__ = [
     "ones_matrix", "rescale_length", "s_matrix",
     "satisfies_vertex_condition", "schedule", "sector_decompose",
     "sector_difference", "sector_green", "star_green", "target_model",
-    "to_ab", "unitarity_defect", "validate_ab",
+    "to_ab", "unitarity_defect", "validate_ab", "vertex_kernel",
 ]

@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import PoleError
 from .finite_difference import GridSpec
-from .greens import (KREIN_POLE_TOL, PointInteraction, SectorSpec, StarModel,
-                     check_kappa, sector_decompose, sector_green)
+from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
+                     SectorSpec, StarModel, check_kappa, sector_green)
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
@@ -108,6 +108,8 @@ def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
             f"{SCHEDULE_FAMILIES}")
     if n < 1:
         raise ValueError(f"edge count must be >= 1, got {n}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if not a > 0:
         raise ValueError(f"distance must be positive, got {a}")
     if family == "delta_prime_s":
@@ -134,6 +136,8 @@ def effective_robin(b: float, c: float, a: float) -> float:
     no oracle for the sweep norms: at beta = 0 a norm built on it is off
     by about 35 % in the sector whose base is Dirichlet (b -> inf).
     """
+    if not (math.isfinite(b) and math.isfinite(c) and math.isfinite(a)):
+        raise ValueError(f"b, c and a must be finite, got {b}, {c}, {a}")
     if not a > 0:
         raise ValueError(f"distance must be positive, got {a}")
     den = 1.0 + a * b
@@ -279,25 +283,29 @@ def _reflection_shift(sigma: float, tau: float, kappa: float,
 def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
                length: float) -> StageResult:
     stage = schedule(family, beta, n, a)
+    # the sector pairs as (sigma, tau), leading sector (multiplicity 1)
+    # first: the scheduled Robin base against the RobinScaled(n, beta)
+    # target, and the Dirichlet base against the Neumann target
+    robin, dirichlet = (beta, float(n)), (1.0, 0.0)
+    pairs = (robin, dirichlet) if family == "delta_prime_s" \
+        else (dirichlet, robin)
+    pairs = pairs[:min(n, 2)]
     try:
-        targets = sector_decompose(target_model(family, n, beta))
-        approxs = sector_decompose(approximant_model(stage))
-        # pre-flight: the RobinScaled target pole must stay well away (this
-        # also covers that sector's ROBIN_POLE_TOL guard)
-        for sector in targets:
-            if sector.bc.kind == "robin_scaled":
-                if abs(sector.bc.n + sector.bc.beta * kappa) < TARGET_POLE_TOL:
-                    raise PoleError(
-                        f"target sector pole: |n + beta kappa| < {TARGET_POLE_TOL}")
+        if robin in pairs:
+            # pre-flight: the target pole must stay well away
+            if abs(n + beta * kappa) < TARGET_POLE_TOL:
+                raise PoleError(
+                    f"target sector pole: |n + beta kappa| < {TARGET_POLE_TOL}")
+            # the pole guard of the Robin base kernel (see greens)
+            b = stage.per_channel_b
+            if abs(kappa + b) < ROBIN_POLE_TOL * math.hypot(1.0, b) \
+                    * math.hypot(1.0, kappa):
+                raise PoleError(
+                    f"Robin kernel pole: |b + kappa| = {abs(kappa + b):.3e} "
+                    f"(b={b}, kappa={kappa})")
         window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
-        norms = []
-        for target, approx in zip(targets, approxs):
-            approx.bc.reflection(kappa)  # Robin pole guard of the base
-            if target.bc.kind == "neumann":
-                sigma, tau = 1.0, 0.0
-            else:
-                sigma, tau = target.bc.beta, target.bc.n
-            norms.append(abs(_reflection_shift(sigma, tau, kappa, a)) * window)
+        norms = [abs(_reflection_shift(sigma, tau, kappa, a)) * window
+                 for sigma, tau in pairs]
         norm_lead = norms[0]
         norm_rest = norms[1] if n > 1 else 0.0
         total = math.sqrt(norm_lead**2 + (n - 1) * norm_rest**2)

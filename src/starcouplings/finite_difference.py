@@ -1,25 +1,33 @@
 """Brute-force finite-difference resolvents for validating the closed forms.
 
-The half line is truncated at L with a Dirichlet condition there (kernels
-decay like e^{-kappa x}, so with kappa L ~ 12 the truncation error is far
-below the discretization error) and discretized on interior nodes
-x_i = i h, i = 1..N, h = L / (N + 1), with the standard three-point
-Laplacian.  The origin condition eliminates the ghost value psi_0:
+Each of the n edges of a star (a half line is the star with n = 1) is
+truncated at L with a Dirichlet condition there (kernels decay like
+e^{-kappa x}, so with kappa L ~ 12 the truncation error is far below the
+discretization error) and discretized on interior nodes x_i = i h,
+i = 1..N, h = L / (N + 1), with the standard three-point Laplacian.  The n
+ghost values Psi_0 at the vertex are eliminated jointly through the vertex
+condition A Psi(0) + B Psi'(0) = 0, (A, B) = to_ab(U), with the one-sided
+second-order stencil Psi'(0) = (-3 Psi_0 + 4 Psi_1 - Psi_2) / (2h):
 
-    Dirichlet               psi_0 = 0
-    Neumann / Robin(b)      psi'(0) = b psi(0) through the one-sided
-                            second-order stencil
-                            (-3 psi_0 + 4 psi_1 - psi_2) / (2h) = b psi_0,
-                            i.e. psi_0 = (4 psi_1 - psi_2) / (3 + 2 h b)
-    RobinScaled(n, beta)    as Robin with b = n / beta (Dirichlet for
-                            beta = 0)
+    (2h A - 3 B) Psi_0 + B (4 Psi_1 - Psi_2) = 0,
+    Psi_0 = M0 (4 Psi_1 - Psi_2),   M0 = -(2h A - 3 B)^{-1} B.
 
-A delta potential of strength c adds c / h to the diagonal at the node
-nearest its position (first-order-consistent; exact positions should sit
-on grid nodes for clean second-order behavior).  The resolvent column for
-a source at node j is the solution of (H + kappa^2) g = e_j / h, one
-tridiagonal solve per requested column; kernel values are read off at the
-nodes.
+A Robin condition psi'(0) = b psi(0) gives M0 = 1 / (3 + 2 h b), Dirichlet
+M0 = 0.  The stencil is singular where 2h A - 3 B is (for Robin at
+b = -3 / (2h)); PoleError is raised when its smallest singular value falls
+below ORIGIN_STENCIL_TOL times the norm of the block (2h A, 3 B).  M0 is
+real for U = U^T, which holds for every HalflineBC and StarModel.
+
+Unknowns are ordered node-major (index i n + e), so the operator is
+kron(T, I_n), T the tridiagonal matrix of -d^2/dx^2 + kappa^2, plus the
+ghost block -(4 M0, -M0) / h^2 in the first n rows: a band matrix with n
+subdiagonals and 2n - 1 superdiagonals, written straight into LAPACK band
+storage and factorized once by a banded LU.  A delta potential of
+strength c adds c / h to the diagonal at the node nearest its position on
+every edge (first-order-consistent; exact positions should sit on grid
+nodes for clean second-order behavior).  The resolvent column for a
+source at node j solves (H + kappa^2) g = e_j / h, and kernel values are
+read off at the nodes.
 
 Two caveats of the one-sided elimination, both confined to the first
 interior node x_1 = h: source columns must not sit there (the eliminated
@@ -27,17 +35,6 @@ row carries a different scale, so a delta load on it is misnormalized;
 source coordinates snap to nodes at x >= 2h), and kernel symmetry across
 that node holds only to O(h^2) instead of machine precision.  Away from
 x_1 the sampled kernel is symmetric to rounding.
-
-For a star of n edges the same construction applies per edge, and the n
-ghost values are eliminated jointly through the vertex condition in
-(A, B) form,
-
-    (2h A - 3 B) Psi_0 + B (4 Psi_1 - Psi_2) = 0,
-
-with (A, B) built from the coupling module for the model's central
-coupling.  Unknowns are ordered node-major so the vertex block stays
-local; the sparse LU factorization is computed once and reused for every
-requested column.
 """
 
 from __future__ import annotations
@@ -47,13 +44,15 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .coupling import make_coupling, to_ab
+from .coupling import VertexCoupling, make_coupling, to_ab
 from .errors import PoleError
 from .greens import HalflineBC, PointInteraction, StarModel, check_kappa
+
+#: origin stencils with sigma_min(2h A - 3 B) below this times the norm of
+#: (2h A, 3 B) raise PoleError
+ORIGIN_STENCIL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,9 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"truncation length must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"truncation length must be finite and positive, "
+                             f"got {self.L}")
         if self.N < 16:
             raise ValueError(f"need at least 16 interior points, got {self.N}")
 
@@ -87,6 +87,8 @@ class GridSpec:
 
     def node_index(self, x: float, *, minimum: int = 0) -> int:
         """Index of the interior node nearest x, clamped to [minimum, N-1]."""
+        if not math.isfinite(x):
+            raise ValueError(f"grid coordinate must be finite, got {x}")
         i = int(round(x / self.h)) - 1
         return min(max(i, minimum), self.N - 1)
 
@@ -108,42 +110,94 @@ def _point_node(point: PointInteraction, grid: GridSpec) -> int:
 
 
 class SampledKernel:
-    """Lazy column-solved kernel samples of a half-line operator.
+    """Lazy column-solved kernel samples of a star-graph operator.
 
-    value(x, y) snaps both coordinates to grid nodes (the source node is
-    kept off the first interior node, see module docstring) and returns
-    the discrete kernel there.  snap(x, y) exposes the snapped coordinates
-    so analytic comparisons can be evaluated at identical points.
+    value(j, x, l, y) is the kernel between position x on edge j and the
+    source at y on edge l (0-based edges); value(x, y) addresses edge 0,
+    the half line.  Both coordinates snap to grid nodes (the source node
+    is kept off the first interior node, see module docstring).
+    snap(...) takes the same arguments and returns the snapped ones, so
+    analytic comparisons can be evaluated at identical points.
+    vertex_values(l, y) returns the n eliminated ghost values Psi_0 of the
+    solved column, i.e. the traces of the kernel column at the vertex.
     """
 
-    def __init__(self, grid: GridSpec, band: np.ndarray):
+    def __init__(self, grid: GridSpec, lu: np.ndarray, pivots: np.ndarray,
+                 m0: np.ndarray):
         self.grid = grid
-        self._band = band
+        self.n_edges = m0.shape[0]
+        self._lu = lu
+        self._pivots = pivots
+        self._m0 = m0
         self._columns: dict[int, np.ndarray] = {}
 
-    def _column(self, j: int) -> np.ndarray:
-        col = self._columns.get(j)
+    def _column(self, edge_l: int, iy: int) -> np.ndarray:
+        key = iy * self.n_edges + edge_l
+        col = self._columns.get(key)
         if col is None:
-            rhs = np.zeros(self.grid.N)
-            rhs[j] = 1.0 / self.grid.h
-            try:
-                col = solve_banded((1, 1), self._band, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise PoleError(
-                    f"discrete operator singular at this energy: {exc}") from exc
-            self._columns[j] = col
+            n = self.n_edges
+            rhs = np.zeros(self.grid.N * n)
+            rhs[key] = 1.0 / self.grid.h
+            col, _ = dgbtrs(self._lu, n, 2 * n - 1, rhs, self._pivots)
+            self._columns[key] = col
         return col
 
-    def snap(self, x: float, y: float) -> tuple[float, float]:
-        nodes = self.grid.nodes()
-        ix = self.grid.node_index(x)
-        iy = self.grid.node_index(y, minimum=1)
-        return float(nodes[ix]), float(nodes[iy])
+    def _nodes(self, point) -> tuple[int, int, int, int]:
+        j, x, l, y = point if len(point) == 4 else (0, point[0], 0, point[1])
+        return (j, self.grid.node_index(x), l,
+                self.grid.node_index(y, minimum=1))
 
-    def value(self, x: float, y: float) -> float:
-        ix = self.grid.node_index(x)
-        iy = self.grid.node_index(y, minimum=1)
-        return float(self._column(iy)[ix])
+    def snap(self, *point):
+        j, ix, l, iy = self._nodes(point)
+        x, y = self.grid.h * (ix + 1), self.grid.h * (iy + 1)
+        return (j, x, l, y) if len(point) == 4 else (x, y)
+
+    def value(self, *point) -> float:
+        j, ix, l, iy = self._nodes(point)
+        return float(self._column(l, iy)[ix * self.n_edges + j])
+
+    def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
+        """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
+        source at (edge_l, y): the kernel column's boundary trace."""
+        col = self._column(edge_l, self.grid.node_index(y, minimum=1))
+        n = self.n_edges
+        return self._m0 @ (4.0 * col[:n] - col[n:2 * n])
+
+
+#: the star kernel samples are the same class
+SampledStarKernel = SampledKernel
+
+
+def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
+           kappa: float, grid: GridSpec) -> SampledKernel:
+    n, h = coupling.n, grid.h
+    pair = to_ab(coupling)
+    lhs = 2.0 * h * pair.a - 3.0 * pair.b
+    scale = np.linalg.norm(np.hstack((2.0 * h * pair.a, 3.0 * pair.b)), 2)
+    smin = np.linalg.svd(lhs, compute_uv=False)[-1]
+    if smin < ORIGIN_STENCIL_TOL * scale:
+        raise PoleError(
+            f"origin stencil singular: sigma_min(2h A - 3B) = {smin:.3e} "
+            f"against |(2h A, 3B)| = {scale:.3e} at h = {h}")
+    m0 = -np.linalg.solve(lhs, pair.b).real
+
+    diag = np.full(grid.N, 2.0 / h**2 + kappa**2)
+    for point in points:
+        diag[_point_node(point, grid)] += point.c / h
+    # LAPACK band storage: entry (r, c) at row kl + ku + r - c, column c,
+    # with kl spare rows on top for the fill of the pivoting
+    kl, ku = n, 2 * n - 1
+    band = np.zeros((2 * kl + ku + 1, n * grid.N), order="F")
+    band[kl + ku] = np.repeat(diag, n)
+    band[ku, n:] = band[kl + ku + n, :-n] = -1.0 / h**2
+    rows, cols = np.indices((n, 2 * n)).reshape(2, -1)
+    band[kl + ku + rows - cols, cols] += \
+        np.hstack((-4.0 * m0, m0)).ravel() / h**2
+    lu, pivots, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+    if info > 0:
+        raise PoleError(f"discrete operator singular: zero pivot in row "
+                        f"{info}")
+    return SampledKernel(grid, lu, pivots, m0)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
@@ -151,145 +205,16 @@ def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
     half line at energy -kappa^2."""
     check_kappa(kappa)
-    h = grid.h
-    n_pts = grid.N
-    diag = np.full(n_pts, 2.0 / h**2 + kappa**2)
-    sub = np.full(n_pts - 1, -1.0 / h**2)
-    sup = np.full(n_pts - 1, -1.0 / h**2)
-    slope = bc.slope()  # None marks a Dirichlet origin
-    if slope is not None:
-        den = 3.0 + 2.0 * h * slope
-        if abs(den) < 1e-8:
-            raise PoleError(
-                f"origin stencil singular: 3 + 2 h b = {den:.3e} (b={slope})")
-        diag[0] = (2.0 - 4.0 / den) / h**2 + kappa**2
-        sup[0] = (-1.0 + 1.0 / den) / h**2
-    for point in points:
-        diag[_point_node(point, grid)] += point.c / h
-    band = np.zeros((3, n_pts))
-    band[0, 1:] = sup
-    band[1, :] = diag
-    band[2, :-1] = sub
-    return SampledKernel(grid, band)
-
-
-class SampledStarKernel:
-    """Lazy column-solved kernel samples of a star-graph operator.
-
-    value(j, x, l, y) is the kernel between position x on edge j and the
-    source at y on edge l (0-based edges).  vertex_values(l, y) returns the
-    n eliminated ghost values Psi_0 of the solved column, i.e. the traces
-    of the kernel column at the vertex.
-    """
-
-    def __init__(self, grid: GridSpec, n_edges: int, lu, m0: np.ndarray):
-        self.grid = grid
-        self.n_edges = n_edges
-        self._lu = lu
-        self._m0 = m0
-        self._columns: dict[int, np.ndarray] = {}
-
-    def _index(self, edge: int, node: int) -> int:
-        return node * self.n_edges + edge
-
-    def _column(self, edge_l: int, iy: int) -> np.ndarray:
-        key = self._index(edge_l, iy)
-        col = self._columns.get(key)
-        if col is None:
-            rhs = np.zeros(self.grid.N * self.n_edges)
-            rhs[key] = 1.0 / self.grid.h
-            col = self._lu.solve(rhs)
-            self._columns[key] = col
-        return col
-
-    def snap(self, edge_j: int, x: float, edge_l: int, y: float):
-        nodes = self.grid.nodes()
-        ix = self.grid.node_index(x)
-        iy = self.grid.node_index(y, minimum=1)
-        return edge_j, float(nodes[ix]), edge_l, float(nodes[iy])
-
-    def value(self, edge_j: int, x: float, edge_l: int, y: float) -> float:
-        ix = self.grid.node_index(x)
-        iy = self.grid.node_index(y, minimum=1)
-        col = self._column(edge_l, iy)
-        return float(col[self._index(edge_j, ix)])
-
-    def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
-        """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
-        source at (edge_l, y): the kernel column's boundary trace."""
-        iy = self.grid.node_index(y, minimum=1)
-        col = self._column(edge_l, iy)
-        psi1 = np.array([col[self._index(e, 0)] for e in range(self.n_edges)])
-        psi2 = np.array([col[self._index(e, 1)] for e in range(self.n_edges)])
-        return self._m0 @ (4.0 * psi1 - psi2)
-
-
-def _central_coupling(model: StarModel):
-    if model.kind == "delta_prime_s":
-        return make_coupling("delta_prime_s", model.n, model.beta)
-    if model.kind == "delta_prime":
-        return make_coupling("delta_prime", model.n, model.beta)
-    if model.kind == "central_delta":
-        # per-channel condition psi'(0+) = b psi(0): n-edge strength n b
-        return make_coupling("delta", model.n, model.n * model.b)
-    return make_coupling("delta_p", model.n, model.b)
+    return _solve(make_coupling(*bc.vertex), points, kappa, grid)
 
 
 def fd_resolvent_star(model: StarModel, kappa: float,
-                      grid: GridSpec) -> SampledStarKernel:
+                      grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of the star-graph operator at energy
     -kappa^2, all n edges coupled at the origin by the model's central
-    vertex condition."""
+    vertex condition and carrying its point interaction."""
     check_kappa(kappa)
-    n = model.n
-    h = grid.h
-    pair = to_ab(_central_coupling(model))
-    lhs = 2.0 * h * pair.a - 3.0 * pair.b
-    m0 = -np.linalg.solve(lhs, np.asarray(pair.b))
-    if np.max(np.abs(m0.imag)) > 1e-10 * max(np.max(np.abs(m0.real)), 1.0):
-        raise PoleError("vertex elimination produced a non-real ghost map; "
-                        "unsupported central coupling")
-    m0 = np.ascontiguousarray(m0.real)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    def idx(edge, node):
-        return node * n + edge
-
-    inv_h2 = 1.0 / h**2
-    for e in range(n):
-        for i in range(grid.N):
-            r = idx(e, i)
-            add(r, r, 2.0 * inv_h2 + kappa**2)
-            if i + 1 < grid.N:
-                add(r, idx(e, i + 1), -inv_h2)
-            if i - 1 >= 0:
-                add(r, idx(e, i - 1), -inv_h2)
-        # ghost contribution -psi_{e,0}/h^2 in the first row of edge e
-        r = idx(e, 0)
-        for l in range(n):
-            add(r, idx(l, 0), -4.0 * m0[e, l] * inv_h2)
-            add(r, idx(l, 1), m0[e, l] * inv_h2)
-    if model.point is not None:
-        j = _point_node(model.point, grid)
-        for e in range(n):
-            add(idx(e, j), idx(e, j), model.point.c / h)
-
-    matrix = scipy.sparse.csc_matrix(
-        scipy.sparse.coo_matrix((vals, (rows, cols)),
-                                shape=(n * grid.N, n * grid.N)))
-    try:
-        lu = splu(matrix)
-    except RuntimeError as exc:
-        raise PoleError(f"discrete star operator singular: {exc}") from exc
-    return SampledStarKernel(grid, n, lu, m0)
+    return _solve(make_coupling(*model.vertex), model.points, kappa, grid)
 
 
 def compare_kernels(analytic: Callable[..., float], sampled,

@@ -1,63 +1,72 @@
-"""Half-line resolvent kernels, point-interaction surgery, and star assembly.
+"""Resolvent kernels of star graphs, with point interactions on the edges.
 
-Everything is evaluated at energy -kappa^2 with kappa > 0, where the
-resolvent kernel of -d^2/dx^2 on the half line is real and can be written
-with a single boundary-dependent reflection constant R:
+A star of n half lines joined at the origin by a vertex coupling U (see
+the coupling module) has, at energy -kappa^2 with kappa > 0, the
+edge-indexed resolvent kernel (Kostrykin and Schrader, J. Phys. A 32
+(1999) 595)
 
-    G(x, y) = (exp(-kappa |x - y|) + R exp(-kappa (x + y))) / (2 kappa)
+    G_jl(x, y) = (delta_jl e^{-kappa |x - y|} + R_jl e^{-kappa (x + y)})
+                 / (2 kappa),
+    R = S_U(i kappa) = ((i kappa - 1) I + (i kappa + 1) U) D^{-1},
+    D = (i kappa + 1) I + (i kappa - 1) U.
 
-    Dirichlet     psi(0) = 0                     R = -1
-    Neumann       psi'(0) = 0                    R = +1
-    Robin         psi'(0) = b psi(0)             R = (kappa - b) / (kappa + b)
-    RobinScaled   psi(0) = (beta / n) psi'(0)    R = (beta kappa - n) / (beta kappa + n)
+A half line is the star with one edge.  The kernel is evaluated as
 
-These agree with the sinh/cosh forms
+    G(x, y) = e^{-kappa |x - y|} ((I + R) + R expm1(-2 kappa min(x, y)))
+              / (2 kappa),
+    I + R = 2 i kappa (I + U) D^{-1},
 
-    Dirichlet     sinh(kappa x_<) e^{-kappa x_>} / kappa
-    Neumann       cosh(kappa x_<) e^{-kappa x_>} / kappa
-    Robin         e^{-kappa x_>} (b sinh kappa x_< + kappa cosh kappa x_<)
-                      / (kappa (b + kappa))
-    RobinScaled   e^{-kappa x_>} (n sinh kappa x_< + beta kappa cosh kappa x_<)
-                      / (kappa (n + beta kappa))
+which keeps its relative accuracy near the origin, where a Dirichlet
+edge has I + R = 0 and the kernel is O(min(x, y)), and stays finite for
+large kappa x.  D is singular exactly when -kappa^2 is a bound-state
+energy (an eigenvalue e^{i theta} of U with kappa = tan(theta / 2)); the
+kernel raises PoleError when its smallest singular value falls below
+ROBIN_POLE_TOL 2 sqrt(1 + kappa^2), the largest it can be.  For a Robin
+condition psi'(0) = b psi(0) this reads
+|kappa + b| < ROBIN_POLE_TOL sqrt((1 + b^2)(1 + kappa^2)).
 
-(x_< and x_> the smaller/larger argument) but stay finite for large
-kappa x where sinh alone would overflow.  Robin and RobinScaled have a
-guarded pole at b + kappa = 0 and n + beta kappa = 0.
+The kernel is real exactly when U = U^T (every HalflineBC and StarModel):
+then R is real and the evaluation runs in real arithmetic.  Otherwise it
+is complex and Hermitian, G_jl(x, y) = conj G_lj(y, x).
 
-A delta potential of strength c at a > 0 updates any kernel through the
-rank-one Krein formula
+Delta potentials of strengths c_k at distances a_k > 0, each placed on
+every edge, enter through one matrix Krein update over the points
+P = {(edge e, a_k)}:
 
-    G_c(x, y) = G(x, y) + G(x, a) G(a, y) / (-1/c - G(a, a));
+    G_c(x, y) = G(x, y) - G(x, P) (C^{-1} + G(P, P))^{-1} G(P, y),
 
-c = 0 is a no-op and c = inf the hard screen G - G(x, a) G(a, y) / G(a, a),
-which forces the kernel to vanish at x = a.
+C = diag(c).  c = 0 is a no-op and c = +-inf a hard screen (C^{-1} = 0)
+that forces the kernel to vanish at a.  The rows of C^{-1} + G(P, P) are
+scaled to I + c G(P, P) (finite c) and 2 kappa G(P, P) (infinite c), and
+PoleError is raised when the smallest singular value of the scaled
+matrix falls below KREIN_POLE_TOL: the energy sits on an eigenvalue of
+the perturbed operator.  The scaling matters near the origin, where
+G(a, a) = O(a) on a Dirichlet edge, so that the unscaled denominator
+-1/c - G(a, a) = -(1 + c G(a, a)) / c is tiny with no eigenvalue near.
 
-Star graphs whose central coupling is symmetric under edge permutation
-block-diagonalize over the subspaces spanned by
-(psi, eps^r psi, ..., eps^{r(n-1)} psi), eps = exp(2 pi i / n).  Every
-model handled here reduces to one leading half-line sector (multiplicity
-1) and one repeated sector (multiplicity n - 1); sector_decompose lists
-them and star_green reassembles the edge-indexed kernel via
-sum_{r=1}^{n-1} eps^{r(j-l)} = n delta_jl - 1:
-
-    G_jl(x, y) = G_lead(x, y) / n + (delta_jl - 1/n) G_rest(x, y).
-
-Kernel evaluation is pure and broadcasts over numpy arrays; grids may be
-filled in parallel without coordination.
+HalflineBC and StarModel each name their coupling by one table entry
+``vertex = (family, n, param)`` for make_coupling, and that U is all the
+kernel reads.  The symmetry-sector decomposition of the star models
+(sector_decompose, sector_green) remains as an independent oracle: the
+star kernel is G_lead(x, y) / n + (delta_jl - 1/n) G_rest(x, y).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .coupling import VertexCoupling, make_coupling
 from .errors import PoleError
 
-#: reflection-constant denominators smaller than this raise PoleError
+#: smallest singular values of D below this (relative) raise PoleError
 ROBIN_POLE_TOL = 1e-10
-#: Krein denominators smaller than this raise PoleError
+#: smallest singular values of the scaled Krein matrix below this raise
+#: PoleError
 KREIN_POLE_TOL = 1e-12
 
 
@@ -103,38 +112,21 @@ class HalflineBC:
     def robin_scaled(cls, n: int, beta: float) -> "HalflineBC":
         return cls("robin_scaled", n=int(n), beta=float(beta))
 
+    @property
+    def vertex(self) -> tuple[str, int, float]:
+        """The condition as a one-edge coupling, (family, n, param) for
+        make_coupling."""
+        if self.kind == "dirichlet":
+            return ("delta", 1, math.inf)
+        if self.kind == "neumann":
+            return ("delta", 1, 0.0)
+        if self.kind == "robin":
+            return ("delta", 1, self.b)
+        return ("delta_prime_s", 1, self.beta / self.n)
+
     def reflection(self, kappa: float) -> float:
         """Reflection constant R of the kernel at energy -kappa^2."""
-        if self.kind == "dirichlet":
-            return -1.0
-        if self.kind == "neumann":
-            return 1.0
-        if self.kind == "robin":
-            den = self.b + kappa
-            if abs(den) < ROBIN_POLE_TOL:
-                raise PoleError(
-                    f"Robin kernel pole: |b + kappa| = {abs(den):.3e} "
-                    f"(b={self.b}, kappa={kappa})")
-            return (kappa - self.b) / den
-        den = self.n + self.beta * kappa
-        if abs(den) < ROBIN_POLE_TOL:
-            raise PoleError(
-                f"RobinScaled kernel pole: |n + beta kappa| = {abs(den):.3e} "
-                f"(n={self.n}, beta={self.beta}, kappa={kappa})")
-        return (self.beta * kappa - self.n) / den
-
-    def slope(self) -> float | None:
-        """The condition written as psi'(0) = slope * psi(0); None means
-        Dirichlet (no such form)."""
-        if self.kind == "dirichlet":
-            return None
-        if self.kind == "neumann":
-            return 0.0
-        if self.kind == "robin":
-            return self.b
-        if self.beta == 0.0:
-            return None  # psi(0) = 0
-        return self.n / self.beta
+        return float(_reflection(make_coupling(*self.vertex), kappa)[1][0, 0])
 
 
 @dataclass(frozen=True)
@@ -160,70 +152,107 @@ def check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
 
 
+def _reflection(coupling: VertexCoupling,
+                kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(I + R, R) for R = S_U(i kappa), real when U = U^T."""
+    check_kappa(kappa)
+    u = coupling.u
+    eye = np.eye(coupling.n)
+    d = (1j * kappa + 1.0) * eye + (1j * kappa - 1.0) * u
+    smin = np.linalg.svd(d, compute_uv=False)[-1]
+    if smin < ROBIN_POLE_TOL * 2.0 * math.sqrt(1.0 + kappa**2):
+        where = "Robin" if coupling.n == 1 else "vertex"
+        raise PoleError(
+            f"{where} kernel pole: sigma_min((i kappa + 1) I + (i kappa - 1) "
+            f"U) = {smin:.3e} (kappa={kappa}): energy -kappa^2 = {-kappa**2} "
+            "is a bound state of the vertex coupling")
+    one_plus_r = np.linalg.solve(d, 2j * kappa * (eye + u))
+    if np.array_equal(u, u.T):
+        one_plus_r = one_plus_r.real
+    return one_plus_r, one_plus_r - eye
+
+
+def vertex_kernel(coupling: VertexCoupling,
+                  points: Sequence[PointInteraction],
+                  kappa: float) -> Callable:
+    """Evaluator (j, x, l, y) -> G_jl(x, y) of the star with vertex
+    coupling ``coupling`` and the delta potentials ``points``, each placed
+    on every edge, at energy -kappa^2.  Edges are 0-based; x and y
+    broadcast over numpy arrays.  Pole guards run here, up front."""
+    n = coupling.n
+    one_plus_r, r = _reflection(coupling, kappa)
+
+    def base(j, x, l, y):
+        return np.exp(-kappa * np.abs(x - y)) * (
+            one_plus_r[j, l]
+            + r[j, l] * np.expm1(-2.0 * kappa * np.minimum(x, y))) \
+            / (2.0 * kappa)
+
+    active = [p for p in points if p.c != 0.0]
+    if active:
+        edges = np.tile(np.arange(n), len(active))
+        pos = np.repeat([p.a for p in active], n)
+        strength = np.repeat([p.c for p in active], n)
+        g_pp = base(edges[:, None], pos[:, None], edges[None, :],
+                    pos[None, :])
+        finite = np.isfinite(strength)
+        weight = np.where(finite, strength, 2.0 * kappa)
+        scaled = weight[:, None] * g_pp + np.diag(finite.astype(float))
+        smin = np.linalg.svd(scaled, compute_uv=False)[-1]
+        if smin < KREIN_POLE_TOL:
+            raise PoleError(
+                f"Krein denominator: sigma_min(I + c G(a, a)) = {smin:.3e} "
+                f"below {KREIN_POLE_TOL} at a={[p.a for p in active]}, "
+                f"c={[p.c for p in active]}: energy -kappa^2 = {-kappa**2} "
+                "sits on an eigenvalue of the perturbed operator")
+        krein = np.linalg.solve(scaled, np.diag(weight))
+
+    def evaluate(j: int, x, l: int, y):
+        if not (0 <= j < n and 0 <= l < n):
+            raise ValueError(f"edge indices must lie in [0, {n}), got {j}, "
+                             f"{l}")
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        for v in (x, y):
+            # min/max also catch NaN, and cost less than elementwise tests
+            if v.size and not (v.min() >= 0.0 and v.max() < math.inf):
+                raise ValueError("kernel arguments must be finite and >= 0")
+        out = base(j, x, l, y)
+        if active:
+            g_xp = base(j, x[..., None], edges, pos)
+            g_py = base(edges, pos, l, y[..., None])
+            out = out - np.sum((g_xp @ krein) * g_py, axis=-1)
+        return out if out.ndim else out.item()
+
+    return evaluate
+
+
+@lru_cache(maxsize=64)
+def _named_kernel(vertex: tuple[str, int, float],
+                  points: tuple[PointInteraction, ...], kappa: float):
+    """vertex_kernel of a coupling named by its vertex table, memoised:
+    the evaluator depends on nothing else, and building it costs more
+    than evaluating it."""
+    return vertex_kernel(make_coupling(*vertex), points, kappa)
+
+
 def halfline_green(bc: HalflineBC, kappa: float, x, y):
     """Resolvent kernel of the half line with boundary condition ``bc`` at
     energy -kappa^2.  Broadcasts over array arguments; values are real."""
-    check_kappa(kappa)
-    refl = bc.reflection(kappa)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise ValueError("kernel arguments must be >= 0")
-    out = (np.exp(-kappa * np.abs(x - y))
-           + refl * np.exp(-kappa * (x + y))) / (2.0 * kappa)
-    return out if out.ndim else float(out)
+    return _named_kernel(bc.vertex, (), kappa)(0, x, 0, y)
 
 
 def krein_insert(bc: HalflineBC, point: PointInteraction, kappa: float, x, y):
     """Kernel of the half-line operator with an added delta of strength
-    point.c at point.a, via the rank-one update of the base kernel."""
-    if point.c == 0.0:
-        return halfline_green(bc, kappa, x, y)
-    g_aa = halfline_green(bc, kappa, point.a, point.a)
-    if math.isinf(point.c):
-        den = -g_aa
-        if abs(den) < KREIN_POLE_TOL:
-            raise PoleError(
-                f"hard-screen denominator |G(a,a)| = {abs(den):.3e} too small")
-    else:
-        den = -1.0 / point.c - g_aa
-        if abs(den) < KREIN_POLE_TOL:
-            raise PoleError(
-                f"Krein denominator |-1/c - G(a,a)| = {abs(den):.3e} too "
-                f"small: energy -kappa^2 = {-kappa**2} sits on an eigenvalue "
-                "of the perturbed operator")
-    g_xy = halfline_green(bc, kappa, x, y)
-    g_xa = halfline_green(bc, kappa, x, point.a)
-    g_ay = halfline_green(bc, kappa, point.a, y)
-    return g_xy + g_xa * g_ay / den
+    point.c at point.a."""
+    return _named_kernel(bc.vertex, (point,), kappa)(0, x, 0, y)
 
 
 def halfline_kernel(bc: HalflineBC, points, kappa: float):
     """Evaluator (x, y) -> kernel for a half line with any number of point
-    interactions, built by chaining the rank-one update once per point."""
-    check_kappa(kappa)
-    bc.reflection(kappa)  # trigger pole guards up front
-
-    evaluate = lambda x, y: halfline_green(bc, kappa, x, y)  # noqa: E731
-    for point in points:
-        evaluate = _krein_wrap(evaluate, point, kappa)
-    return evaluate
-
-
-def _krein_wrap(base, point: PointInteraction, kappa: float):
-    if point.c == 0.0:
-        return base
-    g_aa = base(point.a, point.a)
-    den = -g_aa if math.isinf(point.c) else -1.0 / point.c - g_aa
-    if abs(den) < KREIN_POLE_TOL:
-        raise PoleError(
-            f"Krein denominator {abs(den):.3e} too small at a={point.a}, "
-            f"c={point.c}")
-
-    def evaluate(x, y, _base=base, _a=point.a, _den=den):
-        return _base(x, y) + _base(x, _a) * _base(_a, y) / _den
-
-    return evaluate
+    interactions."""
+    kernel = _named_kernel(bc.vertex, tuple(points), kappa)
+    return lambda x, y: kernel(0, x, 0, y)
 
 
 @dataclass(frozen=True)
@@ -242,7 +271,7 @@ class StarModel:
         central_delta_p  delta_p-type center with coupling parameter b
 
     Approximants carry at most one point interaction, applied identically
-    on every edge.
+    on every edge.  beta and b must be finite.
     """
 
     n: int
@@ -267,6 +296,10 @@ class StarModel:
                 raise ValueError("approximant models take no beta")
         else:
             raise ValueError(f"unknown star model kind {self.kind!r}")
+        param = self.beta if self.b is None else self.b
+        if not math.isfinite(param):
+            raise ValueError(f"star model parameter must be finite, got "
+                             f"{param}")
 
     @classmethod
     def delta_prime_s(cls, n: int, beta: float) -> "StarModel":
@@ -290,6 +323,20 @@ class StarModel:
     def is_target(self) -> bool:
         return self.kind in ("delta_prime_s", "delta_prime")
 
+    @property
+    def vertex(self) -> tuple[str, int, float]:
+        """The central coupling, (family, n, param) for make_coupling."""
+        if self.kind == "central_delta":
+            # per-channel condition psi'(0+) = b psi(0): n-edge strength n b
+            return ("delta", self.n, self.n * self.b)
+        if self.kind == "central_delta_p":
+            return ("delta_p", self.n, self.b)
+        return (self.kind, self.n, self.beta)
+
+    @property
+    def points(self) -> tuple[PointInteraction, ...]:
+        return () if self.point is None else (self.point,)
+
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -311,7 +358,9 @@ def sector_decompose(model: StarModel) -> list[SectorSpec]:
     delta_prime      Neumann                       RobinScaled(n, beta)
     central_delta_p  Dirichlet + point             Robin(b / n) + point
 
-    For n = 1 only the leading sector is returned.
+    For n = 1 only the leading sector is returned.  The sectors reassemble
+    the star kernel as G_lead / n + (delta_jl - 1/n) G_rest, through
+    sum_{r=1}^{n-1} eps^{r(j-l)} = n delta_jl - 1 with eps = e^{2 pi i / n}.
     """
     n = model.n
     eps = complex(np.exp(2j * np.pi / n))
@@ -336,28 +385,15 @@ def sector_decompose(model: StarModel) -> list[SectorSpec]:
 
 
 def sector_green(sector: SectorSpec, kappa: float, x, y):
-    """Kernel of one sector: the plain half-line kernel, Krein-updated when
-    the sector carries a point interaction."""
-    if sector.point is None:
-        return halfline_green(sector.bc, kappa, x, y)
-    return krein_insert(sector.bc, sector.point, kappa, x, y)
+    """Kernel of one sector: its half-line kernel, with the sector's point
+    interaction when it carries one."""
+    points = () if sector.point is None else (sector.point,)
+    return _named_kernel(sector.bc.vertex, points, kappa)(0, x, 0, y)
 
 
 def star_green(model: StarModel, kappa: float, edge_j: int, x,
                edge_l: int, y):
-    """Edge-indexed kernel of the star model,
-
-        G_jl(x, y) = G_lead(x, y) / n + (delta_jl - 1/n) G_rest(x, y),
-
-    symmetric under (j, x) <-> (l, y).  Edges are 0-based."""
-    n = model.n
-    if not (0 <= edge_j < n and 0 <= edge_l < n):
-        raise ValueError(f"edge indices must lie in [0, {n}), got "
-                         f"{edge_j}, {edge_l}")
-    sectors = sector_decompose(model)
-    lead = sector_green(sectors[0], kappa, x, y)
-    if n == 1:
-        return lead
-    rest = sector_green(sectors[1], kappa, x, y)
-    delta_jl = 1.0 if edge_j == edge_l else 0.0
-    return lead / n + (delta_jl - 1.0 / n) * rest
+    """Edge-indexed kernel G_jl(x, y) of the star model, symmetric under
+    (j, x) <-> (l, y).  Edges are 0-based."""
+    return _named_kernel(model.vertex, model.points, kappa)(
+        edge_j, x, edge_l, y)

@@ -468,6 +468,22 @@ class TestClosedFormNorms:
             convergence_sweep("delta_prime_s", 1.0, 2, kappa, [1e-2, 1e-3],
                               GRID)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_beta(self, beta):
+        for family in SCHEDULE_FAMILIES:
+            with pytest.raises(ValueError):
+                convergence_sweep(family, beta, 2, KAPPA, [1e-2, 1e-3], GRID)
+            with pytest.raises(ValueError):
+                schedule(family, beta, 2, 1e-2)
+
+    @pytest.mark.parametrize("args", [(math.nan, -10.0, 0.1),
+                                      (1.0, math.nan, 0.1),
+                                      (math.inf, -10.0, 0.1),
+                                      (1.0, -10.0, math.inf)])
+    def test_effective_robin_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError):
+            effective_robin(*args)
+
     @pytest.mark.parametrize("a_list", [[20.0, 1e-2], [12.0], [1e-2, 0.0],
                                         [1e-2, -1e-3]])
     def test_rejects_window_start_outside_grid(self, a_list):

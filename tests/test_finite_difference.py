@@ -10,8 +10,8 @@ the star solver to the half-line one.
 import numpy as np
 import pytest
 
-from starcouplings import (GridSpec, HalflineBC, PointInteraction, StarModel,
-                           compare_kernels, fd_resolvent_halfline,
+from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
+                           StarModel, compare_kernels, fd_resolvent_halfline,
                            fd_resolvent_star, halfline_green, halfline_kernel,
                            krein_insert, star_green)
 
@@ -48,6 +48,18 @@ class TestGridSpec:
             GridSpec(0.0, 100)
         with pytest.raises(ValueError):
             GridSpec(10.0, 8)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_length_and_coordinates(self, value):
+        # an infinite coordinate raised OverflowError in node_index
+        with pytest.raises(ValueError):
+            GridSpec(value, 100)
+        grid = GridSpec(12.0, 99)
+        sampled = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
+        with pytest.raises(ValueError):
+            sampled.value(value, 1.0)
+        with pytest.raises(ValueError):
+            sampled.snap(1.0, value)
 
 
 # ======================================================================
@@ -223,6 +235,26 @@ class TestStarSolver:
             js, xs, ls, ys = sampled.snap(j, x, l, y)
             assert abs(sampled.value(js, xs, ls, ys)
                        - sampled.value(ls, ys, js, xs)) < 1e-10
+
+
+# ======================================================================
+#  origin stencil
+# ======================================================================
+
+class TestOriginStencil:
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-12, 1.0 - 1e-12])
+    def test_singular_stencil_is_a_pole(self, factor):
+        # per-channel Robin b = -3/(2h) makes 3 + 2 h b vanish; the star
+        # used to blame a "non-real ghost map"
+        grid = GridSpec(12.0, 499)
+        b = -3.0 / (2.0 * grid.h) * factor
+        for build in (
+                lambda: fd_resolvent_halfline(HalflineBC.robin(b), [], KAPPA,
+                                              grid),
+                lambda: fd_resolvent_star(StarModel.central_delta(2, b),
+                                          KAPPA, grid)):
+            with pytest.raises(PoleError, match="origin stencil"):
+                build()
 
 
 # ======================================================================

@@ -3,17 +3,25 @@
 Oracles: the sinh/cosh closed forms evaluated directly in the tests, the
 defining boundary identities (checked by finite differences at the
 origin), the residual identity -G'' + kappa^2 G = 0 off the diagonal with
-unit derivative jump on it, and exact two-sector algebra for stars.
+unit derivative jump on it, exact two-sector algebra for stars, the
+sector reassembly G_lead / n + (delta_jl - 1/n) G_rest for every star
+model, the Krein formula at 50 digits (mpmath) near the origin, and the
+vertex condition and Hermiticity for Haar-random couplings.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from starcouplings import (HalflineBC, PointInteraction, PoleError, StarModel,
+from conftest import random_unitary
+from starcouplings import (BoundaryValues, HalflineBC, PointInteraction,
+                           PoleError, StarModel, VertexCoupling,
                            halfline_green, halfline_kernel, krein_insert,
-                           sector_decompose, sector_green, star_green)
+                           satisfies_vertex_condition, sector_decompose,
+                           sector_green, star_green, vertex_kernel)
 
 RNG = np.random.default_rng(7)
 
@@ -386,3 +394,179 @@ class TestStarGreen:
                 lhs = values[j] - values[k]
                 rhs = (beta / n) * (derivs[j] - derivs[k])
                 assert abs(lhs - rhs) < 1e-5
+
+
+# ======================================================================
+#  Krein updates near the origin, against 50-digit mpmath
+# ======================================================================
+
+def _mp_krein(b, kappa, a, c, x, y):
+    """Kernel of the Robin(b) half line (Dirichlet for b = None) plus a
+    delta of strength c at a, from the reflection form at 50 digits."""
+    with mpmath.workdps(50):
+        kappa, a, c, x, y = (mpmath.mpf(v) for v in (kappa, a, c, x, y))
+        refl = -1 if b is None else (kappa - b) / (kappa + b)
+
+        def g(s, t):
+            return (mpmath.exp(-kappa * abs(s - t))
+                    + refl * mpmath.exp(-kappa * (s + t))) / (2 * kappa)
+
+        return g(x, y) + g(x, a) * g(a, y) / (-1 / c - g(a, a))
+
+
+class TestKreinNearOrigin:
+    def test_strong_satellite_near_dirichlet_wall_is_no_pole(self):
+        # the unscaled denominator -1/c - G(a, a) is about kappa a^2 here
+        # (5e-13) although no eigenvalue is near
+        value = krein_insert(HalflineBC.dirichlet(),
+                             PointInteraction(1e-6, -1e6), 0.5, 1.0, 2.0)
+        want = _mp_krein(None, 0.5, 1e-6, -1e6, 1.0, 2.0)
+        assert abs(value - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("b", [None, 0.7, -0.4, 30.0],
+                             ids=["dirichlet", "robin0.7", "robin-0.4",
+                                  "robin30"])
+    def test_matches_mpmath(self, b):
+        bc = HalflineBC.dirichlet() if b is None else HalflineBC.robin(b)
+        for kappa in (0.5, 1.0, 2.0):
+            for a in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                point = PointInteraction(a, -1.0 / a)
+                for x, y in ((1.0, 2.0), (0.3, 0.7), (2.5, 2.5), (0.05, 1.0)):
+                    got = krein_insert(bc, point, kappa, x, y)
+                    want = _mp_krein(b, kappa, a, point.c, x, y)
+                    assert abs(got - want) <= 1e-9 * abs(want), \
+                        (kappa, a, x, y, got, float(want))
+
+
+# ======================================================================
+#  non-finite input
+# ======================================================================
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_kernel_arguments(self, value):
+        # before the check these returned nan (inf with a RuntimeWarning)
+        bc = HalflineBC.neumann()
+        model = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
+        calls = [
+            lambda: halfline_green(bc, 1.0, value, 1.0),
+            lambda: halfline_green(bc, 1.0, 1.0, value),
+            lambda: krein_insert(bc, PointInteraction(0.5, 2.0), 1.0, value,
+                                 1.0),
+            lambda: halfline_kernel(bc, [], 1.0)(np.array([1.0, value]), 1.0),
+            lambda: star_green(model, 1.0, 0, value, 1, 2.0),
+            lambda: star_green(StarModel.delta_prime(3, 1.0), 1.0, 0, 1.0,
+                               1, value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_star_model_parameters(self, value):
+        # a NaN was accepted before, and central_delta(2, inf) would be a
+        # Dirichlet star through make_coupling
+        for make in (StarModel.delta_prime_s, StarModel.delta_prime,
+                     StarModel.central_delta, StarModel.central_delta_p):
+            with pytest.raises(ValueError):
+                make(2, value)
+
+
+# ======================================================================
+#  the star kernel against its sector reassembly
+# ======================================================================
+
+def _sector_reassembly(model, kappa, j, x, l, y):
+    sectors = sector_decompose(model)
+    lead = sector_green(sectors[0], kappa, x, y)
+    if model.n == 1:
+        return lead
+    rest = sector_green(sectors[1], kappa, x, y)
+    return lead / model.n + ((j == l) - 1.0 / model.n) * rest
+
+
+class TestStarAgainstSectors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind,point", [
+        ("delta_prime_s", None), ("delta_prime", None),
+        ("central_delta", None), ("central_delta", PointInteraction(0.5, -2.0)),
+        ("central_delta_p", None),
+        ("central_delta_p", PointInteraction(0.5, -2.0)),
+    ], ids=["delta_prime_s", "delta_prime", "central_delta",
+            "central_delta+point", "central_delta_p", "central_delta_p+point"])
+    def test_matches_reassembly(self, n, kind, point):
+        if kind.startswith("delta_prime"):
+            models = [StarModel(n=n, kind=kind, beta=beta)
+                      for beta in (1.3, -0.7)]
+        else:
+            models = [StarModel(n=n, kind=kind, b=b, point=point)
+                      for b in (-3.3, 2.5)]
+        xs = np.array([0.0, 0.2, 0.5, 1.1, 3.0])
+        for model in models:
+            for kappa in (0.5, 1.0, 2.0):
+                for j in range(n):
+                    for l in range(n):
+                        got = star_green(model, kappa, j, xs[:, None], l,
+                                         xs[None, :])
+                        want = _sector_reassembly(model, kappa, j,
+                                                  xs[:, None], l, xs[None, :])
+                        assert np.max(np.abs(got - want)) <= 1e-13, \
+                            (model, kappa, j, l)
+
+
+# ======================================================================
+#  Haar-random couplings
+# ======================================================================
+
+def _coupling(n, seed, symmetric):
+    u = random_unitary(n, np.random.default_rng(seed))
+    if symmetric:
+        w = u @ u.T          # symmetric and unitary; symmetrize the rounding
+        u = (w + w.T) / 2.0
+    return VertexCoupling.custom(u)
+
+
+class TestRandomCouplings:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           kappa=st.floats(0.3, 3.0), with_point=st.booleans())
+    def test_kernel_is_hermitian(self, n, seed, kappa, with_point):
+        points = [PointInteraction(0.6, -1.5)] if with_point else []
+        kernel = vertex_kernel(_coupling(n, seed, False), points, kappa)
+        xs = np.array([0.0, 0.3, 0.6, 1.4, 2.5])
+        for j in range(n):
+            for l in range(n):
+                g = kernel(j, xs[:, None], l, xs[None, :])
+                g_swapped = kernel(l, xs[:, None], j, xs[None, :])
+                scale = np.max(np.abs(g))
+                assert np.max(np.abs(g - g_swapped.T.conj())) \
+                    <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           kappa=st.floats(0.3, 3.0), y0=st.floats(0.2, 3.0))
+    def test_columns_satisfy_vertex_condition(self, n, seed, kappa, y0):
+        coupling = _coupling(n, seed, False)
+        kernel = vertex_kernel(coupling, [], kappa)
+        h = 1e-5
+        for l in range(n):
+            column = [kernel(j, np.array([0.0, h, 2 * h]), l, y0)
+                      for j in range(n)]
+            psi = np.array([g[0] for g in column])
+            # one-sided second-order derivative at 0+
+            dpsi = np.array([(-3 * g[0] + 4 * g[1] - g[2]) / (2 * h)
+                             for g in column])
+            assert satisfies_vertex_condition(
+                coupling, BoundaryValues(psi, dpsi), tol=1e-6)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           symmetric=st.booleans(), with_point=st.booleans())
+    def test_real_iff_symmetric(self, n, seed, symmetric, with_point):
+        coupling = _coupling(n, seed, symmetric)
+        points = [PointInteraction(0.6, -1.5)] if with_point else []
+        values = vertex_kernel(coupling, points, 1.3)(
+            n - 1, np.array([0.2, 1.0]), 0, np.array([0.5, 2.0]))
+        is_symmetric = np.array_equal(coupling.u, coupling.u.T)
+        assert is_symmetric == symmetric or n == 1
+        assert (values.dtype == np.float64) == is_symmetric
