@@ -20,35 +20,29 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .convergence import convergence_sweep
-from .coupling import (make_coupling, rescale_length, to_ab, unitarity_defect,
-                       validate_ab)
+from .convergence import SCHEDULE_FAMILIES, convergence_sweep
+from .coupling import (FAMILIES, make_coupling, rescale_length, to_ab,
+                       unitarity_defect, validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, compare_kernels,
                                 fd_resolvent_halfline, fd_resolvent_star)
-from .greens import (HalflineBC, PointInteraction, StarModel, halfline_kernel,
-                     star_green)
+from .greens import (STAR_KINDS, HalflineBC, PointInteraction, StarModel,
+                     halfline_kernel, star_green)
 from .scattering import s_matrix
 
-_FAMILY_FLAGS = {
-    "delta": "delta",
-    "delta-prime-s": "delta_prime_s",
-    "delta-p": "delta_p",
-    "delta-prime": "delta_prime",
-}
-_SCHEDULE_FLAGS = {
-    "delta-prime-s": "delta_prime_s",
-    "delta-prime": "delta_prime",
-}
-_STAR_FLAGS = {
-    "delta-prime-s": "delta_prime_s",
-    "delta-prime": "delta_prime",
-    "central-delta": "central_delta",
-    "central-delta-p": "central_delta_p",
-}
+
+def _flags(names) -> dict[str, str]:
+    """Flag spelling (dashes) of each library name (underscores)."""
+    return {name.replace("_", "-"): name for name in names}
+
+
+_FAMILY_FLAGS = _flags(FAMILIES)
+_SCHEDULE_FLAGS = _flags(SCHEDULE_FAMILIES)
+_STAR_FLAGS = _flags(STAR_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +82,6 @@ def _dumps(obj) -> str:
 
 def _emit_json(obj) -> None:
     print(_dumps(obj))
-
-
-def _matrix(m: np.ndarray):
-    return [[complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _param_json(param: float):
-    if math.isinf(param):
-        return "inf" if param > 0 else "-inf"
-    return float(param)
 
 
 # ---------------------------------------------------------------------------
@@ -155,19 +139,19 @@ def _cmd_coupling(args) -> int:
     out = {
         "family": args.family,
         "n": coupling.n,
-        "param": _param_json(coupling.param),
+        "param": coupling.param,
     }
     if args.rescale is not None:
         ell, ell_prime = args.rescale
         coupling = rescale_length(coupling, ell, ell_prime)
         out["rescale"] = {"ell": ell, "ell_prime": ell_prime}
     out["unitarity_defect"] = unitarity_defect(coupling.u)
-    out["u"] = _matrix(coupling.u)
+    out["u"] = coupling.u
     failed = False
     if args.to_ab or args.validate:
         pair = to_ab(coupling)
         if args.to_ab:
-            out["ab"] = {"a": _matrix(pair.a), "b": _matrix(pair.b)}
+            out["ab"] = {"a": pair.a, "b": pair.b}
         if args.validate:
             diag = validate_ab(pair)
             out["diagnostics"] = {
@@ -192,10 +176,10 @@ def _cmd_smatrix(args) -> int:
     _emit_json({
         "family": args.family,
         "n": coupling.n,
-        "param": _param_json(coupling.param),
+        "param": coupling.param,
         "k": args.k,
         "unitarity_defect": defect,
-        "s": _matrix(s),
+        "s": s,
     })
     return 0
 
@@ -219,27 +203,13 @@ def _cmd_greens(args) -> int:
         return 0
     _emit_json({
         "bc": args.bc,
-        "points": [{"a": p.a, "c": _param_json(p.c)} for p in points],
+        "points": [{"a": p.a, "c": p.c} for p in points],
         "kappa": args.kappa,
         "x": args.x,
         "y": args.y,
         "value": complex(value),
     })
     return 0
-
-
-def _stage_json(stage) -> dict:
-    return {
-        "a": stage.a,
-        "b": stage.b,
-        "c": stage.c,
-        "per_channel_b": stage.per_channel_b,
-        "norm_sym": stage.norm_sym,
-        "norm_comp": stage.norm_comp,
-        "norm_total": stage.norm_total,
-        "valid": stage.valid,
-        "error": stage.error,
-    }
 
 
 def _cmd_converge(args) -> int:
@@ -255,7 +225,7 @@ def _cmd_converge(args) -> int:
             "beta": report.beta,
             "kappa": report.kappa,
             "grid": {"L": grid.L, "N": grid.N},
-            "stages": [_stage_json(s) for s in report.stages],
+            "stages": [asdict(s) for s in report.stages],
             "fitted_slope": report.fitted_slope,
             "fitted_intercept": report.fitted_intercept,
         })
@@ -296,15 +266,14 @@ def _cmd_oracle_check(args) -> int:
         sampled = fd_resolvent_halfline(bc, points, kappa, grid)
         samples = _default_samples(grid.L)
         model_desc = {"mode": "half", "bc": args.bc,
-                      "points": [{"a": p.a, "c": _param_json(p.c)}
-                                 for p in points]}
+                      "points": [{"a": p.a, "c": p.c} for p in points]}
     else:
-        kind = _STAR_FLAGS[args.star_family]
-        if kind in ("delta_prime_s", "delta_prime"):
-            model = StarModel(n=args.n, kind=kind, beta=args.beta)
-        else:
-            point = _parse_point(args.point[0]) if args.point else None
-            model = StarModel(n=args.n, kind=kind, b=args.b, point=point)
+        if len(args.point or ()) > 1:
+            raise ValueError("star models carry at most one --point")
+        point = _parse_point(args.point[0]) if args.point else None
+        # StarModel rejects the flags its kind does not take
+        model = StarModel(n=args.n, kind=_STAR_FLAGS[args.star_family],
+                          beta=args.beta, b=args.b, point=point)
         analytic = lambda j, x, l, y: star_green(model, kappa, j, x, l, y)  # noqa: E731
         sampled = fd_resolvent_star(model, kappa, grid)
         edges = sorted({0, model.n - 1})

@@ -6,17 +6,19 @@ e^{-kappa x}, so with kappa L ~ 12 the truncation error is far below the
 discretization error) and discretized on interior nodes x_i = i h,
 i = 1..N, h = L / (N + 1), with the standard three-point Laplacian.  The n
 ghost values Psi_0 at the vertex are eliminated jointly through the vertex
-condition A Psi(0) + B Psi'(0) = 0, (A, B) = to_ab(U), with the one-sided
-second-order stencil Psi'(0) = (-3 Psi_0 + 4 Psi_1 - Psi_2) / (2h):
+condition A Psi(0) + B Psi'(0) = 0, (A, B) = (U - I, i (U + I)), with the
+one-sided second-order stencil Psi'(0) = (-3 Psi_0 + 4 Psi_1 - Psi_2) / (2h):
 
     (2h A - 3 B) Psi_0 + B (4 Psi_1 - Psi_2) = 0,
     Psi_0 = M0 (4 Psi_1 - Psi_2),   M0 = -(2h A - 3 B)^{-1} B.
 
-A Robin condition psi'(0) = b psi(0) gives M0 = 1 / (3 + 2 h b), Dirichlet
-M0 = 0.  The stencil is singular where 2h A - 3 B is (for Robin at
-b = -3 / (2h)); PoleError is raised when its smallest singular value falls
-below ORIGIN_STENCIL_TOL times the norm of the block (2h A, 3 B).  M0 is
-real for U = U^T, which holds for every HalflineBC and StarModel.
+Since 2h A - 3 B = -2h D(k_h) with D(k) = (k + 1) I + (k - 1) U and
+k_h = 3i / (2h), the ghost map is the scattering matrix in disguise,
+M0 = (I + S_U(k_h)) / 6, taken from scattering.one_plus_s.  A Robin
+condition psi'(0) = b psi(0) gives M0 = 1 / (3 + 2 h b), Dirichlet M0 = 0.
+The stencil is singular exactly when kappa_h = 3 / (2h) is a bound state
+of U (for Robin at b = -3 / (2h)); one_plus_s raises PoleError near it.
+M0 is real for U = U^T, which holds for every HalflineBC and StarModel.
 
 Unknowns are ordered node-major (index i n + e), so the operator is
 kron(T, I_n), T the tridiagonal matrix of -d^2/dx^2 + kappa^2, plus the
@@ -46,12 +48,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .coupling import VertexCoupling, make_coupling, to_ab
+# to_ab stays a module attribute: the oracle workload of benchmarks/
+# patches finite_difference.to_ab
+from .coupling import VertexCoupling, make_coupling, to_ab  # noqa: F401
 from .errors import PoleError
 from .greens import HalflineBC, PointInteraction, StarModel, check_kappa
+from .scattering import one_plus_s
 
-#: origin stencils with sigma_min(2h A - 3 B) below this times the norm of
-#: (2h A, 3 B) raise PoleError
+#: origin stencils with sigma_min(D(3i / (2h))) below this (relative, see
+#: scattering.one_plus_s) raise PoleError
 ORIGIN_STENCIL_TOL = 1e-8
 
 
@@ -168,18 +173,19 @@ class SampledKernel:
 SampledStarKernel = SampledKernel
 
 
+def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
+    """M0 = -(2h A - 3 B)^{-1} B = (I + S_U(3i / (2h))) / 6, real for
+    U = U^T (see the module docstring)."""
+    try:
+        return one_plus_s(coupling, 1.5j / h, ORIGIN_STENCIL_TOL) / 6.0
+    except PoleError as exc:
+        raise PoleError(f"origin stencil singular: {exc}") from None
+
+
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
     n, h = coupling.n, grid.h
-    pair = to_ab(coupling)
-    lhs = 2.0 * h * pair.a - 3.0 * pair.b
-    scale = np.linalg.norm(np.hstack((2.0 * h * pair.a, 3.0 * pair.b)), 2)
-    smin = np.linalg.svd(lhs, compute_uv=False)[-1]
-    if smin < ORIGIN_STENCIL_TOL * scale:
-        raise PoleError(
-            f"origin stencil singular: sigma_min(2h A - 3B) = {smin:.3e} "
-            f"against |(2h A, 3B)| = {scale:.3e} at h = {h}")
-    m0 = -np.linalg.solve(lhs, pair.b).real
+    m0 = _ghost_map(coupling, h)
 
     diag = np.full(grid.N, 2.0 / h**2 + kappa**2)
     for point in points:

@@ -18,9 +18,10 @@ A half line is the star with one edge.  The kernel is evaluated as
 
 which keeps its relative accuracy near the origin, where a Dirichlet
 edge has I + R = 0 and the kernel is O(min(x, y)), and stays finite for
-large kappa x.  D is singular exactly when -kappa^2 is a bound-state
-energy (an eigenvalue e^{i theta} of U with kappa = tan(theta / 2)); the
-kernel raises PoleError when its smallest singular value falls below
+large kappa x.  I + R comes from scattering.one_plus_s at k = i kappa.
+D is singular exactly when -kappa^2 is a bound-state energy (an
+eigenvalue e^{i theta} of U with kappa = tan(theta / 2)); the kernel
+raises PoleError when its smallest singular value falls below
 ROBIN_POLE_TOL 2 sqrt(1 + kappa^2), the largest it can be.  For a Robin
 condition psi'(0) = b psi(0) this reads
 |kappa + b| < ROBIN_POLE_TOL sqrt((1 + b^2)(1 + kappa^2)).
@@ -62,12 +63,17 @@ import numpy as np
 
 from .coupling import VertexCoupling, make_coupling
 from .errors import PoleError
+from .scattering import one_plus_s
 
 #: smallest singular values of D below this (relative) raise PoleError
 ROBIN_POLE_TOL = 1e-10
 #: smallest singular values of the scaled Krein matrix below this raise
 #: PoleError
 KREIN_POLE_TOL = 1e-12
+#: StarModel kinds: the two targets (parameter beta), then the two
+#: approximants (parameter b)
+STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
+              "central_delta_p")
 
 
 @dataclass(frozen=True)
@@ -156,20 +162,14 @@ def _reflection(coupling: VertexCoupling,
                 kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """(I + R, R) for R = S_U(i kappa), real when U = U^T."""
     check_kappa(kappa)
-    u = coupling.u
-    eye = np.eye(coupling.n)
-    d = (1j * kappa + 1.0) * eye + (1j * kappa - 1.0) * u
-    smin = np.linalg.svd(d, compute_uv=False)[-1]
-    if smin < ROBIN_POLE_TOL * 2.0 * math.sqrt(1.0 + kappa**2):
+    try:
+        one_plus_r = one_plus_s(coupling, 1j * kappa, ROBIN_POLE_TOL)
+    except PoleError as exc:
         where = "Robin" if coupling.n == 1 else "vertex"
         raise PoleError(
-            f"{where} kernel pole: sigma_min((i kappa + 1) I + (i kappa - 1) "
-            f"U) = {smin:.3e} (kappa={kappa}): energy -kappa^2 = {-kappa**2} "
-            "is a bound state of the vertex coupling")
-    one_plus_r = np.linalg.solve(d, 2j * kappa * (eye + u))
-    if np.array_equal(u, u.T):
-        one_plus_r = one_plus_r.real
-    return one_plus_r, one_plus_r - eye
+            f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
+            "a bound state of the vertex coupling") from None
+    return one_plus_r, one_plus_r - np.eye(coupling.n)
 
 
 def vertex_kernel(coupling: VertexCoupling,
@@ -283,19 +283,19 @@ class StarModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"edge count must be >= 1, got {self.n}")
-        if self.kind in ("delta_prime_s", "delta_prime"):
+        if self.kind not in STAR_KINDS:
+            raise ValueError(f"unknown star model kind {self.kind!r}")
+        if self.is_target:
             if self.beta is None:
                 raise ValueError(f"target model {self.kind!r} needs beta")
             if self.b is not None or self.point is not None:
                 raise ValueError("target models take no b and no point "
                                  "interaction")
-        elif self.kind in ("central_delta", "central_delta_p"):
+        else:
             if self.b is None:
                 raise ValueError(f"approximant model {self.kind!r} needs b")
             if self.beta is not None:
                 raise ValueError("approximant models take no beta")
-        else:
-            raise ValueError(f"unknown star model kind {self.kind!r}")
         param = self.beta if self.b is None else self.b
         if not math.isfinite(param):
             raise ValueError(f"star model parameter must be finite, got "
@@ -321,7 +321,7 @@ class StarModel:
 
     @property
     def is_target(self) -> bool:
-        return self.kind in ("delta_prime_s", "delta_prime")
+        return self.kind in STAR_KINDS[:2]
 
     @property
     def vertex(self) -> tuple[str, int, float]:

@@ -5,16 +5,21 @@ With a vertex coupling U the scattering matrix at momentum k > 0 is
     S_U(k) = ((k - 1) I + (k + 1) U) ((k + 1) I + (k - 1) U)^{-1}.
 
 Both factors are polynomials in U and commute.  S is unitary for every
-real k > 0 and S_U(1) = U.  For real positive k the denominator is never
-singular (it would need a U-eigenvalue of modulus |k + 1| / |k - 1| > 1);
-poles appear only on the positive imaginary axis k = i kappa, kappa > 0,
-where each zero of det((i kappa + 1) I + (i kappa - 1) U) is a bound state
-of energy -kappa^2.
+real k > 0 and S_U(1) = U.  For real positive k the denominator
+D(k) = (k + 1) I + (k - 1) U is never singular (it would need a
+U-eigenvalue of modulus |k + 1| / |k - 1| > 1); poles appear only on the
+positive imaginary axis k = i kappa, kappa > 0, where each zero of
+det D(i kappa) is a bound state of energy -kappa^2.
 
 Those zeros have a closed form in the eigenphases of U: an eigenvalue
 e^{i theta} with theta in (0, pi) gives a bound state at
 kappa = tan(theta / 2), with the eigenvalue's multiplicity (Kostrykin and
 Schrader, J. Phys. A 32 (1999) 595).
+
+S_U is also the reflection matrix R = S_U(i kappa) of the resolvent
+kernels (greens) and the ghost map of the finite-difference vertex stencil
+(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1}
+from one_plus_s, one solve with one scale-free pole guard.
 """
 
 from __future__ import annotations
@@ -66,22 +71,40 @@ class BoundState(NamedTuple):
         return -self.kappa ** 2
 
 
+#: s_matrix raises PoleError below this (relative, see one_plus_s)
+S_MATRIX_TOL = 1e-12
+
+
+def one_plus_s(coupling: VertexCoupling, k: complex,
+               tol: float) -> np.ndarray:
+    """I + S_U(k) = 2 k (I + U) D(k)^{-1}, D(k) = (k + 1) I + (k - 1) U.
+
+    Raises PoleError when sigma_min(D(k)) < tol (|k + 1| + |k - 1|), the
+    bound being the largest singular value D(k) can have.  The result is
+    real when k is imaginary and U = U^T.
+    """
+    u = coupling.u
+    eye = np.eye(coupling.n)
+    d = (k + 1.0) * eye + (k - 1.0) * u
+    smin = np.linalg.svd(d, compute_uv=False)[-1]
+    scale = abs(k + 1.0) + abs(k - 1.0)
+    if smin < tol * scale:
+        raise PoleError(
+            f"S_U(k) pole at k = {k}: sigma_min((k + 1) I + (k - 1) U) = "
+            f"{smin:.3e} below {tol:g} (|k + 1| + |k - 1|) = "
+            f"{tol * scale:.3e}")
+    # the factors commute, so D^{-1} (I + U) is (I + U) D^{-1}
+    out = np.linalg.solve(d, 2.0 * k * (eye + u))
+    if k.real == 0.0 and np.array_equal(u, u.T):
+        out = out.real
+    return out
+
+
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix at real finite momentum k > 0."""
     if not 0 < k < math.inf:
         raise ValueError(f"momentum must be positive and finite, got {k}")
-    n = coupling.n
-    eye = np.eye(n)
-    den = (k + 1.0) * eye + (k - 1.0) * coupling.u
-    num = (k - 1.0) * eye + (k + 1.0) * coupling.u
-    sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        lams = np.linalg.eigvals(coupling.u)
-        target = -(k + 1.0) / (k - 1.0) if k != 1.0 else np.inf
-        worst = lams[np.argmin(np.abs(lams - target))]
-        raise PoleError(
-            f"scattering matrix pole at k={k}: U has eigenvalue {worst}")
-    return np.linalg.solve(den, num)
+    return one_plus_s(coupling, k, S_MATRIX_TOL) - np.eye(coupling.n)
 
 
 def bound_states(coupling: VertexCoupling,

@@ -42,3 +42,18 @@ def expected_norm(r_base, r_target, a, c, kappa, length, exp=math.exp):
     k = separable_factor(r_base, r_target, a, c, kappa, exp)
     return abs(k) * (exp(-2 * kappa * a)
                      - exp(-2 * kappa * length)) / (2 * kappa)
+
+
+def unitary_with_phase(n: int, rng: np.random.Generator, theta: float,
+                       symmetric: bool) -> np.ndarray:
+    """n x n unitary with the eigenvalue e^{i theta} and n - 1 random
+    eigenphases.  The eigenbasis is Haar unitary, or Haar real orthogonal
+    when ``symmetric``, which makes U = U^T (symmetrized exactly)."""
+    if symmetric:
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q * np.sign(np.diag(r))
+    else:
+        q = random_unitary(n, rng)
+    phases = np.concatenate(([theta], rng.uniform(-np.pi, np.pi, n - 1)))
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    return (u + u.T) / 2.0 if symmetric else u

@@ -6,8 +6,10 @@ its own), emit deterministic output, and honor the exit-code contract:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            convergence_sweep, halfline_kernel, make_coupling,
@@ -297,6 +299,53 @@ class TestOracleCheckCommand:
                          "--star-family", "delta-prime-s", "--kappa", "1",
                          "--h", "0.01")
         assert code == 3
+
+
+class TestOracleCheckStarFlags:
+    """Star mode builds one StarModel from every star flag, so a flag the
+    model's kind does not take is an error, never silently dropped."""
+
+    @pytest.mark.parametrize("flags", [
+        ("delta-prime-s", "--beta", "1", "--point", "0.5,-2"),
+        ("delta-prime", "--beta", "1", "--b", "7"),
+        ("central-delta", "--b", "-8", "--beta", "1"),
+        ("central-delta", "--b", "-8", "--point", "0.5,-2",
+         "--point", "0.7,-1"),
+    ])
+    def test_flag_the_model_does_not_take_exits_3(self, capsys, flags):
+        code, out, err = run(capsys, "oracle-check", "--star-family", *flags,
+                             "--n", "2", "--h", "0.02")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenStdout:
+    """Byte-exact stdout of one invocation per serializing subcommand,
+    kept in tests/golden: the float format, the field order, "inf" for
+    infinite parameters and {"re", "im"} for complex entries."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("coupling", ("coupling", "--family", "delta-prime", "--n", "2",
+                      "--param", "1.5", "--to-ab", "--validate",
+                      "--rescale", "1", "2.5")),
+        ("greens", ("greens", "--bc", "robin:0.7", "--kappa", "1.3",
+                    "--x", "0.3", "--y", "0.45", "--point", "0.5,inf",
+                    "--point", "0.2,-3")),
+        ("greens_grid", ("greens", "--bc", "robin-scaled:3:0.8",
+                         "--kappa", "1.1", "--point", "0.25,-4",
+                         "--grid", "2,16")),
+        ("converge", ("converge", "--family", "delta-prime", "--n", "3",
+                      "--beta", "0.8", "--kappa", "1.2",
+                      "--a-list", "0.1,0.03,0.01", "--emit", "json")),
+    ])
+    def test_stdout_is_pinned(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 # ======================================================================

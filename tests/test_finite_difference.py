@@ -7,13 +7,19 @@ symmetry of the sampled kernel away from the first node, and reduction of
 the star solver to the half-line one.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from conftest import random_unitary, unitary_with_phase
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
-                           StarModel, compare_kernels, fd_resolvent_halfline,
-                           fd_resolvent_star, halfline_green, halfline_kernel,
-                           krein_insert, star_green)
+                           StarModel, VertexCoupling, compare_kernels,
+                           fd_resolvent_halfline, fd_resolvent_star,
+                           halfline_green, halfline_kernel, krein_insert,
+                           star_green, to_ab)
+from starcouplings.finite_difference import (ORIGIN_STENCIL_TOL, _ghost_map,
+                                             _solve)
 
 KAPPA = 1.0
 SAMPLES = [(x, y) for x in (0.48, 0.96, 1.5, 2.01, 3.0)
@@ -290,3 +296,72 @@ class TestCompareKernels:
                                         grid)
         stats = compare_kernels(lambda x, y: 0.0, sampled, [])
         assert stats == (0.0, 0.0, 0)
+
+
+# ======================================================================
+#  ghost map M0 = -(2h A - 3B)^{-1} B and its origin guard
+# ======================================================================
+
+def _to_ab_ghost_map(coupling, h):
+    """M0 from the boundary pair (A, B) = to_ab(U), and whether the guard
+    sigma_min(2h A - 3B) < ORIGIN_STENCIL_TOL |(2h A, 3B)| trips."""
+    pair = to_ab(coupling)
+    lhs = 2.0 * h * pair.a - 3.0 * pair.b
+    scale = np.linalg.norm(np.hstack((2.0 * h * pair.a, 3.0 * pair.b)), 2)
+    trips = np.linalg.svd(lhs, compute_uv=False)[-1] \
+        < ORIGIN_STENCIL_TOL * scale
+    return -np.linalg.solve(lhs, pair.b), trips
+
+
+def _symmetric_unitary(n, rng):
+    u = random_unitary(n, rng)
+    w = u @ u.T
+    return (w + w.T) / 2.0
+
+
+class TestGhostMap:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_equals_to_ab_formula(self, symmetric):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for h in (1e-4, 1e-3, 1e-2, 1e-1):
+                u = _symmetric_unitary(n, rng) if symmetric \
+                    else random_unitary(n, rng)
+                coupling = VertexCoupling.custom(u)
+                expected, _ = _to_ab_ghost_map(coupling, h)
+                err = np.max(np.abs(_ghost_map(coupling, h) - expected))
+                assert err <= 1e-12 * np.max(np.abs(expected))
+
+    def test_solver_takes_the_real_formula_for_symmetric_u(self):
+        rng = np.random.default_rng(12)
+        grid = GridSpec(12.0, 99)
+        for n in range(1, 6):
+            coupling = VertexCoupling.custom(_symmetric_unitary(n, rng))
+            m0 = _solve(coupling, [], KAPPA, grid)._m0
+            expected, _ = _to_ab_ghost_map(coupling, grid.h)
+            assert m0.dtype == np.float64
+            assert np.max(np.abs(m0 - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_guard_trips_wherever_the_to_ab_guard_trips(self, symmetric):
+        # an eigenphase theta = 2 atan(kappa_h (1 + eps)) puts a bound state
+        # at relative distance eps from kappa_h = 3/(2h)
+        rng = np.random.default_rng(13)
+        tripped = 0
+        for n in (1, 2, 3, 5):
+            for h in (1e-3, 0.12):
+                for eps in (0.0, 1e-12, 1e-9, 5e-8, 1e-7, 2e-7, 1e-6, 1e-3):
+                    for sign in (1.0, -1.0):
+                        theta = 2.0 * math.atan(1.5 / h * (1.0 + sign * eps))
+                        coupling = VertexCoupling.custom(
+                            unitary_with_phase(n, rng, theta, symmetric))
+                        _, trips = _to_ab_ghost_map(coupling, h)
+                        if trips:
+                            tripped += 1
+                            with pytest.raises(PoleError,
+                                               match="origin stencil"):
+                                _ghost_map(coupling, h)
+                        elif eps >= 1e-3:
+                            _ghost_map(coupling, h)
+        assert tripped >= 32

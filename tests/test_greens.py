@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unitary
+from conftest import random_unitary, unitary_with_phase
 from starcouplings import (BoundaryValues, HalflineBC, PointInteraction,
                            PoleError, StarModel, VertexCoupling,
                            halfline_green, halfline_kernel, krein_insert,
                            satisfies_vertex_condition, sector_decompose,
                            sector_green, star_green, vertex_kernel)
+from starcouplings.greens import ROBIN_POLE_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -570,3 +571,37 @@ class TestRandomCouplings:
         is_symmetric = np.array_equal(coupling.u, coupling.u.T)
         assert is_symmetric == symmetric or n == 1
         assert (values.dtype == np.float64) == is_symmetric
+
+
+# ======================================================================
+#  the vertex pole guard
+# ======================================================================
+
+class TestVertexPoleGuard:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_trips_exactly_where_the_determinant_guard_trips(self,
+                                                            symmetric):
+        # theta = 2 atan(kappa (1 + eps)) puts a bound state at relative
+        # distance eps from kappa; the guard sigma_min(D) <
+        # ROBIN_POLE_TOL 2 sqrt(1 + kappa^2) trips for |eps| below about
+        # ROBIN_POLE_TOL (1 + kappa^2) / kappa
+        rng = np.random.default_rng(21)
+        verdicts = []
+        for n in (1, 2, 3, 5):
+            for kappa in (0.5, 1.0, 3.0):
+                for eps in (0.0, 1e-13, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6):
+                    for sign in (1.0, -1.0):
+                        theta = 2.0 * math.atan(kappa * (1.0 + sign * eps))
+                        u = unitary_with_phase(n, rng, theta, symmetric)
+                        d = (1j * kappa + 1.0) * np.eye(n) \
+                            + (1j * kappa - 1.0) * u
+                        trips = np.linalg.svd(d, compute_uv=False)[-1] \
+                            < ROBIN_POLE_TOL * 2.0 * math.sqrt(1.0 + kappa**2)
+                        try:
+                            vertex_kernel(VertexCoupling.custom(u), [], kappa)
+                            raised = False
+                        except PoleError:
+                            raised = True
+                        assert raised == trips, (n, kappa, sign * eps)
+                        verdicts.append(trips)
+        assert 0 < sum(verdicts) < len(verdicts)

@@ -16,14 +16,15 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import starcouplings
 from conftest import random_unitary
-from starcouplings import (SpectralParameter, VertexCoupling, bound_states,
-                           make_coupling, s_matrix)
+from starcouplings import (PoleError, SpectralParameter, VertexCoupling,
+                           bound_states, make_coupling, s_matrix)
 
 RNG = np.random.default_rng(424242)
 
@@ -84,6 +85,67 @@ class TestSMatrix:
     def test_rejects_non_finite_momentum(self, k):
         with pytest.raises(ValueError):
             s_matrix(make_coupling("delta", 2, 1.0), k)
+
+
+def _mp_s_matrix(u: np.ndarray, k: float) -> np.ndarray:
+    """S_U(k) = ((k - 1) I + (k + 1) U) ((k + 1) I + (k - 1) U)^{-1} at
+    40 digits."""
+    with mpmath.workdps(40):
+        n = u.shape[0]
+        um = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
+                            for row in u])
+        eye = mpmath.eye(n)
+        k = mpmath.mpf(k)
+        s = ((k - 1) * eye + (k + 1) * um) \
+            * mpmath.inverse((k + 1) * eye + (k - 1) * um)
+        return np.array([[complex(s[i, j]) for j in range(n)]
+                         for i in range(n)])
+
+
+class TestSMatrixPrecision:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_mpmath(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            u = random_unitary(n, rng)
+            for k in np.geomspace(1e-3, 1e3, 7):
+                err = np.max(np.abs(s_matrix(VertexCoupling.custom(u), k)
+                                    - _mp_s_matrix(u, k)))
+                assert err <= 1e-13, (k, err)
+
+
+class TestSMatrixPoleGuard:
+    def test_trips_where_the_relative_guard_trips(self):
+        # with eigenvalues +1 and -1, D = (k + 1) I + (k - 1) U has
+        # singular values 2k and 2: sigma_min <= 1e-12 sigma_max for
+        # k <= 1e-12 and for k >= 1e12, and no momentum here lies between
+        # that bound and sigma_min < 1e-12 (|k + 1| + |k - 1|)
+        rng = np.random.default_rng(31)
+        tripped = 0
+        for n in (2, 3, 5):
+            for _ in range(3):
+                q = random_unitary(n, rng)
+                phases = np.concatenate(
+                    ([0.0, math.pi], rng.uniform(-math.pi, math.pi, n - 2)))
+                u = (q * np.exp(1j * phases)) @ q.conj().T
+                for k in (1e-14, 1e-13, 5e-13, 9e-13, 2e-12, 1e-11, 1e-3, 1.0,
+                          1e3, 1e11, 5e11, 1.1e12, 2e12, 1e13, 1e14):
+                    d = (k + 1.0) * np.eye(n) + (k - 1.0) * u
+                    sv = np.linalg.svd(d, compute_uv=False)
+                    if sv[-1] <= 1e-12 * sv[0]:
+                        tripped += 1
+                        with pytest.raises(PoleError):
+                            s_matrix(VertexCoupling.custom(u), k)
+                    else:
+                        s_matrix(VertexCoupling.custom(u), k)
+        assert tripped == 9 * 8
+
+    @pytest.mark.parametrize("sign,k", [(1.0, 1e-13), (-1.0, 1e13)])
+    def test_rejects_momenta_beyond_the_absolute_scale(self, sign, k):
+        # sigma_min(D) is 2k for U = I and 2 for U = -I, against
+        # |k + 1| + |k - 1| = 2 max(k, 1)
+        with pytest.raises(PoleError):
+            s_matrix(VertexCoupling.custom(sign * np.eye(2)), k)
 
 
 # ======================================================================
