@@ -192,10 +192,12 @@ def _cmd_greens(args) -> int:
         grid = _parse_grid(args.grid)
         nodes = grid.boundary_nodes()
         values = kernel(nodes[:, None], nodes[None, :])
-        print("x,y,re,im")
-        for i, xv in enumerate(nodes):
-            for j, yv in enumerate(nodes):
-                print(f"{xv:.17g},{yv:.17g},{values[i, j]:.17g},0")
+        labels = [f"{v:.17g}" for v in nodes.tolist()]
+        sys.stdout.write("x,y,re,im\n")
+        # one write per outer node: O(M) strings alive, not O(M^2)
+        for xs, row in zip(labels, values):
+            sys.stdout.write("".join(f"{xs},{ys},{v:.17g},0\n"
+                                     for ys, v in zip(labels, row.tolist())))
         return 0
     value = kernel(args.x, args.y)
     if args.emit == "plain":
@@ -251,6 +253,9 @@ def _default_samples(L: float) -> list[tuple[float, float]]:
 
 
 def _oracle_grid(L: float, h: float) -> GridSpec:
+    for flag, value in (("--h", h), ("--L", L)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
     return GridSpec(L=L, N=max(16, int(round(L / h)) - 1))
 
 
@@ -260,6 +265,11 @@ def _cmd_oracle_check(args) -> int:
     grid = _oracle_grid(args.L, args.step)
     kappa = args.kappa
     if args.bc is not None:
+        star_flags = [f"--{name}" for name in ("n", "beta", "b")
+                      if getattr(args, name) is not None]
+        if star_flags:
+            raise ValueError(
+                f"half-line mode (--bc) takes no {', '.join(star_flags)}")
         bc = _parse_bc(args.bc)
         points = [_parse_point(p) for p in (args.point or [])]
         analytic = halfline_kernel(bc, points, kappa)
@@ -272,7 +282,8 @@ def _cmd_oracle_check(args) -> int:
             raise ValueError("star models carry at most one --point")
         point = _parse_point(args.point[0]) if args.point else None
         # StarModel rejects the flags its kind does not take
-        model = StarModel(n=args.n, kind=_STAR_FLAGS[args.star_family],
+        model = StarModel(n=2 if args.n is None else args.n,
+                          kind=_STAR_FLAGS[args.star_family],
                           beta=args.beta, b=args.b, point=point)
         analytic = lambda j, x, l, y: star_green(model, kappa, j, x, l, y)  # noqa: E731
         sampled = fd_resolvent_star(model, kappa, grid)
@@ -280,7 +291,7 @@ def _cmd_oracle_check(args) -> int:
         samples = [(j, xv, l, yv) for j in edges for l in edges
                    for (xv, yv) in _default_samples(grid.L)[::4]]
         model_desc = {"mode": "star", "family": args.star_family,
-                      "n": args.n, "beta": args.beta, "b": args.b}
+                      "n": model.n, "beta": args.beta, "b": args.b}
 
     stats = compare_kernels(analytic, sampled, samples)
     budget = 50.0 * grid.h ** 2
@@ -396,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--point", action="append", metavar="A,C")
     oracle.add_argument("--star-family", default=None, dest="star_family",
                         choices=sorted(_STAR_FLAGS))
-    oracle.add_argument("--n", type=int, default=2)
+    oracle.add_argument("--n", type=int, default=None,
+                        help="star mode edge count (default 2)")
     oracle.add_argument("--beta", type=float, default=None)
     oracle.add_argument("--b", type=float, default=None)
     oracle.add_argument("--kappa", type=float, default=1.0)

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidCouplingError
 
@@ -324,14 +323,12 @@ def decoupled_projection(coupling: VertexCoupling,
     """Orthogonal projection onto the eigenspace of U at eigenvalue -1.
 
     Edges are Dirichlet-decoupled exactly on the range of this projection.
-    Computed from a sorted Schur form (U is normal, so the Schur vectors of
-    the selected cluster are an orthonormal eigenbasis); eigenvalues within
-    ``tol`` of -1 are included.  Returns the zero matrix when -1 is not an
+    Computed from the SVD of U + I: U is normal, so the singular values are
+    |lambda + 1| over the eigenvalues lambda of U and the right singular
+    vectors are eigenvectors.  Eigenvalues within ``tol`` of -1 are
+    included.  Returns the (complex) zero matrix when -1 is not an
     eigenvalue.
     """
-    _, z, sdim = scipy.linalg.schur(
-        coupling.u, output="complex", sort=lambda lam: abs(lam + 1.0) < tol)
-    if sdim == 0:
-        return np.zeros((coupling.n, coupling.n), dtype=complex)
-    q = z[:, :sdim]
-    return q @ q.conj().T
+    _, sv, vh = np.linalg.svd(coupling.u + np.eye(coupling.n))
+    q = vh[sv < tol].astype(complex)
+    return q.conj().T @ q

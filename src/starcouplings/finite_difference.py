@@ -31,6 +31,11 @@ nodes for clean second-order behavior).  The resolvent column for a
 source at node j solves (H + kappa^2) g = e_j / h, and kernel values are
 read off at the nodes.
 
+The LU and the column solves are LAPACK's dgbtrf and dgbtrs from scipy,
+imported where they are called (in _solve and SampledKernel._column): this
+is the only scipy the package uses, so importing the package (or its CLI)
+loads numpy only.
+
 Two caveats of the one-sided elimination, both confined to the first
 interior node x_1 = h: source columns must not sit there (the eliminated
 row carries a different scale, so a delta load on it is misnormalized;
@@ -46,7 +51,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 # to_ab stays a module attribute: the oracle workload of benchmarks/
 # patches finite_difference.to_ab
@@ -140,6 +144,8 @@ class SampledKernel:
         key = iy * self.n_edges + edge_l
         col = self._columns.get(key)
         if col is None:
+            from scipy.linalg.lapack import dgbtrs
+
             n = self.n_edges
             rhs = np.zeros(self.grid.N * n)
             rhs[key] = 1.0 / self.grid.h
@@ -184,6 +190,9 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
 
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
+    # local: importing scipy.linalg.lapack executes all of scipy.linalg
+    from scipy.linalg.lapack import dgbtrf
+
     n, h = coupling.n, grid.h
     m0 = _ghost_map(coupling, h)
 

@@ -6,11 +6,17 @@ its own), emit deterministic output, and honor the exit-code contract:
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import starcouplings
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            convergence_sweep, halfline_kernel, make_coupling,
                            s_matrix)
@@ -174,6 +180,30 @@ class TestGreensCommand:
         assert (x, y) == (4.0, 4.0)
         assert re == kernel(4.0, 4.0)
 
+    def test_grid_csv_bytes_at_benchmark_size(self, monkeypatch):
+        # the per-row format the CSV is defined by, at 402 x 402 nodes
+        writes = []
+        monkeypatch.setattr(sys, "stdout",
+                            SimpleNamespace(write=writes.append))
+        code = main(["greens", "--bc", "robin:0.7", "--kappa", "1.3",
+                     "--point", "0.5,-2", "--point", "1.5,inf",
+                     "--grid", "12,400"])
+        assert code == 0
+        # the header, then one write per outer node and never the whole
+        # CSV at once
+        assert len(writes) == 1 + 402
+        out = "".join(writes)
+        kernel = halfline_kernel(HalflineBC.robin(0.7),
+                                 [PointInteraction(0.5, -2.0),
+                                  PointInteraction(1.5, math.inf)], 1.3)
+        nodes = GridSpec(12.0, 400).boundary_nodes()
+        values = kernel(nodes[:, None], nodes[None, :])
+        expected = ["x,y,re,im\n"]
+        for i, x in enumerate(nodes):
+            for j, y in enumerate(nodes):
+                expected.append(f"{x:.17g},{y:.17g},{values[i, j]:.17g},0\n")
+        assert out == "".join(expected)
+
     def test_robin_pole_exits_3(self, capsys):
         code, _, err = run(capsys, "greens", "--bc", "robin:-1",
                            "--kappa", "1", "--x", "1", "--y", "1")
@@ -319,6 +349,46 @@ class TestOracleCheckStarFlags:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_edge_count_defaults_to_two(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "--star-family",
+                           "delta-prime-s", "--beta", "1", "--h", "0.02")
+        assert code == 0
+        assert json.loads(out)["n"] == 2
+
+
+class TestOracleCheckHalflineFlags:
+    """Half-line mode (--bc) has no star model: --n, --beta and --b are
+    errors there, never silently dropped."""
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "2"), ("--beta", "2"), ("--b", "7"),
+        ("--b", "7", "--beta", "2", "--n", "5"),
+    ])
+    def test_star_flag_exits_3(self, capsys, flags):
+        code, out, err = run(capsys, "oracle-check", "--bc", "dirichlet",
+                             *flags, "--h", "0.02")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert all(flag in err for flag in flags[::2])
+
+
+class TestOracleCheckMeshWidth:
+    @pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])
+    def test_inadmissible_h_exits_3(self, capsys, h):
+        code, out, err = run(capsys, "oracle-check", "--bc", "dirichlet",
+                             "--h", h)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --h ")
+
+    def test_infinite_length_exits_3(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--bc", "dirichlet",
+                             "--h", "0.01", "--L", "inf")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --L ")
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -380,3 +450,67 @@ class TestDeterminism:
                         "--grid", "12,100", "--emit", "json")
         assert "NaN" not in out and "nan" not in out
         json.loads(out)  # must stay strictly parseable
+
+
+# ======================================================================
+#  import layer
+# ======================================================================
+
+# Loads the package and runs subcommands in one process, printing the
+# scipy modules in sys.modules after each step as "label: name,name".
+_SCIPY_PROBE = """
+import contextlib, io, sys
+
+def report(label):
+    names = sorted(m for m in sys.modules if m.startswith("scipy"))
+    print(label + ": " + ",".join(names))
+
+import starcouplings
+report("import starcouplings")
+import starcouplings.cli as cli
+report("import starcouplings.cli")
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    report(" ".join(argv))
+"""
+
+_NUMPY_ONLY_ARGVS = [
+    ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
+     "--to-ab", "--validate", "--rescale", "1", "2.5"],
+    ["smatrix", "--family", "delta", "--n", "3", "--param", "0.7",
+     "--k", "1.5"],
+    ["greens", "--bc", "robin:0.7", "--kappa", "1.3", "--x", "0.3",
+     "--y", "0.45", "--point", "0.2,-3"],
+    ["greens", "--bc", "dirichlet", "--kappa", "1", "--grid", "4,30"],
+    ["converge", "--family", "delta-prime-s", "--n", "3", "--beta", "1",
+     "--a-list", "0.1,0.03,0.01"],
+]
+
+
+def _scipy_probe(argvs) -> list[tuple[str, str]]:
+    src = os.path.dirname(os.path.dirname(starcouplings.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _SCIPY_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    return [line.partition(": ")[::2] for line in out.stdout.splitlines()]
+
+
+class TestImportLayer:
+    """Only the finite-difference solve needs scipy; the package, its CLI
+    and every other subcommand run on numpy alone."""
+
+    def test_numpy_only_subcommands_load_no_scipy(self):
+        steps = _scipy_probe(_NUMPY_ONLY_ARGVS)
+        assert len(steps) == 2 + len(_NUMPY_ONLY_ARGVS)
+        assert [names for _, names in steps] == [""] * len(steps), steps
+
+    def test_oracle_check_loads_lapack(self):
+        steps = _scipy_probe([["oracle-check", "--bc", "dirichlet",
+                               "--h", "0.05"]])
+        assert [names for _, names in steps[:2]] == ["", ""]
+        assert "scipy.linalg.lapack" in steps[2][1].split(",")

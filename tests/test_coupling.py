@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_invertible, random_unitary
 from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
@@ -16,7 +17,7 @@ from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
                            make_coupling, ones_matrix, rescale_length,
                            satisfies_vertex_condition, to_ab,
                            unitarity_defect, validate_ab)
-from starcouplings.coupling import FAMILIES
+from starcouplings.coupling import DECOUPLED_EIGENVALUE_TOL, FAMILIES
 
 RNG = np.random.default_rng(20260810)
 
@@ -347,3 +348,72 @@ class TestDecoupledProjection:
                 VertexCoupling.custom(random_unitary(n, RNG)))
             assert np.max(np.abs(p @ p - p)) < 1e-10
             assert np.max(np.abs(p.conj().T - p)) < 1e-10
+
+
+def _with_spectrum(q: np.ndarray, phases) -> VertexCoupling:
+    """The coupling U = Q diag(e^{i phases}) Q*."""
+    return VertexCoupling.custom((q * np.exp(1j * np.asarray(phases)))
+                                 @ q.conj().T)
+
+
+def _schur_projection(u: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the eigenspace at -1 from a sorted complex Schur form."""
+    _, z, sdim = scipy.linalg.schur(
+        u, output="complex", sort=lambda lam: abs(lam + 1.0) < tol)
+    return z[:, :sdim] @ z[:, :sdim].conj().T
+
+
+class TestDecoupledProjectionSpectra:
+    """U = Q diag(e^{i theta}) Q* with Haar Q and the eigenvalue -1 at a
+    prescribed multiplicity m = 0..n; the remaining eigenphases keep at
+    least 0.1 from -1."""
+
+    TOL = DECOUPLED_EIGENVALUE_TOL
+
+    @staticmethod
+    def _far_phases(rng, count):
+        # |e^{i phi} + 1| = 2 cos(phi / 2) >= 2 sin(0.05) on this interval
+        return rng.uniform(-np.pi + 0.1, np.pi - 0.1, count)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_multiplicity(self, n):
+        rng = np.random.default_rng(7000 + n)
+        for m in range(n + 1):
+            q = random_unitary(n, rng)
+            c = _with_spectrum(
+                q, np.concatenate((np.full(m, np.pi),
+                                   self._far_phases(rng, n - m))))
+            p = decoupled_projection(c)
+            assert p.dtype == np.complex128
+            assert np.linalg.matrix_rank(p) == m
+            assert np.max(np.abs(p @ c.u + p)) < 1e-12
+            assert np.max(np.abs(p @ p - p)) < 1e-12
+            assert np.max(np.abs(p.conj().T - p)) < 1e-12
+            np.testing.assert_allclose(p, q[:, :m] @ q[:, :m].conj().T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p, _schur_projection(c.u, self.TOL),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_tolerance_edge(self, n):
+        # one more eigenvalue at distance 0.5 tol from -1 (inside) and one
+        # at 10 tol (outside): |e^{i (pi + d)} + 1| = 2 sin(d / 2) ~ d
+        rng = np.random.default_rng(7100 + n)
+        for m in range(n + 1):
+            q = random_unitary(n + 2, rng)
+            c = _with_spectrum(q, np.concatenate((
+                np.full(m, np.pi), self._far_phases(rng, n - m),
+                [np.pi + 0.5 * self.TOL, np.pi - 10.0 * self.TOL])))
+            p = decoupled_projection(c)
+            assert p.dtype == np.complex128
+            assert np.linalg.matrix_rank(p) == m + 1
+            assert np.max(np.abs(p @ p - p)) < 1e-12
+            assert np.max(np.abs(p.conj().T - p)) < 1e-12
+            # U acts on the range as -1 up to the included eigenvalue's
+            # distance 0.5 tol
+            assert np.linalg.norm(p @ c.u + p, 2) < 0.5 * self.TOL + 1e-12
+            # only 9.5 tol separates the two edge eigenvalues, so the range
+            # is fixed to about eps / (9.5 tol) ~ 2e-8, by any method
+            kept = list(range(m)) + [n]
+            np.testing.assert_allclose(
+                p, q[:, kept] @ q[:, kept].conj().T, rtol=0, atol=1e-6)
