@@ -256,7 +256,10 @@ def _oracle_grid(L: float, h: float) -> GridSpec:
     for flag, value in (("--h", h), ("--L", L)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and positive, got {value}")
-    return GridSpec(L=L, N=max(16, int(round(L / h)) - 1))
+    steps = L / h
+    if not math.isfinite(steps):
+        raise ValueError(f"--h {h} is too small for --L {L}: L / h overflows")
+    return GridSpec(L=L, N=max(16, int(round(steps)) - 1))
 
 
 def _cmd_oracle_check(args) -> int:

@@ -274,9 +274,9 @@ def rescale_length(coupling: VertexCoupling, ell: float,
     orientation-free.  For unitary U the inverted factor is never singular
     (|ell + ell'| > |ell - ell'| for positive lengths).
     """
-    if ell <= 0 or ell_prime <= 0:
-        raise InvalidCouplingError(
-            f"length scales must be positive, got {ell} and {ell_prime}")
+    if not all(math.isfinite(x) and x > 0 for x in (ell, ell_prime)):
+        raise InvalidCouplingError(f"length scales must be finite and "
+                                   f"positive, got {ell} and {ell_prime}")
     if ell == ell_prime:
         return coupling
     eye = np.eye(coupling.n)

@@ -22,19 +22,29 @@ M0 is real for U = U^T, which holds for every HalflineBC and StarModel.
 
 Unknowns are ordered node-major (index i n + e), so the operator is
 kron(T, I_n), T the tridiagonal matrix of -d^2/dx^2 + kappa^2, plus the
-ghost block -(4 M0, -M0) / h^2 in the first n rows: a band matrix with n
-subdiagonals and 2n - 1 superdiagonals, written straight into LAPACK band
-storage and factorized once by a banded LU.  A delta potential of
+ghost block -(4 M0, -M0) / h^2 in the first n rows.  A delta potential of
 strength c adds c / h to the diagonal at the node nearest its position on
 every edge (first-order-consistent; exact positions should sit on grid
 nodes for clean second-order behavior).  The resolvent column for a
 source at node j solves (H + kappa^2) g = e_j / h, and kernel values are
 read off at the nodes.
 
-The LU and the column solves are LAPACK's dgbtrf and dgbtrs from scipy,
-imported where they are called (in _solve and SampledKernel._column): this
-is the only scipy the package uses, so importing the package (or its CLI)
-loads numpy only.
+Only the ghost block couples the edges, and the solver needs U = U^T
+(ValueError otherwise), so M0 is real symmetric: M0 = Q diag(lambda) Q^T.
+In the basis of Q's columns the operator splits into n independent N x N
+tridiagonal sectors.  Sector k is T with -4 lambda_k / h^2 added to its
+first diagonal entry and lambda_k / h^2 to its first superdiagonal entry;
+each is factorized once.  A sector column g_k(.; j), the response of
+sector k to a unit load at node j, does not depend on the source edge, so
+one solve per sector and source node serves every edge:
+
+    kernel(edge e, node i; edge l, node j) = sum_k Q_ek Q_lk g_k(i; j).
+
+The factorizations and the column solves are LAPACK's dgttrf and dgttrs
+from scipy, imported where they are called (in _solve and
+SampledKernel._sector_columns): this is the only scipy the package uses, so
+importing the package (or its CLI) loads numpy only.  A grid of more than
+MAX_FD_UNKNOWNS unknowns n N raises ValueError before anything is built.
 
 Two caveats of the one-sided elimination, both confined to the first
 interior node x_1 = h: source columns must not sit there (the eliminated
@@ -62,6 +72,9 @@ from .scattering import one_plus_s
 #: origin stencils with sigma_min(D(3i / (2h))) below this (relative, see
 #: scattering.one_plus_s) raise PoleError
 ORIGIN_STENCIL_TOL = 1e-8
+
+#: largest grid _solve takes, in unknowns n N (n edges, N nodes each)
+MAX_FD_UNKNOWNS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -131,27 +144,29 @@ class SampledKernel:
     solved column, i.e. the traces of the kernel column at the vertex.
     """
 
-    def __init__(self, grid: GridSpec, lu: np.ndarray, pivots: np.ndarray,
+    def __init__(self, grid: GridSpec, factors: list, q: np.ndarray,
                  m0: np.ndarray):
         self.grid = grid
         self.n_edges = m0.shape[0]
-        self._lu = lu
-        self._pivots = pivots
+        self._factors = factors
+        self._q = q
         self._m0 = m0
         self._columns: dict[int, np.ndarray] = {}
 
-    def _column(self, edge_l: int, iy: int) -> np.ndarray:
-        key = iy * self.n_edges + edge_l
-        col = self._columns.get(key)
-        if col is None:
-            from scipy.linalg.lapack import dgbtrs
+    def _sector_columns(self, iy: int) -> np.ndarray:
+        """(N, n) array of the sector columns g_k(.; iy), shared by every
+        source edge."""
+        g = self._columns.get(iy)
+        if g is None:
+            from scipy.linalg.lapack import dgttrs
 
-            n = self.n_edges
-            rhs = np.zeros(self.grid.N * n)
-            rhs[key] = 1.0 / self.grid.h
-            col, _ = dgbtrs(self._lu, n, 2 * n - 1, rhs, self._pivots)
-            self._columns[key] = col
-        return col
+            rhs = np.zeros(self.grid.N)
+            rhs[iy] = 1.0 / self.grid.h
+            g = np.empty((self.grid.N, self.n_edges))
+            for k, lu in enumerate(self._factors):
+                g[:, k], _ = dgttrs(*lu, rhs)
+            self._columns[iy] = g
+        return g
 
     def _nodes(self, point) -> tuple[int, int, int, int]:
         j, x, l, y = point if len(point) == 4 else (0, point[0], 0, point[1])
@@ -165,14 +180,14 @@ class SampledKernel:
 
     def value(self, *point) -> float:
         j, ix, l, iy = self._nodes(point)
-        return float(self._column(l, iy)[ix * self.n_edges + j])
+        return float(self._sector_columns(iy)[ix] @ (self._q[j] * self._q[l]))
 
     def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
         """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
         source at (edge_l, y): the kernel column's boundary trace."""
-        col = self._column(edge_l, self.grid.node_index(y, minimum=1))
-        n = self.n_edges
-        return self._m0 @ (4.0 * col[:n] - col[n:2 * n])
+        g = self._sector_columns(self.grid.node_index(y, minimum=1))
+        psi = (g[:2] * self._q[edge_l]) @ self._q.T
+        return self._m0 @ (4.0 * psi[0] - psi[1])
 
 
 #: the star kernel samples are the same class
@@ -191,28 +206,35 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
     # local: importing scipy.linalg.lapack executes all of scipy.linalg
-    from scipy.linalg.lapack import dgbtrf
+    from scipy.linalg.lapack import dgttrf
 
     n, h = coupling.n, grid.h
+    if n * grid.N > MAX_FD_UNKNOWNS:
+        raise ValueError(
+            f"finite-difference grid too fine: N = {grid.N} nodes on each of "
+            f"n = {n} edges (h = {h:.6g}) exceed {MAX_FD_UNKNOWNS} unknowns")
     m0 = _ghost_map(coupling, h)
+    if np.iscomplexobj(m0):
+        raise ValueError("finite-difference solver needs a symmetric "
+                         "coupling U = U^T; this U gives a complex ghost map")
+    # M0 is symmetric up to the rounding of its solve
+    lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
 
     diag = np.full(grid.N, 2.0 / h**2 + kappa**2)
     for point in points:
         diag[_point_node(point, grid)] += point.c / h
-    # LAPACK band storage: entry (r, c) at row kl + ku + r - c, column c,
-    # with kl spare rows on top for the fill of the pivoting
-    kl, ku = n, 2 * n - 1
-    band = np.zeros((2 * kl + ku + 1, n * grid.N), order="F")
-    band[kl + ku] = np.repeat(diag, n)
-    band[ku, n:] = band[kl + ku + n, :-n] = -1.0 / h**2
-    rows, cols = np.indices((n, 2 * n)).reshape(2, -1)
-    band[kl + ku + rows - cols, cols] += \
-        np.hstack((-4.0 * m0, m0)).ravel() / h**2
-    lu, pivots, info = dgbtrf(band, kl, ku, overwrite_ab=True)
-    if info > 0:
-        raise PoleError(f"discrete operator singular: zero pivot in row "
-                        f"{info}")
-    return SampledKernel(grid, lu, pivots, m0)
+    off = np.full(grid.N - 1, -1.0 / h**2)
+    factors = []
+    for k, lam in enumerate(lams):
+        d, du = diag.copy(), off.copy()
+        d[0] -= 4.0 * lam / h**2
+        du[0] += lam / h**2
+        *lu, info = dgttrf(off, d, du, overwrite_d=True, overwrite_du=True)
+        if info > 0:
+            raise PoleError(f"discrete operator singular: zero pivot in row "
+                            f"{info} of sector {k}")
+        factors.append(lu)
+    return SampledKernel(grid, factors, q, m0)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],

@@ -91,6 +91,22 @@ class TestCouplingCommand:
         assert "error" in err
 
 
+class TestCouplingRescaleNonFinite:
+    # argparse reads a bare "-inf" as an option flag; the leading space
+    # keeps it a value, and float() strips it
+    @pytest.mark.parametrize("lengths", [("nan", "1"), ("inf", "1"),
+                                         ("1", "nan"), ("1", " -inf")])
+    def test_non_finite_length_exits_3(self, capsys, lengths):
+        code, out, err = run(capsys, "coupling", "--family", "delta",
+                             "--n", "2", "--param", "1",
+                             "--rescale", *lengths)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: length scales must be finite and "
+                              "positive, got ")
+        assert all(text.strip() in err for text in lengths)
+
+
 # ======================================================================
 #  smatrix
 # ======================================================================
@@ -388,6 +404,39 @@ class TestOracleCheckMeshWidth:
         assert code == 3
         assert out == ""
         assert err.startswith("error: --L ")
+
+
+class TestOracleCheckGridBound:
+    """The FD grid holds at most MAX_FD_UNKNOWNS unknowns; a finer --h
+    exits 3 naming the grid, before any allocation or pole guard."""
+
+    @pytest.mark.parametrize("h,big_n", [("1e-7", 119999999),
+                                          ("1e-300", None)])
+    def test_too_fine_grid_exits_3(self, capsys, h, big_n):
+        code, out, err = run(capsys, "oracle-check", "--bc", "dirichlet",
+                             "--h", h)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: finite-difference grid too fine: N = ")
+        assert f"n = 1 edges (h = {float(h):.6g})" in err
+        if big_n is not None:
+            assert f"N = {big_n} " in err
+
+    def test_star_grid_counts_every_edge(self, capsys):
+        # N = 1.2e6 per edge is inside the bound for one edge, not for four
+        code, out, err = run(capsys, "oracle-check", "--star-family",
+                             "delta-prime-s", "--beta", "1", "--n", "4",
+                             "--h", "1e-5")
+        assert code == 3
+        assert out == ""
+        assert "grid too fine: N = 1199999 nodes on each of n = 4" in err
+
+    def test_overflowing_steps_exit_3(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--bc", "dirichlet",
+                             "--h", "1e-310")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --h 1e-310 is too small")
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -250,6 +250,16 @@ class TestRescaleLength:
         with pytest.raises(InvalidCouplingError):
             rescale_length(c, 0.0, 1.0)
 
+    @pytest.mark.parametrize("ell,ell_prime", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (-math.inf, 1.0), (1.0, -math.inf)])
+    def test_rejects_non_finite_lengths(self, ell, ell_prime):
+        c = make_coupling("delta", 2, 1.0)
+        with pytest.raises(InvalidCouplingError,
+                           match="finite and positive") as info:
+            rescale_length(c, ell, ell_prime)
+        assert f"got {ell} and {ell_prime}" in str(info.value)
+
     def test_rescaled_matrix_keeps_the_boundary_condition(self):
         # the scale-ell form of the condition is U_ell (Psi + i ell Psi')
         # = Psi - i ell Psi'; a solution of the scale-1 condition must

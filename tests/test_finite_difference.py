@@ -17,8 +17,9 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            StarModel, VertexCoupling, compare_kernels,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_green, halfline_kernel, krein_insert,
-                           star_green, to_ab)
-from starcouplings.finite_difference import (ORIGIN_STENCIL_TOL, _ghost_map,
+                           make_coupling, star_green, to_ab)
+from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
+                                             ORIGIN_STENCIL_TOL, _ghost_map,
                                              _solve)
 
 KAPPA = 1.0
@@ -365,3 +366,162 @@ class TestGhostMap:
                         elif eps >= 1e-3:
                             _ghost_map(coupling, h)
         assert tripped >= 32
+
+
+# ======================================================================
+#  sector split against a dense solve of the joint operator
+# ======================================================================
+
+DENSE_GRID = GridSpec(12.0, 40)
+DENSE_POINT = PointInteraction(a=4.0, c=-1.3)
+
+
+def _symmetric_unitary_with_phases(phases, rng):
+    """O diag(e^{i theta}) O^T for a random real orthogonal O, symmetrized
+    exactly; repeated phases give repeated eigenvalues."""
+    n = len(phases)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    u = (q * np.exp(1j * np.asarray(phases))) @ q.T
+    return (u + u.T) / 2.0
+
+
+def _dense_kernel(coupling, points, kappa, grid):
+    """Kernel columns and M0 of the joint node-major operator
+    kron(T, I_n) - (4 M0, -M0) / h^2, every column by a dense solve."""
+    n, big_n, h = coupling.n, grid.N, grid.h
+    m0, _ = _to_ab_ghost_map(coupling, h)
+    m0 = m0.real
+    diag = np.full(big_n, 2.0 / h**2 + kappa**2)
+    for point in points:
+        diag[grid.node_index(point.a)] += point.c / h
+    t = (np.diag(diag) - np.diag(np.full(big_n - 1, 1.0 / h**2), 1)
+         - np.diag(np.full(big_n - 1, 1.0 / h**2), -1))
+    op = np.kron(t, np.eye(n))
+    op[:n, :n] -= 4.0 * m0 / h**2
+    op[:n, n:2 * n] += m0 / h**2
+    return np.linalg.solve(op, np.eye(n * big_n) / h), m0
+
+
+def _dense_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in range(1, 6):
+        for model in (StarModel.delta_prime_s(n, 1.3),
+                      StarModel.delta_prime(n, -0.5),
+                      StarModel.central_delta(n, -2.0),
+                      StarModel.central_delta_p(n, 0.7)):
+            cases.append(pytest.param(make_coupling(*model.vertex),
+                                      id=f"{model.kind}-n{n}"))
+    for bc in (HalflineBC.dirichlet(), HalflineBC.neumann(),
+               HalflineBC.robin(-0.4), HalflineBC.robin_scaled(3, 2.0)):
+        cases.append(pytest.param(make_coupling(*bc.vertex),
+                                  id=f"half-{bc.kind}"))
+    for phases in ((0.0, 0.0), (np.pi, np.pi), (0.0, np.pi, np.pi),
+                   (0.7, 0.7, -1.2, -1.2), (0.0, 0.0, np.pi, 0.7, 0.7),
+                   (np.pi, np.pi, np.pi, 0.0, -2.0)):
+        u = _symmetric_unitary_with_phases(phases, rng)
+        name = f"phases-{len(phases)}-{phases[-1]:.1f}"
+        cases.append(pytest.param(VertexCoupling.custom(u), id=name))
+    return cases
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("with_point", [False, True],
+                             ids=["plain", "point"])
+    @pytest.mark.parametrize("coupling", _dense_cases())
+    def test_every_value_matches_dense_solve(self, coupling, with_point):
+        points = [DENSE_POINT] if with_point else []
+        grid = DENSE_GRID
+        dense, m0 = _dense_kernel(coupling, points, KAPPA, grid)
+        sampled = _solve(coupling, points, KAPPA, grid)
+        n, h = coupling.n, grid.h
+        scale = np.max(np.abs(dense))
+        # every target node; source nodes next to the vertex, around the
+        # point interaction's node, mid-edge and next to the far end
+        near = grid.node_index(DENSE_POINT.a)
+        sources = {1, 2, 3, near - 1, near, near + 1, grid.N // 2,
+                   grid.N - 2, grid.N - 1}
+        for l in range(n):
+            for iy in range(1, grid.N):
+                y = h * (iy + 1)
+                column = dense[:, iy * n + l]
+                trace = m0 @ (4.0 * column[:n] - column[n:2 * n])
+                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
+                    <= 1e-12 * scale
+                if iy in sources:
+                    got = [sampled.value(j, h * (ix + 1), l, y)
+                           for ix in range(grid.N) for j in range(n)]
+                    assert np.max(np.abs(np.subtract(got, column))) \
+                        <= 1e-12 * scale
+
+
+# ======================================================================
+#  what the solver accepts
+# ======================================================================
+
+class TestSolverInputs:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_symmetric_coupling_is_rejected(self, n):
+        rng = np.random.default_rng(30 + n)
+        coupling = VertexCoupling.custom(random_unitary(n, rng))
+        with pytest.raises(ValueError, match="symmetric coupling U = U\\^T"):
+            _solve(coupling, [], KAPPA, GridSpec(12.0, 399))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grid_beyond_the_unknowns_bound_is_rejected(self, n):
+        big_n = MAX_FD_UNKNOWNS // n + 1
+        grid = GridSpec(12.0, big_n)
+        with pytest.raises(ValueError, match="grid too fine") as info:
+            _solve(make_coupling("delta", n, 0.0), [], KAPPA, grid)
+        message = str(info.value)
+        assert f"N = {big_n}" in message and f"n = {n}" in message
+        assert f"h = {grid.h:.6g}" in message
+
+    def test_size_bound_comes_before_the_ghost_map(self):
+        # this Robin constant makes the origin stencil singular
+        grid = GridSpec(12.0, MAX_FD_UNKNOWNS + 1)
+        coupling = make_coupling(*HalflineBC.robin(-1.5 / grid.h).vertex)
+        with pytest.raises(PoleError):
+            _ghost_map(coupling, grid.h)
+        with pytest.raises(ValueError, match="grid too fine"):
+            _solve(coupling, [], KAPPA, grid)
+
+
+# ======================================================================
+#  work count: one factorization per sector, one solve per sector and
+#  source node, shared by every source edge
+# ======================================================================
+
+class TestWorkCount:
+    def test_columns_are_shared_across_source_edges(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        calls = {"dgttrf": 0, "dgttrs": 0}
+
+        def counted(name):
+            routine = getattr(lapack, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lapack, name, counted(name))
+        model = StarModel.central_delta(4, -1.0, PointInteraction(1.0, 2.0))
+        sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 399))
+        sources = (0.48, 0.96, 1.5, 2.01, 3.0)
+
+        def sample():
+            for l in (0, 3):
+                for y in sources:
+                    for j in range(4):
+                        for x in (0.06, 0.5, 2.01):
+                            sampled.value(j, x, l, y)
+                    sampled.vertex_values(l, y)
+
+        sample()
+        assert calls == {"dgttrf": 4, "dgttrs": 20}
+        sample()
+        assert calls == {"dgttrf": 4, "dgttrs": 20}
