@@ -30,8 +30,10 @@ from .coupling import (FAMILIES, make_coupling, rescale_length, to_ab,
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, compare_kernels,
                                 fd_resolvent_halfline, fd_resolvent_star)
-from .greens import (STAR_KINDS, HalflineBC, PointInteraction, StarModel,
-                     halfline_kernel, star_green)
+# star_green stays a module attribute: the cli workload of benchmarks/
+# wraps it
+from .greens import (STAR_KINDS, HalflineBC, PointInteraction,  # noqa: F401
+                     StarModel, halfline_kernel, star_green, vertex_kernel)
 from .scattering import s_matrix
 
 
@@ -247,7 +249,7 @@ def _cmd_converge(args) -> int:
 
 
 def _default_samples(L: float) -> list[tuple[float, float]]:
-    # kept within L/4 so the far-end truncation never pollutes the budget
+    # a 5 x 5 product within L/4, where the kernels are largest
     xs = [f * L for f in (0.04, 0.08, 0.125, 0.17, 0.25)]
     return [(xv, yv) for xv in xs for yv in xs]
 
@@ -267,6 +269,9 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError("exactly one of --bc and --star-family is required")
     grid = _oracle_grid(args.L, args.step)
     kappa = args.kappa
+    # the FD grid ends in a Dirichlet node at L on every edge, so its
+    # closed form is the kernel with a hard screen there
+    screen = PointInteraction(grid.L, math.inf)
     if args.bc is not None:
         star_flags = [f"--{name}" for name in ("n", "beta", "b")
                       if getattr(args, name) is not None]
@@ -275,7 +280,7 @@ def _cmd_oracle_check(args) -> int:
                 f"half-line mode (--bc) takes no {', '.join(star_flags)}")
         bc = _parse_bc(args.bc)
         points = [_parse_point(p) for p in (args.point or [])]
-        analytic = halfline_kernel(bc, points, kappa)
+        analytic = halfline_kernel(bc, [*points, screen], kappa)
         sampled = fd_resolvent_halfline(bc, points, kappa, grid)
         samples = _default_samples(grid.L)
         model_desc = {"mode": "half", "bc": args.bc,
@@ -288,7 +293,8 @@ def _cmd_oracle_check(args) -> int:
         model = StarModel(n=2 if args.n is None else args.n,
                           kind=_STAR_FLAGS[args.star_family],
                           beta=args.beta, b=args.b, point=point)
-        analytic = lambda j, x, l, y: star_green(model, kappa, j, x, l, y)  # noqa: E731
+        analytic = vertex_kernel(make_coupling(*model.vertex),
+                                 (*model.points, screen), kappa)
         sampled = fd_resolvent_star(model, kappa, grid)
         edges = sorted({0, model.n - 1})
         samples = [(j, xv, l, yv) for j in edges for l in edges

@@ -331,6 +331,27 @@ class TestOracleCheckCommand:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("flags,h", [
+        (("--bc", "neumann"), "1e-5"),
+        (("--bc", "robin:0.7", "--point", "0.96,-1.0"), "3e-5"),
+        (("--star-family", "delta-prime-s", "--n", "2", "--beta", "1.3"),
+         "1e-5"),
+        (("--star-family", "central-delta", "--n", "3", "--b", "-8",
+          "--point", "0.96,-4.0"), "1e-5"),
+    ], ids=["half-neumann", "half-robin-point", "star-target",
+            "star-approximant"])
+    def test_fine_mesh_within_budget_of_screened_kernel(self, capsys, flags,
+                                                        h):
+        # the grid's Dirichlet node at L moves the kernel at x = y = L / 4
+        # by about e^{-18} / 2 = 7.6e-9, more than 50 h^2 = 5e-9 at
+        # h = 1e-5: the closed form compared is screened at L as well
+        code, out, _ = run(capsys, "oracle-check", *flags, "--kappa", "1",
+                           "--h", h)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["max_abs"] <= doc["budget"]
+
     def test_star_target_missing_beta_fails(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--star-family",
                          "delta-prime", "--n", "2", "--kappa", "1",

@@ -4,7 +4,9 @@ The solver is itself the reference for the closed forms, so the tests
 here pin its own consistency: agreement with the exponential kernels at
 the expected O(h^2) level, error reduction ~4x when h is halved, exact
 symmetry of the sampled kernel away from the first node, and reduction of
-the star solver to the half-line one.
+the star solver to the half-line one.  The semiseparable reading of each
+sector's inverse is checked against a dense solve of the joint operator
+and against one column solve per source node.
 """
 
 import math
@@ -17,7 +19,8 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            StarModel, VertexCoupling, compare_kernels,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_green, halfline_kernel, krein_insert,
-                           make_coupling, star_green, to_ab)
+                           make_coupling, star_green, to_ab,
+                           vertex_kernel)
 from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
                                              ORIGIN_STENCIL_TOL, _ghost_map,
                                              _solve)
@@ -417,6 +420,21 @@ def _dense_cases():
                HalflineBC.robin(-0.4), HalflineBC.robin_scaled(3, 2.0)):
         cases.append(pytest.param(make_coupling(*bc.vertex),
                                   id=f"half-{bc.kind}"))
+    # a deep bound state: M0 = 1 / (3 + 2 h b) is 1/2 up to 1e-9, and the
+    # first diagonal entry of the sector, 2 / h^2 + kappa^2 - 4 M0 / h^2,
+    # keeps little more than kappa^2
+    for sign in (1.0, -1.0):
+        b = -(1.0 + sign * 1e-9) / (2.0 * DENSE_GRID.h)
+        cases.append(pytest.param(make_coupling(*HalflineBC.robin(b).vertex),
+                                  id=f"half-deep{sign:+.0f}"))
+    # M0 = (2 + kappa^2 h^2) / 4 cancels that entry at kappa = KAPPA, and
+    # M0 = 1 the first superdiagonal entry (M0 - 1) / h^2: each all but
+    # zeroes one of the two rows of the inverse the solver may read
+    h = DENSE_GRID.h
+    for name, m0 in (("cancel", (2.0 + (KAPPA * h)**2) / 4.0), ("unit", 1.0)):
+        b = (1.0 / m0 - 3.0) / (2.0 * h)
+        cases.append(pytest.param(make_coupling(*HalflineBC.robin(b).vertex),
+                                  id=f"half-{name}"))
     for phases in ((0.0, 0.0), (np.pi, np.pi), (0.0, np.pi, np.pi),
                    (0.7, 0.7, -1.2, -1.2), (0.0, 0.0, np.pi, 0.7, 0.7),
                    (np.pi, np.pi, np.pi, 0.0, -2.0)):
@@ -427,14 +445,16 @@ def _dense_cases():
 
 
 class TestDenseReference:
+    @pytest.mark.parametrize("kappa", [KAPPA, 60.0, 300.0])
     @pytest.mark.parametrize("with_point", [False, True],
                              ids=["plain", "point"])
     @pytest.mark.parametrize("coupling", _dense_cases())
-    def test_every_value_matches_dense_solve(self, coupling, with_point):
+    def test_every_value_matches_dense_solve(self, coupling, with_point,
+                                             kappa):
         points = [DENSE_POINT] if with_point else []
         grid = DENSE_GRID
-        dense, m0 = _dense_kernel(coupling, points, KAPPA, grid)
-        sampled = _solve(coupling, points, KAPPA, grid)
+        dense, m0 = _dense_kernel(coupling, points, kappa, grid)
+        sampled = _solve(coupling, points, kappa, grid)
         n, h = coupling.n, grid.h
         scale = np.max(np.abs(dense))
         # every target node; source nodes next to the vertex, around the
@@ -478,6 +498,55 @@ class TestSolverInputs:
         assert f"N = {big_n}" in message and f"n = {n}" in message
         assert f"h = {grid.h:.6g}" in message
 
+    @pytest.mark.parametrize("kappa,big_n", [
+        (1e90, MAX_FD_UNKNOWNS),  # exponents past 2^31 at 4e6 nodes
+        (1e154, 99),              # 2^{e_{i+1} - e_i} / h^2 past 2^1024
+        (1e200, 99),              # kappa^2 past the largest double
+    ])
+    def test_kappa_beyond_the_scale_exponents_is_rejected(self, kappa,
+                                                          big_n):
+        grid = GridSpec(12.0, big_n)
+        with pytest.raises(ValueError, match="too large for the grid"):
+            _solve(make_coupling("delta", 1, 0.0), [], kappa, grid)
+
+    def test_huge_kappa_below_the_bound_is_solved(self):
+        sampled = _solve(make_coupling("delta", 1, 0.0), [], 1e150,
+                         GridSpec(12.0, 99))
+        # the discrete diagonal is 1 / (h kappa^2) once kappa h >> 1
+        value = sampled.value(1.5, 1.5)
+        assert value == pytest.approx(1.0 / (0.12 * 1e300), rel=1e-12)
+
+    @pytest.mark.parametrize("points", [
+        (PointInteraction(1.5, 1e300),),
+        (PointInteraction(1.5, -1e306),),
+        (PointInteraction(1.5, 1e150), PointInteraction(3.0, 1e150)),
+    ], ids=["1e300", "-1e306", "2x1e150"])
+    def test_walls_within_double_range_match_column_solves(self, points):
+        coupling = make_coupling(*HalflineBC.neumann().vertex)
+        grid = GridSpec(12.0, 99)
+        sampled = _solve(coupling, points, KAPPA, grid)
+        sources = range(1, grid.N)
+        columns, q = _source_columns(coupling, points, KAPPA, grid, sources)
+        for iy in sources:
+            got = [sampled.value(grid.h * (ix + 1), grid.h * (iy + 1))
+                   for ix in range(grid.N)]
+            assert np.allclose(got, columns[iy][:, 0] * q[0, 0]**2,
+                               rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("points,kappa", [
+        ((PointInteraction(1.5, 1e307),), KAPPA),
+        ((PointInteraction(1.5, -3e307),), KAPPA),
+        (tuple(PointInteraction(a, 1e110) for a in (1.5, 3.0, 4.5)), KAPPA),
+        # w_k[p] still normal, but z_k / w_k[p] overflows
+        ((PointInteraction(1.5, 2e307),), 1e-3),
+    ], ids=["1e307", "-3e307", "3x1e110", "2e307-small-kappa"])
+    def test_walls_beyond_double_range_are_rejected(self, points, kappa):
+        # the semiseparable form would need w_k[p] below the smallest
+        # normal double
+        coupling = make_coupling(*HalflineBC.neumann().vertex)
+        with pytest.raises(ValueError, match="too strong"):
+            _solve(coupling, points, kappa, GridSpec(12.0, 99))
+
     def test_size_bound_comes_before_the_ghost_map(self):
         # this Robin constant makes the origin stencil singular
         grid = GridSpec(12.0, MAX_FD_UNKNOWNS + 1)
@@ -489,12 +558,52 @@ class TestSolverInputs:
 
 
 # ======================================================================
-#  work count: one factorization per sector, one solve per sector and
-#  source node, shared by every source edge
+#  edge indices and point arity
+# ======================================================================
+
+class TestEdgeIndices:
+    """Both kernels, the sampled one and the closed form, reject an edge
+    index outside [0, n) with one message instead of wrapping it."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_out_of_range_edges_raise_value_error(self, n):
+        model = StarModel.delta_prime_s(n, 1.3)
+        sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 99))
+        closed = vertex_kernel(make_coupling(*model.vertex), model.points,
+                               KAPPA)
+        message = rf"^edge indices must lie in \[0, {n}\), got "
+        for j, l in ((-1, 0), (0, -1), (n, 0), (0, n), (-n, -1)):
+            for kernel in (sampled.value, sampled.snap, closed):
+                with pytest.raises(ValueError, match=message):
+                    kernel(j, 1.0, l, 2.0)
+        for l in (-1, n, -n):
+            with pytest.raises(ValueError, match=message):
+                sampled.vertex_values(l, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_point_needs_two_or_four_coordinates(self, n):
+        sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
+                                    GridSpec(12.0, 99))
+        for point in ((1.0,), (0, 1.0, 2.0), (0, 1.0, 0, 2.0, 3.0)):
+            for kernel in (sampled.value, sampled.snap):
+                with pytest.raises(ValueError, match="kernel point is"):
+                    kernel(*point)
+
+    def test_halfline_kernel_rejects_other_edges(self):
+        sampled = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA,
+                                        GridSpec(12.0, 99))
+        assert sampled.value(0, 1.0, 0, 2.0) == sampled.value(1.0, 2.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\), got -1, 0"):
+            sampled.value(-1, 1.0, 0, 2.0)
+
+
+# ======================================================================
+#  work count: one factorization and two solves per sector while the
+#  kernel is built, none per sample
 # ======================================================================
 
 class TestWorkCount:
-    def test_columns_are_shared_across_source_edges(self, monkeypatch):
+    def test_two_solves_per_sector_and_none_per_sample(self, monkeypatch):
         from scipy.linalg import lapack
 
         calls = {"dgttrf": 0, "dgttrs": 0}
@@ -510,18 +619,145 @@ class TestWorkCount:
         for name in calls:
             monkeypatch.setattr(lapack, name, counted(name))
         model = StarModel.central_delta(4, -1.0, PointInteraction(1.0, 2.0))
-        sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 399))
-        sources = (0.48, 0.96, 1.5, 2.01, 3.0)
+        grid = GridSpec(12.0, 399)
+        sampled = fd_resolvent_star(model, KAPPA, grid)
+        built = {"dgttrf": 4, "dgttrs": 8}
+        assert calls == built
 
-        def sample():
-            for l in (0, 3):
-                for y in sources:
-                    for j in range(4):
-                        for x in (0.06, 0.5, 2.01):
-                            sampled.value(j, x, l, y)
-                    sampled.vertex_values(l, y)
+        for l in (0, 3):
+            for y in (0.48, 0.96, 1.5, 2.01, 3.0):
+                for j in range(4):
+                    for x in (0.06, 0.5, 2.01):
+                        sampled.value(j, x, l, y)
+        assert calls == built
+        for iy in range(1, grid.N):
+            y = grid.h * (iy + 1)
+            for j in range(4):
+                sampled.value(j, 0.5, 1, y)
+        assert calls == built
+        for l in range(4):
+            for y in (0.06, 1.5, 11.9):
+                sampled.vertex_values(l, y)
+        assert calls == built
 
-        sample()
-        assert calls == {"dgttrf": 4, "dgttrs": 20}
-        sample()
-        assert calls == {"dgttrf": 4, "dgttrs": 20}
+
+# ======================================================================
+#  the semiseparable form against one column solve per source node
+# ======================================================================
+
+FINE_GRID = GridSpec(12.0, 39999)
+
+
+def _source_columns(coupling, points, kappa, grid, sources):
+    """{iy: (N, n) sector columns g_k(.; iy)} and Q, by one unscaled dgttrs
+    solve per sector and source node: the per-source method that the
+    semiseparable form replaces."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    h = grid.h
+    m0 = _ghost_map(coupling, h)
+    lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
+    diag = np.full(grid.N, 2.0 / h**2 + kappa**2)
+    for point in points:
+        diag[grid.node_index(point.a)] += point.c / h
+    off = np.full(grid.N - 1, -1.0 / h**2)
+    columns = {iy: np.empty((grid.N, coupling.n)) for iy in sources}
+    for k, lam in enumerate(lams):
+        d, du = diag.copy(), off.copy()
+        d[0] -= 4.0 * lam / h**2
+        du[0] += lam / h**2
+        *lu, info = dgttrf(off, d, du)
+        assert info == 0
+        for iy, g in columns.items():
+            rhs = np.zeros(grid.N)
+            rhs[iy] = 1.0 / h
+            g[:, k], _ = dgttrs(*lu, rhs)
+    return columns, q
+
+
+def _benchmark_like_cases():
+    point = PointInteraction(2.01, 0.7)
+    cases = []
+    for n in (2, 3, 4):
+        for model in (StarModel.delta_prime_s(n, 1.3),
+                      StarModel.delta_prime(n, 0.6),
+                      StarModel.central_delta(n, 1.7, point),
+                      StarModel.central_delta_p(n, 0.4, point)):
+            cases.append(pytest.param(model.vertex, model.points, 1.4,
+                                      id=f"{model.kind}-n{n}"))
+    points = (PointInteraction(1.5, -0.3), PointInteraction(2.49, 1.8))
+    for bc, kappa in ((HalflineBC.dirichlet(), 1.1),
+                      (HalflineBC.neumann(), 1.9),
+                      (HalflineBC.robin(0.8), 1.3),
+                      (HalflineBC.robin_scaled(3, 2.0), 1.6)):
+        cases.append(pytest.param(bc.vertex, points, kappa,
+                                  id=f"half-{bc.kind}"))
+    return cases
+
+
+class TestSourceColumns:
+    @pytest.mark.parametrize("vertex,points,kappa", _benchmark_like_cases())
+    def test_values_equal_per_source_columns(self, vertex, points, kappa):
+        coupling = make_coupling(*vertex)
+        n, grid = coupling.n, FINE_GRID
+        sampled = _solve(coupling, points, kappa, grid)
+        xs = (0.48, 0.96, 1.5, 2.01, 3.0)
+        snapped = [sampled.snap(j, x, l, y) for j in sorted({0, n - 1})
+                   for l in range(n) for x in (0.0, *xs) for y in xs]
+        sources = {grid.node_index(y, minimum=1) for *_, y in snapped}
+        columns, q = _source_columns(coupling, points, kappa, grid, sources)
+        got, expected = [], []
+        for j, x, l, y in snapped:
+            ix, iy = grid.node_index(x), grid.node_index(y, minimum=1)
+            got.append(sampled.value(j, x, l, y))
+            expected.append(columns[iy][ix] @ (q[j] * q[l]))
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-9 * scale
+        for iy, g in columns.items():
+            y = grid.h * (iy + 1)
+            for l in range(n):
+                psi = (g[:2] * q[l]) @ q.T
+                trace = sampled._m0 @ (4.0 * psi[0] - psi[1])
+                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
+                    <= 1e-9 * scale
+
+
+# ======================================================================
+#  large kappa L: the scaled vectors neither under- nor overflow
+# ======================================================================
+
+class TestLargeKappa:
+    @pytest.mark.parametrize("kappa", [80.0, 500.0])
+    @pytest.mark.parametrize("vertex,points", [
+        pytest.param(HalflineBC.neumann().vertex, (), id="half-neumann"),
+        pytest.param(HalflineBC.robin(0.7).vertex,
+                     (PointInteraction(1.5, -2.0),), id="half-robin-point"),
+        pytest.param(StarModel.delta_prime_s(3, 1.3).vertex, (),
+                     id="delta_prime_s-n3"),
+        pytest.param(StarModel.central_delta(3, -2.0).vertex,
+                     (PointInteraction(1.5, 4.0),), id="central_delta-n3"),
+    ])
+    def test_within_budget_of_screened_closed_form(self, vertex, points,
+                                                   kappa):
+        # kappa L = 960 and 6000: unscaled, the last column underflows
+        coupling = make_coupling(*vertex)
+        grid = FINE_GRID
+        sampled = _solve(coupling, points, kappa, grid)
+        closed = vertex_kernel(coupling, (*points, PointInteraction(
+            grid.L, math.inf)), kappa)
+        n, h = coupling.n, grid.h
+        pairs = [(x, y) for x in (0.0, 0.06, 1.5, 11.9)
+                 for y in (0.06, 0.06 + h, 1.5 - 2 * h, 1.5, 11.9)]
+        errors = []
+        for j in range(n):
+            for l in range(n):
+                for x, y in pairs:
+                    point = sampled.snap(j, x, l, y)
+                    value = sampled.value(*point)
+                    assert math.isfinite(value)
+                    errors.append(value - closed(*point))
+        assert max(map(abs, errors)) <= 50.0 * h**2
+        # the diagonal is about 1 / (2 kappa), so an underflow fails above
+        assert sampled.value(0, 1.5, 0, 1.5) > 0.25 / kappa
+        traces = sampled.vertex_values(0, 0.06)
+        assert np.all(np.isfinite(traces))
