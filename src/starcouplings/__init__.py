@@ -19,8 +19,8 @@ from .coupling import (ABDiagnostics, ABPair, BoundaryValues, VertexCoupling,
                        validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, KernelErrorStats, SampledKernel,
-                                SampledStarKernel, compare_kernels,
-                                fd_resolvent_halfline, fd_resolvent_star)
+                                compare_kernels, fd_resolvent_halfline,
+                                fd_resolvent_star)
 from .greens import (HalflineBC, PointInteraction, SectorSpec, StarModel,
                      halfline_green, halfline_kernel, krein_insert,
                      sector_decompose, sector_green, star_green,
@@ -33,9 +33,9 @@ __all__ = [
     "ABDiagnostics", "ABPair", "ApproximationStage", "BoundState",
     "BoundaryValues", "ConvergenceReport", "GridSpec", "HalflineBC",
     "InvalidCouplingError", "KernelErrorStats", "PointInteraction",
-    "PoleError", "SampledDifference", "SampledKernel", "SampledStarKernel",
-    "SectorSpec", "SpectralParameter", "StageResult", "StarModel",
-    "VertexCoupling", "approximant_model", "bound_states", "compare_kernels",
+    "PoleError", "SampledDifference", "SampledKernel", "SectorSpec",
+    "SpectralParameter", "StageResult", "StarModel", "VertexCoupling",
+    "approximant_model", "bound_states", "compare_kernels",
     "convergence_sweep", "decoupled_projection", "effective_robin",
     "fd_resolvent_halfline", "fd_resolvent_star", "from_ab", "halfline_green",
     "halfline_kernel", "hs_norm", "krein_insert", "make_coupling",

@@ -174,13 +174,12 @@ def _cmd_smatrix(args) -> int:
     coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n,
                              _parse_param(args.param))
     s = s_matrix(coupling, args.k)
-    defect = float(np.max(np.abs(s @ s.conj().T - np.eye(coupling.n))))
     _emit_json({
         "family": args.family,
         "n": coupling.n,
         "param": coupling.param,
         "k": args.k,
-        "unitarity_defect": defect,
+        "unitarity_defect": unitarity_defect(s),
         "s": s,
     })
     return 0
@@ -281,7 +280,9 @@ def _cmd_oracle_check(args) -> int:
         bc = _parse_bc(args.bc)
         points = [_parse_point(p) for p in (args.point or [])]
         analytic = halfline_kernel(bc, [*points, screen], kappa)
-        sampled = fd_resolvent_halfline(bc, points, kappa, grid)
+
+        def solve(g: GridSpec):
+            return fd_resolvent_halfline(bc, points, kappa, g)
         samples = _default_samples(grid.L)
         model_desc = {"mode": "half", "bc": args.bc,
                       "points": [{"a": p.a, "c": p.c} for p in points]}
@@ -295,13 +296,16 @@ def _cmd_oracle_check(args) -> int:
                           beta=args.beta, b=args.b, point=point)
         analytic = vertex_kernel(make_coupling(*model.vertex),
                                  (*model.points, screen), kappa)
-        sampled = fd_resolvent_star(model, kappa, grid)
+
+        def solve(g: GridSpec):
+            return fd_resolvent_star(model, kappa, g)
         edges = sorted({0, model.n - 1})
         samples = [(j, xv, l, yv) for j in edges for l in edges
                    for (xv, yv) in _default_samples(grid.L)[::4]]
         model_desc = {"mode": "star", "family": args.star_family,
                       "n": model.n, "beta": args.beta, "b": args.b}
 
+    sampled = solve(grid)
     stats = compare_kernels(analytic, sampled, samples)
     budget = 50.0 * grid.h ** 2
     out = dict(model_desc)
@@ -321,11 +325,7 @@ def _cmd_oracle_check(args) -> int:
         # coarse-snapped coordinates stay exact nodes of the refined grid,
         # so both solves are compared at identical physical points
         snapped = [sampled.snap(*p) for p in samples]
-        if args.bc is not None:
-            sampled_fine = fd_resolvent_halfline(bc, points, kappa, fine)
-        else:
-            sampled_fine = fd_resolvent_star(model, kappa, fine)
-        stats_fine = compare_kernels(analytic, sampled_fine, snapped)
+        stats_fine = compare_kernels(analytic, solve(fine), snapped)
         out["order_check"] = {
             "h_half": fine.h,
             "max_abs_half": stats_fine.max_abs,

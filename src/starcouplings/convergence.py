@@ -60,6 +60,13 @@ Sector norms combine with multiplicities,
     norm_total^2 = norm_lead^2 + (n - 1) norm_rest^2,
 
 which is exact because the sectors are orthogonal.
+
+A stage is invalid, with NaN norms and the reason, when a kernel it
+compares sits on a pole.  Target and base are one-edge conditions
+p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
+by the guard vertex_kernel applies through scattering.one_plus_s, which
+for U = e^{i theta}, (p, q) = (cos theta/2, -sin theta/2), reads
+|p kappa + q| < ROBIN_POLE_TOL hypot(p, q) hypot(1, kappa).
 """
 
 from __future__ import annotations
@@ -76,9 +83,6 @@ from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
-
-#: pre-flight bound on |n + beta kappa| for the target RobinScaled sector
-TARGET_POLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,12 @@ def _reflection_shift(sigma: float, tau: float, kappa: float,
     return num / (pole * (sigma * kappa + tau))
 
 
+def _robin_pole(p: float, q: float, kappa: float) -> bool:
+    """Whether p psi'(0) = q psi(0) trips the kernels' pole guard."""
+    return abs(p * kappa + q) \
+        < ROBIN_POLE_TOL * math.hypot(p, q) * math.hypot(1.0, kappa)
+
+
 def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
                length: float) -> StageResult:
     stage = schedule(family, beta, n, a)
@@ -289,35 +299,27 @@ def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
     robin, dirichlet = (beta, float(n)), (1.0, 0.0)
     pairs = (robin, dirichlet) if family == "delta_prime_s" \
         else (dirichlet, robin)
-    pairs = pairs[:min(n, 2)]
+    lead = rest = total = math.nan
+    error = None
     try:
-        if robin in pairs:
-            # pre-flight: the target pole must stay well away
-            if abs(n + beta * kappa) < TARGET_POLE_TOL:
-                raise PoleError(
-                    f"target sector pole: |n + beta kappa| < {TARGET_POLE_TOL}")
-            # the pole guard of the Robin base kernel (see greens)
-            b = stage.per_channel_b
-            if abs(kappa + b) < ROBIN_POLE_TOL * math.hypot(1.0, b) \
-                    * math.hypot(1.0, kappa):
-                raise PoleError(
-                    f"Robin kernel pole: |b + kappa| = {abs(kappa + b):.3e} "
-                    f"(b={b}, kappa={kappa})")
         window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
-        norms = [abs(_reflection_shift(sigma, tau, kappa, a)) * window
-                 for sigma, tau in pairs]
-        norm_lead = norms[0]
-        norm_rest = norms[1] if n > 1 else 0.0
-        total = math.sqrt(norm_lead**2 + (n - 1) * norm_rest**2)
-        return StageResult(a=stage.a, b=stage.b, c=stage.c,
-                           per_channel_b=stage.per_channel_b,
-                           norm_sym=norm_lead, norm_comp=norm_rest,
-                           norm_total=total)
+        norms = [0.0, 0.0]        # n = 1 has no repeated sector
+        for i, (sigma, tau) in enumerate(pairs[:n]):
+            for what, p, q in (("target sector", sigma, tau),
+                               ("Robin kernel", tau * a * a, -sigma)):
+                if _robin_pole(p, q, kappa):
+                    raise PoleError(
+                        f"{what} pole: {p} psi'(0) = {q} psi(0) has a bound "
+                        f"state at kappa={kappa}")
+            norms[i] = abs(_reflection_shift(sigma, tau, kappa, a)) * window
+        lead, rest = norms
+        total = math.sqrt(lead**2 + (n - 1) * rest**2)
     except PoleError as exc:
-        return StageResult(a=stage.a, b=stage.b, c=stage.c,
-                           per_channel_b=stage.per_channel_b,
-                           norm_sym=math.nan, norm_comp=math.nan,
-                           norm_total=math.nan, valid=False, error=str(exc))
+        error = str(exc)
+    return StageResult(a=stage.a, b=stage.b, c=stage.c,
+                       per_channel_b=stage.per_channel_b, norm_sym=lead,
+                       norm_comp=rest, norm_total=total, valid=error is None,
+                       error=error)
 
 
 def convergence_sweep(family: str, beta: float, n: int, kappa: float,

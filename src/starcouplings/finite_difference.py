@@ -145,8 +145,9 @@ class GridSpec:
 
     def node_index(self, x: float, *, minimum: int = 0) -> int:
         """Index of the interior node nearest x, clamped to [minimum, N-1]."""
-        if not math.isfinite(x):
-            raise ValueError(f"grid coordinate must be finite, got {x}")
+        if not 0.0 <= x <= self.L:
+            raise ValueError(f"grid coordinate must lie in [0, {self.L}], "
+                             f"got {x}")
         i = int(round(x / self.h)) - 1
         return min(max(i, minimum), self.N - 1)
 
@@ -232,10 +233,6 @@ class SampledKernel:
                      self._e[:2] - self._e[iy])
         psi = self._q @ (self._q[edge_l, :, None] * g)
         return self._m0 @ (4.0 * psi[:, 0] - psi[:, 1])
-
-
-#: the star kernel samples are the same class
-SampledStarKernel = SampledKernel
 
 
 def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:

@@ -27,9 +27,12 @@ from conftest import expected_norm
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            SampledDifference, StarModel, approximant_model,
                            convergence_sweep, effective_robin, halfline_green,
-                           hs_norm, krein_insert, schedule, sector_decompose,
-                           sector_difference, sector_green, target_model)
-from starcouplings.convergence import SCHEDULE_FAMILIES
+                           VertexCoupling, hs_norm, krein_insert, schedule,
+                           sector_decompose, sector_difference, sector_green,
+                           target_model)
+from starcouplings.convergence import SCHEDULE_FAMILIES, _robin_pole
+from starcouplings.greens import ROBIN_POLE_TOL
+from starcouplings.scattering import one_plus_s
 
 KAPPA = 1.0
 GRID = GridSpec(12.0, 400)
@@ -461,6 +464,55 @@ class TestClosedFormNorms:
         assert not rep.stages[0].valid
         assert "Robin kernel pole" in rep.stages[0].error
         assert rep.stages[1].valid
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_pole_guard_is_one_plus_s_guard_on_one_edge(self, kappa, factor,
+                                                        side):
+        # U = e^{i theta} is p psi'(0) = q psi(0) with (p, q) = (cos theta/2,
+        # -sin theta/2), and |p kappa + q| = hypot(1, kappa) |sin(phi0 -
+        # theta/2)| with kappa = tan(phi0); the guard trips for |sin| below
+        # ROBIN_POLE_TOL, so theta sits at 0.5 and 2 times that distance
+        theta = 2.0 * (math.atan(kappa)
+                       + side * math.asin(factor * ROBIN_POLE_TOL))
+        u = VertexCoupling.custom([[complex(math.cos(theta),
+                                            math.sin(theta))]])
+        try:
+            one_plus_s(u, 1j * kappa, ROBIN_POLE_TOL)
+            kernel_trips = False
+        except PoleError:
+            kernel_trips = True
+        sweep_trips = _robin_pole(math.cos(theta / 2), -math.sin(theta / 2),
+                                  kappa)
+        assert sweep_trips == kernel_trips == (factor < 1.0)
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kappa, a", [
+        pytest.param(kappa, a, marks=pytest.mark.xfail(
+            strict=True, reason="the Krein guard trips: 1 + c G(a, a) is "
+            "about 2.5e-13 here, while the approximant's bound state is "
+            "5e-7 relative away and the closed form holds to 4e-10"))
+        if (kappa, a) == (0.5, 1e-6) else (kappa, a)
+        for kappa in (0.5, 1.0, 2.0)
+        for a in (0.26, 0.24, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)])
+    def test_stages_next_to_the_target_pole_are_valid(self, family, n, kappa,
+                                                      a):
+        # beta = -(n / kappa)(1 + eps) leaves |n + beta kappa| = n eps, far
+        # above the scale-free guard; the norms are large but exact
+        for eps in (1e-8, 1e-9):
+            beta = -(n / kappa) * (1.0 + eps)
+            stage, = convergence_sweep(family, beta, n, kappa, [a],
+                                       GRID).stages
+            assert stage.valid, stage.error
+            lead, rest = _mp_sector_norms(family, beta, n, kappa, a, GRID.L)
+            total = mpmath.sqrt(lead**2 + (n - 1) * rest**2)
+            for got, want in ((stage.norm_sym, lead),
+                              (stage.norm_comp, rest),
+                              (stage.norm_total, total)):
+                assert abs(got - want) <= 1e-6 * abs(want), \
+                    (eps, got, float(want))
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_kappa(self, kappa):

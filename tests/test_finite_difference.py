@@ -71,6 +71,33 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             sampled.snap(1.0, value)
 
+    @pytest.mark.parametrize("outside", [-5.0, -1e-9, 12.0 + 1e-9, 50.0])
+    def test_rejects_coordinates_outside_the_grid(self, outside):
+        # nothing snaps in from outside [0, L]; vertex_kernel refuses x < 0
+        grid = GridSpec(12.0, 99)
+        half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
+        star = fd_resolvent_star(StarModel.delta_prime_s(3, 1.0), KAPPA,
+                                 grid)
+        points = [(half, (outside, 1.0)), (half, (1.0, outside)),
+                  (star, (0, outside, 2, 1.0)), (star, (2, 1.0, 0, outside))]
+        for sampled, point in points:
+            for method in (sampled.value, sampled.snap):
+                with pytest.raises(ValueError, match="grid coordinate"):
+                    method(*point)
+
+    def test_ends_of_the_grid_snap_to_its_end_nodes(self):
+        grid = GridSpec(12.0, 99)
+        half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
+        star = fd_resolvent_star(StarModel.delta_prime_s(3, 1.0), KAPPA,
+                                 grid)
+        first, second, last = grid.nodes()[[0, 1, -1]]
+        # the source keeps off the first interior node
+        assert half.snap(0.0, 0.0) == (first, second)
+        assert half.snap(grid.L, grid.L) == (last, last)
+        assert star.snap(1, 0.0, 2, grid.L) == (1, first, 2, last)
+        assert star.snap(2, grid.L, 0, 0.0) == (2, last, 0, second)
+        assert math.isfinite(half.value(grid.L, 0.0))
+
 
 # ======================================================================
 #  half-line solver vs closed forms
