@@ -12,8 +12,8 @@ from .convergence import (ApproximationStage, ConvergenceReport,
                           SampledDifference, StageResult, approximant_model,
                           convergence_sweep, effective_robin, hs_norm,
                           schedule, sector_difference, target_model)
-from .coupling import (ABDiagnostics, ABPair, BoundaryValues, VertexCoupling,
-                       decoupled_projection, from_ab, make_coupling,
+from .coupling import (ABDiagnostics, ABPair, BoundaryValues, Eigenphases,
+                       VertexCoupling, decoupled_projection, from_ab, make_coupling,
                        ones_matrix, rescale_length,
                        satisfies_vertex_condition, to_ab, unitarity_defect,
                        validate_ab)
@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABDiagnostics", "ABPair", "ApproximationStage", "BoundState",
-    "BoundaryValues", "ConvergenceReport", "GridSpec", "HalflineBC",
+    "BoundaryValues", "ConvergenceReport", "Eigenphases", "GridSpec",
+    "HalflineBC",
     "InvalidCouplingError", "KernelErrorStats", "PointInteraction",
     "PoleError", "SampledDifference", "SampledKernel", "SectorSpec",
     "SpectralParameter", "StageResult", "StarModel", "VertexCoupling",

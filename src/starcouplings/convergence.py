@@ -208,10 +208,13 @@ def sector_difference(target: SectorSpec, approx: SectorSpec, kappa: float,
 
 def hs_norm(diff: SampledDifference) -> float:
     """Hilbert-Schmidt norm estimate: sqrt of the 2-D trapezoidal
-    quadrature of |values|^2 over the sampled square."""
-    sq = np.abs(diff.values) ** 2
-    inner = np.trapezoid(sq, diff.x, axis=1)
-    return float(np.sqrt(np.trapezoid(inner, diff.x)))
+    quadrature of |values|^2 over the sampled square, w^T |values|^2 w
+    with the trapezoid weights w of the nodes."""
+    dx = np.diff(diff.x) / 2.0
+    w = np.zeros_like(diff.x)
+    w[:-1] += dx
+    w[1:] += dx
+    return float(np.sqrt(w @ np.abs(diff.values) ** 2 @ w))
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,25 @@ The standard coupling families, with J the n x n all-ones matrix:
 Infinite parameters give the fully decoupled vertices: U = -I (Dirichlet)
 for delta and delta_p, U = I (Neumann) for delta_prime_s and delta_prime.
 
+Every function of U that the package evaluates (the scattering matrix,
+its bound states, the Dirichlet projector) is V f(theta) V* for one unitary
+eigenbasis V of the normal matrix U, and reads it from the Eigenphases that
+VertexCoupling.eigenphases builds on first use and then keeps.
+make_coupling seeds it with the closed-form eigenvalues of its family on
+the constants J/n and their complement I - J/n, so a family coupling is
+never decomposed; ``family``/``param`` themselves stay metadata, and any
+other U is decomposed numerically.
+
 All values are immutable after construction and every operation is a pure
-function, safe to call concurrently.
+function, safe to call concurrently (two threads that race to build the
+eigenphase cache build equal ones).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +73,8 @@ UNITARITY_TOL = 1e-12
 #: max-entry norm allowed for A B* - (A B*)*
 HERMITICITY_TOL = 1e-12
 #: eigenvalues within this distance of -1 belong to the decoupled eigenspace;
-#: bound_states also merges eigenvalues this close and drops those at +-1
+#: Eigenphases merges eigenvalues this close, and bound_states drops those
+#: at +-1
 DECOUPLED_EIGENVALUE_TOL = 1e-9
 #: condition estimate beyond which A + iB counts as numerically singular
 SINGULAR_COND = 1e12
@@ -85,19 +97,105 @@ def _readonly(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
+@dataclass(frozen=True)
+class Eigenphases:
+    """A unitary eigen-decomposition U = V diag(lambda) V* of a coupling.
+
+    Each eigenvalue lambda = e^{i theta}, theta in (-pi, pi], is held as
+    c + i s = e^{i theta / 2}, with c = |1 + lambda| / 2 >= 0 and
+    s = sign(Im lambda) |1 - lambda| / 2 taken from moduli rather than from
+    a half-angle of a rounded pi, so lambda = -1 has c = 0 and lambda = 1
+    has s = 0.  ``groups`` holds (c, s, multiplicity) per distinct
+    eigenvalue (distinct beyond DECOUPLED_EIGENVALUE_TOL), and the columns
+    of ``v`` come in the same order, one group after the other; ``vh`` is
+    V*.  Numerical phases carry the backward error of the decomposition,
+    which scattering.one_plus_s removes where it matters; ``exact`` ones
+    are closed forms.
+    """
+
+    groups: tuple[tuple[float, float, int], ...]
+    v: np.ndarray
+
+    exact = False   # a class attribute, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", _readonly(self.v))
+        object.__setattr__(self, "vh", _readonly(self.v.conj().T))
+
+    def columns(self, values: list) -> list:
+        """One value per group, repeated for each column of the group."""
+        if len(values) == self.v.shape[0]:
+            return values
+        return [x for x, (_, _, m) in zip(values, self.groups)
+                for _ in range(m)]
+
+    def apply(self, f: list) -> np.ndarray:
+        """V diag(f) V* for one value of f per group."""
+        return (self.v * self.columns(f)) @ self.vh
+
+
+class _FamilyEigenphases(Eigenphases):
+    """Closed-form phases of a family: group 0 is the constant vector
+    (column 0 of V), the last group its complement.  ``apply`` sums the
+    projectors J/n and I - J/n, so the Kirchhoff S_U(1) = U, for one, comes
+    out exact."""
+
+    exact = True
+
+    def apply(self, f: list) -> np.ndarray:
+        n = self.v.shape[0]
+        out = np.full((n, n), (f[0] - f[-1]) / n)
+        out.flat[::n + 1] += f[-1]
+        return out
+
+
+def _half_angle(lam: complex, m: int) -> tuple[float, float, int]:
+    """(c, s, m) of an eigenvalue lambda, normalised to c^2 + s^2 = 1."""
+    c = abs(1.0 + lam) / 2.0
+    s = math.copysign(abs(1.0 - lam) / 2.0, lam.imag)
+    h = math.hypot(c, s)
+    return c / h, s / h, m
+
+
+def _decompose(u: np.ndarray) -> Eigenphases:
+    """Eigenphases of a unitary U from its eigenvectors: sorted by phase,
+    so that equal eigenvalues sit next to each other, and orthonormalised
+    by one QR, which mixes columns only within a group of equal
+    eigenvalues (the eigenvectors of distinct ones are orthogonal up to
+    rounding).  A group's eigenvalue is the mean of its members."""
+    lam, vec = np.linalg.eig(u)
+    order = np.argsort(np.angle(lam))
+    clusters: list[list[complex]] = []
+    for z in lam[order].tolist():
+        if clusters and abs(z - clusters[-1][-1]) <= DECOUPLED_EIGENVALUE_TOL:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    groups = tuple(_half_angle(sum(g) / len(g), len(g)) for g in clusters)
+    return Eigenphases(groups, np.linalg.qr(vec[:, order])[0])
+
+
 @dataclass(frozen=True)
 class VertexCoupling:
     """An n-edge vertex coupling held as its unitary matrix U.
 
     ``family``/``param`` are metadata tags recording how the matrix was
-    built ("custom" when it was supplied directly); they never enter any
-    computation.
+    built ("custom" when it was supplied directly).  Only make_coupling
+    acts on them, by seeding ``eigenphases`` with the family's closed-form
+    phases; a coupling built any other way decomposes its own U.
     """
 
     n: int
     u: np.ndarray
     family: str | None = None
     param: float | None = None
+    _phases: Eigenphases | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -119,14 +217,23 @@ class VertexCoupling:
         u = np.asarray(u, dtype=complex)
         return cls(n=u.shape[0], u=u, family="custom")
 
+    @property
+    def eigenphases(self) -> Eigenphases:
+        """The eigen-decomposition of U, built on first use and kept."""
+        phases = self._phases
+        if phases is None:
+            phases = _decompose(self.u)
+            object.__setattr__(self, "_phases", phases)
+        return phases
+
 
 @dataclass(frozen=True)
 class ABPair:
     """A boundary-condition pair (A, B) of n x n matrices.
 
-    The constructor only enforces shapes; admissibility (rank and
-    Hermiticity) is checked by validate_ab and required by from_ab, so
-    degenerate pairs can still be constructed and diagnosed.
+    The constructor only enforces shapes and finite entries; admissibility
+    (rank and Hermiticity) is checked by validate_ab and required by
+    from_ab, so degenerate pairs can still be constructed and diagnosed.
     """
 
     a: np.ndarray
@@ -140,6 +247,8 @@ class ABPair:
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise InvalidCouplingError("A and B must have finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -173,6 +282,8 @@ class BoundaryValues:
             raise InvalidCouplingError(
                 f"psi and dpsi must be equal-length vectors, got shapes "
                 f"{psi.shape} and {dpsi.shape}")
+        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
+            raise InvalidCouplingError("psi and dpsi must be finite")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "dpsi", dpsi)
 
@@ -193,10 +304,16 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     if n < 1:
         raise InvalidCouplingError(f"edge count must be >= 1, got {n}")
     param = float(param)
+    coupling = VertexCoupling(n=n, u=_family_matrix(family, n, param),
+                              family=family, param=param)
+    object.__setattr__(coupling, "_phases", _family_phases(family, n, param))
+    return coupling
+
+
+def _family_matrix(family: str, n: int, param: float) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     if math.isinf(param):
-        u = -eye if family in ("delta", "delta_p") else eye.copy()
-        return VertexCoupling(n=n, u=u, family=family, param=param)
+        return -eye if family in ("delta", "delta_p") else eye
     j = ones_matrix(n)
     if family == "delta":
         u = (2.0 / (n + 1j * param)) * j - eye
@@ -208,7 +325,47 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     else:  # delta_prime
         u = -((n + 1j * param) / (n - 1j * param)) * eye \
             + (2.0 / (n - 1j * param)) * j
-    return VertexCoupling(n=n, u=u, family=family, param=param)
+    return u
+
+
+def _family_phases(family: str, n: int, param: float) -> Eigenphases:
+    """The closed-form Eigenphases of a family's U.
+
+    U acts on the constants as one eigenvalue and on their complement as
+    another.  As (c, s) up to a positive factor they are (n, -alpha) for
+    (n - i alpha) / (n + i alpha), and +-(beta, -n) for
+    -(n + i beta) / (n - i beta); the other eigenvalue is -1 for delta and
+    delta_p and +1 for delta_prime_s and delta_prime.
+    """
+    dirichlet, neumann = (0.0, 1.0), (1.0, 0.0)
+    if math.isinf(param):
+        sym = rest = dirichlet if family in ("delta", "delta_p") else neumann
+    elif family in ("delta", "delta_p"):
+        h = math.hypot(n, param)
+        pair = (n / h, -param / h)
+        sym, rest = (pair, dirichlet) if family == "delta" \
+            else (dirichlet, pair)
+    else:
+        h = math.copysign(math.hypot(n, param), param)
+        pair = (param / h, -n / h) if param else dirichlet
+        sym, rest = (pair, neumann) if family == "delta_prime_s" \
+            else (neumann, pair)
+    if sym == rest or n == 1:
+        groups = ((*sym, n),)
+    else:
+        groups = ((*sym, 1), (*rest, n - 1))
+    return _FamilyEigenphases(groups, _constants_basis(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _constants_basis(n: int) -> np.ndarray:
+    """A real orthonormal basis whose first vector is the normalised
+    constant vector: the Householder reflection that swaps it with e_1."""
+    if n == 1:
+        return _readonly(np.ones((1, 1)))
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    return _readonly(np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w))
 
 
 def to_ab(coupling: VertexCoupling) -> ABPair:
@@ -299,6 +456,7 @@ def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,
     (vanishing boundary form); that identity is cross-checked and a
     violation raises, since it would mean the inputs are inconsistent.
     """
+    _check_tol(tol)
     if bv.n != coupling.n:
         raise InvalidCouplingError(
             f"boundary values of length {bv.n} for an {coupling.n}-edge vertex")
@@ -322,13 +480,12 @@ def decoupled_projection(coupling: VertexCoupling,
                          tol: float = DECOUPLED_EIGENVALUE_TOL) -> np.ndarray:
     """Orthogonal projection onto the eigenspace of U at eigenvalue -1.
 
-    Edges are Dirichlet-decoupled exactly on the range of this projection.
-    Computed from the SVD of U + I: U is normal, so the singular values are
-    |lambda + 1| over the eigenvalues lambda of U and the right singular
-    vectors are eigenvectors.  Eigenvalues within ``tol`` of -1 are
-    included.  Returns the (complex) zero matrix when -1 is not an
-    eigenvalue.
+    Edges are Dirichlet-decoupled exactly on the range of this projection,
+    read from the coupling's eigenphases: eigenvalues lambda with
+    |lambda + 1| = 2c below ``tol`` are included.  Returns the (complex)
+    zero matrix when -1 is not an eigenvalue.
     """
-    _, sv, vh = np.linalg.svd(coupling.u + np.eye(coupling.n))
-    q = vh[sv < tol].astype(complex)
-    return q.conj().T @ q
+    _check_tol(tol)
+    phases = coupling.eigenphases
+    return phases.apply([1.0 + 0j if 2.0 * c < tol else 0j
+                         for c, _, _ in phases.groups])

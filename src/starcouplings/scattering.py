@@ -19,7 +19,11 @@ Schrader, J. Phys. A 32 (1999) 595).
 S_U is also the reflection matrix R = S_U(i kappa) of the resolvent
 kernels (greens) and the ghost map of the finite-difference vertex stencil
 (finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1}
-from one_plus_s, one solve with one scale-free pole guard.
+from one_plus_s, with one scale-free pole guard.  It solves nothing: on
+an eigenvalue e^{i theta} = (c + i s)^2 of U, D(k) acts as
+2 (c + i s)(k c - i s), so I + S_U(k) is V diag(2 k c / (k c - i s)) V*
+over the coupling's cached Eigenphases (coupling), and the bound states
+are kappa = s / c.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import DECOUPLED_EIGENVALUE_TOL, VertexCoupling
+from .coupling import DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling
 from .errors import PoleError
 
 
@@ -74,37 +78,66 @@ class BoundState(NamedTuple):
 #: s_matrix raises PoleError below this (relative, see one_plus_s)
 S_MATRIX_TOL = 1e-12
 
+#: one_plus_s refines numerical eigenphases where the condition number
+#: (|k + 1| + |k - 1|) / sigma_min(D(k)) exceeds this; unrefined, their
+#: error in I + S stays below about 8 eps times that condition number
+REFINE_COND = 8.0
+
 
 def one_plus_s(coupling: VertexCoupling, k: complex,
                tol: float) -> np.ndarray:
     """I + S_U(k) = 2 k (I + U) D(k)^{-1}, D(k) = (k + 1) I + (k - 1) U.
 
-    Raises PoleError when sigma_min(D(k)) < tol (|k + 1| + |k - 1|), the
-    bound being the largest singular value D(k) can have.  The result is
-    real when k is imaginary and U = U^T.
+    Raises PoleError when sigma_min(D(k)) = 2 min |k c - i s| over the
+    eigenphases is below tol (|k + 1| + |k - 1|), the bound being the
+    largest singular value D(k) can have.  Numerical eigenphases are
+    refined against U where D(k) is ill-conditioned (REFINE_COND).  The
+    result is real when k is imaginary and U = U^T.
     """
     u = coupling.u
-    eye = np.eye(coupling.n)
-    d = (k + 1.0) * eye + (k - 1.0) * u
-    smin = np.linalg.svd(d, compute_uv=False)[-1]
+    phases = coupling.eigenphases
+    dens = [k * c - 1j * s for c, s, _ in phases.groups]
+    smin = 2.0 * min(map(abs, dens))
     scale = abs(k + 1.0) + abs(k - 1.0)
     if smin < tol * scale:
         raise PoleError(
             f"S_U(k) pole at k = {k}: sigma_min((k + 1) I + (k - 1) U) = "
             f"{smin:.3e} below {tol:g} (|k + 1| + |k - 1|) = "
             f"{tol * scale:.3e}")
-    # the factors commute, so D^{-1} (I + U) is (I + U) D^{-1}
-    out = np.linalg.solve(d, 2.0 * k * (eye + u))
+    out = phases.apply([2.0 * k * c / den
+                        for (c, _, _), den in zip(phases.groups, dens)])
+    if not phases.exact and scale > REFINE_COND * smin:
+        out += _refinement(u, phases, k, dens, out)
     if k.real == 0.0 and np.array_equal(u, u.T):
         out = out.real
     return out
+
+
+def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
+                dens: list, x: np.ndarray) -> np.ndarray:
+    """The correction R D(k)^{-1} of one residual-refinement step of
+    X D(k) = 2 k (I + U), with D(k)^{-1} = V diag(1 / d) V* and
+    d = 2 (c + i s)(k c - i s).  The residual R is formed in extended
+    precision (where numpy's longdouble has it): in double its rounding,
+    amplified by D(k)^{-1}, would leave an error of about eps cond(D(k))
+    at a cluster of eigenvalues near +1 (k small) or -1 (k large)."""
+    kx = np.clongdouble(k)
+    ux = u.astype(np.clongdouble)
+    xx = x.astype(np.clongdouble)
+    r = 2.0 * kx * ux - (kx + 1.0) * xx - (kx - 1.0) * (xx @ ux)
+    r.flat[::u.shape[0] + 1] += 2.0 * kx
+    d = phases.columns([2.0 * complex(c, s) * den
+                        for (c, s, _), den in zip(phases.groups, dens)])
+    return ((r.astype(complex) @ phases.v) / d) @ phases.vh
 
 
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix at real finite momentum k > 0."""
     if not 0 < k < math.inf:
         raise ValueError(f"momentum must be positive and finite, got {k}")
-    return one_plus_s(coupling, k, S_MATRIX_TOL) - np.eye(coupling.n)
+    s = one_plus_s(coupling, k, S_MATRIX_TOL)
+    s.flat[::coupling.n + 1] -= 1.0
+    return s
 
 
 def bound_states(coupling: VertexCoupling,
@@ -115,31 +148,17 @@ def bound_states(coupling: VertexCoupling,
     e^{i theta} of 2 i e^{i theta / 2} (kappa cos(theta / 2) - sin(theta / 2)),
     which vanishes only at kappa = tan(theta / 2).  Each eigenvalue with
     theta in (0, pi) therefore gives one bound state, with the eigenvalue's
-    multiplicity.  Eigenvalues within DECOUPLED_EIGENVALUE_TOL of each other
-    count as one degenerate eigenvalue; clusters at +1 (threshold, kappa = 0)
-    and at -1 (Dirichlet, kappa = inf) carry no state.  kappa_max may be
-    inf.  States are returned in increasing kappa.
+    multiplicity, read from the coupling's Eigenphases as kappa = s / c.
+    Eigenvalues within DECOUPLED_EIGENVALUE_TOL of each other count as one
+    degenerate eigenvalue; those at +1 (threshold, kappa = 0) and at -1
+    (Dirichlet, kappa = inf) carry no state.  kappa_max may be inf.  States
+    are returned in increasing kappa.
     """
     if not kappa_max > 0:
         raise ValueError(f"kappa_max must be positive, got {kappa_max}")
-    lams = np.linalg.eigvals(coupling.u)
-    lams = lams[np.argsort(np.angle(lams))]
-    # a cluster at -1 may be split across +-pi; harmless, -1 is dropped
-    clusters: list[list[complex]] = [[lams[0]]]
-    for lam in lams[1:]:
-        if abs(lam - clusters[-1][-1]) <= DECOUPLED_EIGENVALUE_TOL:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-    states = []
-    for cluster in clusters:
-        centre = complex(np.mean(cluster))
-        if abs(centre - 1.0) <= DECOUPLED_EIGENVALUE_TOL \
-                or abs(centre + 1.0) <= DECOUPLED_EIGENVALUE_TOL:
-            continue
-        theta = math.atan2(centre.imag, centre.real)
-        if 0.0 < theta < math.pi:
-            kappa = math.tan(theta / 2.0)
-            if kappa <= kappa_max:
-                states.append(BoundState(kappa, len(cluster)))
-    return states
+    # |1 + lambda| = 2 c and |1 - lambda| = 2 |s|
+    edge = DECOUPLED_EIGENVALUE_TOL / 2.0
+    states = [BoundState(s / c, m)
+              for c, s, m in coupling.eigenphases.groups
+              if c > edge and s > edge and s / c <= kappa_max]
+    return sorted(states)

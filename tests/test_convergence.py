@@ -183,6 +183,27 @@ class TestHSNorm:
         with pytest.raises(ValueError):
             SampledDifference(np.linspace(0, 1, 5), np.zeros((4, 4)))
 
+    def test_matches_a_hand_written_trapezoid_sum(self):
+        # uneven nodes and complex values: the sum over cells of the cell
+        # area times the mean of |values|^2 at its four corners
+        rng = np.random.default_rng(4)
+        x = np.cumsum(rng.uniform(0.01, 0.3, 40))
+        vals = rng.standard_normal((40, 40)) \
+            + 1j * rng.standard_normal((40, 40))
+        sq = np.abs(vals) ** 2
+        total = 0.0
+        for i in range(39):
+            for j in range(39):
+                corners = (sq[i, j] + sq[i + 1, j] + sq[i, j + 1]
+                           + sq[i + 1, j + 1])
+                total += (x[i + 1] - x[i]) * (x[j + 1] - x[j]) * corners / 4.0
+        got = hs_norm(SampledDifference(x, vals))
+        assert abs(got - math.sqrt(total)) <= 1e-14 * math.sqrt(total)
+
+    def test_single_node_has_zero_norm(self):
+        assert hs_norm(SampledDifference(np.array([1.0]),
+                                         np.array([[5.0]]))) == 0.0
+
 
 # ======================================================================
 #  pointwise limits of the decorated kernels

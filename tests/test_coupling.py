@@ -17,6 +17,7 @@ from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
                            make_coupling, ones_matrix, rescale_length,
                            satisfies_vertex_condition, to_ab,
                            unitarity_defect, validate_ab)
+from starcouplings.scattering import bound_states, s_matrix
 from starcouplings.coupling import DECOUPLED_EIGENVALUE_TOL, FAMILIES
 
 RNG = np.random.default_rng(20260810)
@@ -427,3 +428,150 @@ class TestDecoupledProjectionSpectra:
             kept = list(range(m)) + [n]
             np.testing.assert_allclose(
                 p, q[:, kept] @ q[:, kept].conj().T, rtol=0, atol=1e-6)
+
+
+# ======================================================================
+#  non-finite input and tolerances
+# ======================================================================
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_ab_pair_rejects_non_finite_entries(self, which, bad):
+        pair = {"a": np.eye(2, dtype=complex), "b": np.eye(2, dtype=complex)}
+        pair[which][1, 0] = bad
+        with pytest.raises(InvalidCouplingError, match="finite"):
+            ABPair(pair["a"], pair["b"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["psi", "dpsi"])
+    def test_boundary_values_reject_non_finite_entries(self, which, bad):
+        values = {"psi": np.ones(3), "dpsi": np.zeros(3)}
+        values[which][2] = bad
+        with pytest.raises(InvalidCouplingError, match="finite"):
+            BoundaryValues(values["psi"], values["dpsi"])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+    def test_vertex_condition_rejects_bad_tolerance(self, tol):
+        c = make_coupling("delta", 3, 2.0)
+        bv = BoundaryValues(np.ones(3), np.array([2.0 / 3.0] * 3))
+        with pytest.raises(ValueError, match="tolerance"):
+            satisfies_vertex_condition(c, bv, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+    def test_decoupled_projection_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            decoupled_projection(VertexCoupling.custom(-np.eye(2)), tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        c = VertexCoupling.custom(-np.eye(2))
+        np.testing.assert_array_equal(decoupled_projection(c, tol=0.0),
+                                      np.zeros((2, 2)))
+
+
+# ======================================================================
+#  the eigenphase cache
+# ======================================================================
+
+FAMILY_PARAMS = (0.0, -0.0, 0.7, -0.7, 3.0, -12.0, math.inf, -math.inf)
+
+
+def _rebuilt(phases) -> np.ndarray:
+    """V diag(lambda) V* with lambda = (c + i s)^2 per column."""
+    lam = phases.columns([complex(c, s) ** 2 for c, s, _ in phases.groups])
+    return (phases.v * lam) @ phases.v.conj().T
+
+
+def _phase_order(group):
+    c, s, m = group
+    return round(math.atan2(s, c), 9), m
+
+
+class TestEigenphases:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_family_phases_rebuild_u(self, family, n):
+        for param in FAMILY_PARAMS:
+            c = make_coupling(family, n, param)
+            phases = c.eigenphases
+            assert phases.exact
+            for c_, s_, _ in phases.groups:
+                assert c_ >= 0.0 and abs(c_ ** 2 + s_ ** 2 - 1.0) < 1e-15
+            assert np.max(np.abs(_rebuilt(phases) - c.u)) < 1e-14
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_family_phases_match_a_decomposition(self, family, n):
+        for param in FAMILY_PARAMS:
+            seeded = make_coupling(family, n, param).eigenphases
+            numeric = VertexCoupling.custom(
+                make_coupling(family, n, param).u).eigenphases
+            assert not numeric.exact
+            got = sorted(seeded.groups, key=_phase_order)
+            want = sorted(numeric.groups, key=_phase_order)
+            # -1 may split across +-pi in a decomposition
+            if any(g[0] == 0.0 for g in got):
+                got = [g for g in got if g[0] > 1e-9]
+                want = [g for g in want if g[0] > 1e-9]
+            assert [g[2] for g in got] == [g[2] for g in want]
+            for (c1, s1, _), (c2, s2, _) in zip(got, want):
+                assert abs(c1 - c2) < 1e-12 and abs(s1 - s2) < 1e-12
+
+    def test_family_tags_alone_seed_nothing(self):
+        # the tags are metadata: a directly built coupling decomposes U = I
+        # although make_coupling("delta", 3, 0) is the Kirchhoff vertex
+        c = VertexCoupling(3, u=np.eye(3), family="delta", param=0.0)
+        phases = c.eigenphases
+        assert not phases.exact
+        assert phases.groups == ((1.0, 0.0, 3),)
+        np.testing.assert_allclose(decoupled_projection(c), np.zeros((3, 3)),
+                                   atol=0)
+
+    def test_numerical_basis_is_unitary_and_grouped(self):
+        rng = np.random.default_rng(515)
+        for n in range(1, 7):
+            q = random_unitary(n, rng)
+            phases = np.concatenate(([np.pi] * (n // 2),
+                                     rng.uniform(-3.0, 3.0, n - n // 2)))
+            u = (q * np.exp(1j * phases)) @ q.conj().T
+            got = VertexCoupling.custom(u).eigenphases
+            assert sum(m for _, _, m in got.groups) == n
+            assert np.max(np.abs(got.vh @ got.v - np.eye(n))) < 1e-14
+            assert np.max(np.abs(_rebuilt(got) - u)) < 1e-13
+
+    def test_decomposed_at_most_once(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        u = random_unitary(4, np.random.default_rng(99))
+        c = VertexCoupling.custom(u)
+        for k in (0.3, 1.0, 7.0):
+            s_matrix(c, k)
+        bound_states(c, 10.0)
+        decoupled_projection(c)
+        assert len(calls) == 1
+        family = make_coupling("delta_p", 4, -2.0)
+        for k in (0.3, 1.0, 7.0):
+            s_matrix(family, k)
+        bound_states(family, 10.0)
+        decoupled_projection(family)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("coupling", [
+        make_coupling("delta_prime", 3, 0.4),
+        VertexCoupling.custom(random_unitary(3, np.random.default_rng(5)))])
+    def test_cached_arrays_are_readonly(self, coupling):
+        phases = coupling.eigenphases
+        for name in ("v", "vh"):
+            with pytest.raises(ValueError):
+                getattr(phases, name)[0] = 0.0
+        with pytest.raises(AttributeError):
+            phases.groups = ()
+        with pytest.raises(AttributeError):
+            coupling.eigenphases = phases
+        assert coupling.eigenphases is phases

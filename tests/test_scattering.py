@@ -114,6 +114,48 @@ class TestSMatrixPrecision:
                 assert err <= 1e-13, (k, err)
 
 
+class TestSMatrixClusteredSpectra:
+    """U = Q diag(e^{i theta}) Q* with Haar Q and a repeated eigenvalue:
+    where D(k)^{-1} is large on a cluster (at +1 for small k, at -1 for
+    large k) the rounding of the eigen-decomposition is amplified most."""
+
+    @staticmethod
+    def _spectra(n, rng):
+        other = rng.uniform(-math.pi, math.pi, n)
+        half = n // 2
+        yield np.concatenate(([math.pi] * (n - 1), other[:1]))
+        yield np.concatenate(([0.0] * (n - 1), other[:1]))
+        yield np.concatenate(([math.pi] * half, [0.0] * (n - half)))
+        yield np.full(n, other[0])
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_mpmath(self, n):
+        rng = np.random.default_rng(1300 + n)
+        for _ in range(2):
+            for phases in self._spectra(n, rng):
+                q = random_unitary(n, rng)
+                u = (q * np.exp(1j * phases)) @ q.conj().T
+                c = VertexCoupling.custom(u)
+                for k in np.geomspace(1e-3, 1e3, 7):
+                    err = np.max(np.abs(s_matrix(c, k) - _mp_s_matrix(u, k)))
+                    assert err <= 3e-13, (phases, k, err)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble is double on this platform")
+    def test_refinement_residual_in_extended_precision(self):
+        # with a double-precision residual the n = 4 clusters at +1 reach
+        # about 3e-13 at k = 1e-3 (1.5 eps cond(D)); in longdouble the
+        # refined S is within a few rounding errors of 40-digit values
+        rng = np.random.default_rng(1304)
+        for phases in self._spectra(4, rng):
+            q = random_unitary(4, rng)
+            u = (q * np.exp(1j * phases)) @ q.conj().T
+            c = VertexCoupling.custom(u)
+            for k in (1e-3, 1e3):
+                err = np.max(np.abs(s_matrix(c, k) - _mp_s_matrix(u, k)))
+                assert err <= 1e-14, (phases, k, err)
+
+
 class TestSMatrixPoleGuard:
     def test_trips_where_the_relative_guard_trips(self):
         # with eigenvalues +1 and -1, D = (k + 1) I + (k - 1) U has
