@@ -14,9 +14,8 @@ from .convergence import (ApproximationStage, ConvergenceReport,
                           schedule, sector_difference, target_model)
 from .coupling import (ABDiagnostics, ABPair, BoundaryValues, Eigenphases,
                        VertexCoupling, decoupled_projection, from_ab, make_coupling,
-                       ones_matrix, rescale_length,
-                       satisfies_vertex_condition, to_ab, unitarity_defect,
-                       validate_ab)
+                       rescale_length, satisfies_vertex_condition, to_ab,
+                       unitarity_defect, validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, KernelErrorStats, SampledKernel,
                                 compare_kernels, fd_resolvent_halfline,
@@ -25,7 +24,7 @@ from .greens import (HalflineBC, PointInteraction, SectorSpec, StarModel,
                      halfline_green, halfline_kernel, krein_insert,
                      sector_decompose, sector_green, star_green,
                      vertex_kernel)
-from .scattering import BoundState, SpectralParameter, bound_states, s_matrix
+from .scattering import BoundState, bound_states, s_matrix
 
 __version__ = "0.1.0"
 
@@ -35,12 +34,12 @@ __all__ = [
     "HalflineBC",
     "InvalidCouplingError", "KernelErrorStats", "PointInteraction",
     "PoleError", "SampledDifference", "SampledKernel", "SectorSpec",
-    "SpectralParameter", "StageResult", "StarModel", "VertexCoupling",
+    "StageResult", "StarModel", "VertexCoupling",
     "approximant_model", "bound_states", "compare_kernels",
     "convergence_sweep", "decoupled_projection", "effective_robin",
     "fd_resolvent_halfline", "fd_resolvent_star", "from_ab", "halfline_green",
     "halfline_kernel", "hs_norm", "krein_insert", "make_coupling",
-    "ones_matrix", "rescale_length", "s_matrix",
+    "rescale_length", "s_matrix",
     "satisfies_vertex_condition", "schedule", "sector_decompose",
     "sector_difference", "sector_green", "star_green", "target_model",
     "to_ab", "unitarity_defect", "validate_ab", "vertex_kernel",

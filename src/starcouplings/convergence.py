@@ -37,8 +37,10 @@ satellite minus that of the target.  The sweep evaluates this closed form;
 it reads only L from its grid.  Both sector pairs of both families are one
 pair in homogeneous form (sigma, tau): target tau psi(0) = sigma psi'(0),
 base tau a^2 psi'(0) = -sigma psi(0) (the scheduled Robin value), plus
-c = -1/a at a.  (sigma, tau) = (beta, n) is the Robin pair,
-(1, 0) the Dirichlet base with a Neumann target.  With x = kappa a,
+c = -1/a at a.  The sweep reads them once from the family table of
+coupling: an eigenvalue (c, s) of the target's U is the sector
+(sigma, tau) = (c, -s), so (beta, n) is the Robin pair and (1, 0) the
+Dirichlet base with a Neumann target.  With x = kappa a,
 f(x) = x cosh x - sinh x, s = sinh x, h = cosh x and E = e^{2x},
 
     P = -tau a x (h - x s) - sigma f         (the effective Robin constant
@@ -76,6 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import _family_table
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
@@ -294,20 +297,14 @@ def _robin_pole(p: float, q: float, kappa: float) -> bool:
 
 
 def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
-               length: float) -> StageResult:
+               length: float, pairs: list) -> StageResult:
     stage = schedule(family, beta, n, a)
-    # the sector pairs as (sigma, tau), leading sector (multiplicity 1)
-    # first: the scheduled Robin base against the RobinScaled(n, beta)
-    # target, and the Dirichlet base against the Neumann target
-    robin, dirichlet = (beta, float(n)), (1.0, 0.0)
-    pairs = (robin, dirichlet) if family == "delta_prime_s" \
-        else (dirichlet, robin)
     lead = rest = total = math.nan
     error = None
     try:
         window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
         norms = [0.0, 0.0]        # n = 1 has no repeated sector
-        for i, (sigma, tau) in enumerate(pairs[:n]):
+        for i, (sigma, tau) in enumerate(pairs):
             for what, p, q in (("target sector", sigma, tau),
                                ("Robin kernel", tau * a * a, -sigma)):
                 if _robin_pole(p, q, kappa):
@@ -345,7 +342,12 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     for a in a_values:
         if not 0.0 < a < grid.L:
             raise ValueError(f"window start {a} outside (0, {grid.L})")
-    stages = [_run_stage(family, beta, n, kappa, a, grid.L)
+    # the sector pairs (sigma, tau) = (c, -s) of the target's eigenvalues,
+    # leading sector (multiplicity 1) first; 0.0 - s keeps the Neumann
+    # target's tau at +0.0
+    pairs = [(c, 0.0 - s) for c, s, m in _family_table(family, n, beta)
+             if m > 0]
+    stages = [_run_stage(family, beta, n, kappa, a, grid.L, pairs)
               for a in a_values]
 
     valid = [s for s in stages if s.valid and s.norm_total > 0.0]

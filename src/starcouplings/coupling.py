@@ -41,14 +41,21 @@ The standard coupling families, with J the n x n all-ones matrix:
 Infinite parameters give the fully decoupled vertices: U = -I (Dirichlet)
 for delta and delta_p, U = I (Neumann) for delta_prime_s and delta_prime.
 
+Each family U is fixed by two eigenvalues, one on the constants and one on
+their complement.  One private table, _family_table, holds them as
+homogeneous pairs (c, s) with c + i s proportional to e^{i theta / 2}, and
+is the only place that knows the families: make_coupling builds
+U = lambda_1 J/n + lambda_2 (I - J/n) from it, so U is exactly symmetric,
+and the convergence sweep reads its sector pairs from it.
+
 Every function of U that the package evaluates (the scattering matrix,
-its bound states, the Dirichlet projector) is V f(theta) V* for one unitary
-eigenbasis V of the normal matrix U, and reads it from the Eigenphases that
-VertexCoupling.eigenphases builds on first use and then keeps.
-make_coupling seeds it with the closed-form eigenvalues of its family on
-the constants J/n and their complement I - J/n, so a family coupling is
-never decomposed; ``family``/``param`` themselves stay metadata, and any
-other U is decomposed numerically.
+its bound states, the Dirichlet projector, a change of length unit) is
+V f(theta) V* for one unitary eigenbasis V of the normal matrix U, and
+reads it from the Eigenphases that VertexCoupling.eigenphases builds on
+first use and then keeps.  make_coupling seeds it with the closed-form
+phases of its family, rescale_length maps the phases of its input, so
+neither is ever decomposed; ``family``/``param`` themselves stay metadata,
+and any other U is decomposed numerically.
 
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
@@ -80,11 +87,6 @@ DECOUPLED_EIGENVALUE_TOL = 1e-9
 SINGULAR_COND = 1e12
 
 
-def ones_matrix(n: int) -> np.ndarray:
-    """The n x n matrix whose entries are all equal to one."""
-    return np.ones((n, n), dtype=complex)
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U U* - I."""
     u = np.asarray(u, dtype=complex)
@@ -111,7 +113,8 @@ class Eigenphases:
     s = sign(Im lambda) |1 - lambda| / 2 taken from moduli rather than from
     a half-angle of a rounded pi, so lambda = -1 has c = 0 and lambda = 1
     has s = 0.  ``groups`` holds (c, s, multiplicity) per distinct
-    eigenvalue (distinct beyond DECOUPLED_EIGENVALUE_TOL), and the columns
+    eigenvalue (a decomposition merges those within
+    DECOUPLED_EIGENVALUE_TOL), and the columns
     of ``v`` come in the same order, one group after the other; ``vh`` is
     V*.  Numerical phases carry the backward error of the decomposition,
     which scattering.one_plus_s removes where it matters; ``exact`` ones
@@ -154,12 +157,22 @@ class _FamilyEigenphases(Eigenphases):
         return out
 
 
+#: the eigenvalues -1 and +1 as (c, s) pairs
+_DIRICHLET, _NEUMANN = (0.0, 1.0), (1.0, 0.0)
+
+
+def _normalised(c: float, s: float) -> tuple[float, float]:
+    """(c, s) scaled to c^2 + s^2 = 1 and c >= 0; -1 is held as (0, 1)."""
+    if c == 0.0:
+        return _DIRICHLET
+    h = math.copysign(math.hypot(c, s), c)
+    return c / h, s / h
+
+
 def _half_angle(lam: complex, m: int) -> tuple[float, float, int]:
     """(c, s, m) of an eigenvalue lambda, normalised to c^2 + s^2 = 1."""
-    c = abs(1.0 + lam) / 2.0
-    s = math.copysign(abs(1.0 - lam) / 2.0, lam.imag)
-    h = math.hypot(c, s)
-    return c / h, s / h, m
+    return (*_normalised(abs(1.0 + lam) / 2.0,
+                         math.copysign(abs(1.0 - lam) / 2.0, lam.imag)), m)
 
 
 def _decompose(u: np.ndarray) -> Eigenphases:
@@ -186,8 +199,10 @@ class VertexCoupling:
 
     ``family``/``param`` are metadata tags recording how the matrix was
     built ("custom" when it was supplied directly).  Only make_coupling
-    acts on them, by seeding ``eigenphases`` with the family's closed-form
-    phases; a coupling built any other way decomposes its own U.
+    acts on them, by building U from the family's closed-form phases and
+    seeding ``eigenphases`` with them; rescale_length seeds its result
+    from its input's phases, and a coupling built any other way decomposes
+    its own U.
     """
 
     n: int
@@ -304,57 +319,54 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     if n < 1:
         raise InvalidCouplingError(f"edge count must be >= 1, got {n}")
     param = float(param)
-    coupling = VertexCoupling(n=n, u=_family_matrix(family, n, param),
-                              family=family, param=param)
-    object.__setattr__(coupling, "_phases", _family_phases(family, n, param))
-    return coupling
+    return _with_phases(_family_phases(family, n, param), family=family,
+                        param=param)
 
 
-def _family_matrix(family: str, n: int, param: float) -> np.ndarray:
-    eye = np.eye(n, dtype=complex)
+def _family_table(family: str, n: int, param: float) -> tuple:
+    """The eigenvalues of a family's U as unnormalised (c, s, m), the one
+    on the constants (m = 1) first, then the one on their complement
+    (m = n - 1).
+
+    (c, s) is c + i s = e^{i theta / 2} up to a real factor: (n, -alpha)
+    for (n - i alpha) / (n + i alpha), (beta, -n) for
+    -(n + i beta) / (n - i beta), Dirichlet (0, 1) for -1 and Neumann
+    (1, 0) for +1.  ``param`` is used as given, so a caller's integer beta
+    stays an integer.
+    """
     if math.isinf(param):
-        return -eye if family in ("delta", "delta_p") else eye
-    j = ones_matrix(n)
-    if family == "delta":
-        u = (2.0 / (n + 1j * param)) * j - eye
-    elif family == "delta_prime_s":
-        u = eye - (2.0 / (n - 1j * param)) * j
-    elif family == "delta_p":
-        u = ((n - 1j * param) / (n + 1j * param)) * eye \
-            - (2.0 / (n + 1j * param)) * j
-    else:  # delta_prime
-        u = -((n + 1j * param) / (n - 1j * param)) * eye \
-            + (2.0 / (n - 1j * param)) * j
-    return u
+        sym = rest = _DIRICHLET if family in ("delta", "delta_p") \
+            else _NEUMANN
+    elif family in ("delta", "delta_p"):
+        pair = (float(n), -param)
+        sym, rest = (pair, _DIRICHLET) if family == "delta" \
+            else (_DIRICHLET, pair)
+    else:
+        pair = (param, -float(n))
+        sym, rest = (pair, _NEUMANN) if family == "delta_prime_s" \
+            else (_NEUMANN, pair)
+    return (*sym, 1), (*rest, n - 1)
 
 
 def _family_phases(family: str, n: int, param: float) -> Eigenphases:
-    """The closed-form Eigenphases of a family's U.
-
-    U acts on the constants as one eigenvalue and on their complement as
-    another.  As (c, s) up to a positive factor they are (n, -alpha) for
-    (n - i alpha) / (n + i alpha), and +-(beta, -n) for
-    -(n + i beta) / (n - i beta); the other eigenvalue is -1 for delta and
-    delta_p and +1 for delta_prime_s and delta_prime.
-    """
-    dirichlet, neumann = (0.0, 1.0), (1.0, 0.0)
-    if math.isinf(param):
-        sym = rest = dirichlet if family in ("delta", "delta_p") else neumann
-    elif family in ("delta", "delta_p"):
-        h = math.hypot(n, param)
-        pair = (n / h, -param / h)
-        sym, rest = (pair, dirichlet) if family == "delta" \
-            else (dirichlet, pair)
+    """The closed-form Eigenphases of a family's U, from _family_table."""
+    sym, rest = [(*_normalised(c, s), m)
+                 for c, s, m in _family_table(family, n, param)]
+    if sym[:2] == rest[:2] or n == 1:
+        groups = ((*sym[:2], n),)
     else:
-        h = math.copysign(math.hypot(n, param), param)
-        pair = (param / h, -n / h) if param else dirichlet
-        sym, rest = (pair, neumann) if family == "delta_prime_s" \
-            else (neumann, pair)
-    if sym == rest or n == 1:
-        groups = ((*sym, n),)
-    else:
-        groups = ((*sym, 1), (*rest, n - 1))
+        groups = (sym, rest)
     return _FamilyEigenphases(groups, _constants_basis(n))
+
+
+def _with_phases(phases: Eigenphases, **tags) -> VertexCoupling:
+    """The coupling U = V diag((c + i s)^2) V* of ``phases``, which it
+    keeps as its eigenphases (+ 0.0 turns an imaginary -0.0 into 0.0)."""
+    u = phases.apply([complex(c * c - s * s, 2.0 * c * s + 0.0)
+                      for c, s, _ in phases.groups])
+    coupling = VertexCoupling(n=phases.v.shape[0], u=u, **tags)
+    object.__setattr__(coupling, "_phases", phases)
+    return coupling
 
 
 @functools.lru_cache(maxsize=64)
@@ -389,8 +401,9 @@ def validate_ab(ab: ABPair) -> ABDiagnostics:
         rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
     ab_star = a @ b.conj().T
     defect = float(np.max(np.abs(ab_star - ab_star.conj().T)))
-    gram = a @ a.conj().T + b @ b.conj().T
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
+    # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
+    # singular values of the block
+    min_eig = float(sv[-1] ** 2)
     ok = rank == n and defect <= HERMITICITY_TOL and min_eig > 0.0
     return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
                          min_gram_eigenvalue=min_eig, ok=ok)
@@ -425,26 +438,26 @@ def rescale_length(coupling: VertexCoupling, ell: float,
                    ell_prime: float) -> VertexCoupling:
     """Change the implicit length unit from ell to ell_prime:
 
-        U' = ((ell + ell') U + (ell - ell') I) ((ell - ell') U + (ell + ell') I)^{-1}.
+        U' = ((ell + ell') U + (ell - ell') I) ((ell - ell') U + (ell + ell') I)^{-1},
 
-    Both factors are polynomials in U, so they commute and the quotient is
-    orientation-free.  For unitary U the inverted factor is never singular
-    (|ell + ell'| > |ell - ell'| for positive lengths).
+    which is S_U(k), k = ell / ell'.  It maps an eigenvalue (c + i s)^2 of
+    U to (k c + i s)^2 / |k c + i s|^2, so U' is built on U's eigenbasis
+    from the eigenphases (k c, s), normalised; closed-form phases stay
+    closed-form; a ratio k that overflows or underflows to 0 is refused.
     """
     if not all(math.isfinite(x) and x > 0 for x in (ell, ell_prime)):
         raise InvalidCouplingError(f"length scales must be finite and "
                                    f"positive, got {ell} and {ell_prime}")
     if ell == ell_prime:
         return coupling
-    eye = np.eye(coupling.n)
-    num = (ell + ell_prime) * coupling.u + (ell - ell_prime) * eye
-    den = (ell - ell_prime) * coupling.u + (ell + ell_prime) * eye
-    sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > SINGULAR_COND:
+    k = ell / ell_prime
+    if not 0.0 < k < math.inf:
         raise InvalidCouplingError(
-            "rescaling denominator is singular; input matrix cannot be a "
-            "valid coupling")
-    return VertexCoupling(n=coupling.n, u=np.linalg.solve(den, num))
+            f"length ratio {ell} / {ell_prime} is outside the double range")
+    phases = coupling.eigenphases
+    return _with_phases(type(phases)(
+        tuple((*_normalised(k * c, s), m) for c, s, m in phases.groups),
+        phases.v))
 
 
 def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,

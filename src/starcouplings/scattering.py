@@ -29,41 +29,12 @@ are kappa = s / c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling
 from .errors import PoleError
-
-
-@dataclass(frozen=True)
-class SpectralParameter:
-    """A point on the physical momentum axes: real momentum k > 0 with
-    energy k^2, or imaginary momentum kappa > 0 with energy -kappa^2."""
-
-    kind: str  # "real_momentum" | "imaginary_momentum"
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("real_momentum", "imaginary_momentum"):
-            raise ValueError(f"unknown spectral parameter kind {self.kind!r}")
-        if not self.value > 0:
-            raise ValueError(f"spectral parameter must be positive, got {self.value}")
-
-    @classmethod
-    def real_momentum(cls, k: float) -> "SpectralParameter":
-        return cls("real_momentum", float(k))
-
-    @classmethod
-    def imaginary_momentum(cls, kappa: float) -> "SpectralParameter":
-        return cls("imaginary_momentum", float(kappa))
-
-    @property
-    def energy(self) -> float:
-        v = self.value
-        return v * v if self.kind == "real_momentum" else -v * v
 
 
 class BoundState(NamedTuple):

@@ -7,6 +7,7 @@ from algebraic identities (round trips, projector idempotence).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,13 +15,33 @@ import scipy.linalg
 from conftest import random_invertible, random_unitary
 from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
                            VertexCoupling, decoupled_projection, from_ab,
-                           make_coupling, ones_matrix, rescale_length,
+                           make_coupling, rescale_length,
                            satisfies_vertex_condition, to_ab,
                            unitarity_defect, validate_ab)
 from starcouplings.scattering import bound_states, s_matrix
 from starcouplings.coupling import DECOUPLED_EIGENVALUE_TOL, FAMILIES
 
 RNG = np.random.default_rng(20260810)
+
+
+def _exact_family(family: str, n: int, param: float) -> mpmath.matrix:
+    """The module-docstring formula of a family's U in mpmath, at the
+    working precision of the caller."""
+    n_, p, i = mpmath.mpf(n), mpmath.mpf(param), mpmath.mpc(0, 1)
+    eye, j = mpmath.eye(n), mpmath.ones(n, n)
+    if family == "delta":
+        return 2 / (n_ + i * p) * j - eye
+    if family == "delta_prime_s":
+        return eye - 2 / (n_ - i * p) * j
+    if family == "delta_p":
+        return (n_ - i * p) / (n_ + i * p) * eye - 2 / (n_ + i * p) * j
+    return -(n_ + i * p) / (n_ - i * p) * eye + 2 / (n_ - i * p) * j
+
+
+def _max_error(u: np.ndarray, exact: mpmath.matrix) -> float:
+    n = u.shape[0]
+    return max(float(abs(mpmath.mpc(complex(u[r, c])) - exact[r, c]))
+               for r in range(n) for c in range(n))
 
 
 # ======================================================================
@@ -73,6 +94,17 @@ class TestMakeCoupling:
         with pytest.raises(InvalidCouplingError):
             make_coupling(family, 3, math.nan)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrices_match_the_closed_forms(self, family):
+        # U is built from the family's eigenphases; the formulas of the
+        # module docstring, in 40 digits, are an independent oracle
+        with mpmath.workdps(40):
+            for n in range(1, 9):
+                for param in (0.0, 0.7, -0.7, 3.0, -12.0, 1e8, 1e-8):
+                    u = make_coupling(family, n, param).u
+                    assert _max_error(u, _exact_family(family, n, param)) \
+                        <= 4e-16, (n, param)
+
     def test_delta_eigenstructure(self):
         # J has eigenvalue n on constants and 0 on the complement, so the
         # delta matrix has (n - i a)/(n + i a) and -1
@@ -106,9 +138,6 @@ class TestVertexCoupling:
         c = make_coupling("delta", 2, 1.0)
         with pytest.raises(ValueError):
             c.u[0, 0] = 0.0
-
-    def test_ones_matrix(self):
-        np.testing.assert_array_equal(ones_matrix(3), np.ones((3, 3)))
 
 
 # ======================================================================
@@ -214,6 +243,28 @@ class TestValidateAB:
         assert diag.hermiticity_defect > 0.5
         assert not diag.ok
 
+    def test_min_gram_eigenvalue_is_that_of_the_gram_matrix(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            pair = to_ab(VertexCoupling.custom(random_unitary(n, rng)))
+            m = random_invertible(n, rng)
+            for a, b in ((pair.a, pair.b), (m @ pair.a, m @ pair.b),
+                         (rng.standard_normal((n, n)),
+                          rng.standard_normal((n, n)))):
+                gram = a @ a.conj().T + b @ b.conj().T
+                want = np.linalg.eigvalsh(gram)[0]
+                got = validate_ab(ABPair(a, b)).min_gram_eigenvalue
+                assert abs(got - want) <= 1e-14 * np.linalg.norm(gram, 2)
+
+    @pytest.mark.parametrize("a,b", [
+        (np.diag([1.0, 0.0]), np.zeros((2, 2))),
+        (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1j, 1j], [1j, 1j]])),
+        (np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 1.0, 0.0]))])
+    def test_rank_deficient_pairs_fail(self, a, b):
+        diag = validate_ab(ABPair(a, b))
+        assert diag.rank < diag.n
+        assert not diag.ok
+
 
 # ======================================================================
 #  rescale_length
@@ -277,6 +328,56 @@ class TestRescaleLength:
             residual = u_prime @ (psi + 1j * ell_prime * dpsi) \
                 - (psi - 1j * ell_prime * dpsi)
             assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("family,n,param,ell,ell_prime", [
+        ("delta", 3, 0.0, 1.0, 1e4),
+        ("delta", 3, 0.0, 1e5, 1.0),
+        ("delta_p", 2, 0.7, 1e4, 1.0),
+        ("delta_prime", 2, 1.5, 1.0, 1e5)])
+    def test_far_ratios_match_the_exact_family(self, family, n, param, ell,
+                                               ell_prime):
+        # U' = S_U(ell / ell') in 40 digits, from the exact family U
+        with mpmath.workdps(40):
+            u = _exact_family(family, n, param)
+            k = mpmath.mpf(ell) / mpmath.mpf(ell_prime)
+            eye = mpmath.eye(n)
+            exact = ((k + 1) * u + (k - 1) * eye) \
+                * ((k - 1) * u + (k + 1) * eye) ** -1
+            out = rescale_length(make_coupling(family, n, param), ell,
+                                 ell_prime)
+            assert _max_error(out.u, exact) <= 1e-15
+
+    def test_far_round_trip_returns_u(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 6):
+            c = VertexCoupling.custom(random_unitary(n, rng))
+            back = rescale_length(rescale_length(c, 1.0, 1e12), 1e12, 1.0)
+            assert np.max(np.abs(back.u - c.u)) < 1e-14
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("ell,ell_prime", [(1e300, 1e-300),
+                                               (1e-300, 1e300)])
+    def test_ratios_outside_double_range_are_refused(self, sign, ell,
+                                                     ell_prime):
+        c = VertexCoupling.custom(sign * np.eye(2))
+        with pytest.raises(InvalidCouplingError, match="double range"):
+            rescale_length(c, ell, ell_prime)
+
+    def test_rescaled_family_is_never_decomposed(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        out = rescale_length(make_coupling("delta_prime_s", 3, -0.8),
+                             1.0, 4.5)
+        for k in (0.3, 1.0, 7.0):
+            s_matrix(out, k)
+        assert out.eigenphases.exact
+        assert calls == []
 
     def test_scalar_robin_rescaling(self):
         # psi'(0) = b psi(0) reads (1 - i ell b)/(1 + i ell b) at scale ell

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 import starcouplings
 from conftest import random_unitary
-from starcouplings import (PoleError, SpectralParameter, VertexCoupling,
-                           bound_states, make_coupling, s_matrix)
+from starcouplings import (PoleError, VertexCoupling, bound_states,
+                           make_coupling, s_matrix)
 
 RNG = np.random.default_rng(424242)
 
@@ -337,22 +337,3 @@ def test_import_does_not_load_scipy_optimize():
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
 
-
-# ======================================================================
-#  SpectralParameter
-# ======================================================================
-
-class TestSpectralParameter:
-    def test_energies(self):
-        assert SpectralParameter.real_momentum(2.0).energy == 4.0
-        assert SpectralParameter.imaginary_momentum(3.0).energy == -9.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SpectralParameter.real_momentum(0.0)
-        with pytest.raises(ValueError):
-            SpectralParameter.imaginary_momentum(-1.0)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SpectralParameter("complex_momentum", 1.0)
