@@ -363,22 +363,6 @@ class TestRescaleLength:
         with pytest.raises(InvalidCouplingError, match="double range"):
             rescale_length(c, ell, ell_prime)
 
-    def test_rescaled_family_is_never_decomposed(self, monkeypatch):
-        calls = []
-        eig = np.linalg.eig
-
-        def counting_eig(a):
-            calls.append(a.shape)
-            return eig(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
-        out = rescale_length(make_coupling("delta_prime_s", 3, -0.8),
-                             1.0, 4.5)
-        for k in (0.3, 1.0, 7.0):
-            s_matrix(out, k)
-        assert out.eigenphases.exact
-        assert calls == []
-
     def test_scalar_robin_rescaling(self):
         # psi'(0) = b psi(0) reads (1 - i ell b)/(1 + i ell b) at scale ell
         b, ell_prime = 1.7, 2.5
@@ -657,10 +641,13 @@ class TestEigenphases:
         decoupled_projection(c)
         assert len(calls) == 1
         family = make_coupling("delta_p", 4, -2.0)
+        rescaled = rescale_length(family, 1.0, 4.5)
         for k in (0.3, 1.0, 7.0):
             s_matrix(family, k)
+            s_matrix(rescaled, k)
         bound_states(family, 10.0)
         decoupled_projection(family)
+        assert rescaled.eigenphases.exact
         assert len(calls) == 1
 
     @pytest.mark.parametrize("coupling", [
