@@ -44,37 +44,65 @@ response of sector k to a unit load at node j, g_k(i; j) = T_k^{-1}[i, j]
     kernel(edge e, node i; edge l, node j) = sum_k Q_ek Q_lk g_k(i; j).
 
 T_k is symmetric except in row 0, so the block of T_k^{-1} with indices
->= 1 is the inverse of a symmetric tridiagonal Schur complement: it is
-symmetric and semiseparable, and the upper triangle of T_k^{-1}, row 0
-included, has rank one (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992)
-707).  Sources never sit on node 0, so every value read is
+>= 1 is symmetric, and the upper triangle of T_k^{-1}, row 0 included,
+has rank one (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707).
+Sources never sit on node 0, so every value read is
 
-    g_k(i; j) = w_k[min(i, j)] z_k[max(i, j)] / w_k[p],
-
-with w_k the response to a load at the last node and z_k row p of
-T_k^{-1} / h, p = 0 or 1.  Row 0 carries the factor T_k[0, 1] = (lambda_k
-- 1) / h^2 and row 1 the factor T_k[0, 0], and either can cancel (the
-second at lambda_k = (2 + kappa^2 h^2) / 4), so p picks the row whose
-factor is larger.  Both vectors come from the one factorization of T_k
-(LAPACK dgttrf): w_k by one dgttrs solve, z_k by one transposed solve.  A
-sector costs one factorization and two solves however many sources are
-sampled, and value and vertex_values are lookups.
-
-Unscaled, w_k and z_k grow and decay like e^{+-kappa x}, and their product
-loses every digit once kappa L exceeds about 700.  So the solves run on
-the exact similarity D^{-1} T_k D, D = diag(2^{e_i}), e_i = floor(i r),
-r = 2 asinh(kappa h / 2) / ln 2 the decay per node of the free discrete
-kernel in bits.  Powers of two scale the off-diagonals without rounding,
-the scaled vectors stay of order one for any kappa L, and
-
-    g_k(i; j) = w_k[lo] z_k[hi] 2^{e_lo - e_hi} / w_k[p],
+    g_k(i; j) = w_k[lo] phi[hi] / (h phi[N - 1]),
     lo = min(i, j), hi = max(i, j),
 
-with w_k and z_k now the scaled vectors, underflows only where the kernel
-itself is below the smallest double.  The scaling follows the free decay,
-not the screening by point interactions: walls whose strengths |c| h
-multiply to beyond about 1e300 push w_k[p] out of the normal range, and
-_solve raises ValueError for them, as for a kappa whose exponents or
+with w_k the response of T_k to a load at the last node and phi the L-side
+solution: it solves every row >= 1 with zero load (so it vanishes at L).
+Rows >= 1 are the same in every sector, and so is phi; the sectors differ
+in row 0 alone.  So the solver factors one sector, the base k = 0 with
+eigenvalue lambda_0 (LAPACK dgttrf), and takes w_0 from one dgttrs solve
+and phi from one transposed solve: row p of T_0^{-1}, p = 0 or 1, is
+proportional to phi on the nodes >= 1.  Row 0 carries the factor
+T_0[0, 1] = (lambda_0 - 1) / h^2 and row 1 the factor T_0[0, 0], either
+of which can cancel (the second at lambda_0 = (2 + kappa^2 h^2) / 4), so p
+picks the row whose factor is larger; row 1 of T then gives phi[0].
+w_0 + gamma phi solves every row of T_k but row 0, whatever gamma, and
+row 0 fixes gamma:
+
+    w_k = w_0 + gamma_k phi,   gamma_k = -(r_k - r_0) . w_0 / (r_k . phi),
+
+r_k = (T_k[0, 0], T_k[0, 1]) = (T[0, 0] - 4 lambda_k / h^2,
+(lambda_k - 1) / h^2) the row that differs.  r_k . phi vanishes only where
+sector k is singular, a pole of the star itself.  With the n x n matrix
+Gamma = Q diag(gamma) Q^T,
+
+    kernel(e, i; l, j) = (delta_el w_0[lo] + Gamma_el phi[lo]) phi[hi]
+                         / (h phi[N - 1]).
+
+The star costs one factorization and two solves for any n, however many
+sources are sampled, and value and vertex_values are lookups.
+
+The base is a sector of the star on purpose.  The vertex-free block
+(indices >= 1) is shared by the sectors too, and its Schur complement
+would avoid a base, but that block is the Dirichlet problem on the nodes
+>= 1: it is singular wherever that edge, with its point interactions, has
+an eigenvalue at -kappa^2, even where the star has none, and it loses
+digits next to such an energy.  A sector is singular only where the star
+is.
+
+Unscaled, w_0 and phi grow and decay like e^{+-kappa x}, and their product
+loses every digit once kappa L exceeds about 700.  So the solves run on
+the exact similarity D^{-1} T_0 D, D = diag(2^{e_i}), e_i = floor(i r),
+r = 2 asinh(kappa h / 2) / ln 2 the decay per node of the free discrete
+kernel in bits.  Powers of two scale the off-diagonals without rounding.
+The stored vectors are w = D^{-1} w_0 (up to a constant) and
+z = D phi / (h phi[N - 1] 2^{e_{N - 1}}) (z[0] = phi[0] in the same
+normalisation, e_0 = 0): both stay of order one for any kappa L.  In w's
+scale phi reads 2^{-2 e_i} z[i], so
+
+    kernel(e, i; l, j) = delta_el w[lo] z[hi] 2^{e_lo - e_hi}
+                         + Gamma_el z[lo] z[hi] 2^{-e_lo - e_hi},
+
+with gamma_k taken in the same scale, and each term underflows only where
+it is itself below the smallest double.  The scaling follows the free
+decay, not the screening by point interactions: walls whose strengths
+|c| h multiply to beyond about 1e300 push w[p] out of the normal range,
+and _solve raises ValueError for them, as for a kappa whose exponents or
 scaled off-diagonals overflow.
 
 The LAPACK routines come from scipy, imported in _solve: this is the only
@@ -102,7 +130,8 @@ import numpy as np
 # patches finite_difference.to_ab
 from .coupling import VertexCoupling, make_coupling, to_ab  # noqa: F401
 from .errors import PoleError
-from .greens import HalflineBC, PointInteraction, StarModel, check_kappa
+from .greens import (HalflineBC, PointInteraction, StarModel, check_edges,
+                     check_kappa)
 from .scattering import one_plus_s
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this (relative, see
@@ -124,8 +153,10 @@ class GridSpec:
         if not (math.isfinite(self.L) and self.L > 0):
             raise ValueError(f"truncation length must be finite and positive, "
                              f"got {self.L}")
-        if self.N < 16:
-            raise ValueError(f"need at least 16 interior points, got {self.N}")
+        if (isinstance(self.N, bool)
+                or not isinstance(self.N, (int, np.integer)) or self.N < 16):
+            raise ValueError(f"need an integer number of at least 16 "
+                             f"interior points, got {self.N!r}")
 
     @property
     def h(self) -> float:
@@ -170,7 +201,7 @@ def _point_node(point: PointInteraction, grid: GridSpec) -> int:
 
 class SampledKernel:
     """Kernel samples of a star-graph operator, read from the semiseparable
-    form of each sector's inverse (see the module docstring).
+    form of the sector inverses (see the module docstring).
 
     value(j, x, l, y) is the kernel between position x on edge j and the
     source at y on edge l (0-based edges); value(x, y) addresses edge 0,
@@ -180,24 +211,20 @@ class SampledKernel:
     analytic comparisons can be evaluated at identical points.
     vertex_values(l, y) returns the n eliminated ghost values Psi_0 of the
     kernel column for a source at (l, y), i.e. its traces at the vertex.
-    Edge indices outside [0, n) raise ValueError.
+    Edge indices that are not integers in [0, n) raise ValueError.
     """
 
     def __init__(self, grid: GridSpec, w: np.ndarray, z: np.ndarray,
-                 exponents: np.ndarray, q: np.ndarray, m0: np.ndarray):
+                 exponents: np.ndarray, gamma: np.ndarray, m0: np.ndarray):
         self.grid = grid
         self.n_edges = m0.shape[0]
-        # (n, N): per sector the scaled w_k and z_k / w_k[p]
+        # (N,): the base sector's scaled w and the shared scaled z
         self._w = w
         self._z = z
         self._e = exponents
-        self._q = q
+        # (n, n): Gamma = Q diag(gamma) Q^T
+        self._gamma = gamma
         self._m0 = m0
-
-    def _check_edges(self, *edges) -> None:
-        if not all(0 <= e < self.n_edges for e in edges):
-            raise ValueError(f"edge indices must lie in [0, {self.n_edges}), "
-                             f"got {', '.join(map(str, edges))}")
 
     def _nodes(self, point) -> tuple[int, int, int, int]:
         if len(point) == 4:
@@ -207,7 +234,7 @@ class SampledKernel:
         else:
             raise ValueError(f"a kernel point is (x, y) or (j, x, l, y), got "
                              f"{len(point)} coordinates")
-        self._check_edges(j, l)
+        check_edges(self.n_edges, j, l)
         return (j, self.grid.node_index(x), l,
                 self.grid.node_index(y, minimum=1))
 
@@ -219,19 +246,26 @@ class SampledKernel:
     def value(self, *point) -> float:
         j, ix, l, iy = self._nodes(point)
         lo, hi = (ix, iy) if ix <= iy else (iy, ix)
-        g = self._w[:, lo] * self._z[:, hi]
-        return math.ldexp(float(g @ (self._q[j] * self._q[l])),
-                          int(self._e[lo]) - int(self._e[hi]))
+        e_lo, e_hi = int(self._e[lo]), int(self._e[hi])
+        z = float(self._z[hi])
+        reflected = math.ldexp(self._gamma[j, l] * self._z[lo] * z,
+                               -e_lo - e_hi)
+        if j != l:
+            return reflected
+        return math.ldexp(self._w[lo] * z, e_lo - e_hi) + reflected
 
     def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
         """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
         source at (edge_l, y): the kernel column's boundary trace."""
-        self._check_edges(edge_l)
+        check_edges(self.n_edges, edge_l)
         iy = self.grid.node_index(y, minimum=1)
-        # (n, 2): g_k(0; iy) and g_k(1; iy) of every sector
-        g = np.ldexp(self._w[:, :2] * self._z[:, iy, None],
-                     self._e[:2] - self._e[iy])
-        psi = self._q @ (self._q[edge_l, :, None] * g)
+        z = self._z[iy]
+        # int64: -e_i - e_iy may pass the int32 range of the exponents
+        e, e_y = self._e[:2].astype(np.int64), int(self._e[iy])
+        # (n, 2): the column at nodes 0 and 1 on every edge
+        psi = np.ldexp(self._gamma[:, edge_l, None] * (self._z[:2] * z),
+                       -e - e_y)
+        psi[edge_l] += np.ldexp(self._w[:2] * z, e - e_y)
         return self._m0 @ (4.0 * psi[:, 0] - psi[:, 1])
 
 
@@ -269,41 +303,56 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
                          f"scale exponents overflow (h = {h:.6g})")
     exponents = (np.arange(big_n) * rate).astype(np.int32)
     step = np.diff(exponents)
+    e1, e2 = int(exponents[1]), int(exponents[2])
+    off = -1.0 / h**2
     diag = np.full(big_n, 2.0 / h**2 + kappa**2)
     for point in points:
         diag[_point_node(point, grid)] += point.c / h
     # the off-diagonals of D^{-1} T D: exact, the scales are powers of two
-    upper = np.ldexp(-1.0 / h**2, step)
-    lower = np.ldexp(-1.0 / h**2, -step)
-    w = np.zeros((n, big_n))
-    w[:, -1] = 1.0
-    z = np.zeros((n, big_n))
-    pivot = np.empty(n)
-    for k, lam in enumerate(lams):
-        d, du = diag.copy(), upper.copy()
-        d[0] -= 4.0 * lam / h**2
-        du[0] += math.ldexp(lam / h**2, int(step[0]))
-        # the row of the inverse that does not carry a cancelled entry
-        row = 0 if abs(du[0]) >= abs(d[0]) else 1
-        z[k, row] = 1.0 / h
-        *lu, info = dgttrf(lower, d, du, overwrite_d=True, overwrite_du=True)
-        if info > 0:
-            raise PoleError(f"discrete operator singular: zero pivot in row "
-                            f"{info} of sector {k}")
-        # both solve in place, into the sector's rows of w and z
-        dgttrs(*lu, w[k], overwrite_b=True)
-        dgttrs(*lu, z[k], trans="T", overwrite_b=True)
-        pivot[k] = w[k, row]
+    upper = np.ldexp(off, step)
+    lower = np.ldexp(off, -step)
+
+    # the base sector k = 0; only row 0, r_k, differs between sectors
+    d, du = diag.copy(), upper.copy()
+    d[0] -= 4.0 * lams[0] / h**2
+    du[0] += math.ldexp(lams[0] / h**2, e1)
+    # the row of the inverse that does not carry a cancelled entry
+    row = 0 if abs(du[0]) >= abs(d[0]) else 1
+    *lu, info = dgttrf(lower, d, du, overwrite_d=True, overwrite_du=True)
+    if info > 0:
+        raise PoleError(f"discrete operator singular: zero pivot in row "
+                        f"{info} of sector 0")
+    w = np.zeros(big_n)
+    w[-1] = 1.0
+    z = np.zeros(big_n)
+    z[row] = 1.0 / h
+    w, _ = dgttrs(*lu, w, overwrite_b=True)
+    z, _ = dgttrs(*lu, z, trans="T", overwrite_b=True)
+    pivot = w[row]
     with np.errstate(all="ignore"):
-        z /= pivot[:, None]
+        z /= pivot
+        # phi[0] from row 1 of D^{-1} T D, phi[i] = 2^{-2 e_i} z[i] in w's
+        # scale; phi[1] enters row 0 as 2^{e_1} phi[1] = 2^{-e_1} z[1]
+        z[0] = np.ldexp(diag[1] / off, -e1) * -z[1] - np.ldexp(z[2], -e2)
+        phi1 = np.ldexp(z[1], -e1)
+        # gamma_k = -(r_k - r_0) . w / (r_k . phi), both rows times h^2
+        shift = lams - lams[0]
+        denominator = (h * h * diag[0] - 4.0 * lams) * z[0] \
+            + (lams - 1.0) * phi1
+        gamma = -shift * (np.ldexp(w[1], e1) - 4.0 * w[0]) / denominator
+    singular = np.flatnonzero(denominator == 0.0)
+    if singular.size:
+        raise PoleError(f"discrete operator singular: sector "
+                        f"{singular[0]} with ghost eigenvalue "
+                        f"{lams[singular[0]]:.17g}")
     # point interactions with |c| h near the largest double decouple the
-    # vertex from the last node: w_k[p] leaves the normal range
-    if not (np.all(np.abs(pivot) >= np.finfo(float).tiny)
-            and np.isfinite(z).all()):
+    # vertex from the last node: w[p] leaves the normal range
+    if not (abs(pivot) >= np.finfo(float).tiny and np.isfinite(z).all()
+            and np.isfinite(gamma).all()):
         raise ValueError("point interactions too strong for the "
                          "finite-difference grid: the vertex is decoupled "
                          "from x = L beyond double range")
-    return SampledKernel(grid, w, z, exponents, q, m0)
+    return SampledKernel(grid, w, z, exponents, (q * gamma) @ q.T, m0)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
@@ -330,12 +379,18 @@ def compare_kernels(analytic: Callable[..., float], sampled,
 
     Points are (x, y) pairs for half-line kernels and (j, x, l, y) tuples
     for star kernels; each is snapped to grid nodes and the analytic
-    evaluator is called at the snapped coordinates.
+    evaluator is called at the snapped coordinates.  A value that is not
+    finite on either side raises ValueError naming the first such point.
     """
     errors = []
     for point in sample_points:
         snapped = sampled.snap(*point)
-        errors.append(analytic(*snapped) - sampled.value(*snapped))
+        exact, approx = analytic(*snapped), sampled.value(*snapped)
+        for side, value in (("analytic", exact), ("finite-difference", approx)):
+            if not np.isfinite(value):
+                raise ValueError(f"the {side} kernel is {value} at sample "
+                                 f"point {snapped}")
+        errors.append(exact - approx)
     errors = np.asarray(errors, dtype=float)
     if errors.size == 0:
         return KernelErrorStats(0.0, 0.0, 0)

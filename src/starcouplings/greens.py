@@ -158,6 +158,15 @@ def check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
 
 
+def check_edges(n: int, *edges) -> None:
+    """Raise ValueError unless every edge index is an integer in [0, n);
+    a bool or a float would index (or mask) the edge arrays silently."""
+    if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+               and 0 <= e < n for e in edges):
+        raise ValueError(f"edge indices must lie in [0, {n}), got "
+                         f"{', '.join(map(str, edges))}")
+
+
 def _reflection(coupling: VertexCoupling,
                 kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """(I + R, R) for R = S_U(i kappa), real when U = U^T."""
@@ -208,9 +217,7 @@ def vertex_kernel(coupling: VertexCoupling,
         krein = np.linalg.solve(scaled, np.diag(weight))
 
     def evaluate(j: int, x, l: int, y):
-        if not (0 <= j < n and 0 <= l < n):
-            raise ValueError(f"edge indices must lie in [0, {n}), got {j}, "
-                             f"{l}")
+        check_edges(n, j, l)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         for v in (x, y):

@@ -4,9 +4,11 @@ The solver is itself the reference for the closed forms, so the tests
 here pin its own consistency: agreement with the exponential kernels at
 the expected O(h^2) level, error reduction ~4x when h is halved, exact
 symmetry of the sampled kernel away from the first node, and reduction of
-the star solver to the half-line one.  The semiseparable reading of each
-sector's inverse is checked against a dense solve of the joint operator
-and against one column solve per source node.
+the star solver to the half-line one.  The semiseparable reading of the
+sector inverses, every sector from one factorized base sector, is checked
+against a dense solve of the joint operator (also where the block the
+sectors share is singular) and against one column solve per sector and
+source node.
 """
 
 import math
@@ -58,6 +60,23 @@ class TestGridSpec:
             GridSpec(0.0, 100)
         with pytest.raises(ValueError):
             GridSpec(10.0, 8)
+
+    @pytest.mark.parametrize("big_n", [np.nan, 99.5, 99.0, True],
+                             ids=["nan", "99.5", "99.0", "True"])
+    def test_rejects_a_node_count_that_is_no_integer(self, big_n):
+        # NaN passed N >= 16 and later blamed the coupling; 99.5 refined
+        # to N = 200.0 and failed inside numpy
+        with pytest.raises(ValueError, match="integer number of at least 16"):
+            GridSpec(12.0, big_n)
+
+    def test_accepts_a_numpy_integer_node_count(self):
+        grid = GridSpec(12.0, np.int64(99))
+        assert grid.h == 12.0 / 100
+        assert grid.refined().N == 199
+        sampled = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
+        assert sampled.value(1.5, 1.5) == fd_resolvent_halfline(
+            HalflineBC.neumann(), [], KAPPA, GridSpec(12.0, 99)).value(1.5,
+                                                                        1.5)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_rejects_nonfinite_length_and_coordinates(self, value):
@@ -321,6 +340,31 @@ class TestCompareKernels:
         assert abs(stats.max_abs - expected) < 1e-3
         assert stats.max_abs > 50.0 * grid.h**2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_point_and_side(self, bad):
+        # max_abs came back as nan
+        grid = GridSpec(12.0, 499)
+        sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA,
+                                        grid)
+        x, y = sampled.snap(0.96, 1.5)
+        analytic = lambda u, v: bad if (u, v) == (x, y) else 0.0  # noqa: E731
+        with pytest.raises(ValueError) as info:
+            compare_kernels(analytic, sampled, SAMPLES)
+        message = str(info.value)
+        assert "analytic" in message and str((x, y)) in message
+
+        class Broken:
+            snap = sampled.snap
+
+            @staticmethod
+            def value(u, v):
+                return bad if (u, v) == (x, y) else sampled.value(u, v)
+
+        with pytest.raises(ValueError, match="finite-difference") as info:
+            compare_kernels(lambda u, v: sampled.value(u, v), Broken,
+                            SAMPLES)
+        assert str((x, y)) in str(info.value)
+
     def test_empty_sample_set(self):
         grid = GridSpec(12.0, 499)
         sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA,
@@ -464,7 +508,8 @@ def _dense_cases():
                                   id=f"half-{name}"))
     for phases in ((0.0, 0.0), (np.pi, np.pi), (0.0, np.pi, np.pi),
                    (0.7, 0.7, -1.2, -1.2), (0.0, 0.0, np.pi, 0.7, 0.7),
-                   (np.pi, np.pi, np.pi, 0.0, -2.0)):
+                   (np.pi, np.pi, np.pi, 0.0, -2.0),
+                   (0.3, -0.9, np.pi, 2.1, 2.1, -2.8)):
         u = _symmetric_unitary_with_phases(phases, rng)
         name = f"phases-{len(phases)}-{phases[-1]:.1f}"
         cases.append(pytest.param(VertexCoupling.custom(u), id=name))
@@ -501,6 +546,51 @@ class TestDenseReference:
                            for ix in range(grid.N) for j in range(n)]
                     assert np.max(np.abs(np.subtract(got, column))) \
                         <= 1e-12 * scale
+
+
+def _dirichlet_edge_kappa(points, grid):
+    """kappa* at which the block of T with indices >= 1 (a Dirichlet edge
+    on the nodes >= 1, without kappa^2) is singular: its lowest
+    eigenvalue is -kappa*^2."""
+    h, size = grid.h, grid.N - 1
+    block = (np.diag(np.full(size, 2.0 / h**2))
+             - np.diag(np.full(size - 1, 1.0 / h**2), 1)
+             - np.diag(np.full(size - 1, 1.0 / h**2), -1))
+    for point in points:
+        i = grid.node_index(point.a) - 1
+        block[i, i] += point.c / h
+    return math.sqrt(-np.linalg.eigvalsh(block)[0])
+
+
+class TestDirichletEdgeEigenvalue:
+    """The sectors share every row but the first.  The block they share,
+    indices >= 1, is singular where a Dirichlet edge on those nodes has an
+    eigenvalue, though no sector is; the solver must not invert it."""
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12, 0.0])
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    @pytest.mark.parametrize("kind", ["delta_prime_s", "central_delta"])
+    def test_values_match_dense_solve(self, kind, n, eps):
+        grid = GridSpec(12.0, 99)
+        points = [PointInteraction(13 * grid.h, -2.0)]
+        kappa = _dirichlet_edge_kappa(points, grid) * (1.0 + eps)
+        model = (StarModel.delta_prime_s(n, 1.3) if kind == "delta_prime_s"
+                 else StarModel.central_delta(n, -2.0))
+        coupling = make_coupling(*model.vertex)
+        dense, m0 = _dense_kernel(coupling, points, kappa, grid)
+        sampled = _solve(coupling, points, kappa, grid)
+        h, scale = grid.h, np.max(np.abs(dense))
+        for l in range(n):
+            for iy in range(1, grid.N):
+                y = h * (iy + 1)
+                column = dense[:, iy * n + l]
+                got = [sampled.value(j, h * (ix + 1), l, y)
+                       for ix in range(grid.N) for j in range(n)]
+                assert np.max(np.abs(np.subtract(got, column))) \
+                    <= 1e-12 * scale
+                trace = m0 @ (4.0 * column[:n] - column[n:2 * n])
+                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
+                    <= 1e-12 * scale
 
 
 # ======================================================================
@@ -608,6 +698,27 @@ class TestEdgeIndices:
                 sampled.vertex_values(l, 2.0)
 
     @pytest.mark.parametrize("n", [1, 3])
+    def test_non_integer_edges_raise_value_error(self, n):
+        # a float edge escaped as a numpy IndexError, and True indexed the
+        # closed form's reflection matrix as a mask
+        model = StarModel.delta_prime_s(n, 1.3)
+        sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 99))
+        closed = vertex_kernel(make_coupling(*model.vertex), model.points,
+                               KAPPA)
+        message = rf"^edge indices must lie in \[0, {n}\), got "
+        for bad in (0.0, 0.5, np.float64(0.0), True, False, "0", None):
+            for j, l in ((bad, 0), (0, bad)):
+                for kernel in (sampled.value, sampled.snap, closed):
+                    with pytest.raises(ValueError, match=message):
+                        kernel(j, 1.0, l, 2.0)
+            with pytest.raises(ValueError, match=message):
+                sampled.vertex_values(bad, 2.0)
+        for j in (np.int64(n - 1), np.int32(0)):
+            assert sampled.value(j, 1.0, 0, 2.0) \
+                == sampled.value(int(j), 1.0, 0, 2.0)
+            assert closed(j, 1.0, 0, 2.0) == closed(int(j), 1.0, 0, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 3])
     def test_point_needs_two_or_four_coordinates(self, n):
         sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
                                     GridSpec(12.0, 99))
@@ -625,12 +736,14 @@ class TestEdgeIndices:
 
 
 # ======================================================================
-#  work count: one factorization and two solves per sector while the
-#  kernel is built, none per sample
+#  work count: one factorization and two solves per kernel, whatever the
+#  edge count, and none per sample
 # ======================================================================
 
 class TestWorkCount:
-    def test_two_solves_per_sector_and_none_per_sample(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_two_solves_per_kernel_and_none_per_sample(self, monkeypatch,
+                                                       n):
         from scipy.linalg import lapack
 
         calls = {"dgttrf": 0, "dgttrs": 0}
@@ -645,24 +758,24 @@ class TestWorkCount:
 
         for name in calls:
             monkeypatch.setattr(lapack, name, counted(name))
-        model = StarModel.central_delta(4, -1.0, PointInteraction(1.0, 2.0))
+        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
         grid = GridSpec(12.0, 399)
         sampled = fd_resolvent_star(model, KAPPA, grid)
-        built = {"dgttrf": 4, "dgttrs": 8}
+        built = {"dgttrf": 1, "dgttrs": 2}
         assert calls == built
 
-        for l in (0, 3):
+        for l in sorted({0, n - 1}):
             for y in (0.48, 0.96, 1.5, 2.01, 3.0):
-                for j in range(4):
+                for j in range(n):
                     for x in (0.06, 0.5, 2.01):
                         sampled.value(j, x, l, y)
         assert calls == built
         for iy in range(1, grid.N):
             y = grid.h * (iy + 1)
-            for j in range(4):
-                sampled.value(j, 0.5, 1, y)
+            for j in range(n):
+                sampled.value(j, 0.5, n // 2, y)
         assert calls == built
-        for l in range(4):
+        for l in range(n):
             for y in (0.06, 1.5, 11.9):
                 sampled.vertex_values(l, y)
         assert calls == built

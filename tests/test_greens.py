@@ -366,6 +366,22 @@ class TestStarGreen:
         with pytest.raises(ValueError):
             star_green(m, 1.0, 2, 1.0, 0, 1.0)
 
+    @pytest.mark.parametrize("edge", [1.0, 0.5, True, np.float64(0.0)],
+                             ids=["1.0", "0.5", "True", "float64"])
+    def test_non_integer_edge_is_rejected(self, edge):
+        # a float edge escaped as a numpy IndexError; True masked the
+        # reflection matrix and came back as a (1, n) array
+        m = StarModel.delta_prime_s(2, 1.0)
+        kernel = vertex_kernel(VertexCoupling.custom(np.eye(2)), (), 1.0)
+        for call in (lambda: star_green(m, 1.0, edge, 1.0, 0, 1.0),
+                     lambda: star_green(m, 1.0, 0, 1.0, edge, 1.0),
+                     lambda: kernel(edge, 1.0, 0, 1.0)):
+            with pytest.raises(ValueError,
+                               match=r"edge indices must lie in \[0, 2\)"):
+                call()
+        assert star_green(m, 1.0, np.int64(1), 1.0, 0, 1.0) \
+            == star_green(m, 1.0, 1, 1.0, 0, 1.0)
+
     @pytest.mark.parametrize("n,beta", [(2, 1.3), (3, 1.0), (3, -0.5)])
     def test_common_derivative_family_vertex_conditions(self, n, beta):
         # psi_j'(0) all equal; sum_j psi_j(0) = beta psi'(0)
