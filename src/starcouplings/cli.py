@@ -136,12 +136,12 @@ def _parse_a_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_coupling(args) -> int:
-    coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n,
-                             _parse_param(args.param))
+    param = _parse_param(args.param)
+    coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
     out = {
         "family": args.family,
         "n": coupling.n,
-        "param": coupling.param,
+        "param": param,
     }
     if args.rescale is not None:
         ell, ell_prime = args.rescale
@@ -171,13 +171,13 @@ def _cmd_coupling(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
-    coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n,
-                             _parse_param(args.param))
+    param = _parse_param(args.param)
+    coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
     s = s_matrix(coupling, args.k)
     _emit_json({
         "family": args.family,
         "n": coupling.n,
-        "param": coupling.param,
+        "param": param,
         "k": args.k,
         "unitarity_defect": unitarity_defect(s),
         "s": s,

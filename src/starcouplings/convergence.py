@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _family_table
+from .coupling import _check_edge_count, _family_table
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
@@ -113,8 +113,7 @@ def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
         raise ValueError(
             f"unknown schedule family {family!r}; expected one of "
             f"{SCHEDULE_FAMILIES}")
-    if n < 1:
-        raise ValueError(f"edge count must be >= 1, got {n}")
+    _check_edge_count(n, ValueError)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
     if not a > 0:

@@ -54,8 +54,8 @@ V f(theta) V* for one unitary eigenbasis V of the normal matrix U, and
 reads it from the Eigenphases that VertexCoupling.eigenphases builds on
 first use and then keeps.  make_coupling seeds it with the closed-form
 phases of its family, rescale_length maps the phases of its input, so
-neither is ever decomposed; ``family``/``param`` themselves stay metadata,
-and any other U is decomposed numerically.
+neither is ever decomposed; any other U is decomposed numerically.  A
+coupling is its U and nothing else: it keeps no record of how it was built.
 
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
@@ -77,7 +77,8 @@ FAMILIES = ("delta", "delta_prime_s", "delta_p", "delta_prime")
 
 #: max-entry norm allowed for U U* - I
 UNITARITY_TOL = 1e-12
-#: max-entry norm allowed for A B* - (A B*)*
+#: max-entry norm allowed for A B* - (A B*)* over sigma_max^2 / 4 of (A, B),
+#: which is 1 for a canonical pair; a left factor s I drops out
 HERMITICITY_TOL = 1e-12
 #: eigenvalues within this distance of -1 belong to the decoupled eigenspace;
 #: Eigenphases merges eigenvalues this close, and bound_states drops those
@@ -102,6 +103,12 @@ def _readonly(a, dtype=complex) -> np.ndarray:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
+def _check_edge_count(n, error=InvalidCouplingError) -> None:
+    """Raise ``error`` unless n is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise error(f"edge count must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -195,30 +202,23 @@ def _decompose(u: np.ndarray) -> Eigenphases:
 
 @dataclass(frozen=True)
 class VertexCoupling:
-    """An n-edge vertex coupling held as its unitary matrix U.
+    """An n-edge vertex coupling: its unitary matrix U, n x n with n >= 1.
 
-    ``family``/``param`` are metadata tags recording how the matrix was
-    built ("custom" when it was supplied directly).  Only make_coupling
-    acts on them, by building U from the family's closed-form phases and
-    seeding ``eigenphases`` with them; rescale_length seeds its result
-    from its input's phases, and a coupling built any other way decomposes
-    its own U.
+    U is the only field; n is its size.  make_coupling seeds
+    ``eigenphases`` with a family's closed-form phases and rescale_length
+    with its input's mapped phases; a coupling built any other way
+    decomposes its own U on first use.
     """
 
-    n: int
     u: np.ndarray
-    family: str | None = None
-    param: float | None = None
     _phases: Eigenphases | None = field(default=None, init=False,
                                         repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidCouplingError(f"edge count must be >= 1, got {self.n}")
         u = _readonly(self.u)
-        if u.shape != (self.n, self.n):
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise InvalidCouplingError(
-                f"U must be {self.n}x{self.n}, got shape {u.shape}")
+                f"U must be a non-empty square matrix, got shape {u.shape}")
         if not np.all(np.isfinite(u)):
             raise InvalidCouplingError("U has non-finite entries")
         defect = unitarity_defect(u)
@@ -229,8 +229,11 @@ class VertexCoupling:
 
     @classmethod
     def custom(cls, u) -> "VertexCoupling":
-        u = np.asarray(u, dtype=complex)
-        return cls(n=u.shape[0], u=u, family="custom")
+        return cls(u)
+
+    @property
+    def n(self) -> int:
+        return self.u.shape[0]
 
     @property
     def eigenphases(self) -> Eigenphases:
@@ -257,8 +260,9 @@ class ABPair:
     def __post_init__(self):
         a = _readonly(self.a)
         b = _readonly(self.b)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidCouplingError(f"A must be square, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise InvalidCouplingError(
+                f"A must be a non-empty square matrix, got shape {a.shape}")
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
@@ -316,11 +320,8 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     if family not in FAMILIES:
         raise InvalidCouplingError(
             f"unsupported family {family!r}; expected one of {FAMILIES}")
-    if n < 1:
-        raise InvalidCouplingError(f"edge count must be >= 1, got {n}")
-    param = float(param)
-    return _with_phases(_family_phases(family, n, param), family=family,
-                        param=param)
+    _check_edge_count(n)
+    return _with_phases(_family_phases(family, n, float(param)))
 
 
 def _family_table(family: str, n: int, param: float) -> tuple:
@@ -359,12 +360,12 @@ def _family_phases(family: str, n: int, param: float) -> Eigenphases:
     return _FamilyEigenphases(groups, _constants_basis(n))
 
 
-def _with_phases(phases: Eigenphases, **tags) -> VertexCoupling:
+def _with_phases(phases: Eigenphases) -> VertexCoupling:
     """The coupling U = V diag((c + i s)^2) V* of ``phases``, which it
     keeps as its eigenphases (+ 0.0 turns an imaginary -0.0 into 0.0)."""
-    u = phases.apply([complex(c * c - s * s, 2.0 * c * s + 0.0)
-                      for c, s, _ in phases.groups])
-    coupling = VertexCoupling(n=phases.v.shape[0], u=u, **tags)
+    coupling = VertexCoupling(phases.apply(
+        [complex(c * c - s * s, 2.0 * c * s + 0.0)
+         for c, s, _ in phases.groups]))
     object.__setattr__(coupling, "_phases", phases)
     return coupling
 
@@ -386,27 +387,30 @@ def to_ab(coupling: VertexCoupling) -> ABPair:
     return ABPair(coupling.u - eye, 1j * (coupling.u + eye))
 
 
-def validate_ab(ab: ABPair) -> ABDiagnostics:
-    """Report rank of (A, B), the Hermiticity defect of A B*, and the
-    smallest eigenvalue of A A* + B B* (strictly positive iff the pair has
-    full rank).  Always returns; never raises on a failing pair."""
+def _diagnose(ab: ABPair) -> tuple[ABDiagnostics, np.ndarray]:
+    """validate_ab's diagnostics and the singular values of (A, B)."""
     a, b = ab.a, ab.b
     n = ab.n
-    block = np.hstack([a, b])
-    sv = np.linalg.svd(block, compute_uv=False)
+    sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
     # numerical rank: singular values above n * eps * largest
-    if sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
+    rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
     ab_star = a @ b.conj().T
     defect = float(np.max(np.abs(ab_star - ab_star.conj().T)))
     # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
     # singular values of the block
     min_eig = float(sv[-1] ** 2)
-    ok = rank == n and defect <= HERMITICITY_TOL and min_eig > 0.0
+    ok = (rank == n and min_eig > 0.0
+          and defect <= HERMITICITY_TOL * float(sv[0]) ** 2 / 4.0)
     return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
-                         min_gram_eigenvalue=min_eig, ok=ok)
+                         min_gram_eigenvalue=min_eig, ok=ok), sv
+
+
+def validate_ab(ab: ABPair) -> ABDiagnostics:
+    """Report rank of (A, B), the Hermiticity defect of A B*, and the
+    smallest eigenvalue of A A* + B B* (strictly positive iff the pair has
+    full rank); ``ok`` reads the defect relative to the size of (A, B) (see
+    HERMITICITY_TOL).  Always returns; never raises on a failing pair."""
+    return _diagnose(ab)[0]
 
 
 def from_ab(ab: ABPair) -> VertexCoupling:
@@ -415,23 +419,23 @@ def from_ab(ab: ABPair) -> VertexCoupling:
     The result defines the same solution set as the input condition; in
     particular to_ab followed by from_ab is the identity (A + iB = -2I and
     A - iB = 2U for a canonical pair), and a left multiplication of both
-    matrices by an invertible M drops out.
+    matrices by an invertible M drops out.  A + iB has the singular values
+    of (A, B), as (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD
+    also guards the solve.
     """
-    diag = validate_ab(ab)
+    diag, sv = _diagnose(ab)
     if not diag.ok:
         raise InvalidCouplingError(
             f"inadmissible (A, B) pair: rank {diag.rank}/{diag.n}, "
             f"Hermiticity defect {diag.hermiticity_defect:.3e}, "
             f"min gram eigenvalue {diag.min_gram_eigenvalue:.3e}")
-    m = ab.a + 1j * ab.b
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > SINGULAR_COND:
+    # full rank makes sv[-1] > 0
+    if sv[0] / sv[-1] > SINGULAR_COND:
         raise InvalidCouplingError(
             "A + iB is numerically singular (condition estimate "
-            f"{sv[0] / max(sv[-1], np.finfo(float).tiny):.3e}); "
-            "the admissibility conditions fail")
-    u = -np.linalg.solve(m, ab.a - 1j * ab.b)
-    return VertexCoupling(n=ab.n, u=u)
+            f"{sv[0] / sv[-1]:.3e}); the admissibility conditions fail")
+    return VertexCoupling(-np.linalg.solve(ab.a + 1j * ab.b,
+                                           ab.a - 1j * ab.b))
 
 
 def rescale_length(coupling: VertexCoupling, ell: float,
@@ -489,16 +493,15 @@ def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,
     return ok
 
 
-def decoupled_projection(coupling: VertexCoupling,
-                         tol: float = DECOUPLED_EIGENVALUE_TOL) -> np.ndarray:
+def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:
     """Orthogonal projection onto the eigenspace of U at eigenvalue -1.
 
     Edges are Dirichlet-decoupled exactly on the range of this projection,
     read from the coupling's eigenphases: eigenvalues lambda with
-    |lambda + 1| = 2c below ``tol`` are included.  Returns the (complex)
-    zero matrix when -1 is not an eigenvalue.
+    |lambda + 1| = 2c below DECOUPLED_EIGENVALUE_TOL, the distance at which
+    the eigenphases group, are included.  Returns the (complex) zero matrix
+    when -1 is not an eigenvalue.
     """
-    _check_tol(tol)
     phases = coupling.eigenphases
-    return phases.apply([1.0 + 0j if 2.0 * c < tol else 0j
-                         for c, _, _ in phases.groups])
+    return phases.apply([1.0 + 0j if 2.0 * c < DECOUPLED_EIGENVALUE_TOL
+                         else 0j for c, _, _ in phases.groups])

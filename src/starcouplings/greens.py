@@ -61,7 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import VertexCoupling, make_coupling
+from .coupling import VertexCoupling, _check_edge_count, make_coupling
 from .errors import PoleError
 from .scattering import one_plus_s
 
@@ -96,8 +96,7 @@ class HalflineBC:
             raise ValueError("robin parameter must be finite; use dirichlet "
                              "for the b = inf limit")
         if self.kind == "robin_scaled":
-            if self.n < 1:
-                raise ValueError(f"robin_scaled needs n >= 1, got {self.n}")
+            _check_edge_count(self.n, ValueError)
             if not math.isfinite(self.beta):
                 raise ValueError("robin_scaled parameter must be finite; use "
                                  "neumann for the beta = inf limit")
@@ -116,7 +115,7 @@ class HalflineBC:
 
     @classmethod
     def robin_scaled(cls, n: int, beta: float) -> "HalflineBC":
-        return cls("robin_scaled", n=int(n), beta=float(beta))
+        return cls("robin_scaled", n=n, beta=float(beta))
 
     @property
     def vertex(self) -> tuple[str, int, float]:
@@ -288,8 +287,7 @@ class StarModel:
     point: PointInteraction | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"edge count must be >= 1, got {self.n}")
+        _check_edge_count(self.n, ValueError)
         if self.kind not in STAR_KINDS:
             raise ValueError(f"unknown star model kind {self.kind!r}")
         if self.is_target:

@@ -68,6 +68,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule("delta_prime_s", 1.0, 0, 0.1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_edge_count_must_be_an_integer(self, n):
+        # n = 2.5 would weigh the complement sector by n - 1 = 1.5
+        with pytest.raises(ValueError, match="edge count"):
+            schedule("delta_prime", 1.0, n, 0.1)
+
 
 # ======================================================================
 #  effective_robin
@@ -371,6 +377,12 @@ class TestConvergenceSweep:
         assert all(not s.valid for s in rep.stages)
         assert all(math.isnan(s.norm_total) for s in rep.stages)
         assert rep.fitted_slope is None
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_edge_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="edge count"):
+            convergence_sweep("delta_prime", 1.0, n, KAPPA, [1e-2, 1e-3],
+                              GridSpec(12.0, 200))
 
     def test_requires_strictly_decreasing_distances(self):
         with pytest.raises(ValueError):

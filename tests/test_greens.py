@@ -123,6 +123,12 @@ class TestHalflineGreen:
                            x[:, None], x[None, :]),
             atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
+    def test_robin_scaled_edge_count_must_be_an_integer(self, n):
+        # int(2.5) would give n = 2, so beta / n = 0.5 instead of 0.4
+        with pytest.raises(ValueError, match="edge count"):
+            HalflineBC.robin_scaled(n, 1.0)
+
     def test_robin_pole_guard(self):
         with pytest.raises(PoleError):
             halfline_green(HalflineBC.robin(-1.0), 1.0, 1.0, 1.0)
@@ -322,6 +328,13 @@ class TestSectorDecompose:
             StarModel(n=0, kind="delta_prime_s", beta=1.0)
         with pytest.raises(ValueError):
             StarModel(n=2, kind="sombrero", beta=1.0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_edge_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="edge count"):
+            StarModel.delta_prime_s(n, 1.0)
+        with pytest.raises(ValueError, match="edge count"):
+            StarModel.central_delta(n, 1.0)
 
 
 # ======================================================================
