@@ -11,7 +11,7 @@ limits of scaled ordinary delta couplings.
 from .convergence import (ApproximationStage, ConvergenceReport,
                           SampledDifference, StageResult, approximant_model,
                           convergence_sweep, effective_robin, hs_norm,
-                          schedule, sector_difference, target_model)
+                          schedule, sector_difference)
 from .coupling import (ABDiagnostics, ABPair, BoundaryValues, Eigenphases,
                        VertexCoupling, decoupled_projection, from_ab, make_coupling,
                        rescale_length, satisfies_vertex_condition, to_ab,
@@ -21,9 +21,8 @@ from .finite_difference import (GridSpec, KernelErrorStats, SampledKernel,
                                 compare_kernels, fd_resolvent_halfline,
                                 fd_resolvent_star)
 from .greens import (HalflineBC, PointInteraction, SectorSpec, StarModel,
-                     halfline_green, halfline_kernel, krein_insert,
-                     sector_decompose, sector_green, star_green,
-                     vertex_kernel)
+                     halfline_kernel, sector_decompose, sector_green,
+                     star_green, vertex_kernel)
 from .scattering import BoundState, bound_states, s_matrix
 
 __version__ = "0.1.0"
@@ -37,10 +36,10 @@ __all__ = [
     "StageResult", "StarModel", "VertexCoupling",
     "approximant_model", "bound_states", "compare_kernels",
     "convergence_sweep", "decoupled_projection", "effective_robin",
-    "fd_resolvent_halfline", "fd_resolvent_star", "from_ab", "halfline_green",
-    "halfline_kernel", "hs_norm", "krein_insert", "make_coupling",
+    "fd_resolvent_halfline", "fd_resolvent_star", "from_ab",
+    "halfline_kernel", "hs_norm", "make_coupling",
     "rescale_length", "s_matrix",
     "satisfies_vertex_condition", "schedule", "sector_decompose",
-    "sector_difference", "sector_green", "star_green", "target_model",
+    "sector_difference", "sector_green", "star_green",
     "to_ab", "unitarity_defect", "validate_ab", "vertex_kernel",
 ]

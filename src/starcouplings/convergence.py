@@ -101,8 +101,8 @@ class ApproximationStage:
     per_channel_b: float     # Robin value seen by the repeated/leading sector
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"stage distance must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"stage distance outside (0, inf): {self.a}")
         if not math.isclose(self.c, -1.0 / self.a, rel_tol=1e-15):
             raise ValueError("stage invariant c = -1/a violated")
 
@@ -116,8 +116,8 @@ def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     _check_edge_count(n, ValueError)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if not a > 0:
-        raise ValueError(f"distance must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"distance must be in (0, inf), got {a}")
     if family == "delta_prime_s":
         b = -beta / (n * a * a)
         per_channel = b
@@ -150,14 +150,6 @@ def effective_robin(b: float, c: float, a: float) -> float:
     if abs(den) < 1e-14:
         raise PoleError(f"degenerate stage: |1 + a b| = {abs(den):.3e}")
     return c + b / den
-
-
-def target_model(family: str, n: int, beta: float) -> StarModel:
-    if family == "delta_prime_s":
-        return StarModel.delta_prime_s(n, beta)
-    if family == "delta_prime":
-        return StarModel.delta_prime(n, beta)
-    raise ValueError(f"unknown target family {family!r}")
 
 
 def approximant_model(stage: ApproximationStage) -> StarModel:

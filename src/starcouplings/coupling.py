@@ -200,19 +200,20 @@ def _decompose(u: np.ndarray) -> Eigenphases:
     return Eigenphases(groups, np.linalg.qr(vec[:, order])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexCoupling:
     """An n-edge vertex coupling: its unitary matrix U, n x n with n >= 1.
 
     U is the only field; n is its size.  make_coupling seeds
     ``eigenphases`` with a family's closed-form phases and rescale_length
     with its input's mapped phases; a coupling built any other way
-    decomposes its own U on first use.
+    decomposes its own U on first use.  == and hash() go by identity;
+    compare values with np.array_equal on ``u``.
     """
 
     u: np.ndarray
     _phases: Eigenphases | None = field(default=None, init=False,
-                                        repr=False, compare=False)
+                                        repr=False)
 
     def __post_init__(self):
         u = _readonly(self.u)
@@ -245,13 +246,14 @@ class VertexCoupling:
         return phases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ABPair:
     """A boundary-condition pair (A, B) of n x n matrices.
 
     The constructor only enforces shapes and finite entries; admissibility
     (rank and Hermiticity) is checked by validate_ab and required by
     from_ab, so degenerate pairs can still be constructed and diagnosed.
+    == and hash() go by identity; compare values with np.array_equal.
     """
 
     a: np.ndarray
@@ -287,9 +289,10 @@ class ABDiagnostics:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryValues:
-    """Vertex data: values Psi(0) and outward derivatives Psi'(0)."""
+    """Vertex data: values Psi(0) and outward derivatives Psi'(0); == and
+    hash() go by identity, compare values with np.array_equal."""
 
     psi: np.ndarray
     dpsi: np.ndarray

@@ -47,7 +47,9 @@ G(a, a) = O(a) on a Dirichlet edge, so that the unscaled denominator
 
 HalflineBC and StarModel each name their coupling by one table entry
 ``vertex = (family, n, param)`` for make_coupling, and that U is all the
-kernel reads.  The symmetry-sector decomposition of the star models
+kernel reads: halfline_kernel and star_green share one memoised
+vertex_kernel per entry (a half line's reflection constant is
+R = 2 kappa G(0, 0) - 1).  The symmetry-sector decomposition
 (sector_decompose, sector_green) remains as an independent oracle: the
 star kernel is G_lead(x, y) / n + (delta_jl - 1/n) G_rest(x, y).
 """
@@ -74,6 +76,9 @@ KREIN_POLE_TOL = 1e-12
 #: approximants (parameter b)
 STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
               "central_delta_p")
+#: HalflineBC kinds and the fields each reads; the others must stay 0
+_BC_FIELDS = {"dirichlet": (), "neumann": (), "robin": ("b",),
+              "robin_scaled": ("n", "beta")}
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,12 @@ class HalflineBC:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann", "robin", "robin_scaled"):
+        if self.kind not in _BC_FIELDS:
             raise ValueError(f"unknown boundary condition {self.kind!r}")
+        unread = [f for f in ("b", "n", "beta")
+                  if f not in _BC_FIELDS[self.kind] and getattr(self, f) != 0]
+        if unread:
+            raise ValueError(f"{self.kind} reads no {', '.join(unread)}")
         if self.kind == "robin" and not math.isfinite(self.b):
             raise ValueError("robin parameter must be finite; use dirichlet "
                              "for the b = inf limit")
@@ -129,10 +138,6 @@ class HalflineBC:
             return ("delta", 1, self.b)
         return ("delta_prime_s", 1, self.beta / self.n)
 
-    def reflection(self, kappa: float) -> float:
-        """Reflection constant R of the kernel at energy -kappa^2."""
-        return float(_reflection(make_coupling(*self.vertex), kappa)[1][0, 0])
-
 
 @dataclass(frozen=True)
 class PointInteraction:
@@ -166,20 +171,6 @@ def check_edges(n: int, *edges) -> None:
                          f"{', '.join(map(str, edges))}")
 
 
-def _reflection(coupling: VertexCoupling,
-                kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """(I + R, R) for R = S_U(i kappa), real when U = U^T."""
-    check_kappa(kappa)
-    try:
-        one_plus_r = one_plus_s(coupling, 1j * kappa, ROBIN_POLE_TOL)
-    except PoleError as exc:
-        where = "Robin" if coupling.n == 1 else "vertex"
-        raise PoleError(
-            f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
-            "a bound state of the vertex coupling") from None
-    return one_plus_r, one_plus_r - np.eye(coupling.n)
-
-
 def vertex_kernel(coupling: VertexCoupling,
                   points: Sequence[PointInteraction],
                   kappa: float) -> Callable:
@@ -188,7 +179,15 @@ def vertex_kernel(coupling: VertexCoupling,
     on every edge, at energy -kappa^2.  Edges are 0-based; x and y
     broadcast over numpy arrays.  Pole guards run here, up front."""
     n = coupling.n
-    one_plus_r, r = _reflection(coupling, kappa)
+    check_kappa(kappa)
+    try:
+        one_plus_r = one_plus_s(coupling, 1j * kappa, ROBIN_POLE_TOL)
+    except PoleError as exc:
+        where = "Robin" if n == 1 else "vertex"
+        raise PoleError(
+            f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
+            "a bound state of the vertex coupling") from None
+    r = one_plus_r - np.eye(n)
 
     def base(j, x, l, y):
         return np.exp(-kappa * np.abs(x - y)) * (
@@ -242,21 +241,10 @@ def _named_kernel(vertex: tuple[str, int, float],
     return vertex_kernel(make_coupling(*vertex), points, kappa)
 
 
-def halfline_green(bc: HalflineBC, kappa: float, x, y):
-    """Resolvent kernel of the half line with boundary condition ``bc`` at
-    energy -kappa^2.  Broadcasts over array arguments; values are real."""
-    return _named_kernel(bc.vertex, (), kappa)(0, x, 0, y)
-
-
-def krein_insert(bc: HalflineBC, point: PointInteraction, kappa: float, x, y):
-    """Kernel of the half-line operator with an added delta of strength
-    point.c at point.a."""
-    return _named_kernel(bc.vertex, (point,), kappa)(0, x, 0, y)
-
-
 def halfline_kernel(bc: HalflineBC, points, kappa: float):
-    """Evaluator (x, y) -> kernel for a half line with any number of point
-    interactions."""
+    """Evaluator (x, y) -> resolvent kernel at energy -kappa^2 of the half
+    line with boundary condition ``bc`` and any number of point
+    interactions.  Broadcasts over array arguments; values are real."""
     kernel = _named_kernel(bc.vertex, tuple(points), kappa)
     return lambda x, y: kernel(0, x, 0, y)
 
@@ -290,7 +278,9 @@ class StarModel:
         _check_edge_count(self.n, ValueError)
         if self.kind not in STAR_KINDS:
             raise ValueError(f"unknown star model kind {self.kind!r}")
-        if self.is_target:
+        if not isinstance(self.point, (PointInteraction, type(None))):
+            raise ValueError(f"not a PointInteraction: {self.point!r}")
+        if self.kind in STAR_KINDS[:2]:
             if self.beta is None:
                 raise ValueError(f"target model {self.kind!r} needs beta")
             if self.b is not None or self.point is not None:
@@ -325,10 +315,6 @@ class StarModel:
         return cls(n=n, kind="central_delta_p", b=float(b), point=point)
 
     @property
-    def is_target(self) -> bool:
-        return self.kind in STAR_KINDS[:2]
-
-    @property
     def vertex(self) -> tuple[str, int, float]:
         """The central coupling, (family, n, param) for make_coupling."""
         if self.kind == "central_delta":
@@ -347,11 +333,9 @@ class StarModel:
 class SectorSpec:
     """One half-line block of a symmetry-reduced star model."""
 
-    label: str                        # "symmetric"/"complement" or "r=0"/"r>=1"
     bc: HalflineBC
     point: PointInteraction | None
     multiplicity: int
-    weight_phase: complex             # eps = exp(2 pi i / n)
 
 
 def sector_decompose(model: StarModel) -> list[SectorSpec]:
@@ -366,27 +350,19 @@ def sector_decompose(model: StarModel) -> list[SectorSpec]:
     For n = 1 only the leading sector is returned.  The sectors reassemble
     the star kernel as G_lead / n + (delta_jl - 1/n) G_rest, through
     sum_{r=1}^{n-1} eps^{r(j-l)} = n delta_jl - 1 with eps = e^{2 pi i / n}.
+    Targets carry no point, so every sector takes the model's point.
     """
-    n = model.n
-    eps = complex(np.exp(2j * np.pi / n))
+    n, beta, b = model.n, model.beta, model.b
     if model.kind == "delta_prime_s":
-        lead = SectorSpec("symmetric", HalflineBC.robin_scaled(n, model.beta),
-                          None, 1, eps)
-        rest = SectorSpec("complement", HalflineBC.neumann(), None, n - 1, eps)
+        lead, rest = HalflineBC.robin_scaled(n, beta), HalflineBC.neumann()
     elif model.kind == "central_delta":
-        lead = SectorSpec("symmetric", HalflineBC.robin(model.b),
-                          model.point, 1, eps)
-        rest = SectorSpec("complement", HalflineBC.dirichlet(),
-                          model.point, n - 1, eps)
+        lead, rest = HalflineBC.robin(b), HalflineBC.dirichlet()
     elif model.kind == "delta_prime":
-        lead = SectorSpec("r=0", HalflineBC.neumann(), None, 1, eps)
-        rest = SectorSpec("r>=1", HalflineBC.robin_scaled(n, model.beta),
-                          None, n - 1, eps)
+        lead, rest = HalflineBC.neumann(), HalflineBC.robin_scaled(n, beta)
     else:  # central_delta_p
-        lead = SectorSpec("r=0", HalflineBC.dirichlet(), model.point, 1, eps)
-        rest = SectorSpec("r>=1", HalflineBC.robin(model.b / n),
-                          model.point, n - 1, eps)
-    return [lead] if n == 1 else [lead, rest]
+        lead, rest = HalflineBC.dirichlet(), HalflineBC.robin(b / n)
+    return [SectorSpec(bc, model.point, m)
+            for bc, m in ((lead, 1), (rest, n - 1)) if m > 0]
 
 
 def sector_green(sector: SectorSpec, kappa: float, x, y):

@@ -584,3 +584,23 @@ class TestImportLayer:
                                "--h", "0.05"]])
         assert [names for _, names in steps[:2]] == ["", ""]
         assert "scipy.linalg.lapack" in steps[2][1].split(",")
+
+
+# ======================================================================
+#  public names
+# ======================================================================
+
+class TestPublicNames:
+    def test_all_resolves_once_and_lists_no_second_spelling(self):
+        names = starcouplings.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(starcouplings, name), name
+        # halfline_kernel(bc, (), kappa)(x, y), halfline_kernel(bc, (p,),
+        # kappa)(x, y) and StarModel(n=n, kind=family, beta=beta) replace them
+        for gone in ("halfline_green", "krein_insert", "target_model"):
+            assert gone not in names and not hasattr(starcouplings, gone)
+        assert not hasattr(starcouplings.convergence, "target_model")
+        assert not hasattr(starcouplings.greens, "_reflection")
+        assert not hasattr(HalflineBC, "reflection")
+        assert not hasattr(starcouplings.StarModel, "is_target")

@@ -24,12 +24,11 @@ import numpy as np
 import pytest
 
 from conftest import expected_norm
-from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
-                           SampledDifference, StarModel, approximant_model,
-                           convergence_sweep, effective_robin, halfline_green,
-                           VertexCoupling, hs_norm, krein_insert, schedule,
-                           sector_decompose, sector_difference, sector_green,
-                           target_model)
+from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
+                           PointInteraction, PoleError, SampledDifference, StarModel, approximant_model,
+                           convergence_sweep, effective_robin, halfline_kernel,
+                           VertexCoupling, hs_norm, schedule, sector_decompose,
+                           sector_difference, sector_green)
 from starcouplings.convergence import SCHEDULE_FAMILIES, _robin_pole
 from starcouplings.greens import ROBIN_POLE_TOL
 from starcouplings.scattering import one_plus_s
@@ -67,6 +66,14 @@ class TestSchedule:
             schedule("delta_prime_s", 1.0, 2, 0.0)
         with pytest.raises(ValueError):
             schedule("delta_prime_s", 1.0, 0, 0.1)
+
+    def test_infinite_distance_is_refused(self):
+        # c = -1/a = -0.0 met the stage invariant c = -1/a vacuously
+        with pytest.raises(ValueError):
+            schedule("delta_prime_s", 1.0, 2, math.inf)
+        with pytest.raises(ValueError):
+            ApproximationStage(family="delta_prime_s", n=2, beta=1.0,
+                               a=math.inf, b=-0.0, c=-0.0, per_channel_b=-0.0)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_edge_count_must_be_an_integer(self, n):
@@ -123,7 +130,7 @@ class TestSectorDifference:
 
     def test_window_starts_at_satellite(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.01)
-        targets = sector_decompose(target_model("delta_prime_s", 2, 1.0))
+        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
         approxs = sector_decompose(approximant_model(st))
         diff = sector_difference(targets[0], approxs[0], KAPPA, st.a, GRID)
         assert diff.x[0] == st.a
@@ -137,13 +144,14 @@ class TestSectorDifference:
 
     def test_pointwise_values_match_library_kernels(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.05)
-        targets = sector_decompose(target_model("delta_prime_s", 2, 1.0))
+        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
         approxs = sector_decompose(approximant_model(st))
         diff = sector_difference(targets[1], approxs[1], KAPPA, st.a, GRID)
         i, j = 5, 17
-        expected = krein_insert(approxs[1].bc, approxs[1].point, KAPPA,
-                                diff.x[i], diff.x[j]) \
-            - halfline_green(targets[1].bc, KAPPA, diff.x[i], diff.x[j])
+        xi, xj = diff.x[i], diff.x[j]
+        expected = halfline_kernel(approxs[1].bc, (approxs[1].point,),
+                                   KAPPA)(xi, xj) \
+            - halfline_kernel(targets[1].bc, (), KAPPA)(xi, xj)
         assert diff.values[i, j] == pytest.approx(expected, abs=1e-15)
 
 
@@ -177,7 +185,7 @@ class TestHSNorm:
 
     def test_refinement_changes_result_little(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.01)
-        targets = sector_decompose(target_model("delta_prime_s", 2, 1.0))
+        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
         approxs = sector_decompose(approximant_model(st))
         norms = []
         for grid in (GRID, GridSpec(12.0, 801)):
@@ -225,8 +233,8 @@ class TestPointwiseLimits:
         envelope = 10.0 * np.exp(-KAPPA * (xg + yg))
         for a in (0.01, 0.003, 0.001):
             point = PointInteraction(a=a, c=-1.0 / a)
-            diff = np.abs(krein_insert(bc, point, KAPPA, xg, yg)
-                          - halfline_green(target, KAPPA, xg, yg))
+            diff = np.abs(halfline_kernel(bc, (point,), KAPPA)(xg, yg)
+                          - halfline_kernel(target, (), KAPPA)(xg, yg))
             assert np.all(diff < a * envelope)
 
     def test_scheduled_robin_turns_robin_scaled(self):
@@ -239,8 +247,8 @@ class TestPointwiseLimits:
             st = schedule("delta_prime_s", beta, n, a)
             bc = HalflineBC.robin(st.per_channel_b)
             point = PointInteraction(a=a, c=st.c)
-            diff = np.abs(krein_insert(bc, point, KAPPA, xg, yg)
-                          - halfline_green(target, KAPPA, xg, yg))
+            diff = np.abs(halfline_kernel(bc, (point,), KAPPA)(xg, yg)
+                          - halfline_kernel(target, (), KAPPA)(xg, yg))
             assert np.all(diff < a * envelope)
 
     def test_symmetric_sector_difference_shrinks_linearly(self):
@@ -251,8 +259,8 @@ class TestPointwiseLimits:
             st = schedule("delta_prime_s", beta, n, a)
             bc = HalflineBC.robin(st.per_channel_b)
             point = PointInteraction(a=a, c=st.c)
-            vals.append(abs(krein_insert(bc, point, KAPPA, 1.0, 1.0)
-                            - halfline_green(target, KAPPA, 1.0, 1.0)))
+            vals.append(abs(halfline_kernel(bc, (point,), KAPPA)(1.0, 1.0)
+                            - halfline_kernel(target, (), KAPPA)(1.0, 1.0)))
         assert vals[0] > vals[1] > vals[2]
         for hi, lo in zip(vals, vals[1:]):
             assert 6.0 < hi / lo < 14.0  # one decade of a per decade of error
@@ -267,19 +275,22 @@ class TestSeparableOracle:
     def test_symmetric_sector_norm(self, beta, n):
         for a in (0.01, 0.001):
             st = schedule("delta_prime_s", beta, n, a)
-            targets = sector_decompose(target_model("delta_prime_s", n, beta))
+            targets = sector_decompose(StarModel.delta_prime_s(n, beta))
             approxs = sector_decompose(approximant_model(st))
             got = hs_norm(sector_difference(targets[0], approxs[0], KAPPA,
                                             st.a, GRID))
-            r_base = HalflineBC.robin(st.per_channel_b).reflection(KAPPA)
-            r_target = HalflineBC.robin_scaled(n, beta).reflection(KAPPA)
+            # the reflection constant of a half line is 2 kappa G(0, 0) - 1
+            r_base = 2 * KAPPA * halfline_kernel(
+                HalflineBC.robin(st.per_channel_b), (), KAPPA)(0.0, 0.0) - 1
+            r_target = 2 * KAPPA * halfline_kernel(
+                HalflineBC.robin_scaled(n, beta), (), KAPPA)(0.0, 0.0) - 1
             want = expected_norm(r_base, r_target, a, st.c, KAPPA, GRID.L)
             assert got == pytest.approx(want, rel=1e-3)
 
     def test_complement_sector_norm(self):
         a = 0.003
         st = schedule("delta_prime_s", 1.0, 2, a)
-        targets = sector_decompose(target_model("delta_prime_s", 2, 1.0))
+        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
         approxs = sector_decompose(approximant_model(st))
         got = hs_norm(sector_difference(targets[1], approxs[1], KAPPA,
                                         st.a, GRID))
@@ -292,7 +303,7 @@ class TestSeparableOracle:
         from starcouplings import star_green
         beta, n, a = 1.0, 3, 0.05
         st = schedule("delta_prime_s", beta, n, a)
-        t_model = target_model("delta_prime_s", n, beta)
+        t_model = StarModel.delta_prime_s(n, beta)
         a_model = approximant_model(st)
         grid = GridSpec(12.0, 120)
         targets = sector_decompose(t_model)
@@ -320,7 +331,7 @@ class TestSeparableOracle:
         # kept moderate: the complement-sector Krein denominator is ~kappa
         # a^2 and amplifies the solver error as it shrinks
         st = schedule("delta_prime_s", beta, n, a)
-        targets = sector_decompose(target_model("delta_prime_s", n, beta))
+        targets = sector_decompose(StarModel.delta_prime_s(n, beta))
         approxs = sector_decompose(approximant_model(st))
         nodes = np.concatenate(([a], np.arange(0.296, 11.3, 0.2)))
         nodes = np.array([grid.nodes()[grid.node_index(v)] for v in nodes])
@@ -465,7 +476,7 @@ class TestClosedFormNorms:
         rep = convergence_sweep(family, beta, n, KAPPA, [1e-1, 1e-3], grid)
         for stage in rep.stages:
             st = schedule(family, beta, n, stage.a)
-            targets = sector_decompose(target_model(family, n, beta))
+            targets = sector_decompose(StarModel(n=n, kind=family, beta=beta))
             approxs = sector_decompose(approximant_model(st))
             quad = [hs_norm(sector_difference(t, s, KAPPA, st.a, grid))
                     for t, s in zip(targets, approxs)]

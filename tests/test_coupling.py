@@ -160,6 +160,17 @@ class TestVertexCoupling:
         with pytest.raises(InvalidCouplingError):
             VertexCoupling.custom(u)
 
+    def test_compares_and_hashes_by_identity(self):
+        # the generated == compared arrays (ValueError) and hash() raised
+        # TypeError; equal values are compared with np.array_equal
+        u = make_coupling("delta", 2, 0.0).u
+        for make in (lambda: VertexCoupling(u),
+                     lambda: ABPair(np.eye(2), np.zeros((2, 2))),
+                     lambda: BoundaryValues([1.0, 2.0], [0.0, 1.0])):
+            x, y = make(), make()
+            assert x == x and not x == y and x != y
+            assert len({x, y, x}) == 2
+
     def test_matrix_is_readonly(self):
         c = make_coupling("delta", 2, 1.0)
         with pytest.raises(ValueError):

@@ -20,8 +20,7 @@ from conftest import random_unitary, unitary_with_phase
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            StarModel, VertexCoupling, compare_kernels,
                            fd_resolvent_halfline, fd_resolvent_star,
-                           halfline_green, halfline_kernel, krein_insert,
-                           make_coupling, star_green, to_ab,
+                           halfline_kernel, make_coupling, star_green, to_ab,
                            vertex_kernel)
 from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
                                              ORIGIN_STENCIL_TOL, _ghost_map,
@@ -127,7 +126,7 @@ class TestHalflineSolver:
         grid = GridSpec(12.0, 4000)
         sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA, grid)
         x, y = sampled.snap(1.0, 2.0)
-        exact = halfline_green(HalflineBC.dirichlet(), KAPPA, x, y)
+        exact = halfline_kernel(HalflineBC.dirichlet(), (), KAPPA)(x, y)
         assert abs(sampled.value(x, y) - exact) < 1e-3
 
     @pytest.mark.parametrize("bc", [
@@ -137,7 +136,7 @@ class TestHalflineSolver:
     def test_plain_kernels_within_budget(self, bc):
         grid = GridSpec(12.0, 1499)  # h = 8e-3
         sampled = fd_resolvent_halfline(bc, [], KAPPA, grid)
-        analytic = lambda x, y: halfline_green(bc, KAPPA, x, y)  # noqa: E731
+        analytic = halfline_kernel(bc, (), KAPPA)
         stats = compare_kernels(analytic, sampled, SAMPLES)
         assert stats.max_abs < 50.0 * grid.h**2
 
@@ -153,7 +152,7 @@ class TestHalflineSolver:
         bc = HalflineBC.neumann()
         coarse = fd_resolvent_halfline(bc, [], KAPPA, grid)
         fine = fd_resolvent_halfline(bc, [], KAPPA, grid.refined())
-        analytic = lambda x, y: halfline_green(bc, KAPPA, x, y)  # noqa: E731
+        analytic = halfline_kernel(bc, (), KAPPA)
         snapped = [coarse.snap(*p) for p in SAMPLES]
         e1 = compare_kernels(analytic, coarse, snapped).max_abs
         e2 = compare_kernels(analytic, fine, snapped).max_abs
@@ -161,7 +160,7 @@ class TestHalflineSolver:
 
     def test_sixteenfold_reduction_over_two_refinements(self):
         bc = HalflineBC.dirichlet()
-        analytic = lambda x, y: halfline_green(bc, KAPPA, x, y)  # noqa: E731
+        analytic = halfline_kernel(bc, (), KAPPA)
         coarse = fd_resolvent_halfline(bc, [], KAPPA, GridSpec(12.0, 999))
         snapped = [coarse.snap(*p) for p in SAMPLES]
         fine = fd_resolvent_halfline(
@@ -175,7 +174,7 @@ class TestHalflineSolver:
         point = PointInteraction(a=1.0, c=-2.0)
         bc = HalflineBC.dirichlet()
         sampled = fd_resolvent_halfline(bc, [point], KAPPA, grid)
-        analytic = lambda x, y: krein_insert(bc, point, KAPPA, x, y)  # noqa: E731
+        analytic = halfline_kernel(bc, (point,), KAPPA)
         stats = compare_kernels(analytic, sampled, SAMPLES)
         assert stats.max_abs < 50.0 * grid.h**2
 
@@ -195,8 +194,7 @@ class TestHalflineSolver:
         sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [point],
                                         KAPPA, grid)
         assert abs(sampled.value(1.0, 2.5)) < 1e-3
-        analytic = lambda x, y: krein_insert(  # noqa: E731
-            HalflineBC.dirichlet(), point, KAPPA, x, y)
+        analytic = halfline_kernel(HalflineBC.dirichlet(), (point,), KAPPA)
         stats = compare_kernels(analytic, sampled, SAMPLES)
         assert stats.max_abs < 50.0 * grid.h**2
 
@@ -333,8 +331,7 @@ class TestCompareKernels:
         grid = GridSpec(12.0, 999)
         sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA,
                                         grid)
-        wrong = lambda x, y: halfline_green(  # noqa: E731
-            HalflineBC.neumann(), KAPPA, x, y)
+        wrong = halfline_kernel(HalflineBC.neumann(), (), KAPPA)
         stats = compare_kernels(wrong, sampled, [(0.48, 0.96)])
         expected = np.exp(-KAPPA * (0.48 + 0.96)) / KAPPA
         assert abs(stats.max_abs - expected) < 1e-3
@@ -406,6 +403,24 @@ class TestGhostMap:
                 expected, _ = _to_ab_ghost_map(coupling, h)
                 err = np.max(np.abs(_ghost_map(coupling, h) - expected))
                 assert err <= 1e-12 * np.max(np.abs(expected))
+
+    def test_hermitian_with_eigenphase_eigenvalues_for_any_u(self):
+        # M0 = V diag(c / (3c - 2hs)) V* over the eigenphases
+        # e^{i theta/2} = c + is of U, so it is Hermitian with real
+        # eigenvalues for every unitary U, symmetric or not; the largest
+        # defects measured here are 8.2e-16 and 1.1e-14
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            for n in range(1, 6):
+                for h in (1e-2, 1e-3):
+                    coupling = VertexCoupling.custom(random_unitary(n, rng))
+                    m0 = _ghost_map(coupling, h)
+                    assert np.max(np.abs(m0 - m0.conj().T)) <= 4e-15
+                    half = np.sqrt(np.linalg.eigvals(coupling.u))
+                    c, s = half.real, half.imag
+                    want = np.sort(c / (3.0 * c - 2.0 * h * s))
+                    got = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))
+                    assert np.max(np.abs(got - want)) <= 4e-14
 
     def test_solver_takes_the_real_formula_for_symmetric_u(self):
         rng = np.random.default_rng(12)

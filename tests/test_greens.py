@@ -9,6 +9,7 @@ model, the Krein formula at 50 digits (mpmath) near the origin, and the
 vertex condition and Hermiticity for Haar-random couplings.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -18,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, unitary_with_phase
 from starcouplings import (BoundaryValues, HalflineBC, PointInteraction,
-                           PoleError, StarModel, VertexCoupling,
-                           halfline_green, halfline_kernel, krein_insert,
-                           satisfies_vertex_condition, sector_decompose,
-                           sector_green, star_green, vertex_kernel)
+                           PoleError, SectorSpec, StarModel, VertexCoupling,
+                           halfline_kernel, satisfies_vertex_condition,
+                           sector_decompose, sector_green, star_green,
+                           vertex_kernel)
 from starcouplings.greens import ROBIN_POLE_TOL
 
 RNG = np.random.default_rng(7)
@@ -53,7 +54,7 @@ def sinh_cosh_form(bc: HalflineBC, kappa: float, x: float, y: float) -> float:
 
 
 # ======================================================================
-#  halfline_green
+#  halfline_kernel without points
 # ======================================================================
 
 class TestHalflineGreen:
@@ -63,64 +64,67 @@ class TestHalflineGreen:
             for _ in range(20):
                 x, y = RNG.uniform(0.0, 8.0, size=2)
                 expected = sinh_cosh_form(bc, kappa, x, y)
-                assert abs(halfline_green(bc, kappa, x, y) - expected) < 1e-13
+                got = halfline_kernel(bc, (), kappa)(x, y)
+                assert abs(got - expected) < 1e-13
 
     def test_dirichlet_vanishes_at_origin(self):
-        assert halfline_green(HalflineBC.dirichlet(), 1.0, 0.0, 2.0) == 0.0
+        g = halfline_kernel(HalflineBC.dirichlet(), (), 1.0)
+        assert g(0.0, 2.0) == 0.0
 
     def test_dirichlet_value(self):
-        g = halfline_green(HalflineBC.dirichlet(), 1.0, 1.0, 2.0)
+        g = halfline_kernel(HalflineBC.dirichlet(), (), 1.0)(1.0, 2.0)
         assert abs(g - math.sinh(1.0) * math.exp(-2.0)) < 1e-15
 
     def test_neumann_derivative_vanishes_at_origin(self):
         bc = HalflineBC.neumann()
         h = 1e-6
-        d = (halfline_green(bc, 1.0, h, 2.0)
-             - halfline_green(bc, 1.0, 0.0, 2.0)) / h
+        g = halfline_kernel(bc, (), 1.0)
+        d = (g(h, 2.0) - g(0.0, 2.0)) / h
         assert abs(d) < 1e-6
 
     def test_robin_boundary_identity(self):
         # G(0, y) = e^{-kappa y}/(b + kappa) and psi'(0) = b psi(0)
         b, kappa, y = 1.5, 1.0, 2.0
         bc = HalflineBC.robin(b)
-        g0 = halfline_green(bc, kappa, 0.0, y)
+        g = halfline_kernel(bc, (), kappa)
+        g0 = g(0.0, y)
         assert abs(g0 - math.exp(-kappa * y) / (b + kappa)) < 1e-15
         h = 1e-7
-        d = (halfline_green(bc, kappa, h, y) - g0) / h
+        d = (g(h, y) - g0) / h
         assert abs(d - b * g0) < 1e-6
 
     def test_robin_scaled_boundary_identity(self):
         n, beta, kappa, y = 3, 2.0, 1.0, 1.7
         bc = HalflineBC.robin_scaled(n, beta)
-        g0 = halfline_green(bc, kappa, 0.0, y)
+        g = halfline_kernel(bc, (), kappa)
+        g0 = g(0.0, y)
         h = 1e-7
-        d = (halfline_green(bc, kappa, h, y) - g0) / h
+        d = (g(h, y) - g0) / h
         assert abs(g0 - (beta / n) * d) < 1e-6
 
     def test_robin_zero_is_neumann(self):
         x = RNG.uniform(0, 6, size=8)
+        xg, yg = x[:, None], x[None, :]
         np.testing.assert_allclose(
-            halfline_green(HalflineBC.robin(0.0), 1.3, x[:, None], x[None, :]),
-            halfline_green(HalflineBC.neumann(), 1.3, x[:, None], x[None, :]),
+            halfline_kernel(HalflineBC.robin(0.0), (), 1.3)(xg, yg),
+            halfline_kernel(HalflineBC.neumann(), (), 1.3)(xg, yg),
             atol=1e-15)
 
     def test_robin_scaled_zero_beta_is_dirichlet(self):
         x = RNG.uniform(0, 6, size=8)
+        xg, yg = x[:, None], x[None, :]
         np.testing.assert_allclose(
-            halfline_green(HalflineBC.robin_scaled(2, 0.0), 0.8,
-                           x[:, None], x[None, :]),
-            halfline_green(HalflineBC.dirichlet(), 0.8,
-                           x[:, None], x[None, :]),
+            halfline_kernel(HalflineBC.robin_scaled(2, 0.0), (), 0.8)(xg, yg),
+            halfline_kernel(HalflineBC.dirichlet(), (), 0.8)(xg, yg),
             atol=1e-15)
 
     def test_robin_scaled_equals_equivalent_robin(self):
         n, beta = 4, -1.5
         x = RNG.uniform(0, 6, size=8)
+        xg, yg = x[:, None], x[None, :]
         np.testing.assert_allclose(
-            halfline_green(HalflineBC.robin_scaled(n, beta), 1.0,
-                           x[:, None], x[None, :]),
-            halfline_green(HalflineBC.robin(n / beta), 1.0,
-                           x[:, None], x[None, :]),
+            halfline_kernel(HalflineBC.robin_scaled(n, beta), (), 1.0)(xg, yg),
+            halfline_kernel(HalflineBC.robin(n / beta), (), 1.0)(xg, yg),
             atol=1e-14)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, 0])
@@ -129,21 +133,30 @@ class TestHalflineGreen:
         with pytest.raises(ValueError, match="edge count"):
             HalflineBC.robin_scaled(n, 1.0)
 
+    def test_refuses_fields_its_kind_does_not_read(self):
+        # these were accepted, and vertex ignored the extra field
+        for kind, extra in (("dirichlet", {"n": 7}),
+                            ("neumann", {"b": 3.0}),
+                            ("robin", {"b": 1.0, "n": 4}),
+                            ("robin_scaled", {"n": 2, "beta": 1.0, "b": 3.0})):
+            with pytest.raises(ValueError, match="reads no"):
+                HalflineBC(kind, **extra)
+
     def test_robin_pole_guard(self):
         with pytest.raises(PoleError):
-            halfline_green(HalflineBC.robin(-1.0), 1.0, 1.0, 1.0)
+            halfline_kernel(HalflineBC.robin(-1.0), (), 1.0)(1.0, 1.0)
 
     def test_robin_scaled_pole_guard(self):
         with pytest.raises(PoleError):
-            halfline_green(HalflineBC.robin_scaled(2, -2.0), 1.0, 1.0, 1.0)
+            halfline_kernel(HalflineBC.robin_scaled(2, -2.0), (), 1.0)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
-            halfline_green(HalflineBC.dirichlet(), 1.0, -0.5, 1.0)
+            halfline_kernel(HalflineBC.dirichlet(), (), 1.0)(-0.5, 1.0)
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
-            halfline_green(HalflineBC.dirichlet(), 0.0, 1.0, 1.0)
+            halfline_kernel(HalflineBC.dirichlet(), (), 0.0)(1.0, 1.0)
 
     @pytest.mark.parametrize("kappa", [math.inf, math.nan])
     def test_every_kernel_entry_rejects_nonfinite_kappa(self, kappa):
@@ -151,9 +164,8 @@ class TestHalflineGreen:
         point = PointInteraction(0.5, -2.0)
         approximant = StarModel.central_delta(2, 1.5, point)
         calls = [
-            lambda: halfline_green(HalflineBC.dirichlet(), kappa, 1.0, 2.0),
+            lambda: halfline_kernel(HalflineBC.dirichlet(), (), kappa),
             lambda: halfline_kernel(bc, [point], kappa),
-            lambda: krein_insert(bc, point, kappa, 1.0, 2.0),
             lambda: sector_green(sector_decompose(approximant)[0], kappa,
                                  1.0, 2.0),
             lambda: star_green(approximant, kappa, 0, 1.0, 1, 2.0),
@@ -170,17 +182,17 @@ class TestHalflineGreen:
         kappa, y = 1.0, 2.0
         h = 1e-4
         for x in (0.7, 1.4, 3.1):
-            g = lambda t: halfline_green(bc, kappa, t, y)  # noqa: E731
+            g = lambda t: halfline_kernel(bc, (), kappa)(t, y)  # noqa: E731
             second = (g(x + h) - 2 * g(x) + g(x - h)) / h**2
             assert abs(-second + kappa**2 * g(x)) < 1e-4 * max(abs(g(x)), 1e-3)
-        g = lambda t: halfline_green(bc, kappa, t, y)  # noqa: E731
+        g = lambda t: halfline_kernel(bc, (), kappa)(t, y)  # noqa: E731
         right = (-3 * g(y) + 4 * g(y + h) - g(y + 2 * h)) / (2 * h)
         left = (3 * g(y) - 4 * g(y - h) + g(y - 2 * h)) / (2 * h)
         assert abs((right - left) - (-1.0)) < 1e-5
 
 
 # ======================================================================
-#  krein_insert / halfline_kernel
+#  halfline_kernel with points
 # ======================================================================
 
 class TestKreinInsert:
@@ -189,46 +201,48 @@ class TestKreinInsert:
         p = PointInteraction(a=1.0, c=0.0)
         x = RNG.uniform(0, 5, size=6)
         np.testing.assert_array_equal(
-            krein_insert(bc, p, 1.0, x[:, None], x[None, :]),
-            halfline_green(bc, 1.0, x[:, None], x[None, :]))
+            halfline_kernel(bc, (p,), 1.0)(x[:, None], x[None, :]),
+            halfline_kernel(bc, (), 1.0)(x[:, None], x[None, :]))
 
     def test_infinite_strength_screens(self):
         bc = HalflineBC.neumann()
         p = PointInteraction(a=1.0, c=math.inf)
         for y in (0.3, 1.0, 2.7, 6.0):
-            assert abs(krein_insert(bc, p, 1.0, 1.0, y)) < 1e-12
+            assert abs(halfline_kernel(bc, (p,), 1.0)(1.0, y)) < 1e-12
 
     def test_dirichlet_plus_matched_point_approaches_neumann(self):
         # the c = -1/a schedule turns the Dirichlet wall into a Neumann one
         bc_d = HalflineBC.dirichlet()
         bc_n = HalflineBC.neumann()
         kappa, x, y = 1.0, 1.0, 1.0
-        target = halfline_green(bc_n, kappa, x, y)
+        target = halfline_kernel(bc_n, (), kappa)(x, y)
         diffs = []
         for a in (0.1, 0.01, 0.001):
             p = PointInteraction(a=a, c=-1.0 / a)
-            diffs.append(abs(krein_insert(bc_d, p, kappa, x, y) - target))
+            got = halfline_kernel(bc_d, (p,), kappa)(x, y)
+            diffs.append(abs(got - target))
         assert diffs[0] > diffs[1] > diffs[2]
         # first-order rate: one decade of a per decade of error
         assert diffs[0] / diffs[2] > 50.0
 
     def test_pole_guard_fires_on_eigenvalue(self):
         bc = HalflineBC.dirichlet()
-        g_aa = halfline_green(bc, 1.0, 1.0, 1.0)
+        g_aa = halfline_kernel(bc, (), 1.0)(1.0, 1.0)
         p = PointInteraction(a=1.0, c=-1.0 / g_aa)
         with pytest.raises(PoleError):
-            krein_insert(bc, p, 1.0, 0.5, 0.5)
+            halfline_kernel(bc, (p,), 1.0)(0.5, 0.5)
 
     def test_update_formula_matches_direct_evaluation(self):
         bc = HalflineBC.robin(0.7)
         p = PointInteraction(a=1.3, c=-2.0)
         kappa = 0.9
-        g = lambda x, y: halfline_green(bc, kappa, x, y)  # noqa: E731
+        g = halfline_kernel(bc, (), kappa)
         den = -1.0 / p.c - g(p.a, p.a)
         for _ in range(10):
             x, y = RNG.uniform(0, 6, size=2)
             expected = g(x, y) + g(x, p.a) * g(p.a, y) / den
-            assert abs(krein_insert(bc, p, kappa, x, y) - expected) < 1e-15
+            got = halfline_kernel(bc, (p,), kappa)(x, y)
+            assert abs(got - expected) < 1e-15
 
     def test_chained_kernel_two_points(self):
         # second update applied on top of the first, written out by hand
@@ -237,7 +251,7 @@ class TestKreinInsert:
         p1 = PointInteraction(a=0.8, c=-1.5)
         p2 = PointInteraction(a=2.0, c=0.9)
         kernel = halfline_kernel(bc, [p1, p2], kappa)
-        g1 = lambda x, y: krein_insert(bc, p1, kappa, x, y)  # noqa: E731
+        g1 = halfline_kernel(bc, (p1,), kappa)
         den2 = -1.0 / p2.c - g1(p2.a, p2.a)
         for _ in range(10):
             x, y = RNG.uniform(0, 6, size=2)
@@ -249,17 +263,17 @@ class TestKreinInsert:
         p = PointInteraction(a=1.0, c=2.0)
         for _ in range(20):
             x, y = RNG.uniform(0, 7, size=2)
-            assert abs(krein_insert(bc, p, 1.0, x, y)
-                       - krein_insert(bc, p, 1.0, y, x)) < 1e-15
+            assert abs(halfline_kernel(bc, (p,), 1.0)(x, y)
+                       - halfline_kernel(bc, (p,), 1.0)(y, x)) < 1e-15
 
     def test_broadcasts_over_grids(self):
         bc = HalflineBC.robin(0.8)
         p = PointInteraction(a=1.0, c=-2.0)
         x = np.linspace(0.0, 5.0, 7)
-        vals = krein_insert(bc, p, 1.0, x[:, None], x[None, :])
+        vals = halfline_kernel(bc, (p,), 1.0)(x[:, None], x[None, :])
         assert vals.shape == (7, 7)
         assert vals.dtype == np.float64
-        assert vals[2, 4] == krein_insert(bc, p, 1.0, x[2], x[4])
+        assert vals[2, 4] == halfline_kernel(bc, (p,), 1.0)(x[2], x[4])
 
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
@@ -271,7 +285,7 @@ class TestKreinInsert:
             PointInteraction(a=a, c=1.0)
 
     def test_rejects_nan_strength(self):
-        # before the check, krein_insert returned nan for this point
+        # before the check, the kernel returned nan for this point
         with pytest.raises(ValueError):
             PointInteraction(a=0.5, c=math.nan)
 
@@ -283,7 +297,6 @@ class TestKreinInsert:
 class TestSectorDecompose:
     def test_delta_prime_s_target(self):
         sectors = sector_decompose(StarModel.delta_prime_s(3, 1.2))
-        assert [s.label for s in sectors] == ["symmetric", "complement"]
         assert [s.multiplicity for s in sectors] == [1, 2]
         assert sectors[0].bc == HalflineBC.robin_scaled(3, 1.2)
         assert sectors[1].bc == HalflineBC.neumann()
@@ -299,7 +312,6 @@ class TestSectorDecompose:
 
     def test_delta_prime_target(self):
         sectors = sector_decompose(StarModel.delta_prime(4, 0.7))
-        assert [s.label for s in sectors] == ["r=0", "r>=1"]
         assert sectors[0].bc == HalflineBC.neumann()
         assert sectors[1].bc == HalflineBC.robin_scaled(4, 0.7)
         assert [s.multiplicity for s in sectors] == [1, 3]
@@ -315,10 +327,6 @@ class TestSectorDecompose:
         assert len(sectors) == 1
         assert sectors[0].bc == HalflineBC.robin_scaled(1, 0.9)
 
-    def test_weight_phase(self):
-        sectors = sector_decompose(StarModel.delta_prime(4, 1.0))
-        assert abs(sectors[0].weight_phase - 1j) < 1e-15  # e^{2 pi i / 4}
-
     def test_model_validation(self):
         with pytest.raises(ValueError):
             StarModel(n=2, kind="delta_prime_s")  # missing beta
@@ -328,6 +336,15 @@ class TestSectorDecompose:
             StarModel(n=0, kind="delta_prime_s", beta=1.0)
         with pytest.raises(ValueError):
             StarModel(n=2, kind="sombrero", beta=1.0)
+
+    def test_point_must_be_a_point_interaction(self):
+        # an (a, c) tuple used to pass here and fail later, in star_green
+        with pytest.raises(ValueError, match="PointInteraction"):
+            StarModel(n=2, kind="central_delta", b=1.0, point=(0.5, -2.0))
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SectorSpec)] \
+            == ["bc", "point", "multiplicity"]
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True])
     def test_edge_count_must_be_an_integer(self, n):
@@ -353,10 +370,8 @@ class TestStarGreen:
     def test_two_edge_off_diagonal_algebra(self):
         m = StarModel.delta_prime_s(2, 1.3)
         kappa = 1.0
-        g_rs = lambda x, y: halfline_green(  # noqa: E731
-            HalflineBC.robin_scaled(2, 1.3), kappa, x, y)
-        g_n = lambda x, y: halfline_green(  # noqa: E731
-            HalflineBC.neumann(), kappa, x, y)
+        g_rs = halfline_kernel(HalflineBC.robin_scaled(2, 1.3), (), kappa)
+        g_n = halfline_kernel(HalflineBC.neumann(), (), kappa)
         for _ in range(10):
             x, y = RNG.uniform(0, 5, size=2)
             expected = (g_rs(x, y) - g_n(x, y)) / 2.0
@@ -448,8 +463,9 @@ class TestKreinNearOrigin:
     def test_strong_satellite_near_dirichlet_wall_is_no_pole(self):
         # the unscaled denominator -1/c - G(a, a) is about kappa a^2 here
         # (5e-13) although no eigenvalue is near
-        value = krein_insert(HalflineBC.dirichlet(),
-                             PointInteraction(1e-6, -1e6), 0.5, 1.0, 2.0)
+        screen = PointInteraction(1e-6, -1e6)
+        kernel = halfline_kernel(HalflineBC.dirichlet(), (screen,), 0.5)
+        value = kernel(1.0, 2.0)
         want = _mp_krein(None, 0.5, 1e-6, -1e6, 1.0, 2.0)
         assert abs(value - want) <= 1e-9 * abs(want)
 
@@ -462,7 +478,7 @@ class TestKreinNearOrigin:
             for a in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
                 point = PointInteraction(a, -1.0 / a)
                 for x, y in ((1.0, 2.0), (0.3, 0.7), (2.5, 2.5), (0.05, 1.0)):
-                    got = krein_insert(bc, point, kappa, x, y)
+                    got = halfline_kernel(bc, (point,), kappa)(x, y)
                     want = _mp_krein(b, kappa, a, point.c, x, y)
                     assert abs(got - want) <= 1e-9 * abs(want), \
                         (kappa, a, x, y, got, float(want))
@@ -479,10 +495,10 @@ class TestNonFiniteInput:
         bc = HalflineBC.neumann()
         model = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
         calls = [
-            lambda: halfline_green(bc, 1.0, value, 1.0),
-            lambda: halfline_green(bc, 1.0, 1.0, value),
-            lambda: krein_insert(bc, PointInteraction(0.5, 2.0), 1.0, value,
-                                 1.0),
+            lambda: halfline_kernel(bc, (), 1.0)(value, 1.0),
+            lambda: halfline_kernel(bc, (), 1.0)(1.0, value),
+            lambda: halfline_kernel(bc, (PointInteraction(0.5, 2.0),),
+                                    1.0)(value, 1.0),
             lambda: halfline_kernel(bc, [], 1.0)(np.array([1.0, value]), 1.0),
             lambda: star_green(model, 1.0, 0, value, 1, 2.0),
             lambda: star_green(StarModel.delta_prime(3, 1.0), 1.0, 0, 1.0,
