@@ -66,7 +66,7 @@ which is exact because the sectors are orthogonal.
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
 p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
-by the guard vertex_kernel applies through scattering.one_plus_s, which
+by the guard vertex_kernel takes from scattering.one_plus_s_sectors, which
 for U = e^{i theta}, (p, q) = (cos theta/2, -sin theta/2), reads
 |p kappa + q| < ROBIN_POLE_TOL hypot(p, q) hypot(1, kappa).
 """

@@ -124,8 +124,8 @@ class Eigenphases:
     DECOUPLED_EIGENVALUE_TOL), and the columns
     of ``v`` come in the same order, one group after the other; ``vh`` is
     V*.  Numerical phases carry the backward error of the decomposition,
-    which scattering.one_plus_s removes where it matters; ``exact`` ones
-    are closed forms.
+    which scattering.one_plus_s removes where it matters (the kernels take
+    the phases as they are); ``exact`` ones are closed forms.
     """
 
     groups: tuple[tuple[float, float, int], ...]

@@ -131,7 +131,7 @@ import numpy as np
 from .coupling import VertexCoupling, make_coupling, to_ab  # noqa: F401
 from .errors import PoleError
 from .greens import (HalflineBC, PointInteraction, StarModel, check_edges,
-                     check_kappa)
+                     check_kappa, check_points)
 from .scattering import one_plus_s
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this (relative, see
@@ -280,6 +280,7 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
 
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
+    points = check_points(points)
     # local: importing scipy.linalg.lapack executes all of scipy.linalg
     from scipy.linalg.lapack import dgttrf, dgttrs
 

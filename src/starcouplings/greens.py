@@ -1,62 +1,54 @@
 """Resolvent kernels of star graphs, with point interactions on the edges.
 
-A star of n half lines joined at the origin by a vertex coupling U (see
-the coupling module) has, at energy -kappa^2 with kappa > 0, the
-edge-indexed resolvent kernel (Kostrykin and Schrader, J. Phys. A 32
-(1999) 595)
+At energy -kappa^2, kappa > 0, a star of n half lines joined by a vertex
+coupling U (see coupling) has the kernel G_jl(x, y) = (delta_jl
+e^{-kappa |x - y|} + R_jl e^{-kappa (x + y)}) / (2 kappa), R = S_U(i kappa)
+(Kostrykin and Schrader, J. Phys. A 32 (1999) 595).  U is normal and each
+point interaction sits on every edge, so the star is a sum of half lines,
+one per group k of coupling.eigenphases, eigenvalue (c_k + i s_k)^2:
 
-    G_jl(x, y) = (delta_jl e^{-kappa |x - y|} + R_jl e^{-kappa (x + y)})
-                 / (2 kappa),
-    R = S_U(i kappa) = ((i kappa - 1) I + (i kappa + 1) U) D^{-1},
-    D = (i kappa + 1) I + (i kappa - 1) U.
+    G_jl(x, y) = sum_k (P_k)_jl g_k(x, y),
+    g_k(x, y) = e^{-kappa |x - y|} ((1 + r_k) + r_k expm1(-2 kappa min(x, y)))
+                / (2 kappa),   1 + r_k = 2 kappa c_k / (kappa c_k - s_k),
 
-A half line is the star with one edge.  The kernel is evaluated as
+with P_k the spectral projector (J/n and I - J/n exactly for a family,
+V_k V_k* otherwise) and 1 + r_k from scattering.one_plus_s_sectors.  This
+form keeps its relative accuracy near the origin, where a Dirichlet group
+has 1 + r_k = 0, and stays finite for large kappa x.  PoleError is raised,
+as by one_plus_s, where sigma_min(D) = 2 min_k |kappa c_k - s_k|,
+D = (i kappa + 1) I + (i kappa - 1) U, is below ROBIN_POLE_TOL
+2 sqrt(1 + kappa^2), its largest possible value: a bound state sits at
+kappa = s_k / c_k (for Robin psi'(0) = b psi(0) the guard reads
+|kappa + b| < ROBIN_POLE_TOL sqrt((1 + b^2)(1 + kappa^2))).  Decomposed
+phases enter unrefined, with an error below about 8 eps cond(D) in 1 + r_k,
+the amplified rounding of U itself.  Each g_k is real, so the kernel is
+real exactly when U = U^T (every HalflineBC and StarModel), and complex
+Hermitian otherwise.
 
-    G(x, y) = e^{-kappa |x - y|} ((I + R) + R expm1(-2 kappa min(x, y)))
-              / (2 kappa),
-    I + R = 2 i kappa (I + U) D^{-1},
+Delta potentials of strengths c_q at distances a_q > 0, C = diag(c), enter
+each group through its own Krein update over the points A = (a_q),
 
-which keeps its relative accuracy near the origin, where a Dirichlet
-edge has I + R = 0 and the kernel is O(min(x, y)), and stays finite for
-large kappa x.  I + R comes from scattering.one_plus_s at k = i kappa.
-D is singular exactly when -kappa^2 is a bound-state energy (an
-eigenvalue e^{i theta} of U with kappa = tan(theta / 2)); the kernel
-raises PoleError when its smallest singular value falls below
-ROBIN_POLE_TOL 2 sqrt(1 + kappa^2), the largest it can be.  For a Robin
-condition psi'(0) = b psi(0) this reads
-|kappa + b| < ROBIN_POLE_TOL sqrt((1 + b^2)(1 + kappa^2)).
+    g_k(x, y) - g_k(x, A) (C^{-1} + g_k(A, A))^{-1} g_k(A, y),
 
-The kernel is real exactly when U = U^T (every HalflineBC and StarModel):
-then R is real and the evaluation runs in real arithmetic.  Otherwise it
-is complex and Hermitian, G_jl(x, y) = conj G_lj(y, x).
+for one point g_k - g_k(x, a) c g_k(a, y) / (1 + c g_k(a, a)).  c = 0 is
+a no-op and c = +-inf a hard screen (C^{-1} = 0).  Rows are scaled to
+I + c g_k(A, A) (finite c) and 2 kappa g_k(A, A) (infinite c), since
+g_k(a, a) = O(a) near a Dirichlet origin, and PoleError is raised when the
+smallest singular value of a scaled block falls below KREIN_POLE_TOL.
+That is the guard of one update over all pairs (edge e, a_q): V* takes
+its scaled matrix to the direct sum of these blocks, each repeated by its
+multiplicity, so the smallest singular values agree.
 
-Delta potentials of strengths c_k at distances a_k > 0, each placed on
-every edge, enter through one matrix Krein update over the points
-P = {(edge e, a_k)}:
-
-    G_c(x, y) = G(x, y) - G(x, P) (C^{-1} + G(P, P))^{-1} G(P, y),
-
-C = diag(c).  c = 0 is a no-op and c = +-inf a hard screen (C^{-1} = 0)
-that forces the kernel to vanish at a.  The rows of C^{-1} + G(P, P) are
-scaled to I + c G(P, P) (finite c) and 2 kappa G(P, P) (infinite c), and
-PoleError is raised when the smallest singular value of the scaled
-matrix falls below KREIN_POLE_TOL: the energy sits on an eigenvalue of
-the perturbed operator.  The scaling matters near the origin, where
-G(a, a) = O(a) on a Dirichlet edge, so that the unscaled denominator
--1/c - G(a, a) = -(1 + c G(a, a)) / c is tiny with no eigenvalue near.
-
-HalflineBC and StarModel each name their coupling by one table entry
-``vertex = (family, n, param)`` for make_coupling, and that U is all the
-kernel reads: halfline_kernel and star_green share one memoised
-vertex_kernel per entry (a half line's reflection constant is
-R = 2 kappa G(0, 0) - 1).  The symmetry-sector decomposition
-(sector_decompose, sector_green) remains as an independent oracle: the
-star kernel is G_lead(x, y) / n + (delta_jl - 1/n) G_rest(x, y).
+halfline_kernel and star_green share one memoised vertex_kernel per
+``vertex = (family, n, param)`` entry of HalflineBC and StarModel;
+sector_decompose and sector_green, the family case of the group sum,
+remain as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -65,12 +57,11 @@ import numpy as np
 
 from .coupling import VertexCoupling, _check_edge_count, make_coupling
 from .errors import PoleError
-from .scattering import one_plus_s
+from .scattering import one_plus_s_sectors
 
 #: smallest singular values of D below this (relative) raise PoleError
 ROBIN_POLE_TOL = 1e-10
-#: smallest singular values of the scaled Krein matrix below this raise
-#: PoleError
+#: smallest singular values of a scaled Krein block below this raise PoleError
 KREIN_POLE_TOL = 1e-12
 #: StarModel kinds: the two targets (parameter beta), then the two
 #: approximants (parameter b)
@@ -171,63 +162,98 @@ def check_edges(n: int, *edges) -> None:
                          f"{', '.join(map(str, edges))}")
 
 
+def check_points(points) -> tuple[PointInteraction, ...]:
+    """The points as a tuple; ValueError unless each is a PointInteraction."""
+    points = tuple(points)
+    for p in points:
+        if not isinstance(p, PointInteraction):
+            raise ValueError(f"not a PointInteraction: {p!r}")
+    return points
+
+
 def vertex_kernel(coupling: VertexCoupling,
                   points: Sequence[PointInteraction],
                   kappa: float) -> Callable:
     """Evaluator (j, x, l, y) -> G_jl(x, y) of the star with vertex
     coupling ``coupling`` and the delta potentials ``points``, each placed
     on every edge, at energy -kappa^2.  Edges are 0-based; x and y
-    broadcast over numpy arrays.  Pole guards run here, up front."""
+    broadcast over numpy arrays, and floats give a float (complex when
+    U != U^T).  Pole guards run here, up front."""
     n = coupling.n
     check_kappa(kappa)
+    active = [p for p in check_points(points) if p.c != 0.0]
+    phases = coupling.eigenphases
     try:
-        one_plus_r = one_plus_s(coupling, 1j * kappa, ROBIN_POLE_TOL)
+        values, _ = one_plus_s_sectors(phases, 1j * kappa, ROBIN_POLE_TOL)
     except PoleError as exc:
         where = "Robin" if n == 1 else "vertex"
         raise PoleError(
             f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
             "a bound state of the vertex coupling") from None
-    r = one_plus_r - np.eye(n)
-
-    def base(j, x, l, y):
-        return np.exp(-kappa * np.abs(x - y)) * (
-            one_plus_r[j, l]
-            + r[j, l] * np.expm1(-2.0 * kappa * np.minimum(x, y))) \
-            / (2.0 * kappa)
-
-    active = [p for p in points if p.c != 0.0]
+    one_plus_r = np.array([v.real for v in values])    # per group k
+    pos, kreins = [p.a for p in active], [[]] * len(values)
     if active:
-        edges = np.tile(np.arange(n), len(active))
-        pos = np.repeat([p.a for p in active], n)
-        strength = np.repeat([p.c for p in active], n)
-        g_pp = base(edges[:, None], pos[:, None], edges[None, :],
-                    pos[None, :])
-        finite = np.isfinite(strength)
-        weight = np.where(finite, strength, 2.0 * kappa)
-        scaled = weight[:, None] * g_pp + np.diag(finite.astype(float))
-        smin = np.linalg.svd(scaled, compute_uv=False)[-1]
+        # (C^{-1} + g_k(A, A))^{-1} from the scaled blocks I + c g_k(A, A),
+        # 2 kappa g_k(A, A) for infinite c
+        at, opr = np.array(pos), one_plus_r[:, None, None]
+        finite = np.isfinite([p.c for p in active])
+        weight = np.where(finite, [p.c for p in active], 2.0 * kappa)
+        e_aa = np.exp(-kappa * np.abs(at[:, None] - at))
+        m_aa = np.expm1(-2.0 * kappa * np.minimum(at[:, None], at))
+        g_aa = e_aa * (opr + (opr - 1.0) * m_aa) / (2.0 * kappa)
+        scaled = weight[:, None] * g_aa + np.diag(finite.astype(float))
+        one = len(active) == 1
+        smin = np.abs(scaled).min() if one else \
+            np.linalg.svd(scaled, compute_uv=False).min()
         if smin < KREIN_POLE_TOL:
             raise PoleError(
                 f"Krein denominator: sigma_min(I + c G(a, a)) = {smin:.3e} "
-                f"below {KREIN_POLE_TOL} at a={[p.a for p in active]}, "
-                f"c={[p.c for p in active]}: energy -kappa^2 = {-kappa**2} "
+                f"below {KREIN_POLE_TOL} at a={pos}, c="
+                f"{[p.c for p in active]}: energy -kappa^2 = {-kappa**2} "
                 "sits on an eigenvalue of the perturbed operator")
-        krein = np.linalg.solve(scaled, np.diag(weight))
+        kreins = (weight / scaled if one else
+                  np.linalg.solve(scaled, np.diag(weight))).tolist()
+    sectors = list(zip(one_plus_r.tolist(), (one_plus_r - 1.0).tolist(),
+                       kreins))
+    # weights[j][l][k] = (P_k)_jl, real when U = U^T
+    weights = np.stack([phases.apply(list(e)) for e in np.eye(len(values))],
+                       -1)
+    real = np.array_equal(coupling.u, coupling.u.T)
+    weights = (weights.real if real else weights).tolist()
 
     def evaluate(j: int, x, l: int, y):
         check_edges(n, j, l)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        for v in (x, y):
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            bad = not (0.0 <= x < math.inf and 0.0 <= y < math.inf)
+            exp, expm1, minimum = math.exp, math.expm1, min
+        else:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
             # min/max also catch NaN, and cost less than elementwise tests
-            if v.size and not (v.min() >= 0.0 and v.max() < math.inf):
-                raise ValueError("kernel arguments must be finite and >= 0")
-        out = base(j, x, l, y)
-        if active:
-            g_xp = base(j, x[..., None], edges, pos)
-            g_py = base(edges, pos, l, y[..., None])
-            out = out - np.sum((g_xp @ krein) * g_py, axis=-1)
-        return out if out.ndim else out.item()
+            bad = any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
+                      for v in (x, y))
+            exp, expm1, minimum = np.exp, np.expm1, np.minimum
+        if bad:
+            raise ValueError("kernel arguments must be finite and >= 0")
+
+        def decay(s, t):
+            return (exp(-kappa * abs(s - t)),
+                    expm1(-2.0 * kappa * minimum(s, t)))
+        e, m = decay(x, y)
+        fx, fy = [decay(x, a) for a in pos], [decay(a, y) for a in pos]
+        out = None
+        for k, (w, (opr, r, krein)) in enumerate(zip(weights[j][l], sectors)):
+            # e (1 + r + r m) / (2 kappa), in place; the last group takes m
+            g = operator.imul(m, r) if k == len(sectors) - 1 else r * m
+            g += opr
+            g *= e
+            g /= 2.0 * kappa
+            for (u, v), row in zip(fx, krein):
+                gq = u * (opr + r * v) / (2.0 * kappa)
+                for c, (s, t) in zip(row, fy):
+                    g -= gq * c * (s * (opr + r * t) / (2.0 * kappa))
+            g = g if w == 1.0 else w * g
+            out = g if out is None else out + g
+        return out.item() if isinstance(out, np.generic) else out
 
     return evaluate
 
@@ -245,7 +271,7 @@ def halfline_kernel(bc: HalflineBC, points, kappa: float):
     """Evaluator (x, y) -> resolvent kernel at energy -kappa^2 of the half
     line with boundary condition ``bc`` and any number of point
     interactions.  Broadcasts over array arguments; values are real."""
-    kernel = _named_kernel(bc.vertex, tuple(points), kappa)
+    kernel = _named_kernel(bc.vertex, check_points(points), kappa)
     return lambda x, y: kernel(0, x, 0, y)
 
 
@@ -278,8 +304,7 @@ class StarModel:
         _check_edge_count(self.n, ValueError)
         if self.kind not in STAR_KINDS:
             raise ValueError(f"unknown star model kind {self.kind!r}")
-        if not isinstance(self.point, (PointInteraction, type(None))):
-            raise ValueError(f"not a PointInteraction: {self.point!r}")
+        check_points(self.points)
         if self.kind in STAR_KINDS[:2]:
             if self.beta is None:
                 raise ValueError(f"target model {self.kind!r} needs beta")

@@ -18,12 +18,12 @@ Schrader, J. Phys. A 32 (1999) 595).
 
 S_U is also the reflection matrix R = S_U(i kappa) of the resolvent
 kernels (greens) and the ghost map of the finite-difference vertex stencil
-(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1}
-from one_plus_s, with one scale-free pole guard.  It solves nothing: on
-an eigenvalue e^{i theta} = (c + i s)^2 of U, D(k) acts as
-2 (c + i s)(k c - i s), so I + S_U(k) is V diag(2 k c / (k c - i s)) V*
-over the coupling's cached Eigenphases (coupling), and the bound states
-are kappa = s / c.
+(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1},
+with one scale-free pole guard.  It solves nothing: on an eigenvalue
+e^{i theta} = (c + i s)^2 of U, D(k) acts as 2 (c + i s)(k c - i s), so
+I + S_U(k) is V diag(2 k c / (k c - i s)) V* over the coupling's cached
+Eigenphases (coupling), and the bound states are kappa = s / c.  The
+kernels read the diagonal (one_plus_s_sectors), the rest the matrix.
 """
 
 from __future__ import annotations
@@ -55,18 +55,11 @@ S_MATRIX_TOL = 1e-12
 REFINE_COND = 8.0
 
 
-def one_plus_s(coupling: VertexCoupling, k: complex,
-               tol: float) -> np.ndarray:
-    """I + S_U(k) = 2 k (I + U) D(k)^{-1}, D(k) = (k + 1) I + (k - 1) U.
-
-    Raises PoleError when sigma_min(D(k)) = 2 min |k c - i s| over the
-    eigenphases is below tol (|k + 1| + |k - 1|), the bound being the
-    largest singular value D(k) can have.  Numerical eigenphases are
-    refined against U where D(k) is ill-conditioned (REFINE_COND).  The
-    result is real when k is imaginary and U = U^T.
-    """
-    u = coupling.u
-    phases = coupling.eigenphases
+def one_plus_s_sectors(phases: Eigenphases, k: complex,
+                       tol: float) -> tuple[list, float]:
+    """The eigenvalues 2 k c / (k c - i s) of I + S_U(k), one per group of
+    ``phases``, and r = sigma_min(D(k)) / (|k + 1| + |k - 1|), where
+    sigma_min(D(k)) = 2 min |k c - i s|; raises PoleError if r < tol."""
     dens = [k * c - 1j * s for c, s, _ in phases.groups]
     smin = 2.0 * min(map(abs, dens))
     scale = abs(k + 1.0) + abs(k - 1.0)
@@ -75,17 +68,29 @@ def one_plus_s(coupling: VertexCoupling, k: complex,
             f"S_U(k) pole at k = {k}: sigma_min((k + 1) I + (k - 1) U) = "
             f"{smin:.3e} below {tol:g} (|k + 1| + |k - 1|) = "
             f"{tol * scale:.3e}")
-    out = phases.apply([2.0 * k * c / den
-                        for (c, _, _), den in zip(phases.groups, dens)])
-    if not phases.exact and scale > REFINE_COND * smin:
-        out += _refinement(u, phases, k, dens, out)
+    return ([2.0 * k * c / den for (c, _, _), den in zip(phases.groups, dens)],
+            smin / scale)
+
+
+def one_plus_s(coupling: VertexCoupling, k: complex,
+               tol: float) -> np.ndarray:
+    """I + S_U(k) = 2 k (I + U) D(k)^{-1}, D(k) = (k + 1) I + (k - 1) U,
+    from one_plus_s_sectors.  Numerical eigenphases are refined against U
+    where D(k) is ill-conditioned (REFINE_COND).  The result is real when
+    k is imaginary and U = U^T."""
+    u = coupling.u
+    phases = coupling.eigenphases
+    values, distance = one_plus_s_sectors(phases, k, tol)
+    out = phases.apply(values)
+    if not phases.exact and REFINE_COND * distance < 1.0:
+        out += _refinement(u, phases, k, out)
     if k.real == 0.0 and np.array_equal(u, u.T):
         out = out.real
     return out
 
 
 def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
-                dens: list, x: np.ndarray) -> np.ndarray:
+                x: np.ndarray) -> np.ndarray:
     """The correction R D(k)^{-1} of one residual-refinement step of
     X D(k) = 2 k (I + U), with D(k)^{-1} = V diag(1 / d) V* and
     d = 2 (c + i s)(k c - i s).  The residual R is formed in extended
@@ -97,8 +102,8 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
     xx = x.astype(np.clongdouble)
     r = 2.0 * kx * ux - (kx + 1.0) * xx - (kx - 1.0) * (xx @ ux)
     r.flat[::u.shape[0] + 1] += 2.0 * kx
-    d = phases.columns([2.0 * complex(c, s) * den
-                        for (c, s, _), den in zip(phases.groups, dens)])
+    d = phases.columns([2.0 * complex(c, s) * (k * c - 1j * s)
+                        for c, s, _ in phases.groups])
     return ((r.astype(complex) @ phases.v) / d) @ phases.vh
 
 

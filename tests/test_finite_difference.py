@@ -679,6 +679,16 @@ class TestSolverInputs:
         with pytest.raises(ValueError, match="too strong"):
             _solve(coupling, points, kappa, GridSpec(12.0, 99))
 
+    def test_points_must_be_point_interactions(self):
+        # before the check, the solver failed late with AttributeError
+        grid = GridSpec(12.0, 99)
+        for solve in (lambda pts: _solve(make_coupling("delta", 2, 1.0), pts,
+                                         KAPPA, grid),
+                      lambda pts: fd_resolvent_halfline(
+                          HalflineBC.dirichlet(), pts, KAPPA, grid)):
+            with pytest.raises(ValueError, match="not a PointInteraction"):
+                solve([(0.5, -2.0)])
+
     def test_size_bound_comes_before_the_ghost_map(self):
         # this Robin constant makes the origin stencil singular
         grid = GridSpec(12.0, MAX_FD_UNKNOWNS + 1)

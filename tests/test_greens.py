@@ -5,8 +5,10 @@ defining boundary identities (checked by finite differences at the
 origin), the residual identity -G'' + kappa^2 G = 0 off the diagonal with
 unit derivative jump on it, exact two-sector algebra for stars, the
 sector reassembly G_lead / n + (delta_jl - 1/n) G_rest for every star
-model, the Krein formula at 50 digits (mpmath) near the origin, and the
-vertex condition and Hermiticity for Haar-random couplings.
+model, the Krein formula at 50 digits (mpmath) near the origin, the
+vertex condition and Hermiticity for Haar-random couplings, and the
+edge-indexed matrix formula with its Krein update over all (edge, point)
+pairs at 50 digits for Haar-random couplings with points.
 """
 
 import dataclasses
@@ -20,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_unitary, unitary_with_phase
 from starcouplings import (BoundaryValues, HalflineBC, PointInteraction,
                            PoleError, SectorSpec, StarModel, VertexCoupling,
-                           halfline_kernel, satisfies_vertex_condition,
-                           sector_decompose, sector_green, star_green,
-                           vertex_kernel)
+                           halfline_kernel, make_coupling,
+                           satisfies_vertex_condition, sector_decompose,
+                           sector_green, star_green, vertex_kernel)
 from starcouplings.greens import ROBIN_POLE_TOL
 
 RNG = np.random.default_rng(7)
@@ -650,3 +652,145 @@ class TestVertexPoleGuard:
                         assert raised == trips, (n, kappa, sign * eps)
                         verdicts.append(trips)
         assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ======================================================================
+#  Haar-random couplings with points, against 50 digits
+# ======================================================================
+
+def _mp_star_kernel(u, points, kappa, xs):
+    """G_jl(x, y) for x, y in xs as n x n mpmath matrices keyed (x, y): the
+    matrix formula (delta_jl e^{-kappa |x - y|} + R_jl e^{-kappa (x + y)})
+    / (2 kappa), R = S_U(i kappa), then one Krein update over every pair
+    (edge e, a_q), at 50 digits."""
+    with mpmath.workdps(50):
+        n = u.shape[0]
+        k = mpmath.mpf(kappa)
+        um = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
+                            for row in u])
+        eye = mpmath.eye(n)
+        ik = mpmath.mpc(0, k)
+        refl = ((ik - 1) * eye + (ik + 1) * um) \
+            * mpmath.inverse((ik + 1) * eye + (ik - 1) * um)
+
+        def g0(x, y):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            return (mpmath.exp(-k * abs(x - y)) * eye
+                    + mpmath.exp(-k * (x + y)) * refl) / (2 * k)
+
+        out = {(x, y): g0(x, y) for x in xs for y in xs}
+        if not points:
+            return out
+        m = n * len(points)
+
+        def rows(x):      # G0(x, P): n x m, P = (edge, point) point-major
+            g = mpmath.matrix(n, m)
+            for q, p in enumerate(points):
+                block = g0(x, p.a)
+                for j in range(n):
+                    for e in range(n):
+                        g[j, q * n + e] = block[j, e]
+            return g
+
+        inner = mpmath.matrix(m, m)
+        for q, p in enumerate(points):
+            block = rows(p.a)
+            for j in range(n):
+                for col in range(m):
+                    inner[q * n + j, col] = block[j, col]
+                if math.isfinite(p.c):
+                    inner[q * n + j, q * n + j] += 1 / mpmath.mpf(p.c)
+        inverse = mpmath.inverse(inner)
+        left = {x: rows(x) for x in xs}
+        right = {}        # (C^{-1} + G0(P, P))^{-1} G0(P, y), m x n
+        for y in xs:
+            g = mpmath.matrix(m, n)
+            for q, p in enumerate(points):
+                block = g0(p.a, y)
+                for e in range(n):
+                    for l in range(n):
+                        g[q * n + e, l] = block[e, l]
+            right[y] = inverse * g
+        return {(x, y): out[x, y] - left[x] * right[y] for x in xs for y in xs}
+
+
+class TestHaarAgainstMpmath:
+    """vertex_kernel for Haar U with 0-2 points against the 50-digit
+    matrix formula.  Measured over these 100 cases, relative to each
+    case's largest kernel value: median 6.9e-16, worst 4.7e-13, where a
+    point sits next to an eigenvalue of the perturbed operator and the
+    largest value is 460 / kappa."""
+
+    XS = (0.0, 0.35, 1.2, 2.9)
+
+    def test_matches_the_matrix_formula(self):
+        rng = np.random.default_rng(1)
+        errors = []
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            u = random_unitary(n, rng)
+            points = [PointInteraction(float(rng.uniform(0.2, 2.5)),
+                                       float(rng.uniform(-4.0, 4.0)))
+                      for _ in range(int(rng.integers(0, 3)))]
+            kappa = float(rng.uniform(0.3, 3.0))
+            kernel = vertex_kernel(VertexCoupling.custom(u), points, kappa)
+            want = _mp_star_kernel(u, points, kappa, self.XS)
+            err = scale = 0.0
+            for (x, y), g in want.items():
+                for j in range(n):
+                    for l in range(n):
+                        ref = complex(g[j, l])
+                        err = max(err, abs(kernel(j, x, l, y) - ref))
+                        scale = max(scale, abs(ref))
+            assert err <= 2e-12 * scale, (n, points, kappa, err / scale)
+            errors.append(err / scale)
+        assert np.median(errors) <= 2e-15
+
+
+# ======================================================================
+#  work per evaluation, and what the entry points accept
+# ======================================================================
+
+class TestWorkCount:
+    @pytest.mark.parametrize("coupling", [
+        make_coupling("delta", 3, 1.5),
+        VertexCoupling.custom(np.array([[0.6, 0.8j], [0.8j, 0.6]])),
+    ], ids=["family", "decomposed"])
+    def test_one_point_needs_no_svd_and_no_solve(self, coupling,
+                                                monkeypatch):
+        coupling.eigenphases          # the decomposition is not counted
+        calls = []
+        for name in ("svd", "solve"):
+            def counted(*args, _name=name, _f=getattr(np.linalg, name),
+                        **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        kernel = vertex_kernel(coupling, [PointInteraction(0.5, -2.0)], 1.0)
+        value = kernel(0, 0.3, coupling.n - 1, 0.7)
+        assert calls == []
+        assert type(value) is float          # U = U^T
+        array = kernel(0, np.array([0.3]), coupling.n - 1, 0.7)
+        assert abs(value - array[0]) <= 1e-15
+
+    def test_scalars_give_complex_when_u_is_not_symmetric(self):
+        u = random_unitary(3, np.random.default_rng(5))
+        kernel = vertex_kernel(VertexCoupling.custom(u),
+                               [PointInteraction(0.5, -2.0)], 1.0)
+        value = kernel(2, 0.3, 0, 0.7)
+        assert type(value) is complex
+        assert abs(value - kernel(2, np.array([0.3]), 0, 0.7)[0]) <= 1e-15
+
+
+class TestPointsMustBePointInteractions:
+    BAD = [(0.5, -2.0)]
+
+    def test_vertex_kernel(self):
+        with pytest.raises(ValueError, match="not a PointInteraction"):
+            vertex_kernel(make_coupling("delta", 2, 1.0), self.BAD, 1.0)
+
+    def test_halfline_kernel(self):
+        with pytest.raises(ValueError, match="not a PointInteraction"):
+            halfline_kernel(HalflineBC.dirichlet(), self.BAD, 1.0)
+        with pytest.raises(ValueError, match="not a PointInteraction"):
+            halfline_kernel(HalflineBC.dirichlet(), [[0.5, -2.0]], 1.0)
