@@ -43,72 +43,54 @@ response of sector k to a unit load at node j, g_k(i; j) = T_k^{-1}[i, j]
 
     kernel(edge e, node i; edge l, node j) = sum_k Q_ek Q_lk g_k(i; j).
 
-T_k is symmetric except in row 0, so the block of T_k^{-1} with indices
->= 1 is symmetric, and the upper triangle of T_k^{-1}, row 0 included,
-has rank one (Meurant, SIAM J. Matrix Anal. Appl. 13 (1992) 707).
-Sources never sit on node 0, so every value read is
+Below, nodes are 0-based, node i at x = (i + 1) h, the wall at node N.
+Times h^2, the rows i >= 1 of every sector are one recurrence,
+u(i - 1) + u(i + 1) = (2 cosh rho + t_i) u(i), rho = 2 asinh(kappa h / 2),
+t_p = c h at the node p of a point c (at node 0 it enters row 0, d_0 =
+2 + kappa^2 h^2 + t_0).  With S(m) = sinh(rho m) / sinh(rho), each point
+adds one Duhamel term beyond its node, so the solutions from the vertex,
+(A, B)(0) = (0, 1), (A, B)(1) = (1, 0), and from the wall, phi(N) = 0,
+phi(N - 1) = 1, are in closed form:
 
-    g_k(i; j) = w_k[lo] phi[hi] / (h phi[N - 1]),
-    lo = min(i, j), hi = max(i, j),
+    A(i)   =  S(i)     + sum_{1 <= p < i} t_p A(p) S(i - p),
+    B(i)   = -S(i - 1) + sum_{1 <= p < i} t_p B(p) S(i - p),
+    phi(i) =  S(N - i) + sum_{p > i} t_p phi(p) S(p - i).
 
-with w_k the response of T_k to a load at the last node and phi the L-side
-solution: it solves every row >= 1 with zero load (so it vanishes at L).
-Rows >= 1 are the same in every sector, and so is phi; the sectors differ
-in row 0 alone.  So the solver factors one sector, the base k = 0 with
-eigenvalue lambda_0 (LAPACK dgttrf), and takes w_0 from one dgttrs solve
-and phi from one transposed solve: row p of T_0^{-1}, p = 0 or 1, is
-proportional to phi on the nodes >= 1.  Row 0 carries the factor
-T_0[0, 1] = (lambda_0 - 1) / h^2 and row 1 the factor T_0[0, 0], either
-of which can cancel (the second at lambda_0 = (2 + kappa^2 h^2) / 4), so p
-picks the row whose factor is larger; row 1 of T then gives phi[0].
-w_0 + gamma phi solves every row of T_k but row 0, whatever gamma, and
-row 0 fixes gamma:
+Row 0 of sector k selects v_k = (d_0 - 4 lambda_k) A + (1 - lambda_k) B,
+and the sector inverse is semiseparable (Meurant, SIAM J. Matrix Anal.
+Appl. 13 (1992) 707): g_k(i; j) = h v_k(lo) phi(hi) / W_k, lo = min(i, j),
+hi = max(i, j), W_k = (d_0 - 4 lambda_k) phi(0) - (1 - lambda_k) phi(1)
+the Casoratian, zero exactly where the star is singular (PoleError).
+Each v_k / W_k has Casoratian 1 with phi, so it is the sector-free,
+never singular psi = (phi(0) A - phi(1) B) / (phi(0)^2 + phi(1)^2) plus
+gamma_k phi:
 
-    w_k = w_0 + gamma_k phi,   gamma_k = -(r_k - r_0) . w_0 / (r_k . phi),
+    gamma_k = ((1 - lambda_k) phi(0) + (d_0 - 4 lambda_k) phi(1))
+              / ((phi(0)^2 + phi(1)^2) W_k),
+    kernel(e, i; l, j) = h phi(hi) (delta_el psi(lo) + Gamma_el phi(lo)),
 
-r_k = (T_k[0, 0], T_k[0, 1]) = (T[0, 0] - 4 lambda_k / h^2,
-(lambda_k - 1) / h^2) the row that differs.  r_k . phi vanishes only where
-sector k is singular, a pole of the star itself.  With the n x n matrix
-Gamma = Q diag(gamma) Q^T,
+Gamma = Q diag(gamma) Q^T: the reflected term stays apart from the
+direct one, so a value across two edges keeps its digits where it is far
+below the direct term.  As 4 v_k(0) - v_k(1) = 4 - d_0 in every sector,
+the vertex trace of a source at node j of edge l is M0 (4 Psi_1 - Psi_2)
+= (4 - d_0) h phi(j) Q diag(lambda / W) Q^T e_l.  A build factors
+nothing: a kernel holds O(n^2 + points) numbers and a value costs
+O(points) scalar operations, whatever N.
 
-    kernel(e, i; l, j) = (delta_el w_0[lo] + Gamma_el phi[lo]) phi[hi]
-                         / (h phi[N - 1]).
-
-The star costs one factorization and two solves for any n, however many
-sources are sampled, and value and vertex_values are lookups.
-
-The base is a sector of the star on purpose.  The vertex-free block
-(indices >= 1) is shared by the sectors too, and its Schur complement
-would avoid a base, but that block is the Dirichlet problem on the nodes
->= 1: it is singular wherever that edge, with its point interactions, has
-an eigenvalue at -kappa^2, even where the star has none, and it loses
-digits next to such an energy.  A sector is singular only where the star
-is.
-
-Unscaled, w_0 and phi grow and decay like e^{+-kappa x}, and their product
-loses every digit once kappa L exceeds about 700.  So the solves run on
-the exact similarity D^{-1} T_0 D, D = diag(2^{e_i}), e_i = floor(i r),
-r = 2 asinh(kappa h / 2) / ln 2 the decay per node of the free discrete
-kernel in bits.  Powers of two scale the off-diagonals without rounding.
-The stored vectors are w = D^{-1} w_0 (up to a constant) and
-z = D phi / (h phi[N - 1] 2^{e_{N - 1}}) (z[0] = phi[0] in the same
-normalisation, e_0 = 0): both stay of order one for any kappa L.  In w's
-scale phi reads 2^{-2 e_i} z[i], so
-
-    kernel(e, i; l, j) = delta_el w[lo] z[hi] 2^{e_lo - e_hi}
-                         + Gamma_el z[lo] z[hi] 2^{-e_lo - e_hi},
-
-with gamma_k taken in the same scale, and each term underflows only where
-it is itself below the smallest double.  The scaling follows the free
-decay, not the screening by point interactions: walls whose strengths
-|c| h multiply to beyond about 1e300 push w[p] out of the normal range,
-and _solve raises ValueError for them, as for a kappa whose exponents or
-scaled off-diagonals overflow.
-
-The LAPACK routines come from scipy, imported in _solve: this is the only
-scipy the package uses, so importing the package (or its CLI) loads numpy
-only.  A grid of more than MAX_FD_UNKNOWNS unknowns n N raises ValueError
-before anything is built.
+Unscaled, A and B grow like e^{rho i} and phi like e^{rho (N - i)}, so
+each is carried in the scale of its growth, e^{-rho i} A(i) and
+e^{-rho (N - i)} phi(i), where S reads e^{-rho m} S(m) = -expm1(-2 rho m)
+/ (2 sinh rho).  The kernel's two terms then carry e^{-rho (hi - lo)} and
+e^{-rho (hi + lo)}, each underflowing only where the term itself does, at
+any kappa L.  psi and gamma are normalised by the length of (phi(0),
+e^{-rho} phi(1)) in that scale, and phi(0) - phi(1), which W_k needs near
+the Neumann value lambda_k = 1/3, is summed from S(m) - S(m - 1) =
+cosh(rho (m - 1/2)) / cosh(rho / 2) instead of cancelled at small kappa h.
+Walls whose strengths |t_p| multiply to beyond about 1e300 overflow phi
+or push h^2 / W_k below the smallest normal double; _solve raises
+ValueError for them, for a kappa whose decay exponents rho N / ln 2 pass
+2^31 or with 2^{ceil(rho / ln 2)} / h^2 past the double range, and for
+more than MAX_FD_UNKNOWNS unknowns n N, before anything is built.
 
 Two caveats of the one-sided elimination, both confined to the first
 interior node x_1 = h: source columns must not sit there (the eliminated
@@ -120,7 +102,9 @@ x_1 the sampled kernel is symmetric to rounding.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -140,6 +124,9 @@ ORIGIN_STENCIL_TOL = 1e-8
 
 #: largest grid _solve takes, in unknowns n N (n edges, N nodes each)
 MAX_FD_UNKNOWNS = 4_000_000
+
+_TOO_STRONG = ("point interactions too strong for the finite-difference "
+               "grid: the vertex is decoupled from x = L beyond double range")
 
 
 @dataclass(frozen=True)
@@ -200,8 +187,8 @@ def _point_node(point: PointInteraction, grid: GridSpec) -> int:
 
 
 class SampledKernel:
-    """Kernel samples of a star-graph operator, read from the semiseparable
-    form of the sector inverses (see the module docstring).
+    """Kernel samples of a star-graph operator, read from the closed form
+    of the sector inverses (see the module docstring).
 
     value(j, x, l, y) is the kernel between position x on edge j and the
     source at y on edge l (0-based edges); value(x, y) addresses edge 0,
@@ -214,17 +201,82 @@ class SampledKernel:
     Edge indices that are not integers in [0, n) raise ValueError.
     """
 
-    def __init__(self, grid: GridSpec, w: np.ndarray, z: np.ndarray,
-                 exponents: np.ndarray, gamma: np.ndarray, m0: np.ndarray):
-        self.grid = grid
-        self.n_edges = m0.shape[0]
-        # (N,): the base sector's scaled w and the shared scaled z
-        self._w = w
-        self._z = z
-        self._e = exponents
-        # (n, n): Gamma = Q diag(gamma) Q^T
-        self._gamma = gamma
-        self._m0 = m0
+    def __init__(self, grid: GridSpec, rho: float, excess: float,
+                 loads: dict[int, float], m0: np.ndarray):
+        self.grid, self.n_edges, self._m0 = grid, m0.shape[0], m0
+        self._rho, self._excess = rho, excess
+        decay = math.exp(-rho)
+        self._sine = -decay / math.expm1(-2.0 * rho)  # 1 / (2 sinh rho)
+        # the point nodes p >= 1 in increasing order, t_p, A(p) and B(p)
+        # from the points below p, and phi(p) from those above
+        self._at = sorted(loads)
+        self._t = [loads[p] for p in self._at]
+        self._a, self._b, self._phi = [], [], [0.0] * len(self._at)
+        for p in self._at:
+            a, b = self._vertex_side(p)
+            self._a.append(a)
+            self._b.append(b)
+        for k in reversed(range(len(self._at))):
+            self._phi[k] = self._far_side(self._at[k])
+        # f = (phi(0), e^{-rho} phi(1)), and f_0 - f_1 = df summed from
+        # e^{-rho m} (S(m) - S(m - 1)), see the module docstring
+        step = lambda m: (  # noqa: E731
+            decay * (1.0 + math.exp(-rho * (2 * m - 1))) / (1.0 + decay))
+        f0, f1 = self._far_side(0), decay * self._far_side(1)
+        df = step(grid.N) + sum(t * fp * step(p) for p, t, fp
+                                in zip(self._at, self._t, self._phi))
+        self._norm = norm = math.hypot(f0, f1)
+        if not all(map(math.isfinite, (*self._a, *self._b, *self._phi, df,
+                                       norm))):
+            raise ValueError(_TOO_STRONG)
+        self._u0, self._u1 = u0, u1 = f0 / norm, f1 / norm
+        lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
+        gamma, trace = [], []
+        for k, lam in enumerate(lams.tolist()):
+            wronskian = (1.0 - 3.0 * lam + excess) * u0 \
+                + (1.0 - lam) * (df / norm)  # W_k / |f|
+            if wronskian == 0.0 or not math.isfinite(wronskian):
+                raise PoleError(f"discrete operator singular: sector {k} "
+                                f"with ghost eigenvalue {lam:.17g}")
+            if abs(wronskian) * norm * sys.float_info.min >= grid.h**2:
+                raise ValueError(_TOO_STRONG)
+            gamma.append(((1.0 - lam) * u0 + (2.0 + excess - 4.0 * lam) * u1)
+                         / wronskian)
+            trace.append(lam / wronskian)
+        # (n, n): the reflection Q diag(gamma_k) Q^T and the trace map
+        # Q diag(lambda_k / W_k) Q^T = M0 Q diag(1 / W_k) Q^T, both times |f|
+        self._reflection = ((q * gamma) @ q.T).tolist()
+        self._trace = (q * trace) @ q.T
+
+    def _hat_sine(self, m: int) -> float:
+        """e^{-rho m} S(m) = -expm1(-2 rho m) / (2 sinh rho)."""
+        return -math.expm1(-2.0 * self._rho * m) * self._sine
+
+    def _vertex_side(self, i: int) -> tuple[float, float]:
+        """(A(i), B(i)) in the scale e^{-rho i}: the solutions of the rows
+        >= 1 with (A, B)(0) = (0, 1) and (A, B)(1) = (1, 0)."""
+        if i == 0:
+            return 0.0, 1.0
+        s = self._hat_sine
+        a, b = s(i), -math.exp(-self._rho) * s(i - 1)
+        for p, t, ap, bp in zip(self._at, self._t, self._a, self._b):
+            if p >= i:
+                break
+            kick = t * s(i - p)
+            a += kick * ap
+            b += kick * bp
+        return a, b
+
+    def _far_side(self, i: int) -> float:
+        """phi(i) in the scale e^{-rho (N - i)}: the solution of the rows
+        >= 1 that vanishes at the wall, node N, with phi(N - 1) = 1."""
+        s = self._hat_sine
+        phi = s(self.grid.N - i)
+        for k in reversed(range(len(self._at))):
+            if self._at[k] <= i:
+                break
+            phi += self._t[k] * self._phi[k] * s(self._at[k] - i)
+        return phi
 
     def _nodes(self, point) -> tuple[int, int, int, int]:
         if len(point) == 4:
@@ -246,27 +298,24 @@ class SampledKernel:
     def value(self, *point) -> float:
         j, ix, l, iy = self._nodes(point)
         lo, hi = (ix, iy) if ix <= iy else (iy, ix)
-        e_lo, e_hi = int(self._e[lo]), int(self._e[hi])
-        z = float(self._z[hi])
-        reflected = math.ldexp(self._gamma[j, l] * self._z[lo] * z,
-                               -e_lo - e_hi)
-        if j != l:
-            return reflected
-        return math.ldexp(self._w[lo] * z, e_lo - e_hi) + reflected
+        rho, far = self._rho, self.grid.h * self._far_side(hi) / self._norm
+        out = (far * math.exp(-rho * (hi + lo)) * self._far_side(lo)
+               / self._norm * self._reflection[j][l])
+        if j == l:
+            a, b = self._vertex_side(lo)
+            out += far * math.exp(rho * (lo - hi)) * (self._u0 * a
+                                                      - self._u1 * b)
+        return out
 
     def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
         """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
         source at (edge_l, y): the kernel column's boundary trace."""
         check_edges(self.n_edges, edge_l)
         iy = self.grid.node_index(y, minimum=1)
-        z = self._z[iy]
-        # int64: -e_i - e_iy may pass the int32 range of the exponents
-        e, e_y = self._e[:2].astype(np.int64), int(self._e[iy])
-        # (n, 2): the column at nodes 0 and 1 on every edge
-        psi = np.ldexp(self._gamma[:, edge_l, None] * (self._z[:2] * z),
-                       -e - e_y)
-        psi[edge_l] += np.ldexp(self._w[:2] * z, e - e_y)
-        return self._m0 @ (4.0 * psi[:, 0] - psi[:, 1])
+        # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
+        scale = ((2.0 - self._excess) * self.grid.h * math.exp(
+            -self._rho * iy) * self._far_side(iy) / self._norm)
+        return scale * self._trace[:, edge_l]
 
 
 def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
@@ -281,9 +330,6 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
     points = check_points(points)
-    # local: importing scipy.linalg.lapack executes all of scipy.linalg
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
     n, big_n, h = coupling.n, grid.N, grid.h
     if n * big_n > MAX_FD_UNKNOWNS:
         raise ValueError(
@@ -293,67 +339,20 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
     if np.iscomplexobj(m0):
         raise ValueError("finite-difference solver needs a symmetric "
                          "coupling U = U^T; this U gives a complex ghost map")
-    # M0 is symmetric up to the rounding of its solve
-    lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
-
-    # e_i = floor(i r): node i carries the scale 2^{e_i} of D; the e_i
-    # must fit int32 and the scaled off-diagonals 2^{ceil r} / h^2 a double
-    rate = 2.0 * math.asinh(0.5 * kappa * h) / math.log(2.0)
-    if rate * big_n >= 2**31 or math.ceil(rate) - 2.0 * math.log2(h) >= 1024:
+    # the scale e^{-rho i} = 2^{-i bits} must keep its exponent in int32
+    # over the grid, and 2^{ceil(bits)} / h^2 must stay a double
+    rho = 2.0 * math.asinh(0.5 * kappa * h)
+    bits = rho / math.log(2.0)
+    if bits * big_n >= 2**31 or math.ceil(bits) - 2.0 * math.log2(h) >= 1024:
         raise ValueError(f"kappa = {kappa} too large for the grid: the "
                          f"scale exponents overflow (h = {h:.6g})")
-    exponents = (np.arange(big_n) * rate).astype(np.int32)
-    step = np.diff(exponents)
-    e1, e2 = int(exponents[1]), int(exponents[2])
-    off = -1.0 / h**2
-    diag = np.full(big_n, 2.0 / h**2 + kappa**2)
+    # t_p = c h per node; a point at node 0 enters d_0 = 2 + kappa^2 h^2 + t_0
+    loads: dict[int, float] = {}
     for point in points:
-        diag[_point_node(point, grid)] += point.c / h
-    # the off-diagonals of D^{-1} T D: exact, the scales are powers of two
-    upper = np.ldexp(off, step)
-    lower = np.ldexp(off, -step)
-
-    # the base sector k = 0; only row 0, r_k, differs between sectors
-    d, du = diag.copy(), upper.copy()
-    d[0] -= 4.0 * lams[0] / h**2
-    du[0] += math.ldexp(lams[0] / h**2, e1)
-    # the row of the inverse that does not carry a cancelled entry
-    row = 0 if abs(du[0]) >= abs(d[0]) else 1
-    *lu, info = dgttrf(lower, d, du, overwrite_d=True, overwrite_du=True)
-    if info > 0:
-        raise PoleError(f"discrete operator singular: zero pivot in row "
-                        f"{info} of sector 0")
-    w = np.zeros(big_n)
-    w[-1] = 1.0
-    z = np.zeros(big_n)
-    z[row] = 1.0 / h
-    w, _ = dgttrs(*lu, w, overwrite_b=True)
-    z, _ = dgttrs(*lu, z, trans="T", overwrite_b=True)
-    pivot = w[row]
-    with np.errstate(all="ignore"):
-        z /= pivot
-        # phi[0] from row 1 of D^{-1} T D, phi[i] = 2^{-2 e_i} z[i] in w's
-        # scale; phi[1] enters row 0 as 2^{e_1} phi[1] = 2^{-e_1} z[1]
-        z[0] = np.ldexp(diag[1] / off, -e1) * -z[1] - np.ldexp(z[2], -e2)
-        phi1 = np.ldexp(z[1], -e1)
-        # gamma_k = -(r_k - r_0) . w / (r_k . phi), both rows times h^2
-        shift = lams - lams[0]
-        denominator = (h * h * diag[0] - 4.0 * lams) * z[0] \
-            + (lams - 1.0) * phi1
-        gamma = -shift * (np.ldexp(w[1], e1) - 4.0 * w[0]) / denominator
-    singular = np.flatnonzero(denominator == 0.0)
-    if singular.size:
-        raise PoleError(f"discrete operator singular: sector "
-                        f"{singular[0]} with ghost eigenvalue "
-                        f"{lams[singular[0]]:.17g}")
-    # point interactions with |c| h near the largest double decouple the
-    # vertex from the last node: w[p] leaves the normal range
-    if not (abs(pivot) >= np.finfo(float).tiny and np.isfinite(z).all()
-            and np.isfinite(gamma).all()):
-        raise ValueError("point interactions too strong for the "
-                         "finite-difference grid: the vertex is decoupled "
-                         "from x = L beyond double range")
-    return SampledKernel(grid, w, z, exponents, (q * gamma) @ q.T, m0)
+        node = _point_node(point, grid)
+        loads[node] = loads.get(node, 0.0) + point.c * h
+    excess = kappa * h * (kappa * h) + loads.pop(0, 0.0)
+    return SampledKernel(grid, rho, excess, loads, m0)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
@@ -388,7 +387,7 @@ def compare_kernels(analytic: Callable[..., float], sampled,
         snapped = sampled.snap(*point)
         exact, approx = analytic(*snapped), sampled.value(*snapped)
         for side, value in (("analytic", exact), ("finite-difference", approx)):
-            if not np.isfinite(value):
+            if not cmath.isfinite(value):
                 raise ValueError(f"the {side} kernel is {value} at sample "
                                  f"point {snapped}")
         errors.append(exact - approx)

@@ -556,6 +556,7 @@ _NUMPY_ONLY_ARGVS = [
     ["greens", "--bc", "dirichlet", "--kappa", "1", "--grid", "4,30"],
     ["converge", "--family", "delta-prime-s", "--n", "3", "--beta", "1",
      "--a-list", "0.1,0.03,0.01"],
+    ["oracle-check", "--bc", "dirichlet", "--h", "0.05"],
 ]
 
 
@@ -571,19 +572,13 @@ def _scipy_probe(argvs) -> list[tuple[str, str]]:
 
 
 class TestImportLayer:
-    """Only the finite-difference solve needs scipy; the package, its CLI
-    and every other subcommand run on numpy alone."""
+    """The package, its CLI and every subcommand, the finite-difference
+    oracle included, run on numpy alone."""
 
     def test_numpy_only_subcommands_load_no_scipy(self):
         steps = _scipy_probe(_NUMPY_ONLY_ARGVS)
         assert len(steps) == 2 + len(_NUMPY_ONLY_ARGVS)
         assert [names for _, names in steps] == [""] * len(steps), steps
-
-    def test_oracle_check_loads_lapack(self):
-        steps = _scipy_probe([["oracle-check", "--bc", "dirichlet",
-                               "--h", "0.05"]])
-        assert [names for _, names in steps[:2]] == ["", ""]
-        assert "scipy.linalg.lapack" in steps[2][1].split(",")
 
 
 # ======================================================================

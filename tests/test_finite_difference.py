@@ -4,15 +4,15 @@ The solver is itself the reference for the closed forms, so the tests
 here pin its own consistency: agreement with the exponential kernels at
 the expected O(h^2) level, error reduction ~4x when h is halved, exact
 symmetry of the sampled kernel away from the first node, and reduction of
-the star solver to the half-line one.  The semiseparable reading of the
-sector inverses, every sector from one factorized base sector, is checked
-against a dense solve of the joint operator (also where the block the
-sectors share is singular) and against one column solve per sector and
-source node.
+the star solver to the half-line one.  The closed form of the sector
+inverses is checked against a dense solve of the joint operator (also
+where the block the sectors share is singular), against one LAPACK column
+solve per sector and source node, and against a 40-digit Thomas solve.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -337,7 +337,11 @@ class TestCompareKernels:
         assert abs(stats.max_abs - expected) < 1e-3
         assert stats.max_abs > 50.0 * grid.h**2
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf),
+        complex(np.nan, 0.0), complex(0.0, np.inf), np.complex128(np.nan),
+        np.complex128(complex(np.inf, 1.0)),
+    ], ids=repr)
     def test_non_finite_value_names_its_point_and_side(self, bad):
         # max_abs came back as nan
         grid = GridSpec(12.0, 499)
@@ -761,14 +765,29 @@ class TestEdgeIndices:
 
 
 # ======================================================================
-#  work count: one factorization and two solves per kernel, whatever the
-#  edge count, and none per sample
+#  work count: a built kernel holds O(n^2 + points) numbers, whatever N,
+#  and neither building nor sampling calls LAPACK
 # ======================================================================
 
+def _stored_sizes(sampled):
+    """The size of every array and sequence a kernel holds, nested
+    sequences included."""
+    sizes, stack = [], list(vars(sampled).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            sizes.append(item.size)
+        elif isinstance(item, (list, tuple)):
+            sizes.append(len(item))
+            stack.extend(item)
+    return sizes
+
+
 class TestWorkCount:
+    @pytest.mark.parametrize("big_n", [399, 39999])
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
-    def test_two_solves_per_kernel_and_none_per_sample(self, monkeypatch,
-                                                       n):
+    def test_no_grid_sized_array_and_no_lapack_call(self, monkeypatch, n,
+                                                    big_n):
         from scipy.linalg import lapack
 
         calls = {"dgttrf": 0, "dgttrs": 0}
@@ -784,26 +803,24 @@ class TestWorkCount:
         for name in calls:
             monkeypatch.setattr(lapack, name, counted(name))
         model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
-        grid = GridSpec(12.0, 399)
+        grid = GridSpec(12.0, big_n)
         sampled = fd_resolvent_star(model, KAPPA, grid)
-        built = {"dgttrf": 1, "dgttrs": 2}
-        assert calls == built
+        sizes = _stored_sizes(sampled)
+        assert sizes and max(sizes) <= max(n * n, len(model.points))
 
         for l in sorted({0, n - 1}):
             for y in (0.48, 0.96, 1.5, 2.01, 3.0):
                 for j in range(n):
                     for x in (0.06, 0.5, 2.01):
                         sampled.value(j, x, l, y)
-        assert calls == built
-        for iy in range(1, grid.N):
+        for iy in range(1, grid.N, grid.N // 399):
             y = grid.h * (iy + 1)
             for j in range(n):
                 sampled.value(j, 0.5, n // 2, y)
-        assert calls == built
         for l in range(n):
             for y in (0.06, 1.5, 11.9):
                 sampled.vertex_values(l, y)
-        assert calls == built
+        assert calls == {"dgttrf": 0, "dgttrs": 0}
 
 
 # ======================================================================
@@ -926,3 +943,84 @@ class TestLargeKappa:
         assert sampled.value(0, 1.5, 0, 1.5) > 0.25 / kappa
         traces = sampled.vertex_values(0, 0.06)
         assert np.all(np.isfinite(traces))
+
+
+# ======================================================================
+#  the closed form against a 40-digit Thomas solve of every sector
+# ======================================================================
+
+def _thomas_columns(diag, lam, h, sources):
+    """{j: T^{-1} e_j / h} for the sector matrix T with diagonal diag and
+    off-diagonals -1 / h^2, whose row 0 carries lam (-4, 1) / h^2 on top,
+    by Gaussian elimination without pivoting (the Thomas algorithm)."""
+    size, off = len(diag), -1 / h**2
+    upper = [off + lam / h**2] + [off] * (size - 2)
+    pivots, ratios = [diag[0] - 4 * lam / h**2], []
+    for i in range(1, size):
+        ratios.append(off / pivots[-1])
+        pivots.append(diag[i] - ratios[-1] * upper[i - 1])
+    columns = {}
+    for j in sources:
+        # forward: the load 1 / h at row j, and nothing above it
+        rhs = [mpmath.mpf(0)] * size
+        rhs[j] = 1 / h
+        for i in range(j + 1, size):
+            rhs[i] = -ratios[i - 1] * rhs[i - 1]
+        column = [mpmath.mpf(0)] * size
+        column[-1] = rhs[-1] / pivots[-1]
+        for i in range(size - 2, -1, -1):
+            column[i] = (rhs[i] - upper[i] * column[i + 1]) / pivots[i]
+        columns[j] = column
+    return columns
+
+
+def _exact_kernel(coupling, points, kappa, grid, snapped):
+    """The kernel at the snapped points to 40 digits.  Only the double M0
+    is shared with the solver: its eigenpairs come from mpmath's eigsy,
+    so Q is orthogonal to 40 digits too, and each sector matrix is solved
+    by _thomas_columns."""
+    m0 = _ghost_map(coupling, grid.h)
+    n, sources = coupling.n, {grid.node_index(y, minimum=1)
+                              for *_, y in snapped}
+    with mpmath.workdps(40):
+        lams, q = mpmath.eigsy(mpmath.matrix((0.5 * (m0 + m0.T)).tolist()))
+        h = mpmath.mpf(grid.h)
+        diag = [2 / h**2 + mpmath.mpf(kappa)**2] * grid.N
+        for point in points:
+            diag[grid.node_index(point.a)] += mpmath.mpf(point.c) / h
+        columns = [_thomas_columns(diag, lams[k], h, sources)
+                   for k in range(n)]
+        return [sum(q[j, k] * q[l, k] * columns[k][grid.node_index(
+            y, minimum=1)][grid.node_index(x)] for k in range(n))
+                for j, x, l, y in snapped]
+
+
+class TestDiscreteExact:
+    """Far-apart nodes, where a factorization of the N x N sector matrix
+    loses digits to its condition number: the closed form is exact for the
+    discrete operator up to the rounding of e^{-rho m}."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 80.0])
+    @pytest.mark.parametrize("vertex,points", [
+        pytest.param(HalflineBC.dirichlet().vertex, (), id="half-dirichlet"),
+        pytest.param(HalflineBC.robin(0.8).vertex, (), id="half-robin"),
+        pytest.param(StarModel.delta_prime_s(2, 1.3).vertex,
+                     (PointInteraction(1.5, -2.0),), id="delta_prime_s-n2"),
+    ])
+    def test_values_match_thomas_solve_at_40_digits(self, vertex, points,
+                                                    kappa):
+        coupling = make_coupling(*vertex)
+        grid = GridSpec(12.0, 3999)
+        sampled = _solve(coupling, points, kappa, grid)
+        # e^{-80 * 11.84} is below the smallest double
+        far = 11.9 if kappa == 1.0 else 8.0
+        n = coupling.n
+        snapped = [sampled.snap(j, x, l, y) for j in range(n)
+                   for l in range(n) for x, y in ((0.06, far), (far, 0.06),
+                                                  (0.06, 1.5), (1.5, 0.06))]
+        exact = _exact_kernel(coupling, points, kappa, grid, snapped)
+        errors = [float(abs(sampled.value(*point) / value - 1))
+                  for point, value in zip(snapped, exact)]
+        # measured: 3.1e-13 (delta_prime_s, kappa = 1), where a dgttrf
+        # factorization of the same sectors is off by 6.5e-11
+        assert max(errors) <= 1e-12
