@@ -121,11 +121,11 @@ class Eigenphases:
     a half-angle of a rounded pi, so lambda = -1 has c = 0 and lambda = 1
     has s = 0.  ``groups`` holds (c, s, multiplicity) per distinct
     eigenvalue (a decomposition merges those within
-    DECOUPLED_EIGENVALUE_TOL), and the columns
-    of ``v`` come in the same order, one group after the other; ``vh`` is
-    V*.  Numerical phases carry the backward error of the decomposition,
-    which scattering.one_plus_s removes where it matters (the kernels take
-    the phases as they are); ``exact`` ones are closed forms.
+    DECOUPLED_EIGENVALUE_TOL), and the columns of ``v`` come in the same
+    order, one group after the other; ``vh`` is V*.  Numerical phases carry
+    the backward error of the decomposition, which scattering.s_matrix
+    removes where it matters (the kernels and the finite-difference ghost
+    map take the phases as they are); ``exact`` ones are closed forms.
     """
 
     groups: tuple[tuple[float, float, int], ...]

@@ -18,11 +18,15 @@ second-order stencil Psi'(0) = (-3 Psi_0 + 4 Psi_1 - Psi_2) / (2h):
 
 Since 2h A - 3 B = -2h D(k_h) with D(k) = (k + 1) I + (k - 1) U and
 k_h = 3i / (2h), the ghost map is the scattering matrix in disguise,
-M0 = (I + S_U(k_h)) / 6, taken from scattering.one_plus_s.  A Robin
-condition psi'(0) = b psi(0) gives M0 = 1 / (3 + 2 h b), Dirichlet M0 = 0.
-The stencil is singular exactly when kappa_h = 3 / (2h) is a bound state
-of U (for Robin at b = -3 / (2h)); one_plus_s raises PoleError near it.
-M0 is real for U = U^T, which holds for every HalflineBC and StarModel.
+M0 = (I + S_U(k_h)) / 6 = sum_k mu_k P_k, mu_k = c_k / (3 c_k - 2 h s_k),
+over the groups k of coupling.eigenphases, with eigenvalue (c_k + i s_k)^2
+and spectral projector P_k, real exactly when U = U^T (every HalflineBC
+and StarModel; the solver refuses any other U with ValueError).  The
+solver reads the real mu_k from scattering.one_plus_s_sectors and never
+forms M0.  A Robin condition psi'(0) = b psi(0) gives mu = 1 / (3 + 2 h b),
+Dirichlet mu = 0.  The stencil is singular exactly when kappa_h = 3 / (2h)
+is a bound state of U (for Robin at b = -3 / (2h)); that guard raises
+PoleError near it.
 
 Unknowns are ordered node-major (index i n + e), so the operator is
 kron(T, I_n), T the tridiagonal matrix of -d^2/dx^2 + kappa^2, plus the
@@ -33,15 +37,14 @@ nodes for clean second-order behavior).  The resolvent column for a
 source at node j solves (H + kappa^2) g = e_j / h, and kernel values are
 read off at the nodes.
 
-Only the ghost block couples the edges, and the solver needs U = U^T
-(ValueError otherwise), so M0 is real symmetric: M0 = Q diag(lambda) Q^T.
-In the basis of Q's columns the operator splits into n independent N x N
-tridiagonal sectors T_k: T with -4 lambda_k / h^2 added to its first
-diagonal entry and lambda_k / h^2 to its first superdiagonal entry.  The
-response of sector k to a unit load at node j, g_k(i; j) = T_k^{-1}[i, j]
-/ h, does not depend on the source edge:
+Only the ghost block couples the edges, and on the range of P_k it is
+the scalar mu_k.  So the operator splits into one N x N tridiagonal
+sector T_k per group (at most two for a family star, whatever n): T with
+-4 mu_k / h^2 added to its first diagonal entry and mu_k / h^2 to its
+first superdiagonal entry.  The response of sector k to a unit load at
+node j, g_k(i; j) = T_k^{-1}[i, j] / h, does not depend on the source edge:
 
-    kernel(edge e, node i; edge l, node j) = sum_k Q_ek Q_lk g_k(i; j).
+    kernel(edge e, node i; edge l, node j) = sum_k (P_k)_el g_k(i; j).
 
 Below, nodes are 0-based, node i at x = (i + 1) h, the wall at node N.
 Times h^2, the rows i >= 1 of every sector are one recurrence,
@@ -56,24 +59,24 @@ phi(N - 1) = 1, are in closed form:
     B(i)   = -S(i - 1) + sum_{1 <= p < i} t_p B(p) S(i - p),
     phi(i) =  S(N - i) + sum_{p > i} t_p phi(p) S(p - i).
 
-Row 0 of sector k selects v_k = (d_0 - 4 lambda_k) A + (1 - lambda_k) B,
+Row 0 of sector k selects v_k = (d_0 - 4 mu_k) A + (1 - mu_k) B,
 and the sector inverse is semiseparable (Meurant, SIAM J. Matrix Anal.
 Appl. 13 (1992) 707): g_k(i; j) = h v_k(lo) phi(hi) / W_k, lo = min(i, j),
-hi = max(i, j), W_k = (d_0 - 4 lambda_k) phi(0) - (1 - lambda_k) phi(1)
+hi = max(i, j), W_k = (d_0 - 4 mu_k) phi(0) - (1 - mu_k) phi(1)
 the Casoratian, zero exactly where the star is singular (PoleError).
 Each v_k / W_k has Casoratian 1 with phi, so it is the sector-free,
 never singular psi = (phi(0) A - phi(1) B) / (phi(0)^2 + phi(1)^2) plus
 gamma_k phi:
 
-    gamma_k = ((1 - lambda_k) phi(0) + (d_0 - 4 lambda_k) phi(1))
+    gamma_k = ((1 - mu_k) phi(0) + (d_0 - 4 mu_k) phi(1))
               / ((phi(0)^2 + phi(1)^2) W_k),
     kernel(e, i; l, j) = h phi(hi) (delta_el psi(lo) + Gamma_el phi(lo)),
 
-Gamma = Q diag(gamma) Q^T: the reflected term stays apart from the
+Gamma = sum_k gamma_k P_k: the reflected term stays apart from the
 direct one, so a value across two edges keeps its digits where it is far
 below the direct term.  As 4 v_k(0) - v_k(1) = 4 - d_0 in every sector,
 the vertex trace of a source at node j of edge l is M0 (4 Psi_1 - Psi_2)
-= (4 - d_0) h phi(j) Q diag(lambda / W) Q^T e_l.  A build factors
+= (4 - d_0) h phi(j) sum_k (mu_k / W_k) P_k e_l.  A build factors
 nothing: a kernel holds O(n^2 + points) numbers and a value costs
 O(points) scalar operations, whatever N.
 
@@ -84,7 +87,7 @@ e^{-rho (N - i)} phi(i), where S reads e^{-rho m} S(m) = -expm1(-2 rho m)
 e^{-rho (hi + lo)}, each underflowing only where the term itself does, at
 any kappa L.  psi and gamma are normalised by the length of (phi(0),
 e^{-rho} phi(1)) in that scale, and phi(0) - phi(1), which W_k needs near
-the Neumann value lambda_k = 1/3, is summed from S(m) - S(m - 1) =
+the Neumann value mu_k = 1/3, is summed from S(m) - S(m - 1) =
 cosh(rho (m - 1/2)) / cosh(rho / 2) instead of cancelled at small kappa h.
 Walls whose strengths |t_p| multiply to beyond about 1e300 overflow phi
 or push h^2 / W_k below the smallest normal double; _solve raises
@@ -112,14 +115,15 @@ import numpy as np
 
 # to_ab stays a module attribute: the oracle workload of benchmarks/
 # patches finite_difference.to_ab
-from .coupling import VertexCoupling, make_coupling, to_ab  # noqa: F401
+from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
+                       make_coupling, to_ab)
 from .errors import PoleError
 from .greens import (HalflineBC, PointInteraction, StarModel, check_edges,
                      check_kappa, check_points)
-from .scattering import one_plus_s
+from .scattering import one_plus_s_sectors
 
-#: origin stencils with sigma_min(D(3i / (2h))) below this (relative, see
-#: scattering.one_plus_s) raise PoleError
+#: origin stencils with sigma_min(D(3i / (2h))) below this, relative as in
+#: scattering.one_plus_s_sectors, raise PoleError
 ORIGIN_STENCIL_TOL = 1e-8
 
 #: largest grid _solve takes, in unknowns n N (n edges, N nodes each)
@@ -202,8 +206,9 @@ class SampledKernel:
     """
 
     def __init__(self, grid: GridSpec, rho: float, excess: float,
-                 loads: dict[int, float], m0: np.ndarray):
-        self.grid, self.n_edges, self._m0 = grid, m0.shape[0], m0
+                 loads: dict[int, float], phases: Eigenphases,
+                 mus: list[float]):
+        self.grid, self.n_edges = grid, phases.v.shape[0]
         self._rho, self._excess = rho, excess
         decay = math.exp(-rho)
         self._sine = -decay / math.expm1(-2.0 * rho)  # 1 / (2 sinh rho)
@@ -230,23 +235,22 @@ class SampledKernel:
                                        norm))):
             raise ValueError(_TOO_STRONG)
         self._u0, self._u1 = u0, u1 = f0 / norm, f1 / norm
-        lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
         gamma, trace = [], []
-        for k, lam in enumerate(lams.tolist()):
-            wronskian = (1.0 - 3.0 * lam + excess) * u0 \
-                + (1.0 - lam) * (df / norm)  # W_k / |f|
+        for k, mu in enumerate(mus):
+            wronskian = (1.0 - 3.0 * mu + excess) * u0 \
+                + (1.0 - mu) * (df / norm)  # W_k / |f|
             if wronskian == 0.0 or not math.isfinite(wronskian):
                 raise PoleError(f"discrete operator singular: sector {k} "
-                                f"with ghost eigenvalue {lam:.17g}")
+                                f"with ghost eigenvalue {mu:.17g}")
             if abs(wronskian) * norm * sys.float_info.min >= grid.h**2:
                 raise ValueError(_TOO_STRONG)
-            gamma.append(((1.0 - lam) * u0 + (2.0 + excess - 4.0 * lam) * u1)
+            gamma.append(((1.0 - mu) * u0 + (2.0 + excess - 4.0 * mu) * u1)
                          / wronskian)
-            trace.append(lam / wronskian)
-        # (n, n): the reflection Q diag(gamma_k) Q^T and the trace map
-        # Q diag(lambda_k / W_k) Q^T = M0 Q diag(1 / W_k) Q^T, both times |f|
-        self._reflection = ((q * gamma) @ q.T).tolist()
-        self._trace = (q * trace) @ q.T
+            trace.append(mu / wronskian)
+        # (n, n), real for U = U^T: the reflection sum_k gamma_k P_k and the
+        # trace map sum_k (mu_k / W_k) P_k = M0 sum_k P_k / W_k, times |f|
+        self._reflection = phases.apply(gamma).real.tolist()
+        self._trace = phases.apply(trace).real
 
     def _hat_sine(self, m: int) -> float:
         """e^{-rho m} S(m) = -expm1(-2 rho m) / (2 sinh rho)."""
@@ -318,13 +322,14 @@ class SampledKernel:
         return scale * self._trace[:, edge_l]
 
 
-def _ghost_map(coupling: VertexCoupling, h: float) -> np.ndarray:
-    """M0 = -(2h A - 3 B)^{-1} B = (I + S_U(3i / (2h))) / 6, real for
-    U = U^T (see the module docstring)."""
+def _ghost_map(coupling: VertexCoupling, h: float) -> list[float]:
+    """The eigenvalues mu_k of the ghost map M0, one per eigenphase group."""
     try:
-        return one_plus_s(coupling, 1.5j / h, ORIGIN_STENCIL_TOL) / 6.0
+        values, _ = one_plus_s_sectors(coupling.eigenphases, 1.5j / h,
+                                       ORIGIN_STENCIL_TOL)
     except PoleError as exc:
         raise PoleError(f"origin stencil singular: {exc}") from None
+    return [v.real / 6.0 for v in values]
 
 
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
@@ -335,10 +340,10 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
         raise ValueError(
             f"finite-difference grid too fine: N = {big_n} nodes on each of "
             f"n = {n} edges (h = {h:.6g}) exceed {MAX_FD_UNKNOWNS} unknowns")
-    m0 = _ghost_map(coupling, h)
-    if np.iscomplexobj(m0):
+    mus = _ghost_map(coupling, h)
+    if not np.array_equal(coupling.u, coupling.u.T):
         raise ValueError("finite-difference solver needs a symmetric "
-                         "coupling U = U^T; this U gives a complex ghost map")
+                         "coupling U = U^T; this U has a complex kernel")
     # the scale e^{-rho i} = 2^{-i bits} must keep its exponent in int32
     # over the grid, and 2^{ceil(bits)} / h^2 must stay a double
     rho = 2.0 * math.asinh(0.5 * kappa * h)
@@ -352,7 +357,7 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
         node = _point_node(point, grid)
         loads[node] = loads.get(node, 0.0) + point.c * h
     excess = kappa * h * (kappa * h) + loads.pop(0, 0.0)
-    return SampledKernel(grid, rho, excess, loads, m0)
+    return SampledKernel(grid, rho, excess, loads, coupling.eigenphases, mus)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],

@@ -15,7 +15,7 @@ with P_k the spectral projector (J/n and I - J/n exactly for a family,
 V_k V_k* otherwise) and 1 + r_k from scattering.one_plus_s_sectors.  This
 form keeps its relative accuracy near the origin, where a Dirichlet group
 has 1 + r_k = 0, and stays finite for large kappa x.  PoleError is raised,
-as by one_plus_s, where sigma_min(D) = 2 min_k |kappa c_k - s_k|,
+by that guard, where sigma_min(D) = 2 min_k |kappa c_k - s_k|,
 D = (i kappa + 1) I + (i kappa - 1) U, is below ROBIN_POLE_TOL
 2 sqrt(1 + kappa^2), its largest possible value: a bound state sits at
 kappa = s_k / c_k (for Robin psi'(0) = b psi(0) the guard reads
@@ -31,7 +31,8 @@ each group through its own Krein update over the points A = (a_q),
     g_k(x, y) - g_k(x, A) (C^{-1} + g_k(A, A))^{-1} g_k(A, y),
 
 for one point g_k - g_k(x, a) c g_k(a, y) / (1 + c g_k(a, a)).  c = 0 is
-a no-op and c = +-inf a hard screen (C^{-1} = 0).  Rows are scaled to
+a no-op and c = +-inf a hard screen (C^{-1} = 0); points at one position
+are one point (strengths add, a screen wins).  Rows are scaled to
 I + c g_k(A, A) (finite c) and 2 kappa g_k(A, A) (infinite c), since
 g_k(a, a) = O(a) near a Dirichlet origin, and PoleError is raised when the
 smallest singular value of a scaled block falls below KREIN_POLE_TOL.
@@ -181,7 +182,11 @@ def vertex_kernel(coupling: VertexCoupling,
     U != U^T).  Pole guards run here, up front."""
     n = coupling.n
     check_kappa(kappa)
-    active = [p for p in check_points(points) if p.c != 0.0]
+    merged: dict[float, float] = {}    # one point per position
+    for p in check_points(points):
+        merged[p.a] = p.c if math.isinf(p.c) else merged.get(p.a, 0.0) + p.c
+    pos = [a for a, c in merged.items() if c != 0.0]
+    strengths = [merged[a] for a in pos]
     phases = coupling.eigenphases
     try:
         values, _ = one_plus_s_sectors(phases, 1j * kappa, ROBIN_POLE_TOL)
@@ -191,25 +196,25 @@ def vertex_kernel(coupling: VertexCoupling,
             f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
             "a bound state of the vertex coupling") from None
     one_plus_r = np.array([v.real for v in values])    # per group k
-    pos, kreins = [p.a for p in active], [[]] * len(values)
-    if active:
+    kreins = [[]] * len(values)
+    if pos:
         # (C^{-1} + g_k(A, A))^{-1} from the scaled blocks I + c g_k(A, A),
         # 2 kappa g_k(A, A) for infinite c
         at, opr = np.array(pos), one_plus_r[:, None, None]
-        finite = np.isfinite([p.c for p in active])
-        weight = np.where(finite, [p.c for p in active], 2.0 * kappa)
+        finite = np.isfinite(strengths)
+        weight = np.where(finite, strengths, 2.0 * kappa)
         e_aa = np.exp(-kappa * np.abs(at[:, None] - at))
         m_aa = np.expm1(-2.0 * kappa * np.minimum(at[:, None], at))
         g_aa = e_aa * (opr + (opr - 1.0) * m_aa) / (2.0 * kappa)
         scaled = weight[:, None] * g_aa + np.diag(finite.astype(float))
-        one = len(active) == 1
+        one = len(pos) == 1
         smin = np.abs(scaled).min() if one else \
             np.linalg.svd(scaled, compute_uv=False).min()
         if smin < KREIN_POLE_TOL:
             raise PoleError(
                 f"Krein denominator: sigma_min(I + c G(a, a)) = {smin:.3e} "
-                f"below {KREIN_POLE_TOL} at a={pos}, c="
-                f"{[p.c for p in active]}: energy -kappa^2 = {-kappa**2} "
+                f"below {KREIN_POLE_TOL} at a={pos}, c={strengths}: "
+                f"energy -kappa^2 = {-kappa**2} "
                 "sits on an eigenvalue of the perturbed operator")
         kreins = (weight / scaled if one else
                   np.linalg.solve(scaled, np.diag(weight))).tolist()

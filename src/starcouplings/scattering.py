@@ -18,12 +18,13 @@ Schrader, J. Phys. A 32 (1999) 595).
 
 S_U is also the reflection matrix R = S_U(i kappa) of the resolvent
 kernels (greens) and the ghost map of the finite-difference vertex stencil
-(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1},
-with one scale-free pole guard.  It solves nothing: on an eigenvalue
-e^{i theta} = (c + i s)^2 of U, D(k) acts as 2 (c + i s)(k c - i s), so
-I + S_U(k) is V diag(2 k c / (k c - i s)) V* over the coupling's cached
-Eigenphases (coupling), and the bound states are kappa = s / c.  The
-kernels read the diagonal (one_plus_s_sectors), the rest the matrix.
+(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1}
+from one_plus_s_sectors, with one scale-free pole guard.  It solves
+nothing: on an eigenvalue e^{i theta} = (c + i s)^2 of U, D(k) acts as
+2 (c + i s)(k c - i s), so I + S_U(k) is V diag(2 k c / (k c - i s)) V*
+over the coupling's cached Eigenphases (coupling), and the bound states
+are kappa = s / c.  Only s_matrix forms the matrix; the others read
+its eigenvalues, one per eigenphase group.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class BoundState(NamedTuple):
         return -self.kappa ** 2
 
 
-#: s_matrix raises PoleError below this (relative, see one_plus_s)
+#: s_matrix raises PoleError below this (relative, see one_plus_s_sectors)
 S_MATRIX_TOL = 1e-12
 
-#: one_plus_s refines numerical eigenphases where the condition number
+#: s_matrix refines numerical eigenphases where the condition number
 #: (|k + 1| + |k - 1|) / sigma_min(D(k)) exceeds this; unrefined, their
 #: error in I + S stays below about 8 eps times that condition number
 REFINE_COND = 8.0
@@ -72,23 +73,6 @@ def one_plus_s_sectors(phases: Eigenphases, k: complex,
             smin / scale)
 
 
-def one_plus_s(coupling: VertexCoupling, k: complex,
-               tol: float) -> np.ndarray:
-    """I + S_U(k) = 2 k (I + U) D(k)^{-1}, D(k) = (k + 1) I + (k - 1) U,
-    from one_plus_s_sectors.  Numerical eigenphases are refined against U
-    where D(k) is ill-conditioned (REFINE_COND).  The result is real when
-    k is imaginary and U = U^T."""
-    u = coupling.u
-    phases = coupling.eigenphases
-    values, distance = one_plus_s_sectors(phases, k, tol)
-    out = phases.apply(values)
-    if not phases.exact and REFINE_COND * distance < 1.0:
-        out += _refinement(u, phases, k, out)
-    if k.real == 0.0 and np.array_equal(u, u.T):
-        out = out.real
-    return out
-
-
 def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
                 x: np.ndarray) -> np.ndarray:
     """The correction R D(k)^{-1} of one residual-refinement step of
@@ -108,10 +92,15 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
 
 
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
-    """On-shell scattering matrix at real finite momentum k > 0."""
+    """On-shell scattering matrix at real finite momentum k > 0, with
+    numerical eigenphases refined where D(k) is ill-conditioned."""
     if not 0 < k < math.inf:
         raise ValueError(f"momentum must be positive and finite, got {k}")
-    s = one_plus_s(coupling, k, S_MATRIX_TOL)
+    phases = coupling.eigenphases
+    values, distance = one_plus_s_sectors(phases, k, S_MATRIX_TOL)
+    s = phases.apply(values)
+    if not phases.exact and REFINE_COND * distance < 1.0:
+        s += _refinement(coupling.u, phases, k, s)
     s.flat[::coupling.n + 1] -= 1.0
     return s
 

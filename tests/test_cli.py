@@ -220,6 +220,16 @@ class TestGreensCommand:
                 expected.append(f"{x:.17g},{y:.17g},{values[i, j]:.17g},0\n")
         assert out == "".join(expected)
 
+    def test_two_screens_at_one_position_are_one_screen(self, capsys):
+        # this exited 3 with a false "eigenvalue of the perturbed operator"
+        flags = ("--bc", "dirichlet", "--kappa", "1", "--x", "0.5",
+                 "--y", "0.5")
+        code, out, _ = run(capsys, "greens", *flags, "--point", "1,inf",
+                           "--point", "1,inf")
+        assert code == 0
+        _, one, _ = run(capsys, "greens", *flags, "--point", "1,inf")
+        assert json.loads(out)["value"] == json.loads(one)["value"]
+
     def test_robin_pole_exits_3(self, capsys):
         code, _, err = run(capsys, "greens", "--bc", "robin:-1",
                            "--kappa", "1", "--x", "1", "--y", "1")

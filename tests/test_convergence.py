@@ -31,7 +31,7 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            sector_difference, sector_green)
 from starcouplings.convergence import SCHEDULE_FAMILIES, _robin_pole
 from starcouplings.greens import ROBIN_POLE_TOL
-from starcouplings.scattering import one_plus_s
+from starcouplings.scattering import one_plus_s_sectors
 
 KAPPA = 1.0
 GRID = GridSpec(12.0, 400)
@@ -523,7 +523,7 @@ class TestClosedFormNorms:
         u = VertexCoupling.custom([[complex(math.cos(theta),
                                             math.sin(theta))]])
         try:
-            one_plus_s(u, 1j * kappa, ROBIN_POLE_TOL)
+            one_plus_s_sectors(u.eigenphases, 1j * kappa, ROBIN_POLE_TOL)
             kernel_trips = False
         except PoleError:
             kernel_trips = True

@@ -405,25 +405,28 @@ class TestGhostMap:
                     else random_unitary(n, rng)
                 coupling = VertexCoupling.custom(u)
                 expected, _ = _to_ab_ghost_map(coupling, h)
-                err = np.max(np.abs(_ghost_map(coupling, h) - expected))
+                m0 = coupling.eigenphases.apply(_ghost_map(coupling, h))
+                err = np.max(np.abs(m0 - expected))
                 assert err <= 1e-12 * np.max(np.abs(expected))
 
     def test_hermitian_with_eigenphase_eigenvalues_for_any_u(self):
         # M0 = V diag(c / (3c - 2hs)) V* over the eigenphases
         # e^{i theta/2} = c + is of U, so it is Hermitian with real
         # eigenvalues for every unitary U, symmetric or not; the largest
-        # defects measured here are 8.2e-16 and 1.1e-14
+        # defects measured here are 5.6e-17 and 2.2e-16
         rng = np.random.default_rng(15)
         for _ in range(10):
             for n in range(1, 6):
                 for h in (1e-2, 1e-3):
                     coupling = VertexCoupling.custom(random_unitary(n, rng))
-                    m0 = _ghost_map(coupling, h)
+                    mus = _ghost_map(coupling, h)
+                    assert all(isinstance(mu, float) for mu in mus)
+                    m0 = coupling.eigenphases.apply(mus)
                     assert np.max(np.abs(m0 - m0.conj().T)) <= 4e-15
                     half = np.sqrt(np.linalg.eigvals(coupling.u))
                     c, s = half.real, half.imag
                     want = np.sort(c / (3.0 * c - 2.0 * h * s))
-                    got = np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))
+                    got = np.sort(coupling.eigenphases.columns(mus))
                     assert np.max(np.abs(got - want)) <= 4e-14
 
     def test_solver_takes_the_real_formula_for_symmetric_u(self):
@@ -431,11 +434,9 @@ class TestGhostMap:
         grid = GridSpec(12.0, 99)
         for n in range(1, 6):
             coupling = VertexCoupling.custom(_symmetric_unitary(n, rng))
-            m0 = _solve(coupling, [], KAPPA, grid)._m0
-            expected, _ = _to_ab_ghost_map(coupling, grid.h)
-            assert m0.dtype == np.float64
-            assert np.max(np.abs(m0 - expected)) \
-                <= 1e-12 * np.max(np.abs(expected))
+            sampled = _solve(coupling, [], KAPPA, grid)
+            assert type(sampled.value(n - 1, 0.5, 0, 1.5)) is float
+            assert sampled.vertex_values(0, 1.5).dtype == np.float64
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_guard_trips_wherever_the_to_ab_guard_trips(self, symmetric):
@@ -766,7 +767,7 @@ class TestEdgeIndices:
 
 # ======================================================================
 #  work count: a built kernel holds O(n^2 + points) numbers, whatever N,
-#  and neither building nor sampling calls LAPACK
+#  and neither building nor sampling calls LAPACK or decomposes U
 # ======================================================================
 
 def _stored_sizes(sampled):
@@ -822,6 +823,33 @@ class TestWorkCount:
                 sampled.vertex_values(l, y)
         assert calls == {"dgttrf": 0, "dgttrs": 0}
 
+    def test_no_decomposition_or_solve_once_the_phases_are_known(
+            self, monkeypatch):
+        # the sectors come from U's eigenphase groups, which a family
+        # coupling has in closed form and any other coupling keeps
+        rng = np.random.default_rng(17)
+        model = StarModel.central_delta(6, -1.0, PointInteraction(1.0, 2.0))
+        custom = VertexCoupling.custom(_symmetric_unitary(4, rng))
+        custom.eigenphases    # decomposed here, before the counting
+        calls = dict.fromkeys(("eigh", "eig", "svd", "solve"), 0)
+
+        def counted(name):
+            routine = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        grid = GridSpec(12.0, 399)
+        for sampled in (fd_resolvent_star(model, KAPPA, grid),
+                        _solve(custom, model.points, KAPPA, grid)):
+            sampled.value(sampled.n_edges - 1, 0.5, 0, 2.01)
+            sampled.vertex_values(0, 1.5)
+        assert calls == dict.fromkeys(calls, 0)
+
 
 # ======================================================================
 #  the semiseparable form against one column solve per source node
@@ -837,7 +865,7 @@ def _source_columns(coupling, points, kappa, grid, sources):
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     h = grid.h
-    m0 = _ghost_map(coupling, h)
+    m0 = _to_ab_ghost_map(coupling, h)[0].real
     lams, q = np.linalg.eigh(0.5 * (m0 + m0.T))
     diag = np.full(grid.N, 2.0 / h**2 + kappa**2)
     for point in points:
@@ -888,6 +916,7 @@ class TestSourceColumns:
                    for l in range(n) for x in (0.0, *xs) for y in xs]
         sources = {grid.node_index(y, minimum=1) for *_, y in snapped}
         columns, q = _source_columns(coupling, points, kappa, grid, sources)
+        m0 = _to_ab_ghost_map(coupling, grid.h)[0].real
         got, expected = [], []
         for j, x, l, y in snapped:
             ix, iy = grid.node_index(x), grid.node_index(y, minimum=1)
@@ -899,7 +928,7 @@ class TestSourceColumns:
             y = grid.h * (iy + 1)
             for l in range(n):
                 psi = (g[:2] * q[l]) @ q.T
-                trace = sampled._m0 @ (4.0 * psi[0] - psi[1])
+                trace = m0 @ (4.0 * psi[0] - psi[1])
                 assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
                     <= 1e-9 * scale
 
@@ -975,11 +1004,11 @@ def _thomas_columns(diag, lam, h, sources):
 
 
 def _exact_kernel(coupling, points, kappa, grid, snapped):
-    """The kernel at the snapped points to 40 digits.  Only the double M0
-    is shared with the solver: its eigenpairs come from mpmath's eigsy,
-    so Q is orthogonal to 40 digits too, and each sector matrix is solved
-    by _thomas_columns."""
-    m0 = _ghost_map(coupling, grid.h)
+    """The kernel at the snapped points to 40 digits.  M0 is the double
+    (A, B) formula of _to_ab_ghost_map, its eigenpairs come from mpmath's
+    eigsy, so Q is orthogonal to 40 digits too, and each sector matrix is
+    solved by _thomas_columns."""
+    m0 = _to_ab_ghost_map(coupling, grid.h)[0].real
     n, sources = coupling.n, {grid.node_index(y, minimum=1)
                               for *_, y in snapped}
     with mpmath.workdps(40):

@@ -212,6 +212,37 @@ class TestKreinInsert:
         for y in (0.3, 1.0, 2.7, 6.0):
             assert abs(halfline_kernel(bc, (p,), 1.0)(1.0, y)) < 1e-12
 
+    @pytest.mark.parametrize("second", [math.inf, -math.inf, 0.8])
+    def test_coincident_screen_is_one_screen(self, second):
+        # two rows of the Krein block at one position made it singular: two
+        # screens at a = 1 raised a false PoleError
+        x = np.linspace(0.0, 4.0, 9)[:, None]
+        screen, other = PointInteraction(1.0, math.inf), \
+            PointInteraction(2.5, -0.6)
+        points = [screen, other, PointInteraction(1.0, second)]
+        for bc in (HalflineBC.dirichlet(), HalflineBC.robin(0.7)):
+            np.testing.assert_array_equal(
+                halfline_kernel(bc, points, 1.0)(x, x.T),
+                halfline_kernel(bc, points[:2], 1.0)(x, x.T))
+        coupling = make_coupling("delta", 3, 0.4)
+        np.testing.assert_array_equal(
+            vertex_kernel(coupling, points, 1.0)(2, x, 0, x.T),
+            vertex_kernel(coupling, points[:2], 1.0)(2, x, 0, x.T))
+
+    def test_coincident_points_add_their_strengths(self):
+        x = np.linspace(0.0, 4.0, 9)[:, None]
+        bc, other = HalflineBC.neumann(), PointInteraction(2.5, -0.6)
+        np.testing.assert_array_equal(
+            halfline_kernel(bc, [PointInteraction(1.0, 0.7), other,
+                                 PointInteraction(1.0, 0.5)], 1.0)(x, x.T),
+            halfline_kernel(bc, [PointInteraction(1.0, 0.7 + 0.5), other],
+                            1.0)(x, x.T))
+        # strengths that cancel leave no point
+        np.testing.assert_array_equal(
+            halfline_kernel(bc, [PointInteraction(1.0, 0.5),
+                                 PointInteraction(1.0, -0.5)], 1.0)(x, x.T),
+            halfline_kernel(bc, [], 1.0)(x, x.T))
+
     def test_dirichlet_plus_matched_point_approaches_neumann(self):
         # the c = -1/a schedule turns the Dirichlet wall into a Neumann one
         bc_d = HalflineBC.dirichlet()

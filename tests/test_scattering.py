@@ -174,8 +174,8 @@ class TestSectorValuesClusteredSpectra:
     """The kernels read the eigenvalues 1 + r_k of I + S_U(i kappa) per
     group, unrefined.  On the clustered spectra above their sum
     V diag(1 + r_k) V* stays within REFINE_COND eps cond(D) of 40-digit
-    values (entries scaled by max(1, |entry|)), the error one_plus_s
-    allows unrefined phases: the members of a cluster, spread by the
+    values (entries scaled by max(1, |entry|)), the error REFINE_COND
+    documents for unrefined phases: the members of a cluster, spread by the
     rounding of U, share one phase.  The largest measured ratio is 2.6."""
 
     @pytest.mark.parametrize("n", range(2, 6))
