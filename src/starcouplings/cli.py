@@ -33,7 +33,8 @@ from .finite_difference import (GridSpec, compare_kernels,
 # star_green stays a module attribute: the cli workload of benchmarks/
 # wraps it
 from .greens import (STAR_KINDS, HalflineBC, PointInteraction,  # noqa: F401
-                     StarModel, halfline_kernel, star_green, vertex_kernel)
+                     StarModel, _named_coupling, halfline_kernel, star_green,
+                     vertex_kernel)
 from .scattering import s_matrix
 
 
@@ -294,7 +295,7 @@ def _cmd_oracle_check(args) -> int:
         model = StarModel(n=2 if args.n is None else args.n,
                           kind=_STAR_FLAGS[args.star_family],
                           beta=args.beta, b=args.b, point=point)
-        analytic = vertex_kernel(make_coupling(*model.vertex),
+        analytic = vertex_kernel(_named_coupling(model.vertex),
                                  (*model.points, screen), kappa)
 
         def solve(g: GridSpec):

@@ -148,12 +148,19 @@ class Eigenphases:
         """V diag(f) V* for one value of f per group."""
         return (self.v * self.columns(f)) @ self.vh
 
+    def projectors(self, real: bool) -> list:
+        """The spectral projectors as nested lists, p[j][l][k] = (P_k)_jl,
+        of floats when ``real`` (their real parts) and complex otherwise."""
+        p = np.stack([self.apply(list(e)) for e in np.eye(len(self.groups))],
+                     -1)
+        return (p.real if real else p).tolist()
+
 
 class _FamilyEigenphases(Eigenphases):
     """Closed-form phases of a family: group 0 is the constant vector
     (column 0 of V), the last group its complement.  ``apply`` sums the
     projectors J/n and I - J/n, so the Kirchhoff S_U(1) = U, for one, comes
-    out exact."""
+    out exact, and ``projectors`` gives their entries as plain floats."""
 
     exact = True
 
@@ -162,6 +169,14 @@ class _FamilyEigenphases(Eigenphases):
         out = np.full((n, n), (f[0] - f[-1]) / n)
         out.flat[::n + 1] += f[-1]
         return out
+
+    def projectors(self, real: bool) -> list:
+        # apply's entries for each f = e_k, real whatever ``real`` says;
+        # the rows share the two lists
+        n, eye = self.v.shape[0], np.eye(len(self.groups)).tolist()
+        off = [(f[0] - f[-1]) / n for f in eye]
+        diag = [p + f[-1] for p, f in zip(off, eye)]
+        return [[diag if j == l else off for l in range(n)] for j in range(n)]
 
 
 #: the eigenvalues -1 and +1 as (c, s) pairs

@@ -109,17 +109,18 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# to_ab stays a module attribute: the oracle workload of benchmarks/
-# patches finite_difference.to_ab
+# make_coupling and to_ab stay module attributes: the oracle workload of
+# benchmarks/ patches finite_difference.make_coupling and .to_ab
 from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
                        make_coupling, to_ab)
 from .errors import PoleError
-from .greens import (HalflineBC, PointInteraction, StarModel, check_edges,
-                     check_kappa, check_points)
+from .greens import (HalflineBC, PointInteraction, StarModel,
+                     _named_coupling, check_edges, check_kappa, check_points)
 from .scattering import one_plus_s_sectors
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this, relative as in
@@ -149,7 +150,7 @@ class GridSpec:
             raise ValueError(f"need an integer number of at least 16 "
                              f"interior points, got {self.N!r}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         return self.L / (self.N + 1)
 
@@ -171,7 +172,9 @@ class GridSpec:
             raise ValueError(f"grid coordinate must lie in [0, {self.L}], "
                              f"got {x}")
         i = int(round(x / self.h)) - 1
-        return min(max(i, minimum), self.N - 1)
+        if i < minimum:
+            return minimum
+        return i if i < self.N else self.N - 1
 
 
 class KernelErrorStats(NamedTuple):
@@ -365,7 +368,7 @@ def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
     half line at energy -kappa^2."""
     check_kappa(kappa)
-    return _solve(make_coupling(*bc.vertex), points, kappa, grid)
+    return _solve(_named_coupling(bc.vertex), points, kappa, grid)
 
 
 def fd_resolvent_star(model: StarModel, kappa: float,
@@ -374,7 +377,7 @@ def fd_resolvent_star(model: StarModel, kappa: float,
     -kappa^2, all n edges coupled at the origin by the model's central
     vertex condition and carrying its point interaction."""
     check_kappa(kappa)
-    return _solve(make_coupling(*model.vertex), model.points, kappa, grid)
+    return _solve(_named_coupling(model.vertex), model.points, kappa, grid)
 
 
 def compare_kernels(analytic: Callable[..., float], sampled,
@@ -386,19 +389,23 @@ def compare_kernels(analytic: Callable[..., float], sampled,
     for star kernels; each is snapped to grid nodes and the analytic
     evaluator is called at the snapped coordinates.  A value that is not
     finite on either side raises ValueError naming the first such point.
+    Errors may be complex (a kernel of U != U^T): max_abs = max |e| and
+    rms = sqrt(mean |e|^2).
     """
     errors = []
     for point in sample_points:
         snapped = sampled.snap(*point)
         exact, approx = analytic(*snapped), sampled.value(*snapped)
-        for side, value in (("analytic", exact), ("finite-difference", approx)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"the {side} kernel is {value} at sample "
-                                 f"point {snapped}")
+        if not (cmath.isfinite(exact) and cmath.isfinite(approx)):
+            side, value = (("analytic", exact) if not cmath.isfinite(exact)
+                           else ("finite-difference", approx))
+            raise ValueError(f"the {side} kernel is {value} at sample "
+                             f"point {snapped}")
         errors.append(exact - approx)
-    errors = np.asarray(errors, dtype=float)
+    # |e| of a real e is exact, so real errors give the real statistics
+    errors = np.abs(np.asarray(errors, dtype=complex))
     if errors.size == 0:
         return KernelErrorStats(0.0, 0.0, 0)
-    return KernelErrorStats(max_abs=float(np.max(np.abs(errors))),
+    return KernelErrorStats(max_abs=float(np.max(errors)),
                             rms=float(np.sqrt(np.mean(errors**2))),
                             count=int(errors.size))

@@ -41,9 +41,11 @@ its scaled matrix to the direct sum of these blocks, each repeated by its
 multiplicity, so the smallest singular values agree.
 
 halfline_kernel and star_green share one memoised vertex_kernel per
-``vertex = (family, n, param)`` entry of HalflineBC and StarModel;
-sector_decompose and sector_green, the family case of the group sum,
-remain as an independent oracle.
+``vertex = (family, n, param)`` entry of HalflineBC and StarModel, and
+the coupling U of each entry is memoised too: the finite-difference
+builds and oracle-check read the same one, so a kernel and its FD check
+build U once.  sector_decompose and sector_green, the family case of the
+group sum, remain as an independent oracle.
 """
 
 from __future__ import annotations
@@ -157,10 +159,13 @@ def check_kappa(kappa: float) -> None:
 def check_edges(n: int, *edges) -> None:
     """Raise ValueError unless every edge index is an integer in [0, n);
     a bool or a float would index (or mask) the edge arrays silently."""
-    if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
-               and 0 <= e < n for e in edges):
-        raise ValueError(f"edge indices must lie in [0, {n}), got "
-                         f"{', '.join(map(str, edges))}")
+    for e in edges:
+        if type(e) is int and 0 <= e < n:    # the common case, tested first
+            continue
+        if not (isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                and 0 <= e < n):
+            raise ValueError(f"edge indices must lie in [0, {n}), got "
+                             f"{', '.join(map(str, edges))}")
 
 
 def check_points(points) -> tuple[PointInteraction, ...]:
@@ -221,41 +226,53 @@ def vertex_kernel(coupling: VertexCoupling,
     sectors = list(zip(one_plus_r.tolist(), (one_plus_r - 1.0).tolist(),
                        kreins))
     # weights[j][l][k] = (P_k)_jl, real when U = U^T
-    weights = np.stack([phases.apply(list(e)) for e in np.eye(len(values))],
-                       -1)
-    real = np.array_equal(coupling.u, coupling.u.T)
-    weights = (weights.real if real else weights).tolist()
+    weights = phases.projectors(np.array_equal(coupling.u, coupling.u.T))
+    two_kappa, last = 2.0 * kappa, len(sectors) - 1
+
+    def decay(s, t):
+        return (np.exp(-kappa * abs(s - t)),
+                np.expm1(-2.0 * kappa * np.minimum(s, t)))
 
     def evaluate(j: int, x, l: int, y):
         check_edges(n, j, l)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            bad = not (0.0 <= x < math.inf and 0.0 <= y < math.inf)
-            exp, expm1, minimum = math.exp, math.expm1, min
-        else:
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            # min/max also catch NaN, and cost less than elementwise tests
-            bad = any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
-                      for v in (x, y))
-            exp, expm1, minimum = np.exp, np.expm1, np.minimum
-        if bad:
+            # straight-line math, in the operation order of the array path
+            if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+                raise ValueError("kernel arguments must be finite and >= 0")
+            e = math.exp(-kappa * abs(x - y))
+            m = math.expm1(-2.0 * kappa * min(x, y))
+            fx = [(math.exp(-kappa * abs(x - a)),
+                   math.expm1(-2.0 * kappa * min(x, a))) for a in pos]
+            fy = [(math.exp(-kappa * abs(a - y)),
+                   math.expm1(-2.0 * kappa * min(a, y))) for a in pos]
+            out = None
+            for w, (opr, r, krein) in zip(weights[j][l], sectors):
+                g = (r * m + opr) * e / two_kappa
+                for (u, v), row in zip(fx, krein):
+                    gq = u * (opr + r * v) / two_kappa
+                    for c, (s, t) in zip(row, fy):
+                        g -= gq * c * (s * (opr + r * t) / two_kappa)
+                g = g if w == 1.0 else w * g
+                out = g if out is None else out + g
+            return out
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        # min/max also catch NaN, and cost less than elementwise tests
+        if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
+               for v in (x, y)):
             raise ValueError("kernel arguments must be finite and >= 0")
-
-        def decay(s, t):
-            return (exp(-kappa * abs(s - t)),
-                    expm1(-2.0 * kappa * minimum(s, t)))
         e, m = decay(x, y)
         fx, fy = [decay(x, a) for a in pos], [decay(a, y) for a in pos]
         out = None
         for k, (w, (opr, r, krein)) in enumerate(zip(weights[j][l], sectors)):
             # e (1 + r + r m) / (2 kappa), in place; the last group takes m
-            g = operator.imul(m, r) if k == len(sectors) - 1 else r * m
+            g = operator.imul(m, r) if k == last else r * m
             g += opr
             g *= e
-            g /= 2.0 * kappa
+            g /= two_kappa
             for (u, v), row in zip(fx, krein):
-                gq = u * (opr + r * v) / (2.0 * kappa)
+                gq = u * (opr + r * v) / two_kappa
                 for c, (s, t) in zip(row, fy):
-                    g -= gq * c * (s * (opr + r * t) / (2.0 * kappa))
+                    g -= gq * c * (s * (opr + r * t) / two_kappa)
             g = g if w == 1.0 else w * g
             out = g if out is None else out + g
         return out.item() if isinstance(out, np.generic) else out
@@ -264,12 +281,19 @@ def vertex_kernel(coupling: VertexCoupling,
 
 
 @lru_cache(maxsize=64)
+def _named_coupling(vertex: tuple[str, int, float]) -> VertexCoupling:
+    """make_coupling of a vertex table entry, memoised: the kernels, the
+    finite-difference builds and oracle-check share one U per vertex."""
+    return make_coupling(*vertex)
+
+
+@lru_cache(maxsize=64)
 def _named_kernel(vertex: tuple[str, int, float],
                   points: tuple[PointInteraction, ...], kappa: float):
     """vertex_kernel of a coupling named by its vertex table, memoised:
     the evaluator depends on nothing else, and building it costs more
     than evaluating it."""
-    return vertex_kernel(make_coupling(*vertex), points, kappa)
+    return vertex_kernel(_named_coupling(vertex), points, kappa)
 
 
 def halfline_kernel(bc: HalflineBC, points, kappa: float):

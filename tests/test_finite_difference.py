@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, unitary_with_phase
+from starcouplings import cli, greens
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            StarModel, VertexCoupling, compare_kernels,
                            fd_resolvent_halfline, fd_resolvent_star,
@@ -372,6 +373,16 @@ class TestCompareKernels:
                                         grid)
         stats = compare_kernels(lambda x, y: 0.0, sampled, [])
         assert stats == (0.0, 0.0, 0)
+
+    def test_complex_errors_take_their_modulus(self):
+        # a complex value raised TypeError in np.asarray(errors, dtype=float)
+        grid = GridSpec(12.0, 499)
+        sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA,
+                                        grid)
+        offset = 0.25j
+        stats = compare_kernels(lambda x, y: sampled.value(x, y) + offset,
+                                sampled, SAMPLES)
+        assert stats == (abs(offset), abs(offset), len(SAMPLES))
 
 
 # ======================================================================
@@ -849,6 +860,37 @@ class TestWorkCount:
             sampled.value(sampled.n_edges - 1, 0.5, 0, 2.01)
             sampled.vertex_values(0, 1.5)
         assert calls == dict.fromkeys(calls, 0)
+
+
+    @pytest.mark.parametrize("case", ["star", "halfline", "oracle-check"])
+    def test_one_coupling_per_vertex(self, monkeypatch, capsys, case):
+        # an FD build and its closed form read one memoised U; they built
+        # one each, and oracle-check --order-check built three
+        built = []
+        post_init = VertexCoupling.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(VertexCoupling, "__post_init__", counted)
+        greens._named_coupling.cache_clear()
+        greens._named_kernel.cache_clear()
+        grid, point = GridSpec(12.0, 399), PointInteraction(2.01, 0.5)
+        if case == "star":
+            model = StarModel.central_delta(3, 0.7, point)
+            fd_resolvent_star(model, KAPPA, grid)
+            star_green(model, KAPPA, 0, 0.96, 2, 1.5)
+        elif case == "halfline":
+            fd_resolvent_halfline(HalflineBC.robin(0.7), [point], KAPPA, grid)
+            halfline_kernel(HalflineBC.robin(0.7), [point], KAPPA)(0.96, 1.5)
+        else:
+            assert cli.main(["oracle-check", "--star-family",
+                             "central-delta-p", "--n", "3", "--b", "0.4",
+                             "--point", "2.01,0.7", "--kappa", "1.4",
+                             "--h", "0.01", "--order-check"]) == 0
+            assert '"ok": true' in capsys.readouterr().out
+        assert len(built) == 1
 
 
 # ======================================================================

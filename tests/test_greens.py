@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, unitary_with_phase
-from starcouplings import (BoundaryValues, HalflineBC, PointInteraction,
-                           PoleError, SectorSpec, StarModel, VertexCoupling,
-                           halfline_kernel, make_coupling,
-                           satisfies_vertex_condition, sector_decompose,
-                           sector_green, star_green, vertex_kernel)
-from starcouplings.greens import ROBIN_POLE_TOL
+from starcouplings import (BoundaryValues, HalflineBC, InvalidCouplingError,
+                           PointInteraction, PoleError, SectorSpec,
+                           StarModel, VertexCoupling, halfline_kernel,
+                           make_coupling, satisfies_vertex_condition,
+                           sector_decompose, sector_green, star_green,
+                           vertex_kernel)
+from starcouplings.greens import ROBIN_POLE_TOL, _named_coupling
 
 RNG = np.random.default_rng(7)
 
@@ -811,6 +812,32 @@ class TestWorkCount:
         value = kernel(2, 0.3, 0, 0.7)
         assert type(value) is complex
         assert abs(value - kernel(2, np.array([0.3]), 0, 0.7)[0]) <= 1e-15
+
+
+class TestNamedCoupling:
+    """_named_coupling memoises make_coupling per vertex table entry:
+    entries that compare equal share one coupling, which must equal a
+    fresh make_coupling of either."""
+
+    @pytest.mark.parametrize("first,second", [
+        (("delta_prime_s", 2, 3), ("delta_prime_s", 2, 3.0)),
+        (("delta_prime_s", 2, 3.0), ("delta_prime_s", 2, 3)),
+        (("delta", 3, 0.0), ("delta", 3, -0.0)),
+        (("delta", 3, -0.0), ("delta", 3, 0.0)),
+        (("delta_p", 2, np.float64(0.7)), ("delta_p", 2, 0.7)),
+        (("delta_prime", 4, 0.7), ("delta_prime", 4, np.float64(0.7))),
+    ], ids=repr)
+    def test_equal_vertices_name_equal_couplings(self, first, second):
+        _named_coupling.cache_clear()
+        cached = _named_coupling(first)
+        assert _named_coupling(second) is cached
+        for vertex in (first, second):
+            assert np.array_equal(cached.u, make_coupling(*vertex).u)
+
+    def test_nan_parameter_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(InvalidCouplingError):
+                _named_coupling(("delta", 2, math.nan))
 
 
 class TestPointsMustBePointInteractions:
