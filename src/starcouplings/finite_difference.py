@@ -168,10 +168,13 @@ class GridSpec:
 
     def node_index(self, x: float, *, minimum: int = 0) -> int:
         """Index of the interior node nearest x, clamped to [minimum, N-1]."""
-        if not 0.0 <= x <= self.L:
-            raise ValueError(f"grid coordinate must lie in [0, {self.L}], "
-                             f"got {x}")
-        i = int(round(x / self.h)) - 1
+        try:
+            i = int(round(x / self.h)) - 1 if 0.0 <= x <= self.L else None
+        except TypeError:    # a complex or a string (numpy orders complex)
+            i = None
+        if i is None:
+            raise ValueError(f"grid coordinate must be a real number in "
+                             f"[0, {self.L}], got {x!r}")
         if i < minimum:
             return minimum
         return i if i < self.N else self.N - 1

@@ -44,14 +44,14 @@ halfline_kernel and star_green share one memoised vertex_kernel per
 ``vertex = (family, n, param)`` entry of HalflineBC and StarModel, and
 the coupling U of each entry is memoised too: the finite-difference
 builds and oracle-check read the same one, so a kernel and its FD check
-build U once.  sector_decompose and sector_green, the family case of the
-group sum, remain as an independent oracle.
+build U once.  One evaluator body serves float and array arguments, and
+non-real kappa or arguments raise ValueError.  sector_decompose and
+sector_green, the family case of the group sum, are an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -151,9 +151,12 @@ class PointInteraction:
 
 
 def check_kappa(kappa: float) -> None:
-    """Raise ValueError unless kappa (energy -kappa^2) is finite and > 0."""
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    """Raise ValueError unless kappa (energy -kappa^2) is a real number,
+    finite and > 0."""
+    if not (isinstance(kappa, (int, float, np.integer, np.floating))
+            and math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be a finite positive real number, "
+                         f"got {kappa!r}")
 
 
 def check_edges(n: int, *edges) -> None:
@@ -184,7 +187,9 @@ def vertex_kernel(coupling: VertexCoupling,
     coupling ``coupling`` and the delta potentials ``points``, each placed
     on every edge, at energy -kappa^2.  Edges are 0-based; x and y
     broadcast over numpy arrays, and floats give a float (complex when
-    U != U^T).  Pole guards run here, up front."""
+    U != U^T), from one body with math or numpy elementary functions.
+    Arguments must be real (int, float, or an integer or float array),
+    finite and >= 0, or ValueError.  Pole guards run here, up front."""
     n = coupling.n
     check_kappa(kappa)
     merged: dict[float, float] = {}    # one point per position
@@ -227,48 +232,35 @@ def vertex_kernel(coupling: VertexCoupling,
                        kreins))
     # weights[j][l][k] = (P_k)_jl, real when U = U^T
     weights = phases.projectors(np.array_equal(coupling.u, coupling.u.T))
-    two_kappa, last = 2.0 * kappa, len(sectors) - 1
-
-    def decay(s, t):
-        return (np.exp(-kappa * abs(s - t)),
-                np.expm1(-2.0 * kappa * np.minimum(s, t)))
+    two_kappa = 2.0 * kappa
 
     def evaluate(j: int, x, l: int, y):
         check_edges(n, j, l)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-            # straight-line math, in the operation order of the array path
             if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
                 raise ValueError("kernel arguments must be finite and >= 0")
-            e = math.exp(-kappa * abs(x - y))
-            m = math.expm1(-2.0 * kappa * min(x, y))
-            fx = [(math.exp(-kappa * abs(x - a)),
-                   math.expm1(-2.0 * kappa * min(x, a))) for a in pos]
-            fy = [(math.exp(-kappa * abs(a - y)),
-                   math.expm1(-2.0 * kappa * min(a, y))) for a in pos]
-            out = None
-            for w, (opr, r, krein) in zip(weights[j][l], sectors):
-                g = (r * m + opr) * e / two_kappa
-                for (u, v), row in zip(fx, krein):
-                    gq = u * (opr + r * v) / two_kappa
-                    for c, (s, t) in zip(row, fy):
-                        g -= gq * c * (s * (opr + r * t) / two_kappa)
-                g = g if w == 1.0 else w * g
-                out = g if out is None else out + g
-            return out
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        # min/max also catch NaN, and cost less than elementwise tests
-        if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
-               for v in (x, y)):
-            raise ValueError("kernel arguments must be finite and >= 0")
-        e, m = decay(x, y)
-        fx, fy = [decay(x, a) for a in pos], [decay(a, y) for a in pos]
+            exp, expm1, minimum = math.exp, math.expm1, min
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+                raise ValueError(f"kernel arguments must be real numbers, "
+                                 f"got dtypes {x.dtype} and {y.dtype}")
+            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+            # min/max also catch NaN, and cost less than elementwise tests
+            if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
+                   for v in (x, y)):
+                raise ValueError("kernel arguments must be finite and >= 0")
+            exp, expm1, minimum = np.exp, np.expm1, np.minimum
+        e = exp(-kappa * abs(x - y))
+        m = expm1(-2.0 * kappa * minimum(x, y))
+        fx = [(exp(-kappa * abs(x - a)), expm1(-2.0 * kappa * minimum(x, a)))
+              for a in pos]
+        fy = [(exp(-kappa * abs(a - y)), expm1(-2.0 * kappa * minimum(a, y)))
+              for a in pos]
         out = None
-        for k, (w, (opr, r, krein)) in enumerate(zip(weights[j][l], sectors)):
-            # e (1 + r + r m) / (2 kappa), in place; the last group takes m
-            g = operator.imul(m, r) if k == last else r * m
-            g += opr
-            g *= e
-            g /= two_kappa
+        for w, (opr, r, krein) in zip(weights[j][l], sectors):
+            # e (1 + r + r m) / (2 kappa), then the group's Krein update
+            g = (r * m + opr) * e / two_kappa
             for (u, v), row in zip(fx, krein):
                 gq = u * (opr + r * v) / two_kappa
                 for c, (s, t) in zip(row, fy):

@@ -705,6 +705,19 @@ class TestSolverInputs:
             with pytest.raises(ValueError, match="not a PointInteraction"):
                 solve([(0.5, -2.0)])
 
+    @pytest.mark.parametrize("coordinate", [
+        0.5 + 1j, np.complex128(0.5 + 1j), "0.5"],
+        ids=["complex", "complex128", "str"])
+    def test_non_real_coordinates_are_rejected(self, coordinate):
+        # GridSpec.node_index raised TypeError from the comparison (or,
+        # for numpy's ordered complex scalars, from round)
+        sampled = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA,
+                                        GridSpec(12.0, 99))
+        for call in (lambda: sampled.value(coordinate, 1.0),
+                     lambda: sampled.value(1.0, coordinate)):
+            with pytest.raises(ValueError, match="real number"):
+                call()
+
     def test_size_bound_comes_before_the_ghost_map(self):
         # this Robin constant makes the origin stencil singular
         grid = GridSpec(12.0, MAX_FD_UNKNOWNS + 1)

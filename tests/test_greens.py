@@ -20,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, unitary_with_phase
-from starcouplings import (BoundaryValues, HalflineBC, InvalidCouplingError,
-                           PointInteraction, PoleError, SectorSpec,
-                           StarModel, VertexCoupling, halfline_kernel,
-                           make_coupling, satisfies_vertex_condition,
-                           sector_decompose, sector_green, star_green,
-                           vertex_kernel)
+from starcouplings import (BoundaryValues, GridSpec, HalflineBC,
+                           InvalidCouplingError, PointInteraction, PoleError,
+                           SectorSpec, StarModel, VertexCoupling,
+                           convergence_sweep, fd_resolvent_halfline,
+                           fd_resolvent_star, halfline_kernel, make_coupling,
+                           satisfies_vertex_condition, sector_decompose,
+                           sector_green, star_green, vertex_kernel)
 from starcouplings.greens import ROBIN_POLE_TOL, _named_coupling
 
 RNG = np.random.default_rng(7)
@@ -199,6 +200,25 @@ class TestHalflineGreen:
 # ======================================================================
 
 class TestKreinInsert:
+    @pytest.mark.parametrize("delta", [
+        1e-3,
+        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True)),
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True)),
+    ])
+    def test_nearly_coincident_screens_act_as_one(self, delta):
+        # two screens a distance delta apart lose accuracy as delta -> 0,
+        # by about eps / delta, without the Krein guard tripping: at
+        # delta = 1e-9 the value across the screens reads -1.86e-9, where
+        # the exact kernel is 0
+        bc = HalflineBC.dirichlet()
+        screens = [PointInteraction(1.0, math.inf),
+                   PointInteraction(1.0 + delta, math.inf)]
+        one, two = (halfline_kernel(bc, screens[:1], 1.0),
+                    halfline_kernel(bc, screens, 1.0))
+        assert one(0.5, 3.0) == 0.0
+        assert abs(two(0.5, 3.0)) <= 1e-14
+        assert abs(two(0.5, 0.5) - one(0.5, 0.5)) <= 1e-14
+
     def test_zero_strength_is_identity(self):
         bc = HalflineBC.neumann()
         p = PointInteraction(a=1.0, c=0.0)
@@ -300,14 +320,36 @@ class TestKreinInsert:
             assert abs(halfline_kernel(bc, (p,), 1.0)(x, y)
                        - halfline_kernel(bc, (p,), 1.0)(y, x)) < 1e-15
 
-    def test_broadcasts_over_grids(self):
-        bc = HalflineBC.robin(0.8)
-        p = PointInteraction(a=1.0, c=-2.0)
+    @pytest.mark.parametrize("npoints", [0, 1, 2, 3])
+    @pytest.mark.parametrize("vertex", [
+        ("robin", 1, 0.8), ("delta_prime_s", 3, 1.3), ("delta_p", 3, 0.4),
+        ("haar", 3, 11)], ids=lambda vertex: vertex[0])
+    def test_broadcasts_over_grids(self, vertex, npoints):
+        # floats and arrays run one group and Krein loop; the second and
+        # third points are a screen and a repulsive delta
+        if vertex[0] == "haar":
+            coupling = VertexCoupling.custom(
+                random_unitary(3, np.random.default_rng(vertex[2])))
+        elif vertex[0] == "robin":
+            coupling = make_coupling(*HalflineBC.robin(0.8).vertex)
+        else:
+            coupling = make_coupling(*vertex)
+        points = [PointInteraction(1.0, -2.0), PointInteraction(2.4, math.inf),
+                  PointInteraction(3.3, 0.7)][:npoints]
+        kernel = vertex_kernel(coupling, points, 1.0)
+        real = vertex[0] != "haar"
         x = np.linspace(0.0, 5.0, 7)
-        vals = halfline_kernel(bc, (p,), 1.0)(x[:, None], x[None, :])
-        assert vals.shape == (7, 7)
-        assert vals.dtype == np.float64
-        assert vals[2, 4] == halfline_kernel(bc, (p,), 1.0)(x[2], x[4])
+        for j in range(coupling.n):
+            for l in range(coupling.n):
+                vals = kernel(j, x[:, None], l, x[None, :])
+                assert vals.shape == (7, 7)
+                assert vals.dtype == (np.float64 if real else np.complex128)
+                floats = [[kernel(j, s, l, t) for t in x.tolist()]
+                          for s in x.tolist()]
+                assert {type(v) for row in floats for v in row} == \
+                    {float if real else complex}
+                assert np.max(np.abs(vals - np.array(floats))) <= \
+                    1e-15 * np.max(np.abs(vals)), (j, l)
 
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
@@ -550,6 +592,47 @@ class TestNonFiniteInput:
                      StarModel.central_delta, StarModel.central_delta_p):
             with pytest.raises(ValueError):
                 make(2, value)
+
+
+class TestNonRealInput:
+    @pytest.mark.parametrize("kappa", [np.complex128(1 + 2j), 1j, "1"],
+                             ids=["complex128", "complex", "str"])
+    @pytest.mark.parametrize("entry", [
+        lambda k: vertex_kernel(make_coupling("delta", 2, 0.5), [], k),
+        lambda k: halfline_kernel(HalflineBC.neumann(), (), k),
+        lambda k: star_green(StarModel.delta_prime(3, 1.0), k, 0, 0.5, 1,
+                             0.3),
+        lambda k: fd_resolvent_halfline(HalflineBC.neumann(), [], k,
+                                        GridSpec(12.0, 99)),
+        lambda k: fd_resolvent_star(StarModel.delta_prime_s(2, 1.0), k,
+                                    GridSpec(12.0, 99)),
+        lambda k: convergence_sweep("delta_prime_s", 1.0, 2, k, [1e-2],
+                                    GridSpec(12.0, 99)),
+    ], ids=["vertex_kernel", "halfline_kernel", "star_green",
+            "fd_resolvent_halfline", "fd_resolvent_star", "convergence_sweep"])
+    def test_kappa(self, entry, kappa):
+        # np.complex128(1 + 2j) passed with a ComplexWarning (the Neumann
+        # kernel read 0.127 - 0.254j at (0.5, 0.3)); 1j and "1" raised
+        # TypeError
+        with pytest.raises(ValueError, match="real number"):
+            entry(kappa)
+
+    @pytest.mark.parametrize("value", [
+        np.array([0.5 + 1j]), "0.5", 0.5 + 1j, np.array([True]),
+        np.array([0.5], dtype=object)],
+        ids=["complex-array", "str", "complex", "bool-array", "object-array"])
+    def test_kernel_arguments(self, value):
+        # a complex array was computed on with a ComplexWarning, "0.5" and
+        # the bool and object arrays were read as numbers, and 0.5 + 1j
+        # raised TypeError
+        model = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
+        kernel = halfline_kernel(HalflineBC.neumann(), (), 1.0)
+        calls = [lambda: kernel(value, 1.0), lambda: kernel(1.0, value),
+                 lambda: star_green(model, 1.0, 0, value, 1, 2.0),
+                 lambda: star_green(model, 1.0, 1, 2.0, 0, value)]
+        for call in calls:
+            with pytest.raises(ValueError, match="real numbers"):
+                call()
 
 
 # ======================================================================
