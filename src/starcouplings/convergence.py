@@ -109,6 +109,13 @@ class ApproximationStage:
 
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     """Coupling strengths b(a), c(a) for the given target family."""
+    _check_schedule(family, beta, n)
+    if not 0 < a < math.inf:
+        raise ValueError(f"distance must be in (0, inf), got {a}")
+    return _stage(family, beta, n, a)
+
+
+def _check_schedule(family: str, beta: float, n: int) -> None:
     if family not in SCHEDULE_FAMILIES:
         raise ValueError(
             f"unknown schedule family {family!r}; expected one of "
@@ -116,16 +123,15 @@ def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     _check_edge_count(n, ValueError)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if not 0 < a < math.inf:
-        raise ValueError(f"distance must be in (0, inf), got {a}")
-    if family == "delta_prime_s":
-        b = -beta / (n * a * a)
-        per_channel = b
-    else:
-        b = -beta / (a * a)
-        per_channel = b / n
+
+
+def _stage(family: str, beta: float, n: int, a: float) -> ApproximationStage:
+    """schedule() of inputs it has already checked."""
+    common = family == "delta_prime_s"    # common-derivative target
+    b = -beta / ((n if common else 1) * a * a)
     return ApproximationStage(family=family, n=n, beta=float(beta), a=float(a),
-                              b=b, c=-1.0 / a, per_channel_b=per_channel)
+                              b=b, c=-1.0 / a,
+                              per_channel_b=b if common else b / n)
 
 
 def effective_robin(b: float, c: float, a: float) -> float:
@@ -287,27 +293,26 @@ def _robin_pole(p: float, q: float, kappa: float) -> bool:
         < ROBIN_POLE_TOL * math.hypot(p, q) * math.hypot(1.0, kappa)
 
 
-def _run_stage(family: str, beta: float, n: int, kappa: float, a: float,
-               length: float, pairs: list) -> StageResult:
-    stage = schedule(family, beta, n, a)
-    lead = rest = total = math.nan
-    error = None
+def _run_stage(stage: ApproximationStage, kappa: float, length: float,
+               pairs: list) -> StageResult:
+    a, lead, rest, total, error = stage.a, math.nan, math.nan, math.nan, None
     try:
         window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
         norms = [0.0, 0.0]        # n = 1 has no repeated sector
-        for i, (sigma, tau) in enumerate(pairs):
-            for what, p, q in (("target sector", sigma, tau),
-                               ("Robin kernel", tau * a * a, -sigma)):
-                if _robin_pole(p, q, kappa):
-                    raise PoleError(
-                        f"{what} pole: {p} psi'(0) = {q} psi(0) has a bound "
-                        f"state at kappa={kappa}")
+        for i, (sigma, tau, target_pole) in enumerate(pairs):
+            base = (tau * a * a, -sigma)
+            if target_pole or _robin_pole(*base, kappa):
+                what, (p, q) = ("target sector", (sigma, tau)) \
+                    if target_pole else ("Robin kernel", base)
+                raise PoleError(
+                    f"{what} pole: {p} psi'(0) = {q} psi(0) has a bound "
+                    f"state at kappa={kappa}")
             norms[i] = abs(_reflection_shift(sigma, tau, kappa, a)) * window
         lead, rest = norms
-        total = math.sqrt(lead**2 + (n - 1) * rest**2)
+        total = math.sqrt(lead**2 + (stage.n - 1) * rest**2)
     except PoleError as exc:
         error = str(exc)
-    return StageResult(a=stage.a, b=stage.b, c=stage.c,
+    return StageResult(a=a, b=stage.b, c=stage.c,
                        per_channel_b=stage.per_channel_b, norm_sym=lead,
                        norm_comp=rest, norm_total=total, valid=error is None,
                        error=error)
@@ -320,9 +325,10 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
 
     Sector norms are exact (see the module docstring), so only the window
     end grid.L is read from ``grid``; its node count does not matter.  The
-    fit uses the smallest three valid distances (asymptotic regime); with
-    fewer than two valid stages the slope is None.  Stages that hit a pole
-    guard are reported as invalid and excluded from the fit.
+    fit is closed-form least squares over the last three valid stages
+    (asymptotic regime); with fewer than two valid stages the slope is
+    None.  Stages that hit a pole guard are reported as invalid and
+    excluded from the fit.
     """
     check_kappa(kappa)
     a_values = [float(a) for a in a_list]
@@ -333,22 +339,25 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     for a in a_values:
         if not 0.0 < a < grid.L:
             raise ValueError(f"window start {a} outside (0, {grid.L})")
+    _check_schedule(family, beta, n)
     # the sector pairs (sigma, tau) = (c, -s) of the target's eigenvalues,
-    # leading sector (multiplicity 1) first; 0.0 - s keeps the Neumann
-    # target's tau at +0.0
-    pairs = [(c, 0.0 - s) for c, s, m in _family_table(family, n, beta)
-             if m > 0]
-    stages = [_run_stage(family, beta, n, kappa, a, grid.L, pairs)
+    # leading sector (multiplicity 1) first, and whether the target trips
+    # its pole guard; 0.0 - s keeps the Neumann target's tau at +0.0
+    pairs = [(c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa))
+             for c, s, m in _family_table(family, n, beta) if m > 0]
+    stages = [_run_stage(_stage(family, beta, n, a), kappa, grid.L, pairs)
               for a in a_values]
 
-    valid = [s for s in stages if s.valid and s.norm_total > 0.0]
+    valid = [s for s in stages if s.valid and s.norm_total > 0.0][-3:]
     slope = intercept = None
     if len(valid) >= 2:
-        tail = valid[-min(3, len(valid)):]
-        log_a = np.log([s.a for s in tail])
-        log_norm = np.log([s.norm_total for s in tail])
-        slope_arr = np.polyfit(log_a, log_norm, 1)
-        slope, intercept = float(slope_arr[0]), float(slope_arr[1])
+        xs = [math.log(s.a) for s in valid]
+        ys = [math.log(s.norm_total) for s in valid]
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        dxs = [x - x_mean for x in xs]
+        slope = sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) \
+            / sum(dx * dx for dx in dxs)
+        intercept = y_mean - slope * x_mean
     return ConvergenceReport(family=family, n=n, beta=float(beta),
                              kappa=float(kappa), stages=tuple(stages),
                              fitted_slope=slope, fitted_intercept=intercept)

@@ -292,6 +292,23 @@ class ABPair:
     def n(self) -> int:
         return self.a.shape[0]
 
+    @functools.cached_property
+    def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
+        """validate_ab's diagnostics and one SVD of the read-only (A, B)."""
+        a, b, n = self.a, self.b, self.n
+        sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
+        # numerical rank: singular values above n * eps * largest
+        rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
+        ab_star = a @ b.conj().T
+        defect = float(np.max(np.abs(ab_star - ab_star.conj().T)))
+        # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
+        # singular values of the block
+        min_eig = float(sv[-1] ** 2)
+        ok = (rank == n and min_eig > 0.0
+              and defect <= HERMITICITY_TOL * float(sv[0]) ** 2 / 4.0)
+        return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
+                             min_gram_eigenvalue=min_eig, ok=ok), sv
+
 
 @dataclass(frozen=True)
 class ABDiagnostics:
@@ -405,30 +422,12 @@ def to_ab(coupling: VertexCoupling) -> ABPair:
     return ABPair(coupling.u - eye, 1j * (coupling.u + eye))
 
 
-def _diagnose(ab: ABPair) -> tuple[ABDiagnostics, np.ndarray]:
-    """validate_ab's diagnostics and the singular values of (A, B)."""
-    a, b = ab.a, ab.b
-    n = ab.n
-    sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
-    # numerical rank: singular values above n * eps * largest
-    rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
-    ab_star = a @ b.conj().T
-    defect = float(np.max(np.abs(ab_star - ab_star.conj().T)))
-    # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
-    # singular values of the block
-    min_eig = float(sv[-1] ** 2)
-    ok = (rank == n and min_eig > 0.0
-          and defect <= HERMITICITY_TOL * float(sv[0]) ** 2 / 4.0)
-    return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
-                         min_gram_eigenvalue=min_eig, ok=ok), sv
-
-
 def validate_ab(ab: ABPair) -> ABDiagnostics:
     """Report rank of (A, B), the Hermiticity defect of A B*, and the
     smallest eigenvalue of A A* + B B* (strictly positive iff the pair has
     full rank); ``ok`` reads the defect relative to the size of (A, B) (see
     HERMITICITY_TOL).  Always returns; never raises on a failing pair."""
-    return _diagnose(ab)[0]
+    return ab._diagnosis[0]
 
 
 def from_ab(ab: ABPair) -> VertexCoupling:
@@ -441,7 +440,7 @@ def from_ab(ab: ABPair) -> VertexCoupling:
     of (A, B), as (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD
     also guards the solve.
     """
-    diag, sv = _diagnose(ab)
+    diag, sv = ab._diagnosis
     if not diag.ok:
         raise InvalidCouplingError(
             f"inadmissible (A, B) pair: rank {diag.rank}/{diag.n}, "

@@ -172,7 +172,7 @@ class GridSpec:
             i = int(round(x / self.h)) - 1 if 0.0 <= x <= self.L else None
         except TypeError:    # a complex or a string (numpy orders complex)
             i = None
-        if i is None:
+        if i is None or type(x) is bool:
             raise ValueError(f"grid coordinate must be a real number in "
                              f"[0, {self.L}], got {x!r}")
         if i < minimum:

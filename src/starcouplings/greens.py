@@ -152,8 +152,9 @@ class PointInteraction:
 
 def check_kappa(kappa: float) -> None:
     """Raise ValueError unless kappa (energy -kappa^2) is a real number,
-    finite and > 0."""
+    finite and > 0; a bool is not."""
     if not (isinstance(kappa, (int, float, np.integer, np.floating))
+            and not isinstance(kappa, bool)
             and math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be a finite positive real number, "
                          f"got {kappa!r}")
@@ -188,8 +189,8 @@ def vertex_kernel(coupling: VertexCoupling,
     on every edge, at energy -kappa^2.  Edges are 0-based; x and y
     broadcast over numpy arrays, and floats give a float (complex when
     U != U^T), from one body with math or numpy elementary functions.
-    Arguments must be real (int, float, or an integer or float array),
-    finite and >= 0, or ValueError.  Pole guards run here, up front."""
+    Arguments must be real (int, float, or an integer or float array; not
+    bool), finite and >= 0, or ValueError.  Pole guards run here, up front."""
     n = coupling.n
     check_kappa(kappa)
     merged: dict[float, float] = {}    # one point per position
@@ -236,7 +237,8 @@ def vertex_kernel(coupling: VertexCoupling,
 
     def evaluate(j: int, x, l: int, y):
         check_edges(n, j, l)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
+                and type(x) is not bool and type(y) is not bool:
             if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
                 raise ValueError("kernel arguments must be finite and >= 0")
             exp, expm1, minimum = math.exp, math.expm1, min
@@ -279,7 +281,7 @@ def _named_coupling(vertex: tuple[str, int, float]) -> VertexCoupling:
     return make_coupling(*vertex)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)    # True == 1.0 must miss the cache
 def _named_kernel(vertex: tuple[str, int, float],
                   points: tuple[PointInteraction, ...], kappa: float):
     """vertex_kernel of a coupling named by its vertex table, memoised:

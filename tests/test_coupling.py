@@ -271,6 +271,32 @@ class TestConversions:
         from_ab(ABPair(1e-6 * pair.a, 1e-6 * pair.b))
         assert calls == [(3, 6)]
 
+    def test_validate_then_from_ab_share_one_svd(self, monkeypatch):
+        # the pair keeps its diagnosis: validate_ab and from_ab decomposed
+        # (A, B) once each, and its arrays are read-only, so it cannot go
+        # stale
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        u = random_unitary(3, RNG)
+        pair = to_ab(VertexCoupling.custom(u))
+        first = validate_ab(pair)
+        assert first.ok and validate_ab(pair) is first
+        assert np.max(np.abs(from_ab(pair).u - u)) <= 1e-13
+        assert calls == [(3, 6)]
+        with pytest.raises(ValueError):
+            pair.a[0, 0] = 0.0
+        bad = ABPair(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert not validate_ab(bad).ok
+        with pytest.raises(InvalidCouplingError):
+            from_ab(bad)
+        assert calls == [(3, 6), (2, 4)]
+
     def test_from_ab_rejects_degenerate_pair(self):
         with pytest.raises(InvalidCouplingError):
             from_ab(ABPair(np.zeros((2, 2)), np.zeros((2, 2))))

@@ -706,11 +706,12 @@ class TestSolverInputs:
                 solve([(0.5, -2.0)])
 
     @pytest.mark.parametrize("coordinate", [
-        0.5 + 1j, np.complex128(0.5 + 1j), "0.5"],
-        ids=["complex", "complex128", "str"])
+        0.5 + 1j, np.complex128(0.5 + 1j), "0.5", True],
+        ids=["complex", "complex128", "str", "bool"])
     def test_non_real_coordinates_are_rejected(self, coordinate):
         # GridSpec.node_index raised TypeError from the comparison (or,
-        # for numpy's ordered complex scalars, from round)
+        # for numpy's ordered complex scalars, from round), and read a
+        # bool as the coordinate 1
         sampled = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA,
                                         GridSpec(12.0, 99))
         for call in (lambda: sampled.value(coordinate, 1.0),

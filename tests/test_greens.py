@@ -595,8 +595,8 @@ class TestNonFiniteInput:
 
 
 class TestNonRealInput:
-    @pytest.mark.parametrize("kappa", [np.complex128(1 + 2j), 1j, "1"],
-                             ids=["complex128", "complex", "str"])
+    @pytest.mark.parametrize("kappa", [np.complex128(1 + 2j), 1j, "1", True],
+                             ids=["complex128", "complex", "str", "bool"])
     @pytest.mark.parametrize("entry", [
         lambda k: vertex_kernel(make_coupling("delta", 2, 0.5), [], k),
         lambda k: halfline_kernel(HalflineBC.neumann(), (), k),
@@ -613,18 +613,21 @@ class TestNonRealInput:
     def test_kappa(self, entry, kappa):
         # np.complex128(1 + 2j) passed with a ComplexWarning (the Neumann
         # kernel read 0.127 - 0.254j at (0.5, 0.3)); 1j and "1" raised
-        # TypeError
+        # TypeError; True ran at kappa = 1, also when a kappa = 1.0 kernel
+        # was already in the named-kernel cache
+        entry(1.0)
         with pytest.raises(ValueError, match="real number"):
             entry(kappa)
 
     @pytest.mark.parametrize("value", [
         np.array([0.5 + 1j]), "0.5", 0.5 + 1j, np.array([True]),
-        np.array([0.5], dtype=object)],
-        ids=["complex-array", "str", "complex", "bool-array", "object-array"])
+        np.array([0.5], dtype=object), True],
+        ids=["complex-array", "str", "complex", "bool-array", "object-array",
+             "bool"])
     def test_kernel_arguments(self, value):
         # a complex array was computed on with a ComplexWarning, "0.5" and
-        # the bool and object arrays were read as numbers, and 0.5 + 1j
-        # raised TypeError
+        # the bool and object arrays were read as numbers, 0.5 + 1j raised
+        # TypeError, and the float path read True as 1.0
         model = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
         kernel = halfline_kernel(HalflineBC.neumann(), (), 1.0)
         calls = [lambda: kernel(value, 1.0), lambda: kernel(1.0, value),
