@@ -78,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _check_edge_count, _family_table
+from .coupling import _check_edge_count, _family_table, _real
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
@@ -121,7 +121,7 @@ def _check_schedule(family: str, beta: float, n: int) -> None:
             f"unknown schedule family {family!r}; expected one of "
             f"{SCHEDULE_FAMILIES}")
     _check_edge_count(n, ValueError)
-    if not math.isfinite(beta):
+    if not math.isfinite(_real(beta)):
         raise ValueError(f"beta must be finite, got {beta}")
 
 

@@ -57,6 +57,12 @@ phases of its family, rescale_length maps the phases of its input, so
 neither is ever decomposed; any other U is decomposed numerically.  A
 coupling is its U and nothing else: it keeps no record of how it was built.
 
+Checks run where a matrix enters.  The public constructors (VertexCoupling
+and custom, ABPair, Eigenphases) copy and check what comes from outside,
+and from_ab checks its solve; what the package builds from checked data (a
+family U, a rescaled U, to_ab's pair, a decomposition) is valid by
+construction, neither copied nor checked again; the tests check it.
+
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
 eigenphase cache build equal ones).
@@ -64,6 +70,7 @@ eigenphase cache build equal ones).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -91,13 +98,50 @@ SINGULAR_COND = 1e12
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U U* - I."""
     u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    return float(np.abs(u @ u.conj().T - _identity(u.shape[0])).max())
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, a fresh array that nothing else holds, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _readonly(a, dtype=complex) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(a, dtype=dtype))
+
+
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only and shared."""
+    return _frozen(np.eye(n))
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` of ``fields`` the package built itself from checked data:
+    valid by construction, it skips the copy and checks of __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _unitary(u: np.ndarray) -> np.ndarray:
+    """A fresh complex matrix ``u``, checked finite and unitary, read-only."""
+    if not np.isfinite(u).all():
+        raise InvalidCouplingError("U has non-finite entries")
+    defect = unitarity_defect(u)
+    if defect > UNITARITY_TOL:
+        raise InvalidCouplingError(
+            f"U is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
+    return _frozen(u)
+
+
+def _real(x, error=ValueError) -> float:
+    """float(x); a Python or numpy bool raises ``error``."""
+    if isinstance(x, (bool, np.bool_)):
+        raise error(f"a bool is not a real parameter, got {x!r}")
+    return float(x)
 
 
 def _check_tol(tol: float) -> None:
@@ -166,9 +210,7 @@ class _FamilyEigenphases(Eigenphases):
 
     def apply(self, f: list) -> np.ndarray:
         n = self.v.shape[0]
-        out = np.full((n, n), (f[0] - f[-1]) / n)
-        out.flat[::n + 1] += f[-1]
-        return out
+        return f[-1] * _identity(n) + (f[0] - f[-1]) / n
 
     def projectors(self, real: bool) -> list:
         # apply's entries for each f = e_k, real whatever ``real`` says;
@@ -204,15 +246,18 @@ def _decompose(u: np.ndarray) -> Eigenphases:
     eigenvalues (the eigenvectors of distinct ones are orthogonal up to
     rounding).  A group's eigenvalue is the mean of its members."""
     lam, vec = np.linalg.eig(u)
-    order = np.argsort(np.angle(lam))
+    lam = lam.tolist()
+    order = sorted(range(len(lam)), key=lambda j: cmath.phase(lam[j]))
     clusters: list[list[complex]] = []
-    for z in lam[order].tolist():
+    for z in (lam[j] for j in order):
         if clusters and abs(z - clusters[-1][-1]) <= DECOUPLED_EIGENVALUE_TOL:
             clusters[-1].append(z)
         else:
             clusters.append([z])
     groups = tuple(_half_angle(sum(g) / len(g), len(g)) for g in clusters)
-    return Eigenphases(groups, np.linalg.qr(vec[:, order])[0])
+    v = _frozen(np.linalg.qr(vec[:, order])[0])
+    return _unchecked(Eigenphases, groups=groups, v=v,
+                      vh=_frozen(v.conj().T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,17 +276,11 @@ class VertexCoupling:
                                         repr=False)
 
     def __post_init__(self):
-        u = _readonly(self.u)
+        u = np.array(self.u, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise InvalidCouplingError(
                 f"U must be a non-empty square matrix, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise InvalidCouplingError("U has non-finite entries")
-        defect = unitarity_defect(u)
-        if defect > UNITARITY_TOL:
-            raise InvalidCouplingError(
-                f"U is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _unitary(u))
 
     @classmethod
     def custom(cls, u) -> "VertexCoupling":
@@ -283,7 +322,7 @@ class ABPair:
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidCouplingError("A and B must have finite entries")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -296,16 +335,18 @@ class ABPair:
     def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
         """validate_ab's diagnostics and one SVD of the read-only (A, B)."""
         a, b, n = self.a, self.b, self.n
-        sv = np.linalg.svd(np.hstack([a, b]), compute_uv=False)
+        sv = np.linalg.svd(np.concatenate((a, b), 1), compute_uv=False)
+        top = sv.tolist()
         # numerical rank: singular values above n * eps * largest
-        rank = int(np.sum(sv > n * np.finfo(float).eps * sv[0]))
+        cut = n * math.ulp(1.0) * top[0]
+        rank = sum(x > cut for x in top)
         ab_star = a @ b.conj().T
-        defect = float(np.max(np.abs(ab_star - ab_star.conj().T)))
+        defect = float(np.abs(ab_star - ab_star.conj().T).max())
         # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
         # singular values of the block
-        min_eig = float(sv[-1] ** 2)
+        min_eig = top[-1] ** 2
         ok = (rank == n and min_eig > 0.0
-              and defect <= HERMITICITY_TOL * float(sv[0]) ** 2 / 4.0)
+              and defect <= HERMITICITY_TOL * top[0] ** 2 / 4.0)
         return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
                              min_gram_eigenvalue=min_eig, ok=ok), sv
 
@@ -336,7 +377,7 @@ class BoundaryValues:
             raise InvalidCouplingError(
                 f"psi and dpsi must be equal-length vectors, got shapes "
                 f"{psi.shape} and {dpsi.shape}")
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
+        if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
             raise InvalidCouplingError("psi and dpsi must be finite")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "dpsi", dpsi)
@@ -350,13 +391,16 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     """Build one of the standard coupling families.
 
     ``param`` is the real coupling strength (alpha for delta/delta_p, beta
-    for delta_prime_s/delta_prime); +-inf selects the decoupled limit.
+    for delta_prime_s/delta_prime); +-inf selects the decoupled limit.  A
+    NaN or a bool (Python or numpy) raises InvalidCouplingError.
     """
     if family not in FAMILIES:
         raise InvalidCouplingError(
             f"unsupported family {family!r}; expected one of {FAMILIES}")
     _check_edge_count(n)
-    return _with_phases(_family_phases(family, n, float(param)))
+    if math.isnan(param := _real(param, InvalidCouplingError)):
+        raise InvalidCouplingError("coupling parameter must not be NaN")
+    return _with_phases(_family_phases(family, n, param))
 
 
 def _family_table(family: str, n: int, param: float) -> tuple:
@@ -392,34 +436,34 @@ def _family_phases(family: str, n: int, param: float) -> Eigenphases:
         groups = ((*sym[:2], n),)
     else:
         groups = (sym, rest)
-    return _FamilyEigenphases(groups, _constants_basis(n))
+    v = _constants_basis(n)
+    return _unchecked(_FamilyEigenphases, groups=groups, v=v, vh=v)
 
 
 def _with_phases(phases: Eigenphases) -> VertexCoupling:
     """The coupling U = V diag((c + i s)^2) V* of ``phases``, which it
     keeps as its eigenphases (+ 0.0 turns an imaginary -0.0 into 0.0)."""
-    coupling = VertexCoupling(phases.apply(
-        [complex(c * c - s * s, 2.0 * c * s + 0.0)
-         for c, s, _ in phases.groups]))
-    object.__setattr__(coupling, "_phases", phases)
-    return coupling
+    u = phases.apply([complex(c * c - s * s, 2.0 * c * s + 0.0)
+                      for c, s, _ in phases.groups])
+    return _unchecked(VertexCoupling, u=_frozen(u), _phases=phases)
 
 
 @functools.lru_cache(maxsize=64)
 def _constants_basis(n: int) -> np.ndarray:
     """A real orthonormal basis whose first vector is the normalised
-    constant vector: the Householder reflection that swaps it with e_1."""
+    constant vector: the Householder reflection that swaps it with e_1,
+    exactly symmetric, so it is its own V*."""
     if n == 1:
-        return _readonly(np.ones((1, 1)))
+        return _identity(1)
     w = np.full(n, -1.0 / math.sqrt(n))
     w[0] += 1.0
-    return _readonly(np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w))
+    return _frozen(np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w))
 
 
 def to_ab(coupling: VertexCoupling) -> ABPair:
     """The canonical pair A = U - I, B = i (U + I)."""
-    eye = np.eye(coupling.n)
-    return ABPair(coupling.u - eye, 1j * (coupling.u + eye))
+    u, eye = coupling.u, _identity(coupling.n)
+    return _unchecked(ABPair, a=_frozen(u - eye), b=_frozen(1j * (u + eye)))
 
 
 def validate_ab(ab: ABPair) -> ABDiagnostics:
@@ -451,8 +495,9 @@ def from_ab(ab: ABPair) -> VertexCoupling:
         raise InvalidCouplingError(
             "A + iB is numerically singular (condition estimate "
             f"{sv[0] / sv[-1]:.3e}); the admissibility conditions fail")
-    return VertexCoupling(-np.linalg.solve(ab.a + 1j * ab.b,
-                                           ab.a - 1j * ab.b))
+    ib = 1j * ab.b
+    return _unchecked(VertexCoupling,
+                      u=_unitary(np.linalg.solve(ab.a + ib, ib - ab.a)))
 
 
 def rescale_length(coupling: VertexCoupling, ell: float,
@@ -476,9 +521,9 @@ def rescale_length(coupling: VertexCoupling, ell: float,
         raise InvalidCouplingError(
             f"length ratio {ell} / {ell_prime} is outside the double range")
     phases = coupling.eigenphases
-    return _with_phases(type(phases)(
-        tuple((*_normalised(k * c, s), m) for c, s, m in phases.groups),
-        phases.v))
+    groups = tuple((*_normalised(k * c, s), m) for c, s, m in phases.groups)
+    return _with_phases(_unchecked(type(phases), groups=groups, v=phases.v,
+                                   vh=phases.vh))
 
 
 def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,

@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import VertexCoupling, _check_edge_count, make_coupling
+from .coupling import VertexCoupling, _check_edge_count, _real, make_coupling
 from .errors import PoleError
 from .scattering import one_plus_s_sectors
 
@@ -95,12 +95,12 @@ class HalflineBC:
                   if f not in _BC_FIELDS[self.kind] and getattr(self, f) != 0]
         if unread:
             raise ValueError(f"{self.kind} reads no {', '.join(unread)}")
-        if self.kind == "robin" and not math.isfinite(self.b):
+        if self.kind == "robin" and not math.isfinite(_real(self.b)):
             raise ValueError("robin parameter must be finite; use dirichlet "
                              "for the b = inf limit")
         if self.kind == "robin_scaled":
             _check_edge_count(self.n, ValueError)
-            if not math.isfinite(self.beta):
+            if not math.isfinite(_real(self.beta)):
                 raise ValueError("robin_scaled parameter must be finite; use "
                                  "neumann for the beta = inf limit")
 
@@ -114,11 +114,11 @@ class HalflineBC:
 
     @classmethod
     def robin(cls, b: float) -> "HalflineBC":
-        return cls("robin", b=float(b))
+        return cls("robin", b=_real(b))
 
     @classmethod
     def robin_scaled(cls, n: int, beta: float) -> "HalflineBC":
-        return cls("robin_scaled", n=n, beta=float(beta))
+        return cls("robin_scaled", n=n, beta=_real(beta))
 
     @property
     def vertex(self) -> tuple[str, int, float]:
@@ -340,27 +340,27 @@ class StarModel:
             if self.beta is not None:
                 raise ValueError("approximant models take no beta")
         param = self.beta if self.b is None else self.b
-        if not math.isfinite(param):
+        if not math.isfinite(_real(param)):
             raise ValueError(f"star model parameter must be finite, got "
                              f"{param}")
 
     @classmethod
     def delta_prime_s(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime_s", beta=float(beta))
+        return cls(n=n, kind="delta_prime_s", beta=_real(beta))
 
     @classmethod
     def delta_prime(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime", beta=float(beta))
+        return cls(n=n, kind="delta_prime", beta=_real(beta))
 
     @classmethod
     def central_delta(cls, n: int, b: float,
                       point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta", b=float(b), point=point)
+        return cls(n=n, kind="central_delta", b=_real(b), point=point)
 
     @classmethod
     def central_delta_p(cls, n: int, b: float,
                         point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta_p", b=float(b), point=point)
+        return cls(n=n, kind="central_delta_p", b=_real(b), point=point)
 
     @property
     def vertex(self) -> tuple[str, int, float]:

@@ -74,18 +74,18 @@ def one_plus_s_sectors(phases: Eigenphases, k: complex,
 
 
 def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
-                x: np.ndarray) -> np.ndarray:
-    """The correction R D(k)^{-1} of one residual-refinement step of
-    X D(k) = 2 k (I + U), with D(k)^{-1} = V diag(1 / d) V* and
+                sk: np.ndarray) -> np.ndarray:
+    """The correction R D(k)^{-1} to ``sk`` of one refinement step of
+    S D(k) = (k - 1) I + (k + 1) U, with D(k)^{-1} = V diag(1 / d) V* and
     d = 2 (c + i s)(k c - i s).  The residual R is formed in extended
     precision (where numpy's longdouble has it): in double its rounding,
     amplified by D(k)^{-1}, would leave an error of about eps cond(D(k))
     at a cluster of eigenvalues near +1 (k small) or -1 (k large)."""
     kx = np.clongdouble(k)
     ux = u.astype(np.clongdouble)
-    xx = x.astype(np.clongdouble)
-    r = 2.0 * kx * ux - (kx + 1.0) * xx - (kx - 1.0) * (xx @ ux)
-    r.flat[::u.shape[0] + 1] += 2.0 * kx
+    sx = sk.astype(np.clongdouble)
+    r = (kx + 1.0) * (ux - sx) - (kx - 1.0) * (sx @ ux)
+    r.flat[::u.shape[0] + 1] += kx - 1.0
     d = phases.columns([2.0 * complex(c, s) * (k * c - 1j * s)
                         for c, s, _ in phases.groups])
     return ((r.astype(complex) @ phases.v) / d) @ phases.vh
@@ -98,10 +98,9 @@ def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
         raise ValueError(f"momentum must be positive and finite, got {k}")
     phases = coupling.eigenphases
     values, distance = one_plus_s_sectors(phases, k, S_MATRIX_TOL)
-    s = phases.apply(values)
+    s = phases.apply([v - 1.0 for v in values])
     if not phases.exact and REFINE_COND * distance < 1.0:
         s += _refinement(coupling.u, phases, k, s)
-    s.flat[::coupling.n + 1] -= 1.0
     return s
 
 

@@ -685,6 +685,16 @@ class TestClosedFormNorms:
             with pytest.raises(ValueError):
                 schedule(family, beta, 2, 1e-2)
 
+    @pytest.mark.parametrize("beta", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    def test_rejects_bool_beta(self, beta):
+        # a bool was read as beta = 1 (or 0)
+        for family in SCHEDULE_FAMILIES:
+            with pytest.raises(ValueError, match="bool"):
+                convergence_sweep(family, beta, 2, KAPPA, [1e-2, 1e-3], GRID)
+            with pytest.raises(ValueError, match="bool"):
+                schedule(family, beta, 2, 1e-2)
+
     @pytest.mark.parametrize("args", [(math.nan, -10.0, 0.1),
                                       (1.0, math.nan, 0.1),
                                       (math.inf, -10.0, 0.1),

@@ -22,7 +22,9 @@ from starcouplings import (ABPair, BoundaryValues, Eigenphases,
                            satisfies_vertex_condition, to_ab,
                            unitarity_defect, validate_ab)
 from starcouplings.scattering import bound_states, s_matrix
-from starcouplings.coupling import DECOUPLED_EIGENVALUE_TOL, FAMILIES
+from starcouplings import coupling as coupling_module
+from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, FAMILIES,
+                                    UNITARITY_TOL)
 
 RNG = np.random.default_rng(20260810)
 
@@ -96,6 +98,14 @@ class TestMakeCoupling:
     def test_rejects_nan_parameter(self, family):
         with pytest.raises(InvalidCouplingError):
             make_coupling(family, 3, math.nan)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("param", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    def test_rejects_bool_parameter(self, family, param):
+        # make_coupling("delta", 2, True) was the alpha = 1 coupling
+        with pytest.raises(InvalidCouplingError, match="bool"):
+            make_coupling(family, 2, param)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matrices_match_the_closed_forms(self, family):
@@ -776,3 +786,72 @@ class TestEigenphases:
         with pytest.raises(AttributeError):
             coupling.eigenphases = phases
         assert coupling.eigenphases is phases
+
+
+# ======================================================================
+#  package-built values: valid by construction, checked here instead
+# ======================================================================
+
+BUILT_PARAMS = (0.0, 1e-8, -1e-8, 0.7, -0.7, 1e8, -1e8, math.inf, -math.inf)
+BUILT_SIZES = (*range(1, 9), 64)
+RATIOS = ((1.0, 2.7), (2.7, 1.0), (1.0, 1e-5), (1e6, 1.0))
+
+
+def _assert_valid(c):
+    assert np.isfinite(c.u).all()
+    assert unitarity_defect(c.u) <= UNITARITY_TOL
+    pair = to_ab(c)
+    assert validate_ab(pair).ok
+    assert np.max(np.abs(from_ab(pair).u - c.u)) <= 1e-15
+
+
+class TestValidByConstruction:
+    """make_coupling, rescale_length and to_ab neither copy nor check the
+    values they build from checked data; these tests run the checks they
+    skip, over every family and over rescaled family and Haar couplings."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", BUILT_SIZES)
+    def test_family_couplings_and_their_rescalings(self, family, n):
+        for param in BUILT_PARAMS:
+            c = make_coupling(family, n, param)
+            _assert_valid(c)
+            for ell, ell_prime in RATIOS:
+                _assert_valid(rescale_length(c, ell, ell_prime))
+
+    @pytest.mark.parametrize("n", BUILT_SIZES)
+    def test_rescaled_haar_couplings(self, n):
+        rng = np.random.default_rng(2300 + n)
+        for _ in range(3):
+            c = VertexCoupling.custom(random_unitary(n, rng))
+            for ell, ell_prime in RATIOS:
+                _assert_valid(rescale_length(c, ell, ell_prime))
+
+    def test_only_matrices_from_outside_are_checked(self, monkeypatch):
+        # custom's argument and from_ab's solve come from outside the
+        # package: one unitarity check each; what the package builds from
+        # them, or from a family's phases, takes none
+        calls = []
+        defect = coupling_module.unitarity_defect
+
+        def counted(u):
+            calls.append(u.shape)
+            return defect(u)
+
+        monkeypatch.setattr(coupling_module, "unitarity_defect", counted)
+        haar = VertexCoupling.custom(
+            random_unitary(3, np.random.default_rng(2323)))
+        assert calls == [(3, 3)]
+        calls.clear()
+        try:
+            family = make_coupling("delta_prime_s", 3, 1.3)
+            make_coupling("delta_prime_s", 2000, 1.3)
+        finally:    # the n = 2000 basis and identity are 64 MB
+            coupling_module._constants_basis.cache_clear()
+            coupling_module._identity.cache_clear()
+        for c in (family, haar):
+            rescale_length(c, 1.0, 2.7)
+        pair = to_ab(family)
+        assert calls == []
+        from_ab(pair)
+        assert calls == [(3, 3)]

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import random_unitary, unitary_with_phase
 from starcouplings import cli, greens
+from starcouplings import coupling as coupling_module
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            StarModel, VertexCoupling, compare_kernels,
                            fd_resolvent_halfline, fd_resolvent_star,
@@ -879,15 +880,17 @@ class TestWorkCount:
     @pytest.mark.parametrize("case", ["star", "halfline", "oracle-check"])
     def test_one_coupling_per_vertex(self, monkeypatch, capsys, case):
         # an FD build and its closed form read one memoised U; they built
-        # one each, and oracle-check --order-check built three
+        # one each, and oracle-check --order-check built three.  Couplings
+        # are counted where they are made (_with_phases, which serves
+        # make_coupling), not through a __post_init__ they skip
         built = []
-        post_init = VertexCoupling.__post_init__
+        with_phases = coupling_module._with_phases
 
-        def counted(self):
-            built.append(self)
-            post_init(self)
+        def counted(phases):
+            built.append(phases)
+            return with_phases(phases)
 
-        monkeypatch.setattr(VertexCoupling, "__post_init__", counted)
+        monkeypatch.setattr(coupling_module, "_with_phases", counted)
         greens._named_coupling.cache_clear()
         greens._named_kernel.cache_clear()
         grid, point = GridSpec(12.0, 399), PointInteraction(2.01, 0.5)

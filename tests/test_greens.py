@@ -593,6 +593,27 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError):
                 make(2, value)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    def test_halfline_bc_refuses_bools(self, value):
+        # robin(True) was the Robin condition b = 1.0
+        for make in (HalflineBC.robin,
+                     lambda v: HalflineBC.robin_scaled(2, v),
+                     lambda v: HalflineBC("robin", b=v),
+                     lambda v: HalflineBC("robin_scaled", n=2, beta=v)):
+            with pytest.raises(ValueError, match="bool"):
+                make(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_],
+                             ids=["True", "False", "np.True_"])
+    def test_star_model_refuses_bools(self, value):
+        # delta_prime(2, True) was the star with beta = 1.0
+        for make in (StarModel.delta_prime_s, StarModel.delta_prime,
+                     StarModel.central_delta, StarModel.central_delta_p,
+                     lambda n, v: StarModel(n=n, kind="delta_prime", beta=v)):
+            with pytest.raises(ValueError, match="bool"):
+                make(2, value)
+
 
 class TestNonRealInput:
     @pytest.mark.parametrize("kappa", [np.complex128(1 + 2j), 1j, "1", True],

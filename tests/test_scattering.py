@@ -157,6 +157,38 @@ class TestSMatrixClusteredSpectra:
                 assert err <= 1e-14, (phases, k, err)
 
 
+class TestSMatrixNearPoles:
+    """Haar eigenbases with one eigenvalue e^{i theta} moved next to +1 at
+    small k, or next to -1 at large k, so that REFINE_COND * distance < 1
+    and s_matrix refines S itself from the residual of S D(k) =
+    (k - 1) I + (k + 1) U: the result stays within REFINE_COND eps /
+    distance of 40-digit values, the bound REFINE_COND documents.  Where
+    numpy's longdouble is wider than double, the refined S is also within
+    a few rounding errors (unrefined, these cases reach 9e-14)."""
+
+    CASES = ((1e-2, 1e-1), (1e-4, 1e-2), (1e-7, 1e-3), (0.0, 1e-3),
+             (math.pi - 1e-2, 1e1), (math.pi - 1e-5, 1e2),
+             (-math.pi + 1e-7, 1e3))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_mpmath(self, n):
+        rng = np.random.default_rng(2400 + n)
+        eps = np.finfo(float).eps
+        extended = np.finfo(np.longdouble).eps < eps
+        for theta, k in self.CASES:
+            phases = np.concatenate(
+                ([theta], rng.uniform(-math.pi, math.pi, n - 1)))
+            q = random_unitary(n, rng)
+            u = (q * np.exp(1j * phases)) @ q.conj().T
+            c = VertexCoupling.custom(u)
+            _, distance = one_plus_s_sectors(c.eigenphases, k, 0.0)
+            assert REFINE_COND * distance < 1.0, (theta, k, distance)
+            err = np.max(np.abs(s_matrix(c, k) - _mp_s_matrix(u, k)))
+            assert err <= REFINE_COND * eps / distance, \
+                (theta, k, err * distance / eps)
+            assert err <= 1e-15 or not extended, (theta, k, err)
+
+
 def _mp_one_plus_s(u: np.ndarray, kappa: float) -> np.ndarray:
     """I + S_U(i kappa) = 2 i kappa (I + U) D^{-1} at 40 digits."""
     with mpmath.workdps(40):
