@@ -66,9 +66,9 @@ which is exact because the sectors are orthogonal.
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
 p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
-by the guard vertex_kernel takes from scattering.one_plus_s_sectors, which
-for U = e^{i theta}, (p, q) = (cos theta/2, -sin theta/2), reads
-|p kappa + q| < ROBIN_POLE_TOL hypot(p, q) hypot(1, kappa).
+by the S-matrix guard of one edge, |p kappa + q| < ROBIN_POLE_TOL
+hypot(p, q) hypot(1, kappa), which holds wherever the kernels' Jost test,
+|p kappa + q| < ROBIN_POLE_TOL (|p| kappa + |q|), trips.
 """
 
 from __future__ import annotations
@@ -81,11 +81,13 @@ import numpy as np
 from .coupling import _check_edge_count, _family_table, _real
 from .errors import PoleError
 from .finite_difference import GridSpec
-from .greens import (KREIN_POLE_TOL, ROBIN_POLE_TOL, PointInteraction,
-                     SectorSpec, StarModel, check_kappa, sector_green)
+from .greens import (ROBIN_POLE_TOL, PointInteraction, SectorSpec,
+                     StarModel, check_kappa, sector_green)
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
+#: stages whose Krein denominator 1 + c G(a, a) falls below this are invalid
+KREIN_POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

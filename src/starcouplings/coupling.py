@@ -137,6 +137,12 @@ def _unitary(u: np.ndarray) -> np.ndarray:
     return _frozen(u)
 
 
+def _is_real(x) -> bool:
+    """Whether x is an int or a float, Python or numpy, and not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) \
+        and not isinstance(x, bool)
+
+
 def _real(x, error=ValueError) -> float:
     """float(x); a Python or numpy bool raises ``error``."""
     if isinstance(x, (bool, np.bool_)):
@@ -192,33 +198,18 @@ class Eigenphases:
         """V diag(f) V* for one value of f per group."""
         return (self.v * self.columns(f)) @ self.vh
 
-    def projectors(self, real: bool) -> list:
-        """The spectral projectors as nested lists, p[j][l][k] = (P_k)_jl,
-        of floats when ``real`` (their real parts) and complex otherwise."""
-        p = np.stack([self.apply(list(e)) for e in np.eye(len(self.groups))],
-                     -1)
-        return (p.real if real else p).tolist()
-
 
 class _FamilyEigenphases(Eigenphases):
     """Closed-form phases of a family: group 0 is the constant vector
-    (column 0 of V), the last group its complement.  ``apply`` sums the
-    projectors J/n and I - J/n, so the Kirchhoff S_U(1) = U, for one, comes
-    out exact, and ``projectors`` gives their entries as plain floats."""
+    (column 0 of V), the last group its complement.  ``apply`` sums
+    f_0 J/n and f_1 (I - J/n), so the Kirchhoff S_U(1) = U, for one, comes
+    out exact."""
 
     exact = True
 
     def apply(self, f: list) -> np.ndarray:
         n = self.v.shape[0]
         return f[-1] * _identity(n) + (f[0] - f[-1]) / n
-
-    def projectors(self, real: bool) -> list:
-        # apply's entries for each f = e_k, real whatever ``real`` says;
-        # the rows share the two lists
-        n, eye = self.v.shape[0], np.eye(len(self.groups)).tolist()
-        off = [(f[0] - f[-1]) / n for f in eye]
-        diag = [p + f[-1] for p, f in zip(off, eye)]
-        return [[diag if j == l else off for l in range(n)] for j in range(n)]
 
 
 #: the eigenvalues -1 and +1 as (c, s) pairs
@@ -511,7 +502,8 @@ def rescale_length(coupling: VertexCoupling, ell: float,
     from the eigenphases (k c, s), normalised; closed-form phases stay
     closed-form; a ratio k that overflows or underflows to 0 is refused.
     """
-    if not all(math.isfinite(x) and x > 0 for x in (ell, ell_prime)):
+    if not all(_is_real(x) and math.isfinite(x) and x > 0
+               for x in (ell, ell_prime)):
         raise InvalidCouplingError(f"length scales must be finite and "
                                    f"positive, got {ell} and {ell_prime}")
     if ell == ell_prime:

@@ -1,52 +1,39 @@
 """Resolvent kernels of star graphs, with point interactions on the edges.
 
-At energy -kappa^2, kappa > 0, a star of n half lines joined by a vertex
-coupling U (see coupling) has the kernel G_jl(x, y) = (delta_jl
-e^{-kappa |x - y|} + R_jl e^{-kappa (x + y)}) / (2 kappa), R = S_U(i kappa)
-(Kostrykin and Schrader, J. Phys. A 32 (1999) 595).  U is normal and each
-point interaction sits on every edge, so the star is a sum of half lines,
-one per group k of coupling.eigenphases, eigenvalue (c_k + i s_k)^2:
+At energy -kappa^2 a star of n half lines joined by a vertex coupling U,
+with each delta potential (c_q at a_q > 0, c = +-inf a hard screen) on
+every edge, is a sum of half lines (Kostrykin and Schrader, J. Phys. A 32
+(1999) 595), one per group k of coupling.eigenphases, eigenvalue (c_k +
+i s_k)^2, where s_k psi(0) + c_k psi'(0) = 0.  With P_k the spectral
+projector, lo = min(x, y) and hi = max(x, y),
 
-    G_jl(x, y) = sum_k (P_k)_jl g_k(x, y),
-    g_k(x, y) = e^{-kappa |x - y|} ((1 + r_k) + r_k expm1(-2 kappa min(x, y)))
-                / (2 kappa),   1 + r_k = 2 kappa c_k / (kappa c_k - s_k),
+    G_jl(x, y) = -sum_k (P_k)_jl (c_k u_1 - s_k u_2)(lo) phi(hi) / J_k,
+    J_k = c_k phi'(0) + s_k phi(0).
 
-with P_k the spectral projector (J/n and I - J/n exactly for a family,
-V_k V_k* otherwise) and 1 + r_k from scattering.one_plus_s_sectors.  This
-form keeps its relative accuracy near the origin, where a Dirichlet group
-has 1 + r_k = 0, and stays finite for large kappa x.  PoleError is raised,
-by that guard, where sigma_min(D) = 2 min_k |kappa c_k - s_k|,
-D = (i kappa + 1) I + (i kappa - 1) U, is below ROBIN_POLE_TOL
-2 sqrt(1 + kappa^2), its largest possible value: a bound state sits at
-kappa = s_k / c_k (for Robin psi'(0) = b psi(0) the guard reads
-|kappa + b| < ROBIN_POLE_TOL sqrt((1 + b^2)(1 + kappa^2))).  Decomposed
-phases enter unrefined, with an error below about 8 eps cond(D) in 1 + r_k,
-the amplified rounding of U itself.  Each g_k is real, so the kernel is
-real exactly when U = U^T (every HalflineBC and StarModel), and complex
-Hermitian otherwise.
+The solutions are group-free: u_1 and u_2 start from (u, u')(0) = (1, 0)
+and (0, 1), phi decays at infinity or vanishes at the first screen.  Each
+is carried across the points by one Duhamel term per point, c_q u(a_q)
+sinh(kappa |x - a_q|) / kappa, in the scale of its free growth (e^{-kappa
+x} u, e^{kappa x} phi), so nothing overflows.  A diagonal entry is (b_j
+u_2(lo) - a_j u_1(lo)) phi(hi), a_j + i b_j = sum_k (P_k)_jj (c_k + i s_k)
+/ J_k.  Off the diagonal sum_k (P_k)_jl = 0 drops the group-free part of
+u_k / J_k: the entry is Gamma_jl phi(lo) phi(hi), Gamma = sum_k gamma_k
+P_k, gamma_k = (s_k phi'(0) - c_k phi(0)) / ((phi(0)^2 + phi'(0)^2) J_k),
+so no direct terms cancel and a value across edges keeps its digits.  Past
+the first screen an edge is a Dirichlet half line with the remaining
+points, the same kernel with the one group (c, s) = (0, 1).
 
-Delta potentials of strengths c_q at distances a_q > 0, C = diag(c), enter
-each group through its own Krein update over the points A = (a_q),
-
-    g_k(x, y) - g_k(x, A) (C^{-1} + g_k(A, A))^{-1} g_k(A, y),
-
-for one point g_k - g_k(x, a) c g_k(a, y) / (1 + c g_k(a, a)).  c = 0 is
-a no-op and c = +-inf a hard screen (C^{-1} = 0); points at one position
-are one point (strengths add, a screen wins).  Rows are scaled to
-I + c g_k(A, A) (finite c) and 2 kappa g_k(A, A) (infinite c), since
-g_k(a, a) = O(a) near a Dirichlet origin, and PoleError is raised when the
-smallest singular value of a scaled block falls below KREIN_POLE_TOL.
-That is the guard of one update over all pairs (edge e, a_q): V* takes
-its scaled matrix to the direct sum of these blocks, each repeated by its
-multiplicity, so the smallest singular values agree.
+J_k vanishes at the bound states of group k with its points and is the
+one pole test: PoleError when |J_k| < ROBIN_POLE_TOL (|c_k phi'(0)| +
+|s_k phi(0)|), each summed over its terms, so a phi(0) that cancels near
+a wall is no pole.  With no points J_k = s_k - kappa c_k, and the test
+trips within about 2 ROBIN_POLE_TOL, relative, of kappa = s_k / c_k.
+Decomposed phases enter unrefined, good to about eps cond(D(i kappa))
+(see scattering); the kernel is real exactly when U = U^T.
 
 halfline_kernel and star_green share one memoised vertex_kernel per
-``vertex = (family, n, param)`` entry of HalflineBC and StarModel, and
-the coupling U of each entry is memoised too: the finite-difference
-builds and oracle-check read the same one, so a kernel and its FD check
-build U once.  One evaluator body serves float and array arguments, and
-non-real kappa or arguments raise ValueError.  sector_decompose and
-sector_green, the family case of the group sum, are an independent oracle.
+``vertex = (family, n, param)`` entry, whose U is memoised too.
+sector_green, the family case of the group sum, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -58,14 +45,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import VertexCoupling, _check_edge_count, _real, make_coupling
+from .coupling import (VertexCoupling, _check_edge_count, _is_real, _real,
+                       make_coupling)
 from .errors import PoleError
-from .scattering import one_plus_s_sectors
 
-#: smallest singular values of D below this (relative) raise PoleError
+#: Jost functions below this, relative to their terms, raise PoleError
 ROBIN_POLE_TOL = 1e-10
-#: smallest singular values of a scaled Krein block below this raise PoleError
-KREIN_POLE_TOL = 1e-12
 #: StarModel kinds: the two targets (parameter beta), then the two
 #: approximants (parameter b)
 STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
@@ -153,9 +138,7 @@ class PointInteraction:
 def check_kappa(kappa: float) -> None:
     """Raise ValueError unless kappa (energy -kappa^2) is a real number,
     finite and > 0; a bool is not."""
-    if not (isinstance(kappa, (int, float, np.integer, np.floating))
-            and not isinstance(kappa, bool)
-            and math.isfinite(kappa) and kappa > 0):
+    if not (_is_real(kappa) and math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be a finite positive real number, "
                          f"got {kappa!r}")
 
@@ -181,59 +164,76 @@ def check_points(points) -> tuple[PointInteraction, ...]:
     return points
 
 
+#: the elementary functions of float and of array arguments
+_FLOAT = (math.exp, math.expm1, min, max, True)
+_ARRAY = (np.exp, np.expm1, np.minimum, np.maximum, False)
+#: past the first screen each edge is a Dirichlet half line, built once
+_DIRICHLET_EDGE = make_coupling("delta", 1, math.inf)
+
+
 def vertex_kernel(coupling: VertexCoupling,
                   points: Sequence[PointInteraction],
                   kappa: float) -> Callable:
     """Evaluator (j, x, l, y) -> G_jl(x, y) of the star with vertex
-    coupling ``coupling`` and the delta potentials ``points``, each placed
-    on every edge, at energy -kappa^2.  Edges are 0-based; x and y
-    broadcast over numpy arrays, and floats give a float (complex when
-    U != U^T), from one body with math or numpy elementary functions.
-    Arguments must be real (int, float, or an integer or float array; not
-    bool), finite and >= 0, or ValueError.  Pole guards run here, up front."""
+    coupling ``coupling`` and the delta potentials ``points`` on every
+    edge, at energy -kappa^2; the pole test runs here.  Edges are 0-based;
+    x and y broadcast over numpy arrays, floats give a float (complex when
+    U != U^T); each must be real (not bool), finite and >= 0."""
     n = coupling.n
     check_kappa(kappa)
-    merged: dict[float, float] = {}    # one point per position
+    merged: dict[float, float] = {}    # strengths add, a screen wins
     for p in check_points(points):
         merged[p.a] = p.c if math.isinf(p.c) else merged.get(p.a, 0.0) + p.c
-    pos = [a for a, c in merged.items() if c != 0.0]
-    strengths = [merged[a] for a in pos]
-    phases = coupling.eigenphases
-    try:
-        values, _ = one_plus_s_sectors(phases, 1j * kappa, ROBIN_POLE_TOL)
-    except PoleError as exc:
-        where = "Robin" if n == 1 else "vertex"
-        raise PoleError(
-            f"{where} kernel pole: {exc}: energy -kappa^2 = {-kappa**2} is "
-            "a bound state of the vertex coupling") from None
-    one_plus_r = np.array([v.real for v in values])    # per group k
-    kreins = [[]] * len(values)
-    if pos:
-        # (C^{-1} + g_k(A, A))^{-1} from the scaled blocks I + c g_k(A, A),
-        # 2 kappa g_k(A, A) for infinite c
-        at, opr = np.array(pos), one_plus_r[:, None, None]
-        finite = np.isfinite(strengths)
-        weight = np.where(finite, strengths, 2.0 * kappa)
-        e_aa = np.exp(-kappa * np.abs(at[:, None] - at))
-        m_aa = np.expm1(-2.0 * kappa * np.minimum(at[:, None], at))
-        g_aa = e_aa * (opr + (opr - 1.0) * m_aa) / (2.0 * kappa)
-        scaled = weight[:, None] * g_aa + np.diag(finite.astype(float))
-        one = len(pos) == 1
-        smin = np.abs(scaled).min() if one else \
-            np.linalg.svd(scaled, compute_uv=False).min()
-        if smin < KREIN_POLE_TOL:
-            raise PoleError(
-                f"Krein denominator: sigma_min(I + c G(a, a)) = {smin:.3e} "
-                f"below {KREIN_POLE_TOL} at a={pos}, c={strengths}: "
-                f"energy -kappa^2 = {-kappa**2} "
-                "sits on an eigenvalue of the perturbed operator")
-        kreins = (weight / scaled if one else
-                  np.linalg.solve(scaled, np.diag(weight))).tolist()
-    sectors = list(zip(one_plus_r.tolist(), (one_plus_r - 1.0).tolist(),
-                       kreins))
-    # weights[j][l][k] = (P_k)_jl, real when U = U^T
-    weights = phases.projectors(np.array_equal(coupling.u, coupling.u.T))
-    two_kappa = 2.0 * kappa
+    end = min([a for a, c in merged.items() if math.isinf(c)] + [math.inf])
+    wall = None if end == math.inf else vertex_kernel(
+        _DIRICHLET_EDGE, [PointInteraction(a - end, c)
+                          for a, c in merged.items() if a > end], kappa)
+    at = sorted(a for a, c in merged.items() if a < end and c != 0.0)
+    two = 2.0 * kappa
+
+    def duhamel(out, terms, sign, x, fns=_FLOAT):
+        # out + k expm1(-2 kappa sign (x - a)) for each (a, k) in terms
+        # with sign (x - a) > 0, the terms ordered nearest to x first
+        _, expm1, _, maximum, scalar = fns
+        for a, k in terms:
+            if scalar and sign * (x - a) <= 0.0:
+                break
+            out += k * expm1(-two * maximum(sign * (x - a), 0.0))
+        return out
+
+    # u_1 = 1 + expm1(-2 kappa x) / 2, u_2 = -expm1(-2 kappa x) / 2 kappa
+    # (times e^{-kappa x}) and phi = 1 or -expm1(-2 kappa (end - x)) (times
+    # e^{kappa x}), each with a term -c_q (u or phi)(a_q) / 2 kappa per point
+    u1s, u2s = [(0.0, 0.5)], [(0.0, -1.0 / two)]
+    for a in at:
+        u1s.append((a, -merged[a] * duhamel(1.0, u1s, 1, a) / two))
+        u2s.append((a, -merged[a] * duhamel(0.0, u2s, 1, a) / two))
+    base, falls = (1.0, []) if end == math.inf else (0.0, [(end, -1.0)])
+    for a in reversed(at):
+        falls.append((a, -merged[a] * duhamel(base, falls, -1, a) / two))
+    phi0 = [base] + [f * math.expm1(-two * a) for a, f in falls]
+    dphi0 = [-kappa * base] + [kappa * f * (1.0 + math.exp(-two * a))
+                               for a, f in falls]
+    f0, f1 = math.fsum(phi0), math.fsum(dphi0)
+    phases, josts = coupling.eigenphases, []
+    for c, s, _ in phases.groups:
+        josts.append(c * f1 + s * f0)
+        size = abs(c) * sum(map(abs, dphi0)) + abs(s) * sum(map(abs, phi0))
+        if not abs(josts[-1]) >= ROBIN_POLE_TOL * size:
+            raise PoleError(f"kernel pole at kappa = {kappa}: group ({c}, "
+                            f"{s}) has Jost function {josts[-1]:.3e}, below "
+                            f"{ROBIN_POLE_TOL} x its terms {size:.3e}")
+    real = np.array_equal(coupling.u, coupling.u.T)
+    kind = float if real else complex
+    diag = phases.apply([complex(c, s) / jost for (c, s, _), jost
+                         in zip(phases.groups, josts)]).diagonal().tolist()
+    rises = [(-a, [(p, b * k2 - a * k1)                    # b u_2 - a u_1
+                   for (p, k1), (_, k2) in zip(u1s, u2s)])
+             for a, b in ((kind(d.real), kind(d.imag)) for d in diag)]
+    gamma = phases.apply([(s * f1 - c * f0) / ((f0 * f0 + f1 * f1) * jost)
+                          for (c, s, _), jost in zip(phases.groups, josts)])
+    gamma = (gamma.real if real else gamma).tolist()
+    phi = (base, falls)
 
     def evaluate(j: int, x, l: int, y):
         check_edges(n, j, l)
@@ -241,7 +241,7 @@ def vertex_kernel(coupling: VertexCoupling,
                 and type(x) is not bool and type(y) is not bool:
             if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
                 raise ValueError("kernel arguments must be finite and >= 0")
-            exp, expm1, minimum = math.exp, math.expm1, min
+            fns = _FLOAT
         else:
             x, y = np.asarray(x), np.asarray(y)
             if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
@@ -252,23 +252,29 @@ def vertex_kernel(coupling: VertexCoupling,
             if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
                    for v in (x, y)):
                 raise ValueError("kernel arguments must be finite and >= 0")
-            exp, expm1, minimum = np.exp, np.expm1, np.minimum
-        e = exp(-kappa * abs(x - y))
-        m = expm1(-2.0 * kappa * minimum(x, y))
-        fx = [(exp(-kappa * abs(x - a)), expm1(-2.0 * kappa * minimum(x, a)))
-              for a in pos]
-        fy = [(exp(-kappa * abs(a - y)), expm1(-2.0 * kappa * minimum(a, y)))
-              for a in pos]
-        out = None
-        for w, (opr, r, krein) in zip(weights[j][l], sectors):
-            # e (1 + r + r m) / (2 kappa), then the group's Krein update
-            g = (r * m + opr) * e / two_kappa
-            for (u, v), row in zip(fx, krein):
-                gq = u * (opr + r * v) / two_kappa
-                for c, (s, t) in zip(row, fy):
-                    g -= gq * c * (s * (opr + r * t) / two_kappa)
-            g = g if w == 1.0 else w * g
-            out = g if out is None else out + g
+            fns = _ARRAY
+        exp, _, minimum, maximum, scalar = fns
+        beyond = None     # phi(end) = 0: nothing crosses a screen
+        if end < math.inf and j == l and not (scalar and max(x, y) <= end):
+            beyond = wall(0, maximum(x - end, 0.0), 0, maximum(y - end, 0.0))
+        if end < math.inf:
+            x, y = minimum(x, end), minimum(y, end)
+        if j != l:    # Gamma_jl e^{-kappa (x + y)} phi(x) phi(y)
+            fx = gamma[j][l] * exp(-kappa * x) * duhamel(*phi, -1, x, fns)
+            out = fx * (exp(-kappa * y) * duhamel(*phi, -1, y, fns))
+        elif scalar:  # e^{-kappa |x - y|} (b_j u_2 - a_j u_1)(lo) phi(hi)
+            lo, hi = (x, y) if x <= y else (y, x)
+            out = duhamel(*rises[j], 1, lo, fns) * duhamel(*phi, -1, hi, fns) \
+                * exp(-kappa * (hi - lo))
+        else:         # each factor on x and y, so on the axes of a grid
+            below = x <= y
+            out = np.where(below, duhamel(*rises[j], 1, x, fns),
+                           duhamel(*rises[j], 1, y, fns))
+            out *= exp(-kappa * abs(x - y))
+            if falls:
+                out *= np.where(below, duhamel(*phi, -1, y, fns),
+                                duhamel(*phi, -1, x, fns))
+        out = out if beyond is None else out + beyond
         return out.item() if isinstance(out, np.generic) else out
 
     return evaluate

@@ -16,15 +16,14 @@ e^{i theta} with theta in (0, pi) gives a bound state at
 kappa = tan(theta / 2), with the eigenvalue's multiplicity (Kostrykin and
 Schrader, J. Phys. A 32 (1999) 595).
 
-S_U is also the reflection matrix R = S_U(i kappa) of the resolvent
-kernels (greens) and the ghost map of the finite-difference vertex stencil
-(finite_difference).  All three take I + S_U(k) = 2 k (I + U) D(k)^{-1}
-from one_plus_s_sectors, with one scale-free pole guard.  It solves
-nothing: on an eigenvalue e^{i theta} = (c + i s)^2 of U, D(k) acts as
-2 (c + i s)(k c - i s), so I + S_U(k) is V diag(2 k c / (k c - i s)) V*
-over the coupling's cached Eigenphases (coupling), and the bound states
-are kappa = s / c.  Only s_matrix forms the matrix; the others read
-its eigenvalues, one per eigenphase group.
+S_U(3i / (2h)) is also the ghost map of the finite-difference vertex
+stencil (finite_difference).  Both take I + S_U(k) = 2 k (I + U)
+D(k)^{-1} from one_plus_s_sectors, with one scale-free pole guard, which
+solves nothing: on an eigenvalue e^{i theta} = (c + i s)^2 of U, D(k)
+acts as 2 (c + i s)(k c - i s), so I + S_U(k) is V diag(2 k c / (k c -
+i s)) V* over the coupling's cached Eigenphases, and the bound states are
+kappa = s / c.  Only s_matrix forms the matrix.  The resolvent kernels
+(greens) read the eigenphases directly, one Jost function per group.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling
+from .coupling import (DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling,
+                       _is_real)
 from .errors import PoleError
 
 
@@ -94,8 +94,8 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix at real finite momentum k > 0, with
     numerical eigenphases refined where D(k) is ill-conditioned."""
-    if not 0 < k < math.inf:
-        raise ValueError(f"momentum must be positive and finite, got {k}")
+    if not (_is_real(k) and 0 < k < math.inf):
+        raise ValueError(f"momentum must be real, finite and > 0, got {k!r}")
     phases = coupling.eigenphases
     values, distance = one_plus_s_sectors(phases, k, S_MATRIX_TOL)
     s = phases.apply([v - 1.0 for v in values])
@@ -118,8 +118,8 @@ def bound_states(coupling: VertexCoupling,
     (Dirichlet, kappa = inf) carry no state.  kappa_max may be inf.  States
     are returned in increasing kappa.
     """
-    if not kappa_max > 0:
-        raise ValueError(f"kappa_max must be positive, got {kappa_max}")
+    if not (_is_real(kappa_max) and kappa_max > 0):
+        raise ValueError(f"kappa_max must be real and > 0, got {kappa_max!r}")
     # |1 + lambda| = 2 c and |1 - lambda| = 2 |s|
     edge = DECOUPLED_EIGENVALUE_TOL / 2.0
     states = [BoundState(s / c, m)

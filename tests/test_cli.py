@@ -230,6 +230,18 @@ class TestGreensCommand:
         _, one, _ = run(capsys, "greens", *flags, "--point", "1,inf")
         assert json.loads(out)["value"] == json.loads(one)["value"]
 
+    @pytest.mark.parametrize("point", ["1,inf", "1,5", "0.3,-2"])
+    def test_points_lift_the_vertex_bound_state(self, capsys, point):
+        # Robin(-1) has its bound state at kappa = 1, the star with the
+        # point has none there; this exited 3 from a vertex guard that ran
+        # before the points entered
+        code, out, _ = run(capsys, "greens", "--bc", "robin:-1", "--point",
+                           point, "--kappa", "1", "--x", "0.5", "--y", "0.7")
+        assert code == 0
+        kernel = halfline_kernel(HalflineBC.robin(-1.0), [PointInteraction(
+            *(float(v) for v in point.split(",")))], 1.0)
+        assert as_complex(json.loads(out)["value"]) == kernel(0.5, 0.7)
+
     def test_robin_pole_exits_3(self, capsys):
         code, _, err = run(capsys, "greens", "--bc", "robin:-1",
                            "--kappa", "1", "--x", "1", "--y", "1")

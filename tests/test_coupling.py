@@ -15,8 +15,8 @@ import pytest
 import scipy.linalg
 
 from conftest import random_invertible, random_unitary
-from starcouplings import (ABPair, BoundaryValues, Eigenphases,
-                           InvalidCouplingError, VertexCoupling,
+from starcouplings import (ABPair, BoundaryValues, InvalidCouplingError,
+                           VertexCoupling,
                            decoupled_projection, from_ab,
                            make_coupling, rescale_length,
                            satisfies_vertex_condition, to_ab,
@@ -712,18 +712,6 @@ class TestEigenphases:
             assert [g[2] for g in got] == [g[2] for g in want]
             for (c1, s1, _), (c2, s2, _) in zip(got, want):
                 assert abs(c1 - c2) < 1e-12 and abs(s1 - s2) < 1e-12
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_family_projectors_are_the_entries_apply_gives(self, family, n):
-        # the plain-float J/n and I - J/n against the generic projectors,
-        # which stack apply over the indicator of each group
-        for param in FAMILY_PARAMS:
-            phases = make_coupling(family, n, param).eigenphases
-            got = phases.projectors(True)
-            assert got == Eigenphases.projectors(phases, True)
-            assert all(type(w) is float for row in got for p in row
-                       for w in p)
 
     def test_family_tags_alone_seed_nothing(self):
         # a coupling holds U alone: one built directly decomposes U = I

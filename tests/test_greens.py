@@ -6,9 +6,11 @@ origin), the residual identity -G'' + kappa^2 G = 0 off the diagonal with
 unit derivative jump on it, exact two-sector algebra for stars, the
 sector reassembly G_lead / n + (delta_jl - 1/n) G_rest for every star
 model, the Krein formula at 50 digits (mpmath) near the origin, the
-vertex condition and Hermiticity for Haar-random couplings, and the
+vertex condition and Hermiticity for Haar-random couplings, the
 edge-indexed matrix formula with its Krein update over all (edge, point)
-pairs at 50 digits for Haar-random couplings with points.
+pairs at 50 digits for Haar-random couplings with points, the 60-digit
+S_U(i kappa) formula entry by entry across edges, and 2 x 2 transfer
+matrices at 50 digits for a Robin half line with points.
 """
 
 import dataclasses
@@ -23,10 +25,12 @@ from conftest import random_unitary, unitary_with_phase
 from starcouplings import (BoundaryValues, GridSpec, HalflineBC,
                            InvalidCouplingError, PointInteraction, PoleError,
                            SectorSpec, StarModel, VertexCoupling,
-                           convergence_sweep, fd_resolvent_halfline,
-                           fd_resolvent_star, halfline_kernel, make_coupling,
-                           satisfies_vertex_condition, sector_decompose,
-                           sector_green, star_green, vertex_kernel)
+                           approximant_model, convergence_sweep,
+                           fd_resolvent_halfline, fd_resolvent_star,
+                           halfline_kernel, make_coupling,
+                           satisfies_vertex_condition, schedule,
+                           sector_decompose, sector_green, star_green,
+                           vertex_kernel)
 from starcouplings.greens import ROBIN_POLE_TOL, _named_coupling
 
 RNG = np.random.default_rng(7)
@@ -200,16 +204,12 @@ class TestHalflineGreen:
 # ======================================================================
 
 class TestKreinInsert:
-    @pytest.mark.parametrize("delta", [
-        1e-3,
-        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True)),
-        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True)),
-    ])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-9, 1e-12])
     def test_nearly_coincident_screens_act_as_one(self, delta):
-        # two screens a distance delta apart lose accuracy as delta -> 0,
-        # by about eps / delta, without the Krein guard tripping: at
-        # delta = 1e-9 the value across the screens reads -1.86e-9, where
-        # the exact kernel is 0
+        # a p x p Krein block over two screens a distance delta apart lost
+        # accuracy as delta -> 0, by about eps / delta: at delta = 1e-9 the
+        # value across the screens read -1.86e-9, where the exact kernel
+        # is 0.  A screen now ends the segment its points are carried over
         bc = HalflineBC.dirichlet()
         screens = [PointInteraction(1.0, math.inf),
                    PointInteraction(1.0 + delta, math.inf)]
@@ -561,6 +561,109 @@ class TestKreinNearOrigin:
 
 
 # ======================================================================
+#  solutions carried across the points: digits across edges, and poles
+#  only where the star with its points has them
+# ======================================================================
+
+def _mp_cross_edge(n, beta, kappa, x, y):
+    """G_01(x, y) = R_01 e^{-kappa (x + y)} / (2 kappa) of the delta'_s
+    star, R = S_U(i kappa) on the eigenvalues of U, at 60 digits."""
+    with mpmath.workdps(60):
+        k, beta = mpmath.mpf(kappa), mpmath.mpf(beta)
+        ik = mpmath.mpc(0, k)
+        lam = (-n - 1j * beta) / (n - 1j * beta)     # on the constants
+
+        def refl(lam):
+            return (ik - 1 + (ik + 1) * lam) / (ik + 1 + (ik - 1) * lam)
+
+        r01 = (refl(lam) - refl(1)) / n
+        return (r01 * mpmath.exp(-k * (mpmath.mpf(x) + mpmath.mpf(y)))
+                / (2 * k)).real
+
+
+def _mp_transfer(b, points, kappa, x, y):
+    """Kernel of the half line with psi'(0) = b psi(0) and delta potentials
+    at 50 digits, from 2 x 2 transfer matrices: G = -u(lo) phi(hi) / W,
+    W = u phi' - u' phi, u regular at 0 and phi decaying at infinity or
+    vanishing at the first screen past hi (no screen below hi)."""
+    with mpmath.workdps(50):
+        k = mpmath.mpf(kappa)
+        lo, hi = sorted((mpmath.mpf(x), mpmath.mpf(y)))
+        finite = [(mpmath.mpf(p.a), mpmath.mpf(p.c)) for p in points
+                  if math.isfinite(p.c)]
+        screens = [mpmath.mpf(p.a) for p in points if math.isinf(p.c)]
+        assert all(a > hi for a in screens)
+
+        def carry(state, start, stop):
+            sign = 1 if stop > start else -1
+            for a, c in sorted(finite, reverse=sign < 0):
+                if min(start, stop) < a < max(start, stop):
+                    state = free(state, a - start)
+                    state, start = (state[0], state[1] + sign * c
+                                    * state[0]), a
+            return free(state, stop - start)
+
+        def free(state, d):
+            v, dv = state
+            return (v * mpmath.cosh(k * d) + dv * mpmath.sinh(k * d) / k,
+                    v * k * mpmath.sinh(k * d) + dv * mpmath.cosh(k * d))
+
+        u = carry((mpmath.mpf(1), mpmath.mpf(b)), mpmath.mpf(0), lo)
+        if screens:
+            start, state = min(screens), (mpmath.mpf(0), mpmath.mpf(1))
+        else:
+            start = max([hi] + [a for a, _ in finite]) + 1
+            state = (mpmath.mpf(1), -k)
+        phi_hi = carry(state, start, hi)
+        phi = carry(phi_hi, hi, lo)
+        return -u[0] * phi_hi[0] / (u[0] * phi[1] - u[1] * phi[0])
+
+
+class TestCarriedSolutions:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kappa,x,y", [
+        (1.0, 10.0, 10.5), (80.0, 0.5, 0.6), (20.0, 1.0, 2.0),
+        (80.0, 0.06, 1.5), (80.0, 1.5, 1.5)])
+    def test_cross_edge_values_keep_their_digits(self, n, kappa, x, y):
+        # every entry summed sum_k (P_k)_01 g_k, where the direct terms
+        # cancel in rounding: (10, 10.5) at kappa = 1 was off by 1.1e-7,
+        # and (0.5, 0.6) at kappa = 80 returned 0.0 for -7.14e-43.
+        # Measured now: at most 1.9e-15, at (0.5, 0.6) and kappa = 80,
+        # where the rounding of kappa y = 48 alone moves the value by 1.8e-15
+        got = star_green(StarModel.delta_prime_s(n, 1.3), kappa, 0, x, 1, y)
+        want = _mp_cross_edge(n, 1.3, kappa, x, y)
+        assert abs(got - want) <= 5e-15 * abs(want), float(want)
+
+    @pytest.mark.parametrize("points,want", [
+        ([PointInteraction(1.0, math.inf)], 0.502069085166149),
+        ([PointInteraction(1.0, 5.0)], 0.9471772708646425),
+        ([PointInteraction(0.3, -2.0)], -0.1394462595550355),
+    ], ids=["screen", "repulsive", "attractive"])
+    def test_points_lift_a_vertex_bound_state(self, points, want):
+        # Robin(-1) has its bound state at kappa = 1, which a point on the
+        # edge moves away; a vertex guard that ran before the points
+        # entered raised PoleError here.  Measured: at most 5.7e-16
+        got = halfline_kernel(HalflineBC.robin(-1.0), points, 1.0)(0.5, 0.7)
+        ref = _mp_transfer(-1.0, points, 1.0, 0.5, 0.7)
+        assert abs(ref - want) <= 1e-15
+        assert abs(got - ref) <= 1e-15 * abs(ref), float(ref)
+
+    @pytest.mark.parametrize("family", ["delta_prime_s", "delta_prime"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_guard_trips_next_to_the_approximant_bound_state(self, family,
+                                                            n):
+        # beta = -(n / kappa)(1 + 1e-8) at a = 1e-6: the approximant's
+        # bound state is 5e-7 relative away from kappa = 0.5, and J_k
+        # cancels between c phi'(0) and s phi(0) at a base Robin constant
+        # of about 1e12, so the kernel would lose four digits
+        kappa = 0.5
+        beta = -(n / kappa) * (1.0 + 1e-8)
+        model = approximant_model(schedule(family, beta, n, 1e-6))
+        with pytest.raises(PoleError):
+            star_green(model, kappa, 0, 0.5, n - 1, 0.7)
+
+
+# ======================================================================
 #  non-finite input
 # ======================================================================
 
@@ -855,23 +958,28 @@ def _mp_star_kernel(u, points, kappa, xs):
 
 class TestHaarAgainstMpmath:
     """vertex_kernel for Haar U with 0-2 points against the 50-digit
-    matrix formula.  Measured over these 100 cases, relative to each
-    case's largest kernel value: median 6.9e-16, worst 4.7e-13, where a
-    point sits next to an eigenvalue of the perturbed operator and the
-    largest value is 460 / kappa."""
+    matrix formula, on the first 100 cases of the draw and on case 985
+    (n = 4, two points, kappa = 0.8218), which the p x p Krein block
+    missed by 2.7e-12.  Measured, relative to each case's largest kernel
+    value: median 6.8e-16, worst 4.0e-13, where a point sits next to an
+    eigenvalue of the perturbed operator and the largest value is
+    460 / kappa; case 985 is off by 6.9e-15."""
 
     XS = (0.0, 0.35, 1.2, 2.9)
+    CASES = (*range(100), 985)
 
     def test_matches_the_matrix_formula(self):
         rng = np.random.default_rng(1)
         errors = []
-        for _ in range(100):
+        for case in range(max(self.CASES) + 1):
             n = int(rng.integers(1, 6))
             u = random_unitary(n, rng)
             points = [PointInteraction(float(rng.uniform(0.2, 2.5)),
                                        float(rng.uniform(-4.0, 4.0)))
                       for _ in range(int(rng.integers(0, 3)))]
             kappa = float(rng.uniform(0.3, 3.0))
+            if case not in self.CASES:
+                continue
             kernel = vertex_kernel(VertexCoupling.custom(u), points, kappa)
             want = _mp_star_kernel(u, points, kappa, self.XS)
             err = scale = 0.0
@@ -891,26 +999,38 @@ class TestHaarAgainstMpmath:
 # ======================================================================
 
 class TestWorkCount:
+    @pytest.mark.parametrize("npoints", [0, 1, 2, 3])
     @pytest.mark.parametrize("coupling", [
         make_coupling("delta", 3, 1.5),
         VertexCoupling.custom(np.array([[0.6, 0.8j], [0.8j, 0.6]])),
     ], ids=["family", "decomposed"])
-    def test_one_point_needs_no_svd_and_no_solve(self, coupling,
+    def test_one_point_needs_no_svd_and_no_solve(self, coupling, npoints,
                                                 monkeypatch):
+        # no np.linalg call in a build or a value, for any number of
+        # points; the third is a screen, so the kernel has a segment past
+        # it, and values are taken on both sides of it
         coupling.eigenphases          # the decomposition is not counted
         calls = []
-        for name in ("svd", "solve"):
-            def counted(*args, _name=name, _f=getattr(np.linalg, name),
-                        **kwargs):
+        for name in dir(np.linalg):
+            routine = getattr(np.linalg, name)
+            if name.startswith("_") or not callable(routine) \
+                    or isinstance(routine, type):
+                continue
+
+            def counted(*args, _name=name, _f=routine, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        kernel = vertex_kernel(coupling, [PointInteraction(0.5, -2.0)], 1.0)
+        points = [PointInteraction(0.5, -2.0), PointInteraction(1.1, 0.8),
+                  PointInteraction(1.6, math.inf)][:npoints]
+        kernel = vertex_kernel(coupling, points, 1.0)
         value = kernel(0, 0.3, coupling.n - 1, 0.7)
+        beyond = kernel(0, 1.8, 0, np.array([2.0, 2.4]))
         assert calls == []
         assert type(value) is float          # U = U^T
         array = kernel(0, np.array([0.3]), coupling.n - 1, 0.7)
         assert abs(value - array[0]) <= 1e-15
+        assert (beyond != 0.0).all()
 
     def test_scalars_give_complex_when_u_is_not_symmetric(self):
         u = random_unitary(3, np.random.default_rng(5))

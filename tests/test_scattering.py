@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 import starcouplings
 from conftest import random_unitary
-from starcouplings import (PoleError, VertexCoupling, bound_states,
-                           make_coupling, s_matrix)
+from starcouplings import (InvalidCouplingError, PoleError, VertexCoupling,
+                           bound_states, make_coupling, rescale_length,
+                           s_matrix)
 from starcouplings.scattering import REFINE_COND, one_plus_s_sectors
 
 RNG = np.random.default_rng(424242)
@@ -397,6 +398,28 @@ class TestBoundStatesProperties:
         q = random_unitary(len(phases), np.random.default_rng(seed))
         u = (q * np.exp(1j * np.array(phases))) @ q.conj().T
         _check_against_determinant(u, kappa_max)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 1 + 0j, np.complex128(2),
+                                   "1"],
+                         ids=["True", "np.True_", "complex", "complex128",
+                              "str"])
+def test_entry_points_refuse_what_is_not_a_real_number(value):
+    # s_matrix(c, True) returned S(1), bound_states(c, True) ran with
+    # kappa_max = 1 and rescale_length(c, True, 2.0) rescaled by 1/2;
+    # s_matrix took np.complex128(2) silently, and 1 + 0j and "1" raised
+    # TypeError from a comparison
+    c = make_coupling("delta", 2, 0.5)
+    for call, error, match in (
+            (lambda: s_matrix(c, value), ValueError, "must be real"),
+            (lambda: bound_states(c, value), ValueError, "must be real"),
+            (lambda: rescale_length(c, value, 2.0), InvalidCouplingError,
+             "finite and positive"),
+            (lambda: rescale_length(c, 2.0, value), InvalidCouplingError,
+             "finite and positive")):
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert type(info.value) is error
 
 
 def test_import_does_not_load_scipy_optimize():
