@@ -63,6 +63,10 @@ Sector norms combine with multiplicities,
 
 which is exact because the sectors are orthogonal.
 
+A sweep checks its inputs once and runs its stages as one loop: a stage
+reads b, c, per_channel_b from _strengths, as schedule() does, builds no
+ApproximationStage and shares the factors of x = kappa a between sectors.
+
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
 p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
@@ -78,7 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _check_edge_count, _family_table, _real
+from .coupling import (_check_edge_count, _family_table, _is_real, _real,
+                       _unchecked)
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (ROBIN_POLE_TOL, PointInteraction, SectorSpec,
@@ -112,9 +117,12 @@ class ApproximationStage:
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     """Coupling strengths b(a), c(a) for the given target family."""
     _check_schedule(family, beta, n)
+    a = _distance(a)
     if not 0 < a < math.inf:
         raise ValueError(f"distance must be in (0, inf), got {a}")
-    return _stage(family, beta, n, a)
+    b, c, per_channel_b = _strengths(family, beta, n, a)
+    return ApproximationStage(family=family, n=n, beta=float(beta), a=a,
+                              b=b, c=c, per_channel_b=per_channel_b)
 
 
 def _check_schedule(family: str, beta: float, n: int) -> None:
@@ -127,13 +135,19 @@ def _check_schedule(family: str, beta: float, n: int) -> None:
         raise ValueError(f"beta must be finite, got {beta}")
 
 
-def _stage(family: str, beta: float, n: int, a: float) -> ApproximationStage:
-    """schedule() of inputs it has already checked."""
+def _distance(a) -> float:
+    """float(a) of a real distance; a bool, str or complex is refused."""
+    if not _is_real(a):
+        raise ValueError(f"a distance must be a real number, got {a!r}")
+    return float(a)
+
+
+def _strengths(family: str, beta: float, n: int, a: float) -> tuple:
+    """(b, c, per_channel_b) of checked inputs at distance a: the schedule
+    formula, which schedule() and every sweep stage read."""
     common = family == "delta_prime_s"    # common-derivative target
     b = -beta / ((n if common else 1) * a * a)
-    return ApproximationStage(family=family, n=n, beta=float(beta), a=float(a),
-                              b=b, c=-1.0 / a,
-                              per_channel_b=b if common else b / n)
+    return b, -1.0 / a, b if common else b / n
 
 
 def effective_robin(b: float, c: float, a: float) -> float:
@@ -259,19 +273,15 @@ def _f_scaled(x: float) -> float:
     return 0.5 * (x * (1.0 + math.exp(-2.0 * x)) + math.expm1(-2.0 * x))
 
 
-def _reflection_shift(sigma: float, tau: float, kappa: float,
-                      a: float) -> float:
-    """dR(a) e^{-2 kappa a} for the sector pair (sigma, tau); see the
-    module docstring.  Raises PoleError when the approximant kernel sits
-    on a pole: the Krein denominator 1 + c G(a, a) = (kappa + B) / (kappa
-    + B_0), with B = P / Q the effective Robin constant and B_0 = B + 1/a
-    that of the base, falls below KREIN_POLE_TOL."""
-    x = kappa * a
-    em = -math.expm1(-2.0 * x)    # (E - 1) / E
-    ep = 2.0 - em                 # (E + 1) / E
-    sh = 0.5 * em                 # sinh x e^{-x}
-    ch = 0.5 * ep                 # cosh x e^{-x}
-    f = _f_scaled(x)
+def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
+                      x: float, em: float, ep: float, sh: float, ch: float,
+                      f: float) -> float:
+    """dR(a) e^{-2 kappa a} for the sector pair (sigma, tau) from the
+    factors of x = kappa a (see convergence_sweep and the module
+    docstring).  Raises PoleError when the approximant kernel sits on a
+    pole: the Krein denominator 1 + c G(a, a) = (kappa + B) / (kappa + B_0),
+    with B = P / Q the effective Robin constant and B_0 = B + 1/a that of
+    the base, falls below KREIN_POLE_TOL."""
     p = -tau * a * x * (ch - x * sh) - sigma * f
     q = tau * x * a * a * ch - sigma * a * sh
     pole = kappa * q + p
@@ -295,31 +305,6 @@ def _robin_pole(p: float, q: float, kappa: float) -> bool:
         < ROBIN_POLE_TOL * math.hypot(p, q) * math.hypot(1.0, kappa)
 
 
-def _run_stage(stage: ApproximationStage, kappa: float, length: float,
-               pairs: list) -> StageResult:
-    a, lead, rest, total, error = stage.a, math.nan, math.nan, math.nan, None
-    try:
-        window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
-        norms = [0.0, 0.0]        # n = 1 has no repeated sector
-        for i, (sigma, tau, target_pole) in enumerate(pairs):
-            base = (tau * a * a, -sigma)
-            if target_pole or _robin_pole(*base, kappa):
-                what, (p, q) = ("target sector", (sigma, tau)) \
-                    if target_pole else ("Robin kernel", base)
-                raise PoleError(
-                    f"{what} pole: {p} psi'(0) = {q} psi(0) has a bound "
-                    f"state at kappa={kappa}")
-            norms[i] = abs(_reflection_shift(sigma, tau, kappa, a)) * window
-        lead, rest = norms
-        total = math.sqrt(lead**2 + (stage.n - 1) * rest**2)
-    except PoleError as exc:
-        error = str(exc)
-    return StageResult(a=a, b=stage.b, c=stage.c,
-                       per_channel_b=stage.per_channel_b, norm_sym=lead,
-                       norm_comp=rest, norm_total=total, valid=error is None,
-                       error=error)
-
-
 def convergence_sweep(family: str, beta: float, n: int, kappa: float,
                       a_list, grid: GridSpec) -> ConvergenceReport:
     """Run the approximation experiment over a strictly decreasing list of
@@ -333,7 +318,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     excluded from the fit.
     """
     check_kappa(kappa)
-    a_values = [float(a) for a in a_list]
+    a_values = [_distance(a) for a in a_list]
     if len(a_values) == 0:
         raise ValueError("need at least one distance")
     if any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
@@ -347,8 +332,38 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     # its pole guard; 0.0 - s keeps the Neumann target's tau at +0.0
     pairs = [(c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa))
              for c, s, m in _family_table(family, n, beta) if m > 0]
-    stages = [_run_stage(_stage(family, beta, n, a), kappa, grid.L, pairs)
-              for a in a_values]
+    four_kappa2, hypot_kappa = 4.0 * kappa**2, math.hypot(1.0, kappa)
+
+    stages = []
+    for a in a_values:
+        b, c, per_channel_b = _strengths(family, beta, n, a)
+        lead, rest, total, error = math.nan, math.nan, math.nan, None
+        try:
+            window = -math.expm1(-2.0 * kappa * (grid.L - a)) / four_kappa2
+            x = kappa * a
+            em = -math.expm1(-2.0 * x)    # (E - 1) / E
+            ep = 2.0 - em                 # (E + 1) / E
+            sh, ch, f = 0.5 * em, 0.5 * ep, _f_scaled(x)  # s, h times e^{-x}
+            norms = [0.0, 0.0]            # n = 1 has no repeated sector
+            for i, (sigma, tau, target_pole) in enumerate(pairs):
+                # _robin_pole of the base tau a^2 psi'(0) = -sigma psi(0)
+                p, q = tau * a * a, -sigma
+                if target_pole or abs(p * kappa + q) \
+                        < ROBIN_POLE_TOL * math.hypot(p, q) * hypot_kappa:
+                    what, (p, q) = ("target sector", (sigma, tau)) \
+                        if target_pole else ("Robin kernel", (p, q))
+                    raise PoleError(f"{what} pole: {p} psi'(0) = {q} psi(0) "
+                                    f"has a bound state at kappa={kappa}")
+                norms[i] = abs(_reflection_shift(
+                    sigma, tau, kappa, a, x, em, ep, sh, ch, f)) * window
+            lead, rest = norms
+            total = math.sqrt(lead**2 + (n - 1) * rest**2)
+        except PoleError as exc:
+            error = str(exc)
+        stages.append(_unchecked(
+            StageResult, a=a, b=b, c=c, per_channel_b=per_channel_b,
+            norm_sym=lead, norm_comp=rest, norm_total=total,
+            valid=error is None, error=error))
 
     valid = [s for s in stages if s.valid and s.norm_total > 0.0][-3:]
     slope = intercept = None
@@ -360,6 +375,6 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         slope = sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) \
             / sum(dx * dx for dx in dxs)
         intercept = y_mean - slope * x_mean
-    return ConvergenceReport(family=family, n=n, beta=float(beta),
-                             kappa=float(kappa), stages=tuple(stages),
-                             fitted_slope=slope, fitted_intercept=intercept)
+    return _unchecked(ConvergenceReport, family=family, n=n, beta=float(beta),
+                      kappa=float(kappa), stages=tuple(stages),
+                      fitted_slope=slope, fitted_intercept=intercept)

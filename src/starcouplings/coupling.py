@@ -119,10 +119,10 @@ def _identity(n: int) -> np.ndarray:
 
 def _unchecked(cls, **fields):
     """A ``cls`` of ``fields`` the package built itself from checked data:
-    valid by construction, it skips the copy and checks of __post_init__."""
+    valid by construction, it skips the copy and checks of __post_init__
+    and sets the instance __dict__ in one update, not field by field."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -117,7 +117,7 @@ import numpy as np
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
 from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
-                       make_coupling, to_ab)
+                       _is_real, make_coupling, to_ab)
 from .errors import PoleError
 from .greens import (HalflineBC, PointInteraction, StarModel,
                      _named_coupling, check_edges, check_kappa, check_points)
@@ -142,9 +142,9 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"truncation length must be finite and positive, "
-                             f"got {self.L}")
+        if not (_is_real(self.L) and math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"truncation length must be a finite positive "
+                             f"real number, got {self.L!r}")
         if (isinstance(self.N, bool)
                 or not isinstance(self.N, (int, np.integer)) or self.N < 16):
             raise ValueError(f"need an integer number of at least 16 "

@@ -17,6 +17,7 @@ form of its own; TestClosedFormNorms gates it against the same K(a)
 evaluated with 50-digit mpmath, and against the sampled quadrature.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -29,7 +30,9 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            convergence_sweep, effective_robin, halfline_kernel,
                            VertexCoupling, hs_norm, schedule, sector_decompose,
                            sector_difference, sector_green)
-from starcouplings.convergence import SCHEDULE_FAMILIES, _robin_pole
+from starcouplings import convergence
+from starcouplings.convergence import (SCHEDULE_FAMILIES, ConvergenceReport,
+                                       StageResult, _robin_pole)
 from starcouplings.greens import ROBIN_POLE_TOL
 from starcouplings.scattering import one_plus_s_sectors
 
@@ -525,6 +528,19 @@ class TestSlopeFit:
 #  closed-form stage norms
 # ======================================================================
 
+def _krein_pole_beta(n, a):
+    """beta where 1 + c G(a, a) of the scheduled Robin base of a
+    delta_prime_s sweep at KAPPA vanishes at distance a, found with the
+    50-digit Krein form."""
+    def krein(beta):
+        b = -beta / (n * a * a)
+        refl = (KAPPA - b) / (KAPPA + b)
+        return a - (1 + refl * mpmath.exp(-2 * KAPPA * a)) / (2 * KAPPA)
+
+    with mpmath.workdps(50):
+        return float(mpmath.findroot(krein, -1.75))
+
+
 def _mp_sector_norms(family, beta, n, kappa, a, length):
     """(norm_sym, norm_comp) of one stage from the Krein form of K(a) at
     50 digits, with the reflection constants built from beta, n and a."""
@@ -597,19 +613,9 @@ class TestClosedFormNorms:
             assert stage.norm_comp == pytest.approx(quad[1], rel=1e-3)
 
     def test_krein_pole_marks_stage_invalid(self):
-        # beta where 1 + c G(a, a) of the scheduled Robin base vanishes at
-        # a = 0.1, found with the 50-digit Krein form
         a, n = 0.1, 2
-
-        def krein(beta):
-            b = -beta / (n * a * a)
-            refl = (KAPPA - b) / (KAPPA + b)
-            return a - (1 + refl * mpmath.exp(-2 * KAPPA * a)) / (2 * KAPPA)
-
-        with mpmath.workdps(50):
-            beta = float(mpmath.findroot(krein, -1.75))
-        rep = convergence_sweep("delta_prime_s", beta, n, KAPPA, [a, 1e-2],
-                                GRID)
+        rep = convergence_sweep("delta_prime_s", _krein_pole_beta(n, a), n,
+                                KAPPA, [a, 1e-2], GRID)
         assert not rep.stages[0].valid
         assert "Krein" in rep.stages[0].error
         assert rep.stages[1].valid
@@ -708,3 +714,93 @@ class TestClosedFormNorms:
     def test_rejects_window_start_outside_grid(self, a_list):
         with pytest.raises(ValueError):
             convergence_sweep("delta_prime_s", 1.0, 2, KAPPA, a_list, GRID)
+
+
+# ======================================================================
+#  the sweep's stage loop
+# ======================================================================
+
+#: distances from 0.26 down to 1e-6, strictly decreasing
+LOOP_A = [0.26, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6]
+
+
+class TestStageLoop:
+    """convergence_sweep runs its stages as one loop that builds no
+    ApproximationStage and takes its records through coupling._unchecked;
+    these tests hold it to schedule() and to constructed records."""
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_strengths_are_schedules_bit_for_bit(self, family, n):
+        for beta in (0.0, 2, 0.3, 3.0, -n / KAPPA):
+            rep = convergence_sweep(family, beta, n, KAPPA, LOOP_A, GRID)
+            for stage in rep.stages:
+                st = schedule(family, beta, n, stage.a)
+                # repr tells -0.0 from 0.0 and np.float64 from float
+                assert [repr(v) for v in (stage.b, stage.c,
+                                          stage.per_channel_b)] \
+                    == [repr(v) for v in (st.b, st.c, st.per_channel_b)]
+
+    def test_sweep_builds_no_approximation_stage(self, monkeypatch):
+        cases = [
+            ("delta_prime", 0.8, 3, [1e-1, 3e-2, 1e-2]),        # valid
+            ("delta_prime_s", -2.0, 2, [1e-2, 1e-3]),         # target pole
+            ("delta_prime_s", 0.02, 2, [0.1, 1e-2]),          # base pole
+            ("delta_prime_s", _krein_pole_beta(2, 0.1), 2,    # Krein pole
+             [0.1, 1e-2])]
+        want = [convergence_sweep(family, beta, n, KAPPA, a_list, GRID)
+                for family, beta, n, a_list in cases]
+        assert [s.error.split(":")[0] for s in
+                (want[1].stages[0], want[2].stages[0], want[3].stages[0])] \
+            == ["target sector pole", "Robin kernel pole",
+                "Krein denominator |1 + c G(a,a)| below 1e-12"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built an ApproximationStage")
+
+        monkeypatch.setattr(convergence, "ApproximationStage", refuse)
+        for (family, beta, n, a_list), report in zip(cases, want):
+            got = convergence_sweep(family, beta, n, KAPPA, a_list, GRID)
+            assert repr(got) == repr(report)
+
+    def test_records_behave_like_constructed_ones(self):
+        rep = convergence_sweep("delta_prime", 0.8, 3, 1.2,
+                                [1e-1, 3e-2, 1e-2], GRID)
+        twin_stages = tuple(StageResult(**dataclasses.asdict(s))
+                            for s in rep.stages)
+        twin = ConvergenceReport(
+            **{f.name: getattr(rep, f.name)
+               for f in dataclasses.fields(ConvergenceReport)}
+            | {"stages": twin_stages})
+        for built, made in ((rep.stages[0], twin_stages[0]), (rep, twin)):
+            assert built == made and hash(built) == hash(made)
+            assert list(vars(built)) == list(vars(made)) \
+                == [f.name for f in dataclasses.fields(made)]
+            assert dataclasses.asdict(built) == dataclasses.asdict(made)
+            assert dataclasses.replace(built) == built
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.kappa = 2.0
+        changed = dataclasses.replace(rep.stages[0], norm_total=1.0)
+        assert changed != rep.stages[0] and changed.norm_total == 1.0
+
+    @pytest.mark.parametrize("a", [True, np.True_, "0.1", 0.1 + 0j],
+                             ids=["True", "np.True_", "str", "complex"])
+    def test_a_distance_is_a_real_number(self, a):
+        # True and np.True_ ran at a = 1.0 and "0.1" at a = 0.1
+        for family in SCHEDULE_FAMILIES:
+            with pytest.raises(ValueError, match="real number"):
+                convergence_sweep(family, 1.0, 2, KAPPA, [a], GRID)
+            with pytest.raises(ValueError, match="real number"):
+                convergence_sweep(family, 1.0, 2, KAPPA, [0.2, a, 1e-3],
+                                  GRID)
+            with pytest.raises(ValueError, match="real number"):
+                schedule(family, 1.0, 2, a)
+
+    def test_numpy_distances_give_float_strengths(self):
+        st = schedule("delta_prime", 0.7, 3, np.float64(0.3))
+        assert all(type(v) is float for v in (st.a, st.b, st.c,
+                                              st.per_channel_b))
+        rep = convergence_sweep("delta_prime", 0.7, 3, KAPPA,
+                                np.array([0.3, 0.03]), GRID)
+        assert repr(rep) == repr(convergence_sweep(
+            "delta_prime", 0.7, 3, KAPPA, [0.3, 0.03], GRID))

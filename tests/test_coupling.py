@@ -815,6 +815,31 @@ class TestValidByConstruction:
             for ell, ell_prime in RATIOS:
                 _assert_valid(rescale_length(c, ell, ell_prime))
 
+    def test_built_records_behave_like_constructed_ones(self):
+        # _unchecked fills a record's __dict__ in one update; the records
+        # it builds compare, hash, convert and freeze as constructed ones
+        built = make_coupling("delta_prime_s", 3, 1.3)
+        made = VertexCoupling(built.u)
+        made.eigenphases    # built on first use, seeded in ``built``
+        pair, made_pair = to_ab(built), ABPair(to_ab(built).a, to_ab(built).b)
+        for b, m, names in ((built, made, ("u",)),
+                            (pair, made_pair, ("a", "b"))):
+            # == and hash() go by identity for both
+            assert b == b and m == m and b != m
+            assert hash(b) == hash(b) != hash(m)
+            assert list(vars(b)) == list(vars(m)) \
+                == [f.name for f in dataclasses.fields(m)]
+            got, want = dataclasses.asdict(b), dataclasses.asdict(m)
+            assert list(got) == list(want)
+            for name in names:
+                assert np.array_equal(got[name], want[name])
+                assert np.array_equal(getattr(dataclasses.replace(b), name),
+                                      getattr(b, name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(b, name, None)
+        assert validate_ab(pair) == validate_ab(made_pair)
+        assert np.array_equal(from_ab(pair).u, from_ab(made_pair).u)
+
     def test_only_matrices_from_outside_are_checked(self, monkeypatch):
         # custom's argument and from_ab's solve come from outside the
         # package: one unitarity check each; what the package builds from

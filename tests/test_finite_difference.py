@@ -62,6 +62,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(10.0, 8)
 
+    @pytest.mark.parametrize("length", [True, np.True_, "12", 12 + 0j],
+                             ids=["True", "np.True_", "str", "complex"])
+    def test_rejects_a_length_that_is_no_real_number(self, length):
+        # True and np.True_ were taken as L = True; "12" and 12 + 0j raised
+        # TypeError
+        with pytest.raises(ValueError, match="real number"):
+            GridSpec(length, 400)
+
     @pytest.mark.parametrize("big_n", [np.nan, 99.5, 99.0, True],
                              ids=["nan", "99.5", "99.0", "True"])
     def test_rejects_a_node_count_that_is_no_integer(self, big_n):
