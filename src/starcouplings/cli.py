@@ -25,8 +25,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .convergence import SCHEDULE_FAMILIES, convergence_sweep
-from .coupling import (FAMILIES, make_coupling, rescale_length, to_ab,
-                       unitarity_defect, validate_ab)
+from .coupling import (FAMILIES, _number, make_coupling, rescale_length,
+                       to_ab, unitarity_defect, validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, compare_kernels,
                                 fd_resolvent_halfline, fd_resolvent_star)
@@ -255,9 +255,7 @@ def _default_samples(L: float) -> list[tuple[float, float]]:
 
 
 def _oracle_grid(L: float, h: float) -> GridSpec:
-    for flag, value in (("--h", h), ("--L", L)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
+    h, L = _number(h, "--h", positive=True), _number(L, "--L", positive=True)
     steps = L / h
     if not math.isfinite(steps):
         raise ValueError(f"--h {h} is too small for --L {L}: L / h overflows")

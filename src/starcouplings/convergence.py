@@ -82,12 +82,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_check_edge_count, _family_table, _is_real, _real,
-                       _unchecked)
+from .coupling import _family_table, _integer, _number, _scale, _unchecked
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (ROBIN_POLE_TOL, PointInteraction, SectorSpec,
-                     StarModel, check_kappa, sector_green)
+                     StarModel, sector_green)
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
@@ -97,7 +96,8 @@ KREIN_POLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ApproximationStage:
-    """Coupling strengths of one approximation stage at distance a."""
+    """Coupling strengths of one approximation stage at distance a, as
+    schedule() makes them."""
 
     family: str
     n: int
@@ -108,38 +108,31 @@ class ApproximationStage:
     per_channel_b: float     # Robin value seen by the repeated/leading sector
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"stage distance outside (0, inf): {self.a}")
-        if not math.isclose(self.c, -1.0 / self.a, rel_tol=1e-15):
-            raise ValueError("stage invariant c = -1/a violated")
+        strengths = _strengths(
+            self.family, _check_schedule(self.family, self.beta, self.n),
+            self.n, _scale(self.a, "distance a"))
+        if (self.b, self.c, self.per_channel_b) != strengths:
+            raise ValueError(
+                f"(b, c, per_channel_b) = ({self.b}, {self.c}, "
+                f"{self.per_channel_b}) is not the schedule's {strengths}")
 
 
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     """Coupling strengths b(a), c(a) for the given target family."""
-    _check_schedule(family, beta, n)
-    a = _distance(a)
-    if not 0 < a < math.inf:
-        raise ValueError(f"distance must be in (0, inf), got {a}")
-    b, c, per_channel_b = _strengths(family, beta, n, a)
-    return ApproximationStage(family=family, n=n, beta=float(beta), a=a,
-                              b=b, c=c, per_channel_b=per_channel_b)
+    checked = _check_schedule(family, beta, n)
+    a = _scale(a, "distance a")
+    return ApproximationStage(family, n, checked, a,
+                              *_strengths(family, beta, n, a))
 
 
-def _check_schedule(family: str, beta: float, n: int) -> None:
+def _check_schedule(family: str, beta: float, n: int) -> float:
+    """float(beta), once the family and n are checked."""
     if family not in SCHEDULE_FAMILIES:
         raise ValueError(
             f"unknown schedule family {family!r}; expected one of "
             f"{SCHEDULE_FAMILIES}")
-    _check_edge_count(n, ValueError)
-    if not math.isfinite(_real(beta)):
-        raise ValueError(f"beta must be finite, got {beta}")
-
-
-def _distance(a) -> float:
-    """float(a) of a real distance; a bool, str or complex is refused."""
-    if not _is_real(a):
-        raise ValueError(f"a distance must be a real number, got {a!r}")
-    return float(a)
+    _integer("edge count", n, low=1)
+    return _scale(beta, "beta", signed=True)
 
 
 def _strengths(family: str, beta: float, n: int, a: float) -> tuple:
@@ -164,11 +157,8 @@ def effective_robin(b: float, c: float, a: float) -> float:
     no oracle for the sweep norms: at beta = 0 a norm built on it is off
     by about 35 % in the sector whose base is Dirichlet (b -> inf).
     """
-    if not (math.isfinite(b) and math.isfinite(c) and math.isfinite(a)):
-        raise ValueError(f"b, c and a must be finite, got {b}, {c}, {a}")
-    if not a > 0:
-        raise ValueError(f"distance must be positive, got {a}")
-    den = 1.0 + a * b
+    b, c = _number(b, "b"), _number(c, "c")
+    den = 1.0 + _number(a, "distance a", positive=True) * b
     if abs(den) < 1e-14:
         raise PoleError(f"degenerate stage: |1 + a b| = {abs(den):.3e}")
     return c + b / den
@@ -200,7 +190,7 @@ class SampledDifference:
 
 
 def _window_nodes(grid: GridSpec, a: float) -> np.ndarray:
-    if not 0.0 < a < grid.L:
+    if not 0.0 < _number(a, "window start a") < grid.L:
         raise ValueError(f"window start {a} outside (0, {grid.L})")
     base = grid.boundary_nodes()
     return np.concatenate(([a], base[base > a * (1.0 + 1e-12)]))
@@ -317,15 +307,14 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     None.  Stages that hit a pole guard are reported as invalid and
     excluded from the fit.
     """
-    check_kappa(kappa)
-    a_values = [_distance(a) for a in a_list]
+    _scale(kappa, "kappa")
+    a_values = [_scale(a, "distance a") for a in a_list]
     if len(a_values) == 0:
         raise ValueError("need at least one distance")
     if any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
         raise ValueError("distances must be strictly decreasing")
-    for a in a_values:
-        if not 0.0 < a < grid.L:
-            raise ValueError(f"window start {a} outside (0, {grid.L})")
+    if not a_values[0] < grid.L:
+        raise ValueError(f"window start {a_values[0]} outside (0, {grid.L})")
     _check_schedule(family, beta, n)
     # the sector pairs (sigma, tau) = (c, -s) of the target's eigenvalues,
     # leading sector (multiplicity 1) first, and whether the target trips

@@ -137,28 +137,63 @@ def _unitary(u: np.ndarray) -> np.ndarray:
     return _frozen(u)
 
 
-def _is_real(x) -> bool:
-    """Whether x is an int or a float, Python or numpy, and not a bool."""
-    return isinstance(x, (int, float, np.integer, np.floating)) \
-        and not isinstance(x, bool)
+#: lengths (a stage distance a, a point position, a grid length L) and
+#: kappa lie in [SCALE_MIN, SCALE_MAX], and a sweep's beta, a length too,
+#: in [-SCALE_MAX, SCALE_MAX]: there the kernels, the finite-difference
+#: solver and the sweep stay in double range
+SCALE_MIN, SCALE_MAX = 1e-100, 1e100
+
+#: what _number requires, by (inf allowed, positive): of the type, then of
+#: the value
+_REQUIRES = {(False, False): ("real and finite", "finite"),
+             (False, True): ("real, finite and positive",
+                             "finite and positive"),
+             (True, False): ("real", "a number, not NaN"),
+             (True, True): ("real and positive", "positive")}
 
 
-def _real(x, error=ValueError) -> float:
-    """float(x); a Python or numpy bool raises ``error``."""
-    if isinstance(x, (bool, np.bool_)):
-        raise error(f"a bool is not a real parameter, got {x!r}")
-    return float(x)
+def _number(x, what: str, error=ValueError, *, inf: bool = False,
+            positive: bool = False, got: str | None = None) -> float:
+    """float(x) of an int or a float, Python or numpy and not a bool, that
+    is not NaN, finite unless ``inf`` and > 0 if ``positive``; otherwise
+    ``error`` naming ``what`` and ``got`` (x by default)."""
+    if type(x) is not float:    # the common case, tested first
+        if isinstance(x, (bool, np.bool_)) or not isinstance(
+                x, (int, float, np.integer, np.floating)):
+            raise error(f"{what} must be {_REQUIRES[inf, positive][0]} (a "
+                        f"real number, not a {type(x).__name__}), got "
+                        f"{got or repr(x)}")
+        x = float(x)
+    if not (x > 0.0 if positive else x == x) or not inf and math.isinf(x):
+        raise error(f"{what} must be {_REQUIRES[inf, positive][1]}, got "
+                    f"{got or repr(x)}")
+    return x
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+def _scale(x, what: str, *, signed: bool = False) -> float:
+    """_number of a length or of kappa, in [SCALE_MIN, SCALE_MAX], or in
+    [-SCALE_MAX, SCALE_MAX] if ``signed``."""
+    x = _number(x, what, positive=not signed)
+    low = -SCALE_MAX if signed else SCALE_MIN
+    if not low <= x <= SCALE_MAX:
+        raise ValueError(f"{what} must lie in [{low:g}, {SCALE_MAX:g}], got "
+                         f"{x!r}")
+    return x
 
 
-def _check_edge_count(n, error=InvalidCouplingError) -> None:
-    """Raise ``error`` unless n is an integer >= 1 (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise error(f"edge count must be an integer >= 1, got {n!r}")
+def _integer(what: str, *values, low: int = 0, high: float = math.inf,
+             error=ValueError) -> None:
+    """Raise ``error`` naming ``what`` unless every value is an int,
+    Python or numpy and not a bool, in [low, high)."""
+    for x in values:
+        if type(x) is int and low <= x < high:    # the common case first
+            continue
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
+                or not low <= x < high:
+            bound = f"lie in [{low}, {high})" if high < math.inf \
+                else f"be an integer number of at least {low}"
+            raise error(f"{what} must {bound}, got "
+                        f"{', '.join(map(repr, values))}")
 
 
 @dataclass(frozen=True)
@@ -382,15 +417,14 @@ def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     """Build one of the standard coupling families.
 
     ``param`` is the real coupling strength (alpha for delta/delta_p, beta
-    for delta_prime_s/delta_prime); +-inf selects the decoupled limit.  A
-    NaN or a bool (Python or numpy) raises InvalidCouplingError.
+    for delta_prime_s/delta_prime); +-inf selects the decoupled limit.
     """
     if family not in FAMILIES:
         raise InvalidCouplingError(
             f"unsupported family {family!r}; expected one of {FAMILIES}")
-    _check_edge_count(n)
-    if math.isnan(param := _real(param, InvalidCouplingError)):
-        raise InvalidCouplingError("coupling parameter must not be NaN")
+    _integer("edge count", n, low=1, error=InvalidCouplingError)
+    param = _number(param, "coupling parameter", InvalidCouplingError,
+                    inf=True)
     return _with_phases(_family_phases(family, n, param))
 
 
@@ -402,8 +436,7 @@ def _family_table(family: str, n: int, param: float) -> tuple:
     (c, s) is c + i s = e^{i theta / 2} up to a real factor: (n, -alpha)
     for (n - i alpha) / (n + i alpha), (beta, -n) for
     -(n + i beta) / (n - i beta), Dirichlet (0, 1) for -1 and Neumann
-    (1, 0) for +1.  ``param`` is used as given, so a caller's integer beta
-    stays an integer.
+    (1, 0) for +1.
     """
     if math.isinf(param):
         sym = rest = _DIRICHLET if family in ("delta", "delta_p") \
@@ -502,10 +535,10 @@ def rescale_length(coupling: VertexCoupling, ell: float,
     from the eigenphases (k c, s), normalised; closed-form phases stay
     closed-form; a ratio k that overflows or underflows to 0 is refused.
     """
-    if not all(_is_real(x) and math.isfinite(x) and x > 0
-               for x in (ell, ell_prime)):
-        raise InvalidCouplingError(f"length scales must be finite and "
-                                   f"positive, got {ell} and {ell_prime}")
+    got = f"{ell} and {ell_prime}"
+    ell, ell_prime = (_number(x, "length scales", InvalidCouplingError,
+                              positive=True, got=got)
+                      for x in (ell, ell_prime))
     if ell == ell_prime:
         return coupling
     k = ell / ell_prime
@@ -527,7 +560,8 @@ def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,
     (vanishing boundary form); that identity is cross-checked and a
     violation raises, since it would mean the inputs are inconsistent.
     """
-    _check_tol(tol)
+    if _number(tol, "tolerance") < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     if bv.n != coupling.n:
         raise InvalidCouplingError(
             f"boundary values of length {bv.n} for an {coupling.n}-edge vertex")

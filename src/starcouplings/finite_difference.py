@@ -117,10 +117,10 @@ import numpy as np
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
 from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
-                       _is_real, make_coupling, to_ab)
+                       _integer, _number, _scale, make_coupling, to_ab)
 from .errors import PoleError
 from .greens import (HalflineBC, PointInteraction, StarModel,
-                     _named_coupling, check_edges, check_kappa, check_points)
+                     _named_coupling, check_points)
 from .scattering import one_plus_s_sectors
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this, relative as in
@@ -142,13 +142,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not (_is_real(self.L) and math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"truncation length must be a finite positive "
-                             f"real number, got {self.L!r}")
-        if (isinstance(self.N, bool)
-                or not isinstance(self.N, (int, np.integer)) or self.N < 16):
-            raise ValueError(f"need an integer number of at least 16 "
-                             f"interior points, got {self.N!r}")
+        _scale(self.L, "truncation length L")
+        _integer("interior node count N", self.N, low=16)
 
     @cached_property
     def h(self) -> float:
@@ -168,13 +163,12 @@ class GridSpec:
 
     def node_index(self, x: float, *, minimum: int = 0) -> int:
         """Index of the interior node nearest x, clamped to [minimum, N-1]."""
-        try:
-            i = int(round(x / self.h)) - 1 if 0.0 <= x <= self.L else None
-        except TypeError:    # a complex or a string (numpy orders complex)
-            i = None
-        if i is None or type(x) is bool:
+        if type(x) is not float:    # the common case, tested first
+            x = _number(x, "grid coordinate")
+        if not 0.0 <= x <= self.L:
             raise ValueError(f"grid coordinate must be a real number in "
                              f"[0, {self.L}], got {x!r}")
+        i = int(round(x / self.h)) - 1
         if i < minimum:
             return minimum
         return i if i < self.N else self.N - 1
@@ -208,7 +202,6 @@ class SampledKernel:
     analytic comparisons can be evaluated at identical points.
     vertex_values(l, y) returns the n eliminated ghost values Psi_0 of the
     kernel column for a source at (l, y), i.e. its traces at the vertex.
-    Edge indices that are not integers in [0, n) raise ValueError.
     """
 
     def __init__(self, grid: GridSpec, rho: float, excess: float,
@@ -296,7 +289,7 @@ class SampledKernel:
         else:
             raise ValueError(f"a kernel point is (x, y) or (j, x, l, y), got "
                              f"{len(point)} coordinates")
-        check_edges(self.n_edges, j, l)
+        _integer("edge indices", j, l, high=self.n_edges)
         return (j, self.grid.node_index(x), l,
                 self.grid.node_index(y, minimum=1))
 
@@ -320,7 +313,7 @@ class SampledKernel:
     def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
         """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
         source at (edge_l, y): the kernel column's boundary trace."""
-        check_edges(self.n_edges, edge_l)
+        _integer("edge indices", edge_l, high=self.n_edges)
         iy = self.grid.node_index(y, minimum=1)
         # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
         scale = ((2.0 - self._excess) * self.grid.h * math.exp(
@@ -370,7 +363,7 @@ def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
                           kappa: float, grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
     half line at energy -kappa^2."""
-    check_kappa(kappa)
+    _scale(kappa, "kappa")
     return _solve(_named_coupling(bc.vertex), points, kappa, grid)
 
 
@@ -379,7 +372,7 @@ def fd_resolvent_star(model: StarModel, kappa: float,
     """Finite-difference kernel of the star-graph operator at energy
     -kappa^2, all n edges coupled at the origin by the model's central
     vertex condition and carrying its point interaction."""
-    check_kappa(kappa)
+    _scale(kappa, "kappa")
     return _solve(_named_coupling(model.vertex), model.points, kappa, grid)
 
 

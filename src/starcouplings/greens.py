@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import (VertexCoupling, _check_edge_count, _is_real, _real,
+from .coupling import (VertexCoupling, _integer, _number, _scale,
                        make_coupling)
 from .errors import PoleError
 
@@ -80,14 +80,12 @@ class HalflineBC:
                   if f not in _BC_FIELDS[self.kind] and getattr(self, f) != 0]
         if unread:
             raise ValueError(f"{self.kind} reads no {', '.join(unread)}")
-        if self.kind == "robin" and not math.isfinite(_real(self.b)):
-            raise ValueError("robin parameter must be finite; use dirichlet "
-                             "for the b = inf limit")
+        if self.kind == "robin":
+            object.__setattr__(self, "b", _number(self.b, "robin parameter"))
         if self.kind == "robin_scaled":
-            _check_edge_count(self.n, ValueError)
-            if not math.isfinite(_real(self.beta)):
-                raise ValueError("robin_scaled parameter must be finite; use "
-                                 "neumann for the beta = inf limit")
+            _integer("edge count", self.n, low=1)
+            object.__setattr__(self, "beta", _number(
+                self.beta, "robin_scaled parameter"))
 
     @classmethod
     def dirichlet(cls) -> "HalflineBC":
@@ -99,11 +97,11 @@ class HalflineBC:
 
     @classmethod
     def robin(cls, b: float) -> "HalflineBC":
-        return cls("robin", b=_real(b))
+        return cls("robin", b=b)
 
     @classmethod
     def robin_scaled(cls, n: int, beta: float) -> "HalflineBC":
-        return cls("robin_scaled", n=n, beta=_real(beta))
+        return cls("robin_scaled", n=n, beta=beta)
 
     @property
     def vertex(self) -> tuple[str, int, float]:
@@ -127,32 +125,8 @@ class PointInteraction:
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError("point interaction position must be finite and "
-                             f"> 0, got {self.a}")
-        if math.isnan(self.c):
-            raise ValueError("point interaction strength must not be NaN; "
-                             "use math.inf for the hard screen")
-
-
-def check_kappa(kappa: float) -> None:
-    """Raise ValueError unless kappa (energy -kappa^2) is a real number,
-    finite and > 0; a bool is not."""
-    if not (_is_real(kappa) and math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be a finite positive real number, "
-                         f"got {kappa!r}")
-
-
-def check_edges(n: int, *edges) -> None:
-    """Raise ValueError unless every edge index is an integer in [0, n);
-    a bool or a float would index (or mask) the edge arrays silently."""
-    for e in edges:
-        if type(e) is int and 0 <= e < n:    # the common case, tested first
-            continue
-        if not (isinstance(e, (int, np.integer)) and not isinstance(e, bool)
-                and 0 <= e < n):
-            raise ValueError(f"edge indices must lie in [0, {n}), got "
-                             f"{', '.join(map(str, edges))}")
+        _scale(self.a, "point interaction position")
+        _number(self.c, "point interaction strength", inf=True)
 
 
 def check_points(points) -> tuple[PointInteraction, ...]:
@@ -180,7 +154,7 @@ def vertex_kernel(coupling: VertexCoupling,
     x and y broadcast over numpy arrays, floats give a float (complex when
     U != U^T); each must be real (not bool), finite and >= 0."""
     n = coupling.n
-    check_kappa(kappa)
+    _scale(kappa, "kappa")
     merged: dict[float, float] = {}    # strengths add, a screen wins
     for p in check_points(points):
         merged[p.a] = p.c if math.isinf(p.c) else merged.get(p.a, 0.0) + p.c
@@ -236,7 +210,7 @@ def vertex_kernel(coupling: VertexCoupling,
     phi = (base, falls)
 
     def evaluate(j: int, x, l: int, y):
-        check_edges(n, j, l)
+        _integer("edge indices", j, l, high=n)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
                 and type(x) is not bool and type(y) is not bool:
             if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
@@ -320,7 +294,7 @@ class StarModel:
         central_delta_p  delta_p-type center with coupling parameter b
 
     Approximants carry at most one point interaction, applied identically
-    on every edge.  beta and b must be finite.
+    on every edge.
     """
 
     n: int
@@ -330,7 +304,7 @@ class StarModel:
     point: PointInteraction | None = None
 
     def __post_init__(self):
-        _check_edge_count(self.n, ValueError)
+        _integer("edge count", self.n, low=1)
         if self.kind not in STAR_KINDS:
             raise ValueError(f"unknown star model kind {self.kind!r}")
         check_points(self.points)
@@ -345,28 +319,27 @@ class StarModel:
                 raise ValueError(f"approximant model {self.kind!r} needs b")
             if self.beta is not None:
                 raise ValueError("approximant models take no beta")
-        param = self.beta if self.b is None else self.b
-        if not math.isfinite(_real(param)):
-            raise ValueError(f"star model parameter must be finite, got "
-                             f"{param}")
+        name = "beta" if self.b is None else "b"
+        object.__setattr__(self, name, _number(getattr(self, name),
+                                               f"star model parameter {name}"))
 
     @classmethod
     def delta_prime_s(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime_s", beta=_real(beta))
+        return cls(n=n, kind="delta_prime_s", beta=beta)
 
     @classmethod
     def delta_prime(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime", beta=_real(beta))
+        return cls(n=n, kind="delta_prime", beta=beta)
 
     @classmethod
     def central_delta(cls, n: int, b: float,
                       point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta", b=_real(b), point=point)
+        return cls(n=n, kind="central_delta", b=b, point=point)
 
     @classmethod
     def central_delta_p(cls, n: int, b: float,
                         point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta_p", b=_real(b), point=point)
+        return cls(n=n, kind="central_delta_p", b=b, point=point)
 
     @property
     def vertex(self) -> tuple[str, int, float]:
@@ -390,6 +363,9 @@ class SectorSpec:
     bc: HalflineBC
     point: PointInteraction | None
     multiplicity: int
+
+    def __post_init__(self):
+        _integer("sector multiplicity", self.multiplicity, low=1)
 
 
 def sector_decompose(model: StarModel) -> list[SectorSpec]:

@@ -28,13 +28,12 @@ kappa = s / c.  Only s_matrix forms the matrix.  The resolvent kernels
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import (DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling,
-                       _is_real)
+                       _number)
 from .errors import PoleError
 
 
@@ -94,8 +93,7 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix at real finite momentum k > 0, with
     numerical eigenphases refined where D(k) is ill-conditioned."""
-    if not (_is_real(k) and 0 < k < math.inf):
-        raise ValueError(f"momentum must be real, finite and > 0, got {k!r}")
+    k = _number(k, "momentum k", positive=True)
     phases = coupling.eigenphases
     values, distance = one_plus_s_sectors(phases, k, S_MATRIX_TOL)
     s = phases.apply([v - 1.0 for v in values])
@@ -118,8 +116,7 @@ def bound_states(coupling: VertexCoupling,
     (Dirichlet, kappa = inf) carry no state.  kappa_max may be inf.  States
     are returned in increasing kappa.
     """
-    if not (_is_real(kappa_max) and kappa_max > 0):
-        raise ValueError(f"kappa_max must be real and > 0, got {kappa_max!r}")
+    _number(kappa_max, "kappa_max", inf=True, positive=True)
     # |1 + lambda| = 2 c and |1 - lambda| = 2 |s|
     edge = DECOUPLED_EIGENVALUE_TOL / 2.0
     states = [BoundState(s / c, m)

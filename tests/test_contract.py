@@ -1,0 +1,364 @@
+"""The refusal contract, as one table over every public entry point.
+
+Every name in starcouplings.__all__ has rows here: a call with nominal
+arguments, and the numeric arguments to probe, one at a time.  Each bad
+value (a bool, Python or numpy, a complex, a string, None, NaN, a float32
+NaN) must raise InvalidCouplingError, PoleError or ValueError.  Each
+extreme value (+-1e-300, 5e-324, 1e-160, 1e154, 1e300, +-inf) must raise
+one of these or give finite numbers; infinity is a value of its own only
+where an argument takes it (a decoupled coupling parameter, a hard screen,
+kappa_max).  The evaluators the entry points return have rows too.  Every
+CLI subcommand runs the same values in process through cli.main: a bad
+value must exit 2 or 3, an extreme one 0, 2, 3 or 4, and none may raise.
+
+Matrix and array arguments (U, A, B, psi, dpsi, sampled differences) are
+no table rows; their constructors check shapes and finite entries
+(test_coupling).  The result records name why they have no rows.
+"""
+
+import cmath
+import dataclasses
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import starcouplings as sc
+from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
+                           InvalidCouplingError, PointInteraction, PoleError,
+                           StageResult, StarModel)
+from starcouplings.cli import build_parser, main
+from starcouplings.coupling import SCALE_MAX, SCALE_MIN
+
+BAD = {"True": True, "np.True_": np.True_, "complex": 1 + 0j, "str": "1",
+       "None": None, "nan": math.nan, "float32-nan": np.float32("nan")}
+#: and the ends of the domain of lengths and kappa
+EXTREME = {"-1e-300": -1e-300, "1e-300": 1e-300, "5e-324": 5e-324,
+           "1e-160": 1e-160, "1e154": 1e154, "1e300": 1e300,
+           "inf": math.inf, "-inf": -math.inf, "SCALE_MIN": SCALE_MIN,
+           "SCALE_MAX": SCALE_MAX, "-SCALE_MAX": -SCALE_MAX}
+REFUSALS = (InvalidCouplingError, PoleError, ValueError)
+
+#: names of __all__ with no row, and why: they are results the package
+#: builds, and no entry point takes one built by hand, or errors
+NO_ROW = {
+    "ABDiagnostics": "validate_ab's result",
+    "BoundState": "bound_states' result",
+    "ConvergenceReport": "convergence_sweep's result",
+    "StageResult": "a stage of convergence_sweep's result",
+    "KernelErrorStats": "compare_kernels' result",
+    "Eigenphases": "a coupling's decomposition",
+    "SampledDifference": "sector_difference's result, arrays only",
+    "SampledKernel": "fd_resolvent_*'s result; its evaluators have rows",
+    "InvalidCouplingError": "an error",
+    "PoleError": "an error",
+}
+
+
+class Row(NamedTuple):
+    owner: str                 # the name of __all__ the row covers
+    call: Callable
+    args: dict                 # nominal arguments, by name
+    numeric: tuple = ()        # the arguments to probe
+    infinite: tuple = ()       # those of them that take +-inf
+    then: Callable = None      # reads numbers from what the call returns
+    label: str = ""            # which call of the owner, if not its own
+
+    def __str__(self):
+        return f"{self.label or self.owner}({','.join(self.args)})"
+
+
+C2 = sc.make_coupling("delta", 2, 0.5)
+BC = HalflineBC.robin(0.7)
+MODEL = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
+GRID = GridSpec(12.0, 99)
+STAGE = sc.schedule("delta_prime_s", 1.0, 2, 0.1)
+TARGET = sc.sector_decompose(StarModel.delta_prime_s(2, 1.0))[0]
+APPROX = sc.sector_decompose(sc.approximant_model(STAGE))[0]
+HALF = sc.fd_resolvent_halfline(BC, (), 1.0, GRID)
+STAR = sc.fd_resolvent_star(MODEL, 1.0, GRID)
+KERNEL = sc.vertex_kernel(C2, (), 1.0)
+U2 = np.array([[0.6, 0.8], [0.8, -0.6]])
+BV = sc.BoundaryValues(np.ones(3), np.full(3, 2.0 / 3.0))
+
+
+def _kernel_value(kernel):
+    return kernel(0, 0.5, 1, 0.7)
+
+
+def _fd_value(sampled):
+    return sampled.value(1.5, 2.0)
+
+
+ROWS = [
+    # coupling
+    Row("make_coupling", sc.make_coupling,
+        dict(family="delta", n=2, param=0.5), ("n", "param"), ("param",)),
+    Row("VertexCoupling", sc.VertexCoupling, dict(u=U2)),
+    Row("VertexCoupling", sc.VertexCoupling.custom, dict(u=U2),
+        label="custom"),
+    Row("ABPair", sc.ABPair, dict(a=np.eye(2), b=np.zeros((2, 2)))),
+    Row("BoundaryValues", sc.BoundaryValues,
+        dict(psi=np.ones(2), dpsi=np.zeros(2))),
+    Row("to_ab", sc.to_ab, dict(coupling=C2)),
+    Row("from_ab", sc.from_ab, dict(ab=sc.to_ab(C2))),
+    Row("validate_ab", sc.validate_ab, dict(ab=sc.to_ab(C2))),
+    Row("unitarity_defect", sc.unitarity_defect, dict(u=U2)),
+    Row("decoupled_projection", sc.decoupled_projection, dict(coupling=C2)),
+    Row("rescale_length", sc.rescale_length,
+        dict(coupling=C2, ell=1.0, ell_prime=2.0), ("ell", "ell_prime")),
+    Row("satisfies_vertex_condition", sc.satisfies_vertex_condition,
+        dict(coupling=sc.make_coupling("delta", 3, 2.0), bv=BV, tol=1e-10),
+        ("tol",)),
+    # scattering
+    Row("s_matrix", sc.s_matrix, dict(coupling=C2, k=1.3), ("k",)),
+    Row("bound_states", sc.bound_states,
+        dict(coupling=sc.make_coupling("delta", 2, -1.0), kappa_max=5.0),
+        ("kappa_max",), ("kappa_max",)),
+    # models
+    Row("HalflineBC", HalflineBC.dirichlet, {}, label="dirichlet"),
+    Row("HalflineBC", HalflineBC.neumann, {}, label="neumann"),
+    Row("HalflineBC", HalflineBC.robin, dict(b=0.7), ("b",), label="robin"),
+    Row("HalflineBC", HalflineBC.robin_scaled, dict(n=2, beta=1.0),
+        ("n", "beta"), label="robin_scaled"),
+    Row("HalflineBC", HalflineBC, dict(kind="robin", b=0.7), ("b",)),
+    Row("HalflineBC", HalflineBC, dict(kind="robin_scaled", n=2, beta=1.0),
+        ("n", "beta")),
+    Row("HalflineBC", HalflineBC, dict(kind="neumann", b=0.0), ("b",)),
+    Row("PointInteraction", PointInteraction, dict(a=0.4, c=1.0),
+        ("a", "c"), ("c",)),
+    Row("StarModel", StarModel.delta_prime_s, dict(n=3, beta=1.0),
+        ("n", "beta"), label="delta_prime_s"),
+    Row("StarModel", StarModel.delta_prime, dict(n=3, beta=1.0),
+        ("n", "beta"), label="delta_prime"),
+    Row("StarModel", StarModel.central_delta, dict(n=2, b=1.5),
+        ("n", "b"), label="central_delta"),
+    Row("StarModel", StarModel.central_delta_p, dict(n=2, b=1.5),
+        ("n", "b"), label="central_delta_p"),
+    Row("StarModel", StarModel, dict(n=2, kind="delta_prime", beta=1.0),
+        ("n", "beta")),
+    Row("StarModel", StarModel, dict(n=2, kind="central_delta", b=1.5),
+        ("b",)),
+    Row("SectorSpec", sc.SectorSpec,
+        dict(bc=BC, point=None, multiplicity=1), ("multiplicity",)),
+    Row("sector_decompose", sc.sector_decompose, dict(model=MODEL)),
+    # kernels and their evaluators
+    Row("vertex_kernel", sc.vertex_kernel,
+        dict(coupling=C2, points=(), kappa=1.0), ("kappa",),
+        then=_kernel_value),
+    Row("vertex_kernel", KERNEL, dict(j=0, x=0.5, l=1, y=0.7),
+        ("j", "x", "l", "y"), label="evaluate"),
+    Row("halfline_kernel", sc.halfline_kernel,
+        dict(bc=BC, points=(), kappa=1.0), ("kappa",),
+        then=lambda kernel: kernel(0.5, 0.7)),
+    Row("halfline_kernel", sc.halfline_kernel(BC, (), 1.0),
+        dict(x=0.5, y=0.7), ("x", "y"), label="evaluate"),
+    Row("star_green", sc.star_green,
+        dict(model=MODEL, kappa=1.0, edge_j=0, x=0.5, edge_l=1, y=0.7),
+        ("kappa", "edge_j", "x", "edge_l", "y")),
+    Row("star_green", sc.star_green,
+        dict(model=StarModel.delta_prime_s(3, 1.0), kappa=1.0, edge_j=0,
+             x=0.5, edge_l=1, y=0.7), ("kappa",)),
+    Row("star_green", sc.star_green,
+        dict(model=StarModel.delta_prime(3, 1.0), kappa=1.0, edge_j=0,
+             x=0.5, edge_l=1, y=0.7), ("kappa",)),
+    Row("sector_green", sc.sector_green,
+        dict(sector=APPROX, kappa=1.0, x=0.5, y=0.7), ("kappa", "x", "y")),
+    # finite differences and their evaluators
+    Row("GridSpec", GridSpec, dict(L=12.0, N=99), ("L", "N"),
+        then=lambda grid: grid.node_index(grid.L / 2)),
+    Row("GridSpec", GRID.node_index, dict(x=1.5), ("x",),
+        label="node_index"),
+    Row("fd_resolvent_halfline", sc.fd_resolvent_halfline,
+        dict(bc=BC, points=(), kappa=1.0, grid=GRID), ("kappa",),
+        then=_fd_value),
+    Row("fd_resolvent_star", sc.fd_resolvent_star,
+        dict(model=MODEL, kappa=1.0, grid=GRID), ("kappa",), then=_fd_value),
+    Row("fd_resolvent_halfline", lambda x, y: HALF.value(x, y),
+        dict(x=1.5, y=2.0), ("x", "y"), label="value"),
+    Row("fd_resolvent_star", lambda j, x, l, y: STAR.value(j, x, l, y),
+        dict(j=0, x=1.5, l=1, y=2.0), ("j", "x", "l", "y"), label="value"),
+    Row("fd_resolvent_star", lambda j, x, l, y: STAR.snap(j, x, l, y),
+        dict(j=0, x=1.5, l=1, y=2.0), ("j", "x", "l", "y"), label="snap"),
+    Row("fd_resolvent_star", lambda l, y: STAR.vertex_values(l, y),
+        dict(l=1, y=2.0), ("l", "y"), label="vertex_values"),
+    Row("compare_kernels",
+        lambda x, y: sc.compare_kernels(sc.halfline_kernel(BC, (), 1.0),
+                                        HALF, [(x, y)]),
+        dict(x=1.5, y=2.0), ("x", "y")),
+    # convergence
+    Row("schedule", sc.schedule,
+        dict(family="delta_prime_s", beta=1.0, n=2, a=0.1),
+        ("beta", "n", "a")),
+    Row("ApproximationStage", ApproximationStage,
+        dataclasses.asdict(STAGE), ("n", "beta", "a", "b", "c",
+                                    "per_channel_b")),
+    Row("approximant_model", sc.approximant_model, dict(stage=STAGE)),
+    Row("effective_robin", sc.effective_robin, dict(b=2.0, c=-10.0, a=0.1),
+        ("b", "c", "a")),
+    Row("sector_difference", sc.sector_difference,
+        dict(target=TARGET, approx=APPROX, kappa=1.0, a=0.1, grid=GRID),
+        ("kappa", "a")),
+    Row("hs_norm", sc.hs_norm,
+        dict(diff=sc.sector_difference(TARGET, APPROX, 1.0, 0.1, GRID))),
+    Row("convergence_sweep",
+        lambda family, beta, n, kappa, a, grid: sc.convergence_sweep(
+            family, beta, n, kappa, [a], grid),
+        dict(family="delta_prime_s", beta=1.0, n=2, kappa=1.0, a=0.1,
+             grid=GRID), ("beta", "n", "kappa", "a")),
+]
+
+
+def _finite(obj) -> bool:
+    """Whether every number in obj is finite; an invalid stage carries
+    NaN norms by design."""
+    if obj is None or isinstance(obj, (bool, np.bool_, str)):
+        return True
+    if isinstance(obj, (int, float, complex, np.number)):
+        return cmath.isfinite(obj)
+    if isinstance(obj, np.ndarray):
+        return bool(np.isfinite(obj).all())
+    if isinstance(obj, StageResult) and not obj.valid:
+        return _finite((obj.a, obj.b, obj.c, obj.per_channel_b))
+    if dataclasses.is_dataclass(obj):
+        return all(_finite(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return all(map(_finite, obj))
+    return True
+
+
+def _cases(values):
+    return [pytest.param(row, name, value,
+                         id=f"{row}:{name}={label}")
+            for row in ROWS for name in row.numeric
+            for label, value in values.items()]
+
+
+def _call(row, **changes):
+    out = row.call(**dict(row.args, **changes))
+    return out if row.then is None else row.then(out)
+
+
+def test_every_public_name_has_a_row():
+    covered = {row.owner for row in ROWS} | set(NO_ROW)
+    assert set(sc.__all__) - covered == set()
+    assert covered - set(sc.__all__) == set()
+
+
+@pytest.mark.parametrize("row", ROWS, ids=str)
+def test_nominal_call_gives_finite_numbers(row):
+    assert _finite(_call(row))
+
+
+@pytest.mark.parametrize("row, name, value", _cases(BAD))
+def test_bad_value_is_refused(row, name, value):
+    with pytest.raises(REFUSALS):
+        _call(row, **{name: value})
+
+
+@pytest.mark.parametrize("row, name, value", _cases(EXTREME))
+def test_extreme_value_is_refused_or_finite(row, name, value):
+    try:
+        out = _call(row, **{name: value})
+    except REFUSALS:
+        return
+    if math.isinf(value) and name in row.infinite:
+        return
+    assert _finite(out), out
+
+
+@pytest.mark.parametrize("family", ["nope", None, "delta"])
+def test_approximation_stage_checks_its_family(family):
+    with pytest.raises(ValueError, match="schedule family"):
+        ApproximationStage(**dict(dataclasses.asdict(STAGE), family=family))
+
+
+# ======================================================================
+#  the CLI, in process
+# ======================================================================
+
+CLI_BAD = ["True", "1+0j", "None", "nan", "x"]
+CLI_EXTREME = ["-1e-300", "1e-300", "5e-324", "1e-160", "1e154", "1e300",
+               "inf", "-inf"]
+
+#: argv templates of every subcommand, with the probed value at {} and its
+#: nominal value
+CLI_ROWS = [
+    ("coupling --family delta --n {} --param 0.5", "2"),
+    ("coupling --family delta --n 2 --param {}", "0.5"),
+    ("coupling --family delta --n 2 --param 0.5 --rescale {} 2", "1"),
+    ("coupling --family delta --n 2 --param 0.5 --rescale 1 {}", "2"),
+    ("smatrix --family delta --n {} --param 0.5 --k 1.3", "2"),
+    ("smatrix --family delta --n 2 --param {} --k 1.3", "0.5"),
+    ("smatrix --family delta --n 2 --param 0.5 --k {}", "1.3"),
+    ("greens --bc robin:{} --kappa 1 --x 0.3 --y 0.7", "0.5"),
+    ("greens --bc robin-scaled:{}:1 --kappa 1 --x 0.3 --y 0.7", "2"),
+    ("greens --bc robin-scaled:2:{} --kappa 1 --x 0.3 --y 0.7", "1"),
+    ("greens --bc neumann --kappa {} --x 0.3 --y 0.7", "1"),
+    ("greens --bc neumann --kappa 1 --x {} --y 0.7", "0.3"),
+    ("greens --bc neumann --kappa 1 --x 0.3 --y {}", "0.7"),
+    ("greens --bc neumann --point {},-2 --kappa 1 --x 0.3 --y 0.7", "0.5"),
+    ("greens --bc neumann --point 0.5,{} --kappa 1 --x 0.3 --y 0.7", "-2"),
+    ("greens --bc neumann --kappa 1 --grid {},20", "4"),
+    ("greens --bc neumann --kappa 1 --grid 4,{}", "20"),
+    ("converge --family delta-prime-s --n {} --beta 1 --a-list 0.1,0.01",
+     "2"),
+    ("converge --family delta-prime-s --n 2 --beta {} --a-list 0.1,0.01",
+     "1"),
+    ("converge --family delta-prime-s --n 2 --beta 1 --kappa {} "
+     "--a-list 0.1,0.01", "1"),
+    ("converge --family delta-prime-s --n 2 --beta 1 --a-list 0.1,{}",
+     "0.01"),
+    ("converge --family delta-prime-s --n 2 --beta 1 --a-list 0.1,0.01 "
+     "--grid {},400", "12"),
+    ("converge --family delta-prime-s --n 2 --beta 1 --a-list 0.1,0.01 "
+     "--grid 12,{}", "400"),
+    ("oracle-check --bc dirichlet --kappa {} --h 0.05", "1"),
+    ("oracle-check --bc dirichlet --kappa 1 --h {}", "0.05"),
+    ("oracle-check --bc dirichlet --kappa 1 --h 0.05 --L {}", "12"),
+    ("oracle-check --bc robin:{} --kappa 1 --h 0.05", "0.5"),
+    ("oracle-check --bc neumann --point {},0.5 --kappa 1 --h 0.05", "1.2"),
+    ("oracle-check --bc neumann --point 1.2,{} --kappa 1 --h 0.05", "0.5"),
+    ("oracle-check --star-family delta-prime-s --n {} --beta 1 --h 0.05",
+     "2"),
+    ("oracle-check --star-family delta-prime-s --n 2 --beta {} --h 0.05",
+     "1"),
+    ("oracle-check --star-family central-delta --n 2 --b {} --h 0.05",
+     "1.5"),
+]
+
+
+def _run(capsys, template: str, value: str) -> int:
+    # a leading space keeps argparse from reading "-inf" as a flag
+    argv = [" " + value if word == "{}" else word.replace("{}", value)
+            for word in template.split()]
+    code = main(argv)
+    capsys.readouterr()
+    return code
+
+
+def test_every_subcommand_has_rows():
+    commands = next(action for action in build_parser()._actions
+                    if action.dest == "command").choices
+    assert {template.split()[0] for template, _ in CLI_ROWS} == set(commands)
+
+
+@pytest.mark.parametrize("template, nominal", CLI_ROWS)
+def test_nominal_cli_run_exits_0(capsys, template, nominal):
+    assert _run(capsys, template, nominal) == 0
+
+
+@pytest.mark.parametrize("template, value", [
+    pytest.param(template, value, id=f"{template}:{value}")
+    for template, _ in CLI_ROWS for value in CLI_BAD])
+def test_cli_refuses_bad_values(capsys, template, value):
+    assert _run(capsys, template, value) in (2, 3)
+
+
+@pytest.mark.parametrize("template, value", [
+    pytest.param(template, value, id=f"{template}:{value}")
+    for template, _ in CLI_ROWS for value in CLI_EXTREME])
+def test_cli_extreme_values_exit_cleanly(capsys, template, value):
+    assert _run(capsys, template, value) in (0, 2, 3, 4)
