@@ -174,7 +174,7 @@ def approximant_model(stage: ApproximationStage) -> StarModel:
 @dataclass(frozen=True)
 class SampledDifference:
     """A kernel difference sampled on the square grid built from one node
-    vector (values[i, j] belongs to (x[i], x[j]))."""
+    vector (values[i, j] belongs to (x[i], x[j])), all finite."""
 
     x: np.ndarray
     values: np.ndarray
@@ -185,6 +185,8 @@ class SampledDifference:
         if values.shape != (x.size, x.size):
             raise ValueError(
                 f"values shape {values.shape} does not match {x.size} nodes")
+        if not (np.isfinite(x).all() and np.isfinite(values).all()):
+            raise ValueError("sampled nodes and values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", values)
 

@@ -48,14 +48,14 @@ is the only place that knows the families: make_coupling builds
 U = lambda_1 J/n + lambda_2 (I - J/n) from it, so U is exactly symmetric,
 and the convergence sweep reads its sector pairs from it.
 
-Every function of U that the package evaluates (the scattering matrix,
-its bound states, the Dirichlet projector, a change of length unit) is
-V f(theta) V* for one unitary eigenbasis V of the normal matrix U, and
-reads it from the Eigenphases that VertexCoupling.eigenphases builds on
-first use and then keeps.  make_coupling seeds it with the closed-form
-phases of its family, rescale_length maps the phases of its input, so
-neither is ever decomposed; any other U is decomposed numerically.  A
-coupling is its U and nothing else: it keeps no record of how it was built.
+Every function f(U) that the package evaluates (the scattering matrix,
+its bound states, the Dirichlet projector, a change of length unit)
+reads the Eigenphases that VertexCoupling.eigenphases builds on first use
+and then keeps.  make_coupling seeds them with its family's closed-form
+phases, which hold no basis: f(U) = f_1 J/n + f_2 (I - J/n).
+rescale_length maps the phases of its input; any other U is decomposed
+numerically, f(U) = V diag(f) V*.  A coupling is its U and nothing else:
+it keeps no record of how it was built.
 
 Checks run where a matrix enters.  The public constructors (VertexCoupling
 and custom, ABPair, Eigenphases) copy and check what comes from outside,
@@ -73,6 +73,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,7 @@ SINGULAR_COND = 1e12
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U U* - I."""
     u = np.asarray(u, dtype=complex)
-    return float(np.abs(u @ u.conj().T - _identity(u.shape[0])).max())
+    return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -107,14 +108,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly(a, dtype=complex) -> np.ndarray:
-    return _frozen(np.array(a, dtype=dtype))
-
-
-@functools.lru_cache(maxsize=64)
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity, read-only and shared."""
-    return _frozen(np.eye(n))
+def _readonly(a, what: str) -> np.ndarray:
+    """A fresh read-only complex array of ``a``; a bool array is refused
+    (numpy reads a list that mixes bools and floats as floats)."""
+    a = np.asarray(a)
+    if a.dtype == bool:
+        raise InvalidCouplingError(f"{what} must hold numbers, not bools")
+    return _frozen(a.astype(complex))
 
 
 def _unchecked(cls, **fields):
@@ -163,7 +163,11 @@ def _number(x, what: str, error=ValueError, *, inf: bool = False,
             raise error(f"{what} must be {_REQUIRES[inf, positive][0]} (a "
                         f"real number, not a {type(x).__name__}), got "
                         f"{got or repr(x)}")
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            raise error(f"{what} must lie in the double range, got an "
+                        f"integer beyond it") from None
     if not (x > 0.0 if positive else x == x) or not inf and math.isinf(x):
         raise error(f"{what} must be {_REQUIRES[inf, positive][1]}, got "
                     f"{got or repr(x)}")
@@ -181,17 +185,18 @@ def _scale(x, what: str, *, signed: bool = False) -> float:
     return x
 
 
-def _integer(what: str, *values, low: int = 0, high: float = math.inf,
-             error=ValueError) -> None:
+def _integer(what: str, *values, low: int = 0,
+             high: float = sys.float_info.max, error=ValueError) -> None:
     """Raise ``error`` naming ``what`` unless every value is an int,
-    Python or numpy and not a bool, in [low, high)."""
+    Python or numpy and not a bool, in [low, high); ``high`` defaults to
+    the largest double, as the package computes with float(n)."""
     for x in values:
         if type(x) is int and low <= x < high:    # the common case first
             continue
         if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
                 or not low <= x < high:
-            bound = f"lie in [{low}, {high})" if high < math.inf \
-                else f"be an integer number of at least {low}"
+            bound = f"lie in [{low}, {high})" if high < sys.float_info.max \
+                else f"be an integer number of at least {low} in double range"
             raise error(f"{what} must {bound}, got "
                         f"{', '.join(map(repr, values))}")
 
@@ -210,41 +215,42 @@ class Eigenphases:
     order, one group after the other; ``vh`` is V*.  Numerical phases carry
     the backward error of the decomposition, which scattering.s_matrix
     removes where it matters (the kernels and the finite-difference ghost
-    map take the phases as they are); ``exact`` ones are closed forms.
+    map take the phases as they are); ``exact`` ones, a family's, are
+    closed forms and hold no V: ``v`` and ``vh`` are None.
     """
 
     groups: tuple[tuple[float, float, int], ...]
-    v: np.ndarray
-
-    exact = False   # a class attribute, not a field
+    v: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _readonly(self.v))
-        object.__setattr__(self, "vh", _readonly(self.v.conj().T))
+        object.__setattr__(self, "v", _readonly(self.v, "V"))
+        object.__setattr__(self, "vh", _readonly(self.v.conj().T, "V"))
+
+    @property
+    def n(self) -> int:
+        """The size of U: the sum of the group multiplicities."""
+        return sum(m for _, _, m in self.groups)
+
+    @property
+    def exact(self) -> bool:
+        return self.v is None
 
     def columns(self, values: list) -> list:
         """One value per group, repeated for each column of the group."""
-        if len(values) == self.v.shape[0]:
-            return values
         return [x for x, (_, _, m) in zip(values, self.groups)
                 for _ in range(m)]
 
     def apply(self, f: list) -> np.ndarray:
-        """V diag(f) V* for one value of f per group."""
-        return (self.v * self.columns(f)) @ self.vh
-
-
-class _FamilyEigenphases(Eigenphases):
-    """Closed-form phases of a family: group 0 is the constant vector
-    (column 0 of V), the last group its complement.  ``apply`` sums
-    f_0 J/n and f_1 (I - J/n), so the Kirchhoff S_U(1) = U, for one, comes
-    out exact."""
-
-    exact = True
-
-    def apply(self, f: list) -> np.ndarray:
-        n = self.v.shape[0]
-        return f[-1] * _identity(n) + (f[0] - f[-1]) / n
+        """V diag(f) V* for one value of f per group.  A family's phases
+        have group 0 on the constant vector and the last group on its
+        complement: f_0 J/n + f_1 (I - J/n), so the Kirchhoff S_U(1) = U,
+        for one, comes out exact."""
+        if not self.exact:
+            return (self.v * self.columns(f)) @ self.vh
+        n = self.n
+        out = np.full((n, n), (f[0] - f[-1]) / n)
+        out.flat[::n + 1] += f[-1]
+        return out
 
 
 #: the eigenvalues -1 and +1 as (c, s) pairs
@@ -302,7 +308,7 @@ class VertexCoupling:
                                         repr=False)
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=complex)
+        u = _readonly(self.u, "U")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise InvalidCouplingError(
                 f"U must be a non-empty square matrix, got shape {u.shape}")
@@ -340,8 +346,8 @@ class ABPair:
     b: np.ndarray
 
     def __post_init__(self):
-        a = _readonly(self.a)
-        b = _readonly(self.b)
+        a = _readonly(self.a, "A")
+        b = _readonly(self.b, "B")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidCouplingError(
                 f"A must be a non-empty square matrix, got shape {a.shape}")
@@ -397,8 +403,8 @@ class BoundaryValues:
     dpsi: np.ndarray
 
     def __post_init__(self):
-        psi = _readonly(np.atleast_1d(self.psi))
-        dpsi = _readonly(np.atleast_1d(self.dpsi))
+        psi = _readonly(np.atleast_1d(self.psi), "psi")
+        dpsi = _readonly(np.atleast_1d(self.dpsi), "dpsi")
         if psi.shape != dpsi.shape or psi.ndim != 1:
             raise InvalidCouplingError(
                 f"psi and dpsi must be equal-length vectors, got shapes "
@@ -460,8 +466,7 @@ def _family_phases(family: str, n: int, param: float) -> Eigenphases:
         groups = ((*sym[:2], n),)
     else:
         groups = (sym, rest)
-    v = _constants_basis(n)
-    return _unchecked(_FamilyEigenphases, groups=groups, v=v, vh=v)
+    return _unchecked(Eigenphases, groups=groups, v=None, vh=None)
 
 
 def _with_phases(phases: Eigenphases) -> VertexCoupling:
@@ -472,21 +477,9 @@ def _with_phases(phases: Eigenphases) -> VertexCoupling:
     return _unchecked(VertexCoupling, u=_frozen(u), _phases=phases)
 
 
-@functools.lru_cache(maxsize=64)
-def _constants_basis(n: int) -> np.ndarray:
-    """A real orthonormal basis whose first vector is the normalised
-    constant vector: the Householder reflection that swaps it with e_1,
-    exactly symmetric, so it is its own V*."""
-    if n == 1:
-        return _identity(1)
-    w = np.full(n, -1.0 / math.sqrt(n))
-    w[0] += 1.0
-    return _frozen(np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w))
-
-
 def to_ab(coupling: VertexCoupling) -> ABPair:
     """The canonical pair A = U - I, B = i (U + I)."""
-    u, eye = coupling.u, _identity(coupling.n)
+    u, eye = coupling.u, np.eye(coupling.n)
     return _unchecked(ABPair, a=_frozen(u - eye), b=_frozen(1j * (u + eye)))
 
 
@@ -547,7 +540,7 @@ def rescale_length(coupling: VertexCoupling, ell: float,
             f"length ratio {ell} / {ell_prime} is outside the double range")
     phases = coupling.eigenphases
     groups = tuple((*_normalised(k * c, s), m) for c, s, m in phases.groups)
-    return _with_phases(_unchecked(type(phases), groups=groups, v=phases.v,
+    return _with_phases(_unchecked(Eigenphases, groups=groups, v=phases.v,
                                    vh=phases.vh))
 
 

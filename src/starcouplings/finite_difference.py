@@ -207,7 +207,7 @@ class SampledKernel:
     def __init__(self, grid: GridSpec, rho: float, excess: float,
                  loads: dict[int, float], phases: Eigenphases,
                  mus: list[float]):
-        self.grid, self.n_edges = grid, phases.v.shape[0]
+        self.grid, self.n_edges = grid, phases.n
         self._rho, self._excess = rho, excess
         decay = math.exp(-rho)
         self._sine = -decay / math.expm1(-2.0 * rho)  # 1 / (2 sinh rho)
@@ -246,10 +246,10 @@ class SampledKernel:
             gamma.append(((1.0 - mu) * u0 + (2.0 + excess - 4.0 * mu) * u1)
                          / wronskian)
             trace.append(mu / wronskian)
-        # (n, n), real for U = U^T: the reflection sum_k gamma_k P_k and the
-        # trace map sum_k (mu_k / W_k) P_k = M0 sum_k P_k / W_k, times |f|
-        self._reflection = phases.apply(gamma).real.tolist()
-        self._trace = phases.apply(trace).real
+        # (n, n), real for U = U^T: the reflection sum_k gamma_k P_k; and for
+        # vertex_values the trace map sum_k (mu_k / W_k) P_k, times |f|
+        self._reflection = phases.apply(gamma).real
+        self._phases, self._trace = phases, trace
 
     def _hat_sine(self, m: int) -> float:
         """e^{-rho m} S(m) = -expm1(-2 rho m) / (2 sinh rho)."""
@@ -303,7 +303,7 @@ class SampledKernel:
         lo, hi = (ix, iy) if ix <= iy else (iy, ix)
         rho, far = self._rho, self.grid.h * self._far_side(hi) / self._norm
         out = (far * math.exp(-rho * (hi + lo)) * self._far_side(lo)
-               / self._norm * self._reflection[j][l])
+               / self._norm * self._reflection.item(j, l))
         if j == l:
             a, b = self._vertex_side(lo)
             out += far * math.exp(rho * (lo - hi)) * (self._u0 * a
@@ -318,7 +318,7 @@ class SampledKernel:
         # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
         scale = ((2.0 - self._excess) * self.grid.h * math.exp(
             -self._rho * iy) * self._far_side(iy) / self._norm)
-        return scale * self._trace[:, edge_l]
+        return scale * self._phases.apply(self._trace).real[:, edge_l]
 
 
 def _ghost_map(coupling: VertexCoupling, h: float) -> list[float]:

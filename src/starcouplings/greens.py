@@ -39,6 +39,7 @@ sector_green, the family case of the group sum, is an independent oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -206,14 +207,16 @@ def vertex_kernel(coupling: VertexCoupling,
              for a, b in ((kind(d.real), kind(d.imag)) for d in diag)]
     gamma = phases.apply([(s * f1 - c * f0) / ((f0 * f0 + f1 * f1) * jost)
                           for (c, s, _), jost in zip(phases.groups, josts)])
-    gamma = (gamma.real if real else gamma).tolist()
+    gamma = (gamma.real if real else gamma).item    # gamma(j, l)
     phi = (base, falls)
 
     def evaluate(j: int, x, l: int, y):
         _integer("edge indices", j, l, high=n)
         if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
                 and type(x) is not bool and type(y) is not bool:
-            if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):
+            # an int beyond the largest double has no float
+            if not (0.0 <= x <= sys.float_info.max
+                    and 0.0 <= y <= sys.float_info.max):
                 raise ValueError("kernel arguments must be finite and >= 0")
             fns = _FLOAT
         else:
@@ -234,7 +237,7 @@ def vertex_kernel(coupling: VertexCoupling,
         if end < math.inf:
             x, y = minimum(x, end), minimum(y, end)
         if j != l:    # Gamma_jl e^{-kappa (x + y)} phi(x) phi(y)
-            fx = gamma[j][l] * exp(-kappa * x) * duhamel(*phi, -1, x, fns)
+            fx = gamma(j, l) * exp(-kappa * x) * duhamel(*phi, -1, x, fns)
             out = fx * (exp(-kappa * y) * duhamel(*phi, -1, y, fns))
         elif scalar:  # e^{-kappa |x - y|} (b_j u_2 - a_j u_1)(lo) phi(hi)
             lo, hi = (x, y) if x <= y else (y, x)

@@ -4,16 +4,20 @@ Every name in starcouplings.__all__ has rows here: a call with nominal
 arguments, and the numeric arguments to probe, one at a time.  Each bad
 value (a bool, Python or numpy, a complex, a string, None, NaN, a float32
 NaN) must raise InvalidCouplingError, PoleError or ValueError.  Each
-extreme value (+-1e-300, 5e-324, 1e-160, 1e154, 1e300, +-inf) must raise
-one of these or give finite numbers; infinity is a value of its own only
-where an argument takes it (a decoupled coupling parameter, a hard screen,
+extreme value (+-1e-300, 5e-324, 1e-160, 1e154, 1e300, +-inf, and the
+Python ints +-10**400, beyond the double range) must raise one of these
+or give finite numbers; infinity is a value of its own only where an
+argument takes it (a decoupled coupling parameter, a hard screen,
 kappa_max).  The evaluators the entry points return have rows too.  Every
 CLI subcommand runs the same values in process through cli.main: a bad
 value must exit 2 or 3, an extreme one 0, 2, 3 or 4, and none may raise.
 
 Matrix and array arguments (U, A, B, psi, dpsi, sampled differences) are
-no table rows; their constructors check shapes and finite entries
-(test_coupling).  The result records name why they have no rows.
+no rows of the scalar table; their constructors check shapes and finite
+entries (test_coupling), and an array of bools, which numpy would read as
+ones and zeros, is refused here (a list that mixes bools and floats is an
+array of floats before the package sees it).  The result records name why
+they have no rows.
 """
 
 import cmath
@@ -33,11 +37,13 @@ from starcouplings.coupling import SCALE_MAX, SCALE_MIN
 
 BAD = {"True": True, "np.True_": np.True_, "complex": 1 + 0j, "str": "1",
        "None": None, "nan": math.nan, "float32-nan": np.float32("nan")}
-#: and the ends of the domain of lengths and kappa
+#: and the ends of the domain of lengths and kappa, and Python ints beyond
+#: the double range
 EXTREME = {"-1e-300": -1e-300, "1e-300": 1e-300, "5e-324": 5e-324,
            "1e-160": 1e-160, "1e154": 1e154, "1e300": 1e300,
            "inf": math.inf, "-inf": -math.inf, "SCALE_MIN": SCALE_MIN,
-           "SCALE_MAX": SCALE_MAX, "-SCALE_MAX": -SCALE_MAX}
+           "SCALE_MAX": SCALE_MAX, "-SCALE_MAX": -SCALE_MAX,
+           "10**400": 10**400, "-10**400": -10**400}
 REFUSALS = (InvalidCouplingError, PoleError, ValueError)
 
 #: names of __all__ with no row, and why: they are results the package
@@ -210,6 +216,17 @@ ROWS = [
 ]
 
 
+#: matrix and array arguments of bool dtype, one row per argument
+BOOL_ARRAYS = [
+    ("VertexCoupling(u)", sc.VertexCoupling, ([[True]],)),
+    ("custom(u)", sc.VertexCoupling.custom, (np.eye(2, dtype=bool),)),
+    ("ABPair(a)", sc.ABPair, ([[True]], [[0.0]])),
+    ("ABPair(b)", sc.ABPair, (np.eye(1), np.array([[False]]))),
+    ("BoundaryValues(psi)", sc.BoundaryValues, ([True], [0.0])),
+    ("BoundaryValues(dpsi)", sc.BoundaryValues, (np.ones(2), [True, False])),
+]
+
+
 def _finite(obj) -> bool:
     """Whether every number in obj is finite; an invalid stage carries
     NaN norms by design."""
@@ -267,6 +284,19 @@ def test_extreme_value_is_refused_or_finite(row, name, value):
     if math.isinf(value) and name in row.infinite:
         return
     assert _finite(out), out
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=label) for label, call, args in BOOL_ARRAYS])
+def test_bool_array_is_refused(call, args):
+    with pytest.raises(InvalidCouplingError, match="not bools"):
+        call(*args)
+
+
+def test_mixed_bool_list_is_read_as_floats():
+    bv = sc.BoundaryValues([True, 0.5], [False, 1.0])
+    assert np.array_equal(bv.psi, [1.0, 0.5])
+    assert np.array_equal(bv.dpsi, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("family", ["nope", None, "delta"])

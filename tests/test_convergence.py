@@ -200,6 +200,15 @@ class TestHSNorm:
         with pytest.raises(ValueError):
             SampledDifference(np.linspace(0, 1, 5), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_are_refused(self, bad):
+        x, values = np.linspace(0.0, 1.0, 3), np.zeros((3, 3), dtype=complex)
+        bad_x, bad_values = x.copy(), values.copy()
+        bad_x[1], bad_values[2, 0] = bad, complex(0.0, bad)
+        for args in ((bad_x, values), (x, bad_values)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SampledDifference(*args)
+
     def test_matches_a_hand_written_trapezoid_sum(self):
         # uneven nodes and complex values: the sum over cells of the cell
         # area times the mean of |values|^2 at its four corners

@@ -678,6 +678,22 @@ def _rebuilt(phases) -> np.ndarray:
     return (phases.v * lam) @ phases.v.conj().T
 
 
+def _closed_form(family: str, n: int, param: float) -> np.ndarray:
+    """A family's U as the coupling module docstring writes it."""
+    eye, j = np.eye(n), np.ones((n, n))
+    if math.isinf(param):
+        return -eye if family in ("delta", "delta_p") else eye
+    if family == "delta":
+        return 2.0 / (n + 1j * param) * j - eye
+    if family == "delta_prime_s":
+        return eye - 2.0 / (n - 1j * param) * j
+    if family == "delta_p":
+        return ((n - 1j * param) / (n + 1j * param) * eye
+                - 2.0 / (n + 1j * param) * j)
+    return (-(n + 1j * param) / (n - 1j * param) * eye
+            + 2.0 / (n - 1j * param) * j)
+
+
 def _phase_order(group):
     c, s, m = group
     return round(math.atan2(s, c), 9), m
@@ -687,13 +703,26 @@ class TestEigenphases:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_family_phases_rebuild_u(self, family, n):
+        # group 0 is the constant vector, the last group its complement:
+        # f applies as f_0 J/n + f_1 (I - J/n), with no basis V
+        constants = np.ones((n, n)) / n
+        rest = np.eye(n) - constants
         for param in FAMILY_PARAMS:
             c = make_coupling(family, n, param)
             phases = c.eigenphases
-            assert phases.exact
+            assert phases.exact and phases.v is None and phases.vh is None
+            assert phases.n == n
+            assert [m for _, _, m in phases.groups] in ([n], [1, n - 1])
             for c_, s_, _ in phases.groups:
                 assert c_ >= 0.0 and abs(c_ ** 2 + s_ ** 2 - 1.0) < 1e-15
-            assert np.max(np.abs(_rebuilt(phases) - c.u)) < 1e-14
+            assert np.max(np.abs(c.u - _closed_form(family, n, param))) \
+                < 1e-14
+            lam = [complex(c_, s_) ** 2 for c_, s_, _ in phases.groups]
+            assert np.max(np.abs(lam[0] * constants + lam[-1] * rest
+                                 - c.u)) < 1e-14
+            f = [0.3 - 1.1j, 2.5 + 0.4j][:len(phases.groups)]
+            assert np.max(np.abs(phases.apply(f) - f[0] * constants
+                                 - f[-1] * rest)) < 1e-15
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -765,10 +794,13 @@ class TestEigenphases:
         make_coupling("delta_prime", 3, 0.4),
         VertexCoupling.custom(random_unitary(3, np.random.default_rng(5)))])
     def test_cached_arrays_are_readonly(self, coupling):
+        # closed-form phases hold no basis, decomposed ones V and V*
         phases = coupling.eigenphases
-        for name in ("v", "vh"):
+        arrays = (coupling.u,) if phases.exact \
+            else (coupling.u, phases.v, phases.vh)
+        for array in arrays:
             with pytest.raises(ValueError):
-                getattr(phases, name)[0] = 0.0
+                array[0] = 0.0
         with pytest.raises(AttributeError):
             phases.groups = ()
         with pytest.raises(AttributeError):
@@ -856,12 +888,8 @@ class TestValidByConstruction:
             random_unitary(3, np.random.default_rng(2323)))
         assert calls == [(3, 3)]
         calls.clear()
-        try:
-            family = make_coupling("delta_prime_s", 3, 1.3)
-            make_coupling("delta_prime_s", 2000, 1.3)
-        finally:    # the n = 2000 basis and identity are 64 MB
-            coupling_module._constants_basis.cache_clear()
-            coupling_module._identity.cache_clear()
+        family = make_coupling("delta_prime_s", 3, 1.3)
+        make_coupling("delta_prime_s", 2000, 1.3)
         for c in (family, haar):
             rescale_length(c, 1.0, 2.7)
         pair = to_ab(family)
