@@ -44,18 +44,19 @@ for delta and delta_p, U = I (Neumann) for delta_prime_s and delta_prime.
 Each family U is fixed by two eigenvalues, one on the constants and one on
 their complement.  One private table, _family_table, holds them as
 homogeneous pairs (c, s) with c + i s proportional to e^{i theta / 2}, and
-is the only place that knows the families: make_coupling builds
-U = lambda_1 J/n + lambda_2 (I - J/n) from it, so U is exactly symmetric,
-and the convergence sweep reads its sector pairs from it.
+is the only place that knows the families: make_coupling forms
+U = lambda_1 J/n + lambda_2 (I - J/n), exactly symmetric, from it on the
+first read, and the convergence sweep reads its sector pairs from it.
 
 Every function f(U) that the package evaluates (the scattering matrix,
 its bound states, the Dirichlet projector, a change of length unit)
 reads the Eigenphases that VertexCoupling.eigenphases builds on first use
 and then keeps.  make_coupling seeds them with its family's closed-form
-phases, which hold no basis: f(U) = f_1 J/n + f_2 (I - J/n).
-rescale_length maps the phases of its input; any other U is decomposed
-numerically, f(U) = V diag(f) V*.  A coupling is its U and nothing else:
-it keeps no record of how it was built.
+phases, which hold no basis: f(U) = f_1 J/n + f_2 (I - J/n), two numbers
+that the kernels read without the matrix.  rescale_length maps the phases
+of its input; any other U is decomposed numerically, f(U) = V diag(f) V*.
+A coupling is its U and nothing else: it keeps no record of how it was
+built.
 
 Checks run where a matrix enters.  The public constructors (VertexCoupling
 and custom, ABPair, Eigenphases) copy and check what comes from outside,
@@ -65,7 +66,7 @@ construction, neither copied nor checked again; the tests check it.
 
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
-eigenphase cache build equal ones).
+eigenphase cache, or a U from its phases, build equal ones).
 """
 
 from __future__ import annotations
@@ -126,14 +127,14 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _unitary(u: np.ndarray) -> np.ndarray:
+def _unitary(u: np.ndarray, what: str = "U") -> np.ndarray:
     """A fresh complex matrix ``u``, checked finite and unitary, read-only."""
     if not np.isfinite(u).all():
-        raise InvalidCouplingError("U has non-finite entries")
+        raise InvalidCouplingError(f"{what} has non-finite entries")
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise InvalidCouplingError(
-            f"U is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
+            f"{what} is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
     return _frozen(u)
 
 
@@ -201,6 +202,18 @@ def _integer(what: str, *values, low: int = 0,
                         f"{', '.join(map(repr, values))}")
 
 
+def _group(group) -> tuple[float, float, int]:
+    """A group from outside: (c, s, m), c >= 0, c^2 + s^2 = 1, m >= 1."""
+    c, s, m = group if isinstance(group, tuple) and len(group) == 3 \
+        else (-1.0, 0.0, 1)
+    c, s = (_number(x, "eigenphases", InvalidCouplingError) for x in (c, s))
+    _integer("group multiplicity", m, low=1, error=InvalidCouplingError)
+    if c < 0.0 or abs(c * c + s * s - 1.0) > UNITARITY_TOL:
+        raise InvalidCouplingError(f"a group is (c, s, m), c >= 0 and c^2 + "
+                                   f"s^2 = 1, got {group!r}")
+    return c, s, int(m)
+
+
 @dataclass(frozen=True)
 class Eigenphases:
     """A unitary eigen-decomposition U = V diag(lambda) V* of a coupling.
@@ -216,17 +229,26 @@ class Eigenphases:
     the backward error of the decomposition, which scattering.s_matrix
     removes where it matters (the kernels and the finite-difference ghost
     map take the phases as they are); ``exact`` ones, a family's, are
-    closed forms and hold no V: ``v`` and ``vh`` are None.
+    closed forms and hold no V: ``v`` and ``vh`` are None, and f(U) is
+    symmetric; the constructor takes an n x n unitary V, n = sum m.
     """
 
     groups: tuple[tuple[float, float, int], ...]
     v: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _readonly(self.v, "V"))
-        object.__setattr__(self, "vh", _readonly(self.v.conj().T, "V"))
+        groups = tuple(map(_group, self.groups)) \
+            if isinstance(self.groups, (tuple, list)) else ()
+        v, n = _readonly(self.v, "V"), sum(m for _, _, m in groups)
+        if not groups or v.shape != (n, n):
+            raise InvalidCouplingError(
+                f"V must be n x n, n >= 1 the sum of the multiplicities of "
+                f"the groups {self.groups!r}, got shape {v.shape}")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "v", _unitary(v, "V"))
+        object.__setattr__(self, "vh", _frozen(v.conj().T))
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         """The size of U: the sum of the group multiplicities."""
         return sum(m for _, _, m in self.groups)
@@ -251,6 +273,16 @@ class Eigenphases:
         out = np.full((n, n), (f[0] - f[-1]) / n)
         out.flat[::n + 1] += f[-1]
         return out
+
+    def _entries(self, f: list, real: bool = False):
+        """(j, l) -> apply(f)[j, l], its real part if ``real``; exact phases
+        form no matrix, only its two numbers, by apply's arithmetic."""
+        if not self.exact:
+            return (self.apply(f).real if real else self.apply(f)).item
+        off = (f[0] - f[-1]) / self.n
+        on = off + f[-1]
+        on, off = (on.real, off.real) if real else (on, off)
+        return lambda j, l: on if j == l else off
 
 
 #: the eigenvalues -1 and +1 as (c, s) pairs
@@ -298,9 +330,9 @@ class VertexCoupling:
 
     U is the only field; n is its size.  make_coupling seeds
     ``eigenphases`` with a family's closed-form phases and rescale_length
-    with its input's mapped phases; a coupling built any other way
-    decomposes its own U on first use.  == and hash() go by identity;
-    compare values with np.array_equal on ``u``.
+    with its input's mapped phases, and U is formed from them when first
+    read; a coupling built any other way decomposes its own U on first use.
+    == and hash() go by identity; compare values with np.array_equal on u.
     """
 
     u: np.ndarray
@@ -318,9 +350,19 @@ class VertexCoupling:
     def custom(cls, u) -> "VertexCoupling":
         return cls(u)
 
+    def __getattr__(self, name: str):
+        # a coupling built from its phases forms U on the first read (+ 0.0
+        # turns an imaginary -0.0 into 0.0); racing threads form equal ones
+        if name != "u" or self._phases is None:
+            raise AttributeError(name)
+        object.__setattr__(self, "u", _frozen(self._phases.apply(
+            [complex(c * c - s * s, 2.0 * c * s + 0.0)
+             for c, s, _ in self._phases.groups])))
+        return self.u
+
     @property
     def n(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[0] if "u" in self.__dict__ else self._phases.n
 
     @property
     def eigenphases(self) -> Eigenphases:
@@ -471,10 +513,8 @@ def _family_phases(family: str, n: int, param: float) -> Eigenphases:
 
 def _with_phases(phases: Eigenphases) -> VertexCoupling:
     """The coupling U = V diag((c + i s)^2) V* of ``phases``, which it
-    keeps as its eigenphases (+ 0.0 turns an imaginary -0.0 into 0.0)."""
-    u = phases.apply([complex(c * c - s * s, 2.0 * c * s + 0.0)
-                      for c, s, _ in phases.groups])
-    return _unchecked(VertexCoupling, u=_frozen(u), _phases=phases)
+    keeps as its eigenphases; it forms U on the first read."""
+    return _unchecked(VertexCoupling, _phases=phases)
 
 
 def to_ab(coupling: VertexCoupling) -> ABPair:

@@ -77,8 +77,10 @@ direct one, so a value across two edges keeps its digits where it is far
 below the direct term.  As 4 v_k(0) - v_k(1) = 4 - d_0 in every sector,
 the vertex trace of a source at node j of edge l is M0 (4 Psi_1 - Psi_2)
 = (4 - d_0) h phi(j) sum_k (mu_k / W_k) P_k e_l.  A build factors
-nothing: a kernel holds O(n^2 + points) numbers and a value costs
-O(points) scalar operations, whatever N.
+nothing: a kernel holds O(n^2 + points) numbers (a family's forms no U and
+no matrix, just two numbers per sum over k), and a value costs O(points)
+scalar operations, whatever N; a kernel memoises the node of each float
+coordinate, and phi and (A, B) per node, so a sample resolves each once.
 
 Unscaled, A and B grow like e^{rho i} and phi like e^{rho (N - i)}, so
 each is carried in the scale of its growth, e^{-rho i} A(i) and
@@ -129,6 +131,8 @@ ORIGIN_STENCIL_TOL = 1e-8
 
 #: largest grid _solve takes, in unknowns n N (n edges, N nodes each)
 MAX_FD_UNKNOWNS = 4_000_000
+
+_MEMO_SIZE = 4096    # entries kept by each memo of a SampledKernel
 
 _TOO_STRONG = ("point interactions too strong for the finite-difference "
                "grid: the vertex is decoupled from x = L beyond double range")
@@ -246,10 +250,13 @@ class SampledKernel:
             gamma.append(((1.0 - mu) * u0 + (2.0 + excess - 4.0 * mu) * u1)
                          / wronskian)
             trace.append(mu / wronskian)
-        # (n, n), real for U = U^T: the reflection sum_k gamma_k P_k; and for
-        # vertex_values the trace map sum_k (mu_k / W_k) P_k, times |f|
-        self._reflection = phases.apply(gamma).real
-        self._phases, self._trace = phases, trace
+        # (j, l) -> entry, real for U = U^T: the reflection sum_k gamma_k
+        # P_k; and for vertex_values the trace map sum_k (mu_k / W_k) P_k,
+        # times |f|
+        self._reflection = phases._entries(gamma, real=True)
+        self._trace = phases._entries(trace, real=True)
+        # node_index per float coordinate, phi and (A, B) per node
+        self._index, self._phi_at, self._sides_at = {}, {}, {}
 
     def _hat_sine(self, m: int) -> float:
         """e^{-rho m} S(m) = -expm1(-2 rho m) / (2 sinh rho)."""
@@ -289,9 +296,14 @@ class SampledKernel:
         else:
             raise ValueError(f"a kernel point is (x, y) or (j, x, l, y), got "
                              f"{len(point)} coordinates")
-        _integer("edge indices", j, l, high=self.n_edges)
-        return (j, self.grid.node_index(x), l,
-                self.grid.node_index(y, minimum=1))
+        n, node = self.n_edges, self.grid.node_index
+        # plain ints in range skip _integer, and only a float may hit the
+        # coordinate memo: True == 1.0 hashes equal
+        if not (type(j) is type(l) is int and 0 <= j < n and 0 <= l < n):
+            _integer("edge indices", j, l, high=n)
+        ix = _memoised(self._index, x, node) if type(x) is float else node(x)
+        iy = _memoised(self._index, y, node) if type(y) is float else node(y)
+        return j, ix, l, iy if iy >= 1 else 1
 
     def snap(self, *point):
         j, ix, l, iy = self._nodes(point)
@@ -301,11 +313,13 @@ class SampledKernel:
     def value(self, *point) -> float:
         j, ix, l, iy = self._nodes(point)
         lo, hi = (ix, iy) if ix <= iy else (iy, ix)
-        rho, far = self._rho, self.grid.h * self._far_side(hi) / self._norm
-        out = (far * math.exp(-rho * (hi + lo)) * self._far_side(lo)
-               / self._norm * self._reflection.item(j, l))
+        phi_lo = _memoised(self._phi_at, lo, self._far_side)
+        phi_hi = _memoised(self._phi_at, hi, self._far_side)
+        rho, far = self._rho, self.grid.h * phi_hi / self._norm
+        out = (far * math.exp(-rho * (hi + lo)) * phi_lo / self._norm
+               * self._reflection(j, l))
         if j == l:
-            a, b = self._vertex_side(lo)
+            a, b = _memoised(self._sides_at, lo, self._vertex_side)
             out += far * math.exp(rho * (lo - hi)) * (self._u0 * a
                                                       - self._u1 * b)
         return out
@@ -318,7 +332,18 @@ class SampledKernel:
         # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
         scale = ((2.0 - self._excess) * self.grid.h * math.exp(
             -self._rho * iy) * self._far_side(iy) / self._norm)
-        return scale * self._phases.apply(self._trace).real[:, edge_l]
+        return scale * np.array([self._trace(e, edge_l)
+                                 for e in range(self.n_edges)])
+
+
+def _memoised(table: dict, key, compute: Callable):
+    """table[key], computed on a miss, kept while there is room."""
+    value = table.get(key)
+    if value is None:
+        value = compute(key)
+        if len(table) < _MEMO_SIZE:
+            table[key] = value
+    return value
 
 
 def _ghost_map(coupling: VertexCoupling, h: float) -> list[float]:
@@ -339,8 +364,8 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
         raise ValueError(
             f"finite-difference grid too fine: N = {big_n} nodes on each of "
             f"n = {n} edges (h = {h:.6g}) exceed {MAX_FD_UNKNOWNS} unknowns")
-    mus = _ghost_map(coupling, h)
-    if not np.array_equal(coupling.u, coupling.u.T):
+    mus, phases = _ghost_map(coupling, h), coupling.eigenphases
+    if not (phases.exact or np.array_equal(coupling.u, coupling.u.T)):
         raise ValueError("finite-difference solver needs a symmetric "
                          "coupling U = U^T; this U has a complex kernel")
     # the scale e^{-rho i} = 2^{-i bits} must keep its exponent in int32
@@ -356,7 +381,7 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
         node = _point_node(point, grid)
         loads[node] = loads.get(node, 0.0) + point.c * h
     excess = kappa * h * (kappa * h) + loads.pop(0, 0.0)
-    return SampledKernel(grid, rho, excess, loads, coupling.eigenphases, mus)
+    return SampledKernel(grid, rho, excess, loads, phases, mus)
 
 
 def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],

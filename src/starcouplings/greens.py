@@ -29,10 +29,12 @@ one pole test: PoleError when |J_k| < ROBIN_POLE_TOL (|c_k phi'(0)| +
 a wall is no pole.  With no points J_k = s_k - kappa c_k, and the test
 trips within about 2 ROBIN_POLE_TOL, relative, of kappa = s_k / c_k.
 Decomposed phases enter unrefined, good to about eps cond(D(i kappa))
-(see scattering); the kernel is real exactly when U = U^T.
+(see scattering); the kernel is real exactly when U = U^T, as closed-form
+phases are, so a family's build forms no U and reads each sum over k of
+(P_k)_jl as one of two numbers, on or off the diagonal, with no matrix.
 
 halfline_kernel and star_green share one memoised vertex_kernel per
-``vertex = (family, n, param)`` entry, whose U is memoised too.
+``vertex = (family, n, param)`` entry, whose coupling is memoised too.
 sector_green, the family case of the group sum, is an independent oracle.
 """
 
@@ -198,16 +200,17 @@ def vertex_kernel(coupling: VertexCoupling,
             raise PoleError(f"kernel pole at kappa = {kappa}: group ({c}, "
                             f"{s}) has Jost function {josts[-1]:.3e}, below "
                             f"{ROBIN_POLE_TOL} x its terms {size:.3e}")
-    real = np.array_equal(coupling.u, coupling.u.T)
+    real = phases.exact or np.array_equal(coupling.u, coupling.u.T)
     kind = float if real else complex
-    diag = phases.apply([complex(c, s) / jost for (c, s, _), jost
-                         in zip(phases.groups, josts)]).diagonal().tolist()
+    diag = phases._entries([complex(c, s) / jost for (c, s, _), jost
+                            in zip(phases.groups, josts)])
     rises = [(-a, [(p, b * k2 - a * k1)                    # b u_2 - a u_1
                    for (p, k1), (_, k2) in zip(u1s, u2s)])
-             for a, b in ((kind(d.real), kind(d.imag)) for d in diag)]
-    gamma = phases.apply([(s * f1 - c * f0) / ((f0 * f0 + f1 * f1) * jost)
-                          for (c, s, _), jost in zip(phases.groups, josts)])
-    gamma = (gamma.real if real else gamma).item    # gamma(j, l)
+             for a, b in ((kind(d.real), kind(d.imag))
+                          for d in map(diag, range(n), range(n)))]
+    gamma = phases._entries([(s * f1 - c * f0) / ((f0 * f0 + f1 * f1) * jost)
+                             for (c, s, _), jost in zip(phases.groups, josts)],
+                            real)                   # gamma(j, l)
     phi = (base, falls)
 
     def evaluate(j: int, x, l: int, y):

@@ -509,6 +509,25 @@ class TestGoldenStdout:
         assert code == 0
         assert out == (GOLDEN / f"{name}.txt").read_text()
 
+    def test_oracle_check_stdout_is_pinned(self, capsys):
+        # the six oracle-check runs of the CI smoke step, one line each:
+        # the FD values' rounding shows in max_abs and rms
+        runs = ("--bc robin-scaled:2:1 --kappa 1 --h 0.01",
+                "--bc robin:0.7 --point 1.2,0.5 --point 2.4,-0.3 --kappa 1.2 "
+                "--h 0.01 --order-check",
+                "--star-family delta-prime-s --n 2 --beta 1.3 --kappa 1 "
+                "--h 0.01 --order-check",
+                "--star-family central-delta-p --n 3 --b 0.4 --point "
+                "2.01,0.7 --kappa 1.4 --h 0.01 --order-check",
+                "--star-family delta-prime-s --n 2000 --beta 1.3 --h 0.03",
+                "--bc robin:-1 --point 1.2,5 --kappa 1 --h 0.01")
+        outs = []
+        for argv in runs:
+            code, out, _ = run(capsys, "oracle-check", *argv.split())
+            assert code == 0
+            outs.append(out)
+        assert "".join(outs) == (GOLDEN / "oracle_check.txt").read_text()
+
 
 # ======================================================================
 #  determinism

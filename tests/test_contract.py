@@ -54,7 +54,6 @@ NO_ROW = {
     "ConvergenceReport": "convergence_sweep's result",
     "StageResult": "a stage of convergence_sweep's result",
     "KernelErrorStats": "compare_kernels' result",
-    "Eigenphases": "a coupling's decomposition",
     "SampledDifference": "sector_difference's result, arrays only",
     "SampledKernel": "fd_resolvent_*'s result; its evaluators have rows",
     "InvalidCouplingError": "an error",
@@ -107,6 +106,8 @@ ROWS = [
     Row("ABPair", sc.ABPair, dict(a=np.eye(2), b=np.zeros((2, 2)))),
     Row("BoundaryValues", sc.BoundaryValues,
         dict(psi=np.ones(2), dpsi=np.zeros(2))),
+    Row("Eigenphases", sc.Eigenphases,
+        dict(groups=((0.6, 0.8, 1), (1.0, 0.0, 1)), v=U2)),
     Row("to_ab", sc.to_ab, dict(coupling=C2)),
     Row("from_ab", sc.from_ab, dict(ab=sc.to_ab(C2))),
     Row("validate_ab", sc.validate_ab, dict(ab=sc.to_ab(C2))),
@@ -224,7 +225,32 @@ BOOL_ARRAYS = [
     ("ABPair(b)", sc.ABPair, (np.eye(1), np.array([[False]]))),
     ("BoundaryValues(psi)", sc.BoundaryValues, ([True], [0.0])),
     ("BoundaryValues(dpsi)", sc.BoundaryValues, (np.ones(2), [True, False])),
+    ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[True]])),
 ]
+
+#: Eigenphases(groups, v) that decompose no coupling: V must be an n x n
+#: unitary, n the sum of the multiplicities, and each group (c, s, m) with
+#: c >= 0, c^2 + s^2 = 1 and an integer m >= 1
+BAD_EIGENPHASES = {
+    "v=None": (((1.0, 0.0, 1),), None),
+    "v-larger-than-n": (((1.0, 0.0, 2),), np.eye(3)),
+    "v-not-unitary": (((1.0, 0.0, 2),), np.ones((2, 2))),
+    "v-nan": (((1.0, 0.0, 1),), [[math.nan]]),
+    "v-vector": (((1.0, 0.0, 1),), np.ones(1)),
+    "no-groups": ((), np.eye(1)),
+    "groups=None": (None, np.eye(1)),
+    "group-of-two": (((1.0, 0.0),), np.eye(1)),
+    "group-list": (([1.0, 0.0, 1],), np.eye(1)),
+    "c<0": (((-1.0, 0.0, 1),), np.eye(1)),
+    "c^2+s^2=2": (((1.0, 1.0, 1),), np.eye(1)),
+    "c=nan": (((math.nan, 0.0, 1),), np.eye(1)),
+    "c=True": (((True, 0.0, 1),), np.eye(1)),
+    "s=str": (((1.0, "0", 1),), np.eye(1)),
+    "s=inf": (((1.0, math.inf, 1),), np.eye(1)),
+    "m=0": (((1.0, 0.0, 0), (0.0, 1.0, 1)), np.eye(1)),
+    "m=1.0": (((1.0, 0.0, 1.0),), np.eye(1)),
+    "m=True": (((1.0, 0.0, True),), np.eye(1)),
+}
 
 
 def _finite(obj) -> bool:
@@ -291,6 +317,22 @@ def test_extreme_value_is_refused_or_finite(row, name, value):
 def test_bool_array_is_refused(call, args):
     with pytest.raises(InvalidCouplingError, match="not bools"):
         call(*args)
+
+
+@pytest.mark.parametrize("groups, v", [
+    pytest.param(*args, id=label) for label, args in BAD_EIGENPHASES.items()])
+def test_eigenphases_of_no_coupling_are_refused(groups, v):
+    with pytest.raises(InvalidCouplingError):
+        sc.Eigenphases(groups, v)
+
+
+def test_eigenphases_read_groups_as_floats_and_ints():
+    phases = sc.Eigenphases([(np.float64(0.6), 0.8, np.int64(1)),
+                             (1, 0, 1)], U2)
+    assert phases.groups == ((0.6, 0.8, 1), (1.0, 0.0, 1)) and phases.n == 2
+    assert [type(x) for g in phases.groups for x in g] == [float, float,
+                                                           int] * 2
+    assert not phases.exact and np.array_equal(phases.vh, U2.T)
 
 
 def test_mixed_bool_list_is_read_as_floats():

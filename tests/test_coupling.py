@@ -847,6 +847,21 @@ class TestValidByConstruction:
             for ell, ell_prime in RATIOS:
                 _assert_valid(rescale_length(c, ell, ell_prime))
 
+    def test_u_is_formed_on_the_first_read(self):
+        rng = np.random.default_rng(2800)
+        for c, n in ((make_coupling("delta_p", 4, -2.0), 4),
+                     (rescale_length(VertexCoupling.custom(
+                         random_unitary(3, rng)), 1.0, 2.5), 3)):
+            phases = c.eigenphases
+            assert "u" not in vars(c) and c.n == n
+            u = c.u
+            assert vars(c)["u"] is u is c.u and not u.flags.writeable
+            lam = [complex(c_, s) ** 2 for c_, s, _ in phases.groups]
+            assert np.max(np.abs(u - phases.apply(lam))) < 1e-15
+            assert c.n == n and c.eigenphases is phases
+            with pytest.raises(AttributeError):
+                c.v
+
     def test_built_records_behave_like_constructed_ones(self):
         # _unchecked fills a record's __dict__ in one update; the records
         # it builds compare, hash, convert and freeze as constructed ones
@@ -859,8 +874,9 @@ class TestValidByConstruction:
             # == and hash() go by identity for both
             assert b == b and m == m and b != m
             assert hash(b) == hash(b) != hash(m)
-            assert list(vars(b)) == list(vars(m)) \
-                == [f.name for f in dataclasses.fields(m)]
+            # a family coupling adds U to its __dict__ on the first read
+            assert sorted(vars(b)) == sorted(vars(m)) \
+                == sorted(f.name for f in dataclasses.fields(m))
             got, want = dataclasses.asdict(b), dataclasses.asdict(m)
             assert list(got) == list(want)
             for name in names:

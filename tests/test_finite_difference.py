@@ -786,6 +786,44 @@ class TestEdgeIndices:
             assert closed(j, 1.0, 0, 2.0) == closed(int(j), 1.0, 0, 2.0)
 
     @pytest.mark.parametrize("n", [1, 3])
+    def test_numpy_scalars_read_as_floats_and_ints(self, n):
+        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
+        grid = GridSpec(12.0, 99)
+        memoised, fresh = (fd_resolvent_star(model, KAPPA, grid)
+                           for _ in range(2))
+        points = [(j, x, l, y) for j in (0, n - 1) for l in (0, n - 1)
+                  for x, y in ((0.5, 2.01), (1.0, 1.0), (0.06, 11.9))]
+        want = [memoised.value(*point) for point in points]
+        for point, value in zip(points, want):
+            j, x, l, y = point
+            numpy = (np.int64(j), np.float64(x), np.int64(l), np.float64(y))
+            assert memoised.snap(*numpy) == memoised.snap(*point)
+            assert memoised.value(*numpy) == value
+            assert fresh.value(*numpy) == value    # through no memo
+            assert memoised.value(*memoised.snap(*point)) == value
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bools_are_refused_after_the_memo_holds_1(self, n):
+        # True == 1.0 hashes equal, so a memo keyed by coordinate would
+        # read True as the node of x = 1.0
+        sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
+                                    GridSpec(12.0, 99))
+        sampled.value(0, 1.0, 0, 1.0)
+        sampled.snap(0, 1.0, 0, 1.0)
+        for bad in (True, np.True_):
+            for point in ((0, bad, 0, 1.0), (0, 1.0, 0, bad),
+                          (bad, 1.0, 0, 1.0), (0, 1.0, bad, 1.0)):
+                for kernel in (sampled.value, sampled.snap):
+                    with pytest.raises(ValueError):
+                        kernel(*point)
+        half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA,
+                                     GridSpec(12.0, 99))
+        half.value(1.0, 1.0)
+        for point in ((True, 1.0), (1.0, True)):
+            with pytest.raises(ValueError, match="not a bool"):
+                half.value(*point)
+
+    @pytest.mark.parametrize("n", [1, 3])
     def test_point_needs_two_or_four_coordinates(self, n):
         sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
                                     GridSpec(12.0, 99))
@@ -887,6 +925,27 @@ class TestWorkCount:
             sampled.vertex_values(0, 1.5)
         assert calls == dict.fromkeys(calls, 0)
 
+    def test_family_builds_form_no_matrix(self, monkeypatch):
+        # a family's projector sums are two numbers each, and its closed-form
+        # phases vouch for U = U^T: no build forms a matrix or compares U
+        calls = []
+        apply, array_equal = coupling_module.Eigenphases.apply, np.array_equal
+        monkeypatch.setattr(coupling_module.Eigenphases, "apply",
+                            lambda *a: calls.append("apply") or apply(*a))
+        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(
+            "array_equal") or array_equal(*a))
+        greens._named_coupling.cache_clear()
+        grid = GridSpec(12.0, 399)
+        for model in (StarModel.delta_prime_s(3, 1.3),
+                      StarModel.central_delta_p(4, 0.4,
+                                                PointInteraction(2.01, 0.7))):
+            kernel = vertex_kernel(make_coupling(*model.vertex),
+                                   model.points, KAPPA)
+            sampled = fd_resolvent_star(model, KAPPA, grid)
+            kernel(0, 0.5, 1, 2.01)
+            sampled.value(0, 0.5, 1, 2.01)
+            sampled.vertex_values(1, 1.5)
+        assert calls == []
 
     @pytest.mark.parametrize("case", ["star", "halfline", "oracle-check"])
     def test_one_coupling_per_vertex(self, monkeypatch, capsys, case):
@@ -923,8 +982,8 @@ class TestWorkCount:
 
 class TestLargeFamilyStar:
     """n is a label of a family, not a matrix size: at n = 2000 a coupling,
-    its kernel and its FD build hold no n x n basis, no cached identity
-    and no n^2 lists of floats."""
+    its kernel and its FD build form no n x n array, U included, and the
+    vertex memo holds none."""
 
     def test_n_2000_builds_hold_no_scaffolding(self):
         n, grid = 2000, GridSpec(12.0, 400)
@@ -942,17 +1001,22 @@ class TestLargeFamilyStar:
                       for l in edges for x, y in xy}
             fd_values = {sampled.snap(j, x, l, y): sampled.value(j, x, l, y)
                          for j in edges for l in edges for x, y in xy}
+            sampled.vertex_values(n - 1, 1.1)
             del coupling, kernel, sampled
-            # the vertex memo keeps the FD build's U, by design
+            gc.collect()
+            # the vertex memo keeps the FD build's coupling, which has
+            # formed no U
+            memo, _ = tracemalloc.get_traced_memory()
+            assert "u" not in vars(greens._named_coupling(model.vertex))
             greens._named_coupling.cache_clear()
             gc.collect()
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # measured 192.5 MB: two U (this one and the FD build's, 64 MB
-        # each), the kernel's Gamma and the FD reflection (32 MB each)
-        assert peak < 3.5 * 16 * n * n
-        assert held < 1e6
+        # measured 0.52 MB, the kernel's O(n) per-edge lists; one n x n
+        # array of floats is 32 MB
+        assert peak < 1e6
+        assert memo < 1e6 and held < 1e6
 
         lead, rest = sector_decompose(model)
 
