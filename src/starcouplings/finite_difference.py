@@ -296,13 +296,17 @@ class SampledKernel:
         else:
             raise ValueError(f"a kernel point is (x, y) or (j, x, l, y), got "
                              f"{len(point)} coordinates")
-        n, node = self.n_edges, self.grid.node_index
+        n, index = self.n_edges, self._index
         # plain ints in range skip _integer, and only a float may hit the
         # coordinate memo: True == 1.0 hashes equal
         if not (type(j) is type(l) is int and 0 <= j < n and 0 <= l < n):
             _integer("edge indices", j, l, high=n)
-        ix = _memoised(self._index, x, node) if type(x) is float else node(x)
-        iy = _memoised(self._index, y, node) if type(y) is float else node(y)
+        ix = index.get(x) if type(x) is float else self.grid.node_index(x)
+        if ix is None:
+            ix = _missed(index, x, self.grid.node_index)
+        iy = index.get(y) if type(y) is float else self.grid.node_index(y)
+        if iy is None:
+            iy = _missed(index, y, self.grid.node_index)
         return j, ix, l, iy if iy >= 1 else 1
 
     def snap(self, *point):
@@ -313,13 +317,21 @@ class SampledKernel:
     def value(self, *point) -> float:
         j, ix, l, iy = self._nodes(point)
         lo, hi = (ix, iy) if ix <= iy else (iy, ix)
-        phi_lo = _memoised(self._phi_at, lo, self._far_side)
-        phi_hi = _memoised(self._phi_at, hi, self._far_side)
+        phis = self._phi_at    # the memos are read here, filled on a miss
+        phi_lo = phis.get(lo)
+        if phi_lo is None:
+            phi_lo = _missed(phis, lo, self._far_side)
+        phi_hi = phis.get(hi)
+        if phi_hi is None:
+            phi_hi = _missed(phis, hi, self._far_side)
         rho, far = self._rho, self.grid.h * phi_hi / self._norm
         out = (far * math.exp(-rho * (hi + lo)) * phi_lo / self._norm
                * self._reflection(j, l))
         if j == l:
-            a, b = _memoised(self._sides_at, lo, self._vertex_side)
+            sides = self._sides_at.get(lo)
+            if sides is None:
+                sides = _missed(self._sides_at, lo, self._vertex_side)
+            a, b = sides
             out += far * math.exp(rho * (lo - hi)) * (self._u0 * a
                                                       - self._u1 * b)
         return out
@@ -336,13 +348,12 @@ class SampledKernel:
                                  for e in range(self.n_edges)])
 
 
-def _memoised(table: dict, key, compute: Callable):
-    """table[key], computed on a miss, kept while there is room."""
-    value = table.get(key)
-    if value is None:
-        value = compute(key)
-        if len(table) < _MEMO_SIZE:
-            table[key] = value
+def _missed(table: dict, key, compute: Callable):
+    """compute(key) for a key that missed ``table``, kept while there is
+    room."""
+    value = compute(key)
+    if len(table) < _MEMO_SIZE:
+        table[key] = value
     return value
 
 
@@ -409,24 +420,35 @@ def compare_kernels(analytic: Callable[..., float], sampled,
     Points are (x, y) pairs for half-line kernels and (j, x, l, y) tuples
     for star kernels; each is snapped to grid nodes and the analytic
     evaluator is called at the snapped coordinates.  A value that is not
-    finite on either side raises ValueError naming the first such point.
+    finite on either side raises ValueError naming the first such point;
+    two finite values whose difference overflows give an infinite error.
     Errors may be complex (a kernel of U != U^T): max_abs = max |e| and
-    rms = sqrt(mean |e|^2).
+    rms = sqrt(mean |e|^2), where the mean is numpy's pairwise sum
+    np.add.reduce of the |e|^2, divided by their count (np.mean's own
+    arithmetic).
     """
     errors = []
     for point in sample_points:
         snapped = sampled.snap(*point)
         exact, approx = analytic(*snapped), sampled.value(*snapped)
-        if not (cmath.isfinite(exact) and cmath.isfinite(approx)):
+        error = exact - approx    # not finite if either side is not
+        if not cmath.isfinite(error) and not (cmath.isfinite(exact)
+                                              and cmath.isfinite(approx)):
             side, value = (("analytic", exact) if not cmath.isfinite(exact)
                            else ("finite-difference", approx))
             raise ValueError(f"the {side} kernel is {value} at sample "
                              f"point {snapped}")
-        errors.append(exact - approx)
-    # |e| of a real e is exact, so real errors give the real statistics
-    errors = np.abs(np.asarray(errors, dtype=complex))
-    if errors.size == 0:
+        errors.append(error)
+    count = len(errors)
+    if count == 0:
         return KernelErrorStats(0.0, 0.0, 0)
-    return KernelErrorStats(max_abs=float(np.max(errors)),
-                            rms=float(np.sqrt(np.mean(errors**2))),
-                            count=int(errors.size))
+    # |e| of a float e is exact; numpy's |e| of a complex e is its own
+    # hypot, which is not Python's
+    if {float}.issuperset(map(type, errors)):
+        moduli = list(map(abs, errors))
+    else:
+        moduli = np.abs(np.asarray(errors, dtype=complex)).tolist()
+    squares = np.add.reduce([e * e for e in moduli])
+    return KernelErrorStats(max_abs=max(moduli),
+                            rms=math.sqrt(float(squares) / count),
+                            count=count)

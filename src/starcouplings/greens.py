@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,6 +141,8 @@ def check_points(points) -> tuple[PointInteraction, ...]:
     return points
 
 
+#: the scalar argument types of a kernel, bool excepted
+_REAL = (int, float)
 #: the elementary functions of float and of array arguments
 _FLOAT = (math.exp, math.expm1, min, max, True)
 _ARRAY = (np.exp, np.expm1, np.minimum, np.maximum, False)
@@ -204,22 +206,29 @@ def vertex_kernel(coupling: VertexCoupling,
     kind = float if real else complex
     diag = phases._entries([complex(c, s) / jost for (c, s, _), jost
                             in zip(phases.groups, josts)])
-    rises = [(-a, [(p, b * k2 - a * k1)                    # b u_2 - a u_1
-                   for (p, k1), (_, k2) in zip(u1s, u2s)])
-             for a, b in ((kind(d.real), kind(d.imag))
-                          for d in map(diag, range(n), range(n)))]
+
+    def rise(j):    # the Duhamel terms of b_j u_2 - a_j u_1
+        d = diag(j, j)
+        a, b = kind(d.real), kind(d.imag)
+        return -a, [(p, b * k2 - a * k1) for (p, k1), (_, k2) in zip(u1s, u2s)]
+
+    # closed-form phases have one diagonal entry, so all edges share a list
+    rises = [rise(0)] * n if phases.exact else list(map(rise, range(n)))
     gamma = phases._entries([(s * f1 - c * f0) / ((f0 * f0 + f1 * f1) * jost)
                              for (c, s, _), jost in zip(phases.groups, josts)],
                             real)                   # gamma(j, l)
     phi = (base, falls)
+    screened, top = end < math.inf, sys.float_info.max
 
     def evaluate(j: int, x, l: int, y):
-        _integer("edge indices", j, l, high=n)
-        if isinstance(x, (int, float)) and isinstance(y, (int, float)) \
-                and type(x) is not bool and type(y) is not bool:
+        # plain ints and floats are tested first, by type alone
+        if not (type(j) is type(l) is int and 0 <= j < n and 0 <= l < n):
+            _integer("edge indices", j, l, high=n)
+        if (type(x) in _REAL and type(y) in _REAL) or (
+                isinstance(x, _REAL) and isinstance(y, _REAL)
+                and type(x) is not bool and type(y) is not bool):
             # an int beyond the largest double has no float
-            if not (0.0 <= x <= sys.float_info.max
-                    and 0.0 <= y <= sys.float_info.max):
+            if not (0.0 <= x <= top and 0.0 <= y <= top):
                 raise ValueError("kernel arguments must be finite and >= 0")
             fns = _FLOAT
         else:
@@ -235,9 +244,9 @@ def vertex_kernel(coupling: VertexCoupling,
             fns = _ARRAY
         exp, _, minimum, maximum, scalar = fns
         beyond = None     # phi(end) = 0: nothing crosses a screen
-        if end < math.inf and j == l and not (scalar and max(x, y) <= end):
+        if screened and j == l and not (scalar and max(x, y) <= end):
             beyond = wall(0, maximum(x - end, 0.0), 0, maximum(y - end, 0.0))
-        if end < math.inf:
+        if screened:
             x, y = minimum(x, end), minimum(y, end)
         if j != l:    # Gamma_jl e^{-kappa (x + y)} phi(x) phi(y)
             fx = gamma(j, l) * exp(-kappa * x) * duhamel(*phi, -1, x, fns)
@@ -347,7 +356,10 @@ class StarModel:
                         point: PointInteraction | None = None) -> "StarModel":
         return cls(n=n, kind="central_delta_p", b=b, point=point)
 
-    @property
+    # the two below are computed once, on the first read: star_green reads
+    # them on every call, and they are no fields, so ==, hash and repr
+    # are the dataclass's
+    @cached_property
     def vertex(self) -> tuple[str, int, float]:
         """The central coupling, (family, n, param) for make_coupling."""
         if self.kind == "central_delta":
@@ -357,7 +369,7 @@ class StarModel:
             return ("delta_p", self.n, self.b)
         return (self.kind, self.n, self.beta)
 
-    @property
+    @cached_property
     def points(self) -> tuple[PointInteraction, ...]:
         return () if self.point is None else (self.point,)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, unitary_with_phase
-from starcouplings import cli, greens
+from starcouplings import cli, finite_difference, greens
 from starcouplings import coupling as coupling_module
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            SectorSpec, StarModel, VertexCoupling,
@@ -28,8 +28,8 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            sector_decompose, sector_green, star_green, to_ab,
                            vertex_kernel)
 from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
-                                             ORIGIN_STENCIL_TOL, _ghost_map,
-                                             _solve)
+                                             ORIGIN_STENCIL_TOL, SampledKernel,
+                                             _ghost_map, _solve)
 
 KAPPA = 1.0
 SAMPLES = [(x, y) for x in (0.48, 0.96, 1.5, 2.01, 3.0)
@@ -395,6 +395,58 @@ class TestCompareKernels:
         stats = compare_kernels(lambda x, y: sampled.value(x, y) + offset,
                                 sampled, SAMPLES)
         assert stats == (abs(offset), abs(offset), len(SAMPLES))
+
+    @staticmethod
+    def _listed(errors):
+        """compare_kernels over sample k = (k,), whose error is errors[k]:
+        the analytic side gives it and the sampled side 0.0."""
+        class Zero:
+            snap = staticmethod(lambda k: (k,))
+            value = staticmethod(lambda k: 0.0)
+
+        return compare_kernels(lambda k: errors[k], Zero,
+                               [(k,) for k in range(len(errors))])
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "numpy"])
+    def test_statistics_equal_the_numpy_reference(self, kind):
+        # sizes 1 to 130 cross numpy's blocks of 8 and of 128 terms in its
+        # pairwise sum; the mean is that sum over the count
+        rng = np.random.default_rng(29)
+        for size in range(1, 131):
+            scale = 10.0 ** rng.uniform(-12.0, 0.0, size)
+            errors = (rng.standard_normal(size) * scale).tolist()
+            if kind == "complex":
+                errors = [complex(e, i) for e, i in zip(
+                    errors, rng.standard_normal(size) * scale)]
+            elif kind == "numpy":
+                errors = list(map(np.float64, errors))
+            stats = self._listed(errors)
+            modulus = np.abs(np.asarray(errors, dtype=complex))
+            want = (np.max(modulus), np.sqrt(np.mean(modulus**2)))
+            assert type(stats.max_abs) is type(stats.rms) is float
+            assert stats.count == size
+            assert [stats.max_abs.hex(), stats.rms.hex()] \
+                == [float(w).hex() for w in want]
+        assert self._listed([]) == (0.0, 0.0, 0)
+
+    def test_a_difference_that_overflows_is_an_infinite_error(self):
+        # finite on both sides: no ValueError, and max_abs = rms = inf
+        grid = GridSpec(12.0, 499)
+        sampled = fd_resolvent_halfline(HalflineBC.dirichlet(), [], KAPPA,
+                                        grid)
+        for big in (1e308, -1e308):
+            class Far:
+                snap = sampled.snap
+
+                @staticmethod
+                def value(x, y):
+                    return -big if (x, y) == sampled.snap(0.96, 1.5) \
+                        else 0.0
+
+            stats = compare_kernels(
+                lambda x, y: big if (x, y) == sampled.snap(0.96, 1.5)
+                else 1e-3, Far, SAMPLES)
+            assert stats == (math.inf, math.inf, len(SAMPLES))
 
 
 # ======================================================================
@@ -947,6 +999,30 @@ class TestWorkCount:
             sampled.vertex_values(1, 1.5)
         assert calls == []
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_memo_hits_resolve_nothing(self, monkeypatch, n):
+        # a second pass over the same samples reads every node, phi and
+        # (A, B) from the memos: no memo fill, no node_index, no solution
+        calls = []
+        for owner, name in ((finite_difference, "_missed"),
+                            (GridSpec, "node_index"),
+                            (SampledKernel, "_far_side"),
+                            (SampledKernel, "_vertex_side")):
+            routine = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=routine, _n=name:
+                                calls.append(_n) or _f(*a))
+        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
+        sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 399))
+        analytic = lambda *p: star_green(model, KAPPA, *p)  # noqa: E731
+        points = [(j, x, l, y) for j in (0, n - 1) for l in (0, n - 1)
+                  for x, y in SAMPLES]
+        first = compare_kernels(analytic, sampled, points)
+        assert {"_missed", "node_index", "_far_side",
+                "_vertex_side"} <= set(calls)
+        calls.clear()
+        assert compare_kernels(analytic, sampled, points) == first
+        assert calls == []
+
     @pytest.mark.parametrize("case", ["star", "halfline", "oracle-check"])
     def test_one_coupling_per_vertex(self, monkeypatch, capsys, case):
         # an FD build and its closed form read one memoised U; they built
@@ -1013,9 +1089,10 @@ class TestLargeFamilyStar:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # measured 0.52 MB, the kernel's O(n) per-edge lists; one n x n
+        # measured 0.023 MB, the kernel's n references to the one list of
+        # terms of its diagonal (0.52 MB with a list per edge); one n x n
         # array of floats is 32 MB
-        assert peak < 1e6
+        assert peak < 5e4
         assert memo < 1e6 and held < 1e6
 
         lead, rest = sector_decompose(model)

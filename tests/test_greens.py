@@ -1079,3 +1079,84 @@ class TestPointsMustBePointInteractions:
             halfline_kernel(HalflineBC.dirichlet(), self.BAD, 1.0)
         with pytest.raises(ValueError, match="not a PointInteraction"):
             halfline_kernel(HalflineBC.dirichlet(), [[0.5, -2.0]], 1.0)
+
+
+class TestScalarTypes:
+    """Plain ints and floats take the evaluator's type test first, numpy
+    scalars its isinstance ladder: both give the same bits, a Python
+    float (complex when U != U^T)."""
+
+    SCREEN = PointInteraction(2.5, math.inf)
+    MODELS = [StarModel.delta_prime_s(3, 1.3), StarModel.delta_prime(4, 0.7),
+              StarModel.central_delta(3, -1.0, PointInteraction(1.0, 2.0)),
+              StarModel.central_delta_p(2, 0.4, PointInteraction(2.0, -0.5))]
+    #: integer-valued coordinates, so each has a Python int twin; the
+    #: last two lie past the screen of the screened cases
+    XY = [(0, 0), (1, 2), (2, 1), (3, 3), (0, 4), (3, 5)]
+
+    @staticmethod
+    def _same_bits(kernel, j, l):
+        for x, y in TestScalarTypes.XY:
+            want = kernel(j, float(x), l, float(y))
+            assert type(want) in (float, complex)
+            for args in ((j, x, l, y),
+                         (j, np.float64(x), l, np.float64(y)),
+                         (np.int64(j), float(x), np.int64(l), float(y)),
+                         (np.int64(j), np.float64(x), l, y)):
+                got = kernel(*args)
+                assert type(got) is type(want) and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_star_green_and_vertex_kernel(self, model):
+        screened = vertex_kernel(make_coupling(*model.vertex),
+                                 (*model.points, self.SCREEN), 1.3)
+        for j in range(model.n):
+            for l in (0, model.n - 1):
+                self._same_bits(
+                    lambda *a: star_green(model, 1.3, *a), j, l)
+                self._same_bits(screened, j, l)
+
+    def test_decomposed_coupling(self):
+        for u in (random_unitary(3, np.random.default_rng(5)),
+                  np.array([[0.6, 0.8j, 0.0], [0.8j, 0.6, 0.0],
+                            [0.0, 0.0, 1.0]])):
+            kernel = vertex_kernel(VertexCoupling.custom(u),
+                                   [PointInteraction(0.5, -2.0)], 1.0)
+            for j in range(3):
+                self._same_bits(kernel, j, 2 - j)
+
+    @pytest.mark.parametrize("bc", ALL_BCS, ids=lambda bc: bc.kind)
+    def test_halfline_kernel(self, bc):
+        for points in ((), (PointInteraction(1.0, -0.5), self.SCREEN)):
+            kernel = halfline_kernel(bc, points, 1.1)
+            self._same_bits(lambda j, x, l, y: kernel(x, y), 0, 0)
+
+
+class TestStarModelRecord:
+    """StarModel computes its vertex and points once; they are no
+    fields, so equality, hash and repr stay the dataclass's."""
+
+    def test_equality_hash_and_repr(self):
+        point = PointInteraction(2.01, 0.5)
+        model = StarModel.central_delta(3, 0.7, point)
+        twin = StarModel(n=3, kind="central_delta", b=0.7, point=point)
+        before = hash(model)
+        assert repr(model) == ("StarModel(n=3, kind='central_delta', "
+                               "beta=None, b=0.7, point=PointInteraction("
+                               "a=2.01, c=0.5))")
+        star_green(model, 1.0, 0, 1.0, 2, 1.5)
+        assert vars(model)["vertex"] == ("delta", 3, 3 * 0.7)
+        assert vars(model)["points"] == (point,)
+        assert "vertex" not in vars(twin)
+        assert model == twin and hash(model) == hash(twin) == before
+        assert repr(model) == repr(twin)
+        assert model != StarModel.central_delta(3, 0.7)
+        assert [f.name for f in dataclasses.fields(StarModel)] \
+            == ["n", "kind", "beta", "b", "point"]
+
+    def test_replace_recomputes_the_vertex(self):
+        model = StarModel.delta_prime_s(3, 1.3)
+        assert model.vertex == ("delta_prime_s", 3, 1.3)
+        other = dataclasses.replace(model, beta=0.4)
+        assert other.vertex == ("delta_prime_s", 3, 0.4)
+        assert model.points == other.points == ()
