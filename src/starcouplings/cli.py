@@ -19,10 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from .convergence import SCHEDULE_FAMILIES, convergence_sweep
 from .coupling import (FAMILIES, _number, make_coupling, rescale_length,
@@ -65,21 +64,22 @@ def _dumps(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    # numpy registers its scalar types with these: no numpy import here
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, numbers.Complex):
         return _dumps({"re": float(obj.real), "im": float(obj.imag)})
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(parts) + "}"
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dumps(v) for v in obj) + "]"
+    if hasattr(obj, "tolist"):    # a numpy array
+        return _dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -443,8 +443,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (PoleError, InvalidCouplingError, ValueError,
-            np.linalg.LinAlgError) as exc:
+    # numpy.linalg.LinAlgError is a ValueError
+    except (PoleError, InvalidCouplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -79,14 +79,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coupling import _family_table, _integer, _number, _scale, _unchecked
 from .errors import PoleError
 from .finite_difference import GridSpec
 from .greens import (ROBIN_POLE_TOL, PointInteraction, SectorSpec,
                      StarModel, sector_green)
+
+if TYPE_CHECKING:    # numpy is imported where an array is made or read
+    import numpy as np
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
@@ -180,6 +182,7 @@ class SampledDifference:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         x = np.asarray(self.x, dtype=float)
         values = np.asarray(self.values)
         if values.shape != (x.size, x.size):
@@ -194,6 +197,7 @@ class SampledDifference:
 def _window_nodes(grid: GridSpec, a: float) -> np.ndarray:
     if not 0.0 < _number(a, "window start a") < grid.L:
         raise ValueError(f"window start {a} outside (0, {grid.L})")
+    import numpy as np
     base = grid.boundary_nodes()
     return np.concatenate(([a], base[base > a * (1.0 + 1e-12)]))
 
@@ -218,6 +222,7 @@ def hs_norm(diff: SampledDifference) -> float:
     """Hilbert-Schmidt norm estimate: sqrt of the 2-D trapezoidal
     quadrature of |values|^2 over the sampled square, w^T |values|^2 w
     with the trapezoid weights w of the nodes."""
+    import numpy as np
     dx = np.diff(diff.x) / 2.0
     w = np.zeros_like(diff.x)
     w[:-1] += dx

@@ -63,6 +63,8 @@ and custom, ABPair, Eigenphases) copy and check what comes from outside,
 and from_ab checks its solve; what the package builds from checked data (a
 family U, a rescaled U, to_ab's pair, a decomposition) is valid by
 construction, neither copied nor checked again; the tests check it.
+numpy is imported by the functions that make or read an array, so a
+family's phases, its kernels and the scalar checks run without it.
 
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
@@ -76,10 +78,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidCouplingError
+
+if TYPE_CHECKING:    # numpy is imported where an array is made or read
+    import numpy as np
 
 #: families accepted by make_coupling
 FAMILIES = ("delta", "delta_prime_s", "delta_p", "delta_prime")
@@ -99,8 +103,16 @@ SINGULAR_COND = 1e12
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U U* - I."""
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
+
+
+def _symmetric(u: np.ndarray) -> bool:
+    """Whether U = U^T exactly: the kernels and the finite-difference
+    solver are real exactly then."""
+    import numpy as np
+    return np.array_equal(u, u.T)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -112,6 +124,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _readonly(a, what: str) -> np.ndarray:
     """A fresh read-only complex array of ``a``; a bool array is refused
     (numpy reads a list that mixes bools and floats as floats)."""
+    import numpy as np
     a = np.asarray(a)
     if a.dtype == bool:
         raise InvalidCouplingError(f"{what} must hold numbers, not bools")
@@ -129,6 +142,7 @@ def _unchecked(cls, **fields):
 
 def _unitary(u: np.ndarray, what: str = "U") -> np.ndarray:
     """A fresh complex matrix ``u``, checked finite and unitary, read-only."""
+    import numpy as np
     if not np.isfinite(u).all():
         raise InvalidCouplingError(f"{what} has non-finite entries")
     defect = unitarity_defect(u)
@@ -153,14 +167,21 @@ _REQUIRES = {(False, False): ("real and finite", "finite"),
              (True, True): ("real and positive", "positive")}
 
 
+def _numpy_types(*names: str) -> tuple:
+    """The numpy scalar types ``names``, or () while numpy is not loaded (or
+    is blocked): no numpy scalar exists before numpy is imported."""
+    np = sys.modules.get("numpy")
+    return tuple(getattr(np, name) for name in names) if np else ()
+
+
 def _number(x, what: str, error=ValueError, *, inf: bool = False,
             positive: bool = False, got: str | None = None) -> float:
     """float(x) of an int or a float, Python or numpy and not a bool, that
     is not NaN, finite unless ``inf`` and > 0 if ``positive``; otherwise
     ``error`` naming ``what`` and ``got`` (x by default)."""
     if type(x) is not float:    # the common case, tested first
-        if isinstance(x, (bool, np.bool_)) or not isinstance(
-                x, (int, float, np.integer, np.floating)):
+        if isinstance(x, (bool, *_numpy_types("bool_"))) or not isinstance(
+                x, (int, float, *_numpy_types("integer", "floating"))):
             raise error(f"{what} must be {_REQUIRES[inf, positive][0]} (a "
                         f"real number, not a {type(x).__name__}), got "
                         f"{got or repr(x)}")
@@ -194,7 +215,8 @@ def _integer(what: str, *values, low: int = 0,
     for x in values:
         if type(x) is int and low <= x < high:    # the common case first
             continue
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) \
+        if isinstance(x, bool) \
+                or not isinstance(x, (int, *_numpy_types("integer"))) \
                 or not low <= x < high:
             bound = f"lie in [{low}, {high})" if high < sys.float_info.max \
                 else f"be an integer number of at least {low} in double range"
@@ -269,6 +291,7 @@ class Eigenphases:
         for one, comes out exact."""
         if not self.exact:
             return (self.v * self.columns(f)) @ self.vh
+        import numpy as np
         n = self.n
         out = np.full((n, n), (f[0] - f[-1]) / n)
         out.flat[::n + 1] += f[-1]
@@ -309,6 +332,7 @@ def _decompose(u: np.ndarray) -> Eigenphases:
     by one QR, which mixes columns only within a group of equal
     eigenvalues (the eigenvectors of distinct ones are orthogonal up to
     rounding).  A group's eigenvalue is the mean of its members."""
+    import numpy as np
     lam, vec = np.linalg.eig(u)
     lam = lam.tolist()
     order = sorted(range(len(lam)), key=lambda j: cmath.phase(lam[j]))
@@ -396,6 +420,7 @@ class ABPair:
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
+        import numpy as np
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidCouplingError("A and B must have finite entries")
         object.__setattr__(self, "a", a)
@@ -408,6 +433,7 @@ class ABPair:
     @functools.cached_property
     def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
         """validate_ab's diagnostics and one SVD of the read-only (A, B)."""
+        import numpy as np
         a, b, n = self.a, self.b, self.n
         sv = np.linalg.svd(np.concatenate((a, b), 1), compute_uv=False)
         top = sv.tolist()
@@ -445,6 +471,7 @@ class BoundaryValues:
     dpsi: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         psi = _readonly(np.atleast_1d(self.psi), "psi")
         dpsi = _readonly(np.atleast_1d(self.dpsi), "dpsi")
         if psi.shape != dpsi.shape or psi.ndim != 1:
@@ -519,6 +546,7 @@ def _with_phases(phases: Eigenphases) -> VertexCoupling:
 
 def to_ab(coupling: VertexCoupling) -> ABPair:
     """The canonical pair A = U - I, B = i (U + I)."""
+    import numpy as np
     u, eye = coupling.u, np.eye(coupling.n)
     return _unchecked(ABPair, a=_frozen(u - eye), b=_frozen(1j * (u + eye)))
 
@@ -552,6 +580,7 @@ def from_ab(ab: ABPair) -> VertexCoupling:
         raise InvalidCouplingError(
             "A + iB is numerically singular (condition estimate "
             f"{sv[0] / sv[-1]:.3e}); the admissibility conditions fail")
+    import numpy as np
     ib = 1j * ab.b
     return _unchecked(VertexCoupling,
                       u=_unitary(np.linalg.solve(ab.a + ib, ib - ab.a)))
@@ -598,6 +627,7 @@ def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,
     if bv.n != coupling.n:
         raise InvalidCouplingError(
             f"boundary values of length {bv.n} for an {coupling.n}-edge vertex")
+    import numpy as np
     eye = np.eye(coupling.n)
     residual = float(np.linalg.norm(
         (coupling.u - eye) @ bv.psi + 1j * (coupling.u + eye) @ bv.dpsi))

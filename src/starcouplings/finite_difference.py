@@ -112,18 +112,20 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
 from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
-                       _integer, _number, _scale, make_coupling, to_ab)
+                       _integer, _number, _scale, _symmetric, make_coupling,
+                       to_ab)
 from .errors import PoleError
 from .greens import (HalflineBC, PointInteraction, StarModel,
                      _named_coupling, check_points)
 from .scattering import one_plus_s_sectors
+
+if TYPE_CHECKING:    # numpy is imported where an array is made or read
+    import numpy as np
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this, relative as in
 #: scattering.one_plus_s_sectors, raise PoleError
@@ -155,10 +157,12 @@ class GridSpec:
 
     def nodes(self) -> np.ndarray:
         """Interior nodes i h, i = 1..N."""
+        import numpy as np
         return self.h * np.arange(1, self.N + 1)
 
     def boundary_nodes(self) -> np.ndarray:
         """All N + 2 nodes including 0 and L."""
+        import numpy as np
         return np.linspace(0.0, self.L, self.N + 2)
 
     def refined(self) -> "GridSpec":
@@ -341,6 +345,7 @@ class SampledKernel:
         source at (edge_l, y): the kernel column's boundary trace."""
         _integer("edge indices", edge_l, high=self.n_edges)
         iy = self.grid.node_index(y, minimum=1)
+        import numpy as np
         # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
         scale = ((2.0 - self._excess) * self.grid.h * math.exp(
             -self._rho * iy) * self._far_side(iy) / self._norm)
@@ -376,7 +381,7 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
             f"finite-difference grid too fine: N = {big_n} nodes on each of "
             f"n = {n} edges (h = {h:.6g}) exceed {MAX_FD_UNKNOWNS} unknowns")
     mus, phases = _ghost_map(coupling, h), coupling.eigenphases
-    if not (phases.exact or np.array_equal(coupling.u, coupling.u.T)):
+    if not (phases.exact or _symmetric(coupling.u)):
         raise ValueError("finite-difference solver needs a symmetric "
                          "coupling U = U^T; this U has a complex kernel")
     # the scale e^{-rho i} = 2^{-i bits} must keep its exponent in int32
@@ -412,6 +417,14 @@ def fd_resolvent_star(model: StarModel, kappa: float,
     return _solve(_named_coupling(model.vertex), model.points, kappa, grid)
 
 
+def _finite_sides(exact, approx, point) -> None:
+    """ValueError naming ``point`` and the first side that is not finite."""
+    for side, value in (("analytic", exact), ("finite-difference", approx)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"the {side} kernel is {value} at sample "
+                             f"point {point}")
+
+
 def compare_kernels(analytic: Callable[..., float], sampled,
                     sample_points) -> KernelErrorStats:
     """Max-abs and RMS error between an analytic kernel evaluator and a
@@ -423,21 +436,20 @@ def compare_kernels(analytic: Callable[..., float], sampled,
     finite on either side raises ValueError naming the first such point;
     two finite values whose difference overflows give an infinite error.
     Errors may be complex (a kernel of U != U^T): max_abs = max |e| and
-    rms = sqrt(mean |e|^2), where the mean is numpy's pairwise sum
-    np.add.reduce of the |e|^2, divided by their count (np.mean's own
-    arithmetic).
+    rms = sqrt(mean |e|^2), where the mean is the exactly rounded sum
+    math.fsum of the |e|^2 over their count.
     """
     errors = []
     for point in sample_points:
         snapped = sampled.snap(*point)
         exact, approx = analytic(*snapped), sampled.value(*snapped)
-        error = exact - approx    # not finite if either side is not
-        if not cmath.isfinite(error) and not (cmath.isfinite(exact)
-                                              and cmath.isfinite(approx)):
-            side, value = (("analytic", exact) if not cmath.isfinite(exact)
-                           else ("finite-difference", approx))
-            raise ValueError(f"the {side} kernel is {value} at sample "
-                             f"point {snapped}")
+        if type(exact) is float and type(approx) is float:
+            error = exact - approx    # not finite if either side is not
+            if not math.isfinite(error):
+                _finite_sides(exact, approx, snapped)
+        else:    # numpy warns on inf - inf: test the sides first
+            _finite_sides(exact, approx, snapped)
+            error = exact - approx
         errors.append(error)
     count = len(errors)
     if count == 0:
@@ -447,8 +459,11 @@ def compare_kernels(analytic: Callable[..., float], sampled,
     if {float}.issuperset(map(type, errors)):
         moduli = list(map(abs, errors))
     else:
+        import numpy as np
         moduli = np.abs(np.asarray(errors, dtype=complex)).tolist()
-    squares = np.add.reduce([e * e for e in moduli])
+    try:
+        squares = math.fsum([e * e for e in moduli])
+    except OverflowError:    # finite squares whose sum passes the doubles
+        squares = math.inf
     return KernelErrorStats(max_abs=max(moduli),
-                            rms=math.sqrt(float(squares) / count),
-                            count=count)
+                            rms=math.sqrt(squares / count), count=count)

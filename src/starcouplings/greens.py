@@ -46,10 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .coupling import (VertexCoupling, _integer, _number, _scale,
-                       make_coupling)
+                       _symmetric, make_coupling)
 from .errors import PoleError
 
 #: Jost functions below this, relative to their terms, raise PoleError
@@ -143,9 +141,8 @@ def check_points(points) -> tuple[PointInteraction, ...]:
 
 #: the scalar argument types of a kernel, bool excepted
 _REAL = (int, float)
-#: the elementary functions of float and of array arguments
+#: the elementary functions of float arguments; arrays take numpy's
 _FLOAT = (math.exp, math.expm1, min, max, True)
-_ARRAY = (np.exp, np.expm1, np.minimum, np.maximum, False)
 #: past the first screen each edge is a Dirichlet half line, built once
 _DIRICHLET_EDGE = make_coupling("delta", 1, math.inf)
 
@@ -202,7 +199,7 @@ def vertex_kernel(coupling: VertexCoupling,
             raise PoleError(f"kernel pole at kappa = {kappa}: group ({c}, "
                             f"{s}) has Jost function {josts[-1]:.3e}, below "
                             f"{ROBIN_POLE_TOL} x its terms {size:.3e}")
-    real = phases.exact or np.array_equal(coupling.u, coupling.u.T)
+    real = phases.exact or _symmetric(coupling.u)
     kind = float if real else complex
     diag = phases._entries([complex(c, s) / jost for (c, s, _), jost
                             in zip(phases.groups, josts)])
@@ -232,6 +229,7 @@ def vertex_kernel(coupling: VertexCoupling,
                 raise ValueError("kernel arguments must be finite and >= 0")
             fns = _FLOAT
         else:
+            import numpy as np
             x, y = np.asarray(x), np.asarray(y)
             if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
                 raise ValueError(f"kernel arguments must be real numbers, "
@@ -241,7 +239,7 @@ def vertex_kernel(coupling: VertexCoupling,
             if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
                    for v in (x, y)):
                 raise ValueError("kernel arguments must be finite and >= 0")
-            fns = _ARRAY
+            fns = (np.exp, np.expm1, np.minimum, np.maximum, False)
         exp, _, minimum, maximum, scalar = fns
         beyond = None     # phi(end) = 0: nothing crosses a screen
         if screened and j == l and not (scalar and max(x, y) <= end):
@@ -264,7 +262,9 @@ def vertex_kernel(coupling: VertexCoupling,
                 out *= np.where(below, duhamel(*phi, -1, y, fns),
                                 duhamel(*phi, -1, x, fns))
         out = out if beyond is None else out + beyond
-        return out.item() if isinstance(out, np.generic) else out
+        # 0-d array arguments leave a numpy scalar: return its Python value
+        return out.item() if not scalar and isinstance(out, np.generic) \
+            else out
 
     return evaluate
 

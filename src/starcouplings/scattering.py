@@ -28,13 +28,14 @@ kappa = s / c.  Only s_matrix forms the matrix.  The resolvent kernels
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coupling import (DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling,
                        _number)
 from .errors import PoleError
+
+if TYPE_CHECKING:    # numpy is imported where an array is made or read
+    import numpy as np
 
 
 class BoundState(NamedTuple):
@@ -80,6 +81,7 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
     precision (where numpy's longdouble has it): in double its rounding,
     amplified by D(k)^{-1}, would leave an error of about eps cond(D(k))
     at a cluster of eigenvalues near +1 (k small) or -1 (k large)."""
+    import numpy as np
     kx = np.clongdouble(k)
     ux = u.astype(np.clongdouble)
     sx = sk.astype(np.clongdouble)

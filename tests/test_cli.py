@@ -20,7 +20,7 @@ import starcouplings
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            convergence_sweep, halfline_kernel, make_coupling,
                            s_matrix)
-from starcouplings.cli import main
+from starcouplings.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -529,6 +529,25 @@ class TestGoldenStdout:
         assert "".join(outs) == (GOLDEN / "oracle_check.txt").read_text()
 
 
+class TestDumps:
+    """numpy scalars and arrays serialize as they always have, without
+    the serializer naming numpy: the strings are pinned."""
+
+    @pytest.mark.parametrize("value, text", [
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.float32("inf"), '"inf"'),
+        (np.int64(-7), "-7"),
+        (np.complex64(0.1 - 2.5j), '{"re": 0.10000000149011612, "im": -2.5}'),
+        (np.array(2.5), "2.5"),
+        (np.array(np.int64(3)), "3"),
+        (np.array([[1 + 0.1j, np.nan], [np.inf, -0.0]]),
+         '[[{"re": 1, "im": 0.10000000000000001}, {"re": null, "im": 0}], '
+         '[{"re": "inf", "im": 0}, {"re": -0, "im": 0}]]'),
+    ], ids=repr)
+    def test_numpy_values(self, value, text):
+        assert _dumps(value) == text
+
+
 # ======================================================================
 #  determinism
 # ======================================================================
@@ -567,25 +586,44 @@ class TestDeterminism:
 #  import layer
 # ======================================================================
 
-# Loads the package and runs subcommands in one process, printing the
-# scipy modules in sys.modules after each step as "label: name,name".
-_SCIPY_PROBE = """
-import contextlib, io, sys
+# Loads the package and runs the subcommands ARGVS in one process, printing
+# after each step a JSON line [label, exit code, the loaded modules named
+# PREFIX or PREFIX.*].
+_MODULE_PROBE = """
+import contextlib, io, json, sys
 
-def report(label):
-    names = sorted(m for m in sys.modules if m.startswith("scipy"))
-    print(label + ": " + ",".join(names))
+prefix, argvs = sys.argv[1], json.loads(sys.argv[2])
+
+def report(label, code=0):
+    names = sorted(m for m in sys.modules
+                   if m == prefix or m.startswith(prefix + "."))
+    print(json.dumps([label, code, names]))
 
 import starcouplings
 report("import starcouplings")
 import starcouplings.cli as cli
 report("import starcouplings.cli")
-for argv in ARGVS:
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    assert code == 0, (argv, code)
-    report(" ".join(argv))
+    report(" ".join(argv), code)
 """
+
+
+def _module_probe(prefix: str, argvs) -> list[tuple[str, int, list]]:
+    """(label, exit code, loaded modules of ``prefix``) after importing
+    the package, its CLI, and after each of ``argvs``, all in one fresh
+    interpreter."""
+    src = os.path.dirname(os.path.dirname(starcouplings.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, prefix, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    return [tuple(json.loads(line)) for line in out.stdout.splitlines()]
+
 
 _NUMPY_ONLY_ARGVS = [
     ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
@@ -600,26 +638,70 @@ _NUMPY_ONLY_ARGVS = [
     ["oracle-check", "--bc", "dirichlet", "--h", "0.05"],
 ]
 
-
-def _scipy_probe(argvs) -> list[tuple[str, str]]:
-    src = os.path.dirname(os.path.dirname(starcouplings.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", f"ARGVS = {argvs!r}\n" + _SCIPY_PROBE],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    return [line.partition(": ")[::2] for line in out.stdout.splitlines()]
+#: subcommands that compute in floats, and their exit codes: the sweep
+#: with valid stages, with stages on the target pole and on a base pole,
+#: and with one stage (no slope), the kernel at one point, and the FD
+#: oracle in both modes
+_FLOAT_ONLY_ARGVS = [
+    (["converge", "--family", "delta-prime-s", "--n", "3", "--beta", "1",
+      "--a-list", "0.1,0.03,0.01"], 0),
+    (["converge", "--family", "delta-prime", "--n", "3", "--beta", "0.8",
+      "--kappa", "1.2", "--a-list", "0.1,0.03,0.01", "--emit", "json"], 0),
+    (["converge", "--family", "delta-prime-s", "--n", "2", "--beta", "-2",
+      "--kappa", "1", "--a-list", "0.1,0.01"], 4),
+    (["converge", "--family", "delta-prime-s", "--n", "2", "--beta",
+      "0.02", "--a-list", "0.1,0.01"], 4),
+    (["converge", "--family", "delta-prime-s", "--n", "1", "--beta", "1",
+      "--a-list", "0.01", "--emit", "json"], 0),
+    (["greens", "--bc", "robin:0.7", "--kappa", "1.3", "--x", "0.3",
+      "--y", "0.45", "--point", "0.2,-3"], 0),
+    (["greens", "--bc", "neumann", "--kappa", "1", "--x", "0.1", "--y",
+      "0.2", "--emit", "plain"], 0),
+    (["greens", "--bc", "robin:-1", "--point", "1,inf", "--kappa", "1",
+      "--x", "0.5", "--y", "1.7"], 0),
+    (["oracle-check", "--bc", "robin:0.7", "--point", "1.2,0.5", "--point",
+      "2.4,-0.3", "--kappa", "1.2", "--h", "0.05", "--order-check"], 0),
+    (["oracle-check", "--star-family", "central-delta-p", "--n", "3",
+      "--b", "0.4", "--point", "2.01,0.7", "--kappa", "1.4", "--h", "0.05",
+      "--order-check"], 0),
+]
 
 
 class TestImportLayer:
     """The package, its CLI and every subcommand, the finite-difference
-    oracle included, run on numpy alone."""
+    oracle included, run on numpy alone; the subcommands that compute in
+    floats load no numpy at all."""
 
     def test_numpy_only_subcommands_load_no_scipy(self):
-        steps = _scipy_probe(_NUMPY_ONLY_ARGVS)
+        steps = _module_probe("scipy", _NUMPY_ONLY_ARGVS)
         assert len(steps) == 2 + len(_NUMPY_ONLY_ARGVS)
-        assert [names for _, names in steps] == [""] * len(steps), steps
+        assert [names for _, _, names in steps] == [[]] * len(steps), steps
+        assert [code for _, code, _ in steps] == [0] * len(steps)
+
+    def test_imports_load_no_numpy(self):
+        assert [(label, names) for label, _, names
+                in _module_probe("numpy", [])] \
+            == [("import starcouplings", []),
+                ("import starcouplings.cli", [])]
+
+    @pytest.mark.parametrize("argv, code", _FLOAT_ONLY_ARGVS,
+                             ids=[" ".join(a) for a, _ in _FLOAT_ONLY_ARGVS])
+    def test_float_subcommands_load_no_numpy(self, argv, code):
+        # one fresh interpreter per subcommand
+        *_, (_, got, names) = _module_probe("numpy", [argv])
+        assert (got, names) == (code, [])
+
+    def test_array_subcommands_load_numpy_with_their_first_array(self):
+        # coupling, smatrix and greens --grid
+        steps = _module_probe("numpy", _NUMPY_ONLY_ARGVS[:2]
+                              + _NUMPY_ONLY_ARGVS[3:4])
+        assert [code for _, code, _ in steps] == [0] * 5
+        assert ["numpy" in names for _, _, names in steps] \
+            == [False, False, True, True, True]
+
+    def test_linalg_error_is_a_value_error(self):
+        # main() exits 3 on ValueError without naming numpy's LinAlgError
+        assert issubclass(np.linalg.LinAlgError, ValueError)
 
 
 # ======================================================================

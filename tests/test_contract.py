@@ -3,7 +3,9 @@
 Every name in starcouplings.__all__ has rows here: a call with nominal
 arguments, and the numeric arguments to probe, one at a time.  Each bad
 value (a bool, Python or numpy, a complex, a string, None, NaN, a float32
-NaN) must raise InvalidCouplingError, PoleError or ValueError.  Each
+NaN, a Fraction, a Decimal) must raise InvalidCouplingError, PoleError
+or ValueError, and the numpy scalars np.float32 and np.int64 of a
+nominal value must give finite numbers as the value does.  Each
 extreme value (+-1e-300, 5e-324, 1e-160, 1e154, 1e300, +-inf, and the
 Python ints +-10**400, beyond the double range) must raise one of these
 or give finite numbers; infinity is a value of its own only where an
@@ -22,6 +24,8 @@ they have no rows.
 
 import cmath
 import dataclasses
+import decimal
+import fractions
 import math
 from typing import Callable, NamedTuple
 
@@ -36,7 +40,12 @@ from starcouplings.cli import build_parser, main
 from starcouplings.coupling import SCALE_MAX, SCALE_MIN
 
 BAD = {"True": True, "np.True_": np.True_, "complex": 1 + 0j, "str": "1",
-       "None": None, "nan": math.nan, "float32-nan": np.float32("nan")}
+       "None": None, "nan": math.nan, "float32-nan": np.float32("nan"),
+       "Fraction": fractions.Fraction(1, 2), "Decimal": decimal.Decimal("1")}
+#: numpy scalars a number is accepted as, each of the Python type it
+#: stands for (np.float32 only where it holds the nominal value exactly)
+NUMPY_SCALARS = {"np.float32": (float, np.float32),
+                 "np.int64": (int, np.int64)}
 #: and the ends of the domain of lengths and kappa, and Python ints beyond
 #: the double range
 EXTREME = {"-1e-300": -1e-300, "1e-300": 1e-300, "5e-324": 5e-324,
@@ -299,6 +308,20 @@ def test_nominal_call_gives_finite_numbers(row):
 def test_bad_value_is_refused(row, name, value):
     with pytest.raises(REFUSALS):
         _call(row, **{name: value})
+
+
+def _numpy_cases():
+    return [pytest.param(row, name, scalar(row.args[name]),
+                         id=f"{row}:{name}={label}")
+            for row in ROWS for name in row.numeric
+            for label, (kind, scalar) in NUMPY_SCALARS.items()
+            if type(row.args[name]) is kind
+            and kind(scalar(row.args[name])) == row.args[name]]
+
+
+@pytest.mark.parametrize("row, name, value", _numpy_cases())
+def test_numpy_scalar_is_accepted(row, name, value):
+    assert _finite(_call(row, **{name: value}))
 
 
 @pytest.mark.parametrize("row, name, value", _cases(EXTREME))

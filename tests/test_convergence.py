@@ -445,27 +445,6 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="need at least one distance"):
             convergence_sweep(family, beta, n, KAPPA, [], GRID)
 
-    def test_sweep_makes_no_numpy_call(self, monkeypatch):
-        # the sweep is plain floats from input to report: valid stages,
-        # invalid ones (target and base poles) and the None slope
-        class NoNumpy:
-            def __getattr__(self, name):
-                raise AssertionError(f"convergence_sweep used np.{name}")
-
-        monkeypatch.setattr("starcouplings.convergence.np", NoNumpy())
-        rep = convergence_sweep("delta_prime", 0.8, 3, 1.2,
-                                [1e-1, 3e-2, 1e-2], GRID)
-        assert all(s.valid for s in rep.stages)
-        assert rep.fitted_slope is not None
-        for beta, a_list in ((-2.0, [1e-2, 1e-3]), (0.02, [0.1, 1e-2]),
-                             (0.02, [0.1])):
-            rep = convergence_sweep("delta_prime_s", beta, 2, KAPPA, a_list,
-                                    GRID)
-            assert not rep.stages[0].valid
-            assert rep.fitted_slope is None
-        rep = convergence_sweep("delta_prime_s", 1.0, 1, KAPPA, [1e-2], GRID)
-        assert rep.stages[0].valid and rep.fitted_slope is None
-
     def test_requires_strictly_decreasing_distances(self):
         with pytest.raises(ValueError):
             convergence_sweep("delta_prime_s", 1.0, 2, KAPPA, [1e-3, 1e-2],

@@ -13,6 +13,8 @@ solve per sector and source node, and against a 40-digit Thomas solve.
 import gc
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -409,8 +411,9 @@ class TestCompareKernels:
 
     @pytest.mark.parametrize("kind", ["real", "complex", "numpy"])
     def test_statistics_equal_the_numpy_reference(self, kind):
-        # sizes 1 to 130 cross numpy's blocks of 8 and of 128 terms in its
-        # pairwise sum; the mean is that sum over the count
+        # max_abs is numpy's max |e|; the rms is the exact sum of the |e|^2,
+        # rounded once, over the count, which a pairwise sum misses by an
+        # ulp for some of the sizes 1 to 130
         rng = np.random.default_rng(29)
         for size in range(1, 131):
             scale = 10.0 ** rng.uniform(-12.0, 0.0, size)
@@ -421,13 +424,40 @@ class TestCompareKernels:
             elif kind == "numpy":
                 errors = list(map(np.float64, errors))
             stats = self._listed(errors)
-            modulus = np.abs(np.asarray(errors, dtype=complex))
-            want = (np.max(modulus), np.sqrt(np.mean(modulus**2)))
+            modulus = np.abs(np.asarray(errors, dtype=complex)).tolist()
+            exact = sum(Fraction(e * e) for e in modulus)
+            want = (np.max(modulus), math.sqrt(float(exact) / size))
             assert type(stats.max_abs) is type(stats.rms) is float
             assert stats.count == size
             assert [stats.max_abs.hex(), stats.rms.hex()] \
                 == [float(w).hex() for w in want]
         assert self._listed([]) == (0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("exact, approx", [
+        (np.float64(np.inf), np.float64(np.inf)),
+        (np.float64(-np.inf), -math.inf),
+        (math.inf, np.float64(np.inf)),
+        (np.complex128(complex(np.inf, 1.0)), np.float64(np.inf)),
+    ], ids=repr)
+    def test_infinite_numpy_sides_raise_the_value_error(self, exact, approx):
+        # inf - inf of a numpy scalar warns "invalid value encountered in
+        # scalar subtract", an error under -W error, before the sides are
+        # tested: sides that are not Python floats are tested first
+        class Infinite:
+            snap = staticmethod(lambda k: (k,))
+            value = staticmethod(lambda k: approx)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the analytic kernel is "
+                               r"\S+ at sample point \(0,\)$"):
+                compare_kernels(lambda k: exact, Infinite, [(0,)])
+
+    def test_squares_that_sum_past_the_double_range_give_an_infinite_rms(
+            self):
+        # each square is finite (1.44e308), their sum is not
+        stats = self._listed([1.2e154, -1.2e154])
+        assert stats == (1.2e154, math.inf, 2)
 
     def test_a_difference_that_overflows_is_an_infinite_error(self):
         # finite on both sides: no ValueError, and max_abs = rms = inf
