@@ -15,8 +15,9 @@ at zero energy, the effective Robin constant
     B(a) = c + b / (1 + a b),
 
 which under either schedule equals n / (beta - n a) and tends to n / beta,
-the constant of the limiting boundary condition (see effective_robin for
-the energy-dependent constant the kernels actually see).
+the constant of the limiting boundary condition.  At energy -kappa^2 the
+kernels see a constant that differs from B(a) at O(kappa^2 a), the order
+of the differences the sweep measures; P / Q below is that constant.
 
 Per symmetry sector the experiment measures the difference between the
 point-decorated approximant kernel and the limit kernel on the window
@@ -53,9 +54,8 @@ f(x) = x cosh x - sinh x, s = sinh x, h = cosh x and E = e^{2x},
 dR is O(a) while the reflection constants are O(1); this form takes no
 difference of O(1) terms (f is summed as a series for small x, E - 1 is
 expm1), and it is evaluated with every hyperbolic factor scaled by e^{-x},
-so that dR e^{-2 kappa a} stays finite for large kappa a.  The
-hs_norm/sector_difference pair samples the kernels themselves and remains
-as the independent test oracle.
+so that dR e^{-2 kappa a} stays finite for large kappa a.  The tests
+sample the kernels themselves and gate this form against their quadrature.
 
 Sector norms combine with multiplicities,
 
@@ -79,16 +79,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .coupling import _family_table, _integer, _number, _scale, _unchecked
+from .coupling import _family_table, _integer, _scale, _unchecked
 from .errors import PoleError
 from .finite_difference import GridSpec
-from .greens import (ROBIN_POLE_TOL, PointInteraction, SectorSpec,
-                     StarModel, sector_green)
-
-if TYPE_CHECKING:    # numpy is imported where an array is made or read
-    import numpy as np
+# sector_green stays a module attribute: the sweep workload of benchmarks/
+# patches convergence.sector_green, and hs_norm below
+from .greens import ROBIN_POLE_TOL, sector_green  # noqa: F401
 
 #: families with a scaling schedule
 SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
@@ -121,10 +118,11 @@ class ApproximationStage:
 
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     """Coupling strengths b(a), c(a) for the given target family."""
-    checked = _check_schedule(family, beta, n)
+    beta = _check_schedule(family, beta, n)
     a = _scale(a, "distance a")
-    return ApproximationStage(family, n, checked, a,
-                              *_strengths(family, beta, n, a))
+    b, c, per_channel_b = _strengths(family, beta, n, a)
+    return _unchecked(ApproximationStage, family=family, n=n, beta=beta, a=a,
+                      b=b, c=c, per_channel_b=per_channel_b)
 
 
 def _check_schedule(family: str, beta: float, n: int) -> float:
@@ -145,83 +143,13 @@ def _strengths(family: str, beta: float, n: int, a: float) -> tuple:
     return b, -1.0 / a, b if common else b / n
 
 
-def effective_robin(b: float, c: float, a: float) -> float:
-    """The zero-energy (kappa -> 0) origin condition seen from just outside
-    the satellite, B(a) = c + b / (1 + a b).
-
-    At energy -kappa^2 the channel sees psi'(a+) = B_kappa(a) psi(a+) with
-
-        B_kappa(a) = c + kappa (kappa sinh kappa a + b cosh kappa a)
-                         / (kappa cosh kappa a + b sinh kappa a),
-
-    which differs from B(a) at O(kappa^2 a).  That is the order of the
-    kernel differences of a sweep, so B(a) gives the limit constant but is
-    no oracle for the sweep norms: at beta = 0 a norm built on it is off
-    by about 35 % in the sector whose base is Dirichlet (b -> inf).
-    """
-    b, c = _number(b, "b"), _number(c, "c")
-    den = 1.0 + _number(a, "distance a", positive=True) * b
-    if abs(den) < 1e-14:
-        raise PoleError(f"degenerate stage: |1 + a b| = {abs(den):.3e}")
-    return c + b / den
-
-
-def approximant_model(stage: ApproximationStage) -> StarModel:
-    point = PointInteraction(a=stage.a, c=stage.c)
-    if stage.family == "delta_prime_s":
-        return StarModel.central_delta(stage.n, stage.b, point)
-    return StarModel.central_delta_p(stage.n, stage.b, point)
-
-
-@dataclass(frozen=True)
-class SampledDifference:
-    """A kernel difference sampled on the square grid built from one node
-    vector (values[i, j] belongs to (x[i], x[j])), all finite."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-        x = np.asarray(self.x, dtype=float)
-        values = np.asarray(self.values)
-        if values.shape != (x.size, x.size):
-            raise ValueError(
-                f"values shape {values.shape} does not match {x.size} nodes")
-        if not (np.isfinite(x).all() and np.isfinite(values).all()):
-            raise ValueError("sampled nodes and values must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", values)
-
-
-def _window_nodes(grid: GridSpec, a: float) -> np.ndarray:
-    if not 0.0 < _number(a, "window start a") < grid.L:
-        raise ValueError(f"window start {a} outside (0, {grid.L})")
-    import numpy as np
-    base = grid.boundary_nodes()
-    return np.concatenate(([a], base[base > a * (1.0 + 1e-12)]))
-
-
-def sector_difference(target: SectorSpec, approx: SectorSpec, kappa: float,
-                      a: float, grid: GridSpec) -> SampledDifference:
-    """Samples of (approximant kernel - target kernel) for one sector pair
-    on the tensor grid over [a, L]^2."""
-    if target.multiplicity != approx.multiplicity:
-        raise ValueError(
-            f"incompatible sector pair: multiplicities "
-            f"{target.multiplicity} and {approx.multiplicity}")
-    nodes = _window_nodes(grid, a)
-    xg = nodes[:, None]
-    yg = nodes[None, :]
-    values = sector_green(approx, kappa, xg, yg) \
-        - sector_green(target, kappa, xg, yg)
-    return SampledDifference(x=nodes, values=values)
-
-
-def hs_norm(diff: SampledDifference) -> float:
-    """Hilbert-Schmidt norm estimate: sqrt of the 2-D trapezoidal
-    quadrature of |values|^2 over the sampled square, w^T |values|^2 w
-    with the trapezoid weights w of the nodes."""
+# hs_norm stays a module attribute, patched by the sweep workload of
+# benchmarks/; the tests measure the sweep's norms with it
+def hs_norm(diff) -> float:
+    """Hilbert-Schmidt norm estimate of a kernel difference sampled at the
+    nodes diff.x (diff.values[i, j] at (x[i], x[j])): sqrt of the 2-D
+    trapezoidal quadrature of |values|^2 over the sampled square,
+    w^T |values|^2 w with the trapezoid weights w of the nodes."""
     import numpy as np
     dx = np.diff(diff.x) / 2.0
     w = np.zeros_like(diff.x)
@@ -314,7 +242,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     None.  Stages that hit a pole guard are reported as invalid and
     excluded from the fit.
     """
-    _scale(kappa, "kappa")
+    kappa = _scale(kappa, "kappa")
     a_values = [_scale(a, "distance a") for a in a_list]
     if len(a_values) == 0:
         raise ValueError("need at least one distance")
@@ -322,7 +250,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         raise ValueError("distances must be strictly decreasing")
     if not a_values[0] < grid.L:
         raise ValueError(f"window start {a_values[0]} outside (0, {grid.L})")
-    _check_schedule(family, beta, n)
+    beta = _check_schedule(family, beta, n)
     # the sector pairs (sigma, tau) = (c, -s) of the target's eigenvalues,
     # leading sector (multiplicity 1) first, and whether the target trips
     # its pole guard; 0.0 - s keeps the Neumann target's tau at +0.0
@@ -371,6 +299,6 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         slope = sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) \
             / sum(dx * dx for dx in dxs)
         intercept = y_mean - slope * x_mean
-    return _unchecked(ConvergenceReport, family=family, n=n, beta=float(beta),
-                      kappa=float(kappa), stages=tuple(stages),
+    return _unchecked(ConvergenceReport, family=family, n=n, beta=beta,
+                      kappa=kappa, stages=tuple(stages),
                       fitted_slope=slope, fitted_intercept=intercept)

@@ -49,11 +49,11 @@ U = lambda_1 J/n + lambda_2 (I - J/n), exactly symmetric, from it on the
 first read, and the convergence sweep reads its sector pairs from it.
 
 Every function f(U) that the package evaluates (the scattering matrix,
-its bound states, the Dirichlet projector, a change of length unit)
-reads the Eigenphases that VertexCoupling.eigenphases builds on first use
-and then keeps.  make_coupling seeds them with its family's closed-form
-phases, which hold no basis: f(U) = f_1 J/n + f_2 (I - J/n), two numbers
-that the kernels read without the matrix.  rescale_length maps the phases
+its bound states, a change of length unit) reads the Eigenphases that
+VertexCoupling.eigenphases builds on first use and then keeps.
+make_coupling seeds them with its family's closed-form phases, which hold
+no basis: f(U) = f_1 J/n + f_2 (I - J/n), two numbers that the kernels
+read without the matrix.  rescale_length maps the phases
 of its input; any other U is decomposed numerically, f(U) = V diag(f) V*.
 A coupling is its U and nothing else: it keeps no record of how it was
 built.
@@ -462,32 +462,6 @@ class ABDiagnostics:
     ok: bool
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryValues:
-    """Vertex data: values Psi(0) and outward derivatives Psi'(0); == and
-    hash() go by identity, compare values with np.array_equal."""
-
-    psi: np.ndarray
-    dpsi: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-        psi = _readonly(np.atleast_1d(self.psi), "psi")
-        dpsi = _readonly(np.atleast_1d(self.dpsi), "dpsi")
-        if psi.shape != dpsi.shape or psi.ndim != 1:
-            raise InvalidCouplingError(
-                f"psi and dpsi must be equal-length vectors, got shapes "
-                f"{psi.shape} and {dpsi.shape}")
-        if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
-            raise InvalidCouplingError("psi and dpsi must be finite")
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "dpsi", dpsi)
-
-    @property
-    def n(self) -> int:
-        return self.psi.shape[0]
-
-
 def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
     """Build one of the standard coupling families.
 
@@ -611,48 +585,3 @@ def rescale_length(coupling: VertexCoupling, ell: float,
     groups = tuple((*_normalised(k * c, s), m) for c, s, m in phases.groups)
     return _with_phases(_unchecked(Eigenphases, groups=groups, v=phases.v,
                                    vh=phases.vh))
-
-
-def satisfies_vertex_condition(coupling: VertexCoupling, bv: BoundaryValues,
-                               tol: float = 1e-10) -> bool:
-    """Whether (Psi, Psi') solves (U - I) Psi + i (U + I) Psi' = 0.
-
-    The residual is compared against tol * (|Psi| + |Psi'| + eps).  When the
-    condition holds, |Psi + i Psi'| = |Psi - i Psi'| must hold as well
-    (vanishing boundary form); that identity is cross-checked and a
-    violation raises, since it would mean the inputs are inconsistent.
-    """
-    if _number(tol, "tolerance") < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    if bv.n != coupling.n:
-        raise InvalidCouplingError(
-            f"boundary values of length {bv.n} for an {coupling.n}-edge vertex")
-    import numpy as np
-    eye = np.eye(coupling.n)
-    residual = float(np.linalg.norm(
-        (coupling.u - eye) @ bv.psi + 1j * (coupling.u + eye) @ bv.dpsi))
-    scale = float(np.linalg.norm(bv.psi) + np.linalg.norm(bv.dpsi)
-                  + np.finfo(float).eps)
-    ok = residual <= tol * scale
-    if ok:
-        norm_plus = float(np.linalg.norm(bv.psi + 1j * bv.dpsi))
-        norm_minus = float(np.linalg.norm(bv.psi - 1j * bv.dpsi))
-        if abs(norm_plus - norm_minus) > tol * scale:
-            raise ArithmeticError(
-                "boundary form does not vanish although the vertex condition "
-                "holds; inconsistent inputs")
-    return ok
-
-
-def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:
-    """Orthogonal projection onto the eigenspace of U at eigenvalue -1.
-
-    Edges are Dirichlet-decoupled exactly on the range of this projection,
-    read from the coupling's eigenphases: eigenvalues lambda with
-    |lambda + 1| = 2c below DECOUPLED_EIGENVALUE_TOL, the distance at which
-    the eigenphases group, are included.  Returns the (complex) zero matrix
-    when -1 is not an eigenvalue.
-    """
-    phases = coupling.eigenphases
-    return phases.apply([1.0 + 0j if 2.0 * c < DECOUPLED_EIGENVALUE_TOL
-                         else 0j for c, _, _ in phases.groups])

@@ -340,6 +340,8 @@ class SampledKernel:
                                                       - self._u1 * b)
         return out
 
+    # kept with no caller in the package: it reads the private trace map,
+    # and the ghost-map trace tests compare against it
     def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
         """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
         source at (edge_l, y): the kernel column's boundary trace."""

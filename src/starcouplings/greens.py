@@ -35,7 +35,6 @@ phases are, so a family's build forms no U and reads each sum over k of
 
 halfline_kernel and star_green share one memoised vertex_kernel per
 ``vertex = (family, n, param)`` entry, whose coupling is memoised too.
-sector_green, the family case of the group sum, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -374,48 +373,12 @@ class StarModel:
         return () if self.point is None else (self.point,)
 
 
-@dataclass(frozen=True)
-class SectorSpec:
-    """One half-line block of a symmetry-reduced star model."""
-
-    bc: HalflineBC
-    point: PointInteraction | None
-    multiplicity: int
-
-    def __post_init__(self):
-        _integer("sector multiplicity", self.multiplicity, low=1)
-
-
-def sector_decompose(model: StarModel) -> list[SectorSpec]:
-    """Half-line sectors of a star model.
-
-    kind             leading sector (mult 1)      repeated sector (mult n-1)
-    delta_prime_s    RobinScaled(n, beta)          Neumann
-    central_delta    Robin(b) + point              Dirichlet + point
-    delta_prime      Neumann                       RobinScaled(n, beta)
-    central_delta_p  Dirichlet + point             Robin(b / n) + point
-
-    For n = 1 only the leading sector is returned.  The sectors reassemble
-    the star kernel as G_lead / n + (delta_jl - 1/n) G_rest, through
-    sum_{r=1}^{n-1} eps^{r(j-l)} = n delta_jl - 1 with eps = e^{2 pi i / n}.
-    Targets carry no point, so every sector takes the model's point.
-    """
-    n, beta, b = model.n, model.beta, model.b
-    if model.kind == "delta_prime_s":
-        lead, rest = HalflineBC.robin_scaled(n, beta), HalflineBC.neumann()
-    elif model.kind == "central_delta":
-        lead, rest = HalflineBC.robin(b), HalflineBC.dirichlet()
-    elif model.kind == "delta_prime":
-        lead, rest = HalflineBC.neumann(), HalflineBC.robin_scaled(n, beta)
-    else:  # central_delta_p
-        lead, rest = HalflineBC.dirichlet(), HalflineBC.robin(b / n)
-    return [SectorSpec(bc, model.point, m)
-            for bc, m in ((lead, 1), (rest, n - 1)) if m > 0]
-
-
-def sector_green(sector: SectorSpec, kappa: float, x, y):
-    """Kernel of one sector: its half-line kernel, with the sector's point
-    interaction when it carries one."""
+def sector_green(sector, kappa: float, x, y):
+    """Kernel of one sector, a record with a HalflineBC ``.bc`` and a
+    PointInteraction or None ``.point``: its half-line kernel, with the
+    sector's point interaction when it carries one.  No package code calls
+    it: the tests' sector oracles do, and convergence keeps it for the
+    sweep workload of benchmarks/."""
     points = () if sector.point is None else (sector.point,)
     return _named_kernel(sector.bc.vertex, points, kappa)(0, x, 0, y)
 

@@ -24,9 +24,10 @@ import time
 import numpy as np
 
 from conftest import expected_norm, random_unitary
+from oracles import effective_robin
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            bound_states, compare_kernels, convergence_sweep,
-                           effective_robin, fd_resolvent_halfline, from_ab,
+                           fd_resolvent_halfline, from_ab,
                            halfline_kernel, make_coupling, s_matrix, schedule,
                            star_green, to_ab, unitarity_defect,
                            StarModel, VertexCoupling)

@@ -722,3 +722,34 @@ class TestPublicNames:
         assert not hasattr(starcouplings.greens, "_reflection")
         assert not hasattr(HalflineBC, "reflection")
         assert not hasattr(starcouplings.StarModel, "is_target")
+
+    #: test-only oracles that left the package for tests/oracles.py, by
+    #: their old module, and decoupled_projection, which went
+    MOVED = {"convergence": ("SampledDifference", "_window_nodes",
+                             "sector_difference", "effective_robin",
+                             "approximant_model"),
+             "greens": ("SectorSpec", "sector_decompose"),
+             "coupling": ("BoundaryValues", "satisfies_vertex_condition",
+                          "decoupled_projection")}
+
+    def test_test_oracles_left_the_package(self):
+        names = starcouplings.__all__
+        for gone in ("SampledDifference", "SectorSpec", "BoundaryValues",
+                     "approximant_model", "decoupled_projection",
+                     "effective_robin", "hs_norm",
+                     "satisfies_vertex_condition", "sector_decompose",
+                     "sector_difference", "sector_green"):
+            assert gone not in names and not hasattr(starcouplings, gone)
+        for module, moved in self.MOVED.items():
+            for name in moved:
+                assert not hasattr(getattr(starcouplings, module), name), \
+                    (module, name)
+
+    def test_patched_module_attributes_resolve(self):
+        # the benchmark workloads patch these where they live
+        from starcouplings import convergence, finite_difference
+        assert callable(convergence.hs_norm)
+        assert convergence.sector_green is starcouplings.greens.sector_green
+        assert finite_difference.make_coupling \
+            is starcouplings.coupling.make_coupling
+        assert finite_difference.to_ab is starcouplings.coupling.to_ab

@@ -14,8 +14,8 @@ kappa_max).  The evaluators the entry points return have rows too.  Every
 CLI subcommand runs the same values in process through cli.main: a bad
 value must exit 2 or 3, an extreme one 0, 2, 3 or 4, and none may raise.
 
-Matrix and array arguments (U, A, B, psi, dpsi, sampled differences) are
-no rows of the scalar table; their constructors check shapes and finite
+Matrix and array arguments (U, A, B, the basis V of Eigenphases) are no
+rows of the scalar table; their constructors check shapes and finite
 entries (test_coupling), and an array of bools, which numpy would read as
 ones and zeros, is refused here (a list that mixes bools and floats is an
 array of floats before the package sees it).  The result records name why
@@ -63,7 +63,6 @@ NO_ROW = {
     "ConvergenceReport": "convergence_sweep's result",
     "StageResult": "a stage of convergence_sweep's result",
     "KernelErrorStats": "compare_kernels' result",
-    "SampledDifference": "sector_difference's result, arrays only",
     "SampledKernel": "fd_resolvent_*'s result; its evaluators have rows",
     "InvalidCouplingError": "an error",
     "PoleError": "an error",
@@ -88,13 +87,10 @@ BC = HalflineBC.robin(0.7)
 MODEL = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
 GRID = GridSpec(12.0, 99)
 STAGE = sc.schedule("delta_prime_s", 1.0, 2, 0.1)
-TARGET = sc.sector_decompose(StarModel.delta_prime_s(2, 1.0))[0]
-APPROX = sc.sector_decompose(sc.approximant_model(STAGE))[0]
 HALF = sc.fd_resolvent_halfline(BC, (), 1.0, GRID)
 STAR = sc.fd_resolvent_star(MODEL, 1.0, GRID)
 KERNEL = sc.vertex_kernel(C2, (), 1.0)
 U2 = np.array([[0.6, 0.8], [0.8, -0.6]])
-BV = sc.BoundaryValues(np.ones(3), np.full(3, 2.0 / 3.0))
 
 
 def _kernel_value(kernel):
@@ -113,20 +109,14 @@ ROWS = [
     Row("VertexCoupling", sc.VertexCoupling.custom, dict(u=U2),
         label="custom"),
     Row("ABPair", sc.ABPair, dict(a=np.eye(2), b=np.zeros((2, 2)))),
-    Row("BoundaryValues", sc.BoundaryValues,
-        dict(psi=np.ones(2), dpsi=np.zeros(2))),
     Row("Eigenphases", sc.Eigenphases,
         dict(groups=((0.6, 0.8, 1), (1.0, 0.0, 1)), v=U2)),
     Row("to_ab", sc.to_ab, dict(coupling=C2)),
     Row("from_ab", sc.from_ab, dict(ab=sc.to_ab(C2))),
     Row("validate_ab", sc.validate_ab, dict(ab=sc.to_ab(C2))),
     Row("unitarity_defect", sc.unitarity_defect, dict(u=U2)),
-    Row("decoupled_projection", sc.decoupled_projection, dict(coupling=C2)),
     Row("rescale_length", sc.rescale_length,
         dict(coupling=C2, ell=1.0, ell_prime=2.0), ("ell", "ell_prime")),
-    Row("satisfies_vertex_condition", sc.satisfies_vertex_condition,
-        dict(coupling=sc.make_coupling("delta", 3, 2.0), bv=BV, tol=1e-10),
-        ("tol",)),
     # scattering
     Row("s_matrix", sc.s_matrix, dict(coupling=C2, k=1.3), ("k",)),
     Row("bound_states", sc.bound_states,
@@ -156,9 +146,6 @@ ROWS = [
         ("n", "beta")),
     Row("StarModel", StarModel, dict(n=2, kind="central_delta", b=1.5),
         ("b",)),
-    Row("SectorSpec", sc.SectorSpec,
-        dict(bc=BC, point=None, multiplicity=1), ("multiplicity",)),
-    Row("sector_decompose", sc.sector_decompose, dict(model=MODEL)),
     # kernels and their evaluators
     Row("vertex_kernel", sc.vertex_kernel,
         dict(coupling=C2, points=(), kappa=1.0), ("kappa",),
@@ -179,8 +166,6 @@ ROWS = [
     Row("star_green", sc.star_green,
         dict(model=StarModel.delta_prime(3, 1.0), kappa=1.0, edge_j=0,
              x=0.5, edge_l=1, y=0.7), ("kappa",)),
-    Row("sector_green", sc.sector_green,
-        dict(sector=APPROX, kappa=1.0, x=0.5, y=0.7), ("kappa", "x", "y")),
     # finite differences and their evaluators
     Row("GridSpec", GridSpec, dict(L=12.0, N=99), ("L", "N"),
         then=lambda grid: grid.node_index(grid.L / 2)),
@@ -210,14 +195,6 @@ ROWS = [
     Row("ApproximationStage", ApproximationStage,
         dataclasses.asdict(STAGE), ("n", "beta", "a", "b", "c",
                                     "per_channel_b")),
-    Row("approximant_model", sc.approximant_model, dict(stage=STAGE)),
-    Row("effective_robin", sc.effective_robin, dict(b=2.0, c=-10.0, a=0.1),
-        ("b", "c", "a")),
-    Row("sector_difference", sc.sector_difference,
-        dict(target=TARGET, approx=APPROX, kappa=1.0, a=0.1, grid=GRID),
-        ("kappa", "a")),
-    Row("hs_norm", sc.hs_norm,
-        dict(diff=sc.sector_difference(TARGET, APPROX, 1.0, 0.1, GRID))),
     Row("convergence_sweep",
         lambda family, beta, n, kappa, a, grid: sc.convergence_sweep(
             family, beta, n, kappa, [a], grid),
@@ -232,8 +209,6 @@ BOOL_ARRAYS = [
     ("custom(u)", sc.VertexCoupling.custom, (np.eye(2, dtype=bool),)),
     ("ABPair(a)", sc.ABPair, ([[True]], [[0.0]])),
     ("ABPair(b)", sc.ABPair, (np.eye(1), np.array([[False]]))),
-    ("BoundaryValues(psi)", sc.BoundaryValues, ([True], [0.0])),
-    ("BoundaryValues(dpsi)", sc.BoundaryValues, (np.ones(2), [True, False])),
     ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[True]])),
 ]
 
@@ -359,9 +334,8 @@ def test_eigenphases_read_groups_as_floats_and_ints():
 
 
 def test_mixed_bool_list_is_read_as_floats():
-    bv = sc.BoundaryValues([True, 0.5], [False, 1.0])
-    assert np.array_equal(bv.psi, [1.0, 0.5])
-    assert np.array_equal(bv.dpsi, [0.0, 1.0])
+    coupling = sc.VertexCoupling([[True, 0.0], [0.0, 1.0]])
+    assert np.array_equal(coupling.u, np.eye(2))
 
 
 @pytest.mark.parametrize("family", ["nope", None, "delta"])

@@ -11,9 +11,10 @@ of G_base(x, a) for x >= a, because the free parts of base and target
 kernel cancel and the rank-one correction is a product of exponentials.
 Its Hilbert-Schmidt norm is |K(a)| (e^{-2 kappa a} - e^{-2 kappa L}) /
 (2 kappa).  The tests compute K(a) from scratch (separable_factor and
-expected_norm in conftest.py) and compare the sampled quadrature against
-it.  convergence_sweep evaluates this norm in a cancellation-free closed
-form of its own; TestClosedFormNorms gates it against the same K(a)
+expected_norm in conftest.py) and compare the sampled quadrature
+(oracles.sector_difference and convergence.hs_norm) against it.
+convergence_sweep evaluates this norm in a cancellation-free closed form
+of its own; TestClosedFormNorms gates it against the same K(a)
 evaluated with 50-digit mpmath, and against the sampled quadrature.
 """
 
@@ -25,15 +26,16 @@ import numpy as np
 import pytest
 
 from conftest import expected_norm
+from oracles import (SampledDifference, approximant_model, effective_robin,
+                     sector_decompose, sector_difference)
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
-                           PointInteraction, PoleError, SampledDifference, StarModel, approximant_model,
-                           convergence_sweep, effective_robin, halfline_kernel,
-                           VertexCoupling, hs_norm, schedule, sector_decompose,
-                           sector_difference, sector_green)
+                           PointInteraction, PoleError, StarModel,
+                           VertexCoupling, convergence_sweep, halfline_kernel,
+                           schedule)
 from starcouplings import convergence
 from starcouplings.convergence import (SCHEDULE_FAMILIES, ConvergenceReport,
-                                       StageResult, _robin_pole)
-from starcouplings.greens import ROBIN_POLE_TOL
+                                       StageResult, _robin_pole, hs_norm)
+from starcouplings.greens import ROBIN_POLE_TOL, sector_green
 from starcouplings.scattering import one_plus_s_sectors
 
 KAPPA = 1.0
@@ -195,19 +197,6 @@ class TestHSNorm:
             diff = sector_difference(targets[0], approxs[0], KAPPA, st.a, grid)
             norms.append(hs_norm(diff))
         assert abs(norms[0] - norms[1]) < 5e-4 * norms[1]
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            SampledDifference(np.linspace(0, 1, 5), np.zeros((4, 4)))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_samples_are_refused(self, bad):
-        x, values = np.linspace(0.0, 1.0, 3), np.zeros((3, 3), dtype=complex)
-        bad_x, bad_values = x.copy(), values.copy()
-        bad_x[1], bad_values[2, 0] = bad, complex(0.0, bad)
-        for args in ((bad_x, values), (x, bad_values)):
-            with pytest.raises(ValueError, match="must be finite"):
-                SampledDifference(*args)
 
     def test_matches_a_hand_written_trapezoid_sum(self):
         # uneven nodes and complex values: the sum over cells of the cell
@@ -689,14 +678,6 @@ class TestClosedFormNorms:
             with pytest.raises(ValueError, match="bool"):
                 schedule(family, beta, 2, 1e-2)
 
-    @pytest.mark.parametrize("args", [(math.nan, -10.0, 0.1),
-                                      (1.0, math.nan, 0.1),
-                                      (math.inf, -10.0, 0.1),
-                                      (1.0, -10.0, math.inf)])
-    def test_effective_robin_rejects_nonfinite(self, args):
-        with pytest.raises(ValueError):
-            effective_robin(*args)
-
     @pytest.mark.parametrize("a_list", [[20.0, 1e-2], [12.0], [1e-2, 0.0],
                                         [1e-2, -1e-3]])
     def test_rejects_window_start_outside_grid(self, a_list):
@@ -750,6 +731,38 @@ class TestStageLoop:
         for (family, beta, n, a_list), report in zip(cases, want):
             got = convergence_sweep(family, beta, n, KAPPA, a_list, GRID)
             assert repr(got) == repr(report)
+
+    def test_schedule_checks_its_inputs_once(self, monkeypatch):
+        want = schedule("delta_prime", 0.8, 3, 0.1)
+        # a stage built by hand still checks the schedule's strengths
+        with pytest.raises(ValueError, match="not the schedule's"):
+            ApproximationStage(**dict(dataclasses.asdict(want), c=-1.0))
+        assert ApproximationStage(**dataclasses.asdict(want)) == want
+
+        def refuse(self):
+            raise AssertionError("schedule() checked its stage again")
+
+        monkeypatch.setattr(ApproximationStage, "__post_init__", refuse)
+        for family in SCHEDULE_FAMILIES:
+            for beta, n, a in ((0.8, 3, 0.1), (0.0, 1, 1e-6), (-2, 5, 0.3)):
+                got = schedule(family, beta, n, a)
+                assert type(got) is ApproximationStage
+                assert list(vars(got)) \
+                    == [f.name for f in dataclasses.fields(got)]
+        assert repr(schedule("delta_prime", 0.8, 3, 0.1)) == repr(want)
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64])
+    def test_numpy_beta_and_kappa_run_in_doubles(self, scalar):
+        # an np.float32 beta failed schedule()'s own stage check, and the
+        # sweep computed its strengths and norms in float32
+        for family in SCHEDULE_FAMILIES:
+            beta = scalar(0.3)
+            assert repr(schedule(family, beta, 3, 0.1)) \
+                == repr(schedule(family, float(beta), 3, 0.1))
+            got = convergence_sweep(family, beta, 3, scalar(1.5),
+                                    [0.1, 0.01], GRID)
+            assert repr(got) == repr(convergence_sweep(
+                family, float(beta), 3, 1.5, [0.1, 0.01], GRID))
 
     def test_records_behave_like_constructed_ones(self):
         rep = convergence_sweep("delta_prime", 0.8, 3, 1.2,

@@ -21,14 +21,15 @@ import numpy as np
 import pytest
 
 from conftest import random_unitary, unitary_with_phase
+from oracles import SectorSpec, sector_decompose
 from starcouplings import cli, finite_difference, greens
 from starcouplings import coupling as coupling_module
 from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
-                           SectorSpec, StarModel, VertexCoupling,
-                           compare_kernels, fd_resolvent_halfline,
-                           fd_resolvent_star, halfline_kernel, make_coupling,
-                           sector_decompose, sector_green, star_green, to_ab,
+                           StarModel, VertexCoupling, compare_kernels,
+                           fd_resolvent_halfline, fd_resolvent_star,
+                           halfline_kernel, make_coupling, star_green, to_ab,
                            vertex_kernel)
+from starcouplings.greens import sector_green
 from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
                                              ORIGIN_STENCIL_TOL, SampledKernel,
                                              _ghost_map, _solve)
