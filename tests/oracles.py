@@ -1,6 +1,6 @@
 """Test oracles: the sector tables of the star models, sampled sector
-differences and the vertex-condition check, none of which the package
-computes.
+differences, the decoupled projector and the vertex-condition check,
+none of which the package computes.
 
 The convergence sweep evaluates its sector norms in closed form (see the
 starcouplings.convergence docstring).  The helpers here sample the
@@ -8,8 +8,10 @@ kernels themselves, one half-line sector at a time, so the tests can
 measure the same norms by quadrature (convergence.hs_norm) and reassemble
 a star kernel from its sectors.  satisfies_vertex_condition is the
 oracle of from_ab round trips and of the kernels' vertex traces.  The
-tests build every argument themselves, so nothing here refuses
-non-finite or non-numeric input.
+oracles refuse what the package's entry points refuse (a bool, a NaN, a
+length out of range), so a test that builds a bad argument fails at the
+oracle instead of comparing NaN, and test_contract.py probes them as it
+probes the package.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,8 @@ import numpy as np
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            InvalidCouplingError, PointInteraction, PoleError,
                            StarModel, VertexCoupling)
+from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, _integer,
+                                    _number, _readonly)
 from starcouplings.greens import sector_green
 
 
@@ -29,6 +33,9 @@ class SectorSpec:
     bc: HalflineBC
     point: PointInteraction | None
     multiplicity: int
+
+    def __post_init__(self):
+        _integer("sector multiplicity", self.multiplicity, low=1)
 
 
 def sector_decompose(model: StarModel) -> list[SectorSpec]:
@@ -81,7 +88,8 @@ def effective_robin(b: float, c: float, a: float) -> float:
     no oracle for the sweep norms: at beta = 0 a norm built on it is off
     by about 35 % in the sector whose base is Dirichlet (b -> inf).
     """
-    den = 1.0 + a * b
+    b, c = _number(b, "b"), _number(c, "c")
+    den = 1.0 + _number(a, "distance a", positive=True) * b
     if abs(den) < 1e-14:
         raise PoleError(f"degenerate stage: |1 + a b| = {abs(den):.3e}")
     return c + b / den
@@ -90,15 +98,26 @@ def effective_robin(b: float, c: float, a: float) -> float:
 @dataclass(frozen=True)
 class SampledDifference:
     """A kernel difference sampled on the square grid built from one node
-    vector (values[i, j] belongs to (x[i], x[j])), as convergence.hs_norm
-    reads it."""
+    vector (values[i, j] belongs to (x[i], x[j])), all finite, as
+    convergence.hs_norm reads it."""
 
     x: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        values = np.asarray(self.values)
+        if values.shape != (x.size, x.size):
+            raise ValueError(
+                f"values shape {values.shape} does not match {x.size} nodes")
+        if not (np.isfinite(x).all() and np.isfinite(values).all()):
+            raise ValueError("sampled nodes and values must be finite")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", values)
+
 
 def _window_nodes(grid: GridSpec, a: float) -> np.ndarray:
-    if not 0.0 < a < grid.L:
+    if not 0.0 < _number(a, "window start a") < grid.L:
         raise ValueError(f"window start {a} outside (0, {grid.L})")
     base = grid.boundary_nodes()
     return np.concatenate(([a], base[base > a * (1.0 + 1e-12)]))
@@ -120,6 +139,14 @@ def sector_difference(target: SectorSpec, approx: SectorSpec, kappa: float,
     return SampledDifference(x=nodes, values=values)
 
 
+def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:
+    """The projector onto U's eigenspace at -1, the groups with 2c below
+    DECOUPLED_EIGENVALUE_TOL, at which the eigenphases group."""
+    phases = coupling.eigenphases
+    return phases.apply([1.0 + 0j if 2.0 * c < DECOUPLED_EIGENVALUE_TOL
+                         else 0j for c, _, _ in phases.groups])
+
+
 def satisfies_vertex_condition(coupling: VertexCoupling, psi, dpsi,
                                tol: float = 1e-10) -> bool:
     """Whether the vertex values Psi(0) = psi and outward derivatives
@@ -129,9 +156,18 @@ def satisfies_vertex_condition(coupling: VertexCoupling, psi, dpsi,
     condition holds, |Psi + i Psi'| = |Psi - i Psi'| must hold as well
     (vanishing boundary form); that identity is cross-checked and a
     violation raises, since it would mean the inputs are inconsistent.
+    psi and dpsi must be finite vectors of numbers of one length.
     """
-    psi = np.atleast_1d(np.asarray(psi, dtype=complex))
-    dpsi = np.atleast_1d(np.asarray(dpsi, dtype=complex))
+    if _number(tol, "tolerance") < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    psi = _readonly(np.atleast_1d(psi), "psi")
+    dpsi = _readonly(np.atleast_1d(dpsi), "dpsi")
+    if psi.shape != dpsi.shape or psi.ndim != 1:
+        raise InvalidCouplingError(
+            f"psi and dpsi must be equal-length vectors, got shapes "
+            f"{psi.shape} and {dpsi.shape}")
+    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
+        raise InvalidCouplingError("psi and dpsi must be finite")
     if psi.shape[0] != coupling.n:
         raise InvalidCouplingError(
             f"boundary values of length {psi.shape[0]} for an "

@@ -724,7 +724,7 @@ class TestPublicNames:
         assert not hasattr(starcouplings.StarModel, "is_target")
 
     #: test-only oracles that left the package for tests/oracles.py, by
-    #: their old module, and decoupled_projection, which went
+    #: their old module (BoundaryValues went)
     MOVED = {"convergence": ("SampledDifference", "_window_nodes",
                              "sector_difference", "effective_robin",
                              "approximant_model"),

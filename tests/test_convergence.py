@@ -198,6 +198,19 @@ class TestHSNorm:
             norms.append(hs_norm(diff))
         assert abs(norms[0] - norms[1]) < 5e-4 * norms[1]
 
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            SampledDifference(np.linspace(0, 1, 5), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_are_refused(self, bad):
+        x, values = np.linspace(0.0, 1.0, 3), np.zeros((3, 3), dtype=complex)
+        bad_x, bad_values = x.copy(), values.copy()
+        bad_x[1], bad_values[2, 0] = bad, complex(0.0, bad)
+        for args in ((bad_x, values), (x, bad_values)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SampledDifference(*args)
+
     def test_matches_a_hand_written_trapezoid_sum(self):
         # uneven nodes and complex values: the sum over cells of the cell
         # area times the mean of |values|^2 at its four corners
@@ -677,6 +690,14 @@ class TestClosedFormNorms:
                 convergence_sweep(family, beta, 2, KAPPA, [1e-2, 1e-3], GRID)
             with pytest.raises(ValueError, match="bool"):
                 schedule(family, beta, 2, 1e-2)
+
+    @pytest.mark.parametrize("args", [(math.nan, -10.0, 0.1),
+                                      (1.0, math.nan, 0.1),
+                                      (math.inf, -10.0, 0.1),
+                                      (1.0, -10.0, math.inf)])
+    def test_effective_robin_rejects_nonfinite(self, args):
+        with pytest.raises(ValueError):
+            effective_robin(*args)
 
     @pytest.mark.parametrize("a_list", [[20.0, 1e-2], [12.0], [1e-2, 0.0],
                                         [1e-2, -1e-3]])

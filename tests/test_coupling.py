@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_invertible, random_unitary
-from oracles import satisfies_vertex_condition
+from oracles import decoupled_projection, satisfies_vertex_condition
 from starcouplings import (ABPair, InvalidCouplingError, VertexCoupling,
                            from_ab, make_coupling, rescale_length, to_ab,
                            unitarity_defect, validate_ab)
@@ -527,26 +527,18 @@ class TestVertexCondition:
 #  the decoupled eigenspace, from the eigenphase groups
 # ======================================================================
 
-def _decoupled_projection(coupling: VertexCoupling) -> np.ndarray:
-    """The projector onto U's eigenspace at -1, the groups with 2c below
-    DECOUPLED_EIGENVALUE_TOL, at which the eigenphases group."""
-    phases = coupling.eigenphases
-    return phases.apply([1.0 + 0j if 2.0 * c < DECOUPLED_EIGENVALUE_TOL
-                         else 0j for c, _, _ in phases.groups])
-
-
 class TestDecoupledProjection:
     def test_full_dirichlet(self):
-        p = _decoupled_projection(VertexCoupling.custom(-np.eye(3)))
+        p = decoupled_projection(VertexCoupling.custom(-np.eye(3)))
         np.testing.assert_allclose(p, np.eye(3), atol=1e-14)
 
     def test_full_neumann(self):
-        p = _decoupled_projection(VertexCoupling.custom(np.eye(3)))
+        p = decoupled_projection(VertexCoupling.custom(np.eye(3)))
         np.testing.assert_allclose(p, np.zeros((3, 3)), atol=0)
 
     def test_delta_projector_rank(self):
         # -1 eigenvalue lives on the complement of the constant vector
-        p = _decoupled_projection(make_coupling("delta", 3, 1.5))
+        p = decoupled_projection(make_coupling("delta", 3, 1.5))
         assert abs(np.trace(p).real - 2.0) < 1e-12
         ones = np.ones(3) / np.sqrt(3)
         np.testing.assert_allclose(p @ ones, np.zeros(3), atol=1e-12)
@@ -554,7 +546,7 @@ class TestDecoupledProjection:
     def test_projector_identities_random(self):
         for _ in range(10):
             n = int(RNG.integers(1, 7))
-            p = _decoupled_projection(
+            p = decoupled_projection(
                 VertexCoupling.custom(random_unitary(n, RNG)))
             assert np.max(np.abs(p @ p - p)) < 1e-10
             assert np.max(np.abs(p.conj().T - p)) < 1e-10
@@ -593,7 +585,7 @@ class TestDecoupledProjectionSpectra:
             c = _with_spectrum(
                 q, np.concatenate((np.full(m, np.pi),
                                    self._far_phases(rng, n - m))))
-            p = _decoupled_projection(c)
+            p = decoupled_projection(c)
             assert p.dtype == np.complex128
             assert np.linalg.matrix_rank(p) == m
             assert np.max(np.abs(p @ c.u + p)) < 1e-12
@@ -614,7 +606,7 @@ class TestDecoupledProjectionSpectra:
             c = _with_spectrum(q, np.concatenate((
                 np.full(m, np.pi), self._far_phases(rng, n - m),
                 [np.pi + 0.5 * self.TOL, np.pi - 10.0 * self.TOL])))
-            p = _decoupled_projection(c)
+            p = decoupled_projection(c)
             assert p.dtype == np.complex128
             assert np.linalg.matrix_rank(p) == m + 1
             assert np.max(np.abs(p @ p - p)) < 1e-12
@@ -630,7 +622,7 @@ class TestDecoupledProjectionSpectra:
 
 
 # ======================================================================
-#  non-finite input
+#  non-finite input and tolerances
 # ======================================================================
 
 class TestNonFiniteInput:
@@ -645,6 +637,22 @@ class TestNonFiniteInput:
         pair[which][1, 0] = bad
         with pytest.raises(InvalidCouplingError, match="finite"):
             ABPair(pair["a"], pair["b"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["psi", "dpsi"])
+    def test_boundary_values_reject_non_finite_entries(self, which, bad):
+        values = {"psi": np.ones(3), "dpsi": np.zeros(3)}
+        values[which][2] = bad
+        with pytest.raises(InvalidCouplingError, match="finite"):
+            satisfies_vertex_condition(make_coupling("delta", 3, 2.0),
+                                       values["psi"], values["dpsi"])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+    def test_vertex_condition_rejects_bad_tolerance(self, tol):
+        c = make_coupling("delta", 3, 2.0)
+        with pytest.raises(ValueError, match="tolerance"):
+            satisfies_vertex_condition(c, np.ones(3), np.full(3, 2.0 / 3.0),
+                                       tol=tol)
 
 
 # ======================================================================
@@ -731,7 +739,7 @@ class TestEigenphases:
         phases = c.eigenphases
         assert not phases.exact
         assert phases.groups == ((1.0, 0.0, 3),)
-        np.testing.assert_allclose(_decoupled_projection(c), np.zeros((3, 3)),
+        np.testing.assert_allclose(decoupled_projection(c), np.zeros((3, 3)),
                                    atol=0)
 
     def test_numerical_basis_is_unitary_and_grouped(self):
@@ -760,7 +768,7 @@ class TestEigenphases:
         for k in (0.3, 1.0, 7.0):
             s_matrix(c, k)
         bound_states(c, 10.0)
-        _decoupled_projection(c)
+        decoupled_projection(c)
         assert len(calls) == 1
         family = make_coupling("delta_p", 4, -2.0)
         rescaled = rescale_length(family, 1.0, 4.5)
@@ -768,7 +776,7 @@ class TestEigenphases:
             s_matrix(family, k)
             s_matrix(rescaled, k)
         bound_states(family, 10.0)
-        _decoupled_projection(family)
+        decoupled_projection(family)
         assert rescaled.eigenphases.exact
         assert len(calls) == 1
 
