@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Subcommands: coupling, smatrix, greens, converge, oracle-check.  All
-numeric payloads are computed by the library; the CLI only parses flags
-and serializes results.
+Subcommands: coupling, smatrix, greens, converge, oracle-check.  The
+library computes the numeric payloads; the CLI parses flags and
+serializes results.  A family's U and S_U(k) have two distinct entries
+(Eigenphases._entries), so coupling and smatrix read those two numbers
+and form from them, entry by entry with the library's arithmetic, the
+printed matrices and pair (A, B), bit for bit the library's arrays, and
+the unitarity defect, in O(1).  They load no numpy: only
+coupling --validate and greens --grid make an array.
 
 Output is deterministic: JSON fields appear in fixed order, floats are
 written with 17 significant digits, complex entries as {"re": ..., "im":
@@ -24,17 +29,18 @@ import sys
 from dataclasses import asdict
 
 from .convergence import SCHEDULE_FAMILIES, convergence_sweep
-from .coupling import (FAMILIES, _number, make_coupling, rescale_length,
-                       to_ab, unitarity_defect, validate_ab)
+# unitarity_defect, star_green and s_matrix stay module attributes, though
+# main() calls none of them: the cli workload of benchmarks/ wraps them
+from .coupling import (FAMILIES, _eigenvalues, _number,  # noqa: F401
+                       make_coupling, rescale_length, to_ab, unitarity_defect,
+                       validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, compare_kernels,
                                 fd_resolvent_halfline, fd_resolvent_star)
-# star_green stays a module attribute: the cli workload of benchmarks/
-# wraps it
 from .greens import (STAR_KINDS, HalflineBC, PointInteraction,  # noqa: F401
                      StarModel, _named_coupling, halfline_kernel, star_green,
                      vertex_kernel)
-from .scattering import s_matrix
+from .scattering import _s_sectors, s_matrix  # noqa: F401
 
 
 def _flags(names) -> dict[str, str]:
@@ -136,6 +142,26 @@ def _parse_a_list(text: str) -> list[float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _family_rows(phases, f: list) -> list[list[complex]]:
+    """phases.apply(f) as rows of Python complex, read entry by entry."""
+    entry, n = phases._entries(f), phases.n
+    return [[entry(j, l) for l in range(n)] for j in range(n)]
+
+
+def _family_defect(rows: list[list[complex]]) -> float:
+    """unitarity_defect of U = on I + off (J - I), in O(1) from its two
+    entries: (U U*)_jj = |on|^2 + (n - 1) |off|^2 and, for j != l,
+    (U U*)_jl = 2 Re(on conj(off)) + (n - 2) |off|^2."""
+    n, on = len(rows), rows[0][0]
+    off = rows[0][1] if n > 1 else 0j
+    sq = off.real * off.real + off.imag * off.imag
+    defect = abs(on.real * on.real + on.imag * on.imag + (n - 1) * sq - 1.0)
+    if n == 1:
+        return defect
+    cross = 2.0 * (on.real * off.real + on.imag * off.imag) + (n - 2) * sq
+    return max(defect, abs(cross))
+
+
 def _cmd_coupling(args) -> int:
     param = _parse_param(args.param)
     coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
@@ -148,22 +174,28 @@ def _cmd_coupling(args) -> int:
         ell, ell_prime = args.rescale
         coupling = rescale_length(coupling, ell, ell_prime)
         out["rescale"] = {"ell": ell, "ell_prime": ell_prime}
-    out["unitarity_defect"] = unitarity_defect(coupling.u)
-    out["u"] = coupling.u
+    phases = coupling.eigenphases
+    u = _family_rows(phases, _eigenvalues(phases))
+    out["unitarity_defect"] = _family_defect(u)
+    out["u"] = u
+    if args.to_ab:
+        # to_ab's A = U - I and B = i (U + I), with I's entries complex as
+        # numpy casts them (so U + I turns an imaginary -0.0 into 0.0)
+        out["ab"] = {
+            "a": [[x - (1 + 0j if j == l else 0j) for l, x in enumerate(row)]
+                  for j, row in enumerate(u)],
+            "b": [[1j * (x + (1 + 0j if j == l else 0j))
+                   for l, x in enumerate(row)] for j, row in enumerate(u)]}
     failed = False
-    if args.to_ab or args.validate:
-        pair = to_ab(coupling)
-        if args.to_ab:
-            out["ab"] = {"a": pair.a, "b": pair.b}
-        if args.validate:
-            diag = validate_ab(pair)
-            out["diagnostics"] = {
-                "rank": diag.rank,
-                "hermiticity_defect": diag.hermiticity_defect,
-                "min_gram_eigenvalue": diag.min_gram_eigenvalue,
-                "ok": diag.ok,
-            }
-            failed = not diag.ok
+    if args.validate:
+        diag = validate_ab(to_ab(coupling))
+        out["diagnostics"] = {
+            "rank": diag.rank,
+            "hermiticity_defect": diag.hermiticity_defect,
+            "min_gram_eigenvalue": diag.min_gram_eigenvalue,
+            "ok": diag.ok,
+        }
+        failed = not diag.ok
     _emit_json(out)
     if failed:
         print("error: coupling failed validation", file=sys.stderr)
@@ -174,13 +206,16 @@ def _cmd_coupling(args) -> int:
 def _cmd_smatrix(args) -> int:
     param = _parse_param(args.param)
     coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
-    s = s_matrix(coupling, args.k)
+    # s_matrix's own k check, pole guard and eigenvalues; a family's phases
+    # are exact, so it would refine nothing
+    _, phases, f, _ = _s_sectors(coupling, args.k)
+    s = _family_rows(phases, f)
     _emit_json({
         "family": args.family,
         "n": coupling.n,
         "param": param,
         "k": args.k,
-        "unitarity_defect": unitarity_defect(s),
+        "unitarity_defect": _family_defect(s),
         "s": s,
     })
     return 0

@@ -326,6 +326,13 @@ def _half_angle(lam: complex, m: int) -> tuple[float, float, int]:
                          math.copysign(abs(1.0 - lam) / 2.0, lam.imag)), m)
 
 
+def _eigenvalues(phases: Eigenphases) -> list:
+    """The eigenvalue (c + i s)^2 of U per group of ``phases``, so that U
+    is phases.apply of them (+ 0.0 turns an imaginary -0.0 into 0.0)."""
+    return [complex(c * c - s * s, 2.0 * c * s + 0.0)
+            for c, s, _ in phases.groups]
+
+
 def _decompose(u: np.ndarray) -> Eigenphases:
     """Eigenphases of a unitary U from its eigenvectors: sorted by phase,
     so that equal eigenvalues sit next to each other, and orthonormalised
@@ -375,13 +382,12 @@ class VertexCoupling:
         return cls(u)
 
     def __getattr__(self, name: str):
-        # a coupling built from its phases forms U on the first read (+ 0.0
-        # turns an imaginary -0.0 into 0.0); racing threads form equal ones
+        # a coupling built from its phases forms U on the first read; racing
+        # threads form equal ones
         if name != "u" or self._phases is None:
             raise AttributeError(name)
         object.__setattr__(self, "u", _frozen(self._phases.apply(
-            [complex(c * c - s * s, 2.0 * c * s + 0.0)
-             for c, s, _ in self._phases.groups])))
+            _eigenvalues(self._phases))))
         return self.u
 
     @property

@@ -148,7 +148,7 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        _scale(self.L, "truncation length L")
+        object.__setattr__(self, "L", _scale(self.L, "truncation length L"))
         _integer("interior node count N", self.N, low=16)
 
     @cached_property
@@ -406,7 +406,7 @@ def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
                           kappa: float, grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
     half line at energy -kappa^2."""
-    _scale(kappa, "kappa")
+    kappa = _scale(kappa, "kappa")
     return _solve(_named_coupling(bc.vertex), points, kappa, grid)
 
 
@@ -415,7 +415,7 @@ def fd_resolvent_star(model: StarModel, kappa: float,
     """Finite-difference kernel of the star-graph operator at energy
     -kappa^2, all n edges coupled at the origin by the model's central
     vertex condition and carrying its point interaction."""
-    _scale(kappa, "kappa")
+    kappa = _scale(kappa, "kappa")
     return _solve(_named_coupling(model.vertex), model.points, kappa, grid)
 
 

@@ -125,8 +125,10 @@ class PointInteraction:
     c: float
 
     def __post_init__(self):
-        _scale(self.a, "point interaction position")
-        _number(self.c, "point interaction strength", inf=True)
+        object.__setattr__(self, "a", _scale(self.a,
+                                             "point interaction position"))
+        object.__setattr__(self, "c", _number(
+            self.c, "point interaction strength", inf=True))
 
 
 def check_points(points) -> tuple[PointInteraction, ...]:
@@ -155,7 +157,7 @@ def vertex_kernel(coupling: VertexCoupling,
     x and y broadcast over numpy arrays, floats give a float (complex when
     U != U^T); each must be real (not bool), finite and >= 0."""
     n = coupling.n
-    _scale(kappa, "kappa")
+    kappa = _scale(kappa, "kappa")
     merged: dict[float, float] = {}    # strengths add, a screen wins
     for p in check_points(points):
         merged[p.a] = p.c if math.isinf(p.c) else merged.get(p.a, 0.0) + p.c

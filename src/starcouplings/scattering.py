@@ -92,13 +92,22 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
     return ((r.astype(complex) @ phases.v) / d) @ phases.vh
 
 
-def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
-    """On-shell scattering matrix at real finite momentum k > 0, with
-    numerical eigenphases refined where D(k) is ill-conditioned."""
+def _s_sectors(coupling: VertexCoupling,
+               k: float) -> tuple[float, Eigenphases, list, float]:
+    """s_matrix's checked k, the coupling's eigenphases, the eigenvalue of
+    S_U(k) per group and the distance r of one_plus_s_sectors, so that
+    S_U(k) = phases.apply of those eigenvalues before refinement."""
     k = _number(k, "momentum k", positive=True)
     phases = coupling.eigenphases
     values, distance = one_plus_s_sectors(phases, k, S_MATRIX_TOL)
-    s = phases.apply([v - 1.0 for v in values])
+    return k, phases, [v - 1.0 for v in values], distance
+
+
+def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
+    """On-shell scattering matrix at real finite momentum k > 0, with
+    numerical eigenphases refined where D(k) is ill-conditioned."""
+    k, phases, f, distance = _s_sectors(coupling, k)
+    s = phases.apply(f)
     if not phases.exact and REFINE_COND * distance < 1.0:
         s += _refinement(coupling.u, phases, k, s)
     return s

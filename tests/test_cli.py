@@ -19,7 +19,9 @@ import pytest
 import starcouplings
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            convergence_sweep, halfline_kernel, make_coupling,
-                           s_matrix)
+                           rescale_length, s_matrix, to_ab, unitarity_defect,
+                           validate_ab)
+from starcouplings.coupling import FAMILIES
 from starcouplings.cli import _dumps, main
 
 
@@ -73,7 +75,6 @@ class TestCouplingCommand:
                            "--rescale", "1.0", "2.5")
         assert code == 0
         doc = json.loads(out)
-        from starcouplings import rescale_length
         expected = rescale_length(make_coupling("delta_prime", 2, 1.5),
                                   1.0, 2.5)
         u = np.array([[as_complex(v) for v in row] for row in doc["u"]])
@@ -144,6 +145,80 @@ class TestSMatrixCommand:
         code, _, _ = run(capsys, "smatrix", "--family", "delta",
                          "--n", "2", "--param", "0", "--k", "-1")
         assert code == 3
+
+
+# ======================================================================
+#  coupling and smatrix print a family's matrices from its two entries
+# ======================================================================
+
+def _family_grid(family: str):
+    """(n, param, ell_prime, k) over n = 1..7 and the parameters 0, +-inf
+    and six seeded ones, each with a seeded rescale ratio and momentum."""
+    rng = np.random.default_rng([7, FAMILIES.index(family)])
+    for n in range(1, 8):
+        params = [0.0, math.inf, -math.inf,
+                  *(float(s * 10.0 ** e) for s, e in zip(
+                      rng.choice([-1.0, 1.0], 6), rng.uniform(-2, 2, 6)))]
+        for param in params:
+            yield (n, param, float(10.0 ** rng.uniform(-0.6, 0.6)),
+                   float(10.0 ** rng.uniform(-1.3, 1.3)))
+
+
+class TestFamilyMatricesFromEntries:
+    """The CLI forms a family's U, (A, B) and S_U(k) from their two
+    distinct entries, not from the library's arrays: each printed matrix
+    must be _dumps of the library's array, byte for byte, and the printed
+    defect that of unitarity_defect to rounding."""
+
+    @staticmethod
+    def _defect_close(doc, m):
+        ref = unitarity_defect(np.array(m))
+        assert abs(doc["unitarity_defect"] - ref) <= 1e-15
+        assert doc["unitarity_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_coupling_u_and_ab_are_the_library_arrays(self, capsys, family):
+        for n, param, ell_prime, _ in _family_grid(family):
+            for rescale in ((), ("1", repr(ell_prime))):
+                coupling = make_coupling(family, n, param)
+                if rescale:
+                    coupling = rescale_length(coupling, 1.0, ell_prime)
+                code, out, _ = run(capsys, "coupling", "--family",
+                                   family.replace("_", "-"), "--n", str(n),
+                                   f"--param={param!r}", "--to-ab",
+                                   *(("--rescale", *rescale) if rescale
+                                     else ()))
+                assert code == 0
+                pair = to_ab(coupling)
+                assert f'"u": {_dumps(coupling.u)}' in out, (n, param)
+                assert f'"ab": {_dumps({"a": pair.a, "b": pair.b})}' \
+                    in out, (n, param)
+                self._defect_close(json.loads(out), coupling.u)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_smatrix_is_the_library_array(self, capsys, family):
+        for n, param, _, k in _family_grid(family):
+            s = s_matrix(make_coupling(family, n, param), k)
+            code, out, _ = run(capsys, "smatrix", "--family",
+                               family.replace("_", "-"), "--n", str(n),
+                               f"--param={param!r}", "--k", repr(k))
+            assert code == 0
+            assert f'"s": {_dumps(s)}}}' in out, (n, param, k)
+            self._defect_close(json.loads(out), s)
+
+    def test_validate_reads_the_library_pair(self, capsys):
+        # --validate still diagnoses to_ab's arrays, so its SVD fields
+        # are validate_ab's own
+        coupling = make_coupling("delta_p", 4, -2.5)
+        code, out, _ = run(capsys, "coupling", "--family", "delta-p",
+                           "--n", "4", "--param", "-2.5", "--validate")
+        assert code == 0
+        diag = validate_ab(to_ab(coupling))
+        assert json.loads(out)["diagnostics"] == {
+            "rank": diag.rank,
+            "hermiticity_defect": diag.hermiticity_defect,
+            "min_gram_eigenvalue": diag.min_gram_eigenvalue,
+            "ok": diag.ok}
 
 
 # ======================================================================
@@ -611,17 +686,23 @@ for argv in argvs:
 """
 
 
-def _module_probe(prefix: str, argvs) -> list[tuple[str, int, list]]:
-    """(label, exit code, loaded modules of ``prefix``) after importing
-    the package, its CLI, and after each of ``argvs``, all in one fresh
-    interpreter."""
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(starcouplings.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _module_probe(prefix: str, argvs) -> list[tuple[str, int, list]]:
+    """(label, exit code, loaded modules of ``prefix``) after importing
+    the package, its CLI, and after each of ``argvs``, all in one fresh
+    interpreter."""
     out = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, prefix, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, check=True,
+        timeout=120)
     return [tuple(json.loads(line)) for line in out.stdout.splitlines()]
 
 
@@ -638,10 +719,20 @@ _NUMPY_ONLY_ARGVS = [
     ["oracle-check", "--bc", "dirichlet", "--h", "0.05"],
 ]
 
+#: a family's matrices from their two entries: S_U(k), U with (A, B)
+#: rescaled, and U of one edge
+_FAMILY_ARGVS = [
+    ["smatrix", "--family", "delta", "--n", "3", "--param", "0.7",
+     "--k", "1.5"],
+    ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
+     "--to-ab", "--rescale", "1", "2.5"],
+    ["coupling", "--family", "delta-p", "--n", "1", "--param=-inf"],
+]
+
 #: subcommands that compute in floats, and their exit codes: the sweep
 #: with valid stages, with stages on the target pole and on a base pole,
-#: and with one stage (no slope), the kernel at one point, and the FD
-#: oracle in both modes
+#: and with one stage (no slope), the kernel at one point, the FD oracle
+#: in both modes, a family's matrices and a refused momentum
 _FLOAT_ONLY_ARGVS = [
     (["converge", "--family", "delta-prime-s", "--n", "3", "--beta", "1",
       "--a-list", "0.1,0.03,0.01"], 0),
@@ -664,7 +755,15 @@ _FLOAT_ONLY_ARGVS = [
     (["oracle-check", "--star-family", "central-delta-p", "--n", "3",
       "--b", "0.4", "--point", "2.01,0.7", "--kappa", "1.4", "--h", "0.05",
       "--order-check"], 0),
+    *((argv, 0) for argv in _FAMILY_ARGVS),
+    (["smatrix", "--family", "delta", "--n", "2", "--param", "0", "--k",
+      "-1"], 3),
 ]
+
+#: runs the CLI on its arguments with numpy blocked
+_NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
+                  "from starcouplings.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
 
 
 class TestImportLayer:
@@ -692,12 +791,23 @@ class TestImportLayer:
         assert (got, names) == (code, [])
 
     def test_array_subcommands_load_numpy_with_their_first_array(self):
-        # coupling, smatrix and greens --grid
-        steps = _module_probe("numpy", _NUMPY_ONLY_ARGVS[:2]
-                              + _NUMPY_ONLY_ARGVS[3:4])
-        assert [code for _, code, _ in steps] == [0] * 5
-        assert ["numpy" in names for _, _, names in steps] \
-            == [False, False, True, True, True]
+        # coupling --validate and greens --grid, each in a fresh
+        # interpreter
+        for argv in (_NUMPY_ONLY_ARGVS[0], _NUMPY_ONLY_ARGVS[3]):
+            steps = _module_probe("numpy", [argv])
+            assert [code for _, code, _ in steps] == [0] * 3
+            assert ["numpy" in names for _, _, names in steps] \
+                == [False, False, True]
+
+    @pytest.mark.parametrize("argv", _FAMILY_ARGVS,
+                             ids=[" ".join(a) for a in _FAMILY_ARGVS])
+    def test_family_matrices_print_the_same_with_numpy_blocked(
+            self, capsys, argv):
+        blocked = subprocess.run(
+            [sys.executable, "-c", _NUMPY_BLOCKED, *argv], env=_child_env(),
+            capture_output=True, text=True, timeout=120)
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert blocked.stdout == run(capsys, *argv)[1]
 
     def test_linalg_error_is_a_value_error(self):
         # main() exits 3 on ValueError without naming numpy's LinAlgError

@@ -752,6 +752,25 @@ class TestSolverInputs:
         with pytest.raises(ValueError, match="too large for the grid"):
             _solve(make_coupling("delta", 1, 0.0), [], kappa, grid)
 
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64, int])
+    def test_numpy_kappa_and_length_run_in_doubles(self, scalar):
+        # an np.float32 kappa or L made the solver compute in float32
+        grid = GridSpec(scalar(12), 399)
+        assert type(grid.L) is float and grid == GridSpec(12.0, 399)
+        bc = HalflineBC.robin(0.7)
+        model = StarModel.delta_prime_s(3, 1.3)
+        for kappa in (scalar(1), scalar(2)):
+            for got, want, args in (
+                    (fd_resolvent_halfline(bc, [], kappa, grid),
+                     fd_resolvent_halfline(bc, [], float(kappa), grid),
+                     (1.5, 2.0)),
+                    (fd_resolvent_star(model, kappa, grid),
+                     fd_resolvent_star(model, float(kappa), grid),
+                     (0, 1.5, 2, 2.0))):
+                value = got.value(*args)
+                assert type(value) is float
+                assert repr(value) == repr(want.value(*args))
+
     def test_huge_kappa_below_the_bound_is_solved(self):
         sampled = _solve(make_coupling("delta", 1, 0.0), [], 1e150,
                          GridSpec(12.0, 99))

@@ -1129,6 +1129,25 @@ class TestScalarTypes:
             kernel = halfline_kernel(bc, points, 1.1)
             self._same_bits(lambda j, x, l, y: kernel(x, y), 0, 0)
 
+    @pytest.mark.parametrize("scalar", [np.float32, np.float64, int])
+    def test_numpy_kappa_and_points_run_in_doubles(self, scalar):
+        # an np.float32 kappa, point position or strength made the
+        # kernels compute in float32
+        kappa = scalar(2)
+        model = StarModel.delta_prime_s(3, 1.3)
+        want = star_green(model, float(kappa), 0, 0.5, 1, 0.7)
+        got = star_green(model, kappa, 0, 0.5, 1, 0.7)
+        assert type(got) is float and repr(got) == repr(want)
+        assert star_green(model, np.float32(1.1), 0, 0.5, 1, 0.7) \
+            == star_green(model, float(np.float32(1.1)), 0, 0.5, 1, 0.7)
+        point = PointInteraction(scalar(1), scalar(-2))
+        assert type(point.a) is type(point.c) is float
+        for bc in ALL_BCS:
+            got = halfline_kernel(bc, [point], kappa)(0.5, 0.7)
+            want = halfline_kernel(bc, [PointInteraction(1.0, -2.0)],
+                                   float(kappa))(0.5, 0.7)
+            assert type(got) is float and repr(got) == repr(want)
+
 
 class TestStarModelRecord:
     """StarModel computes its vertex and points once; they are no
