@@ -31,15 +31,14 @@ from dataclasses import asdict
 from .convergence import SCHEDULE_FAMILIES, convergence_sweep
 # unitarity_defect, star_green and s_matrix stay module attributes, though
 # main() calls none of them: the cli workload of benchmarks/ wraps them
-from .coupling import (FAMILIES, _eigenvalues, _number,  # noqa: F401
-                       make_coupling, rescale_length, to_ab, unitarity_defect,
-                       validate_ab)
+from .coupling import (FAMILIES, VertexCoupling, _eigenvalues,  # noqa: F401
+                       _number, make_coupling, rescale_length, to_ab,
+                       unitarity_defect, validate_ab)
 from .errors import InvalidCouplingError, PoleError
 from .finite_difference import (GridSpec, compare_kernels,
                                 fd_resolvent_halfline, fd_resolvent_star)
 from .greens import (STAR_KINDS, HalflineBC, PointInteraction,  # noqa: F401
-                     StarModel, _named_coupling, halfline_kernel, star_green,
-                     vertex_kernel)
+                     StarModel, halfline_kernel, star_green, vertex_kernel)
 from .scattering import _s_sectors, s_matrix  # noqa: F401
 
 
@@ -104,7 +103,7 @@ def _parse_param(text: str) -> float:
         raise InvalidCouplingError(f"cannot parse parameter {text!r}") from exc
 
 
-def _parse_bc(text: str) -> HalflineBC:
+def _parse_bc(text: str) -> VertexCoupling:
     parts = text.split(":")
     kind = parts[0]
     if kind == "dirichlet" and len(parts) == 1:
@@ -328,16 +327,16 @@ def _cmd_oracle_check(args) -> int:
         model = StarModel(n=2 if args.n is None else args.n,
                           kind=_STAR_FLAGS[args.star_family],
                           beta=args.beta, b=args.b, point=point)
-        analytic = vertex_kernel(_named_coupling(model.vertex),
-                                 (*model.points, screen), kappa)
+        coupling, points = model
+        analytic = vertex_kernel(coupling, (*points, screen), kappa)
 
         def solve(g: GridSpec):
             return fd_resolvent_star(model, kappa, g)
-        edges = sorted({0, model.n - 1})
+        edges = sorted({0, coupling.n - 1})
         samples = [(j, xv, l, yv) for j in edges for l in edges
                    for (xv, yv) in _default_samples(grid.L)[::4]]
         model_desc = {"mode": "star", "family": args.star_family,
-                      "n": model.n, "beta": args.beta, "b": args.b}
+                      "n": coupling.n, "beta": args.beta, "b": args.b}
 
     sampled = solve(grid)
     stats = compare_kernels(analytic, sampled, samples)

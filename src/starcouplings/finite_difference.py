@@ -21,8 +21,8 @@ k_h = 3i / (2h), the ghost map is the scattering matrix in disguise,
 M0 = (I + S_U(k_h)) / 6 = sum_k mu_k P_k, mu_k = c_k / (3 c_k - 2 h s_k),
 over the groups k of coupling.eigenphases, with eigenvalue (c_k + i s_k)^2
 and spectral projector P_k, real exactly when U = U^T (every HalflineBC
-and StarModel; the solver refuses any other U with ValueError).  The
-solver reads the real mu_k from scattering.one_plus_s_sectors and never
+and StarModel coupling; the solver refuses any other U with ValueError).
+The solver reads the real mu_k from scattering.one_plus_s_sectors and never
 forms M0.  A Robin condition psi'(0) = b psi(0) gives mu = 1 / (3 + 2 h b),
 Dirichlet mu = 0.  The stencil is singular exactly when kappa_h = 3 / (2h)
 is a bound state of U (for Robin at b = -3 / (2h)); that guard raises
@@ -120,8 +120,7 @@ from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
                        _integer, _number, _scale, _symmetric, make_coupling,
                        to_ab)
 from .errors import PoleError
-from .greens import (HalflineBC, PointInteraction, StarModel,
-                     _named_coupling, check_points)
+from .greens import PointInteraction, _star, check_points
 from .scattering import one_plus_s_sectors
 
 if TYPE_CHECKING:    # numpy is imported where an array is made or read
@@ -402,21 +401,22 @@ def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
     return SampledKernel(grid, rho, excess, loads, phases, mus)
 
 
-def fd_resolvent_halfline(bc: HalflineBC, points: Sequence[PointInteraction],
+def fd_resolvent_halfline(bc, points: Sequence[PointInteraction],
                           kappa: float, grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of -d^2/dx^2 (+ point interactions) on the
-    half line at energy -kappa^2."""
+    half line with the one-edge coupling ``bc`` (a HalflineBC) at energy
+    -kappa^2."""
     kappa = _scale(kappa, "kappa")
-    return _solve(_named_coupling(bc.vertex), points, kappa, grid)
+    return _solve(*_star((bc, check_points(points)), 1), kappa, grid)
 
 
-def fd_resolvent_star(model: StarModel, kappa: float,
-                      grid: GridSpec) -> SampledKernel:
+def fd_resolvent_star(model, kappa: float, grid: GridSpec) -> SampledKernel:
     """Finite-difference kernel of the star-graph operator at energy
-    -kappa^2, all n edges coupled at the origin by the model's central
-    vertex condition and carrying its point interaction."""
+    -kappa^2 of the model, a (coupling, points) pair as StarModel makes
+    it: all n edges coupled at the origin by the coupling, each carrying
+    the points."""
     kappa = _scale(kappa, "kappa")
-    return _solve(_named_coupling(model.vertex), model.points, kappa, grid)
+    return _solve(*_star(model), kappa, grid)
 
 
 def _finite_sides(exact, approx, point) -> None:

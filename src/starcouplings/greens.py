@@ -33,8 +33,8 @@ Decomposed phases enter unrefined, good to about eps cond(D(i kappa))
 phases are, so a family's build forms no U and reads each sum over k of
 (P_k)_jl as one of two numbers, on or off the diagonal, with no matrix.
 
-halfline_kernel and star_green share one memoised vertex_kernel per
-``vertex = (family, n, param)`` entry, whose coupling is memoised too.
+HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
+pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .coupling import (VertexCoupling, _integer, _number, _scale,
@@ -55,65 +55,6 @@ ROBIN_POLE_TOL = 1e-10
 #: approximants (parameter b)
 STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
               "central_delta_p")
-#: HalflineBC kinds and the fields each reads; the others must stay 0
-_BC_FIELDS = {"dirichlet": (), "neumann": (), "robin": ("b",),
-              "robin_scaled": ("n", "beta")}
-
-
-@dataclass(frozen=True)
-class HalflineBC:
-    """Boundary condition at the origin of a half line.
-
-    Use the constructors dirichlet(), neumann(), robin(b) and
-    robin_scaled(n, beta); robin_scaled means psi(0) = (beta / n) psi'(0).
-    """
-
-    kind: str
-    b: float = 0.0
-    n: int = 0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _BC_FIELDS:
-            raise ValueError(f"unknown boundary condition {self.kind!r}")
-        unread = [f for f in ("b", "n", "beta")
-                  if f not in _BC_FIELDS[self.kind] and getattr(self, f) != 0]
-        if unread:
-            raise ValueError(f"{self.kind} reads no {', '.join(unread)}")
-        if self.kind == "robin":
-            object.__setattr__(self, "b", _number(self.b, "robin parameter"))
-        if self.kind == "robin_scaled":
-            _integer("edge count", self.n, low=1)
-            object.__setattr__(self, "beta", _number(
-                self.beta, "robin_scaled parameter"))
-
-    @classmethod
-    def dirichlet(cls) -> "HalflineBC":
-        return cls("dirichlet")
-
-    @classmethod
-    def neumann(cls) -> "HalflineBC":
-        return cls("neumann")
-
-    @classmethod
-    def robin(cls, b: float) -> "HalflineBC":
-        return cls("robin", b=b)
-
-    @classmethod
-    def robin_scaled(cls, n: int, beta: float) -> "HalflineBC":
-        return cls("robin_scaled", n=n, beta=beta)
-
-    @property
-    def vertex(self) -> tuple[str, int, float]:
-        """The condition as a one-edge coupling, (family, n, param) for
-        make_coupling."""
-        if self.kind == "dirichlet":
-            return ("delta", 1, math.inf)
-        if self.kind == "neumann":
-            return ("delta", 1, 0.0)
-        if self.kind == "robin":
-            return ("delta", 1, self.b)
-        return ("delta_prime_s", 1, self.beta / self.n)
 
 
 @dataclass(frozen=True)
@@ -236,6 +177,9 @@ def vertex_kernel(coupling: VertexCoupling,
                 raise ValueError(f"kernel arguments must be real numbers, "
                                  f"got dtypes {x.dtype} and {y.dtype}")
             x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+            # a numpy scalar (np.float32 is no float) or 0-d array: a float
+            if x.ndim == y.ndim == 0:
+                return evaluate(j, float(x), l, float(y))
             # min/max also catch NaN, and cost less than elementwise tests
             if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
                    for v in (x, y)):
@@ -262,41 +206,49 @@ def vertex_kernel(coupling: VertexCoupling,
             if falls:
                 out *= np.where(below, duhamel(*phi, -1, y, fns),
                                 duhamel(*phi, -1, x, fns))
-        out = out if beyond is None else out + beyond
-        # 0-d array arguments leave a numpy scalar: return its Python value
-        return out.item() if not scalar and isinstance(out, np.generic) \
-            else out
+        return out if beyond is None else out + beyond
 
     return evaluate
 
 
 @lru_cache(maxsize=64)
 def _named_coupling(vertex: tuple[str, int, float]) -> VertexCoupling:
-    """make_coupling of a vertex table entry, memoised: the kernels, the
-    finite-difference builds and oracle-check share one U per vertex."""
+    """make_coupling of a (family, n, param) entry, memoised: the kernels,
+    the finite-difference builds and oracle-check share one U per vertex,
+    and the kernel memo, keyed by the coupling, hits."""
     return make_coupling(*vertex)
 
 
-@lru_cache(maxsize=64, typed=True)    # True == 1.0 must miss the cache
-def _named_kernel(vertex: tuple[str, int, float],
-                  points: tuple[PointInteraction, ...], kappa: float):
-    """vertex_kernel of a coupling named by its vertex table, memoised:
-    the evaluator depends on nothing else, and building it costs more
-    than evaluating it."""
-    return vertex_kernel(_named_coupling(vertex), points, kappa)
+class HalflineBC:
+    """Boundary conditions at the origin of a half line as memoised one-edge
+    couplings: dirichlet(), neumann(), robin(b) (psi'(0) = b psi(0)) and
+    robin_scaled(n, beta) (psi(0) = (beta / n) psi'(0))."""
+
+    @staticmethod
+    def dirichlet() -> VertexCoupling:
+        return _named_coupling(("delta", 1, math.inf))
+
+    @staticmethod
+    def neumann() -> VertexCoupling:
+        return _named_coupling(("delta", 1, 0.0))
+
+    @staticmethod
+    def robin(b: float) -> VertexCoupling:
+        return _named_coupling(("delta", 1, _number(b, "robin parameter")))
+
+    @staticmethod
+    def robin_scaled(n: int, beta: float) -> VertexCoupling:
+        _integer("edge count", n, low=1)
+        beta = _number(beta, "robin_scaled parameter")
+        return _named_coupling(("delta_prime_s", 1, beta / n))
 
 
-def halfline_kernel(bc: HalflineBC, points, kappa: float):
-    """Evaluator (x, y) -> resolvent kernel at energy -kappa^2 of the half
-    line with boundary condition ``bc`` and any number of point
-    interactions.  Broadcasts over array arguments; values are real."""
-    kernel = _named_kernel(bc.vertex, check_points(points), kappa)
-    return lambda x, y: kernel(0, x, 0, y)
-
-
-@dataclass(frozen=True)
-class StarModel:
-    """A star graph of n half lines with a permutation-symmetric center.
+def StarModel(n: int, kind: str, beta: float | None = None,  # noqa: N802
+              b: float | None = None, point: PointInteraction | None = None
+              ) -> tuple[VertexCoupling, tuple[PointInteraction, ...]]:
+    """A star graph of n half lines with a permutation-symmetric center,
+    as the pair (coupling, points) that star_green and fd_resolvent_star
+    take; the coupling is memoised.
 
     Targets (singular couplings, parameter beta):
         delta_prime_s   common derivative, sum of values = beta * psi'(0)
@@ -312,82 +264,71 @@ class StarModel:
     Approximants carry at most one point interaction, applied identically
     on every edge.
     """
+    _integer("edge count", n, low=1)
+    if kind not in STAR_KINDS:
+        raise ValueError(f"unknown star model kind {kind!r}")
+    points = () if point is None else check_points((point,))
+    # _number refuses a missing (None) beta or b
+    if kind in STAR_KINDS[:2]:
+        if b is not None or point is not None:
+            raise ValueError("target models take no b and no point "
+                             "interaction")
+        return _named_coupling(
+            (kind, n, _number(beta, "star model parameter beta"))), points
+    if beta is not None:
+        raise ValueError("approximant models take no beta")
+    b = _number(b, "star model parameter b")
+    if kind == "central_delta":
+        # per-channel condition psi'(0+) = b psi(0): n-edge strength n b
+        return _named_coupling(("delta", n, n * b)), points
+    return _named_coupling(("delta_p", n, b)), points
 
-    n: int
-    kind: str
-    beta: float | None = None
-    b: float | None = None
-    point: PointInteraction | None = None
 
-    def __post_init__(self):
-        _integer("edge count", self.n, low=1)
-        if self.kind not in STAR_KINDS:
-            raise ValueError(f"unknown star model kind {self.kind!r}")
-        check_points(self.points)
-        if self.kind in STAR_KINDS[:2]:
-            if self.beta is None:
-                raise ValueError(f"target model {self.kind!r} needs beta")
-            if self.b is not None or self.point is not None:
-                raise ValueError("target models take no b and no point "
-                                 "interaction")
-        else:
-            if self.b is None:
-                raise ValueError(f"approximant model {self.kind!r} needs b")
-            if self.beta is not None:
-                raise ValueError("approximant models take no beta")
-        name = "beta" if self.b is None else "b"
-        object.__setattr__(self, name, _number(getattr(self, name),
-                                               f"star model parameter {name}"))
+def _star(model, edges: int | None = None):
+    """model if it is a (VertexCoupling, tuple of PointInteraction) pair,
+    of ``edges`` edges if given (one for a half line); else ValueError."""
+    if not (isinstance(model, tuple) and len(model) == 2
+            and isinstance(model[0], VertexCoupling)
+            and isinstance(model[1], tuple)
+            and edges in (None, model[0].n)):
+        raise ValueError(f"a model is a ({edges or 'n'}-edge VertexCoupling, "
+                         f"tuple of PointInteraction) pair, got {model!r}")
+    return model[0], check_points(model[1])
 
-    @classmethod
-    def delta_prime_s(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime_s", beta=beta)
 
-    @classmethod
-    def delta_prime(cls, n: int, beta: float) -> "StarModel":
-        return cls(n=n, kind="delta_prime", beta=beta)
+@lru_cache(maxsize=64, typed=True)    # True == 1.0 must miss the cache
+def _kernel(model, kappa: float):
+    """vertex_kernel of a (coupling, points) pair, memoised: the evaluator
+    depends on nothing else, and building it costs more than evaluating
+    it.  The pair is checked here, on a miss only."""
+    return vertex_kernel(*_star(model), kappa)
 
-    @classmethod
-    def central_delta(cls, n: int, b: float,
-                      point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta", b=b, point=point)
 
-    @classmethod
-    def central_delta_p(cls, n: int, b: float,
-                        point: PointInteraction | None = None) -> "StarModel":
-        return cls(n=n, kind="central_delta_p", b=b, point=point)
-
-    # the two below are computed once, on the first read: star_green reads
-    # them on every call, and they are no fields, so ==, hash and repr
-    # are the dataclass's
-    @cached_property
-    def vertex(self) -> tuple[str, int, float]:
-        """The central coupling, (family, n, param) for make_coupling."""
-        if self.kind == "central_delta":
-            # per-channel condition psi'(0+) = b psi(0): n-edge strength n b
-            return ("delta", self.n, self.n * self.b)
-        if self.kind == "central_delta_p":
-            return ("delta_p", self.n, self.b)
-        return (self.kind, self.n, self.beta)
-
-    @cached_property
-    def points(self) -> tuple[PointInteraction, ...]:
-        return () if self.point is None else (self.point,)
+def halfline_kernel(bc: VertexCoupling, points, kappa: float):
+    """Evaluator (x, y) -> resolvent kernel at energy -kappa^2 of the half
+    line with the one-edge coupling ``bc`` (a HalflineBC) and any number
+    of point interactions.  Broadcasts over array arguments; values are
+    real."""
+    kernel = _kernel(_star((bc, check_points(points)), 1), kappa)
+    return lambda x, y: kernel(0, x, 0, y)
 
 
 def sector_green(sector, kappa: float, x, y):
-    """Kernel of one sector, a record with a HalflineBC ``.bc`` and a
-    PointInteraction or None ``.point``: its half-line kernel, with the
-    sector's point interaction when it carries one.  No package code calls
-    it: the tests' sector oracles do, and convergence keeps it for the
-    sweep workload of benchmarks/."""
+    """Kernel of one sector, a record with a one-edge coupling ``.bc`` (a
+    HalflineBC) and a PointInteraction or None ``.point``: its half-line
+    kernel, with the sector's point interaction when it carries one.  No
+    package code calls it: the tests' sector oracles do, and convergence
+    keeps it for the sweep workload of benchmarks/."""
     points = () if sector.point is None else (sector.point,)
-    return _named_kernel(sector.bc.vertex, points, kappa)(0, x, 0, y)
+    return halfline_kernel(sector.bc, points, kappa)(x, y)
 
 
-def star_green(model: StarModel, kappa: float, edge_j: int, x,
-               edge_l: int, y):
-    """Edge-indexed kernel G_jl(x, y) of the star model, symmetric under
-    (j, x) <-> (l, y).  Edges are 0-based."""
-    return _named_kernel(model.vertex, model.points, kappa)(
-        edge_j, x, edge_l, y)
+def star_green(model, kappa: float, edge_j: int, x, edge_l: int, y):
+    """Edge-indexed kernel G_jl(x, y) of the star model, a (coupling,
+    points) pair as StarModel makes it, symmetric under (j, x) <-> (l, y).
+    Edges are 0-based."""
+    try:
+        kernel = _kernel(model, kappa)
+    except TypeError:    # an unhashable model: a list, or a list of points
+        kernel = _kernel(_star(model), kappa)
+    return kernel(edge_j, x, edge_l, y)

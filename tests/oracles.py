@@ -28,9 +28,10 @@ from starcouplings.greens import sector_green
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """One half-line block of a symmetry-reduced star model."""
+    """One half-line block of a symmetry-reduced star model: a one-edge
+    coupling (a HalflineBC) and at most one point."""
 
-    bc: HalflineBC
+    bc: VertexCoupling
     point: PointInteraction | None
     multiplicity: int
 
@@ -38,8 +39,11 @@ class SectorSpec:
         _integer("sector multiplicity", self.multiplicity, low=1)
 
 
-def sector_decompose(model: StarModel) -> list[SectorSpec]:
-    """Half-line sectors of a star model.
+def sector_decompose(kind: str, n: int, param: float,
+                     point: PointInteraction | None = None
+                     ) -> list[SectorSpec]:
+    """Half-line sectors of the star model StarModel(n=n, kind=kind, ...)
+    with ``param`` its beta (a target) or b (an approximant) and ``point``.
 
     kind             leading sector (mult 1)      repeated sector (mult n-1)
     delta_prime_s    RobinScaled(n, beta)          Neumann
@@ -52,26 +56,29 @@ def sector_decompose(model: StarModel) -> list[SectorSpec]:
     sum_{r=1}^{n-1} eps^{r(j-l)} = n delta_jl - 1 with eps = e^{2 pi i / n}.
     Targets carry no point, so every sector takes the model's point.
     """
-    n, beta, b = model.n, model.beta, model.b
-    if model.kind == "delta_prime_s":
-        lead, rest = HalflineBC.robin_scaled(n, beta), HalflineBC.neumann()
-    elif model.kind == "central_delta":
-        lead, rest = HalflineBC.robin(b), HalflineBC.dirichlet()
-    elif model.kind == "delta_prime":
-        lead, rest = HalflineBC.neumann(), HalflineBC.robin_scaled(n, beta)
+    # StarModel refuses what it refuses: a bad n, kind, param or point
+    name = "beta" if kind in ("delta_prime_s", "delta_prime") else "b"
+    StarModel(n=n, kind=kind, point=point, **{name: param})
+    if kind == "delta_prime_s":
+        lead, rest = HalflineBC.robin_scaled(n, param), HalflineBC.neumann()
+    elif kind == "central_delta":
+        lead, rest = HalflineBC.robin(param), HalflineBC.dirichlet()
+    elif kind == "delta_prime":
+        lead, rest = HalflineBC.neumann(), HalflineBC.robin_scaled(n, param)
     else:  # central_delta_p
-        lead, rest = HalflineBC.dirichlet(), HalflineBC.robin(b / n)
-    return [SectorSpec(bc, model.point, m)
+        lead, rest = HalflineBC.dirichlet(), HalflineBC.robin(param / n)
+    return [SectorSpec(bc, point, m)
             for bc, m in ((lead, 1), (rest, n - 1)) if m > 0]
 
 
-def approximant_model(stage: ApproximationStage) -> StarModel:
-    """The star of one approximation stage: central coupling b, and the
-    satellite c at distance a on every edge."""
-    point = PointInteraction(a=stage.a, c=stage.c)
-    if stage.family == "delta_prime_s":
-        return StarModel.central_delta(stage.n, stage.b, point)
-    return StarModel.central_delta_p(stage.n, stage.b, point)
+def approximant_model(stage: ApproximationStage
+                      ) -> tuple[str, int, float, PointInteraction]:
+    """The star of one approximation stage as (kind, n, b, point), what
+    sector_decompose takes: central coupling b, and the satellite c at
+    distance a on every edge."""
+    kind = "central_delta" if stage.family == "delta_prime_s" \
+        else "central_delta_p"
+    return kind, stage.n, stage.b, PointInteraction(a=stage.a, c=stage.c)
 
 
 def effective_robin(b: float, c: float, a: float) -> float:

@@ -316,7 +316,7 @@ def test_criterion_8_star_vertex_conditions():
 
     for n in (2, 3):
         for beta in (1.0, -0.5):
-            m = StarModel.delta_prime_s(n, beta)
+            m = StarModel(n=n, kind="delta_prime_s", beta=beta)
             data = [probe(m, j) for j in range(n)]
             values = np.array([d[0] for d in data])
             derivs = np.array([d[1] for d in data])
@@ -326,7 +326,7 @@ def test_criterion_8_star_vertex_conditions():
             if abs(values.sum() - beta * derivs[0]) > 1e-5:
                 failures.append(f"delta_prime_s n={n} beta={beta}: "
                                 "value sum rule broken")
-            m = StarModel.delta_prime(n, beta)
+            m = StarModel(n=n, kind="delta_prime", beta=beta)
             data = [probe(m, j) for j in range(n)]
             values = np.array([d[0] for d in data])
             derivs = np.array([d[1] for d in data])

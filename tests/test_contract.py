@@ -101,11 +101,12 @@ class Row(NamedTuple):
 C1 = sc.make_coupling("delta", 1, 0.5)
 C2 = sc.make_coupling("delta", 2, 0.5)
 BC = HalflineBC.robin(0.7)
-MODEL = StarModel.central_delta(2, 1.5, PointInteraction(0.5, -2.0))
+MODEL = StarModel(n=2, kind="central_delta", b=1.5,
+                  point=PointInteraction(0.5, -2.0))
 GRID = GridSpec(12.0, 99)
 STAGE = sc.schedule("delta_prime_s", 1.0, 2, 0.1)
-TARGET = oracles.sector_decompose(StarModel.delta_prime_s(2, 1.0))[0]
-APPROX = oracles.sector_decompose(oracles.approximant_model(STAGE))[0]
+TARGET = oracles.sector_decompose("delta_prime_s", 2, 1.0)[0]
+APPROX = oracles.sector_decompose(*oracles.approximant_model(STAGE))[0]
 HALF = sc.fd_resolvent_halfline(BC, (), 1.0, GRID)
 STAR = sc.fd_resolvent_star(MODEL, 1.0, GRID)
 KERNEL = sc.vertex_kernel(C2, (), 1.0)
@@ -154,19 +155,15 @@ ROWS = [
     Row("HalflineBC", HalflineBC.robin, dict(b=0.7), ("b",), label="robin"),
     Row("HalflineBC", HalflineBC.robin_scaled, dict(n=2, beta=1.0),
         ("n", "beta"), label="robin_scaled"),
-    Row("HalflineBC", HalflineBC, dict(kind="robin", b=0.7), ("b",)),
-    Row("HalflineBC", HalflineBC, dict(kind="robin_scaled", n=2, beta=1.0),
-        ("n", "beta")),
-    Row("HalflineBC", HalflineBC, dict(kind="neumann", b=0.0), ("b",)),
     Row("PointInteraction", PointInteraction, dict(a=0.4, c=1.0),
         ("a", "c"), ("c",)),
-    Row("StarModel", StarModel.delta_prime_s, dict(n=3, beta=1.0),
+    Row("StarModel", StarModel, dict(n=3, kind="delta_prime_s", beta=1.0),
         ("n", "beta"), label="delta_prime_s"),
-    Row("StarModel", StarModel.delta_prime, dict(n=3, beta=1.0),
+    Row("StarModel", StarModel, dict(n=3, kind="delta_prime", beta=1.0),
         ("n", "beta"), label="delta_prime"),
-    Row("StarModel", StarModel.central_delta, dict(n=2, b=1.5),
+    Row("StarModel", StarModel, dict(n=2, kind="central_delta", b=1.5),
         ("n", "b"), label="central_delta"),
-    Row("StarModel", StarModel.central_delta_p, dict(n=2, b=1.5),
+    Row("StarModel", StarModel, dict(n=2, kind="central_delta_p", b=1.5),
         ("n", "b"), label="central_delta_p"),
     Row("StarModel", StarModel, dict(n=2, kind="delta_prime", beta=1.0),
         ("n", "beta")),
@@ -174,7 +171,9 @@ ROWS = [
         ("b",)),
     Row("SectorSpec", oracles.SectorSpec,
         dict(bc=BC, point=None, multiplicity=1), ("multiplicity",)),
-    Row("sector_decompose", oracles.sector_decompose, dict(model=MODEL)),
+    Row("sector_decompose", oracles.sector_decompose,
+        dict(kind="central_delta", n=2, param=1.5,
+             point=PointInteraction(0.5, -2.0)), ("n", "param")),
     # kernels and their evaluators
     Row("vertex_kernel", sc.vertex_kernel,
         dict(coupling=C2, points=(), kappa=1.0), ("kappa",),
@@ -190,11 +189,11 @@ ROWS = [
         dict(model=MODEL, kappa=1.0, edge_j=0, x=0.5, edge_l=1, y=0.7),
         ("kappa", "edge_j", "x", "edge_l", "y")),
     Row("star_green", sc.star_green,
-        dict(model=StarModel.delta_prime_s(3, 1.0), kappa=1.0, edge_j=0,
-             x=0.5, edge_l=1, y=0.7), ("kappa",)),
+        dict(model=StarModel(n=3, kind="delta_prime_s", beta=1.0),
+             kappa=1.0, edge_j=0, x=0.5, edge_l=1, y=0.7), ("kappa",)),
     Row("star_green", sc.star_green,
-        dict(model=StarModel.delta_prime(3, 1.0), kappa=1.0, edge_j=0,
-             x=0.5, edge_l=1, y=0.7), ("kappa",)),
+        dict(model=StarModel(n=3, kind="delta_prime", beta=1.0),
+             kappa=1.0, edge_j=0, x=0.5, edge_l=1, y=0.7), ("kappa",)),
     Row("sector_green", convergence.sector_green,
         dict(sector=APPROX, kappa=1.0, x=0.5, y=0.7), ("kappa", "x", "y")),
     # finite differences and their evaluators
@@ -278,6 +277,28 @@ BAD_EIGENPHASES = {
     "m=1.0": (((1.0, 0.0, 1.0),), np.eye(1)),
     "m=True": (((1.0, 0.0, True),), np.eye(1)),
 }
+
+
+#: what the half-line entry points take as ``bc`` that is no one-edge
+#: VertexCoupling; a two-edge coupling raised AttributeError
+BAD_BCS = {"two-edge": C2, "None": None, "str": "robin",
+           "vertex-triple": ("delta", 1, 0.7), "pair": (C1, ())}
+#: what the star entry points take as ``model`` that is no
+#: (VertexCoupling, tuple of PointInteraction) pair
+BAD_MODELS = {"coupling": C2, "None": None, "vertex-triple": ("delta", 2, 1.5),
+              "one": (C2,), "three": (C2, (), ()), "list": [C2, ()],
+              "swapped": ((), C2), "no-coupling": (None, ()),
+              "point-list": (C2, [PointInteraction(0.5, -2.0)]),
+              "bare-point": (C2, ((0.5, -2.0),)),
+              "unhashable-point": (C2, ([0.5, -2.0],))}
+HALF_ENTRIES = {
+    "halfline_kernel": lambda bc: sc.halfline_kernel(bc, (), 1.0),
+    "fd_resolvent_halfline": lambda bc: sc.fd_resolvent_halfline(
+        bc, (), 1.0, GRID)}
+STAR_ENTRIES = {
+    "star_green": lambda model: sc.star_green(model, 1.0, 0, 0.5, 0, 0.7),
+    "fd_resolvent_star": lambda model: sc.fd_resolvent_star(model, 1.0,
+                                                            GRID)}
 
 
 def _finite(obj) -> bool:
@@ -374,6 +395,23 @@ def test_eigenphases_read_groups_as_floats_and_ints():
     assert [type(x) for g in phases.groups for x in g] == [float, float,
                                                            int] * 2
     assert not phases.exact and np.array_equal(phases.vh, U2.T)
+
+
+@pytest.mark.parametrize("entry", HALF_ENTRIES)
+@pytest.mark.parametrize("bc", BAD_BCS)
+def test_half_line_of_no_one_edge_coupling_is_refused(entry, bc):
+    with pytest.raises(ValueError, match="1-edge VertexCoupling"):
+        HALF_ENTRIES[entry](BAD_BCS[bc])
+
+
+@pytest.mark.parametrize("entry", STAR_ENTRIES)
+@pytest.mark.parametrize("model", BAD_MODELS)
+def test_star_of_no_pair_is_refused(entry, model):
+    # the memo holds the pair of the same coupling, so a model that only
+    # differs from it in its container still misses and is checked
+    STAR_ENTRIES[entry]((C2, ()))
+    with pytest.raises(ValueError, match="VertexCoupling|PointInteraction"):
+        STAR_ENTRIES[entry](BAD_MODELS[model])
 
 
 def test_mixed_bool_list_is_read_as_floats():

@@ -129,28 +129,28 @@ class TestEffectiveRobin:
 
 class TestSectorDifference:
     def test_target_against_itself_vanishes(self):
-        target = sector_decompose(StarModel.delta_prime_s(2, 1.0))[0]
+        target = sector_decompose("delta_prime_s", 2, 1.0)[0]
         diff = sector_difference(target, target, KAPPA, 0.05, GRID)
         assert np.max(np.abs(diff.values)) == 0.0
 
     def test_window_starts_at_satellite(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.01)
-        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
-        approxs = sector_decompose(approximant_model(st))
+        targets = sector_decompose("delta_prime_s", 2, 1.0)
+        approxs = sector_decompose(*approximant_model(st))
         diff = sector_difference(targets[0], approxs[0], KAPPA, st.a, GRID)
         assert diff.x[0] == st.a
         assert diff.x[-1] == GRID.L
         assert np.all(np.diff(diff.x) > 0)
 
     def test_incompatible_multiplicities_rejected(self):
-        sectors = sector_decompose(StarModel.delta_prime_s(3, 1.0))
+        sectors = sector_decompose("delta_prime_s", 3, 1.0)
         with pytest.raises(ValueError):
             sector_difference(sectors[0], sectors[1], KAPPA, 0.01, GRID)
 
     def test_pointwise_values_match_library_kernels(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.05)
-        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
-        approxs = sector_decompose(approximant_model(st))
+        targets = sector_decompose("delta_prime_s", 2, 1.0)
+        approxs = sector_decompose(*approximant_model(st))
         diff = sector_difference(targets[1], approxs[1], KAPPA, st.a, GRID)
         i, j = 5, 17
         xi, xj = diff.x[i], diff.x[j]
@@ -190,8 +190,8 @@ class TestHSNorm:
 
     def test_refinement_changes_result_little(self):
         st = schedule("delta_prime_s", 1.0, 2, 0.01)
-        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
-        approxs = sector_decompose(approximant_model(st))
+        targets = sector_decompose("delta_prime_s", 2, 1.0)
+        approxs = sector_decompose(*approximant_model(st))
         norms = []
         for grid in (GRID, GridSpec(12.0, 801)):
             diff = sector_difference(targets[0], approxs[0], KAPPA, st.a, grid)
@@ -289,8 +289,8 @@ class TestSeparableOracle:
     def test_symmetric_sector_norm(self, beta, n):
         for a in (0.01, 0.001):
             st = schedule("delta_prime_s", beta, n, a)
-            targets = sector_decompose(StarModel.delta_prime_s(n, beta))
-            approxs = sector_decompose(approximant_model(st))
+            targets = sector_decompose("delta_prime_s", n, beta)
+            approxs = sector_decompose(*approximant_model(st))
             got = hs_norm(sector_difference(targets[0], approxs[0], KAPPA,
                                             st.a, GRID))
             # the reflection constant of a half line is 2 kappa G(0, 0) - 1
@@ -304,8 +304,8 @@ class TestSeparableOracle:
     def test_complement_sector_norm(self):
         a = 0.003
         st = schedule("delta_prime_s", 1.0, 2, a)
-        targets = sector_decompose(StarModel.delta_prime_s(2, 1.0))
-        approxs = sector_decompose(approximant_model(st))
+        targets = sector_decompose("delta_prime_s", 2, 1.0)
+        approxs = sector_decompose(*approximant_model(st))
         got = hs_norm(sector_difference(targets[1], approxs[1], KAPPA,
                                         st.a, GRID))
         want = expected_norm(-1.0, 1.0, a, st.c, KAPPA, GRID.L)
@@ -317,11 +317,12 @@ class TestSeparableOracle:
         from starcouplings import star_green
         beta, n, a = 1.0, 3, 0.05
         st = schedule("delta_prime_s", beta, n, a)
-        t_model = StarModel.delta_prime_s(n, beta)
-        a_model = approximant_model(st)
+        t_model = StarModel(n=n, kind="delta_prime_s", beta=beta)
+        kind, _, b, point = approximant_model(st)
+        a_model = StarModel(n=n, kind=kind, b=b, point=point)
         grid = GridSpec(12.0, 120)
-        targets = sector_decompose(t_model)
-        approxs = sector_decompose(a_model)
+        targets = sector_decompose("delta_prime_s", n, beta)
+        approxs = sector_decompose(kind, n, b, point)
         lead_diff = sector_difference(targets[0], approxs[0], KAPPA, a, grid)
         rest_diff = sector_difference(targets[1], approxs[1], KAPPA, a, grid)
         nodes = lead_diff.x
@@ -345,8 +346,8 @@ class TestSeparableOracle:
         # kept moderate: the complement-sector Krein denominator is ~kappa
         # a^2 and amplifies the solver error as it shrinks
         st = schedule("delta_prime_s", beta, n, a)
-        targets = sector_decompose(StarModel.delta_prime_s(n, beta))
-        approxs = sector_decompose(approximant_model(st))
+        targets = sector_decompose("delta_prime_s", n, beta)
+        approxs = sector_decompose(*approximant_model(st))
         nodes = np.concatenate(([a], np.arange(0.296, 11.3, 0.2)))
         nodes = np.array([grid.nodes()[grid.node_index(v)] for v in nodes])
         fd_total_sq = 0.0
@@ -595,8 +596,8 @@ class TestClosedFormNorms:
         rep = convergence_sweep(family, beta, n, KAPPA, [1e-1, 1e-3], grid)
         for stage in rep.stages:
             st = schedule(family, beta, n, stage.a)
-            targets = sector_decompose(StarModel(n=n, kind=family, beta=beta))
-            approxs = sector_decompose(approximant_model(st))
+            targets = sector_decompose(family, n, beta)
+            approxs = sector_decompose(*approximant_model(st))
             quad = [hs_norm(sector_difference(t, s, KAPPA, st.a, grid))
                     for t, s in zip(targets, approxs)]
             assert stage.norm_sym == pytest.approx(quad[0], rel=1e-3)

@@ -110,8 +110,8 @@ class TestGridSpec:
         # nothing snaps in from outside [0, L]; vertex_kernel refuses x < 0
         grid = GridSpec(12.0, 99)
         half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
-        star = fd_resolvent_star(StarModel.delta_prime_s(3, 1.0), KAPPA,
-                                 grid)
+        star = fd_resolvent_star(
+            StarModel(n=3, kind="delta_prime_s", beta=1.0), KAPPA, grid)
         points = [(half, (outside, 1.0)), (half, (1.0, outside)),
                   (star, (0, outside, 2, 1.0)), (star, (2, 1.0, 0, outside))]
         for sampled, point in points:
@@ -122,8 +122,8 @@ class TestGridSpec:
     def test_ends_of_the_grid_snap_to_its_end_nodes(self):
         grid = GridSpec(12.0, 99)
         half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
-        star = fd_resolvent_star(StarModel.delta_prime_s(3, 1.0), KAPPA,
-                                 grid)
+        star = fd_resolvent_star(
+            StarModel(n=3, kind="delta_prime_s", beta=1.0), KAPPA, grid)
         first, second, last = grid.nodes()[[0, 1, -1]]
         # the source keeps off the first interior node
         assert half.snap(0.0, 0.0) == (first, second)
@@ -148,7 +148,7 @@ class TestHalflineSolver:
     @pytest.mark.parametrize("bc", [
         HalflineBC.dirichlet(), HalflineBC.neumann(), HalflineBC.robin(1.5),
         HalflineBC.robin(-0.4), HalflineBC.robin_scaled(3, 2.0),
-    ], ids=lambda bc: f"{bc.kind}")
+    ], ids=["dirichlet", "neumann", "robin0", "robin1", "robin_scaled"])
     def test_plain_kernels_within_budget(self, bc):
         grid = GridSpec(12.0, 1499)  # h = 8e-3
         sampled = fd_resolvent_halfline(bc, [], KAPPA, grid)
@@ -240,7 +240,8 @@ class TestHalflineSolver:
         with pytest.raises(ValueError):
             fd_resolvent_halfline(HalflineBC.neumann(), [], np.inf, grid)
         with pytest.raises(ValueError):
-            fd_resolvent_star(StarModel.delta_prime_s(2, 1.0), np.inf, grid)
+            fd_resolvent_star(StarModel(n=2, kind="delta_prime_s", beta=1.0),
+                              np.inf, grid)
 
 
 # ======================================================================
@@ -250,7 +251,7 @@ class TestHalflineSolver:
 class TestStarSolver:
     def test_single_edge_star_matches_halfline(self):
         grid = GridSpec(12.0, 999)
-        m = StarModel.delta_prime_s(1, 0.9)
+        m = StarModel(n=1, kind="delta_prime_s", beta=0.9)
         star = fd_resolvent_star(m, KAPPA, grid)
         half = fd_resolvent_halfline(HalflineBC.robin_scaled(1, 0.9), [],
                                      KAPPA, grid)
@@ -260,7 +261,7 @@ class TestStarSolver:
 
     def test_common_derivative_target_matches_assembly(self):
         grid = GridSpec(12.0, 4000)
-        m = StarModel.delta_prime_s(2, 1.3)
+        m = StarModel(n=2, kind="delta_prime_s", beta=1.3)
         sampled = fd_resolvent_star(m, KAPPA, grid)
         analytic = lambda j, x, l, y: star_green(m, KAPPA, j, x, l, y)  # noqa: E731
         points = [(j, x, l, y) for j in (0, 1) for l in (0, 1)
@@ -270,7 +271,7 @@ class TestStarSolver:
 
     def test_pairwise_difference_target_within_budget(self):
         grid = GridSpec(12.0, 1499)
-        m = StarModel.delta_prime(3, -0.5)
+        m = StarModel(n=3, kind="delta_prime", beta=-0.5)
         sampled = fd_resolvent_star(m, KAPPA, grid)
         analytic = lambda j, x, l, y: star_green(m, KAPPA, j, x, l, y)  # noqa: E731
         points = [(j, x, l, y) for j in (0, 2) for l in (0, 2)
@@ -280,7 +281,8 @@ class TestStarSolver:
 
     def test_decorated_approximant_within_budget(self):
         grid = GridSpec(12.0, 1499)
-        m = StarModel.central_delta(2, -8.0, PointInteraction(1.0, -4.0))
+        m = StarModel(n=2, kind="central_delta", b=-8.0,
+                      point=PointInteraction(1.0, -4.0))
         sampled = fd_resolvent_star(m, KAPPA, grid)
         analytic = lambda j, x, l, y: star_green(m, KAPPA, j, x, l, y)  # noqa: E731
         points = [(j, x, l, y) for j in (0, 1) for l in (0, 1)
@@ -291,14 +293,14 @@ class TestStarSolver:
     def test_free_junction_kernel_continuous_at_vertex(self):
         # vertex traces of the kernel column agree across edges
         grid = GridSpec(12.0, 1999)
-        m = StarModel.central_delta(3, 0.0)  # Kirchhoff
+        m = StarModel(n=3, kind="central_delta", b=0.0)  # Kirchhoff
         sampled = fd_resolvent_star(m, KAPPA, grid)
         traces = sampled.vertex_values(0, 1.5)
         assert np.ptp(traces) < 1e-6
 
     def test_star_kernel_symmetry(self):
         grid = GridSpec(12.0, 799)
-        m = StarModel.delta_prime_s(3, 1.1)
+        m = StarModel(n=3, kind="delta_prime_s", beta=1.1)
         sampled = fd_resolvent_star(m, KAPPA, grid)
         for (j, x, l, y) in [(0, 1.5, 1, 2.01), (2, 0.96, 0, 3.0),
                              (1, 2.01, 1, 0.96)]:
@@ -321,8 +323,8 @@ class TestOriginStencil:
         for build in (
                 lambda: fd_resolvent_halfline(HalflineBC.robin(b), [], KAPPA,
                                               grid),
-                lambda: fd_resolvent_star(StarModel.central_delta(2, b),
-                                          KAPPA, grid)):
+                lambda: fd_resolvent_star(
+                    StarModel(n=2, kind="central_delta", b=b), KAPPA, grid)):
             with pytest.raises(PoleError, match="origin stencil"):
                 build()
 
@@ -607,22 +609,26 @@ def _dense_cases():
     rng = np.random.default_rng(21)
     cases = []
     for n in range(1, 6):
-        for model in (StarModel.delta_prime_s(n, 1.3),
-                      StarModel.delta_prime(n, -0.5),
-                      StarModel.central_delta(n, -2.0),
-                      StarModel.central_delta_p(n, 0.7)):
-            cases.append(pytest.param(make_coupling(*model.vertex),
-                                      id=f"{model.kind}-n{n}"))
-    for bc in (HalflineBC.dirichlet(), HalflineBC.neumann(),
-               HalflineBC.robin(-0.4), HalflineBC.robin_scaled(3, 2.0)):
-        cases.append(pytest.param(make_coupling(*bc.vertex),
-                                  id=f"half-{bc.kind}"))
+        for kind, model in (
+                ("delta_prime_s", StarModel(n=n, kind="delta_prime_s",
+                                            beta=1.3)),
+                ("delta_prime", StarModel(n=n, kind="delta_prime", beta=-0.5)),
+                ("central_delta", StarModel(n=n, kind="central_delta",
+                                            b=-2.0)),
+                ("central_delta_p", StarModel(n=n, kind="central_delta_p",
+                                              b=0.7))):
+            cases.append(pytest.param(model[0], id=f"{kind}-n{n}"))
+    for kind, bc in (("dirichlet", HalflineBC.dirichlet()),
+                     ("neumann", HalflineBC.neumann()),
+                     ("robin", HalflineBC.robin(-0.4)),
+                     ("robin_scaled", HalflineBC.robin_scaled(3, 2.0))):
+        cases.append(pytest.param(bc, id=f"half-{kind}"))
     # a deep bound state: M0 = 1 / (3 + 2 h b) is 1/2 up to 1e-9, and the
     # first diagonal entry of the sector, 2 / h^2 + kappa^2 - 4 M0 / h^2,
     # keeps little more than kappa^2
     for sign in (1.0, -1.0):
         b = -(1.0 + sign * 1e-9) / (2.0 * DENSE_GRID.h)
-        cases.append(pytest.param(make_coupling(*HalflineBC.robin(b).vertex),
+        cases.append(pytest.param(HalflineBC.robin(b),
                                   id=f"half-deep{sign:+.0f}"))
     # M0 = (2 + kappa^2 h^2) / 4 cancels that entry at kappa = KAPPA, and
     # M0 = 1 the first superdiagonal entry (M0 - 1) / h^2: each all but
@@ -630,8 +636,7 @@ def _dense_cases():
     h = DENSE_GRID.h
     for name, m0 in (("cancel", (2.0 + (KAPPA * h)**2) / 4.0), ("unit", 1.0)):
         b = (1.0 / m0 - 3.0) / (2.0 * h)
-        cases.append(pytest.param(make_coupling(*HalflineBC.robin(b).vertex),
-                                  id=f"half-{name}"))
+        cases.append(pytest.param(HalflineBC.robin(b), id=f"half-{name}"))
     for phases in ((0.0, 0.0), (np.pi, np.pi), (0.0, np.pi, np.pi),
                    (0.7, 0.7, -1.2, -1.2), (0.0, 0.0, np.pi, 0.7, 0.7),
                    (np.pi, np.pi, np.pi, 0.0, -2.0),
@@ -700,9 +705,9 @@ class TestDirichletEdgeEigenvalue:
         grid = GridSpec(12.0, 99)
         points = [PointInteraction(13 * grid.h, -2.0)]
         kappa = _dirichlet_edge_kappa(points, grid) * (1.0 + eps)
-        model = (StarModel.delta_prime_s(n, 1.3) if kind == "delta_prime_s"
-                 else StarModel.central_delta(n, -2.0))
-        coupling = make_coupling(*model.vertex)
+        coupling, _ = (StarModel(n=n, kind=kind, beta=1.3)
+                       if kind == "delta_prime_s"
+                       else StarModel(n=n, kind=kind, b=-2.0))
         dense, m0 = _dense_kernel(coupling, points, kappa, grid)
         sampled = _solve(coupling, points, kappa, grid)
         h, scale = grid.h, np.max(np.abs(dense))
@@ -758,7 +763,7 @@ class TestSolverInputs:
         grid = GridSpec(scalar(12), 399)
         assert type(grid.L) is float and grid == GridSpec(12.0, 399)
         bc = HalflineBC.robin(0.7)
-        model = StarModel.delta_prime_s(3, 1.3)
+        model = StarModel(n=3, kind="delta_prime_s", beta=1.3)
         for kappa in (scalar(1), scalar(2)):
             for got, want, args in (
                     (fd_resolvent_halfline(bc, [], kappa, grid),
@@ -784,7 +789,7 @@ class TestSolverInputs:
         (PointInteraction(1.5, 1e150), PointInteraction(3.0, 1e150)),
     ], ids=["1e300", "-1e306", "2x1e150"])
     def test_walls_within_double_range_match_column_solves(self, points):
-        coupling = make_coupling(*HalflineBC.neumann().vertex)
+        coupling = HalflineBC.neumann()
         grid = GridSpec(12.0, 99)
         sampled = _solve(coupling, points, KAPPA, grid)
         sources = range(1, grid.N)
@@ -805,7 +810,7 @@ class TestSolverInputs:
     def test_walls_beyond_double_range_are_rejected(self, points, kappa):
         # the semiseparable form would need w_k[p] below the smallest
         # normal double
-        coupling = make_coupling(*HalflineBC.neumann().vertex)
+        coupling = HalflineBC.neumann()
         with pytest.raises(ValueError, match="too strong"):
             _solve(coupling, points, kappa, GridSpec(12.0, 99))
 
@@ -836,7 +841,7 @@ class TestSolverInputs:
     def test_size_bound_comes_before_the_ghost_map(self):
         # this Robin constant makes the origin stencil singular
         grid = GridSpec(12.0, MAX_FD_UNKNOWNS + 1)
-        coupling = make_coupling(*HalflineBC.robin(-1.5 / grid.h).vertex)
+        coupling = HalflineBC.robin(-1.5 / grid.h)
         with pytest.raises(PoleError):
             _ghost_map(coupling, grid.h)
         with pytest.raises(ValueError, match="grid too fine"):
@@ -853,10 +858,9 @@ class TestEdgeIndices:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_out_of_range_edges_raise_value_error(self, n):
-        model = StarModel.delta_prime_s(n, 1.3)
+        model = StarModel(n=n, kind="delta_prime_s", beta=1.3)
         sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 99))
-        closed = vertex_kernel(make_coupling(*model.vertex), model.points,
-                               KAPPA)
+        closed = vertex_kernel(*model, KAPPA)
         message = rf"^edge indices must lie in \[0, {n}\), got "
         for j, l in ((-1, 0), (0, -1), (n, 0), (0, n), (-n, -1)):
             for kernel in (sampled.value, sampled.snap, closed):
@@ -870,10 +874,9 @@ class TestEdgeIndices:
     def test_non_integer_edges_raise_value_error(self, n):
         # a float edge escaped as a numpy IndexError, and True indexed the
         # closed form's reflection matrix as a mask
-        model = StarModel.delta_prime_s(n, 1.3)
+        model = StarModel(n=n, kind="delta_prime_s", beta=1.3)
         sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 99))
-        closed = vertex_kernel(make_coupling(*model.vertex), model.points,
-                               KAPPA)
+        closed = vertex_kernel(*model, KAPPA)
         message = rf"^edge indices must lie in \[0, {n}\), got "
         for bad in (0.0, 0.5, np.float64(0.0), True, False, "0", None):
             for j, l in ((bad, 0), (0, bad)):
@@ -889,7 +892,8 @@ class TestEdgeIndices:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_numpy_scalars_read_as_floats_and_ints(self, n):
-        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
+        model = StarModel(n=n, kind="central_delta", b=-1.0,
+                          point=PointInteraction(1.0, 2.0))
         grid = GridSpec(12.0, 99)
         memoised, fresh = (fd_resolvent_star(model, KAPPA, grid)
                            for _ in range(2))
@@ -908,8 +912,9 @@ class TestEdgeIndices:
     def test_bools_are_refused_after_the_memo_holds_1(self, n):
         # True == 1.0 hashes equal, so a memo keyed by coordinate would
         # read True as the node of x = 1.0
-        sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
-                                    GridSpec(12.0, 99))
+        sampled = fd_resolvent_star(
+            StarModel(n=n, kind="delta_prime_s", beta=1.3), KAPPA,
+            GridSpec(12.0, 99))
         sampled.value(0, 1.0, 0, 1.0)
         sampled.snap(0, 1.0, 0, 1.0)
         for bad in (True, np.True_):
@@ -927,8 +932,9 @@ class TestEdgeIndices:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_point_needs_two_or_four_coordinates(self, n):
-        sampled = fd_resolvent_star(StarModel.delta_prime_s(n, 1.3), KAPPA,
-                                    GridSpec(12.0, 99))
+        sampled = fd_resolvent_star(
+            StarModel(n=n, kind="delta_prime_s", beta=1.3), KAPPA,
+            GridSpec(12.0, 99))
         for point in ((1.0,), (0, 1.0, 2.0), (0, 1.0, 0, 2.0, 3.0)):
             for kernel in (sampled.value, sampled.snap):
                 with pytest.raises(ValueError, match="kernel point is"):
@@ -980,11 +986,12 @@ class TestWorkCount:
 
         for name in calls:
             monkeypatch.setattr(lapack, name, counted(name))
-        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
+        model = StarModel(n=n, kind="central_delta", b=-1.0,
+                          point=PointInteraction(1.0, 2.0))
         grid = GridSpec(12.0, big_n)
         sampled = fd_resolvent_star(model, KAPPA, grid)
         sizes = _stored_sizes(sampled)
-        assert sizes and max(sizes) <= max(n * n, len(model.points))
+        assert sizes and max(sizes) <= max(n * n, len(model[1]))
 
         for l in sorted({0, n - 1}):
             for y in (0.48, 0.96, 1.5, 2.01, 3.0):
@@ -1005,7 +1012,8 @@ class TestWorkCount:
         # the sectors come from U's eigenphase groups, which a family
         # coupling has in closed form and any other coupling keeps
         rng = np.random.default_rng(17)
-        model = StarModel.central_delta(6, -1.0, PointInteraction(1.0, 2.0))
+        model = StarModel(n=6, kind="central_delta", b=-1.0,
+                          point=PointInteraction(1.0, 2.0))
         custom = VertexCoupling.custom(_symmetric_unitary(4, rng))
         custom.eigenphases    # decomposed here, before the counting
         calls = dict.fromkeys(("eigh", "eig", "svd", "solve"), 0)
@@ -1022,7 +1030,7 @@ class TestWorkCount:
             monkeypatch.setattr(np.linalg, name, counted(name))
         grid = GridSpec(12.0, 399)
         for sampled in (fd_resolvent_star(model, KAPPA, grid),
-                        _solve(custom, model.points, KAPPA, grid)):
+                        _solve(custom, model[1], KAPPA, grid)):
             sampled.value(sampled.n_edges - 1, 0.5, 0, 2.01)
             sampled.vertex_values(0, 1.5)
         assert calls == dict.fromkeys(calls, 0)
@@ -1038,11 +1046,10 @@ class TestWorkCount:
             "array_equal") or array_equal(*a))
         greens._named_coupling.cache_clear()
         grid = GridSpec(12.0, 399)
-        for model in (StarModel.delta_prime_s(3, 1.3),
-                      StarModel.central_delta_p(4, 0.4,
-                                                PointInteraction(2.01, 0.7))):
-            kernel = vertex_kernel(make_coupling(*model.vertex),
-                                   model.points, KAPPA)
+        for model in (StarModel(n=3, kind="delta_prime_s", beta=1.3),
+                      StarModel(n=4, kind="central_delta_p", b=0.4,
+                                point=PointInteraction(2.01, 0.7))):
+            kernel = vertex_kernel(*model, KAPPA)
             sampled = fd_resolvent_star(model, KAPPA, grid)
             kernel(0, 0.5, 1, 2.01)
             sampled.value(0, 0.5, 1, 2.01)
@@ -1061,7 +1068,8 @@ class TestWorkCount:
             routine = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, _f=routine, _n=name:
                                 calls.append(_n) or _f(*a))
-        model = StarModel.central_delta(n, -1.0, PointInteraction(1.0, 2.0))
+        model = StarModel(n=n, kind="central_delta", b=-1.0,
+                          point=PointInteraction(1.0, 2.0))
         sampled = fd_resolvent_star(model, KAPPA, GridSpec(12.0, 399))
         analytic = lambda *p: star_green(model, KAPPA, *p)  # noqa: E731
         points = [(j, x, l, y) for j in (0, n - 1) for l in (0, n - 1)
@@ -1088,10 +1096,10 @@ class TestWorkCount:
 
         monkeypatch.setattr(coupling_module, "_with_phases", counted)
         greens._named_coupling.cache_clear()
-        greens._named_kernel.cache_clear()
+        greens._kernel.cache_clear()
         grid, point = GridSpec(12.0, 399), PointInteraction(2.01, 0.5)
         if case == "star":
-            model = StarModel.central_delta(3, 0.7, point)
+            model = StarModel(n=3, kind="central_delta", b=0.7, point=point)
             fd_resolvent_star(model, KAPPA, grid)
             star_green(model, KAPPA, 0, 0.96, 2, 1.5)
         elif case == "halfline":
@@ -1113,8 +1121,8 @@ class TestLargeFamilyStar:
 
     def test_n_2000_builds_hold_no_scaffolding(self):
         n, grid = 2000, GridSpec(12.0, 400)
-        model = StarModel.delta_prime_s(n, 1.3)
         greens._named_coupling.cache_clear()
+        model = StarModel(n=n, kind="delta_prime_s", beta=1.3)
         gc.collect()
         tracemalloc.start()
         try:
@@ -1130,10 +1138,12 @@ class TestLargeFamilyStar:
             sampled.vertex_values(n - 1, 1.1)
             del coupling, kernel, sampled
             gc.collect()
-            # the vertex memo keeps the FD build's coupling, which has
+            # the vertex memo keeps the model's coupling, which has
             # formed no U
             memo, _ = tracemalloc.get_traced_memory()
-            assert "u" not in vars(greens._named_coupling(model.vertex))
+            assert "u" not in vars(model[0])
+            assert greens._named_coupling(("delta_prime_s", n, 1.3)) \
+                is model[0]
             greens._named_coupling.cache_clear()
             gc.collect()
             held, _ = tracemalloc.get_traced_memory()
@@ -1145,7 +1155,7 @@ class TestLargeFamilyStar:
         assert peak < 5e4
         assert memo < 1e6 and held < 1e6
 
-        lead, rest = sector_decompose(model)
+        lead, rest = sector_decompose("delta_prime_s", n, 1.3)
 
         def oracle(j, x, l, y, screen=None):
             point = None if screen is None \
@@ -1202,26 +1212,28 @@ def _benchmark_like_cases():
     point = PointInteraction(2.01, 0.7)
     cases = []
     for n in (2, 3, 4):
-        for model in (StarModel.delta_prime_s(n, 1.3),
-                      StarModel.delta_prime(n, 0.6),
-                      StarModel.central_delta(n, 1.7, point),
-                      StarModel.central_delta_p(n, 0.4, point)):
-            cases.append(pytest.param(model.vertex, model.points, 1.4,
-                                      id=f"{model.kind}-n{n}"))
+        for kind, model in (
+                ("delta_prime_s", StarModel(n=n, kind="delta_prime_s",
+                                            beta=1.3)),
+                ("delta_prime", StarModel(n=n, kind="delta_prime", beta=0.6)),
+                ("central_delta", StarModel(n=n, kind="central_delta", b=1.7,
+                                            point=point)),
+                ("central_delta_p", StarModel(n=n, kind="central_delta_p",
+                                              b=0.4, point=point))):
+            cases.append(pytest.param(*model, 1.4, id=f"{kind}-n{n}"))
     points = (PointInteraction(1.5, -0.3), PointInteraction(2.49, 1.8))
-    for bc, kappa in ((HalflineBC.dirichlet(), 1.1),
-                      (HalflineBC.neumann(), 1.9),
-                      (HalflineBC.robin(0.8), 1.3),
-                      (HalflineBC.robin_scaled(3, 2.0), 1.6)):
-        cases.append(pytest.param(bc.vertex, points, kappa,
-                                  id=f"half-{bc.kind}"))
+    for kind, bc, kappa in (("dirichlet", HalflineBC.dirichlet(), 1.1),
+                            ("neumann", HalflineBC.neumann(), 1.9),
+                            ("robin", HalflineBC.robin(0.8), 1.3),
+                            ("robin_scaled", HalflineBC.robin_scaled(3, 2.0),
+                             1.6)):
+        cases.append(pytest.param(bc, points, kappa, id=f"half-{kind}"))
     return cases
 
 
 class TestSourceColumns:
-    @pytest.mark.parametrize("vertex,points,kappa", _benchmark_like_cases())
-    def test_values_equal_per_source_columns(self, vertex, points, kappa):
-        coupling = make_coupling(*vertex)
+    @pytest.mark.parametrize("coupling,points,kappa", _benchmark_like_cases())
+    def test_values_equal_per_source_columns(self, coupling, points, kappa):
         n, grid = coupling.n, FINE_GRID
         sampled = _solve(coupling, points, kappa, grid)
         xs = (0.48, 0.96, 1.5, 2.01, 3.0)
@@ -1252,19 +1264,18 @@ class TestSourceColumns:
 
 class TestLargeKappa:
     @pytest.mark.parametrize("kappa", [80.0, 500.0])
-    @pytest.mark.parametrize("vertex,points", [
-        pytest.param(HalflineBC.neumann().vertex, (), id="half-neumann"),
-        pytest.param(HalflineBC.robin(0.7).vertex,
+    @pytest.mark.parametrize("coupling,points", [
+        pytest.param(HalflineBC.neumann(), (), id="half-neumann"),
+        pytest.param(HalflineBC.robin(0.7),
                      (PointInteraction(1.5, -2.0),), id="half-robin-point"),
-        pytest.param(StarModel.delta_prime_s(3, 1.3).vertex, (),
+        pytest.param(StarModel(n=3, kind="delta_prime_s", beta=1.3)[0], (),
                      id="delta_prime_s-n3"),
-        pytest.param(StarModel.central_delta(3, -2.0).vertex,
+        pytest.param(StarModel(n=3, kind="central_delta", b=-2.0)[0],
                      (PointInteraction(1.5, 4.0),), id="central_delta-n3"),
     ])
-    def test_within_budget_of_screened_closed_form(self, vertex, points,
+    def test_within_budget_of_screened_closed_form(self, coupling, points,
                                                    kappa):
         # kappa L = 960 and 6000: unscaled, the last column underflows
-        coupling = make_coupling(*vertex)
         grid = FINE_GRID
         sampled = _solve(coupling, points, kappa, grid)
         closed = vertex_kernel(coupling, (*points, PointInteraction(
@@ -1343,15 +1354,14 @@ class TestDiscreteExact:
     discrete operator up to the rounding of e^{-rho m}."""
 
     @pytest.mark.parametrize("kappa", [1.0, 80.0])
-    @pytest.mark.parametrize("vertex,points", [
-        pytest.param(HalflineBC.dirichlet().vertex, (), id="half-dirichlet"),
-        pytest.param(HalflineBC.robin(0.8).vertex, (), id="half-robin"),
-        pytest.param(StarModel.delta_prime_s(2, 1.3).vertex,
+    @pytest.mark.parametrize("coupling,points", [
+        pytest.param(HalflineBC.dirichlet(), (), id="half-dirichlet"),
+        pytest.param(HalflineBC.robin(0.8), (), id="half-robin"),
+        pytest.param(StarModel(n=2, kind="delta_prime_s", beta=1.3)[0],
                      (PointInteraction(1.5, -2.0),), id="delta_prime_s-n2"),
     ])
-    def test_values_match_thomas_solve_at_40_digits(self, vertex, points,
+    def test_values_match_thomas_solve_at_40_digits(self, coupling, points,
                                                     kappa):
-        coupling = make_coupling(*vertex)
         grid = GridSpec(12.0, 3999)
         sampled = _solve(coupling, points, kappa, grid)
         # e^{-80 * 11.84} is below the smallest double
