@@ -309,7 +309,11 @@ def halfline_kernel(bc: VertexCoupling, points, kappa: float):
     line with the one-edge coupling ``bc`` (a HalflineBC) and any number
     of point interactions.  Broadcasts over array arguments; values are
     real."""
-    kernel = _kernel(_star((bc, check_points(points)), 1), kappa)
+    model = _star((bc, check_points(points)), 1)
+    try:
+        kernel = _kernel(model, kappa)
+    except TypeError:    # an unhashable kappa, refused as vertex_kernel does
+        kernel = _kernel(model, _scale(kappa, "kappa"))
     return lambda x, y: kernel(0, x, 0, y)
 
 
@@ -329,6 +333,7 @@ def star_green(model, kappa: float, edge_j: int, x, edge_l: int, y):
     Edges are 0-based."""
     try:
         kernel = _kernel(model, kappa)
-    except TypeError:    # an unhashable model: a list, or a list of points
-        kernel = _kernel(_star(model), kappa)
+    except TypeError:    # an unhashable model (a list, or a list of
+        # points) or kappa, refused as vertex_kernel refuses them
+        kernel = _kernel(_star(model), _scale(kappa, "kappa"))
     return kernel(edge_j, x, edge_l, y)

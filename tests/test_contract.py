@@ -299,6 +299,20 @@ STAR_ENTRIES = {
     "star_green": lambda model: sc.star_green(model, 1.0, 0, 0.5, 0, 0.7),
     "fd_resolvent_star": lambda model: sc.fd_resolvent_star(model, 1.0,
                                                             GRID)}
+#: kappas the memo of the kernel entry points cannot hash; it raised
+#: TypeError where vertex_kernel and the FD solvers raise ValueError
+UNHASHABLE_KAPPAS = {"0-d-array": np.array(1.0), "list": [1.0],
+                     "1-d-array": np.array([1.0])}
+KAPPA_ENTRIES = {
+    "vertex_kernel": lambda kappa: sc.vertex_kernel(C2, (), kappa),
+    "halfline_kernel": lambda kappa: sc.halfline_kernel(BC, (), kappa),
+    "star_green": lambda kappa: sc.star_green(MODEL, kappa, 0, 0.5, 1, 0.7),
+    "sector_green": lambda kappa: convergence.sector_green(APPROX, kappa,
+                                                           0.5, 0.7),
+    "fd_resolvent_halfline": lambda kappa: sc.fd_resolvent_halfline(
+        BC, (), kappa, GRID),
+    "fd_resolvent_star": lambda kappa: sc.fd_resolvent_star(MODEL, kappa,
+                                                            GRID)}
 
 
 def _finite(obj) -> bool:
@@ -412,6 +426,14 @@ def test_star_of_no_pair_is_refused(entry, model):
     STAR_ENTRIES[entry]((C2, ()))
     with pytest.raises(ValueError, match="VertexCoupling|PointInteraction"):
         STAR_ENTRIES[entry](BAD_MODELS[model])
+
+
+@pytest.mark.parametrize("entry", KAPPA_ENTRIES)
+@pytest.mark.parametrize("kappa", UNHASHABLE_KAPPAS)
+def test_unhashable_kappa_is_refused(entry, kappa):
+    KAPPA_ENTRIES[entry](1.0)    # the memo holds the pair at kappa 1
+    with pytest.raises(ValueError, match="kappa must be real"):
+        KAPPA_ENTRIES[entry](UNHASHABLE_KAPPAS[kappa])
 
 
 def test_mixed_bool_list_is_read_as_floats():
