@@ -6,8 +6,9 @@ serializes results.  A family's U and S_U(k) have two distinct entries
 (Eigenphases._entries), so coupling and smatrix read those two numbers
 and form from them, entry by entry with the library's arithmetic, the
 printed matrices and pair (A, B), bit for bit the library's arrays, and
-the unitarity defect, in O(1).  They load no numpy: only
-coupling --validate and greens --grid make an array.
+the unitarity defect, in O(1); coupling --validate reads the closed-form
+diagnostics of to_ab's pair of exact phases.  They load no numpy: only
+greens --grid makes an array.
 
 Output is deterministic: JSON fields appear in fixed order, floats are
 written with 17 significant digits, complex entries as {"re": ..., "im":
@@ -26,6 +27,7 @@ import json
 import math
 import numbers
 import sys
+from collections import deque
 from dataclasses import asdict
 
 from .convergence import SCHEDULE_FAMILIES, convergence_sweep
@@ -230,10 +232,18 @@ def _cmd_greens(args) -> int:
         values = kernel(nodes[:, None], nodes[None, :])
         labels = [f"{v:.17g}" for v in nodes.tolist()]
         sys.stdout.write("x,y,re,im\n")
-        # one write per outer node: O(M) strings alive, not O(M^2)
-        for xs, row in zip(labels, values):
-            sys.stdout.write("".join(f"{xs},{ys},{v:.17g},0\n"
-                                     for ys, v in zip(labels, row.tolist())))
+        # G(x, y) = G(y, x) bit for bit, so each row formats its entries
+        # from the diagonal on and takes the rest from the rows above,
+        # which keep only the entries that later rows still read; one
+        # write per outer node
+        above: list[deque] = []
+        for i, (xs, row) in enumerate(zip(labels, values)):
+            cells = ("%.17g\n" * (len(labels) - i)
+                     % tuple(row[i:].tolist())).split("\n")
+            line = [column.popleft() for column in above] + cells[:-1]
+            above.append(deque(cells[1:-1]))
+            sys.stdout.write("".join([f"{xs},{ys},{v},0\n"
+                                      for ys, v in zip(labels, line)]))
         return 0
     value = kernel(args.x, args.y)
     if args.emit == "plain":

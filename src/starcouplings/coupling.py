@@ -60,11 +60,14 @@ built.
 
 Checks run where a matrix enters.  The public constructors (VertexCoupling
 and custom, ABPair, Eigenphases) copy and check what comes from outside,
-and from_ab checks its solve; what the package builds from checked data (a
-family U, a rescaled U, to_ab's pair, a decomposition) is valid by
-construction, neither copied nor checked again; the tests check it.
-numpy is imported by the functions that make or read an array, so a
-family's phases, its kernels and the scalar checks run without it.
+and from_ab checks its solve of a pair made by hand; what the package
+builds from checked data (a family U, a rescaled U, to_ab's pair, a
+decomposition) is valid by construction, neither copied nor checked
+again; the tests check it.  to_ab's pair keeps its coupling, which from_ab
+returns; for exact phases it forms A and B on the first read, and
+validate_ab gives its diagnostics in closed form.  numpy is imported by
+the functions that make or read an array, so a family's phases, its
+kernels, its (A, B) diagnostics and the scalar checks run without it.
 
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
@@ -411,11 +414,14 @@ class ABPair:
     The constructor only enforces shapes and finite entries; admissibility
     (rank and Hermiticity) is checked by validate_ab and required by
     from_ab, so degenerate pairs can still be constructed and diagnosed.
+    to_ab's pair keeps its coupling and forms A and B when first read.
     == and hash() go by identity; compare values with np.array_equal.
     """
 
     a: np.ndarray
     b: np.ndarray
+    _coupling: VertexCoupling | None = field(default=None, init=False,
+                                             repr=False)
 
     def __post_init__(self):
         a = _readonly(self.a, "A")
@@ -432,9 +438,21 @@ class ABPair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def __getattr__(self, name: str):
+        # to_ab's pair forms A = U - I and B = i (U + I) on the first read;
+        # racing threads form equal ones
+        if name not in ("a", "b") or self._coupling is None:
+            raise AttributeError(name)
+        import numpy as np
+        u, eye = self._coupling.u, np.eye(self._coupling.n)
+        object.__setattr__(self, "a", _frozen(u - eye))
+        object.__setattr__(self, "b", _frozen(1j * (u + eye)))
+        return self.__dict__[name]
+
     @property
     def n(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[0] if self._coupling is None \
+            else self._coupling.n
 
     @functools.cached_property
     def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
@@ -525,30 +543,42 @@ def _with_phases(phases: Eigenphases) -> VertexCoupling:
 
 
 def to_ab(coupling: VertexCoupling) -> ABPair:
-    """The canonical pair A = U - I, B = i (U + I)."""
-    import numpy as np
-    u, eye = coupling.u, np.eye(coupling.n)
-    return _unchecked(ABPair, a=_frozen(u - eye), b=_frozen(1j * (u + eye)))
+    """The canonical pair A = U - I, B = i (U + I), formed when first read;
+    the pair keeps ``coupling``, which from_ab returns."""
+    return _unchecked(ABPair, _coupling=coupling)
 
 
 def validate_ab(ab: ABPair) -> ABDiagnostics:
     """Report rank of (A, B), the Hermiticity defect of A B*, and the
     smallest eigenvalue of A A* + B B* (strictly positive iff the pair has
     full rank); ``ok`` reads the defect relative to the size of (A, B) (see
-    HERMITICITY_TOL).  Always returns; never raises on a failing pair."""
+    HERMITICITY_TOL).  Always returns; never raises on a failing pair.
+
+    The pair to_ab makes of exact phases takes no SVD: (A, B)(A, B)* =
+    2 (U U* + I) = 4 I and A B* = -i (U - U*) is Hermitian, so it has rank
+    n, defect 0 and Gram eigenvalue 4 exactly.  Any other pair is read
+    from one SVD of (A, B).
+    """
+    c = ab._coupling
+    if c is not None and c._phases is not None and c._phases.exact:
+        return ABDiagnostics(n=c.n, rank=c.n, hermiticity_defect=0.0,
+                             min_gram_eigenvalue=4.0, ok=True)
     return ab._diagnosis[0]
 
 
 def from_ab(ab: ABPair) -> VertexCoupling:
     """Recover the unitary U = -(A + iB)^{-1} (A - iB) of an admissible pair.
 
-    The result defines the same solution set as the input condition; in
-    particular to_ab followed by from_ab is the identity (A + iB = -2I and
-    A - iB = 2U for a canonical pair), and a left multiplication of both
-    matrices by an invertible M drops out.  A + iB has the singular values
-    of (A, B), as (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD
-    also guards the solve.
+    The result defines the same solution set as the input condition, and a
+    left multiplication of both matrices by an invertible M drops out.
+    to_ab followed by from_ab is the identity: the pair to_ab makes keeps
+    its coupling, and from_ab returns it with no SVD, solve or check.  For
+    a pair made by hand, A + iB has the singular values of (A, B), as
+    (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD also guards
+    the solve, and the U solved for is checked finite and unitary.
     """
+    if ab._coupling is not None:
+        return ab._coupling
     diag, sv = ab._diagnosis
     if not diag.ok:
         raise InvalidCouplingError(

@@ -207,8 +207,8 @@ class TestFamilyMatricesFromEntries:
             self._defect_close(json.loads(out), s)
 
     def test_validate_reads_the_library_pair(self, capsys):
-        # --validate still diagnoses to_ab's arrays, so its SVD fields
-        # are validate_ab's own
+        # --validate prints validate_ab's closed-form diagnostics of
+        # to_ab's pair
         coupling = make_coupling("delta_p", 4, -2.5)
         code, out, _ = run(capsys, "coupling", "--family", "delta-p",
                            "--n", "4", "--param", "-2.5", "--validate")
@@ -294,6 +294,35 @@ class TestGreensCommand:
             for j, y in enumerate(nodes):
                 expected.append(f"{x:.17g},{y:.17g},{values[i, j]:.17g},0\n")
         assert out == "".join(expected)
+
+    @pytest.mark.parametrize("bc", ["robin:0.7", "dirichlet", "neumann"])
+    def test_grid_csv_matches_the_per_entry_format(self, capsys, bc):
+        # the CSV formats G(x, y) once and reuses it for G(y, x); the
+        # reference is the per-entry loop, on a screened grid with two
+        # points, whose array is symmetric bit for bit
+        points = ("0.5,-2", "2.5,0.8", "6,inf")
+        code, out, _ = run(capsys, "greens", "--bc", bc, "--kappa", "1.3",
+                           *(f for p in points for f in ("--point", p)),
+                           "--grid", "12,120")
+        assert code == 0
+        vertex = {"robin:0.7": HalflineBC.robin(0.7),
+                  "dirichlet": HalflineBC.dirichlet(),
+                  "neumann": HalflineBC.neumann()}[bc]
+        kernel = halfline_kernel(
+            vertex, [PointInteraction(*map(float, p.split(",")))
+                     for p in points], 1.3)
+        nodes = GridSpec(12.0, 120).boundary_nodes()
+        values = kernel(nodes[:, None], nodes[None, :])
+        assert np.array_equal(values, values.T)
+        labels = [f"{v:.17g}" for v in nodes.tolist()]
+        expected = "x,y,re,im\n" + "".join(
+            "".join(f"{xs},{ys},{v:.17g},0\n"
+                    for ys, v in zip(labels, row.tolist()))
+            for xs, row in zip(labels, values))
+        # lines, so that a failure names the first one that differs
+        # instead of diffing two long texts
+        assert out.splitlines() == expected.splitlines()
+        assert out == expected
 
     def test_two_screens_at_one_position_are_one_screen(self, capsys):
         # this exited 3 with a false "eigenvalue of the perturbed operator"
@@ -720,12 +749,14 @@ _NUMPY_ONLY_ARGVS = [
 ]
 
 #: a family's matrices from their two entries: S_U(k), U with (A, B)
-#: rescaled, and U of one edge
+#: rescaled, the same with the closed-form diagnostics of --validate, and
+#: U of one edge
 _FAMILY_ARGVS = [
     ["smatrix", "--family", "delta", "--n", "3", "--param", "0.7",
      "--k", "1.5"],
     ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
      "--to-ab", "--rescale", "1", "2.5"],
+    _NUMPY_ONLY_ARGVS[0],
     ["coupling", "--family", "delta-p", "--n", "1", "--param=-inf"],
 ]
 
@@ -791,13 +822,12 @@ class TestImportLayer:
         assert (got, names) == (code, [])
 
     def test_array_subcommands_load_numpy_with_their_first_array(self):
-        # coupling --validate and greens --grid, each in a fresh
-        # interpreter
-        for argv in (_NUMPY_ONLY_ARGVS[0], _NUMPY_ONLY_ARGVS[3]):
-            steps = _module_probe("numpy", [argv])
-            assert [code for _, code, _ in steps] == [0] * 3
-            assert ["numpy" in names for _, _, names in steps] \
-                == [False, False, True]
+        # greens --grid, in a fresh interpreter, is the one subcommand
+        # that makes an array
+        steps = _module_probe("numpy", [_NUMPY_ONLY_ARGVS[3]])
+        assert [code for _, code, _ in steps] == [0] * 3
+        assert ["numpy" in names for _, _, names in steps] \
+            == [False, False, True]
 
     @pytest.mark.parametrize("argv", _FAMILY_ARGVS,
                              ids=[" ".join(a) for a in _FAMILY_ARGVS])

@@ -206,10 +206,12 @@ class TestConversions:
         np.testing.assert_allclose(c.u, -np.eye(3), atol=1e-14)
 
     def test_round_trip_random_unitaries(self):
+        # through a pair made by hand, so from_ab solves for U
         for _ in range(20):
             n = int(RNG.integers(1, 7))
             u = random_unitary(n, RNG)
-            back = from_ab(to_ab(VertexCoupling.custom(u)))
+            pair = to_ab(VertexCoupling.custom(u))
+            back = from_ab(ABPair(pair.a, pair.b))
             np.testing.assert_allclose(back.u, u, atol=1e-10)
 
     def test_left_multiplication_is_invisible(self):
@@ -275,9 +277,9 @@ class TestConversions:
         assert calls == [(3, 6)]
 
     def test_validate_then_from_ab_share_one_svd(self, monkeypatch):
-        # the pair keeps its diagnosis: validate_ab and from_ab decomposed
-        # (A, B) once each, and its arrays are read-only, so it cannot go
-        # stale
+        # a pair made by hand keeps its diagnosis: validate_ab and from_ab
+        # decompose (A, B) once, and its arrays are read-only, so it
+        # cannot go stale
         calls = []
         svd = np.linalg.svd
 
@@ -287,7 +289,8 @@ class TestConversions:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         u = random_unitary(3, RNG)
-        pair = to_ab(VertexCoupling.custom(u))
+        canonical = to_ab(VertexCoupling.custom(u))
+        pair = ABPair(canonical.a, canonical.b)
         first = validate_ab(pair)
         assert first.ok and validate_ab(pair) is first
         assert np.max(np.abs(from_ab(pair).u - u)) <= 1e-13
@@ -308,6 +311,98 @@ class TestConversions:
         pair = to_ab(make_coupling("delta", 2, 1.0))
         ab_star = pair.a @ pair.b.conj().T
         assert np.max(np.abs(ab_star - ab_star.conj().T)) < 1e-12
+
+
+#: the largest Hermiticity defect and distance of the Gram eigenvalue
+#: from 4 that the SVD of a family pair (every family at n <= 8 and
+#: BUILT_PARAMS, as built and rescaled by RATIOS) measured: 1.5e-15 and
+#: 6.2e-15
+FAMILY_PAIR_DEFECT, FAMILY_PAIR_GRAM = 2e-15, 1e-14
+
+
+class TestToAbPair:
+    """to_ab's pair keeps its coupling: from_ab returns it, and a pair of
+    exact phases forms A and B on the first read and is diagnosed in
+    closed form."""
+
+    @pytest.mark.parametrize("coupling", [
+        make_coupling("delta_prime", 3, 1.5),
+        rescale_length(make_coupling("delta_p", 4, -2.0), 1.0, 2.5),
+        VertexCoupling.custom(random_unitary(3, np.random.default_rng(34)))],
+        ids=["family", "rescaled family", "haar"])
+    def test_from_ab_of_to_ab_is_the_coupling(self, coupling, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("from_ab of to_ab's pair computed")
+
+        for name in ("svd", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(coupling_module, "unitarity_defect", refused)
+        assert from_ab(to_ab(coupling)) is coupling
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_pair_arrays_are_formed_on_the_first_read(self, family):
+        for n in (1, 2, 5):
+            for param in BUILT_PARAMS:
+                c = make_coupling(family, n, param)
+                pair = to_ab(c)
+                assert "a" not in vars(pair) and pair.n == n
+                eye = np.eye(n)
+                for got, want in ((pair.a, c.u - eye),
+                                  (pair.b, 1j * (c.u + eye))):
+                    # bit for bit, signed zeros included
+                    assert np.array_equal(got, want)
+                    assert got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+                assert vars(pair)["a"] is pair.a
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_diagnostics_are_closed_form(self, family, monkeypatch):
+        # rank n, defect 0 and Gram eigenvalue 4, with no array formed;
+        # the SVD of the same arrays agrees within what it measured
+        for n in range(1, 9):
+            for param in BUILT_PARAMS:
+                built = make_coupling(family, n, param)
+                for c in (built, *(rescale_length(built, *r)
+                                   for r in RATIOS)):
+                    pair = to_ab(c)
+                    diag = validate_ab(pair)
+                    assert diag == coupling_module.ABDiagnostics(
+                        n=n, rank=n, hermiticity_defect=0.0,
+                        min_gram_eigenvalue=4.0, ok=True)
+                    assert "a" not in vars(pair)
+                    svd = validate_ab(ABPair(pair.a, pair.b))
+                    assert svd.ok and svd.rank == n
+                    assert svd.hermiticity_defect <= FAMILY_PAIR_DEFECT
+                    assert abs(svd.min_gram_eigenvalue - 4.0) \
+                        <= FAMILY_PAIR_GRAM
+
+    def test_haar_pair_is_diagnosed_by_its_svd(self):
+        # a decomposed U's pair reads the same SVD as a pair made by hand
+        c = VertexCoupling.custom(random_unitary(4, np.random.default_rng(7)))
+        pair = to_ab(c)
+        assert validate_ab(pair) == validate_ab(ABPair(pair.a, pair.b))
+
+    def test_hand_made_pairs_keep_their_svd(self):
+        # bit for bit the diagnostics of one SVD of (A, B), by the recipe
+        # validate_ab has always used: a canonical pair from U's arrays, a
+        # scaled one and a mixed Dirichlet-Neumann pair
+        u = make_coupling("delta_prime", 3, 1.5).u
+        eye = np.eye(3)
+        a, b = u - eye, 1j * (u + eye)
+        for a, b in ((a, b), (3e-4 * a, 3e-4 * b),
+                     (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
+            n = a.shape[0]
+            a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+            sv = np.linalg.svd(np.concatenate((a, b), 1),
+                               compute_uv=False).tolist()
+            ab_star = a @ b.conj().T
+            defect = float(np.abs(ab_star - ab_star.conj().T).max())
+            want = (sum(x > n * math.ulp(1.0) * sv[0] for x in sv), defect,
+                    sv[-1] ** 2)
+            diag = validate_ab(ABPair(a, b))
+            assert (diag.rank, diag.hermiticity_defect,
+                    diag.min_gram_eigenvalue) == want
+            assert diag.ok
 
 
 # ======================================================================
@@ -810,15 +905,20 @@ RATIOS = ((1.0, 2.7), (2.7, 1.0), (1.0, 1e-5), (1e6, 1.0))
 def _assert_valid(c):
     assert np.isfinite(c.u).all()
     assert unitarity_defect(c.u) <= UNITARITY_TOL
+    # to_ab's pair returns c; the same arrays in a pair made by hand take
+    # the SVD and the solve
     pair = to_ab(c)
-    assert validate_ab(pair).ok
-    assert np.max(np.abs(from_ab(pair).u - c.u)) <= 1e-15
+    assert from_ab(pair) is c
+    made = ABPair(pair.a, pair.b)
+    assert validate_ab(made).ok
+    assert np.max(np.abs(from_ab(made).u - c.u)) <= 1e-15
 
 
 class TestValidByConstruction:
     """make_coupling, rescale_length and to_ab neither copy nor check the
-    values they build from checked data; these tests run the checks they
-    skip, over every family and over rescaled family and Haar couplings."""
+    values they build from checked data, and from_ab returns the coupling
+    of to_ab's pair; these tests run the checks they skip, over every
+    family and over rescaled family and Haar couplings."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", BUILT_SIZES)
@@ -858,15 +958,19 @@ class TestValidByConstruction:
         built = make_coupling("delta_prime_s", 3, 1.3)
         made = VertexCoupling(built.u)
         made.eigenphases    # built on first use, seeded in ``built``
-        pair, made_pair = to_ab(built), ABPair(to_ab(built).a, to_ab(built).b)
+        pair = to_ab(built)
+        made_pair = ABPair(pair.a, pair.b)
         for b, m, names in ((built, made, ("u",)),
                             (pair, made_pair, ("a", "b"))):
             # == and hash() go by identity for both
             assert b == b and m == m and b != m
             assert hash(b) == hash(b) != hash(m)
-            # a family coupling adds U to its __dict__ on the first read
-            assert sorted(vars(b)) == sorted(vars(m)) \
-                == sorted(f.name for f in dataclasses.fields(m))
+            # a family coupling adds U, to_ab's pair A and B, to its
+            # __dict__ on the first read; a pair made by hand holds no
+            # coupling
+            fields = sorted(f.name for f in dataclasses.fields(m))
+            assert sorted(vars(b)) == fields
+            assert sorted(vars(m)) == (fields if b is built else ["a", "b"])
             got, want = dataclasses.asdict(b), dataclasses.asdict(m)
             assert list(got) == list(want)
             for name in names:
@@ -875,13 +979,21 @@ class TestValidByConstruction:
                                       getattr(b, name))
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(b, name, None)
-        assert validate_ab(pair) == validate_ab(made_pair)
-        assert np.array_equal(from_ab(pair).u, from_ab(made_pair).u)
+        # to_ab's pair is diagnosed in closed form and gives back its
+        # coupling; the pair made by hand takes the SVD and the solve
+        assert from_ab(pair) is built and pair._coupling is built
+        assert made_pair._coupling is None
+        assert validate_ab(pair) == dataclasses.replace(
+            validate_ab(made_pair), hermiticity_defect=0.0,
+            min_gram_eigenvalue=4.0)
+        assert np.max(np.abs(from_ab(made_pair).u - built.u)) <= 1e-15
+        assert dataclasses.replace(pair)._coupling is None
 
     def test_only_matrices_from_outside_are_checked(self, monkeypatch):
-        # custom's argument and from_ab's solve come from outside the
-        # package: one unitarity check each; what the package builds from
-        # them, or from a family's phases, takes none
+        # custom's argument and from_ab's solve of a pair made by hand come
+        # from outside the package: one unitarity check each; what the
+        # package builds from them, or from a family's phases, takes none,
+        # and from_ab of to_ab's pair solves nothing
         calls = []
         defect = coupling_module.unitarity_defect
 
@@ -898,7 +1010,9 @@ class TestValidByConstruction:
         make_coupling("delta_prime_s", 2000, 1.3)
         for c in (family, haar):
             rescale_length(c, 1.0, 2.7)
-        pair = to_ab(family)
+        for c in (family, haar):
+            assert from_ab(to_ab(c)) is c
         assert calls == []
-        from_ab(pair)
+        pair = to_ab(family)
+        from_ab(ABPair(pair.a, pair.b))
         assert calls == [(3, 3)]
