@@ -10,6 +10,14 @@ the unitarity defect, in O(1); coupling --validate reads the closed-form
 diagnostics of to_ab's pair of exact phases.  They load no numpy: only
 greens --grid makes an array.
 
+Each subcommand loads only the package modules it runs, besides coupling
+and errors, which build the parser: coupling none, smatrix scattering,
+greens greens (and finite_difference, with scattering, for --grid),
+oracle-check greens and finite_difference with scattering, converge
+convergence and all the others.  A subcommand binds the library names of
+its modules in this namespace (_load); any other read of such a name as
+an attribute of this module loads its module first.
+
 Output is deterministic: JSON fields appear in fixed order, floats are
 written with 17 significant digits, complex entries as {"re": ..., "im":
 ...}.  Infinite parameters serialize as the strings "inf"/"-inf", NaN as
@@ -23,6 +31,7 @@ sweep finished with at least one invalid stage (partial report emitted).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import numbers
@@ -30,18 +39,45 @@ import sys
 from collections import deque
 from dataclasses import asdict
 
-from .convergence import SCHEDULE_FAMILIES, convergence_sweep
-# unitarity_defect, star_green and s_matrix stay module attributes, though
-# main() calls none of them: the cli workload of benchmarks/ wraps them
-from .coupling import (FAMILIES, VertexCoupling, _eigenvalues,  # noqa: F401
-                       _number, make_coupling, rescale_length, to_ab,
-                       unitarity_defect, validate_ab)
+# unitarity_defect stays a module attribute, though main() calls it
+# nowhere: the cli workload of benchmarks/ wraps it
+from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS,  # noqa: F401
+                       VertexCoupling, _eigenvalues, _number, make_coupling,
+                       rescale_length, to_ab, unitarity_defect, validate_ab)
 from .errors import InvalidCouplingError, PoleError
-from .finite_difference import (GridSpec, compare_kernels,
-                                fd_resolvent_halfline, fd_resolvent_star)
-from .greens import (STAR_KINDS, HalflineBC, PointInteraction,  # noqa: F401
-                     StarModel, halfline_kernel, star_green, vertex_kernel)
-from .scattering import _s_sectors, s_matrix  # noqa: F401
+
+#: the defining module of each library name a subcommand reads, and of
+#: s_matrix and star_green, which none calls but the cli workload of
+#: benchmarks/ wraps
+_LIBRARY = {
+    **dict.fromkeys(("_s_sectors", "s_matrix"), "scattering"),
+    **dict.fromkeys(("HalflineBC", "PointInteraction", "StarModel",
+                     "halfline_kernel", "star_green", "vertex_kernel"),
+                    "greens"),
+    **dict.fromkeys(("GridSpec", "compare_kernels", "fd_resolvent_halfline",
+                     "fd_resolvent_star"), "finite_difference"),
+    "convergence_sweep": "convergence",
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the library names of ``modules`` in this namespace, keeping
+    every name that is already set: a wrapper set on this module before
+    main() is what main() calls."""
+    namespace = globals()
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name, home in _LIBRARY.items():
+            if home == module and name not in namespace:
+                namespace[name] = getattr(loaded, name)
+
+
+def __getattr__(name: str):
+    # PEP 562: a library name no subcommand has bound yet
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LIBRARY[name])
+    return globals()[name]
 
 
 def _flags(names) -> dict[str, str]:
@@ -205,6 +241,7 @@ def _cmd_coupling(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
+    _load("scattering")
     param = _parse_param(args.param)
     coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
     # s_matrix's own k check, pole guard and eigenvalues; a family's phases
@@ -223,10 +260,12 @@ def _cmd_smatrix(args) -> int:
 
 
 def _cmd_greens(args) -> int:
+    _load("greens")
     bc = _parse_bc(args.bc)
     points = [_parse_point(p) for p in (args.point or [])]
     kernel = halfline_kernel(bc, points, args.kappa)
     if args.grid is not None:
+        _load("finite_difference")
         grid = _parse_grid(args.grid)
         nodes = grid.boundary_nodes()
         values = kernel(nodes[:, None], nodes[None, :])
@@ -261,6 +300,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    _load("finite_difference", "convergence")
     family = _SCHEDULE_FLAGS[args.family]
     grid = _parse_grid(args.grid)
     a_list = _parse_a_list(args.a_list)
@@ -307,6 +347,7 @@ def _oracle_grid(L: float, h: float) -> GridSpec:
 
 
 def _cmd_oracle_check(args) -> int:
+    _load("greens", "finite_difference")
     if (args.bc is None) == (args.star_family is None):
         raise ValueError("exactly one of --bc and --star-family is required")
     grid = _oracle_grid(args.L, args.step)

@@ -80,15 +80,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coupling import _family_table, _integer, _scale, _unchecked
+from .coupling import (SCHEDULE_FAMILIES, _family_table, _integer, _scale,
+                       _unchecked)
 from .errors import PoleError
 from .finite_difference import GridSpec
 # sector_green stays a module attribute: the sweep workload of benchmarks/
 # patches convergence.sector_green, and hs_norm below
 from .greens import ROBIN_POLE_TOL, sector_green  # noqa: F401
 
-#: families with a scaling schedule
-SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
 #: stages whose Krein denominator 1 + c G(a, a) falls below this are invalid
 KREIN_POLE_TOL = 1e-12
 

@@ -90,6 +90,12 @@ if TYPE_CHECKING:    # numpy is imported where an array is made or read
 
 #: families accepted by make_coupling
 FAMILIES = ("delta", "delta_prime_s", "delta_p", "delta_prime")
+#: families with a scaling schedule (convergence)
+SCHEDULE_FAMILIES = ("delta_prime_s", "delta_prime")
+#: StarModel kinds (greens): the two targets (parameter beta), then the two
+#: approximants (parameter b)
+STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
+              "central_delta_p")
 
 #: max-entry norm allowed for U U* - I
 UNITARITY_TOL = 1e-12

@@ -45,16 +45,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .coupling import (VertexCoupling, _integer, _number, _scale,
-                       _symmetric, make_coupling)
+from .coupling import (STAR_KINDS, VertexCoupling, _integer, _number,
+                       _scale, _symmetric, make_coupling)
 from .errors import PoleError
 
 #: Jost functions below this, relative to their terms, raise PoleError
 ROBIN_POLE_TOL = 1e-10
-#: StarModel kinds: the two targets (parameter beta), then the two
-#: approximants (parameter b)
-STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
-              "central_delta_p")
 
 
 @dataclass(frozen=True)

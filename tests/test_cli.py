@@ -797,6 +797,24 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
                   "sys.exit(main(sys.argv[1:]))")
 
 
+#: one argv per subcommand, the package modules it loads besides coupling
+#: and errors
+_PACKAGE_MODULES = [
+    (_FAMILY_ARGVS[1], []),
+    (_NUMPY_ONLY_ARGVS[0], []),
+    (_FAMILY_ARGVS[0], ["scattering"]),
+    (_FAMILY_ARGVS[3], []),
+    (_NUMPY_ONLY_ARGVS[2], ["greens"]),
+    (_NUMPY_ONLY_ARGVS[3], ["finite_difference", "greens", "scattering"]),
+    (_NUMPY_ONLY_ARGVS[4], ["convergence", "finite_difference", "greens",
+                            "scattering"]),
+    (_NUMPY_ONLY_ARGVS[5], ["finite_difference", "greens", "scattering"]),
+    (["oracle-check", "--star-family", "central-delta-p", "--n", "3", "--b",
+      "0.4", "--point", "2.01,0.7", "--kappa", "1.4", "--h", "0.05"],
+     ["finite_difference", "greens", "scattering"]),
+]
+
+
 class TestImportLayer:
     """The package, its CLI and every subcommand, the finite-difference
     oracle included, run on numpy alone; the subcommands that compute in
@@ -843,6 +861,59 @@ class TestImportLayer:
         # main() exits 3 on ValueError without naming numpy's LinAlgError
         assert issubclass(np.linalg.LinAlgError, ValueError)
 
+    @pytest.mark.parametrize("argv, loaded", _PACKAGE_MODULES,
+                             ids=[" ".join(a) for a, _ in _PACKAGE_MODULES])
+    def test_subcommands_load_only_the_modules_they_run(self, argv, loaded):
+        # one fresh interpreter per subcommand: the package loads no module
+        # of its own, the CLI coupling and errors, the subcommand the rest
+        package, imported, (_, code, names) = _module_probe("starcouplings",
+                                                            [argv])
+        assert package[2] == ["starcouplings"]
+        assert imported[2] == ["starcouplings", "starcouplings.cli",
+                               "starcouplings.coupling",
+                               "starcouplings.errors"]
+        assert (code, names) == (0, sorted(
+            ["starcouplings", "starcouplings.cli", "starcouplings.coupling",
+             "starcouplings.errors"]
+            + [f"starcouplings.{m}" for m in loaded]))
+
+    @pytest.mark.parametrize("argv", [_PACKAGE_MODULES[i][0]
+                                      for i in (1, 2, 4, 6, 8)],
+                             ids=lambda a: a[0])
+    def test_module_run_prints_what_main_prints(self, capsys, argv):
+        # python -m starcouplings.cli, as the benchmark runs it: under
+        # -W error, runpy's warning that the package import already loaded
+        # starcouplings.cli would fail the run
+        ran = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "starcouplings.cli", *argv],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        code, out, err = run(capsys, *argv)
+        assert (ran.returncode, ran.stdout, ran.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("name, argv", [
+        ("make_coupling", _PACKAGE_MODULES[0][0]),
+        ("halfline_kernel", _PACKAGE_MODULES[4][0]),
+        ("convergence_sweep", _PACKAGE_MODULES[6][0]),
+        ("fd_resolvent_halfline", _PACKAGE_MODULES[7][0]),
+        ("fd_resolvent_star", _PACKAGE_MODULES[8][0]),
+        ("compare_kernels", _PACKAGE_MODULES[8][0]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_a_wrapper_set_before_main_is_what_main_calls(
+            self, capsys, monkeypatch, name, argv):
+        # as benchmarks/cli_child.py wraps the library names of the cli
+        # module: main() binds the names its subcommand reads, but never
+        # over one that is set
+        import starcouplings.cli as cli
+        calls = []
+        library = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return library(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [name]
+
 
 # ======================================================================
 #  public names
@@ -884,6 +955,39 @@ class TestPublicNames:
             for name in moved:
                 assert not hasattr(getattr(starcouplings, module), name), \
                     (module, name)
+
+    def test_lazy_namespace_resolves_every_name(self):
+        # in a fresh interpreter, after a bare import: the seven modules as
+        # attributes (read first, so that no public name has loaded one),
+        # the public names in dir() and bound by a star import, and each as
+        # its defining module's object
+        probe = """
+import importlib, json, sys, types
+import starcouplings
+modules = sorted(m for m in sys.argv[1:]
+                 if not isinstance(getattr(starcouplings, m, None),
+                                   types.ModuleType)
+                 or getattr(starcouplings, m)
+                 is not sys.modules["starcouplings." + m])
+listed = sorted(set(starcouplings.__all__) - set(dir(starcouplings)))
+star = {}
+exec("from starcouplings import *", star)
+unbound = sorted(set(starcouplings.__all__) - set(star))
+foreign = []
+for name in starcouplings.__all__:
+    value = getattr(starcouplings, name)
+    home = importlib.import_module(value.__module__)
+    if not (home.__name__.startswith("starcouplings.")
+            and getattr(home, name) is value is star[name]):
+        foreign.append(name)
+print(json.dumps([modules, listed, unbound, foreign]))
+"""
+        modules = ("cli", "convergence", "coupling", "errors",
+                   "finite_difference", "greens", "scattering")
+        out = subprocess.run([sys.executable, "-c", probe, *modules],
+                             env=_child_env(), capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == [[], [], [], []]
 
     def test_patched_module_attributes_resolve(self):
         # the benchmark workloads patch these where they live
