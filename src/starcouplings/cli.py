@@ -7,8 +7,9 @@ serializes results.  A family's U and S_U(k) have two distinct entries
 and form from them, entry by entry with the library's arithmetic, the
 printed matrices and pair (A, B), bit for bit the library's arrays, and
 the unitarity defect, in O(1); coupling --validate reads the closed-form
-diagnostics of to_ab's pair of exact phases.  They load no numpy: only
-greens --grid makes an array.
+diagnostics of to_ab's pair of exact phases.  No subcommand loads numpy:
+greens --grid reads each row of its CSV from per-node kernel factors in
+floats, bit for bit the kernel at each point.
 
 Each subcommand loads only the package modules it runs, besides coupling
 and errors, which build the parser: coupling none, smatrix scattering,
@@ -52,8 +53,8 @@ from .errors import InvalidCouplingError, PoleError
 _LIBRARY = {
     **dict.fromkeys(("_s_sectors", "s_matrix"), "scattering"),
     **dict.fromkeys(("HalflineBC", "PointInteraction", "StarModel",
-                     "halfline_kernel", "star_green", "vertex_kernel"),
-                    "greens"),
+                     "_halfline_rows", "halfline_kernel", "star_green",
+                     "vertex_kernel"), "greens"),
     **dict.fromkeys(("GridSpec", "compare_kernels", "fd_resolvent_halfline",
                      "fd_resolvent_star"), "finite_difference"),
     "convergence_sweep": "convergence",
@@ -171,6 +172,12 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(L=float(parts[0]), N=int(parts[1]))
 
 
+def _grid_nodes(grid: GridSpec) -> list[float]:
+    """grid.boundary_nodes(), np.linspace(0, L, N + 2), bit for bit, as a
+    list of floats formed without numpy."""
+    return [i * grid.h for i in range(grid.N + 1)] + [grid.L]
+
+
 def _parse_a_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
@@ -266,19 +273,17 @@ def _cmd_greens(args) -> int:
     kernel = halfline_kernel(bc, points, args.kappa)
     if args.grid is not None:
         _load("finite_difference")
-        grid = _parse_grid(args.grid)
-        nodes = grid.boundary_nodes()
-        values = kernel(nodes[:, None], nodes[None, :])
-        labels = [f"{v:.17g}" for v in nodes.tolist()]
+        nodes = _grid_nodes(_parse_grid(args.grid))
+        labels = [f"{v:.17g}" for v in nodes]
         sys.stdout.write("x,y,re,im\n")
         # G(x, y) = G(y, x) bit for bit, so each row formats its entries
         # from the diagonal on and takes the rest from the rows above,
         # which keep only the entries that later rows still read; one
         # write per outer node
         above: list[deque] = []
-        for i, (xs, row) in enumerate(zip(labels, values)):
-            cells = ("%.17g\n" * (len(labels) - i)
-                     % tuple(row[i:].tolist())).split("\n")
+        for xs, row in zip(labels, _halfline_rows(bc, points, args.kappa,
+                                                  nodes)):
+            cells = ("%.17g\n" * len(row) % tuple(row)).split("\n")
             line = [column.popleft() for column in above] + cells[:-1]
             above.append(deque(cells[1:-1]))
             sys.stdout.write("".join([f"{xs},{ys},{v},0\n"

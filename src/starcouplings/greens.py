@@ -34,15 +34,19 @@ phases are, so a family's build forms no U and reads each sum over k of
 (P_k)_jl as one of two numbers, on or off the diagonal, with no matrix.
 
 HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
-pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
+pairs; halfline_kernel and star_green memoise vertex_kernel per pair.  On
+a grid of float nodes an edge's kernel is read row by row (_halfline_rows,
+for the CLI): each factor once per node, each value the scalar one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, Sequence
 
 from .coupling import (STAR_KINDS, VertexCoupling, _integer, _number,
@@ -204,6 +208,28 @@ def vertex_kernel(coupling: VertexCoupling,
                                 duhamel(*phi, -1, x, fns))
         return out if beyond is None else out + beyond
 
+    def rows(j: int, nodes: list):
+        # the rows [evaluate(j, x_i, j, x_k) for k >= i] of increasing float
+        # nodes, bit for bit: the scalar branch's arithmetic, with each
+        # factor formed once per node
+        clipped = [min(x, end) for x in nodes]
+        rs = [duhamel(*rises[j], 1, x) for x in clipped]
+        fs = [duhamel(*phi, -1, x) for x in clipped]
+        past = bisect_right(nodes, end)    # the first node past the screen
+        if past < len(nodes):    # plus the wall's rows at max(x - end, 0)
+            walls = wall._rows(0, [0.0] + [x - end for x in nodes[past:]])
+            first = next(walls)[1:]
+        exp, rate = math.exp, -kappa
+        for i, (x, r) in enumerate(zip(clipped, rs)):
+            row = [r * f * exp(rate * (y - x))
+                   for y, f in zip(clipped[i:], fs[i:])]
+            if i >= past:
+                row = list(map(add, row, next(walls)))
+            elif past < len(nodes):
+                row[past - i:] = map(add, row[past - i:], first)
+            yield row
+
+    evaluate._rows = rows
     return evaluate
 
 
@@ -311,6 +337,14 @@ def halfline_kernel(bc: VertexCoupling, points, kappa: float):
     except TypeError:    # an unhashable kappa, refused as vertex_kernel does
         kernel = _kernel(model, _scale(kappa, "kappa"))
     return lambda x, y: kernel(0, x, 0, y)
+
+
+def _halfline_rows(bc: VertexCoupling, points, kappa: float, nodes: list):
+    """The rows [kernel(x_i, x_k) for k >= i] of halfline_kernel(bc,
+    points, kappa), whose memoised evaluator it reads, at increasing float
+    nodes x_i: one row at a time, each value the scalar one bit for bit,
+    with no numpy (the CLI's greens --grid)."""
+    return _kernel((bc, check_points(points)), kappa)._rows(0, nodes)
 
 
 def sector_green(sector, kappa: float, x, y):

@@ -22,7 +22,7 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            rescale_length, s_matrix, to_ab, unitarity_defect,
                            validate_ab)
 from starcouplings.coupling import FAMILIES
-from starcouplings.cli import _dumps, main
+from starcouplings.cli import _dumps, _grid_nodes, main
 
 
 def run(capsys, *argv):
@@ -287,19 +287,18 @@ class TestGreensCommand:
         kernel = halfline_kernel(HalflineBC.robin(0.7),
                                  [PointInteraction(0.5, -2.0),
                                   PointInteraction(1.5, math.inf)], 1.3)
-        nodes = GridSpec(12.0, 400).boundary_nodes()
-        values = kernel(nodes[:, None], nodes[None, :])
+        nodes = GridSpec(12.0, 400).boundary_nodes().tolist()
         expected = ["x,y,re,im\n"]
-        for i, x in enumerate(nodes):
-            for j, y in enumerate(nodes):
-                expected.append(f"{x:.17g},{y:.17g},{values[i, j]:.17g},0\n")
+        for x in nodes:
+            for y in nodes:
+                expected.append(f"{x:.17g},{y:.17g},{kernel(x, y):.17g},0\n")
         assert out == "".join(expected)
 
     @pytest.mark.parametrize("bc", ["robin:0.7", "dirichlet", "neumann"])
     def test_grid_csv_matches_the_per_entry_format(self, capsys, bc):
         # the CSV formats G(x, y) once and reuses it for G(y, x); the
-        # reference is the per-entry loop, on a screened grid with two
-        # points, whose array is symmetric bit for bit
+        # reference is the per-entry loop of the scalar kernel, on a
+        # screened grid with two points, symmetric bit for bit
         points = ("0.5,-2", "2.5,0.8", "6,inf")
         code, out, _ = run(capsys, "greens", "--bc", bc, "--kappa", "1.3",
                            *(f for p in points for f in ("--point", p)),
@@ -311,18 +310,38 @@ class TestGreensCommand:
         kernel = halfline_kernel(
             vertex, [PointInteraction(*map(float, p.split(",")))
                      for p in points], 1.3)
-        nodes = GridSpec(12.0, 120).boundary_nodes()
-        values = kernel(nodes[:, None], nodes[None, :])
-        assert np.array_equal(values, values.T)
-        labels = [f"{v:.17g}" for v in nodes.tolist()]
+        nodes = GridSpec(12.0, 120).boundary_nodes().tolist()
+        values = [[kernel(x, y) for y in nodes] for x in nodes]
+        assert values == [list(column) for column in zip(*values)]
+        labels = [f"{v:.17g}" for v in nodes]
         expected = "x,y,re,im\n" + "".join(
             "".join(f"{xs},{ys},{v:.17g},0\n"
-                    for ys, v in zip(labels, row.tolist()))
+                    for ys, v in zip(labels, row))
             for xs, row in zip(labels, values))
         # lines, so that a failure names the first one that differs
         # instead of diffing two long texts
         assert out.splitlines() == expected.splitlines()
         assert out == expected
+
+    @pytest.mark.parametrize("length, n_nodes", [
+        (12.0, 400), (0.3, 16), (4.0, 30), (2.0, 16), (0.3, 1200),
+        (7.7, 999), (1e-3, 17), (1e5, 65)])
+    def test_grid_nodes_are_the_grids_boundary_nodes(self, length, n_nodes):
+        grid = GridSpec(length, n_nodes)
+        assert _grid_nodes(grid) == grid.boundary_nodes().tolist()
+
+    @pytest.mark.parametrize("flags", [
+        ("--bc", "robin:-1", "--kappa", "1", "--grid", "12,400"),
+        ("--bc", "neumann", "--kappa", "1", "--grid", "12"),
+        ("--bc", "neumann", "--kappa", "1", "--grid", "12,8"),
+        ("--bc", "neumann", "--kappa", "1", "--grid", "0,400"),
+    ], ids=["pole", "no-n", "n-below-16", "zero-length"])
+    def test_grid_csv_is_all_or_nothing(self, capsys, flags):
+        # a pole (Robin(-1) has its bound state at kappa = 1) or a bad
+        # grid exits 3 before the header: no partial CSV
+        code, out, err = run(capsys, "greens", *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
 
     def test_two_screens_at_one_position_are_one_screen(self, capsys):
         # this exited 3 with a false "eigenvalue of the perturbed operator"
@@ -735,7 +754,8 @@ def _module_probe(prefix: str, argvs) -> list[tuple[str, int, list]]:
     return [tuple(json.loads(line)) for line in out.stdout.splitlines()]
 
 
-_NUMPY_ONLY_ARGVS = [
+#: one argv per subcommand, greens with --x --y and with --grid
+_SUBCOMMAND_ARGVS = [
     ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
      "--to-ab", "--validate", "--rescale", "1", "2.5"],
     ["smatrix", "--family", "delta", "--n", "3", "--param", "0.7",
@@ -756,14 +776,23 @@ _FAMILY_ARGVS = [
      "--k", "1.5"],
     ["coupling", "--family", "delta-prime", "--n", "3", "--param", "1.5",
      "--to-ab", "--rescale", "1", "2.5"],
-    _NUMPY_ONLY_ARGVS[0],
+    _SUBCOMMAND_ARGVS[0],
     ["coupling", "--family", "delta-p", "--n", "1", "--param=-inf"],
+]
+
+#: the grid runs of the CI smoke step, the second with a screen
+_GRID_ARGVS = [
+    ["greens", "--bc", "robin-scaled:2:1", "--point", "0.5,-2.0",
+     "--kappa", "1", "--grid", "12,40"],
+    ["greens", "--bc", "robin:0.7", "--point", "1.2,0.5", "--point",
+     "2.4,inf", "--kappa", "1.2", "--grid", "4,30"],
 ]
 
 #: subcommands that compute in floats, and their exit codes: the sweep
 #: with valid stages, with stages on the target pole and on a base pole,
-#: and with one stage (no slope), the kernel at one point, the FD oracle
-#: in both modes, a family's matrices and a refused momentum
+#: and with one stage (no slope), the kernel at one point and on a grid
+#: (with a screen, and on a pole), the FD oracle in both modes, a family's
+#: matrices and a refused momentum
 _FLOAT_ONLY_ARGVS = [
     (["converge", "--family", "delta-prime-s", "--n", "3", "--beta", "1",
       "--a-list", "0.1,0.03,0.01"], 0),
@@ -781,6 +810,9 @@ _FLOAT_ONLY_ARGVS = [
       "0.2", "--emit", "plain"], 0),
     (["greens", "--bc", "robin:-1", "--point", "1,inf", "--kappa", "1",
       "--x", "0.5", "--y", "1.7"], 0),
+    (_SUBCOMMAND_ARGVS[3], 0),
+    (_GRID_ARGVS[1], 0),
+    (["greens", "--bc", "robin:-1", "--kappa", "1", "--grid", "4,30"], 3),
     (["oracle-check", "--bc", "robin:0.7", "--point", "1.2,0.5", "--point",
       "2.4,-0.3", "--kappa", "1.2", "--h", "0.05", "--order-check"], 0),
     (["oracle-check", "--star-family", "central-delta-p", "--n", "3",
@@ -801,14 +833,14 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
 #: and errors
 _PACKAGE_MODULES = [
     (_FAMILY_ARGVS[1], []),
-    (_NUMPY_ONLY_ARGVS[0], []),
+    (_SUBCOMMAND_ARGVS[0], []),
     (_FAMILY_ARGVS[0], ["scattering"]),
     (_FAMILY_ARGVS[3], []),
-    (_NUMPY_ONLY_ARGVS[2], ["greens"]),
-    (_NUMPY_ONLY_ARGVS[3], ["finite_difference", "greens", "scattering"]),
-    (_NUMPY_ONLY_ARGVS[4], ["convergence", "finite_difference", "greens",
+    (_SUBCOMMAND_ARGVS[2], ["greens"]),
+    (_SUBCOMMAND_ARGVS[3], ["finite_difference", "greens", "scattering"]),
+    (_SUBCOMMAND_ARGVS[4], ["convergence", "finite_difference", "greens",
                             "scattering"]),
-    (_NUMPY_ONLY_ARGVS[5], ["finite_difference", "greens", "scattering"]),
+    (_SUBCOMMAND_ARGVS[5], ["finite_difference", "greens", "scattering"]),
     (["oracle-check", "--star-family", "central-delta-p", "--n", "3", "--b",
       "0.4", "--point", "2.01,0.7", "--kappa", "1.4", "--h", "0.05"],
      ["finite_difference", "greens", "scattering"]),
@@ -817,12 +849,12 @@ _PACKAGE_MODULES = [
 
 class TestImportLayer:
     """The package, its CLI and every subcommand, the finite-difference
-    oracle included, run on numpy alone; the subcommands that compute in
-    floats load no numpy at all."""
+    oracle included, run without scipy; no subcommand loads numpy at
+    all: each computes in floats."""
 
     def test_numpy_only_subcommands_load_no_scipy(self):
-        steps = _module_probe("scipy", _NUMPY_ONLY_ARGVS)
-        assert len(steps) == 2 + len(_NUMPY_ONLY_ARGVS)
+        steps = _module_probe("scipy", _SUBCOMMAND_ARGVS)
+        assert len(steps) == 2 + len(_SUBCOMMAND_ARGVS)
         assert [names for _, _, names in steps] == [[]] * len(steps), steps
         assert [code for _, code, _ in steps] == [0] * len(steps)
 
@@ -839,18 +871,26 @@ class TestImportLayer:
         *_, (_, got, names) = _module_probe("numpy", [argv])
         assert (got, names) == (code, [])
 
-    def test_array_subcommands_load_numpy_with_their_first_array(self):
-        # greens --grid, in a fresh interpreter, is the one subcommand
-        # that makes an array
-        steps = _module_probe("numpy", [_NUMPY_ONLY_ARGVS[3]])
-        assert [code for _, code, _ in steps] == [0] * 3
-        assert ["numpy" in names for _, _, names in steps] \
-            == [False, False, True]
+    def test_no_subcommand_loads_numpy(self):
+        # every subcommand, in one fresh interpreter
+        steps = _module_probe("numpy", _SUBCOMMAND_ARGVS)
+        assert {argv[0] for argv in _SUBCOMMAND_ARGVS} == {
+            "coupling", "smatrix", "greens", "converge", "oracle-check"}
+        assert [(code, names) for _, code, names in steps] \
+            == [(0, [])] * (2 + len(_SUBCOMMAND_ARGVS))
 
     @pytest.mark.parametrize("argv", _FAMILY_ARGVS,
                              ids=[" ".join(a) for a in _FAMILY_ARGVS])
     def test_family_matrices_print_the_same_with_numpy_blocked(
             self, capsys, argv):
+        blocked = subprocess.run(
+            [sys.executable, "-c", _NUMPY_BLOCKED, *argv], env=_child_env(),
+            capture_output=True, text=True, timeout=120)
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert blocked.stdout == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("argv", _GRID_ARGVS, ids=["points", "screen"])
+    def test_grid_csv_prints_the_same_with_numpy_blocked(self, capsys, argv):
         blocked = subprocess.run(
             [sys.executable, "-c", _NUMPY_BLOCKED, *argv], env=_child_env(),
             capture_output=True, text=True, timeout=120)

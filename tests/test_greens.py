@@ -15,6 +15,7 @@ matrices at 50 digits for a Robin half line with points.
 
 import dataclasses
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -30,7 +31,8 @@ from starcouplings import (GridSpec, HalflineBC, InvalidCouplingError,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_kernel, make_coupling, schedule,
                            star_green, vertex_kernel)
-from starcouplings.greens import ROBIN_POLE_TOL, _named_coupling, sector_green
+from starcouplings.greens import (ROBIN_POLE_TOL, _halfline_rows,
+                                  _named_coupling, sector_green)
 
 RNG = np.random.default_rng(7)
 
@@ -1060,6 +1062,96 @@ class TestWorkCount:
         value = kernel(2, 0.3, 0, 0.7)
         assert type(value) is complex
         assert abs(value - kernel(2, np.array([0.3]), 0, 0.7)[0]) <= 1e-15
+
+
+class TestGridRows:
+    """The rows that greens --grid prints, [kernel(x_i, x_k) for k >= i]
+    on increasing float nodes, equal the scalar kernel bit for bit (signed
+    zeros included): each entry is its arithmetic, in its order."""
+
+    @staticmethod
+    def assert_rows_are_scalar(bc, points, kappa, nodes):
+        kernel = halfline_kernel(bc, points, kappa)
+        rows = list(_halfline_rows(bc, points, kappa, nodes))
+        assert [len(row) for row in rows] \
+            == list(range(len(nodes), 0, -1))
+        for i, row in enumerate(rows):
+            x = nodes[i]
+            assert [struct.pack("d", v) for v in row] \
+                == [struct.pack("d", kernel(x, y)) for y in nodes[i:]] \
+                == [struct.pack("d", kernel(y, x)) for y in nodes[i:]], i
+
+    @staticmethod
+    def grid_nodes(length, n_nodes):
+        return GridSpec(length, n_nodes).boundary_nodes().tolist()
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [(1.5, math.inf)],                       # a screen inside [0, L]
+        [(0.5, -2.0), (2.5, 0.8), (6.0, math.inf)],
+        [(13.0, math.inf), (0.7, 1.1)],          # a screen beyond L
+        [(0.6, -1.0), (0.6, 0.4), (3.0, 2.0)],   # two points at one place
+        [(4, 0.7), (16, math.inf), (32, -0.9)],  # on nodes, one past
+        [(8, math.inf), (24, math.inf)],         # two screens, on nodes
+        [(0.3, math.inf), (0.3, -4.0)],          # a screen wins its place
+    ], ids=["none", "screen", "three", "screen-beyond-L", "two-at-one",
+            "on-nodes", "two-screens", "screen-and-point"])
+    @pytest.mark.parametrize("bc", [
+        HalflineBC.dirichlet(), HalflineBC.neumann(), HalflineBC.robin(0.7),
+        HalflineBC.robin_scaled(3, 0.8)],
+        ids=["dirichlet", "neumann", "robin", "robin-scaled"])
+    def test_rows_equal_the_scalar_kernel(self, bc, points):
+        # an int position is the index of a node, which the point sits on
+        nodes = self.grid_nodes(12.0, 39)
+        self.assert_rows_are_scalar(
+            bc, [PointInteraction(nodes[a] if type(a) is int else a, c)
+                 for a, c in points], 1.3, nodes)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["dirichlet", "neumann", "robin",
+                                 "robin_scaled"]),
+           param=st.floats(-3.0, 3.0), edges=st.integers(1, 4),
+           length=st.floats(0.3, 12.0), n_nodes=st.integers(16, 40),
+           kappa=st.floats(0.2, 3.0),
+           spots=st.lists(st.tuples(st.integers(0, 2), st.floats(0.01, 1.5),
+                                    st.integers(1, 41),
+                                    st.one_of(st.just(math.inf),
+                                              st.floats(-3.0, 3.0))),
+                          max_size=3))
+    def test_random_rows_equal_the_scalar_kernel(
+            self, kind, param, edges, length, n_nodes, kappa, spots):
+        # each point sits at a fraction of L (screens beyond L included),
+        # on a node, or where the point before it sits
+        bc = {"dirichlet": HalflineBC.dirichlet,
+              "neumann": HalflineBC.neumann,
+              "robin": lambda: HalflineBC.robin(param),
+              "robin_scaled": lambda: HalflineBC.robin_scaled(edges, param),
+              }[kind]()
+        nodes = self.grid_nodes(length, n_nodes)
+        points = []
+        for where, fraction, node, c in spots:
+            a = (fraction * length, nodes[min(node, n_nodes + 1)],
+                 points[-1].a if points else nodes[1])[where]
+            points.append(PointInteraction(a, c))
+        try:
+            halfline_kernel(bc, points, kappa)
+        except PoleError:
+            return
+        self.assert_rows_are_scalar(bc, points, kappa, nodes)
+
+    @pytest.mark.parametrize("coupling", [
+        make_coupling("delta_prime", 3, 0.9),
+        VertexCoupling.custom(random_unitary(3, np.random.default_rng(11)))],
+        ids=["family", "complex"])
+    def test_star_rows_equal_the_scalar_kernel_on_each_edge(self, coupling):
+        points = [PointInteraction(0.6, -1.5), PointInteraction(2.4, math.inf)]
+        kernel = vertex_kernel(coupling, points, 1.1)
+        nodes = self.grid_nodes(4.0, 19)
+        for j in range(coupling.n):
+            for i, row in enumerate(kernel._rows(j, nodes)):
+                # repr tells the signed zeros of a float or complex apart
+                assert list(map(repr, row)) == [
+                    repr(kernel(j, nodes[i], j, y)) for y in nodes[i:]]
 
 
 class TestNamedCoupling:
