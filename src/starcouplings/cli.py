@@ -15,9 +15,10 @@ Each subcommand loads only the package modules it runs, besides coupling
 and errors, which build the parser: coupling none, smatrix scattering,
 greens greens (and finite_difference, with scattering, for --grid),
 oracle-check greens and finite_difference with scattering, converge
-convergence and all the others.  A subcommand binds the library names of
-its modules in this namespace (_load); any other read of such a name as
-an attribute of this module loads its module first.
+convergence and all the others.  A subcommand binds the public names of
+its modules, as the package's _PUBLIC lists them, in this namespace but
+never over a name already set (_load); any other public name read off
+this module comes from the package, which loads only its defining module.
 
 Output is deterministic: JSON fields appear in fixed order, floats are
 written with 17 significant digits, complex entries as {"re": ..., "im":
@@ -40,45 +41,30 @@ import sys
 from collections import deque
 from dataclasses import asdict
 
-# unitarity_defect stays a module attribute, though main() calls it
-# nowhere: the cli workload of benchmarks/ wraps it
-from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS,  # noqa: F401
+from . import _HOME, _PUBLIC
+from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS,
                        VertexCoupling, _eigenvalues, _number, make_coupling,
-                       rescale_length, to_ab, unitarity_defect, validate_ab)
+                       rescale_length, to_ab, validate_ab)
 from .errors import InvalidCouplingError, PoleError
-
-#: the defining module of each library name a subcommand reads, and of
-#: s_matrix and star_green, which none calls but the cli workload of
-#: benchmarks/ wraps
-_LIBRARY = {
-    **dict.fromkeys(("_s_sectors", "s_matrix"), "scattering"),
-    **dict.fromkeys(("HalflineBC", "PointInteraction", "StarModel",
-                     "_halfline_rows", "halfline_kernel", "star_green",
-                     "vertex_kernel"), "greens"),
-    **dict.fromkeys(("GridSpec", "compare_kernels", "fd_resolvent_halfline",
-                     "fd_resolvent_star"), "finite_difference"),
-    "convergence_sweep": "convergence",
-}
 
 
 def _load(*modules: str) -> None:
-    """Bind the library names of ``modules`` in this namespace, keeping
+    """Bind the public names of ``modules`` in this namespace, keeping
     every name that is already set: a wrapper set on this module before
     main() is what main() calls."""
     namespace = globals()
     for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name, home in _LIBRARY.items():
-            if home == module and name not in namespace:
-                namespace[name] = getattr(loaded, name)
+        for name in _PUBLIC[module]:
+            namespace.setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    # PEP 562: a library name no subcommand has bound yet
-    if name not in _LIBRARY:
+    # PEP 562: a public name no subcommand has bound yet, read through the
+    # package, which loads only its defining module
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_LIBRARY[name])
-    return globals()[name]
+    return getattr(sys.modules[__package__], name)
 
 
 def _flags(names) -> dict[str, str]:
@@ -193,7 +179,7 @@ def _family_rows(phases, f: list) -> list[list[complex]]:
 
 
 def _family_defect(rows: list[list[complex]]) -> float:
-    """unitarity_defect of U = on I + off (J - I), in O(1) from its two
+    """The unitarity defect of U = on I + off (J - I), in O(1) from its two
     entries: (U U*)_jj = |on|^2 + (n - 1) |off|^2 and, for j != l,
     (U U*)_jl = 2 Re(on conj(off)) + (n - 2) |off|^2."""
     n, on = len(rows), rows[0][0]
@@ -248,11 +234,11 @@ def _cmd_coupling(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
-    _load("scattering")
+    from .scattering import _s_sectors
     param = _parse_param(args.param)
     coupling = make_coupling(_FAMILY_FLAGS[args.family], args.n, param)
-    # s_matrix's own k check, pole guard and eigenvalues; a family's phases
-    # are exact, so it would refine nothing
+    # the S-matrix's own k check, pole guard and eigenvalues; a family's
+    # phases are exact, so there is nothing to refine
     _, phases, f, _ = _s_sectors(coupling, args.k)
     s = _family_rows(phases, f)
     _emit_json({
@@ -273,6 +259,7 @@ def _cmd_greens(args) -> int:
     kernel = halfline_kernel(bc, points, args.kappa)
     if args.grid is not None:
         _load("finite_difference")
+        from .greens import _halfline_rows
         nodes = _grid_nodes(_parse_grid(args.grid))
         labels = [f"{v:.17g}" for v in nodes]
         sys.stdout.write("x,y,re,im\n")

@@ -132,12 +132,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _readonly(a, what: str) -> np.ndarray:
     """A fresh read-only complex array of ``a``; a bool array is refused
-    (numpy reads a list that mixes bools and floats as floats)."""
+    (numpy reads a list that mixes bools and floats as floats), and so is
+    one of objects that are not numbers."""
     import numpy as np
     a = np.asarray(a)
     if a.dtype == bool:
         raise InvalidCouplingError(f"{what} must hold numbers, not bools")
-    return _frozen(a.astype(complex))
+    try:
+        return _frozen(a.astype(complex))
+    except TypeError as exc:
+        raise InvalidCouplingError(f"{what} must hold numbers: {exc}") \
+            from None
 
 
 def _unchecked(cls, **fields):

@@ -932,6 +932,9 @@ class TestImportLayer:
 
     @pytest.mark.parametrize("name, argv", [
         ("make_coupling", _PACKAGE_MODULES[0][0]),
+        ("rescale_length", _PACKAGE_MODULES[0][0]),
+        ("to_ab", _PACKAGE_MODULES[1][0]),
+        ("validate_ab", _PACKAGE_MODULES[1][0]),
         ("halfline_kernel", _PACKAGE_MODULES[4][0]),
         ("convergence_sweep", _PACKAGE_MODULES[6][0]),
         ("fd_resolvent_halfline", _PACKAGE_MODULES[7][0]),
@@ -1037,3 +1040,8 @@ print(json.dumps([modules, listed, unbound, foreign]))
         assert finite_difference.make_coupling \
             is starcouplings.coupling.make_coupling
         assert finite_difference.to_ab is starcouplings.coupling.to_ab
+        # and the cli workload wraps these on the cli module, which none of
+        # its subcommands calls: each is the package's own object
+        import starcouplings.cli as cli
+        for name in ("s_matrix", "star_green", "unitarity_defect"):
+            assert getattr(cli, name) is getattr(starcouplings, name), name

@@ -254,6 +254,16 @@ BOOL_ARRAYS = [
      (C1, [1.0], [False])),
 ]
 
+#: matrix arguments that hold objects that are not numbers, one row per
+#: argument
+OBJECT_ARRAYS = [
+    ("VertexCoupling(u)", sc.VertexCoupling, ([[{}]],)),
+    ("custom(u)", sc.VertexCoupling.custom, ([[{1}]],)),
+    ("ABPair(a)", sc.ABPair, ([[{}]], [[1.0]])),
+    ("ABPair(b)", sc.ABPair, ([[1.0]], np.array([[object()]]))),
+    ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[{}]])),
+]
+
 #: Eigenphases(groups, v) that decompose no coupling: V must be an n x n
 #: unitary, n the sum of the multiplicities, and each group (c, s, m) with
 #: c >= 0, c^2 + s^2 = 1 and an integer m >= 1
@@ -392,6 +402,14 @@ def test_extreme_value_is_refused_or_finite(row, name, value):
     pytest.param(call, args, id=label) for label, call, args in BOOL_ARRAYS])
 def test_bool_array_is_refused(call, args):
     with pytest.raises(InvalidCouplingError, match="not bools"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=label) for label, call, args in OBJECT_ARRAYS])
+def test_object_array_is_refused(call, args):
+    # numpy's astype(complex) raises TypeError on them
+    with pytest.raises(InvalidCouplingError, match="must hold numbers"):
         call(*args)
 
 

@@ -462,6 +462,42 @@ class TestConvergenceSweep:
 
 
 # ======================================================================
+#  the energy where the rate doubles
+# ======================================================================
+
+class TestSecondOrderEnergy:
+    """A sector with target pair (sigma, tau) has the error constant
+    C1 = 4 kappa (kappa^2 sigma^2 - 3 tau^2) / (3 (kappa sigma + tau)^2) in
+    front of a.  At n = 1 delta_prime_s has one sector, (beta, 1), whose
+    C1 vanishes at kappa = sqrt(3)/|beta|: there the sweep converges at
+    second order.  delta_prime's one sector at n = 1 has the Neumann
+    target (1, 0), C1 = 4 kappa/3, and stays first order.  Fitted slopes
+    over a = 1e-3 ... 1e-5 measured 1.99820-1.99991 at the zero and
+    0.9993-1.0006 for the first-order contrasts; the windows are 0.005."""
+
+    A_LIST = [1e-2, 1e-3, 1e-4, 1e-5]
+
+    def _slope(self, family, beta, kappa):
+        rep = convergence_sweep(family, beta, 1, kappa, self.A_LIST, GRID)
+        assert all(s.valid for s in rep.stages)
+        return rep.fitted_slope
+
+    @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+    def test_rate_doubles_where_c1_vanishes(self, beta):
+        kappa = math.sqrt(3.0) / abs(beta)
+        assert abs(self._slope("delta_prime_s", beta, kappa) - 2.0) <= 0.005
+
+    @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+    def test_rate_is_first_order_away_from_the_zero(self, beta):
+        assert abs(self._slope("delta_prime_s", beta, 1.0) - 1.0) <= 0.005
+
+    @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+    def test_neumann_target_stays_first_order(self, beta):
+        kappa = math.sqrt(3.0) / abs(beta)
+        assert abs(self._slope("delta_prime", beta, kappa) - 1.0) <= 0.005
+
+
+# ======================================================================
 #  the log-log fit
 # ======================================================================
 
