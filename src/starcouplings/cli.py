@@ -39,7 +39,6 @@ import math
 import numbers
 import sys
 from collections import deque
-from dataclasses import asdict
 
 from . import _HOME, _PUBLIC
 from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS,
@@ -292,6 +291,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    from dataclasses import asdict
     _load("finite_difference", "convergence")
     family = _SCHEDULE_FLAGS[args.family]
     grid = _parse_grid(args.grid)

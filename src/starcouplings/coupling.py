@@ -80,8 +80,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import NamedTuple, TYPE_CHECKING
 
 from .errors import InvalidCouplingError
 
@@ -132,12 +131,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _readonly(a, what: str) -> np.ndarray:
     """A fresh read-only complex array of ``a``; a bool array is refused
-    (numpy reads a list that mixes bools and floats as floats), and so is
-    one of objects that are not numbers."""
+    (numpy reads a list that mixes bools and floats as floats), and so are
+    one of strings or bytes (numpy would parse them) and one of objects
+    that are not numbers."""
     import numpy as np
     a = np.asarray(a)
-    if a.dtype == bool:
-        raise InvalidCouplingError(f"{what} must hold numbers, not bools")
+    kind = {"b": "bools", "U": "strings", "S": "bytes"}.get(a.dtype.kind)
+    if kind:
+        raise InvalidCouplingError(f"{what} must hold numbers, not {kind}")
     try:
         return _frozen(a.astype(complex))
     except TypeError as exc:
@@ -147,11 +148,31 @@ def _readonly(a, what: str) -> np.ndarray:
 
 def _unchecked(cls, **fields):
     """A ``cls`` of ``fields`` the package built itself from checked data:
-    valid by construction, it skips the copy and checks of __post_init__
+    valid by construction, it skips the copy and checks of the constructor
     and sets the instance __dict__ in one update, not field by field."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+class _Record:
+    """A frozen record: its fields live in the instance __dict__, set by
+    the constructor, by _unchecked or on a lazy first read, never by
+    assignment or deletion; == and hash() go by identity.  The repr shows
+    the fields named in _fields."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _unitary(u: np.ndarray, what: str = "U") -> np.ndarray:
@@ -250,8 +271,7 @@ def _group(group) -> tuple[float, float, int]:
     return c, s, int(m)
 
 
-@dataclass(frozen=True)
-class Eigenphases:
+class Eigenphases(_Record):
     """A unitary eigen-decomposition U = V diag(lambda) V* of a coupling.
 
     Each eigenvalue lambda = e^{i theta}, theta in (-pi, pi], is held as
@@ -271,16 +291,17 @@ class Eigenphases:
 
     groups: tuple[tuple[float, float, int], ...]
     v: np.ndarray | None
+    _fields = ("groups", "v")
 
-    def __post_init__(self):
-        groups = tuple(map(_group, self.groups)) \
-            if isinstance(self.groups, (tuple, list)) else ()
-        v, n = _readonly(self.v, "V"), sum(m for _, _, m in groups)
-        if not groups or v.shape != (n, n):
+    def __init__(self, groups, v):
+        checked = tuple(map(_group, groups)) \
+            if isinstance(groups, (tuple, list)) else ()
+        v, n = _readonly(v, "V"), sum(m for _, _, m in checked)
+        if not checked or v.shape != (n, n):
             raise InvalidCouplingError(
                 f"V must be n x n, n >= 1 the sum of the multiplicities of "
-                f"the groups {self.groups!r}, got shape {v.shape}")
-        object.__setattr__(self, "groups", groups)
+                f"the groups {groups!r}, got shape {v.shape}")
+        object.__setattr__(self, "groups", checked)
         object.__setattr__(self, "v", _unitary(v, "V"))
         object.__setattr__(self, "vh", _frozen(v.conj().T))
 
@@ -369,8 +390,7 @@ def _decompose(u: np.ndarray) -> Eigenphases:
                       vh=_frozen(v.conj().T))
 
 
-@dataclass(frozen=True, eq=False)
-class VertexCoupling:
+class VertexCoupling(_Record):
     """An n-edge vertex coupling: its unitary matrix U, n x n with n >= 1.
 
     U is the only field; n is its size.  make_coupling seeds
@@ -381,11 +401,11 @@ class VertexCoupling:
     """
 
     u: np.ndarray
-    _phases: Eigenphases | None = field(default=None, init=False,
-                                        repr=False)
+    _phases: Eigenphases | None = None
+    _fields = ("u",)
 
-    def __post_init__(self):
-        u = _readonly(self.u, "U")
+    def __init__(self, u):
+        u = _readonly(u, "U")
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
             raise InvalidCouplingError(
                 f"U must be a non-empty square matrix, got shape {u.shape}")
@@ -418,8 +438,7 @@ class VertexCoupling:
         return phases
 
 
-@dataclass(frozen=True, eq=False)
-class ABPair:
+class ABPair(_Record):
     """A boundary-condition pair (A, B) of n x n matrices.
 
     The constructor only enforces shapes and finite entries; admissibility
@@ -431,12 +450,12 @@ class ABPair:
 
     a: np.ndarray
     b: np.ndarray
-    _coupling: VertexCoupling | None = field(default=None, init=False,
-                                             repr=False)
+    _coupling: VertexCoupling | None = None
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        a = _readonly(self.a, "A")
-        b = _readonly(self.b, "B")
+    def __init__(self, a, b):
+        a = _readonly(a, "A")
+        b = _readonly(b, "B")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidCouplingError(
                 f"A must be a non-empty square matrix, got shape {a.shape}")
@@ -486,8 +505,7 @@ class ABPair:
                              min_gram_eigenvalue=min_eig, ok=ok), sv
 
 
-@dataclass(frozen=True)
-class ABDiagnostics:
+class ABDiagnostics(NamedTuple):
     """Admissibility diagnostics for an (A, B) pair."""
 
     n: int

@@ -44,32 +44,38 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Callable, Sequence
 
 from .coupling import (STAR_KINDS, VertexCoupling, _integer, _number,
-                       _scale, _symmetric, make_coupling)
+                       _Record, _scale, _symmetric, make_coupling)
 from .errors import PoleError
 
 #: Jost functions below this, relative to their terms, raise PoleError
 ROBIN_POLE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PointInteraction:
+class PointInteraction(_Record):
     """A delta potential of strength c at distance a > 0 from the origin.
-    c may be math.inf (hard screen)."""
+    c may be math.inf (hard screen).  == and hash() go by (a, c)."""
 
     a: float
     c: float
+    _fields = ("a", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _scale(self.a,
-                                             "point interaction position"))
+    def __init__(self, a, c):
+        object.__setattr__(self, "a", _scale(a, "point interaction position"))
         object.__setattr__(self, "c", _number(
-            self.c, "point interaction strength", inf=True))
+            c, "point interaction strength", inf=True))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.c) == (other.a, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.c))
 
 
 def check_points(points) -> tuple[PointInteraction, ...]:

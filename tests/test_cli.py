@@ -897,6 +897,18 @@ class TestImportLayer:
         assert (blocked.returncode, blocked.stderr) == (0, "")
         assert blocked.stdout == run(capsys, *argv)[1]
 
+    @pytest.mark.parametrize("prefix", ["dataclasses", "inspect"])
+    def test_record_subcommands_load_no_dataclasses(self, prefix):
+        # coupling, smatrix and greens --x --y build records that are no
+        # dataclasses, so neither dataclasses nor the inspect it imports
+        # loads, in one fresh interpreter
+        argvs = _SUBCOMMAND_ARGVS[:3]
+        assert [argv[0] for argv in argvs] == ["coupling", "smatrix",
+                                               "greens"]
+        assert {"--validate", "--x"} <= {*argvs[0], *argvs[2]}
+        assert [(code, names) for _, code, names
+                in _module_probe(prefix, argvs)] == [(0, [])] * 5
+
     def test_linalg_error_is_a_value_error(self):
         # main() exits 3 on ValueError without naming numpy's LinAlgError
         assert issubclass(np.linalg.LinAlgError, ValueError)

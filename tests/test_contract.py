@@ -20,8 +20,9 @@ Matrix and array arguments (U, A, B, the basis V of Eigenphases, psi,
 dpsi, sampled differences) are no rows of the scalar table; their constructors check shapes and finite
 entries (test_coupling), and an array of bools, which numpy would read as
 ones and zeros, is refused here (a list that mixes bools and floats is an
-array of floats before the package sees it).  The result records name why
-they have no rows.
+array of floats before the package sees it), as are arrays of strings or
+bytes, which numpy would parse, and of other objects.  The result records
+name why they have no rows.
 """
 
 import cmath
@@ -41,7 +42,7 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            StageResult, StarModel)
 from starcouplings import convergence
 from starcouplings.cli import build_parser, main
-from starcouplings.coupling import SCALE_MAX, SCALE_MIN
+from starcouplings.coupling import SCALE_MAX, SCALE_MIN, _Record
 
 BAD = {"True": True, "np.True_": np.True_, "complex": 1 + 0j, "str": "1",
        "None": None, "nan": math.nan, "float32-nan": np.float32("nan"),
@@ -264,6 +265,20 @@ OBJECT_ARRAYS = [
     ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[{}]])),
 ]
 
+#: matrix arguments of strings or bytes, one row per argument and kind:
+#: numpy's astype(complex) would read [['1']] as [[1]] and raise its own
+#: ValueError on [[b'x']]
+STRING_ARRAYS = [
+    (f"{label}:{kind}", call, place(text))
+    for kind, text in (("str", [["1"]]), ("bytes", [[b"x"]]))
+    for label, call, place in (
+        ("VertexCoupling(u)", sc.VertexCoupling, lambda m: (m,)),
+        ("custom(u)", sc.VertexCoupling.custom, lambda m: (m,)),
+        ("ABPair(a)", sc.ABPair, lambda m: (m, [[1.0]])),
+        ("ABPair(b)", sc.ABPair, lambda m: ([[1.0]], m)),
+        ("Eigenphases(v)", sc.Eigenphases,
+         lambda m: (((1.0, 0.0, 1),), m)))]
+
 #: Eigenphases(groups, v) that decompose no coupling: V must be an n x n
 #: unitary, n the sum of the multiplicities, and each group (c, s, m) with
 #: c >= 0, c^2 + s^2 = 1 and an integer m >= 1
@@ -336,6 +351,10 @@ def _finite(obj) -> bool:
         return bool(np.isfinite(obj).all())
     if isinstance(obj, StageResult) and not obj.valid:
         return _finite((obj.a, obj.b, obj.c, obj.per_channel_b))
+    if isinstance(obj, _Record):
+        # its fields, formed if lazy, and whatever else it holds
+        return all(_finite(getattr(obj, name)) for name in obj._fields) \
+            and all(map(_finite, vars(obj).values()))
     if dataclasses.is_dataclass(obj):
         return all(_finite(getattr(obj, f.name))
                    for f in dataclasses.fields(obj))
@@ -410,6 +429,14 @@ def test_bool_array_is_refused(call, args):
 def test_object_array_is_refused(call, args):
     # numpy's astype(complex) raises TypeError on them
     with pytest.raises(InvalidCouplingError, match="must hold numbers"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=label) for label, call, args in STRING_ARRAYS])
+def test_string_array_is_refused(call, args):
+    with pytest.raises(InvalidCouplingError,
+                       match="must hold numbers, not (strings|bytes)"):
         call(*args)
 
 

@@ -388,6 +388,19 @@ class TestKreinInsert:
         with pytest.raises(ValueError):
             PointInteraction(a=0.5, c=math.nan)
 
+    def test_compares_and_hashes_by_position_and_strength(self):
+        # the kernel memo keys hold points: equal points are one key
+        p, twin = PointInteraction(1, -2), PointInteraction(1.0, -2.0)
+        assert p == twin and hash(p) == hash(twin) == hash((1.0, -2.0))
+        assert p != PointInteraction(1.0, 2.0) and p != (1.0, -2.0)
+        assert vars(p) == {"a": 1.0, "c": -2.0}
+        assert repr(p) == "PointInteraction(a=1.0, c=-2.0)"
+        with pytest.raises(AttributeError,
+                           match="^cannot assign to field 'a'$"):
+            p.a = 2.0
+        with pytest.raises(AttributeError, match="^cannot delete field 'c'$"):
+            del p.c
+
 
 # ======================================================================
 #  sector_decompose

@@ -76,6 +76,23 @@ class TestSMatrix:
         s = s_matrix(make_coupling("delta", 2, 2.0), 1.5)
         np.testing.assert_allclose(s[0, 1], (9.0 - 6.0j) / 13.0, atol=1e-14)
 
+    def test_n2_delta_prime_is_the_line_delta_prime(self):
+        # at n = 2 the star is the line cut at the vertex, and delta_prime
+        # is its delta' interaction (psi' continuous, psi(0+) - psi(0-) =
+        # beta psi'(0)), whose amplitudes need no U: t = 1/(1 - i beta k/2),
+        # r = -(i beta k/2) t; delta_prime_s is its image under psi -> -psi
+        # on x < 0, so t changes sign.  Measured worst error 1.24e-16.
+        for beta in (1.0, -0.7, 3.0):
+            for k in (0.1, 1.0, 7.0):
+                t = 1.0 / (1.0 - 0.5j * beta * k)
+                r = -0.5j * beta * k * t
+                for family, sign in (("delta_prime", 1.0),
+                                     ("delta_prime_s", -1.0)):
+                    s = s_matrix(make_coupling(family, 2, beta), k)
+                    line = np.array([[r, sign * t], [sign * t, r]])
+                    assert np.max(np.abs(s - line)) <= 2.5e-16, \
+                        (family, beta, k)
+
     def test_rejects_nonpositive_momentum(self):
         c = make_coupling("delta", 2, 0.0)
         with pytest.raises(ValueError):
