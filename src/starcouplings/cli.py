@@ -291,7 +291,6 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    from dataclasses import asdict
     _load("finite_difference", "convergence")
     family = _SCHEDULE_FLAGS[args.family]
     grid = _parse_grid(args.grid)
@@ -305,7 +304,7 @@ def _cmd_converge(args) -> int:
             "beta": report.beta,
             "kappa": report.kappa,
             "grid": {"L": grid.L, "N": grid.N},
-            "stages": [asdict(s) for s in report.stages],
+            "stages": [s._asdict() for s in report.stages],
             "fitted_slope": report.fitted_slope,
             "fitted_intercept": report.fitted_intercept,
         })

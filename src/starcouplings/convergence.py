@@ -78,10 +78,10 @@ hypot(p, q) hypot(1, kappa), which holds wherever the kernels' Jost test,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .coupling import (SCHEDULE_FAMILIES, _family_table, _integer, _scale,
-                       _unchecked)
+from .coupling import (SCHEDULE_FAMILIES, _family_table, _instance, _integer,
+                       _scale, _unchecked, _Value)
 from .errors import PoleError
 from .finite_difference import GridSpec
 # sector_green stays a module attribute: the sweep workload of benchmarks/
@@ -92,10 +92,9 @@ from .greens import ROBIN_POLE_TOL, sector_green  # noqa: F401
 KREIN_POLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ApproximationStage:
+class ApproximationStage(_Value):
     """Coupling strengths of one approximation stage at distance a, as
-    schedule() makes them."""
+    schedule() makes them.  == and hash() go by the fields."""
 
     family: str
     n: int
@@ -104,15 +103,17 @@ class ApproximationStage:
     b: float                 # central strength as scheduled
     c: float                 # satellite strength, always -1/a
     per_channel_b: float     # Robin value seen by the repeated/leading sector
+    _fields = ("family", "n", "beta", "a", "b", "c", "per_channel_b")
 
-    def __post_init__(self):
-        strengths = _strengths(
-            self.family, _check_schedule(self.family, self.beta, self.n),
-            self.n, _scale(self.a, "distance a"))
-        if (self.b, self.c, self.per_channel_b) != strengths:
+    def __init__(self, family, n, beta, a, b, c, per_channel_b):
+        strengths = _strengths(family, _check_schedule(family, beta, n), n,
+                               _scale(a, "distance a"))
+        if (b, c, per_channel_b) != strengths:
             raise ValueError(
-                f"(b, c, per_channel_b) = ({self.b}, {self.c}, "
-                f"{self.per_channel_b}) is not the schedule's {strengths}")
+                f"(b, c, per_channel_b) = ({b}, {c}, {per_channel_b}) is "
+                f"not the schedule's {strengths}")
+        self.__dict__.update(family=family, n=n, beta=beta, a=a, b=b, c=c,
+                             per_channel_b=per_channel_b)
 
 
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
@@ -157,8 +158,7 @@ def hs_norm(diff) -> float:
     return float(np.sqrt(w @ np.abs(diff.values) ** 2 @ w))
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     a: float
     b: float
     c: float
@@ -170,8 +170,7 @@ class StageResult:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     family: str
     n: int
     beta: float
@@ -247,6 +246,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         raise ValueError("need at least one distance")
     if any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
         raise ValueError("distances must be strictly decreasing")
+    grid = _instance(grid, GridSpec, "grid", ValueError)
     if not a_values[0] < grid.L:
         raise ValueError(f"window start {a_values[0]} outside (0, {grid.L})")
     beta = _check_schedule(family, beta, n)
@@ -255,7 +255,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     # its pole guard; 0.0 - s keeps the Neumann target's tau at +0.0
     pairs = [(c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa))
              for c, s, m in _family_table(family, n, beta) if m > 0]
-    four_kappa2, hypot_kappa = 4.0 * kappa**2, math.hypot(1.0, kappa)
+    four_kappa2 = 4.0 * kappa**2
 
     stages = []
     for a in a_values:
@@ -269,10 +269,9 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
             sh, ch, f = 0.5 * em, 0.5 * ep, _f_scaled(x)  # s, h times e^{-x}
             norms = [0.0, 0.0]            # n = 1 has no repeated sector
             for i, (sigma, tau, target_pole) in enumerate(pairs):
-                # _robin_pole of the base tau a^2 psi'(0) = -sigma psi(0)
+                # the base is tau a^2 psi'(0) = -sigma psi(0)
                 p, q = tau * a * a, -sigma
-                if target_pole or abs(p * kappa + q) \
-                        < ROBIN_POLE_TOL * math.hypot(p, q) * hypot_kappa:
+                if target_pole or _robin_pole(p, q, kappa):
                     what, (p, q) = ("target sector", (sigma, tau)) \
                         if target_pole else ("Robin kernel", (p, q))
                     raise PoleError(f"{what} pole: {p} psi'(0) = {q} psi(0) "
@@ -283,10 +282,10 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
             total = math.sqrt(lead**2 + (n - 1) * rest**2)
         except PoleError as exc:
             error = str(exc)
-        stages.append(_unchecked(
-            StageResult, a=a, b=b, c=c, per_channel_b=per_channel_b,
-            norm_sym=lead, norm_comp=rest, norm_total=total,
-            valid=error is None, error=error))
+        stages.append(StageResult(
+            a=a, b=b, c=c, per_channel_b=per_channel_b, norm_sym=lead,
+            norm_comp=rest, norm_total=total, valid=error is None,
+            error=error))
 
     valid = [s for s in stages if s.valid and s.norm_total > 0.0][-3:]
     slope = intercept = None
@@ -298,6 +297,6 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         slope = sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) \
             / sum(dx * dx for dx in dxs)
         intercept = y_mean - slope * x_mean
-    return _unchecked(ConvergenceReport, family=family, n=n, beta=beta,
-                      kappa=kappa, stages=tuple(stages),
-                      fitted_slope=slope, fitted_intercept=intercept)
+    return ConvergenceReport(family=family, n=n, beta=beta, kappa=kappa,
+                             stages=tuple(stages), fitted_slope=slope,
+                             fitted_intercept=intercept)

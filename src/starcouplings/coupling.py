@@ -159,7 +159,8 @@ class _Record:
     """A frozen record: its fields live in the instance __dict__, set by
     the constructor, by _unchecked or on a lazy first read, never by
     assignment or deletion; == and hash() go by identity.  The repr shows
-    the fields named in _fields."""
+    the fields named in _fields.  The package's checked inputs are
+    records; its results are NamedTuples, and both answer _fields."""
 
     _fields: tuple[str, ...] = ()
 
@@ -173,6 +174,31 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A frozen record compared by value: == and hash() go by _key, the
+    tuple of its _fields, built on first use and kept."""
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+def _instance(x, cls: type, what: str, error=InvalidCouplingError):
+    """``x`` if it is a ``cls``; otherwise ``error`` naming ``what``."""
+    if not isinstance(x, cls):
+        raise error(f"{what} must be a {cls.__name__}, not a "
+                    f"{type(x).__name__}")
+    return x
 
 
 def _unitary(u: np.ndarray, what: str = "U") -> np.ndarray:
@@ -574,7 +600,8 @@ def _with_phases(phases: Eigenphases) -> VertexCoupling:
 def to_ab(coupling: VertexCoupling) -> ABPair:
     """The canonical pair A = U - I, B = i (U + I), formed when first read;
     the pair keeps ``coupling``, which from_ab returns."""
-    return _unchecked(ABPair, _coupling=coupling)
+    return _unchecked(ABPair, _coupling=_instance(coupling, VertexCoupling,
+                                                  "coupling"))
 
 
 def validate_ab(ab: ABPair) -> ABDiagnostics:
@@ -588,7 +615,7 @@ def validate_ab(ab: ABPair) -> ABDiagnostics:
     n, defect 0 and Gram eigenvalue 4 exactly.  Any other pair is read
     from one SVD of (A, B).
     """
-    c = ab._coupling
+    c = _instance(ab, ABPair, "pair")._coupling
     if c is not None and c._phases is not None and c._phases.exact:
         return ABDiagnostics(n=c.n, rank=c.n, hermiticity_defect=0.0,
                              min_gram_eigenvalue=4.0, ok=True)
@@ -606,7 +633,7 @@ def from_ab(ab: ABPair) -> VertexCoupling:
     (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD also guards
     the solve, and the U solved for is checked finite and unitary.
     """
-    if ab._coupling is not None:
+    if _instance(ab, ABPair, "pair")._coupling is not None:
         return ab._coupling
     diag, sv = ab._diagnosis
     if not diag.ok:
@@ -636,6 +663,7 @@ def rescale_length(coupling: VertexCoupling, ell: float,
     from the eigenphases (k c, s), normalised; closed-form phases stay
     closed-form; a ratio k that overflows or underflows to 0 is refused.
     """
+    _instance(coupling, VertexCoupling, "coupling")
     got = f"{ell} and {ell_prime}"
     ell, ell_prime = (_number(x, "length scales", InvalidCouplingError,
                               positive=True, got=got)

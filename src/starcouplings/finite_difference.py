@@ -110,15 +110,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
 from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
-                       _integer, _number, _scale, _symmetric, make_coupling,
-                       to_ab)
+                       _instance, _integer, _number, _scale, _symmetric,
+                       _Value, make_coupling, to_ab)
 from .errors import PoleError
 from .greens import PointInteraction, _star, check_points
 from .scattering import one_plus_s_sectors
@@ -139,16 +138,18 @@ _TOO_STRONG = ("point interactions too strong for the finite-difference "
                "grid: the vertex is decoupled from x = L beyond double range")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on (0, L) with N interior points, h = L / (N + 1)."""
+class GridSpec(_Value):
+    """Uniform grid on (0, L) with N interior points, h = L / (N + 1).
+    == and hash() go by (L, N)."""
 
     L: float
     N: int
+    _fields = ("L", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", _scale(self.L, "truncation length L"))
-        _integer("interior node count N", self.N, low=16)
+    def __init__(self, L, N):
+        L = _scale(L, "truncation length L")
+        _integer("interior node count N", N, low=16)
+        self.__dict__.update(L=L, N=N)
 
     @cached_property
     def h(self) -> float:
@@ -376,6 +377,7 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> list[float]:
 def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
            kappa: float, grid: GridSpec) -> SampledKernel:
     points = check_points(points)
+    grid = _instance(grid, GridSpec, "grid", ValueError)
     n, big_n, h = coupling.n, grid.N, grid.h
     if n * big_n > MAX_FD_UNKNOWNS:
         raise ValueError(

@@ -48,15 +48,15 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Sequence
 
-from .coupling import (STAR_KINDS, VertexCoupling, _integer, _number,
-                       _Record, _scale, _symmetric, make_coupling)
+from .coupling import (STAR_KINDS, VertexCoupling, _instance, _integer,
+                       _number, _scale, _symmetric, _Value, make_coupling)
 from .errors import PoleError
 
 #: Jost functions below this, relative to their terms, raise PoleError
 ROBIN_POLE_TOL = 1e-10
 
 
-class PointInteraction(_Record):
+class PointInteraction(_Value):
     """A delta potential of strength c at distance a > 0 from the origin.
     c may be math.inf (hard screen).  == and hash() go by (a, c)."""
 
@@ -65,17 +65,9 @@ class PointInteraction(_Record):
     _fields = ("a", "c")
 
     def __init__(self, a, c):
-        object.__setattr__(self, "a", _scale(a, "point interaction position"))
-        object.__setattr__(self, "c", _number(
-            c, "point interaction strength", inf=True))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.c) == (other.a, other.c)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.c))
+        self.__dict__.update(
+            a=_scale(a, "point interaction position"),
+            c=_number(c, "point interaction strength", inf=True))
 
 
 def check_points(points) -> tuple[PointInteraction, ...]:
@@ -103,7 +95,7 @@ def vertex_kernel(coupling: VertexCoupling,
     edge, at energy -kappa^2; the pole test runs here.  Edges are 0-based;
     x and y broadcast over numpy arrays, floats give a float (complex when
     U != U^T); each must be real (not bool), finite and >= 0."""
-    n = coupling.n
+    n = _instance(coupling, VertexCoupling, "coupling").n
     kappa = _scale(kappa, "kappa")
     merged: dict[float, float] = {}    # strengths add, a screen wins
     for p in check_points(points):

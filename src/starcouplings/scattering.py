@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coupling import (DECOUPLED_EIGENVALUE_TOL, Eigenphases, VertexCoupling,
-                       _number)
+                       _instance, _number)
 from .errors import PoleError
 
 if TYPE_CHECKING:    # numpy is imported where an array is made or read
@@ -106,6 +106,7 @@ def _s_sectors(coupling: VertexCoupling,
 def s_matrix(coupling: VertexCoupling, k: float) -> np.ndarray:
     """On-shell scattering matrix at real finite momentum k > 0, with
     numerical eigenphases refined where D(k) is ill-conditioned."""
+    _instance(coupling, VertexCoupling, "coupling")
     k, phases, f, distance = _s_sectors(coupling, k)
     s = phases.apply(f)
     if not phases.exact and REFINE_COND * distance < 1.0:
@@ -127,6 +128,7 @@ def bound_states(coupling: VertexCoupling,
     (Dirichlet, kappa = inf) carry no state.  kappa_max may be inf.  States
     are returned in increasing kappa.
     """
+    _instance(coupling, VertexCoupling, "coupling")
     _number(kappa_max, "kappa_max", inf=True, positive=True)
     # |1 + lambda| = 2 c and |1 - lambda| = 2 |s|
     edge = DECOUPLED_EIGENVALUE_TOL / 2.0

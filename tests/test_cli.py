@@ -899,15 +899,18 @@ class TestImportLayer:
 
     @pytest.mark.parametrize("prefix", ["dataclasses", "inspect"])
     def test_record_subcommands_load_no_dataclasses(self, prefix):
-        # coupling, smatrix and greens --x --y build records that are no
-        # dataclasses, so neither dataclasses nor the inspect it imports
-        # loads, in one fresh interpreter
-        argvs = _SUBCOMMAND_ARGVS[:3]
-        assert [argv[0] for argv in argvs] == ["coupling", "smatrix",
-                                               "greens"]
-        assert {"--validate", "--x"} <= {*argvs[0], *argvs[2]}
+        # no record of the package is a dataclass, so no subcommand loads
+        # dataclasses or the inspect it imports: every subcommand, greens
+        # at a point and on a grid, oracle-check on a half line and on a
+        # star, in one fresh interpreter
+        argvs = [*_SUBCOMMAND_ARGVS, _PACKAGE_MODULES[-1][0]]
+        assert [argv[0] for argv in argvs] == [
+            "coupling", "smatrix", "greens", "greens", "converge",
+            "oracle-check", "oracle-check"]
+        assert {"--validate", "--x", "--grid", "--bc", "--star-family"} \
+            <= {*argvs[0], *argvs[2], *argvs[3], *argvs[5], *argvs[6]}
         assert [(code, names) for _, code, names
-                in _module_probe(prefix, argvs)] == [(0, [])] * 5
+                in _module_probe(prefix, argvs)] == [(0, [])] * 9
 
     def test_linalg_error_is_a_value_error(self):
         # main() exits 3 on ValueError without naming numpy's LinAlgError

@@ -26,7 +26,6 @@ name why they have no rows.
 """
 
 import cmath
-import dataclasses
 import decimal
 import fractions
 import math
@@ -106,6 +105,7 @@ MODEL = StarModel(n=2, kind="central_delta", b=1.5,
                   point=PointInteraction(0.5, -2.0))
 GRID = GridSpec(12.0, 99)
 STAGE = sc.schedule("delta_prime_s", 1.0, 2, 0.1)
+STAGE_FIELDS = {name: getattr(STAGE, name) for name in STAGE._fields}
 TARGET = oracles.sector_decompose("delta_prime_s", 2, 1.0)[0]
 APPROX = oracles.sector_decompose(*oracles.approximant_model(STAGE))[0]
 HALF = sc.fd_resolvent_halfline(BC, (), 1.0, GRID)
@@ -224,8 +224,7 @@ ROWS = [
         dict(family="delta_prime_s", beta=1.0, n=2, a=0.1),
         ("beta", "n", "a")),
     Row("ApproximationStage", ApproximationStage,
-        dataclasses.asdict(STAGE), ("n", "beta", "a", "b", "c",
-                                    "per_channel_b")),
+        STAGE_FIELDS, ("n", "beta", "a", "b", "c", "per_channel_b")),
     Row("approximant_model", oracles.approximant_model, dict(stage=STAGE)),
     Row("effective_robin", oracles.effective_robin,
         dict(b=2.0, c=-10.0, a=0.1), ("b", "c", "a")),
@@ -338,6 +337,31 @@ KAPPA_ENTRIES = {
         BC, (), kappa, GRID),
     "fd_resolvent_star": lambda kappa: sc.fd_resolvent_star(MODEL, kappa,
                                                             GRID)}
+#: entry points that take an object of a package type, the error that
+#: refuses any other, and a near miss (a pair for a coupling, a coupling
+#: for a pair, (L, N) for a grid); each raised AttributeError, to_ab took
+#: anything, and rescale_length returned anything at equal lengths
+WRONG_TYPES = {
+    "to_ab": (sc.to_ab, InvalidCouplingError, sc.to_ab(C2)),
+    "s_matrix": (lambda c: sc.s_matrix(c, 1.0), InvalidCouplingError,
+                 sc.to_ab(C2)),
+    "bound_states": (lambda c: sc.bound_states(c, 1.0), InvalidCouplingError,
+                     sc.to_ab(C2)),
+    "rescale_length": (lambda c: sc.rescale_length(c, 1.0, 2.0),
+                       InvalidCouplingError, sc.to_ab(C2)),
+    "rescale_length:equal": (lambda c: sc.rescale_length(c, 1.0, 1.0),
+                             InvalidCouplingError, sc.to_ab(C2)),
+    "vertex_kernel": (lambda c: sc.vertex_kernel(c, (), 1.0),
+                      InvalidCouplingError, sc.to_ab(C2)),
+    "validate_ab": (sc.validate_ab, InvalidCouplingError, C2),
+    "from_ab": (sc.from_ab, InvalidCouplingError, C2),
+    "convergence_sweep": (lambda grid: sc.convergence_sweep(
+        "delta_prime_s", 1.0, 2, 1.0, [0.1], grid), ValueError, (12.0, 99)),
+    "fd_resolvent_halfline": (lambda grid: sc.fd_resolvent_halfline(
+        BC, (), 1.0, grid), ValueError, (12.0, 99)),
+    "fd_resolvent_star": (lambda grid: sc.fd_resolvent_star(
+        MODEL, 1.0, grid), ValueError, (12.0, 99)),
+}
 
 
 def _finite(obj) -> bool:
@@ -355,9 +379,6 @@ def _finite(obj) -> bool:
         # its fields, formed if lazy, and whatever else it holds
         return all(_finite(getattr(obj, name)) for name in obj._fields) \
             and all(map(_finite, vars(obj).values()))
-    if dataclasses.is_dataclass(obj):
-        return all(_finite(getattr(obj, f.name))
-                   for f in dataclasses.fields(obj))
     if isinstance(obj, (tuple, list)):
         return all(map(_finite, obj))
     return True
@@ -473,6 +494,16 @@ def test_star_of_no_pair_is_refused(entry, model):
         STAR_ENTRIES[entry](BAD_MODELS[model])
 
 
+@pytest.mark.parametrize("entry", WRONG_TYPES)
+@pytest.mark.parametrize("kind", ["None", "str", "near-miss"])
+def test_object_of_the_wrong_type_is_refused(entry, kind):
+    call, error, near_miss = WRONG_TYPES[entry]
+    value = {"None": None, "str": "x", "near-miss": near_miss}[kind]
+    with pytest.raises(error, match=r"must be a \w+, not a ") as raised:
+        call(value)
+    assert type(raised.value) is error
+
+
 @pytest.mark.parametrize("entry", KAPPA_ENTRIES)
 @pytest.mark.parametrize("kappa", UNHASHABLE_KAPPAS)
 def test_unhashable_kappa_is_refused(entry, kappa):
@@ -489,7 +520,7 @@ def test_mixed_bool_list_is_read_as_floats():
 @pytest.mark.parametrize("family", ["nope", None, "delta"])
 def test_approximation_stage_checks_its_family(family):
     with pytest.raises(ValueError, match="schedule family"):
-        ApproximationStage(**dict(dataclasses.asdict(STAGE), family=family))
+        ApproximationStage(**dict(STAGE_FIELDS, family=family))
 
 
 # ======================================================================

@@ -18,7 +18,6 @@ of its own; TestClosedFormNorms gates it against the same K(a)
 evaluated with 50-digit mpmath, and against the sampled quadrature.
 """
 
-import dataclasses
 import math
 
 import mpmath
@@ -753,8 +752,8 @@ LOOP_A = [0.26, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6]
 
 class TestStageLoop:
     """convergence_sweep runs its stages as one loop that builds no
-    ApproximationStage and takes its records through coupling._unchecked;
-    these tests hold it to schedule() and to constructed records."""
+    ApproximationStage; these tests hold it to schedule() and to
+    constructed records."""
 
     @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -792,21 +791,26 @@ class TestStageLoop:
 
     def test_schedule_checks_its_inputs_once(self, monkeypatch):
         want = schedule("delta_prime", 0.8, 3, 0.1)
-        # a stage built by hand still checks the schedule's strengths
+        fields = {name: getattr(want, name) for name in want._fields}
+        # a stage built by hand still checks the schedule's strengths, and
+        # equals and hashes as the scheduled one
         with pytest.raises(ValueError, match="not the schedule's"):
-            ApproximationStage(**dict(dataclasses.asdict(want), c=-1.0))
-        assert ApproximationStage(**dataclasses.asdict(want)) == want
+            ApproximationStage(**dict(fields, c=-1.0))
+        made = ApproximationStage(**fields)
+        assert made == want and hash(made) == hash(want)
+        assert repr(made) == repr(want)
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            want.a = 0.2
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("schedule() checked its stage again")
 
-        monkeypatch.setattr(ApproximationStage, "__post_init__", refuse)
+        monkeypatch.setattr(ApproximationStage, "__init__", refuse)
         for family in SCHEDULE_FAMILIES:
             for beta, n, a in ((0.8, 3, 0.1), (0.0, 1, 1e-6), (-2, 5, 0.3)):
                 got = schedule(family, beta, n, a)
                 assert type(got) is ApproximationStage
-                assert list(vars(got)) \
-                    == [f.name for f in dataclasses.fields(got)]
+                assert list(vars(got)) == list(got._fields)
         assert repr(schedule("delta_prime", 0.8, 3, 0.1)) == repr(want)
 
     @pytest.mark.parametrize("scalar", [np.float32, np.float64])
@@ -825,21 +829,18 @@ class TestStageLoop:
     def test_records_behave_like_constructed_ones(self):
         rep = convergence_sweep("delta_prime", 0.8, 3, 1.2,
                                 [1e-1, 3e-2, 1e-2], GRID)
-        twin_stages = tuple(StageResult(**dataclasses.asdict(s))
-                            for s in rep.stages)
-        twin = ConvergenceReport(
-            **{f.name: getattr(rep, f.name)
-               for f in dataclasses.fields(ConvergenceReport)}
-            | {"stages": twin_stages})
+        twin_stages = tuple(StageResult(**s._asdict()) for s in rep.stages)
+        twin = ConvergenceReport(**rep._asdict() | {"stages": twin_stages})
         for built, made in ((rep.stages[0], twin_stages[0]), (rep, twin)):
+            assert type(built) is type(made)
             assert built == made and hash(built) == hash(made)
-            assert list(vars(built)) == list(vars(made)) \
-                == [f.name for f in dataclasses.fields(made)]
-            assert dataclasses.asdict(built) == dataclasses.asdict(made)
-            assert dataclasses.replace(built) == built
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                built.kappa = 2.0
-        changed = dataclasses.replace(rep.stages[0], norm_total=1.0)
+            assert repr(built) == repr(made)
+            assert built._fields == made._fields
+            assert built._asdict() == made._asdict()
+            assert built._replace() == built
+            with pytest.raises(AttributeError):
+                setattr(built, built._fields[0], 2.0)
+        changed = rep.stages[0]._replace(norm_total=1.0)
         assert changed != rep.stages[0] and changed.norm_total == 1.0
 
     @pytest.mark.parametrize("a", [True, np.True_, "0.1", 0.1 + 0j],

@@ -393,7 +393,8 @@ class TestKreinInsert:
         p, twin = PointInteraction(1, -2), PointInteraction(1.0, -2.0)
         assert p == twin and hash(p) == hash(twin) == hash((1.0, -2.0))
         assert p != PointInteraction(1.0, 2.0) and p != (1.0, -2.0)
-        assert vars(p) == {"a": 1.0, "c": -2.0}
+        # the fields, and the key that == and hash() read, kept on first use
+        assert vars(p) == {"a": 1.0, "c": -2.0, "_key": (1.0, -2.0)}
         assert repr(p) == "PointInteraction(a=1.0, c=-2.0)"
         with pytest.raises(AttributeError,
                            match="^cannot assign to field 'a'$"):
