@@ -113,7 +113,9 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry norm of U U* - I."""
     import numpy as np
     u = np.asarray(u, dtype=complex)
-    return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
+    d = u @ u.conj().T    # a fresh C-ordered product: reshape is a view
+    d.reshape(-1)[::u.shape[0] + 1] -= 1.0
+    return float(np.abs(d).max())
 
 
 def _symmetric(u: np.ndarray) -> bool:
@@ -354,8 +356,10 @@ class Eigenphases(_Record):
             return (self.v * self.columns(f)) @ self.vh
         import numpy as np
         n = self.n
-        out = np.full((n, n), (f[0] - f[-1]) / n)
-        out.flat[::n + 1] += f[-1]
+        off = (f[0] - f[-1]) / n
+        out = np.empty((n, n), type(off))    # np.full's dtype, one fill
+        out[...] = off
+        out.reshape(-1)[::n + 1] = off + f[-1]
         return out
 
     def _entries(self, f: list, real: bool = False):
@@ -495,14 +499,21 @@ class ABPair(_Record):
         object.__setattr__(self, "b", b)
 
     def __getattr__(self, name: str):
-        # to_ab's pair forms A = U - I and B = i (U + I) on the first read;
+        # to_ab's pair forms A = U - I and B = i (U + I) on the first read,
+        # in C order (U may be Fortran-ordered), so reshape(-1) is a view;
         # racing threads form equal ones
         if name not in ("a", "b") or self._coupling is None:
             raise AttributeError(name)
         import numpy as np
-        u, eye = self._coupling.u, np.eye(self._coupling.n)
-        object.__setattr__(self, "a", _frozen(u - eye))
-        object.__setattr__(self, "b", _frozen(1j * (u + eye)))
+        u, step = self._coupling.u, self._coupling.n + 1
+        a = u.copy()
+        a.reshape(-1)[::step] -= 1.0
+        # + 0.0 turns the -0.0 of U off the diagonal into U + I's +0.0
+        b = np.add(u, 0.0, order="C")
+        b.reshape(-1)[::step] += 1.0
+        b *= 1j
+        object.__setattr__(self, "a", _frozen(a))
+        object.__setattr__(self, "b", _frozen(b))
         return self.__dict__[name]
 
     @property

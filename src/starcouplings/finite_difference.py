@@ -119,7 +119,7 @@ from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
                        _instance, _integer, _number, _scale, _symmetric,
                        _Value, make_coupling, to_ab)
 from .errors import PoleError
-from .greens import PointInteraction, _star, check_points
+from .greens import PointInteraction, _star
 from .scattering import one_plus_s_sectors
 
 if TYPE_CHECKING:    # numpy is imported where an array is made or read
@@ -374,9 +374,9 @@ def _ghost_map(coupling: VertexCoupling, h: float) -> list[float]:
     return [v.real / 6.0 for v in values]
 
 
-def _solve(coupling: VertexCoupling, points: Sequence[PointInteraction],
+def _solve(coupling: VertexCoupling, points: tuple[PointInteraction, ...],
            kappa: float, grid: GridSpec) -> SampledKernel:
-    points = check_points(points)
+    """The FD kernel of the pair that _star checked, points included."""
     grid = _instance(grid, GridSpec, "grid", ValueError)
     n, big_n, h = coupling.n, grid.N, grid.h
     if n * big_n > MAX_FD_UNKNOWNS:
@@ -409,7 +409,7 @@ def fd_resolvent_halfline(bc, points: Sequence[PointInteraction],
     half line with the one-edge coupling ``bc`` (a HalflineBC) at energy
     -kappa^2."""
     kappa = _scale(kappa, "kappa")
-    return _solve(*_star((bc, check_points(points)), 1), kappa, grid)
+    return _solve(*_star((bc, tuple(points)), 1), kappa, grid)
 
 
 def fd_resolvent_star(model, kappa: float, grid: GridSpec) -> SampledKernel:

@@ -86,7 +86,8 @@ def _refinement(u: np.ndarray, phases: Eigenphases, k: complex,
     ux = u.astype(np.clongdouble)
     sx = sk.astype(np.clongdouble)
     r = (kx + 1.0) * (ux - sx) - (kx - 1.0) * (sx @ ux)
-    r.flat[::u.shape[0] + 1] += kx - 1.0
+    # r takes the C order of the product sx @ ux: reshape is a view
+    r.reshape(-1)[::u.shape[0] + 1] += kx - 1.0
     d = phases.columns([2.0 * complex(c, s) * (k * c - 1j * s)
                         for c, s, _ in phases.groups])
     return ((r.astype(complex) @ phases.v) / d) @ phases.vh

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_invertible, random_unitary
+from conftest import random_invertible, random_unitary, unitary_with_phase
 from oracles import decoupled_projection, satisfies_vertex_condition
 from starcouplings import (ABPair, Eigenphases, InvalidCouplingError,
                            VertexCoupling, from_ab, make_coupling,
                            rescale_length, to_ab, unitarity_defect,
                            validate_ab)
-from starcouplings.scattering import bound_states, s_matrix
+from starcouplings.scattering import (REFINE_COND, _s_sectors, bound_states,
+                                      s_matrix)
 from starcouplings import coupling as coupling_module
 from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, FAMILIES,
                                     UNITARITY_TOL)
@@ -407,6 +408,113 @@ class TestToAbPair:
             assert (diag.rank, diag.hermiticity_defect,
                     diag.min_gram_eigenvalue) == want
             assert diag.ok
+
+
+def _full_apply(phases, f):
+    """Eigenphases.apply as np.full plus a .flat diagonal, the reference
+    for its in-place fill."""
+    if not phases.exact:
+        return phases.apply(f)
+    n = phases.n
+    out = np.full((n, n), (f[0] - f[-1]) / n)
+    out.flat[::n + 1] += f[-1]
+    return out
+
+
+def _full_s_matrix(c, k):
+    """s_matrix by _full_apply, refined with a .flat diagonal."""
+    k, phases, f, distance = _s_sectors(c, k)
+    s = _full_apply(phases, f)
+    if not phases.exact and REFINE_COND * distance < 1.0:
+        kx = np.clongdouble(k)
+        ux, sx = c.u.astype(np.clongdouble), s.astype(np.clongdouble)
+        r = (kx + 1.0) * (ux - sx) - (kx - 1.0) * (sx @ ux)
+        r.flat[::c.n + 1] += kx - 1.0
+        d = phases.columns([2.0 * complex(cs, sn) * (k * cs - 1j * sn)
+                            for cs, sn, _ in phases.groups])
+        s += ((r.astype(complex) @ phases.v) / d) @ phases.vh
+    return s
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+#: a Haar U at n = 1..7 (also Fortran-ordered) with its momenta, and a U
+#: with an eigenvalue next to +1 (-1) at small (large) k, which s_matrix
+#: refines
+_RNG_IN_PLACE = np.random.default_rng(4040)
+_HAAR_CASES = [(u, np.geomspace(1e-6, 1e6, 7))
+               for n in range(1, 8)
+               for u in [random_unitary(n, _RNG_IN_PLACE)]
+               for u in (u, np.asfortranarray(u))]
+_CLUSTERED_CASES = [(u, [k])
+                    for n in range(1, 6)
+                    for theta, k in ((1e-7, 1e-3), (math.pi - 1e-5, 1e2))
+                    for u in [unitary_with_phase(n, _RNG_IN_PLACE, theta,
+                                                 False)]
+                    for u in (u, np.asfortranarray(u))]
+
+
+class TestMatricesFormedInPlace:
+    """U, S_U(k), to_ab's A and B and unitarity_defect are formed in place,
+    bit for bit (dtype and signed zeros included) what np.full with a
+    .flat diagonal, U - I and i (U + I) with np.eye gave, and call none of
+    np.full, np.eye and np.identity."""
+
+    def _assert_as_before(self, c, ks):
+        u = c.u
+        if c.eigenphases.exact:
+            _same_bits(u, _full_apply(
+                c.eigenphases, coupling_module._eigenvalues(c.eigenphases)))
+        for k in ks:
+            _same_bits(s_matrix(c, k), _full_s_matrix(c, k))
+        pair, eye = to_ab(c), np.eye(c.n)
+        _same_bits(pair.a, u - eye)
+        _same_bits(pair.b, 1j * (u + eye))
+        assert unitarity_defect(u) == float(
+            np.abs(u @ u.conj().T - eye).max())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family):
+        ks = [1.0, *np.geomspace(1e-6, 1e6, 7)]
+        for n in range(1, 9):
+            for param in (0.0, -0.0, 1.3, -1.3, -2.0, math.inf, -math.inf):
+                c = make_coupling(family, n, param)
+                self._assert_as_before(c, ks)
+                self._assert_as_before(rescale_length(c, 1.0, 2.5), ks[:3])
+
+    def test_haar_and_clustered(self):
+        refined = 0
+        for u, ks in _HAAR_CASES + _CLUSTERED_CASES:
+            c = VertexCoupling.custom(u)
+            self._assert_as_before(c, ks)
+            refined += any(REFINE_COND * _s_sectors(c, k)[3] < 1.0
+                           for k in ks)
+        assert refined >= len(_CLUSTERED_CASES)
+
+    def test_signed_zeros_off_the_diagonal(self):
+        # U + I has +0.0 where U has -0.0; i (U - 0.0 I) would keep a -0.0
+        c = VertexCoupling.custom([[1.0, -0.0], [-0.0, 1.0]])
+        self._assert_as_before(c, [1.0, 1e-3])
+        assert math.copysign(1.0, to_ab(c).b[0, 1].real) == 1.0
+
+    def test_no_full_or_identity_matrix(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a temporary full or identity matrix")
+
+        for name in ("full", "eye", "identity"):
+            monkeypatch.setattr(np, name, refused)
+        family = make_coupling("delta_prime", 3, 1.5)
+        assert family.u.shape == (3, 3)
+        for k in (0.5, 1.0, 2.0):
+            assert s_matrix(family, k).shape == (3, 3)
+        haar = VertexCoupling.custom(
+            random_unitary(4, np.random.default_rng(40)))
+        pair = to_ab(haar)
+        assert pair.a.shape == pair.b.shape == (4, 4)
+        assert unitarity_defect(haar.u) <= UNITARITY_TOL
 
 
 # ======================================================================

@@ -244,6 +244,34 @@ class TestHalflineSolver:
                               np.inf, grid)
 
 
+@pytest.mark.parametrize("build", ["halfline", "star"])
+def test_each_build_checks_its_points_once(build, monkeypatch):
+    # one check_points per build, in _star, whose checked tuple _solve
+    # takes as it is; a refusal keeps its ValueError and message
+    check, calls = greens.check_points, []
+
+    def counted(points):
+        calls.append(points)
+        return check(points)
+
+    monkeypatch.setattr(greens, "check_points", counted)
+    monkeypatch.setattr(finite_difference, "check_points", counted,
+                        raising=False)
+    grid, point = GridSpec(12.0, 99), PointInteraction(1.2, 0.5)
+    if build == "halfline":
+        fd = lambda points: fd_resolvent_halfline(  # noqa: E731
+            HalflineBC.robin(0.7), points, KAPPA, grid)
+    else:
+        coupling = make_coupling("delta", 2, 0.3)
+        fd = lambda points: fd_resolvent_star(  # noqa: E731
+            (coupling, tuple(points)), KAPPA, grid)
+    fd([point, point])
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="not a PointInteraction: 1.2"):
+        fd([point, 1.2])
+    assert len(calls) == 2
+
+
 # ======================================================================
 #  star solver
 # ======================================================================
@@ -815,10 +843,12 @@ class TestSolverInputs:
             _solve(coupling, points, kappa, GridSpec(12.0, 99))
 
     def test_points_must_be_point_interactions(self):
-        # before the check, the solver failed late with AttributeError
+        # before the check, the solver failed late with AttributeError;
+        # both builds check in _star, and _solve takes its checked tuple
         grid = GridSpec(12.0, 99)
-        for solve in (lambda pts: _solve(make_coupling("delta", 2, 1.0), pts,
-                                         KAPPA, grid),
+        for solve in (lambda pts: fd_resolvent_star(
+                          (make_coupling("delta", 2, 1.0), tuple(pts)),
+                          KAPPA, grid),
                       lambda pts: fd_resolvent_halfline(
                           HalflineBC.dirichlet(), pts, KAPPA, grid)):
             with pytest.raises(ValueError, match="not a PointInteraction"):
