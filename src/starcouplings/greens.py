@@ -34,9 +34,10 @@ phases are, so a family's build forms no U and reads each sum over k of
 (P_k)_jl as one of two numbers, on or off the diagonal, with no matrix.
 
 HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
-pairs; halfline_kernel and star_green memoise vertex_kernel per pair.  On
-a grid of float nodes an edge's kernel is read row by row (_halfline_rows,
-for the CLI): each factor once per node, each value the scalar one.
+pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
+Every value is the scalar one, in math: an array argument is a loop over
+its entries, and _halfline_rows reads an edge's kernel row by row at
+float nodes (for the CLI and the tests), each factor once per node.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def check_points(points) -> tuple[PointInteraction, ...]:
 
 #: the scalar argument types of a kernel, bool excepted
 _REAL = (int, float)
-#: the elementary functions of float arguments; arrays take numpy's
-_FLOAT = (math.exp, math.expm1, min, max, True)
 #: past the first screen each edge is a Dirichlet half line, built once
 _DIRICHLET_EDGE = make_coupling("delta", 1, math.inf)
 
@@ -93,8 +92,9 @@ def vertex_kernel(coupling: VertexCoupling,
     """Evaluator (j, x, l, y) -> G_jl(x, y) of the star with vertex
     coupling ``coupling`` and the delta potentials ``points`` on every
     edge, at energy -kappa^2; the pole test runs here.  Edges are 0-based;
-    x and y broadcast over numpy arrays, floats give a float (complex when
-    U != U^T); each must be real (not bool), finite and >= 0."""
+    floats give a float (complex when U != U^T), numpy arguments the same
+    values entry by entry (a 0-d pair a float); each must be real (not
+    bool), finite and >= 0."""
     n = _instance(coupling, VertexCoupling, "coupling").n
     kappa = _scale(kappa, "kappa")
     merged: dict[float, float] = {}    # strengths add, a screen wins
@@ -107,14 +107,13 @@ def vertex_kernel(coupling: VertexCoupling,
     at = sorted(a for a, c in merged.items() if a < end and c != 0.0)
     two = 2.0 * kappa
 
-    def duhamel(out, terms, sign, x, fns=_FLOAT):
+    def duhamel(out, terms, sign, x):
         # out + k expm1(-2 kappa sign (x - a)) for each (a, k) in terms
         # with sign (x - a) > 0, the terms ordered nearest to x first
-        _, expm1, _, maximum, scalar = fns
         for a, k in terms:
-            if scalar and sign * (x - a) <= 0.0:
+            if sign * (x - a) <= 0.0:
                 break
-            out += k * expm1(-two * maximum(sign * (x - a), 0.0))
+            out += k * math.expm1(-two * (sign * (x - a)))
         return out
 
     # u_1 = 1 + expm1(-2 kappa x) / 2, u_2 = -expm1(-2 kappa x) / 2 kappa
@@ -161,55 +160,39 @@ def vertex_kernel(coupling: VertexCoupling,
         # plain ints and floats are tested first, by type alone
         if not (type(j) is type(l) is int and 0 <= j < n and 0 <= l < n):
             _integer("edge indices", j, l, high=n)
-        if (type(x) in _REAL and type(y) in _REAL) or (
+        if not ((type(x) in _REAL and type(y) in _REAL) or (
                 isinstance(x, _REAL) and isinstance(y, _REAL)
-                and type(x) is not bool and type(y) is not bool):
-            # an int beyond the largest double has no float
-            if not (0.0 <= x <= top and 0.0 <= y <= top):
-                raise ValueError("kernel arguments must be finite and >= 0")
-            fns = _FLOAT
-        else:
-            import numpy as np
+                and type(x) is not bool and type(y) is not bool)):
+            import numpy as np    # an array, numpy scalar or 0-d array
             x, y = np.asarray(x), np.asarray(y)
             if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
                 raise ValueError(f"kernel arguments must be real numbers, "
                                  f"got dtypes {x.dtype} and {y.dtype}")
-            x, y = x.astype(float, copy=False), y.astype(float, copy=False)
-            # a numpy scalar (np.float32 is no float) or 0-d array: a float
-            if x.ndim == y.ndim == 0:
-                return evaluate(j, float(x), l, float(y))
-            # min/max also catch NaN, and cost less than elementwise tests
-            if any(v.size and not (v.min() >= 0.0 and v.max() < math.inf)
-                   for v in (x, y)):
-                raise ValueError("kernel arguments must be finite and >= 0")
-            fns = (np.exp, np.expm1, np.minimum, np.maximum, False)
-        exp, _, minimum, maximum, scalar = fns
+            x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
+            out = np.fromiter([evaluate(j, s, l, t) for s, t in zip(
+                x.ravel().tolist(), y.ravel().tolist())], kind, x.size)
+            return out.reshape(x.shape) if x.ndim else out.item()
+        # an int beyond the largest double has no float
+        if not (0.0 <= x <= top and 0.0 <= y <= top):
+            raise ValueError("kernel arguments must be finite and >= 0")
         beyond = None     # phi(end) = 0: nothing crosses a screen
-        if screened and j == l and not (scalar and max(x, y) <= end):
-            beyond = wall(0, maximum(x - end, 0.0), 0, maximum(y - end, 0.0))
+        if screened and j == l and max(x, y) > end:
+            beyond = wall(0, max(x - end, 0.0), 0, max(y - end, 0.0))
         if screened:
-            x, y = minimum(x, end), minimum(y, end)
+            x, y = min(x, end), min(y, end)
         if j != l:    # Gamma_jl e^{-kappa (x + y)} phi(x) phi(y)
-            fx = gamma(j, l) * exp(-kappa * x) * duhamel(*phi, -1, x, fns)
-            out = fx * (exp(-kappa * y) * duhamel(*phi, -1, y, fns))
-        elif scalar:  # e^{-kappa |x - y|} (b_j u_2 - a_j u_1)(lo) phi(hi)
+            fx = gamma(j, l) * math.exp(-kappa * x) * duhamel(*phi, -1, x)
+            out = fx * (math.exp(-kappa * y) * duhamel(*phi, -1, y))
+        else:         # e^{-kappa |x - y|} (b_j u_2 - a_j u_1)(lo) phi(hi)
             lo, hi = (x, y) if x <= y else (y, x)
-            out = duhamel(*rises[j], 1, lo, fns) * duhamel(*phi, -1, hi, fns) \
-                * exp(-kappa * (hi - lo))
-        else:         # each factor on x and y, so on the axes of a grid
-            below = x <= y
-            out = np.where(below, duhamel(*rises[j], 1, x, fns),
-                           duhamel(*rises[j], 1, y, fns))
-            out *= exp(-kappa * abs(x - y))
-            if falls:
-                out *= np.where(below, duhamel(*phi, -1, y, fns),
-                                duhamel(*phi, -1, x, fns))
+            out = duhamel(*rises[j], 1, lo) * duhamel(*phi, -1, hi) \
+                * math.exp(-kappa * (hi - lo))
         return out if beyond is None else out + beyond
 
     def rows(j: int, nodes: list):
         # the rows [evaluate(j, x_i, j, x_k) for k >= i] of increasing float
-        # nodes, bit for bit: the scalar branch's arithmetic, with each
-        # factor formed once per node
+        # nodes, bit for bit: evaluate's arithmetic, each factor formed once
+        # per node
         clipped = [min(x, end) for x in nodes]
         rs = [duhamel(*rises[j], 1, x) for x in clipped]
         fs = [duhamel(*phi, -1, x) for x in clipped]
@@ -329,7 +312,7 @@ def halfline_kernel(bc: VertexCoupling, points, kappa: float):
     line with the one-edge coupling ``bc`` (a HalflineBC) and any number
     of point interactions.  Broadcasts over array arguments; values are
     real."""
-    model = _star((bc, check_points(points)), 1)
+    model = _star((bc, tuple(points)), 1)
     try:
         kernel = _kernel(model, kappa)
     except TypeError:    # an unhashable kappa, refused as vertex_kernel does
@@ -341,8 +324,8 @@ def _halfline_rows(bc: VertexCoupling, points, kappa: float, nodes: list):
     """The rows [kernel(x_i, x_k) for k >= i] of halfline_kernel(bc,
     points, kappa), whose memoised evaluator it reads, at increasing float
     nodes x_i: one row at a time, each value the scalar one bit for bit,
-    with no numpy (the CLI's greens --grid)."""
-    return _kernel((bc, check_points(points)), kappa)._rows(0, nodes)
+    with no numpy (the CLI's greens --grid, the tests' sampled sectors)."""
+    return _kernel(_star((bc, tuple(points)), 1), kappa)._rows(0, nodes)
 
 
 def sector_green(sector, kappa: float, x, y):

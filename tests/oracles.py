@@ -1,12 +1,13 @@
 """Test oracles: the sector tables of the star models, sampled sector
-differences, the decoupled projector and the vertex-condition check,
-none of which the package computes.
+differences, the kernel of deltas on the line, the decoupled projector
+and the vertex-condition check, none of which the package computes.
 
 The convergence sweep evaluates its sector norms in closed form (see the
 starcouplings.convergence docstring).  The helpers here sample the
 kernels themselves, one half-line sector at a time, so the tests can
 measure the same norms by quadrature (convergence.hs_norm) and reassemble
-a star kernel from its sectors.  satisfies_vertex_condition is the
+a star kernel from its sectors; at n = 2 line_green gives a star's
+kernel with no U at all.  satisfies_vertex_condition is the
 oracle of from_ab round trips and of the kernels' vertex traces.  The
 oracles refuse what the package's entry points refuse (a bool, a NaN, a
 length out of range), so a test that builds a bad argument fails at the
@@ -14,16 +15,18 @@ oracle instead of comparing NaN, and test_contract.py probes them as it
 probes the package.
 """
 
+import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            InvalidCouplingError, PointInteraction, PoleError,
                            StarModel, VertexCoupling)
 from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, _integer,
-                                    _number, _readonly)
-from starcouplings.greens import sector_green
+                                    _number, _readonly, _scale)
+from starcouplings.greens import _halfline_rows
 
 
 @dataclass(frozen=True)
@@ -139,11 +142,63 @@ def sector_difference(target: SectorSpec, approx: SectorSpec, kappa: float,
             f"incompatible sector pair: multiplicities "
             f"{target.multiplicity} and {approx.multiplicity}")
     nodes = _window_nodes(grid, a)
-    xg = nodes[:, None]
-    yg = nodes[None, :]
-    values = sector_green(approx, kappa, xg, yg) \
-        - sector_green(target, kappa, xg, yg)
+    kappa = _scale(kappa, "kappa")    # the memo of the rows hashes kappa
+    values = _sector_square(approx, kappa, nodes) \
+        - _sector_square(target, kappa, nodes)
     return SampledDifference(x=nodes, values=values)
+
+
+def _sector_square(sector: SectorSpec, kappa: float, nodes: np.ndarray
+                   ) -> np.ndarray:
+    """The sector's kernel at (nodes[i], nodes[k]), increasing nodes: each
+    row from the diagonal on is one of greens._halfline_rows, bit for bit
+    the scalar kernel, and the kernel is symmetric."""
+    points = () if sector.point is None else (sector.point,)
+    square = np.empty((nodes.size, nodes.size))
+    for i, row in enumerate(_halfline_rows(sector.bc, points, kappa,
+                                           nodes.tolist())):
+        square[i, i:] = square[i:, i] = row
+    return square
+
+
+def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
+    """The resolvent kernel at energy -kappa^2 of -d^2/dx^2 + sum_q c_q
+    delta(x - x_q) on the real line, ``deltas`` the (x_q, c_q) pairs, in
+    50-digit mpmath: psi_l decays at -inf (e^{kappa x} left of the
+    deltas), psi_r at +inf (e^{-kappa x} right of them), each carried
+    across the deltas as its coefficients (A, B) of e^{kappa x} and
+    e^{-kappa x}, psi' jumping by c_q psi(x_q); then G(x, y) = psi_l(lo)
+    psi_r(hi) / W, W = psi_l' psi_r - psi_l psi_r' = 2 kappa (A_l B_r -
+    B_l A_r) on any stretch.  No U, eigenphase or sector enters."""
+    kappa, x, y = _number(kappa, "kappa", positive=True), \
+        _number(x, "x"), _number(y, "y")
+    deltas = sorted((_number(a, "delta position"),
+                     _number(c, "delta strength")) for a, c in deltas)
+    with mpmath.workdps(50):
+        k = mpmath.mpf(kappa)
+
+        def carry(coef, ordered, sign, until):
+            # (A, B) past each delta of ``ordered`` up to ``until``
+            for a, c in ordered:
+                if sign * (a - until) >= 0:
+                    break
+                a = mpmath.mpf(a)
+                up, down = coef[0] * mpmath.exp(k * a), \
+                    coef[1] * mpmath.exp(-k * a)
+                psi = up + down
+                dpsi = k * (up - down) + sign * c * psi
+                coef = ((psi + dpsi / k) * mpmath.exp(-k * a) / 2,
+                        (psi - dpsi / k) * mpmath.exp(k * a) / 2)
+            return coef
+
+        lo, hi = sorted((mpmath.mpf(x), mpmath.mpf(y)))
+        a_l, b_l = carry((1, 0), deltas, 1, lo)
+        a_r, b_r = carry((0, 1), deltas[::-1], -1, hi)
+        # W, a constant, left of every delta, where psi_l = e^{kappa x}
+        wronskian = 2 * k * carry((0, 1), deltas[::-1], -1, -math.inf)[1]
+        psi_l = a_l * mpmath.exp(k * lo) + b_l * mpmath.exp(-k * lo)
+        psi_r = a_r * mpmath.exp(k * hi) + b_r * mpmath.exp(-k * hi)
+        return psi_l * psi_r / wronskian
 
 
 def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:

@@ -9,8 +9,9 @@ model, the Krein formula at 50 digits (mpmath) near the origin, the
 vertex condition and Hermiticity for Haar-random couplings, the
 edge-indexed matrix formula with its Krein update over all (edge, point)
 pairs at 50 digits for Haar-random couplings with points, the 60-digit
-S_U(i kappa) formula entry by entry across edges, and 2 x 2 transfer
-matrices at 50 digits for a Robin half line with points.
+S_U(i kappa) formula entry by entry across edges, 2 x 2 transfer
+matrices at 50 digits for a Robin half line with points, and at n = 2
+the line's three-delta kernel at 50 digits (oracles.line_green).
 """
 
 import dataclasses
@@ -23,16 +24,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, unitary_with_phase
-from oracles import (SectorSpec, approximant_model, satisfies_vertex_condition,
-                     sector_decompose)
+from oracles import (SectorSpec, approximant_model, line_green,
+                     satisfies_vertex_condition, sector_decompose)
 from starcouplings import (GridSpec, HalflineBC, InvalidCouplingError,
                            PointInteraction, PoleError, StarModel,
                            VertexCoupling, convergence_sweep,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_kernel, make_coupling, schedule,
                            star_green, vertex_kernel)
+from starcouplings import greens
 from starcouplings.greens import (ROBIN_POLE_TOL, _halfline_rows,
-                                  _named_coupling, sector_green)
+                                  _named_coupling, check_points, sector_green)
 
 RNG = np.random.default_rng(7)
 
@@ -348,8 +350,10 @@ class TestKreinInsert:
         ("robin", 1, 0.8), ("delta_prime_s", 3, 1.3), ("delta_p", 3, 0.4),
         ("haar", 3, 11)], ids=lambda vertex: vertex[0])
     def test_broadcasts_over_grids(self, vertex, npoints):
-        # floats and arrays run one group and Krein loop; the second and
-        # third points are a screen and a repulsive delta
+        # an array holds the scalar kernel entry by entry, bit for bit (both
+        # parts of a complex value), a 0-d array gives the scalar itself and
+        # an empty one an empty array; the second and third points are a
+        # screen and a repulsive delta
         if vertex[0] == "haar":
             coupling = VertexCoupling.custom(
                 random_unitary(3, np.random.default_rng(vertex[2])))
@@ -360,19 +364,26 @@ class TestKreinInsert:
         points = [PointInteraction(1.0, -2.0), PointInteraction(2.4, math.inf),
                   PointInteraction(3.3, 0.7)][:npoints]
         kernel = vertex_kernel(coupling, points, 1.0)
-        real = vertex[0] != "haar"
+        kind, dtype = (complex, np.complex128) if vertex[0] == "haar" \
+            else (float, np.float64)
         x = np.linspace(0.0, 5.0, 7)
+
+        def bits(values):
+            return [struct.pack("dd", v.real, v.imag) for v in values]
+
         for j in range(coupling.n):
             for l in range(coupling.n):
+                floats = [kernel(j, s, l, t) for s in x.tolist()
+                          for t in x.tolist()]
+                assert {type(v) for v in floats} == {kind}
                 vals = kernel(j, x[:, None], l, x[None, :])
-                assert vals.shape == (7, 7)
-                assert vals.dtype == (np.float64 if real else np.complex128)
-                floats = [[kernel(j, s, l, t) for t in x.tolist()]
-                          for s in x.tolist()]
-                assert {type(v) for row in floats for v in row} == \
-                    {float if real else complex}
-                assert np.max(np.abs(vals - np.array(floats))) <= \
-                    1e-15 * np.max(np.abs(vals)), (j, l)
+                assert vals.shape == (7, 7) and vals.dtype == dtype
+                assert bits(vals.ravel().tolist()) == bits(floats), (j, l)
+                point = kernel(j, np.array(x[3]), l, np.array(x[5]))
+                assert type(point) is kind
+                assert bits([point]) == bits([floats[3 * 7 + 5]])
+                empty = kernel(j, np.empty(0), l, x[:, None])
+                assert empty.shape == (7, 0) and empty.dtype == dtype
 
     def test_rejects_nonpositive_position(self):
         with pytest.raises(ValueError):
@@ -842,6 +853,61 @@ class TestStarAgainstSectors:
                             (kind, param, kappa, j, l)
 
 
+class TestLineOfThreeDeltas:
+    """At n = 2 a star is the real line, edge 0 the half x < 0 and edge 1
+    the half x > 0, and the delta_prime_s approximant is Cheon and
+    Shigehara's -d^2/dx^2 - (beta / a^2) delta(x) - (1 / a) (delta(x - a) +
+    delta(x + a)) (Phys. Lett. A 243 (1998) 111); the delta_prime one,
+    central_delta_p with b = -beta / a^2, is its image under psi -> -psi
+    on x < 0.  oracles.line_green gives its kernel at 50 digits from the
+    three deltas alone."""
+
+    @staticmethod
+    def pairs(a):
+        # (x, y) on one half, across the vertex, within [-a, a] and from
+        # within it out
+        return [(0.3, 0.7), (-0.4, 1.1), (-0.2, -0.9), (0.5 * a, -0.3 * a),
+                (0.25 * a, 0.75 * a), (-0.6 * a, 2.5)]
+
+    def test_oracle_is_the_free_and_the_one_delta_kernel(self):
+        kappa, c = 0.7, 1.9
+        for x, y in self.pairs(1.0):
+            free = math.exp(-kappa * abs(x - y)) / (2 * kappa)
+            one = free - c * math.exp(-kappa * (abs(x) + abs(y))) \
+                / (2 * kappa * (2 * kappa + c))
+            assert abs(line_green([], kappa, x, y) - free) <= 1e-16
+            assert abs(line_green([(0.0, c)], kappa, x, y) - one) <= 1e-16
+
+    # worst relative errors measured over the 54 cases of each a: 2.7e-15,
+    # 7.2e-14, 1.04e-12 (delta_prime_s) and 3.4e-15, 7.2e-14, 1.04e-12
+    # (delta_prime); each bound is about twice its measurement
+    @pytest.mark.parametrize("family,a,bound", [
+        ("delta_prime_s", 1e-1, 6e-15), ("delta_prime_s", 1e-2, 1.5e-13),
+        ("delta_prime_s", 1e-3, 2.1e-12), ("delta_prime", 1e-1, 7e-15),
+        ("delta_prime", 1e-2, 1.5e-13), ("delta_prime", 1e-3, 2.1e-12)])
+    def test_approximant_is_the_line(self, family, a, bound):
+        satellite = PointInteraction(a, -1.0 / a)
+        worst = 0.0
+        for beta in (1.0, -0.7, 3.0):
+            if family == "delta_prime_s":
+                b = -beta / (2.0 * a * a)
+                model = StarModel(2, "central_delta", b=b, point=satellite)
+                center = 2.0 * b      # the two edges' strength n b
+            else:
+                center = b = -beta / (a * a)
+                model = StarModel(2, "central_delta_p", b=b, point=satellite)
+            deltas = [(-a, -1.0 / a), (0.0, center), (a, -1.0 / a)]
+            for kappa in (0.5, 1.0, 2.0):
+                for x, y in self.pairs(a):
+                    j, l = int(x > 0), int(y > 0)
+                    want = line_green(deltas, kappa, x, y)
+                    if family == "delta_prime" and j != l:
+                        want = -want    # the gauge flips one side
+                    got = star_green(model, kappa, j, abs(x), l, abs(y))
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+        assert worst <= bound, worst
+
+
 # ======================================================================
 #  Haar-random couplings
 # ======================================================================
@@ -1206,6 +1272,35 @@ class TestPointsMustBePointInteractions:
             halfline_kernel(HalflineBC.dirichlet(), self.BAD, 1.0)
         with pytest.raises(ValueError, match="not a PointInteraction"):
             halfline_kernel(HalflineBC.dirichlet(), [[0.5, -2.0]], 1.0)
+
+    @pytest.mark.parametrize("entry", [
+        halfline_kernel,
+        lambda bc, points, kappa: _halfline_rows(bc, points, kappa, [0.0])])
+    def test_half_line_entries_check_their_points_once(self, entry,
+                                                       monkeypatch):
+        # one check on a memo hit; a miss checks again in _kernel's _star
+        # and in vertex_kernel
+        calls = []
+
+        def counting(points):
+            calls.append(points)
+            return check_points(points)
+
+        monkeypatch.setattr(greens, "check_points", counting)
+        greens._kernel.cache_clear()
+        bc, points = HalflineBC.robin(0.3), [PointInteraction(0.9, 1.7)]
+        entry(bc, points, 1.2)
+        assert len(calls) == 3
+        entry(bc, points, 1.2)
+        assert len(calls) == 4
+
+    def test_grid_rows_refuse_a_star(self):
+        # the rows read edge 0 of a kernel, which is the half line only
+        # when the coupling has one edge; halfline_kernel refuses the same
+        for entry in (halfline_kernel, lambda *args: _halfline_rows(
+                *args, [0.0, 1.0])):
+            with pytest.raises(ValueError, match="1-edge VertexCoupling"):
+                entry(make_coupling("delta", 3, 0.5), [], 1.0)
 
 
 class TestScalarTypes:
