@@ -20,15 +20,16 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "convergence": ("ApproximationStage", "ConvergenceReport", "StageResult",
                     "convergence_sweep", "schedule"),
-    "coupling": ("ABDiagnostics", "ABPair", "Eigenphases", "VertexCoupling",
-                 "from_ab", "make_coupling", "rescale_length", "to_ab",
+    "coupling": ("ABDiagnostics", "ABPair", "Eigenphases", "GridSpec",
+                 "PointInteraction", "VertexCoupling", "from_ab",
+                 "make_coupling", "rescale_length", "to_ab",
                  "unitarity_defect", "validate_ab"),
     "errors": ("InvalidCouplingError", "PoleError"),
-    "finite_difference": ("GridSpec", "KernelErrorStats", "SampledKernel",
+    "finite_difference": ("KernelErrorStats", "SampledKernel",
                           "compare_kernels", "fd_resolvent_halfline",
                           "fd_resolvent_star"),
-    "greens": ("HalflineBC", "PointInteraction", "StarModel",
-               "halfline_kernel", "star_green", "vertex_kernel"),
+    "greens": ("HalflineBC", "StarModel", "halfline_kernel", "star_green",
+               "vertex_kernel"),
     "scattering": ("BoundState", "bound_states", "s_matrix"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -12,10 +12,10 @@ greens --grid reads each row of its CSV from per-node kernel factors in
 floats, bit for bit the kernel at each point.
 
 Each subcommand loads only the package modules it runs, besides coupling
-and errors, which build the parser: coupling none, smatrix scattering,
-greens greens (and finite_difference, with scattering, for --grid),
-oracle-check greens and finite_difference with scattering, converge
-convergence and all the others.  A subcommand binds the public names of
+and errors, which build the parser and its records (GridSpec,
+PointInteraction): coupling none, smatrix scattering, greens greens (at
+a point and on a --grid), oracle-check greens and finite_difference with
+scattering, converge convergence.  A subcommand binds the public names of
 its modules, as the package's _PUBLIC lists them, in this namespace but
 never over a name already set (_load); any other public name read off
 this module comes from the package, which loads only its defining module.
@@ -41,9 +41,10 @@ import sys
 from collections import deque
 
 from . import _HOME, _PUBLIC
-from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS,
-                       VertexCoupling, _eigenvalues, _number, make_coupling,
-                       rescale_length, to_ab, validate_ab)
+from .coupling import (FAMILIES, SCHEDULE_FAMILIES, STAR_KINDS, GridSpec,
+                       PointInteraction, VertexCoupling, _eigenvalues,
+                       _number, make_coupling, rescale_length, to_ab,
+                       validate_ab)
 from .errors import InvalidCouplingError, PoleError
 
 
@@ -257,7 +258,6 @@ def _cmd_greens(args) -> int:
     points = [_parse_point(p) for p in (args.point or [])]
     kernel = halfline_kernel(bc, points, args.kappa)
     if args.grid is not None:
-        _load("finite_difference")
         from .greens import _halfline_rows
         nodes = _grid_nodes(_parse_grid(args.grid))
         labels = [f"{v:.17g}" for v in nodes]
@@ -291,7 +291,7 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    _load("finite_difference", "convergence")
+    _load("convergence")
     family = _SCHEDULE_FLAGS[args.family]
     grid = _parse_grid(args.grid)
     a_list = _parse_a_list(args.a_list)

@@ -35,13 +35,14 @@ x, y >= a, so
 
 where dR is the reflection constant of the base condition plus the
 satellite minus that of the target.  The sweep evaluates this closed form;
-it reads only L from its grid.  Both sector pairs of both families are one
-pair in homogeneous form (sigma, tau): target tau psi(0) = sigma psi'(0),
-base tau a^2 psi'(0) = -sigma psi(0) (the scheduled Robin value), plus
-c = -1/a at a.  The sweep reads them once from the family table of
-coupling: an eigenvalue (c, s) of the target's U is the sector
-(sigma, tau) = (c, -s), so (beta, n) is the Robin pair and (1, 0) the
-Dirichlet base with a Neumann target.  With x = kappa a,
+it reads only L from its grid, and the module imports only coupling and
+errors (sector_green loads greens when it is called).  Both sector pairs
+of both families are one pair in homogeneous form (sigma, tau): target
+tau psi(0) = sigma psi'(0), base tau a^2 psi'(0) = -sigma psi(0) (the
+scheduled Robin value), plus c = -1/a at a.  The sweep reads them once
+from the family table of coupling: an eigenvalue (c, s) of the target's
+U is the sector (sigma, tau) = (c, -s), so (beta, n) is the Robin pair
+and (1, 0) the Dirichlet base with a Neumann target.  With x = kappa a,
 f(x) = x cosh x - sinh x, s = sinh x, h = cosh x and E = e^{2x},
 
     P = -tau a x (h - x s) - sigma f         (the effective Robin constant
@@ -80,13 +81,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .coupling import (SCHEDULE_FAMILIES, _family_table, _instance, _integer,
-                       _scale, _unchecked, _Value)
+from .coupling import (ROBIN_POLE_TOL, SCHEDULE_FAMILIES, GridSpec,
+                       _family_table, _instance, _integer, _scale, _unchecked,
+                       _Value)
 from .errors import PoleError
-from .finite_difference import GridSpec
-# sector_green stays a module attribute: the sweep workload of benchmarks/
-# patches convergence.sector_green, and hs_norm below
-from .greens import ROBIN_POLE_TOL, sector_green  # noqa: F401
 
 #: stages whose Krein denominator 1 + c G(a, a) falls below this are invalid
 KREIN_POLE_TOL = 1e-12
@@ -143,8 +141,18 @@ def _strengths(family: str, beta: float, n: int, a: float) -> tuple:
     return b, -1.0 / a, b if common else b / n
 
 
-# hs_norm stays a module attribute, patched by the sweep workload of
-# benchmarks/; the tests measure the sweep's norms with it
+# sector_green and hs_norm stay module attributes, patched by the sweep
+# workload of benchmarks/; the tests' sector oracles call both
+def sector_green(sector, kappa: float, x, y):
+    """Kernel of one sector, a record with a one-edge coupling ``.bc`` (a
+    HalflineBC) and a PointInteraction or None ``.point``: its half-line
+    kernel, with the sector's point interaction when it carries one.  No
+    package code calls it, and greens is imported only when it is."""
+    from .greens import halfline_kernel
+    points = () if sector.point is None else (sector.point,)
+    return halfline_kernel(sector.bc, points, kappa)(x, y)
+
+
 def hs_norm(diff) -> float:
     """Hilbert-Schmidt norm estimate of a kernel difference sampled at the
     nodes diff.x (diff.values[i, j] at (x[i], x[j])): sqrt of the 2-D

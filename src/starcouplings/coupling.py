@@ -69,6 +69,11 @@ validate_ab gives its diagnostics in closed form.  numpy is imported by
 the functions that make or read an array, so a family's phases, its
 kernels, its (A, B) diagnostics and the scalar checks run without it.
 
+This module is the package's base layer for checked input: the records
+an entry point takes (besides U and (A, B), PointInteraction, GridSpec
+and the (coupling, points) model that _star checks) and the refusals of
+numbers live here, and it imports no package module but errors.
+
 All values are immutable after construction and every operation is a pure
 function, safe to call concurrently (two threads that race to build the
 eigenphase cache, or a U from its phases, build equal ones).
@@ -107,6 +112,9 @@ HERMITICITY_TOL = 1e-12
 DECOUPLED_EIGENVALUE_TOL = 1e-9
 #: condition estimate beyond which A + iB counts as numerically singular
 SINGULAR_COND = 1e12
+#: Jost functions below this, relative to their terms, raise PoleError (the
+#: kernels), and the sweep's one-edge pole guard reads it too
+ROBIN_POLE_TOL = 1e-10
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -159,10 +167,11 @@ def _unchecked(cls, **fields):
 
 class _Record:
     """A frozen record: its fields live in the instance __dict__, set by
-    the constructor, by _unchecked or on a lazy first read, never by
-    assignment or deletion; == and hash() go by identity.  The repr shows
-    the fields named in _fields.  The package's checked inputs are
-    records; its results are NamedTuples, and both answer _fields."""
+    the constructor or by _unchecked, or on a lazy first read by a
+    functools.cached_property of the same name, never by assignment or
+    deletion; == and hash() go by identity.  The repr shows the fields
+    named in _fields.  The package's checked inputs are records; its
+    results are NamedTuples, and both answer _fields."""
 
     _fields: tuple[str, ...] = ()
 
@@ -285,6 +294,73 @@ def _integer(what: str, *values, low: int = 0,
                 else f"be an integer number of at least {low} in double range"
             raise error(f"{what} must {bound}, got "
                         f"{', '.join(map(repr, values))}")
+
+
+class PointInteraction(_Value):
+    """A delta potential of strength c at distance a > 0 from the origin.
+    c may be math.inf (hard screen).  == and hash() go by (a, c)."""
+
+    a: float
+    c: float
+    _fields = ("a", "c")
+
+    def __init__(self, a, c):
+        self.__dict__.update(
+            a=_scale(a, "point interaction position"),
+            c=_number(c, "point interaction strength", inf=True))
+
+
+def check_points(points) -> tuple[PointInteraction, ...]:
+    """The points as a tuple; ValueError unless each is a PointInteraction."""
+    points = tuple(points)
+    for p in points:
+        if not isinstance(p, PointInteraction):
+            raise ValueError(f"not a PointInteraction: {p!r}")
+    return points
+
+
+class GridSpec(_Value):
+    """Uniform grid on (0, L) with N interior points, h = L / (N + 1).
+    == and hash() go by (L, N)."""
+
+    L: float
+    N: int
+    _fields = ("L", "N")
+
+    def __init__(self, L, N):
+        L = _scale(L, "truncation length L")
+        _integer("interior node count N", N, low=16)
+        self.__dict__.update(L=L, N=N)
+
+    @functools.cached_property
+    def h(self) -> float:
+        return self.L / (self.N + 1)
+
+    def nodes(self) -> np.ndarray:
+        """Interior nodes i h, i = 1..N."""
+        import numpy as np
+        return self.h * np.arange(1, self.N + 1)
+
+    def boundary_nodes(self) -> np.ndarray:
+        """All N + 2 nodes including 0 and L."""
+        import numpy as np
+        return np.linspace(0.0, self.L, self.N + 2)
+
+    def refined(self) -> "GridSpec":
+        """The grid with h halved (N -> 2N + 1); existing nodes survive."""
+        return GridSpec(self.L, 2 * self.N + 1)
+
+    def node_index(self, x: float, *, minimum: int = 0) -> int:
+        """Index of the interior node nearest x, clamped to [minimum, N-1]."""
+        if type(x) is not float:    # the common case, tested first
+            x = _number(x, "grid coordinate")
+        if not 0.0 <= x <= self.L:
+            raise ValueError(f"grid coordinate must be a real number in "
+                             f"[0, {self.L}], got {x!r}")
+        i = int(round(x / self.h)) - 1
+        if i < minimum:
+            return minimum
+        return i if i < self.N else self.N - 1
 
 
 def _group(group) -> tuple[float, float, int]:
@@ -430,7 +506,6 @@ class VertexCoupling(_Record):
     == and hash() go by identity; compare values with np.array_equal on u.
     """
 
-    u: np.ndarray
     _phases: Eigenphases | None = None
     _fields = ("u",)
 
@@ -445,14 +520,9 @@ class VertexCoupling(_Record):
     def custom(cls, u) -> "VertexCoupling":
         return cls(u)
 
-    def __getattr__(self, name: str):
-        # a coupling built from its phases forms U on the first read; racing
-        # threads form equal ones
-        if name != "u" or self._phases is None:
-            raise AttributeError(name)
-        object.__setattr__(self, "u", _frozen(self._phases.apply(
-            _eigenvalues(self._phases))))
-        return self.u
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        return _frozen(self._phases.apply(_eigenvalues(self._phases)))
 
     @property
     def n(self) -> int:
@@ -468,6 +538,18 @@ class VertexCoupling(_Record):
         return phases
 
 
+def _star(model, edges: int | None = None):
+    """model if it is a (VertexCoupling, tuple of PointInteraction) pair,
+    of ``edges`` edges if given (one for a half line); else ValueError."""
+    if not (isinstance(model, tuple) and len(model) == 2
+            and isinstance(model[0], VertexCoupling)
+            and isinstance(model[1], tuple)
+            and edges in (None, model[0].n)):
+        raise ValueError(f"a model is a ({edges or 'n'}-edge VertexCoupling, "
+                         f"tuple of PointInteraction) pair, got {model!r}")
+    return model[0], check_points(model[1])
+
+
 class ABPair(_Record):
     """A boundary-condition pair (A, B) of n x n matrices.
 
@@ -478,8 +560,6 @@ class ABPair(_Record):
     == and hash() go by identity; compare values with np.array_equal.
     """
 
-    a: np.ndarray
-    b: np.ndarray
     _coupling: VertexCoupling | None = None
     _fields = ("a", "b")
 
@@ -498,23 +578,21 @@ class ABPair(_Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def __getattr__(self, name: str):
-        # to_ab's pair forms A = U - I and B = i (U + I) on the first read,
-        # in C order (U may be Fortran-ordered), so reshape(-1) is a view;
-        # racing threads form equal ones
-        if name not in ("a", "b") or self._coupling is None:
-            raise AttributeError(name)
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        # in C order (U may be Fortran-ordered), so reshape(-1) is a view
+        a = self._coupling.u.copy()
+        a.reshape(-1)[::self._coupling.n + 1] -= 1.0
+        return _frozen(a)
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
         import numpy as np
-        u, step = self._coupling.u, self._coupling.n + 1
-        a = u.copy()
-        a.reshape(-1)[::step] -= 1.0
         # + 0.0 turns the -0.0 of U off the diagonal into U + I's +0.0
-        b = np.add(u, 0.0, order="C")
-        b.reshape(-1)[::step] += 1.0
+        b = np.add(self._coupling.u, 0.0, order="C")
+        b.reshape(-1)[::self._coupling.n + 1] += 1.0
         b *= 1j
-        object.__setattr__(self, "a", _frozen(a))
-        object.__setattr__(self, "b", _frozen(b))
-        return self.__dict__[name]
+        return _frozen(b)
 
     @property
     def n(self) -> int:

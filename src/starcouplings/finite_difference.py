@@ -103,6 +103,9 @@ row carries a different scale, so a delta load on it is misnormalized;
 source coordinates snap to nodes at x >= 2h), and kernel symmetry across
 that node holds only to O(h^2) instead of machine precision.  Away from
 x_1 the sampled kernel is symmetric to rounding.
+
+The oracle takes its records and checks from coupling and its ghost map
+from scattering, and nothing from greens, whose kernels it checks.
 """
 
 from __future__ import annotations
@@ -110,16 +113,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
-from .coupling import (Eigenphases, VertexCoupling,  # noqa: F401
-                       _instance, _integer, _number, _scale, _symmetric,
-                       _Value, make_coupling, to_ab)
+from .coupling import (Eigenphases, GridSpec, PointInteraction,  # noqa: F401
+                       VertexCoupling, _instance, _integer, _scale, _star,
+                       _symmetric, make_coupling, to_ab)
 from .errors import PoleError
-from .greens import PointInteraction, _star
 from .scattering import one_plus_s_sectors
 
 if TYPE_CHECKING:    # numpy is imported where an array is made or read
@@ -136,50 +137,6 @@ _MEMO_SIZE = 4096    # entries kept by each memo of a SampledKernel
 
 _TOO_STRONG = ("point interactions too strong for the finite-difference "
                "grid: the vertex is decoupled from x = L beyond double range")
-
-
-class GridSpec(_Value):
-    """Uniform grid on (0, L) with N interior points, h = L / (N + 1).
-    == and hash() go by (L, N)."""
-
-    L: float
-    N: int
-    _fields = ("L", "N")
-
-    def __init__(self, L, N):
-        L = _scale(L, "truncation length L")
-        _integer("interior node count N", N, low=16)
-        self.__dict__.update(L=L, N=N)
-
-    @cached_property
-    def h(self) -> float:
-        return self.L / (self.N + 1)
-
-    def nodes(self) -> np.ndarray:
-        """Interior nodes i h, i = 1..N."""
-        import numpy as np
-        return self.h * np.arange(1, self.N + 1)
-
-    def boundary_nodes(self) -> np.ndarray:
-        """All N + 2 nodes including 0 and L."""
-        import numpy as np
-        return np.linspace(0.0, self.L, self.N + 2)
-
-    def refined(self) -> "GridSpec":
-        """The grid with h halved (N -> 2N + 1); existing nodes survive."""
-        return GridSpec(self.L, 2 * self.N + 1)
-
-    def node_index(self, x: float, *, minimum: int = 0) -> int:
-        """Index of the interior node nearest x, clamped to [minimum, N-1]."""
-        if type(x) is not float:    # the common case, tested first
-            x = _number(x, "grid coordinate")
-        if not 0.0 <= x <= self.L:
-            raise ValueError(f"grid coordinate must be a real number in "
-                             f"[0, {self.L}], got {x!r}")
-        i = int(round(x / self.h)) - 1
-        if i < minimum:
-            return minimum
-        return i if i < self.N else self.N - 1
 
 
 class KernelErrorStats(NamedTuple):

@@ -35,6 +35,8 @@ phases are, so a family's build forms no U and reads each sum over k of
 
 HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
 pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
+PointInteraction, ROBIN_POLE_TOL, check_points and _star live in
+coupling, which the finite-difference oracle reads instead of this module.
 Every value is the scalar one, in math: an array argument is a loop over
 its entries, and _halfline_rows reads an edge's kernel row by row at
 float nodes (for the CLI and the tests), each factor once per node.
@@ -49,36 +51,10 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Sequence
 
-from .coupling import (STAR_KINDS, VertexCoupling, _instance, _integer,
-                       _number, _scale, _symmetric, _Value, make_coupling)
+from .coupling import (ROBIN_POLE_TOL, STAR_KINDS, PointInteraction,
+                       VertexCoupling, _instance, _integer, _number, _scale,
+                       _star, _symmetric, check_points, make_coupling)
 from .errors import PoleError
-
-#: Jost functions below this, relative to their terms, raise PoleError
-ROBIN_POLE_TOL = 1e-10
-
-
-class PointInteraction(_Value):
-    """A delta potential of strength c at distance a > 0 from the origin.
-    c may be math.inf (hard screen).  == and hash() go by (a, c)."""
-
-    a: float
-    c: float
-    _fields = ("a", "c")
-
-    def __init__(self, a, c):
-        self.__dict__.update(
-            a=_scale(a, "point interaction position"),
-            c=_number(c, "point interaction strength", inf=True))
-
-
-def check_points(points) -> tuple[PointInteraction, ...]:
-    """The points as a tuple; ValueError unless each is a PointInteraction."""
-    points = tuple(points)
-    for p in points:
-        if not isinstance(p, PointInteraction):
-            raise ValueError(f"not a PointInteraction: {p!r}")
-    return points
-
 
 #: the scalar argument types of a kernel, bool excepted
 _REAL = (int, float)
@@ -287,18 +263,6 @@ def StarModel(n: int, kind: str, beta: float | None = None,  # noqa: N802
     return _named_coupling(("delta_p", n, b)), points
 
 
-def _star(model, edges: int | None = None):
-    """model if it is a (VertexCoupling, tuple of PointInteraction) pair,
-    of ``edges`` edges if given (one for a half line); else ValueError."""
-    if not (isinstance(model, tuple) and len(model) == 2
-            and isinstance(model[0], VertexCoupling)
-            and isinstance(model[1], tuple)
-            and edges in (None, model[0].n)):
-        raise ValueError(f"a model is a ({edges or 'n'}-edge VertexCoupling, "
-                         f"tuple of PointInteraction) pair, got {model!r}")
-    return model[0], check_points(model[1])
-
-
 @lru_cache(maxsize=64, typed=True)    # True == 1.0 must miss the cache
 def _kernel(model, kappa: float):
     """vertex_kernel of a (coupling, points) pair, memoised: the evaluator
@@ -326,16 +290,6 @@ def _halfline_rows(bc: VertexCoupling, points, kappa: float, nodes: list):
     nodes x_i: one row at a time, each value the scalar one bit for bit,
     with no numpy (the CLI's greens --grid, the tests' sampled sectors)."""
     return _kernel(_star((bc, tuple(points)), 1), kappa)._rows(0, nodes)
-
-
-def sector_green(sector, kappa: float, x, y):
-    """Kernel of one sector, a record with a one-edge coupling ``.bc`` (a
-    HalflineBC) and a PointInteraction or None ``.point``: its half-line
-    kernel, with the sector's point interaction when it carries one.  No
-    package code calls it: the tests' sector oracles do, and convergence
-    keeps it for the sweep workload of benchmarks/."""
-    points = () if sector.point is None else (sector.point,)
-    return halfline_kernel(sector.bc, points, kappa)(x, y)
 
 
 def star_green(model, kappa: float, edge_j: int, x, edge_l: int, y):

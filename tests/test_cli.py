@@ -837,9 +837,8 @@ _PACKAGE_MODULES = [
     (_FAMILY_ARGVS[0], ["scattering"]),
     (_FAMILY_ARGVS[3], []),
     (_SUBCOMMAND_ARGVS[2], ["greens"]),
-    (_SUBCOMMAND_ARGVS[3], ["finite_difference", "greens", "scattering"]),
-    (_SUBCOMMAND_ARGVS[4], ["convergence", "finite_difference", "greens",
-                            "scattering"]),
+    (_SUBCOMMAND_ARGVS[3], ["greens"]),
+    (_SUBCOMMAND_ARGVS[4], ["convergence"]),
     (_SUBCOMMAND_ARGVS[5], ["finite_difference", "greens", "scattering"]),
     (["oracle-check", "--star-family", "central-delta-p", "--n", "3", "--b",
       "0.4", "--point", "2.01,0.7", "--kappa", "1.4", "--h", "0.05"],
@@ -915,6 +914,27 @@ class TestImportLayer:
     def test_linalg_error_is_a_value_error(self):
         # main() exits 3 on ValueError without naming numpy's LinAlgError
         assert issubclass(np.linalg.LinAlgError, ValueError)
+
+    #: the package modules that importing each module loads besides itself:
+    #: coupling is the base layer, the finite-difference oracle takes
+    #: nothing from the kernels it checks, and the sweep is closed-form
+    IMPORT_GRAPH = {"errors": [], "coupling": ["errors"],
+                    "scattering": ["coupling", "errors"],
+                    "greens": ["coupling", "errors"],
+                    "finite_difference": ["coupling", "errors", "scattering"],
+                    "convergence": ["coupling", "errors"]}
+
+    @pytest.mark.parametrize("module", IMPORT_GRAPH)
+    def test_module_imports_load_only_their_layers(self, module):
+        # one fresh interpreter per module
+        probe = ("import importlib, json, sys; importlib.import_module("
+                 "'starcouplings.' + sys.argv[1]); print(json.dumps(sorted("
+                 "m for m in sys.modules if m.startswith('starcouplings.'))))")
+        out = subprocess.run([sys.executable, "-c", probe, module],
+                             env=_child_env(), capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == sorted(
+            f"starcouplings.{m}" for m in [module, *self.IMPORT_GRAPH[module]])
 
     @pytest.mark.parametrize("argv, loaded", _PACKAGE_MODULES,
                              ids=[" ".join(a) for a, _ in _PACKAGE_MODULES])
@@ -1051,7 +1071,11 @@ print(json.dumps([modules, listed, unbound, foreign]))
         # the benchmark workloads patch these where they live
         from starcouplings import convergence, finite_difference
         assert callable(convergence.hs_norm)
-        assert convergence.sector_green is starcouplings.greens.sector_green
+        # the sweep workload patches sector_green where convergence defines
+        # it; greens, which convergence no longer imports, has none
+        assert convergence.sector_green.__module__ \
+            == "starcouplings.convergence"
+        assert not hasattr(starcouplings.greens, "sector_green")
         assert finite_difference.make_coupling \
             is starcouplings.coupling.make_coupling
         assert finite_difference.to_ab is starcouplings.coupling.to_ab

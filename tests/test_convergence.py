@@ -16,6 +16,9 @@ expected_norm in conftest.py) and compare the sampled quadrature
 convergence_sweep evaluates this norm in a cancellation-free closed form
 of its own; TestClosedFormNorms gates it against the same K(a)
 evaluated with 50-digit mpmath, and against the sampled quadrature.
+TestErrorConstant checks the Taylor constants C1 and C2 of the sweep's
+dR(a) against a 50-digit direct transfer, and the sweep's norms against
+them.
 """
 
 import math
@@ -33,8 +36,9 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            schedule)
 from starcouplings import convergence
 from starcouplings.convergence import (SCHEDULE_FAMILIES, ConvergenceReport,
-                                       StageResult, _robin_pole, hs_norm)
-from starcouplings.greens import ROBIN_POLE_TOL, sector_green
+                                       StageResult, _robin_pole, hs_norm,
+                                       sector_green)
+from starcouplings.coupling import ROBIN_POLE_TOL
 from starcouplings.scattering import one_plus_s_sectors
 
 KAPPA = 1.0
@@ -494,6 +498,103 @@ class TestSecondOrderEnergy:
     def test_neumann_target_stays_first_order(self, beta):
         kappa = math.sqrt(3.0) / abs(beta)
         assert abs(self._slope("delta_prime", beta, kappa) - 1.0) <= 0.005
+
+
+# ======================================================================
+#  the error constant
+# ======================================================================
+
+def _c1(sigma, tau, kappa):
+    """C1 of dR(a) = C1 a + C2 a^2 + O(a^3) for the sector (sigma, tau)."""
+    return 4 * kappa * (kappa**2 * sigma**2 - 3 * tau**2) \
+        / (3 * (kappa * sigma + tau) ** 2)
+
+
+def _c2(sigma, tau, kappa):
+    return 4 * kappa**2 * (2 * kappa**3 * sigma**3
+                           + 3 * kappa**2 * sigma**2 * tau
+                           - 9 * kappa * sigma * tau**2 - 18 * tau**3) \
+        / (9 * (kappa * sigma + tau) ** 3)
+
+
+def _mp_transfer_shift(sigma, tau, kappa, a):
+    """dR(a) of the sector (sigma, tau) at 50 digits, by the direct
+    transfer: u = p cosh(kappa x) + (q / kappa) sinh(kappa x) on [0, a]
+    from the base p psi'(0) = q psi(0), (p, q) = (tau a^2, -sigma), the
+    jump u'(a+) = u'(a-) - u(a) / a of the satellite c = -1/a, then R_a =
+    e^{2 kappa a} (kappa u - u') / (kappa u + u') at a, minus the target's
+    R = (kappa sigma - tau) / (kappa sigma + tau)."""
+    with mpmath.workdps(50):
+        sigma, tau, kappa, a = map(mpmath.mpf, (sigma, tau, kappa, a))
+        p, q = tau * a * a, -sigma
+        u = p * mpmath.cosh(kappa * a) + q / kappa * mpmath.sinh(kappa * a)
+        du = p * kappa * mpmath.sinh(kappa * a) + q * mpmath.cosh(kappa * a) \
+            - u / a
+        r_a = mpmath.exp(2 * kappa * a) * (kappa * u - du) / (kappa * u + du)
+        return r_a - (kappa * sigma - tau) / (kappa * sigma + tau)
+
+
+class TestErrorConstant:
+    """dR(a) = C1 a + C2 a^2 + O(a^3) per sector pair (sigma, tau), with
+    C1 and C2 hard-coded above, and each sector norm of the sweep is
+    |C1 a + C2 a^2| e^{-2 kappa a} (1 - e^{-2 kappa (L - a)}) / (4 kappa^2)
+    up to that O(a^3), relative O(a^2)."""
+
+    A_VALUES = (1e-3, 1e-4, 1e-5)
+
+    @pytest.mark.parametrize("sigma, tau", [(1.0, 2.0), (1.0, 0.0),
+                                            (-0.7, 2.0), (1.0, 3.0),
+                                            (3.0, 1.0)])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_constants_match_the_mpmath_transfer(self, sigma, tau, kappa):
+        # |dR - C1 a - C2 a^2| / |dR| over a^2 measured at most 90.007, at
+        # (-0.7, 2) and kappa = 2, where it tends to |C3 / C1| as a -> 0
+        with mpmath.workdps(50):
+            c1, c2 = (f(*map(mpmath.mpf, (sigma, tau, kappa)))
+                      for f in (_c1, _c2))
+            for a in map(mpmath.mpf, self.A_VALUES):
+                d_r = _mp_transfer_shift(sigma, tau, kappa, a)
+                assert abs(d_r - c1 * a - c2 * a**2) <= 91 * a**2 * abs(d_r)
+
+    @staticmethod
+    def _predicted(sigma, tau, kappa, a, length):
+        window = -math.expm1(-2.0 * kappa * (length - a)) / (4.0 * kappa**2)
+        d_r = _c1(sigma, tau, kappa) * a + _c2(sigma, tau, kappa) * a**2
+        return abs(d_r) * math.exp(-2.0 * kappa * a) * window
+
+    def test_sweep_norms_match_the_constants(self):
+        # delta_prime_s, n = 2, beta = 1, kappa = 1: the lead sector (1, 2)
+        # measured 2.27 a^2 relative, the complement (1, 0) 0.311 a^2
+        rep = convergence_sweep("delta_prime_s", 1.0, 2, 1.0,
+                                list(self.A_VALUES), GRID)
+        for stage in rep.stages:
+            a = stage.a
+            for got, (sigma, tau), bound in (
+                    (stage.norm_sym, (1.0, 2.0), 2.3),
+                    (stage.norm_comp, (1.0, 0.0), 0.32)):
+                want = self._predicted(sigma, tau, 1.0, a, GRID.L)
+                assert abs(got - want) <= bound * a**2 * want, (a, got, want)
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1.0, -0.7])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_every_sector_norm_matches_the_constants(self, family, n, beta,
+                                                     kappa):
+        # the Robin pair (beta, n) and the Neumann-target pair (1, 0), lead
+        # sector first for delta_prime_s; worst measured 89.98 a^2 relative,
+        # in the (-0.7, 2) sector at kappa = 2
+        pairs = [(beta, float(n)), (1.0, 0.0)]
+        if family == "delta_prime":
+            pairs.reverse()
+        rep = convergence_sweep(family, beta, n, kappa, list(self.A_VALUES),
+                                GRID)
+        for stage in rep.stages:
+            norms = (stage.norm_sym, stage.norm_comp)[:1 if n == 1 else 2]
+            for got, (sigma, tau) in zip(norms, pairs):
+                want = self._predicted(sigma, tau, kappa, stage.a, GRID.L)
+                assert abs(got - want) <= 91 * stage.a**2 * want, \
+                    (stage.a, sigma, tau, got, want)
 
 
 # ======================================================================

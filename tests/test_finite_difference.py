@@ -29,7 +29,7 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction, PoleError,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_kernel, make_coupling, star_green, to_ab,
                            vertex_kernel)
-from starcouplings.greens import sector_green
+from starcouplings.convergence import sector_green
 from starcouplings.finite_difference import (MAX_FD_UNKNOWNS,
                                              ORIGIN_STENCIL_TOL, SampledKernel,
                                              _ghost_map, _solve)
@@ -246,14 +246,15 @@ class TestHalflineSolver:
 
 @pytest.mark.parametrize("build", ["halfline", "star"])
 def test_each_build_checks_its_points_once(build, monkeypatch):
-    # one check_points per build, in _star, whose checked tuple _solve
-    # takes as it is; a refusal keeps its ValueError and message
-    check, calls = greens.check_points, []
+    # one check_points per build, in coupling's _star, whose checked tuple
+    # _solve takes as it is; a refusal keeps its ValueError and message
+    check, calls = coupling_module.check_points, []
 
     def counted(points):
         calls.append(points)
         return check(points)
 
+    monkeypatch.setattr(coupling_module, "check_points", counted)
     monkeypatch.setattr(greens, "check_points", counted)
     monkeypatch.setattr(finite_difference, "check_points", counted,
                         raising=False)

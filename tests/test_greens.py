@@ -32,9 +32,11 @@ from starcouplings import (GridSpec, HalflineBC, InvalidCouplingError,
                            fd_resolvent_halfline, fd_resolvent_star,
                            halfline_kernel, make_coupling, schedule,
                            star_green, vertex_kernel)
+from starcouplings import coupling as coupling_module
 from starcouplings import greens
-from starcouplings.greens import (ROBIN_POLE_TOL, _halfline_rows,
-                                  _named_coupling, check_points, sector_green)
+from starcouplings.convergence import sector_green
+from starcouplings.coupling import ROBIN_POLE_TOL, check_points
+from starcouplings.greens import _halfline_rows, _named_coupling
 
 RNG = np.random.default_rng(7)
 
@@ -1279,13 +1281,15 @@ class TestPointsMustBePointInteractions:
     def test_half_line_entries_check_their_points_once(self, entry,
                                                        monkeypatch):
         # one check on a memo hit; a miss checks again in _kernel's _star
-        # and in vertex_kernel
+        # and in vertex_kernel (_star calls coupling's check_points, the
+        # kernel greens' binding of it)
         calls = []
 
         def counting(points):
             calls.append(points)
             return check_points(points)
 
+        monkeypatch.setattr(coupling_module, "check_points", counting)
         monkeypatch.setattr(greens, "check_points", counting)
         greens._kernel.cache_clear()
         bc, points = HalflineBC.robin(0.3), [PointInteraction(0.9, 1.7)]
