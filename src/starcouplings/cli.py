@@ -158,12 +158,6 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(L=float(parts[0]), N=int(parts[1]))
 
 
-def _grid_nodes(grid: GridSpec) -> list[float]:
-    """grid.boundary_nodes(), np.linspace(0, L, N + 2), bit for bit, as a
-    list of floats formed without numpy."""
-    return [i * grid.h for i in range(grid.N + 1)] + [grid.L]
-
-
 def _parse_a_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
@@ -259,7 +253,7 @@ def _cmd_greens(args) -> int:
     kernel = halfline_kernel(bc, points, args.kappa)
     if args.grid is not None:
         from .greens import _halfline_rows
-        nodes = _grid_nodes(_parse_grid(args.grid))
+        nodes = _parse_grid(args.grid).boundary_nodes()
         labels = [f"{v:.17g}" for v in nodes]
         sys.stdout.write("x,y,re,im\n")
         # G(x, y) = G(y, x) bit for bit, so each row formats its entries
@@ -464,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="delta interaction at A with strength C "
                              "(repeatable)")
     greens.add_argument("--grid", default=None, metavar="L,N",
-                        help="emit the kernel on the full grid as csv")
-    greens.add_argument("--emit", choices=("json", "plain"), default="json")
+                        help="the kernel at the N + 2 nodes of [0, L] as "
+                             "csv; takes no --x, --y or --emit")
+    greens.add_argument("--emit", choices=("json", "plain"), default=None)
     greens.set_defaults(func=_cmd_greens)
 
     converge = sub.add_parser("converge", help="run a convergence sweep")
@@ -513,10 +508,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.command == "greens" and args.grid is None \
-            and (args.x is None or args.y is None):
-        print("error: greens needs --x and --y (or --grid)", file=sys.stderr)
-        return 2
+    if args.command == "greens":
+        given = [f"--{name}" for name in ("x", "y", "emit")
+                 if getattr(args, name) is not None]
+        if args.grid is not None and given:
+            print(f"error: greens --grid takes no {', '.join(given)}",
+                  file=sys.stderr)
+            return 2
+        if args.grid is None and (args.x is None or args.y is None):
+            print("error: greens needs --x and --y (or --grid)",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     # numpy.linalg.LinAlgError is a ValueError

@@ -64,9 +64,10 @@ Sector norms combine with multiplicities,
 
 which is exact because the sectors are orthogonal.
 
-A sweep checks its inputs once and runs its stages as one loop: a stage
-reads b, c, per_channel_b from _strengths, as schedule() does, builds no
-ApproximationStage and shares the factors of x = kappa a between sectors.
+schedule() checks its inputs and returns an ApproximationStage, a result
+only it builds.  A sweep checks them once and runs its stages as one loop:
+a stage reads b, c, per_channel_b from _strengths, as schedule() does,
+and shares the factors of x = kappa a between sectors.
 
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
@@ -82,17 +83,16 @@ import math
 from typing import NamedTuple
 
 from .coupling import (ROBIN_POLE_TOL, SCHEDULE_FAMILIES, GridSpec,
-                       _family_table, _instance, _integer, _scale, _unchecked,
-                       _Value)
+                       _family_table, _instance, _integer, _scale)
 from .errors import PoleError
 
 #: stages whose Krein denominator 1 + c G(a, a) falls below this are invalid
 KREIN_POLE_TOL = 1e-12
 
 
-class ApproximationStage(_Value):
+class ApproximationStage(NamedTuple):
     """Coupling strengths of one approximation stage at distance a, as
-    schedule() makes them.  == and hash() go by the fields."""
+    schedule() makes them: a result, whose fields nothing checks."""
 
     family: str
     n: int
@@ -101,26 +101,14 @@ class ApproximationStage(_Value):
     b: float                 # central strength as scheduled
     c: float                 # satellite strength, always -1/a
     per_channel_b: float     # Robin value seen by the repeated/leading sector
-    _fields = ("family", "n", "beta", "a", "b", "c", "per_channel_b")
-
-    def __init__(self, family, n, beta, a, b, c, per_channel_b):
-        strengths = _strengths(family, _check_schedule(family, beta, n), n,
-                               _scale(a, "distance a"))
-        if (b, c, per_channel_b) != strengths:
-            raise ValueError(
-                f"(b, c, per_channel_b) = ({b}, {c}, {per_channel_b}) is "
-                f"not the schedule's {strengths}")
-        self.__dict__.update(family=family, n=n, beta=beta, a=a, b=b, c=c,
-                             per_channel_b=per_channel_b)
 
 
 def schedule(family: str, beta: float, n: int, a: float) -> ApproximationStage:
     """Coupling strengths b(a), c(a) for the given target family."""
     beta = _check_schedule(family, beta, n)
     a = _scale(a, "distance a")
-    b, c, per_channel_b = _strengths(family, beta, n, a)
-    return _unchecked(ApproximationStage, family=family, n=n, beta=beta, a=a,
-                      b=b, c=c, per_channel_b=per_channel_b)
+    return ApproximationStage(family, n, beta, a,
+                              *_strengths(family, beta, n, a))
 
 
 def _check_schedule(family: str, beta: float, n: int) -> float:

@@ -59,7 +59,7 @@ A coupling is its U and nothing else: it keeps no record of how it was
 built.
 
 Checks run where a matrix enters.  The public constructors (VertexCoupling
-and custom, ABPair, Eigenphases) copy and check what comes from outside,
+and custom, ABPair) copy and check what comes from outside,
 and from_ab checks its solve of a pair made by hand; what the package
 builds from checked data (a family U, a rescaled U, to_ab's pair, a
 decomposition) is valid by construction, neither copied nor checked
@@ -170,8 +170,9 @@ class _Record:
     the constructor or by _unchecked, or on a lazy first read by a
     functools.cached_property of the same name, never by assignment or
     deletion; == and hash() go by identity.  The repr shows the fields
-    named in _fields.  The package's checked inputs are records; its
-    results are NamedTuples, and both answer _fields."""
+    named in _fields.  The package's checked inputs are records, and so is
+    Eigenphases, a result with no constructor; its other results are
+    NamedTuples, and all answer _fields."""
 
     _fields: tuple[str, ...] = ()
 
@@ -212,15 +213,15 @@ def _instance(x, cls: type, what: str, error=InvalidCouplingError):
     return x
 
 
-def _unitary(u: np.ndarray, what: str = "U") -> np.ndarray:
-    """A fresh complex matrix ``u``, checked finite and unitary, read-only."""
+def _unitary(u: np.ndarray) -> np.ndarray:
+    """A fresh complex matrix U, checked finite and unitary, read-only."""
     import numpy as np
     if not np.isfinite(u).all():
-        raise InvalidCouplingError(f"{what} has non-finite entries")
+        raise InvalidCouplingError("U has non-finite entries")
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise InvalidCouplingError(
-            f"{what} is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
+            f"U is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
     return _frozen(u)
 
 
@@ -336,15 +337,10 @@ class GridSpec(_Value):
     def h(self) -> float:
         return self.L / (self.N + 1)
 
-    def nodes(self) -> np.ndarray:
-        """Interior nodes i h, i = 1..N."""
-        import numpy as np
-        return self.h * np.arange(1, self.N + 1)
-
-    def boundary_nodes(self) -> np.ndarray:
-        """All N + 2 nodes including 0 and L."""
-        import numpy as np
-        return np.linspace(0.0, self.L, self.N + 2)
+    def boundary_nodes(self) -> list[float]:
+        """All N + 2 nodes i h, i = 0..N, and L, as floats: bit for bit
+        np.linspace(0, L, N + 2)."""
+        return [i * self.h for i in range(self.N + 1)] + [self.L]
 
     def refined(self) -> "GridSpec":
         """The grid with h halved (N -> 2N + 1); existing nodes survive."""
@@ -363,18 +359,6 @@ class GridSpec(_Value):
         return i if i < self.N else self.N - 1
 
 
-def _group(group) -> tuple[float, float, int]:
-    """A group from outside: (c, s, m), c >= 0, c^2 + s^2 = 1, m >= 1."""
-    c, s, m = group if isinstance(group, tuple) and len(group) == 3 \
-        else (-1.0, 0.0, 1)
-    c, s = (_number(x, "eigenphases", InvalidCouplingError) for x in (c, s))
-    _integer("group multiplicity", m, low=1, error=InvalidCouplingError)
-    if c < 0.0 or abs(c * c + s * s - 1.0) > UNITARITY_TOL:
-        raise InvalidCouplingError(f"a group is (c, s, m), c >= 0 and c^2 + "
-                                   f"s^2 = 1, got {group!r}")
-    return c, s, int(m)
-
-
 class Eigenphases(_Record):
     """A unitary eigen-decomposition U = V diag(lambda) V* of a coupling.
 
@@ -390,24 +374,12 @@ class Eigenphases(_Record):
     removes where it matters (the kernels and the finite-difference ghost
     map take the phases as they are); ``exact`` ones, a family's, are
     closed forms and hold no V: ``v`` and ``vh`` are None, and f(U) is
-    symmetric; the constructor takes an n x n unitary V, n = sum m.
+    symmetric.  A result of VertexCoupling.eigenphases, with no constructor.
     """
 
     groups: tuple[tuple[float, float, int], ...]
     v: np.ndarray | None
     _fields = ("groups", "v")
-
-    def __init__(self, groups, v):
-        checked = tuple(map(_group, groups)) \
-            if isinstance(groups, (tuple, list)) else ()
-        v, n = _readonly(v, "V"), sum(m for _, _, m in checked)
-        if not checked or v.shape != (n, n):
-            raise InvalidCouplingError(
-                f"V must be n x n, n >= 1 the sum of the multiplicities of "
-                f"the groups {groups!r}, got shape {v.shape}")
-        object.__setattr__(self, "groups", checked)
-        object.__setattr__(self, "v", _unitary(v, "V"))
-        object.__setattr__(self, "vh", _frozen(v.conj().T))
 
     @functools.cached_property
     def n(self) -> int:

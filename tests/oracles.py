@@ -129,7 +129,7 @@ class SampledDifference:
 def _window_nodes(grid: GridSpec, a: float) -> np.ndarray:
     if not 0.0 < _number(a, "window start a") < grid.L:
         raise ValueError(f"window start {a} outside (0, {grid.L})")
-    base = grid.boundary_nodes()
+    base = np.array(grid.boundary_nodes())
     return np.concatenate(([a], base[base > a * (1.0 + 1e-12)]))
 
 

@@ -22,7 +22,7 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            rescale_length, s_matrix, to_ab, unitarity_defect,
                            validate_ab)
 from starcouplings.coupling import FAMILIES
-from starcouplings.cli import _dumps, _grid_nodes, main
+from starcouplings.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -287,7 +287,7 @@ class TestGreensCommand:
         kernel = halfline_kernel(HalflineBC.robin(0.7),
                                  [PointInteraction(0.5, -2.0),
                                   PointInteraction(1.5, math.inf)], 1.3)
-        nodes = GridSpec(12.0, 400).boundary_nodes().tolist()
+        nodes = GridSpec(12.0, 400).boundary_nodes()
         expected = ["x,y,re,im\n"]
         for x in nodes:
             for y in nodes:
@@ -310,7 +310,7 @@ class TestGreensCommand:
         kernel = halfline_kernel(
             vertex, [PointInteraction(*map(float, p.split(",")))
                      for p in points], 1.3)
-        nodes = GridSpec(12.0, 120).boundary_nodes().tolist()
+        nodes = GridSpec(12.0, 120).boundary_nodes()
         values = [[kernel(x, y) for y in nodes] for x in nodes]
         assert values == [list(column) for column in zip(*values)]
         labels = [f"{v:.17g}" for v in nodes]
@@ -323,12 +323,16 @@ class TestGreensCommand:
         assert out.splitlines() == expected.splitlines()
         assert out == expected
 
-    @pytest.mark.parametrize("length, n_nodes", [
-        (12.0, 400), (0.3, 16), (4.0, 30), (2.0, 16), (0.3, 1200),
-        (7.7, 999), (1e-3, 17), (1e5, 65)])
-    def test_grid_nodes_are_the_grids_boundary_nodes(self, length, n_nodes):
-        grid = GridSpec(length, n_nodes)
-        assert _grid_nodes(grid) == grid.boundary_nodes().tolist()
+    @pytest.mark.parametrize("flags, named", [
+        (("--x", "1"), "--x"), (("--y", "2"), "--y"),
+        (("--emit", "plain"), "--emit"), (("--emit", "json"), "--emit"),
+        (("--x", "1", "--y", "2", "--emit", "plain"), "--x, --y, --emit")])
+    def test_grid_takes_no_point_flags(self, capsys, flags, named):
+        # the CSV ignored --x, --y and --emit and exited 0
+        code, out, err = run(capsys, "greens", "--bc", "dirichlet",
+                             "--kappa", "1", "--grid", "12,20", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: greens --grid takes no {named}\n"
 
     @pytest.mark.parametrize("flags", [
         ("--bc", "robin:-1", "--kappa", "1", "--grid", "12,400"),

@@ -16,13 +16,14 @@ kappa_max).  The evaluators the entry points return have rows too.  Every
 CLI subcommand runs the same values in process through cli.main: a bad
 value must exit 2 or 3, an extreme one 0, 2, 3 or 4, and none may raise.
 
-Matrix and array arguments (U, A, B, the basis V of Eigenphases, psi,
-dpsi, sampled differences) are no rows of the scalar table; their constructors check shapes and finite
-entries (test_coupling), and an array of bools, which numpy would read as
-ones and zeros, is refused here (a list that mixes bools and floats is an
-array of floats before the package sees it), as are arrays of strings or
-bytes, which numpy would parse, and of other objects.  The result records
-name why they have no rows.
+Matrix and array arguments (U, A, B, psi, dpsi, sampled differences)
+are no rows of the scalar table; their constructors check shapes and
+finite entries (test_coupling), and an array of bools, which numpy would
+read as ones and zeros, is refused here (a list that mixes bools and
+floats is an array of floats before the package sees it), as are arrays
+of strings or bytes, which numpy would parse, and of other objects.  The
+results name why they have no rows, and the record protocol closes the
+file's scalar part: checked inputs are records, results NamedTuples.
 """
 
 import cmath
@@ -34,6 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 import oracles
 import starcouplings as sc
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
@@ -41,7 +43,8 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            StageResult, StarModel)
 from starcouplings import convergence
 from starcouplings.cli import build_parser, main
-from starcouplings.coupling import SCALE_MAX, SCALE_MIN, _Record
+from starcouplings.coupling import (SCALE_MAX, SCALE_MIN, UNITARITY_TOL,
+                                    _Record, _Value)
 
 BAD = {"True": True, "np.True_": np.True_, "complex": 1 + 0j, "str": "1",
        "None": None, "nan": math.nan, "float32-nan": np.float32("nan"),
@@ -67,6 +70,8 @@ NO_ROW = {
     "ConvergenceReport": "convergence_sweep's result",
     "StageResult": "a stage of convergence_sweep's result",
     "KernelErrorStats": "compare_kernels' result",
+    "Eigenphases": "VertexCoupling.eigenphases' result, with no constructor",
+    "ApproximationStage": "schedule's result; schedule has rows",
     "SampledKernel": "fd_resolvent_*'s result; its evaluators have rows",
     "InvalidCouplingError": "an error",
     "PoleError": "an error",
@@ -105,7 +110,6 @@ MODEL = StarModel(n=2, kind="central_delta", b=1.5,
                   point=PointInteraction(0.5, -2.0))
 GRID = GridSpec(12.0, 99)
 STAGE = sc.schedule("delta_prime_s", 1.0, 2, 0.1)
-STAGE_FIELDS = {name: getattr(STAGE, name) for name in STAGE._fields}
 TARGET = oracles.sector_decompose("delta_prime_s", 2, 1.0)[0]
 APPROX = oracles.sector_decompose(*oracles.approximant_model(STAGE))[0]
 HALF = sc.fd_resolvent_halfline(BC, (), 1.0, GRID)
@@ -130,8 +134,6 @@ ROWS = [
     Row("VertexCoupling", sc.VertexCoupling.custom, dict(u=U2),
         label="custom"),
     Row("ABPair", sc.ABPair, dict(a=np.eye(2), b=np.zeros((2, 2)))),
-    Row("Eigenphases", sc.Eigenphases,
-        dict(groups=((0.6, 0.8, 1), (1.0, 0.0, 1)), v=U2)),
     Row("to_ab", sc.to_ab, dict(coupling=C2)),
     Row("from_ab", sc.from_ab, dict(ab=sc.to_ab(C2))),
     Row("validate_ab", sc.validate_ab, dict(ab=sc.to_ab(C2))),
@@ -223,8 +225,6 @@ ROWS = [
     Row("schedule", sc.schedule,
         dict(family="delta_prime_s", beta=1.0, n=2, a=0.1),
         ("beta", "n", "a")),
-    Row("ApproximationStage", ApproximationStage,
-        STAGE_FIELDS, ("n", "beta", "a", "b", "c", "per_channel_b")),
     Row("approximant_model", oracles.approximant_model, dict(stage=STAGE)),
     Row("effective_robin", oracles.effective_robin,
         dict(b=2.0, c=-10.0, a=0.1), ("b", "c", "a")),
@@ -247,7 +247,6 @@ BOOL_ARRAYS = [
     ("custom(u)", sc.VertexCoupling.custom, (np.eye(2, dtype=bool),)),
     ("ABPair(a)", sc.ABPair, ([[True]], [[0.0]])),
     ("ABPair(b)", sc.ABPair, (np.eye(1), np.array([[False]]))),
-    ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[True]])),
     ("satisfies_vertex_condition(psi)", oracles.satisfies_vertex_condition,
      (C1, [True], [0.0])),
     ("satisfies_vertex_condition(dpsi)", oracles.satisfies_vertex_condition,
@@ -261,7 +260,6 @@ OBJECT_ARRAYS = [
     ("custom(u)", sc.VertexCoupling.custom, ([[{1}]],)),
     ("ABPair(a)", sc.ABPair, ([[{}]], [[1.0]])),
     ("ABPair(b)", sc.ABPair, ([[1.0]], np.array([[object()]]))),
-    ("Eigenphases(v)", sc.Eigenphases, (((1.0, 0.0, 1),), [[{}]])),
 ]
 
 #: matrix arguments of strings or bytes, one row per argument and kind:
@@ -274,34 +272,7 @@ STRING_ARRAYS = [
         ("VertexCoupling(u)", sc.VertexCoupling, lambda m: (m,)),
         ("custom(u)", sc.VertexCoupling.custom, lambda m: (m,)),
         ("ABPair(a)", sc.ABPair, lambda m: (m, [[1.0]])),
-        ("ABPair(b)", sc.ABPair, lambda m: ([[1.0]], m)),
-        ("Eigenphases(v)", sc.Eigenphases,
-         lambda m: (((1.0, 0.0, 1),), m)))]
-
-#: Eigenphases(groups, v) that decompose no coupling: V must be an n x n
-#: unitary, n the sum of the multiplicities, and each group (c, s, m) with
-#: c >= 0, c^2 + s^2 = 1 and an integer m >= 1
-BAD_EIGENPHASES = {
-    "v=None": (((1.0, 0.0, 1),), None),
-    "v-larger-than-n": (((1.0, 0.0, 2),), np.eye(3)),
-    "v-not-unitary": (((1.0, 0.0, 2),), np.ones((2, 2))),
-    "v-nan": (((1.0, 0.0, 1),), [[math.nan]]),
-    "v-vector": (((1.0, 0.0, 1),), np.ones(1)),
-    "no-groups": ((), np.eye(1)),
-    "groups=None": (None, np.eye(1)),
-    "group-of-two": (((1.0, 0.0),), np.eye(1)),
-    "group-list": (([1.0, 0.0, 1],), np.eye(1)),
-    "c<0": (((-1.0, 0.0, 1),), np.eye(1)),
-    "c^2+s^2=2": (((1.0, 1.0, 1),), np.eye(1)),
-    "c=nan": (((math.nan, 0.0, 1),), np.eye(1)),
-    "c=True": (((True, 0.0, 1),), np.eye(1)),
-    "s=str": (((1.0, "0", 1),), np.eye(1)),
-    "s=inf": (((1.0, math.inf, 1),), np.eye(1)),
-    "m=0": (((1.0, 0.0, 0), (0.0, 1.0, 1)), np.eye(1)),
-    "m=1.0": (((1.0, 0.0, 1.0),), np.eye(1)),
-    "m=True": (((1.0, 0.0, True),), np.eye(1)),
-}
-
+        ("ABPair(b)", sc.ABPair, lambda m: ([[1.0]], m)))]
 
 #: what the half-line entry points take as ``bc`` that is no one-edge
 #: VertexCoupling; a two-edge coupling raised AttributeError
@@ -461,22 +432,6 @@ def test_string_array_is_refused(call, args):
         call(*args)
 
 
-@pytest.mark.parametrize("groups, v", [
-    pytest.param(*args, id=label) for label, args in BAD_EIGENPHASES.items()])
-def test_eigenphases_of_no_coupling_are_refused(groups, v):
-    with pytest.raises(InvalidCouplingError):
-        sc.Eigenphases(groups, v)
-
-
-def test_eigenphases_read_groups_as_floats_and_ints():
-    phases = sc.Eigenphases([(np.float64(0.6), 0.8, np.int64(1)),
-                             (1, 0, 1)], U2)
-    assert phases.groups == ((0.6, 0.8, 1), (1.0, 0.0, 1)) and phases.n == 2
-    assert [type(x) for g in phases.groups for x in g] == [float, float,
-                                                           int] * 2
-    assert not phases.exact and np.array_equal(phases.vh, U2.T)
-
-
 @pytest.mark.parametrize("entry", HALF_ENTRIES)
 @pytest.mark.parametrize("bc", BAD_BCS)
 def test_half_line_of_no_one_edge_coupling_is_refused(entry, bc):
@@ -517,10 +472,120 @@ def test_mixed_bool_list_is_read_as_floats():
     assert np.array_equal(coupling.u, np.eye(2))
 
 
-@pytest.mark.parametrize("family", ["nope", None, "delta"])
-def test_approximation_stage_checks_its_family(family):
-    with pytest.raises(ValueError, match="schedule family"):
-        ApproximationStage(**dict(STAGE_FIELDS, family=family))
+# ======================================================================
+#  the record protocol: checked inputs are records, results NamedTuples
+# ======================================================================
+
+#: results: only the package builds them, and nothing checks their fields
+RESULTS = ("ABDiagnostics", "BoundState", "KernelErrorStats", "StageResult",
+           "ConvergenceReport", "ApproximationStage")
+#: records: the checked inputs, whose constructors check, and
+#: Eigenphases, a result with no constructor
+RECORDS = ("VertexCoupling", "ABPair", "PointInteraction", "GridSpec",
+           "Eigenphases")
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_result_is_a_named_tuple(name):
+    cls = getattr(sc, name)
+    assert issubclass(cls, tuple) and hasattr(cls, "_asdict")
+    assert not issubclass(cls, _Record)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_no_tuple(name):
+    assert issubclass(getattr(sc, name), _Record)
+    assert not issubclass(getattr(sc, name), tuple)
+
+
+def test_only_the_two_value_inputs_compare_by_value():
+    assert set(_Value.__subclasses__()) == {PointInteraction, GridSpec}
+
+
+def test_eigenphases_have_no_constructor():
+    with pytest.raises(TypeError, match="takes no arguments"):
+        sc.Eigenphases(((1.0, 0.0, 1),), [[1.0]])
+    assert type(C2.eigenphases) is sc.Eigenphases
+    assert type(sc.VertexCoupling(U2).eigenphases) is sc.Eigenphases
+
+
+def _custom_u(n: int, seed: int, spectrum: str) -> np.ndarray:
+    """A unitary Q diag(lambda) Q* with Haar Q: a Haar spectrum, one with
+    n // 2 eigenvalues at -1, or one of +-1 alone (a reflection)."""
+    rng = np.random.default_rng(seed)
+    q = random_unitary(n, rng)
+    if spectrum == "haar":
+        return q
+    theta = rng.uniform(-3.0, 3.0, n)
+    if spectrum == "half-at-minus-1":
+        theta[:n // 2] = np.pi
+    else:
+        theta = np.where(theta > 0.0, 0.0, np.pi)
+    return (q * np.exp(1j * theta)) @ q.conj().T
+
+
+#: every way the package builds an Eigenphases, each with its coupling
+PHASE_SOURCES = {
+    **{f"{family}:n={n}:{param}": (lambda f=family, n=n, p=param:
+                                   sc.make_coupling(f, n, p))
+       for family in sc.coupling.FAMILIES for n in (1, 2, 5)
+       for param in (-2.5, 0.0, 1.3, math.inf)},
+    **{f"custom:{spectrum}:n={n}:seed={seed}":
+       (lambda n=n, seed=seed, spectrum=spectrum:
+        sc.VertexCoupling.custom(_custom_u(n, seed, spectrum)))
+       for spectrum in ("haar", "half-at-minus-1", "reflection")
+       for n in range(1, 7) for seed in range(4)},
+    **{f"rescaled:{family}:k={k}": (lambda f=family, k=k: sc.rescale_length(
+        sc.make_coupling(f, 3, -0.8), k, 1.0))
+       for family in sc.coupling.FAMILIES for k in (1e-3, 0.5, 1e3)},
+    **{f"rescaled:haar:n={n}:k={k}": (lambda n=n, k=k: sc.rescale_length(
+        sc.VertexCoupling.custom(_custom_u(n, n, "haar")), k, 1.0))
+       for n in (2, 3, 5) for k in (1e-3, 0.5, 1e3)},
+}
+
+
+@pytest.mark.parametrize("source", PHASE_SOURCES)
+def test_built_eigenphases_hold_what_a_constructor_checked(source):
+    # with no constructor, every Eigenphases is built by the package: each
+    # holds what Eigenphases(groups, v) checked, and rebuilds its U
+    coupling = PHASE_SOURCES[source]()
+    phases, n = coupling.eigenphases, coupling.n
+    assert type(phases.groups) is tuple and phases.groups
+    for group in phases.groups:
+        assert type(group) is tuple
+        assert [type(x) for x in group] == [float, float, int]
+        c, s, m = group
+        assert c >= 0.0 and abs(c * c + s * s - 1.0) <= UNITARITY_TOL
+        assert m >= 1
+    assert phases.n == n
+    if phases.exact:
+        assert phases.vh is None
+    else:
+        assert phases.v.shape == (n, n) and not phases.v.flags.writeable
+        assert sc.unitarity_defect(phases.v) <= UNITARITY_TOL
+        assert np.array_equal(phases.vh, phases.v.conj().T)
+    rebuilt = phases.apply(sc.coupling._eigenvalues(phases))
+    assert np.max(np.abs(rebuilt - coupling.u)) < 1e-13
+
+
+@pytest.mark.parametrize("family", ["delta_prime_s", "delta_prime"])
+@pytest.mark.parametrize("beta, n, a", [(0.8, 3, 0.1), (0.0, 1, 1e-6),
+                                        (-2.0, 5, 0.3), (1.0, 2, 0.1)])
+def test_schedule_is_the_tuple_of_its_strengths(family, beta, n, a):
+    stage = sc.schedule(family, beta, n, a)
+    assert type(stage) is ApproximationStage
+    assert stage == (family, n, beta, a,
+                     *convergence._strengths(family, beta, n, a))
+
+
+@pytest.mark.parametrize("length, n_nodes", [
+    (12.0, 400), (0.3, 16), (4.0, 30), (2.0, 16), (0.3, 1200),
+    (7.7, 999), (1e-3, 17), (1e5, 65)])
+def test_boundary_nodes_are_floats_of_linspace(length, n_nodes):
+    # the CLI's CSV labels are these nodes, bit for bit
+    nodes = GridSpec(length, n_nodes).boundary_nodes()
+    assert nodes == np.linspace(0, length, n_nodes + 2).tolist()
+    assert {type(x) for x in nodes} == {float}
 
 
 # ======================================================================

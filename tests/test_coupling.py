@@ -15,10 +15,9 @@ import scipy.linalg
 
 from conftest import random_invertible, random_unitary, unitary_with_phase
 from oracles import decoupled_projection, satisfies_vertex_condition
-from starcouplings import (ABPair, Eigenphases, InvalidCouplingError,
-                           VertexCoupling, from_ab, make_coupling,
-                           rescale_length, to_ab, unitarity_defect,
-                           validate_ab)
+from starcouplings import (ABPair, InvalidCouplingError, VertexCoupling,
+                           from_ab, make_coupling, rescale_length, to_ab,
+                           unitarity_defect, validate_ab)
 from starcouplings.scattering import (REFINE_COND, _s_sectors, bound_states,
                                       s_matrix)
 from starcouplings import coupling as coupling_module
@@ -176,7 +175,7 @@ class TestVertexCoupling:
         u = make_coupling("delta", 2, 0.0).u
         for make in (lambda: VertexCoupling(u),
                      lambda: ABPair(np.eye(2), np.zeros((2, 2))),
-                     lambda: Eigenphases(((1.0, 0.0, 2),), np.eye(2))):
+                     lambda: VertexCoupling(u).eigenphases):
             x, y = make(), make()
             assert x == x and not x == y and x != y
             assert len({x, y, x}) == 2

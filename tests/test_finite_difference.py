@@ -50,7 +50,7 @@ class TestGridSpec:
 
     def test_nodes_cover_interior(self):
         grid = GridSpec(10.0, 99)
-        nodes = grid.nodes()
+        nodes = grid.boundary_nodes()[1:-1]
         assert len(nodes) == 99
         assert nodes[0] == grid.h
         assert nodes[-1] < grid.L
@@ -59,8 +59,8 @@ class TestGridSpec:
         grid = GridSpec(12.0, 999)
         fine = grid.refined()
         assert fine.h == pytest.approx(grid.h / 2)
-        assert set(np.round(grid.nodes(), 12)).issubset(
-            set(np.round(fine.nodes(), 12)))
+        assert set(np.round(grid.boundary_nodes(), 12)).issubset(
+            set(np.round(fine.boundary_nodes(), 12)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestGridSpec:
         half = fd_resolvent_halfline(HalflineBC.neumann(), [], KAPPA, grid)
         star = fd_resolvent_star(
             StarModel(n=3, kind="delta_prime_s", beta=1.0), KAPPA, grid)
-        first, second, last = grid.nodes()[[0, 1, -1]]
+        _, first, second, *_, last, _ = grid.boundary_nodes()
         # the source keeps off the first interior node
         assert half.snap(0.0, 0.0) == (first, second)
         assert half.snap(grid.L, grid.L) == (last, last)

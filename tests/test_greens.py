@@ -910,6 +910,44 @@ class TestLineOfThreeDeltas:
         assert worst <= bound, worst
 
 
+class TestLineDeltaPrime:
+    """At n = 2 the delta_prime target is the line delta' interaction:
+    psi' is continuous and psi(0+) - psi(0-) = beta psi'(0).  With
+    W = kappa (2 + beta kappa) its kernel is, with no U, eigenphase or
+    sector, [(1 + beta kappa / 2) e^{kappa lo} + (beta kappa / 2)
+    e^{-kappa lo}] e^{-kappa hi} / W on one edge (lo, hi the smaller and
+    the larger of x, y) and e^{-kappa (x + y)} / W across the two;
+    delta_prime_s is its image under psi -> -psi on x < 0, which flips the
+    sign across the edges."""
+
+    # worst relative errors measured: 9.8e-15 at beta = -0.7, kappa = 2,
+    # where W = 0.6 kappa sits next to the bound state at kappa = 2/0.7,
+    # and 6.7e-16 elsewhere; each bound is about twice its measurement
+    @pytest.mark.parametrize("family, sign", [("delta_prime", 1.0),
+                                              ("delta_prime_s", -1.0)])
+    def test_target_is_the_line_delta_prime(self, family, sign):
+        worst = {True: 0.0, False: 0.0}
+        for beta in (1.0, -0.7, 3.0, -3.0):
+            model = StarModel(2, family, beta=beta)
+            for kappa in (0.5, 1.0, 2.0):
+                w = kappa * (2.0 + beta * kappa)
+                for x, y in ((0.3, 0.7), (1.5, 0.2), (0.0, 2.0), (1.0, 1.0),
+                             (4.0, 0.5)):
+                    lo, hi = min(x, y), max(x, y)
+                    one_edge = ((1.0 + beta * kappa / 2) * math.exp(kappa * lo)
+                                + beta * kappa / 2 * math.exp(-kappa * lo)) \
+                        * math.exp(-kappa * hi) / w
+                    across = sign * math.exp(-kappa * (x + y)) / w
+                    near_pole = beta == -0.7 and kappa == 2.0
+                    for j in (0, 1):
+                        for l in (0, 1):
+                            want = one_edge if j == l else across
+                            got = star_green(model, kappa, j, x, l, y)
+                            worst[near_pole] = max(worst[near_pole],
+                                                   abs(got - want) / abs(want))
+        assert worst[True] <= 2e-14 and worst[False] <= 1.5e-15, worst
+
+
 # ======================================================================
 #  Haar-random couplings
 # ======================================================================
@@ -1165,7 +1203,7 @@ class TestGridRows:
 
     @staticmethod
     def grid_nodes(length, n_nodes):
-        return GridSpec(length, n_nodes).boundary_nodes().tolist()
+        return GridSpec(length, n_nodes).boundary_nodes()
 
     @pytest.mark.parametrize("points", [
         [],

@@ -299,6 +299,19 @@ class TestBoundStates:
     def test_delta_repulsive_none(self, n, alpha):
         assert bound_states(make_coupling("delta", n, alpha), 10.0) == []
 
+    @pytest.mark.parametrize("family", ["delta_prime", "delta_prime_s"])
+    def test_n2_delta_prime_states_are_the_zeros_of_w(self, family):
+        # the line delta' kernel has the denominator W = kappa (2 + beta
+        # kappa): one state at kappa = -2/beta for beta < 0, none for
+        # beta >= 0; measured worst relative error 1.6e-16
+        for beta in (-0.7, -3.0, -1e-3):
+            (kappa, mult), = bound_states(make_coupling(family, 2, beta),
+                                          math.inf)
+            assert mult == 1 and abs(kappa + 2.0 / beta) <= 4e-16 * kappa
+        for beta in (0.0, 1.0, 3.0):
+            assert bound_states(make_coupling(family, 2, beta),
+                                math.inf) == []
+
     @pytest.mark.parametrize("n,beta", [(3, -1.0), (2, -0.5), (4, -0.25)])
     def test_delta_prime_s_single_state(self, n, beta):
         found = bound_states(make_coupling("delta_prime_s", n, beta), 20.0)
