@@ -65,9 +65,13 @@ Sector norms combine with multiplicities,
 which is exact because the sectors are orthogonal.
 
 schedule() checks its inputs and returns an ApproximationStage, a result
-only it builds.  A sweep checks them once and runs its stages as one loop:
-a stage reads b, c, per_channel_b from _strengths, as schedule() does,
-and shares the factors of x = kappa a between sectors.
+only it builds.  A sweep checks them once, one _scale per number, and runs
+its stages as one loop: a stage reads b, c, per_channel_b from _strengths,
+as schedule() does, shares the factors of x = kappa a between sectors and
+calls _reflection_shift per sector; the rest is inline.  It has no
+comprehension or generator, each a frame per call before Python 3.12, and
+builds its records positionally: a five-stage sweep enters 29 frames.  Its
+fit sums in order from 0, as sum() did before Python 3.12 compensated it.
 
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
@@ -181,17 +185,6 @@ class ConvergenceReport(NamedTuple):
 _F_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1))
 
 
-def _f_scaled(x: float) -> float:
-    """(x cosh x - sinh x) e^{-x} for x > 0, without cancellation."""
-    if x < 0.5:
-        x2 = x * x
-        acc = 0.0
-        for coeff in _F_SERIES:
-            acc = acc * x2 + coeff
-        return acc * x2 * x * math.exp(-x)
-    return 0.5 * (x * (1.0 + math.exp(-2.0 * x)) + math.expm1(-2.0 * x))
-
-
 def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
                       x: float, em: float, ep: float, sh: float, ch: float,
                       f: float) -> float:
@@ -237,10 +230,14 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     excluded from the fit.
     """
     kappa = _scale(kappa, "kappa")
-    a_values = [_scale(a, "distance a") for a in a_list]
+    a_values, decreasing = [], True
+    for a in a_list:
+        a = _scale(a, "distance a")
+        decreasing = decreasing and (not a_values or a < a_values[-1])
+        a_values.append(a)
     if len(a_values) == 0:
         raise ValueError("need at least one distance")
-    if any(a2 >= a1 for a1, a2 in zip(a_values, a_values[1:])):
+    if not decreasing:
         raise ValueError("distances must be strictly decreasing")
     grid = _instance(grid, GridSpec, "grid", ValueError)
     if not a_values[0] < grid.L:
@@ -249,11 +246,15 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
     # the sector pairs (sigma, tau) = (c, -s) of the target's eigenvalues,
     # leading sector (multiplicity 1) first, and whether the target trips
     # its pole guard; 0.0 - s keeps the Neumann target's tau at +0.0
-    pairs = [(c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa))
-             for c, s, m in _family_table(family, n, beta) if m > 0]
+    pairs = []
+    for c, s, m in _family_table(family, n, beta):
+        if m > 0:
+            pairs.append((c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa)))
     four_kappa2 = 4.0 * kappa**2
+    robin_scale = ROBIN_POLE_TOL * math.hypot(1.0, kappa)
+    k7, k6, k5, k4, k3, k2, k1 = _F_SERIES
 
-    stages = []
+    stages, fit = [], []
     for a in a_values:
         b, c, per_channel_b = _strengths(family, beta, n, a)
         lead, rest, total, error = math.nan, math.nan, math.nan, None
@@ -262,12 +263,19 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
             x = kappa * a
             em = -math.expm1(-2.0 * x)    # (E - 1) / E
             ep = 2.0 - em                 # (E + 1) / E
-            sh, ch, f = 0.5 * em, 0.5 * ep, _f_scaled(x)  # s, h times e^{-x}
+            sh, ch = 0.5 * em, 0.5 * ep   # s, h times e^{-x}
+            if x < 0.5:                   # f e^{-x} as a series in x^2
+                x2 = x * x
+                f = ((((((k7 * x2 + k6) * x2 + k5) * x2 + k4) * x2 + k3) * x2
+                      + k2) * x2 + k1) * x2 * x * math.exp(-x)
+            else:
+                f = 0.5 * (x * (1.0 + math.exp(-2.0 * x)) - em)
             norms = [0.0, 0.0]            # n = 1 has no repeated sector
             for i, (sigma, tau, target_pole) in enumerate(pairs):
-                # the base is tau a^2 psi'(0) = -sigma psi(0)
+                # the base tau a^2 psi'(0) = -sigma psi(0); _robin_pole inline
                 p, q = tau * a * a, -sigma
-                if target_pole or _robin_pole(p, q, kappa):
+                if target_pole or abs(p * kappa + q) \
+                        < robin_scale * math.hypot(p, q):
                     what, (p, q) = ("target sector", (sigma, tau)) \
                         if target_pole else ("Robin kernel", (p, q))
                     raise PoleError(f"{what} pole: {p} psi'(0) = {q} psi(0) "
@@ -276,23 +284,27 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
                     sigma, tau, kappa, a, x, em, ep, sh, ch, f)) * window
             lead, rest = norms
             total = math.sqrt(lead**2 + (n - 1) * rest**2)
+            if total > 0.0:
+                fit.append((a, total))
         except PoleError as exc:
             error = str(exc)
-        stages.append(StageResult(
-            a=a, b=b, c=c, per_channel_b=per_channel_b, norm_sym=lead,
-            norm_comp=rest, norm_total=total, valid=error is None,
-            error=error))
+        stages.append(tuple.__new__(StageResult, (
+            a, b, c, per_channel_b, lead, rest, total, error is None, error)))
 
-    valid = [s for s in stages if s.valid and s.norm_total > 0.0][-3:]
+    fit = fit[-3:]    # least squares over the last three valid stages
     slope = intercept = None
-    if len(valid) >= 2:
-        xs = [math.log(s.a) for s in valid]
-        ys = [math.log(s.norm_total) for s in valid]
-        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-        dxs = [x - x_mean for x in xs]
-        slope = sum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) \
-            / sum(dx * dx for dx in dxs)
+    if len(fit) >= 2:
+        x_sum = y_sum = 0
+        for i, (a, total) in enumerate(fit):
+            fit[i] = x, y = math.log(a), math.log(total)
+            x_sum += x
+            y_sum += y
+        x_mean, y_mean = x_sum / len(fit), y_sum / len(fit)
+        xy_sum = xx_sum = 0
+        for x, y in fit:
+            xy_sum += (x - x_mean) * (y - y_mean)
+            xx_sum += (x - x_mean) * (x - x_mean)
+        slope = xy_sum / xx_sum
         intercept = y_mean - slope * x_mean
-    return ConvergenceReport(family=family, n=n, beta=beta, kappa=kappa,
-                             stages=tuple(stages), fitted_slope=slope,
-                             fitted_intercept=intercept)
+    return tuple.__new__(ConvergenceReport, (
+        family, n, beta, kappa, tuple(stages), slope, intercept))

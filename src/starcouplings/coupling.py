@@ -272,8 +272,10 @@ def _number(x, what: str, error=ValueError, *, inf: bool = False,
 def _scale(x, what: str, *, signed: bool = False) -> float:
     """_number of a length or of kappa, in [SCALE_MIN, SCALE_MAX], or in
     [-SCALE_MAX, SCALE_MAX] if ``signed``."""
-    x = _number(x, what, positive=not signed)
     low = -SCALE_MAX if signed else SCALE_MIN
+    if type(x) is float and low <= x <= SCALE_MAX:    # the common case
+        return x
+    x = _number(x, what, positive=not signed)
     if not low <= x <= SCALE_MAX:
         raise ValueError(f"{what} must lie in [{low:g}, {SCALE_MAX:g}], got "
                          f"{x!r}")

@@ -169,11 +169,14 @@ def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
     across the deltas as its coefficients (A, B) of e^{kappa x} and
     e^{-kappa x}, psi' jumping by c_q psi(x_q); then G(x, y) = psi_l(lo)
     psi_r(hi) / W, W = psi_l' psi_r - psi_l psi_r' = 2 kappa (A_l B_r -
-    B_l A_r) on any stretch.  No U, eigenphase or sector enters."""
+    B_l A_r) on any stretch.  No U, eigenphase or sector enters.  A
+    strength may be an mpmath number, so that -1/a stays exact where its
+    double would detune c a = -1."""
     kappa, x, y = _number(kappa, "kappa", positive=True), \
         _number(x, "x"), _number(y, "y")
     deltas = sorted((_number(a, "delta position"),
-                     _number(c, "delta strength")) for a, c in deltas)
+                     c if isinstance(c, mpmath.mpf)
+                     else _number(c, "delta strength")) for a, c in deltas)
     with mpmath.workdps(50):
         k = mpmath.mpf(kappa)
 
@@ -199,6 +202,29 @@ def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
         psi_l = a_l * mpmath.exp(k * lo) + b_l * mpmath.exp(-k * lo)
         psi_r = a_r * mpmath.exp(k * hi) + b_r * mpmath.exp(-k * hi)
         return psi_l * psi_r / wronskian
+
+
+def line_delta_prime(beta: float, kappa: float, j: int, x: float, l: int,
+                     y: float) -> mpmath.mpf:
+    """The resolvent kernel at energy -kappa^2 of the line delta'
+    interaction, psi' continuous and psi(0+) - psi(0-) = beta psi'(0), in
+    50-digit mpmath, between distance x from the origin on half j and y on
+    half l (half 0 the line's x < 0, half 1 its x > 0, as the edges of a
+    two-edge star): with W = kappa (2 + beta kappa), [(1 + beta kappa / 2)
+    e^{kappa lo} + (beta kappa / 2) e^{-kappa lo}] e^{-kappa hi} / W on one
+    half (lo, hi the smaller and the larger of x, y) and e^{-kappa (x + y)}
+    / W across the origin.  No U, eigenphase or sector enters."""
+    beta, kappa = _number(beta, "beta"), _number(kappa, "kappa", positive=True)
+    _integer("half", j, l, high=2)
+    lo, hi = sorted((_number(x, "x"), _number(y, "y")))
+    with mpmath.workdps(50):
+        k = mpmath.mpf(kappa)
+        r = mpmath.mpf(beta) * kappa / 2    # beta kappa / 2
+        w = k * (2 + 2 * r)
+        if j != l:
+            return mpmath.exp(-k * (mpmath.mpf(lo) + hi)) / w
+        return ((1 + r) * mpmath.exp(k * lo) + r * mpmath.exp(-k * lo)) \
+            * mpmath.exp(-k * hi) / w
 
 
 def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:

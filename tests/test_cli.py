@@ -655,6 +655,41 @@ class TestGoldenStdout:
             outs.append(out)
         assert "".join(outs) == (GOLDEN / "oracle_check.txt").read_text()
 
+    def test_converge_sweeps_stdout_is_pinned(self, capsys):
+        # converge --emit json, one line per run: both families at n = 1,
+        # 2, 5 with beta < 0, kappa 0.5, 2 and 30 and a down to 1e-6 (0.26
+        # and 0.24 straddle the series switch at kappa a = 1/2 for
+        # kappa = 2), then a stage on each pole guard, which exits 4: the
+        # target (beta = -n / kappa), the base Robin kernel, and the Krein
+        # denominator (beta of test_convergence's _krein_pole_beta(2, 0.1))
+        runs = (("delta-prime-s --n 1 --beta -0.5 --kappa 0.5 --a-list "
+                 "0.1,0.01,0.001,1e-4,1e-5,1e-6", 0),
+                ("delta-prime-s --n 2 --beta -0.7 --kappa 2 --a-list "
+                 "0.26,0.24,0.1,0.01,0.001,1e-6", 0),
+                ("delta-prime-s --n 5 --beta -3 --kappa 30 --a-list "
+                 "0.1,0.01,0.001,1e-4,1e-5,1e-6 --grid 5,100", 0),
+                ("delta-prime --n 1 --beta -1.5 --kappa 2 --a-list "
+                 "0.26,0.24,0.01,1e-4,1e-6", 0),
+                ("delta-prime --n 2 --beta -0.3 --kappa 30 --a-list "
+                 "0.1,0.01,0.001,1e-4,1e-5,1e-6", 0),
+                ("delta-prime --n 5 --beta -2.5 --kappa 0.5 --a-list "
+                 "0.1,0.01,0.001,1e-4,1e-5,1e-6", 0),
+                ("delta-prime-s --n 2 --beta -4 --kappa 0.5 --a-list "
+                 "0.1,0.01,0.001", 4),
+                ("delta-prime --n 5 --beta -2.5 --kappa 2 --a-list "
+                 "0.1,0.01", 4),
+                ("delta-prime-s --n 2 --beta 0.02 --kappa 1 --a-list "
+                 "0.1,0.01,0.001", 4),
+                ("delta-prime-s --n 2 --beta -1.728420364454873 --kappa 1 "
+                 "--a-list 0.1,0.01,0.001", 4))
+        outs = []
+        for argv, want in runs:
+            code, out, _ = run(capsys, "converge", "--family",
+                               *argv.split(), "--emit", "json")
+            assert code == want, argv
+            outs.append(out)
+        assert "".join(outs) == (GOLDEN / "converge_sweeps.txt").read_text()
+
 
 class TestDumps:
     """numpy scalars and arrays serialize as they always have, without

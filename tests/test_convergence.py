@@ -21,7 +21,9 @@ dR(a) against a 50-digit direct transfer, and the sweep's norms against
 them.
 """
 
+import collections
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -29,7 +31,8 @@ import pytest
 
 from conftest import expected_norm
 from oracles import (SampledDifference, approximant_model, effective_robin,
-                     sector_decompose, sector_difference)
+                     line_delta_prime, line_green, sector_decompose,
+                     sector_difference)
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            PointInteraction, PoleError, StarModel,
                            VertexCoupling, convergence_sweep, halfline_kernel,
@@ -842,6 +845,76 @@ class TestClosedFormNorms:
 
 
 # ======================================================================
+#  n = 2 is the line
+# ======================================================================
+
+def _gauss_legendre(nodes, lo, hi):
+    """(x, w) of the nodes-point Gauss-Legendre rule on [lo, hi]: each
+    node Newton-refined at 50 digits from numpy's, then rounded to a
+    double (line_green takes doubles), and its weight 2 / ((1 - t^2)
+    P_n'(t)^2) kept in mpmath, so the rule carries no rounding of
+    numpy's weights."""
+    rule = []
+    with mpmath.workdps(50):
+        for t in np.polynomial.legendre.leggauss(nodes)[0]:
+            t = mpmath.mpf(t)
+            for _ in range(4):
+                dp = nodes * (t * mpmath.legendre(nodes, t)
+                              - mpmath.legendre(nodes - 1, t)) / (t * t - 1)
+                t -= mpmath.legendre(nodes, t) / dp
+            rule.append((float(lo + (hi - lo) * (1 + t) / 2),
+                         (hi - lo) / ((1 - t * t) * dp * dp)))
+    return rule
+
+
+class TestLineOracleNorm:
+    """At n = 2 a stage's window norm is a double integral of line kernels
+    (ROADMAP item 25): edge 0 is the line's x < 0 and edge 1 its x > 0,
+    the delta_prime_s approximant is the line's three deltas (-a, -1/a),
+    (0, -beta / a^2), (a, -1/a) (oracles.line_green) and its target the
+    line delta' kernel across the origin with the sign flipped
+    (oracles.line_delta_prime).  norm_total^2 is the sum over the four
+    edge pairs of the squared difference integrated over [a, L]^2, here
+    by a 20-point Gauss-Legendre product rule.  The delta_prime
+    approximant and target are both the gauge image (psi -> -psi on
+    x < 0) of these, which flips the sign of both kernels across the
+    edges and leaves the square alone: both families meet the one sum.
+    The strengths reach line_green exact at 50 digits: their doubles
+    detune c a = -1 and open gaps of 5.7e-15, 6.6e-7 and 1.0e-11 in the
+    three cases below."""
+
+    # relative gaps measured: 1.1e-16 (beta = 1, kappa = 1, a = 1e-1),
+    # 3.2e-16 (1, 1, 1e-5) and 1.8e-16 (-0.7, 0.5, 1e-3); the 20-point
+    # rule is exact to 6e-17 for e^{-2 kappa (x + y)} on [a, 12]^2 at
+    # kappa <= 1 (16 points: 4e-14)
+    @pytest.mark.parametrize("beta, kappa, a", [(1.0, 1.0, 1e-1),
+                                                (1.0, 1.0, 1e-5),
+                                                (-0.7, 0.5, 1e-3)])
+    def test_stage_norm_is_the_line_integral(self, beta, kappa, a):
+        rule = _gauss_legendre(20, mpmath.mpf(a), mpmath.mpf(GRID.L))
+        with mpmath.workdps(50):
+            satellite = -1 / mpmath.mpf(a)
+            deltas = [(-a, satellite), (0.0, -beta * satellite**2),
+                      (a, satellite)]
+            want = mpmath.mpf(0)
+            for j in (0, 1):
+                for l in (0, 1):
+                    side = -1.0 if j != l else 1.0
+                    for x, wx in rule:
+                        for y, wy in rule:
+                            diff = line_green(deltas, kappa, x if j else -x,
+                                              y if l else -y) \
+                                - side * line_delta_prime(beta, kappa, j, x,
+                                                          l, y)
+                            want += wx * wy * diff**2
+        for family in SCHEDULE_FAMILIES:
+            stage, = convergence_sweep(family, beta, 2, kappa, [a],
+                                       GRID).stages
+            gap = abs(stage.norm_total**2 - want) / want
+            assert gap <= 7e-16, (family, float(gap))
+
+
+# ======================================================================
 #  the sweep's stage loop
 # ======================================================================
 
@@ -939,6 +1012,29 @@ class TestStageLoop:
                 setattr(built, built._fields[0], 2.0)
         changed = rep.stages[0]._replace(norm_total=1.0)
         assert changed != rep.stages[0] and changed.norm_total == 1.0
+
+    def test_a_sweep_enters_few_frames(self):
+        # a five-stage sweep entered 76 Python frames: _number behind each
+        # _scale, comprehensions and generators (whose frames differ
+        # between Python versions), a _robin_pole per base, _f_scaled and
+        # a keyword __new__ per record; now 29, with none of those
+        args = ("delta_prime_s", 1.0, 3, KAPPA, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5],
+                GRID)
+        convergence_sweep(*args)
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            convergence_sweep(*args)
+        finally:
+            sys.setprofile(old)
+        assert sum(calls.values()) <= 36, calls
+        assert not [name for name in calls if name.startswith("<")], calls
 
     @pytest.mark.parametrize("a", [True, np.True_, "0.1", 0.1 + 0j],
                              ids=["True", "np.True_", "str", "complex"])

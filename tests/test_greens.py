@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary, unitary_with_phase
-from oracles import (SectorSpec, approximant_model, line_green,
-                     satisfies_vertex_condition, sector_decompose)
+from oracles import (SectorSpec, approximant_model, line_delta_prime,
+                     line_green, satisfies_vertex_condition,
+                     sector_decompose)
 from starcouplings import (GridSpec, HalflineBC, InvalidCouplingError,
                            PointInteraction, PoleError, StarModel,
                            VertexCoupling, convergence_sweep,
@@ -912,17 +913,15 @@ class TestLineOfThreeDeltas:
 
 class TestLineDeltaPrime:
     """At n = 2 the delta_prime target is the line delta' interaction:
-    psi' is continuous and psi(0+) - psi(0-) = beta psi'(0).  With
-    W = kappa (2 + beta kappa) its kernel is, with no U, eigenphase or
-    sector, [(1 + beta kappa / 2) e^{kappa lo} + (beta kappa / 2)
-    e^{-kappa lo}] e^{-kappa hi} / W on one edge (lo, hi the smaller and
-    the larger of x, y) and e^{-kappa (x + y)} / W across the two;
+    psi' is continuous and psi(0+) - psi(0-) = beta psi'(0), whose kernel
+    oracles.line_delta_prime types in with no U, eigenphase or sector;
     delta_prime_s is its image under psi -> -psi on x < 0, which flips the
     sign across the edges."""
 
-    # worst relative errors measured: 9.8e-15 at beta = -0.7, kappa = 2,
-    # where W = 0.6 kappa sits next to the bound state at kappa = 2/0.7,
-    # and 6.7e-16 elsewhere; each bound is about twice its measurement
+    # worst relative errors measured against the 50-digit kernel: 8.2e-15
+    # at beta = -0.7, kappa = 2, where W = 0.6 kappa sits next to the
+    # bound state at kappa = 2/0.7, and 4.0e-16 elsewhere (9.8e-15 and
+    # 6.7e-16 against the same form in doubles, which set the bounds)
     @pytest.mark.parametrize("family, sign", [("delta_prime", 1.0),
                                               ("delta_prime_s", -1.0)])
     def test_target_is_the_line_delta_prime(self, family, sign):
@@ -930,21 +929,18 @@ class TestLineDeltaPrime:
         for beta in (1.0, -0.7, 3.0, -3.0):
             model = StarModel(2, family, beta=beta)
             for kappa in (0.5, 1.0, 2.0):
-                w = kappa * (2.0 + beta * kappa)
+                near_pole = beta == -0.7 and kappa == 2.0
                 for x, y in ((0.3, 0.7), (1.5, 0.2), (0.0, 2.0), (1.0, 1.0),
                              (4.0, 0.5)):
-                    lo, hi = min(x, y), max(x, y)
-                    one_edge = ((1.0 + beta * kappa / 2) * math.exp(kappa * lo)
-                                + beta * kappa / 2 * math.exp(-kappa * lo)) \
-                        * math.exp(-kappa * hi) / w
-                    across = sign * math.exp(-kappa * (x + y)) / w
-                    near_pole = beta == -0.7 and kappa == 2.0
                     for j in (0, 1):
                         for l in (0, 1):
-                            want = one_edge if j == l else across
+                            want = line_delta_prime(beta, kappa, j, x, l, y)
+                            if j != l:
+                                want *= sign
                             got = star_green(model, kappa, j, x, l, y)
-                            worst[near_pole] = max(worst[near_pole],
-                                                   abs(got - want) / abs(want))
+                            worst[near_pole] = max(
+                                worst[near_pole],
+                                float(abs(got - want) / abs(want)))
         assert worst[True] <= 2e-14 and worst[False] <= 1.5e-15, worst
 
 
