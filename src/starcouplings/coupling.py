@@ -64,10 +64,12 @@ and from_ab checks its solve of a pair made by hand; what the package
 builds from checked data (a family U, a rescaled U, to_ab's pair, a
 decomposition) is valid by construction, neither copied nor checked
 again; the tests check it.  to_ab's pair keeps its coupling, which from_ab
-returns; for exact phases it forms A and B on the first read, and
-validate_ab gives its diagnostics in closed form.  numpy is imported by
-the functions that make or read an array, so a family's phases, its
-kernels, its (A, B) diagnostics and the scalar checks run without it.
+returns, and forms A and B on the first read; validate_ab reads every
+such pair from D = U U* - I of its coupling (D = 0 for exact phases,
+whose diagnostics are closed forms), and only a pair made by hand takes
+an SVD of (A, B).  numpy is imported by the functions that make or read
+an array, so a family's phases, its kernels, its (A, B) diagnostics and
+the scalar checks run without it.
 
 This module is the package's base layer for checked input: the records
 an entry point takes (besides U and (A, B), PointInteraction, GridSpec
@@ -104,8 +106,10 @@ STAR_KINDS = ("delta_prime_s", "delta_prime", "central_delta",
 #: max-entry norm allowed for U U* - I
 UNITARITY_TOL = 1e-12
 #: max-entry norm allowed for A B* - (A B*)* over sigma_max^2 / 4 of (A, B),
-#: which is 1 for a canonical pair; a left factor s I drops out
-HERMITICITY_TOL = 1e-12
+#: which is 1 for a canonical pair; a left factor s I drops out.  A
+#: canonical pair's defect is 2 unitarity_defect(U), so the bound is twice
+#: UNITARITY_TOL: a U that VertexCoupling accepts has a pair that passes
+HERMITICITY_TOL = 2 * UNITARITY_TOL
 #: eigenvalues within this distance of -1 belong to the decoupled eigenspace;
 #: Eigenphases merges eigenvalues this close, and bound_states drops those
 #: at +-1
@@ -117,13 +121,23 @@ SINGULAR_COND = 1e12
 ROBIN_POLE_TOL = 1e-10
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-entry norm of U U* - I."""
-    import numpy as np
-    u = np.asarray(u, dtype=complex)
+def _unitarity_gap(u: np.ndarray) -> np.ndarray:
+    """D = U U* - I of a complex matrix U, a fresh C-ordered array: the
+    unitarity defect of U and both admissibility conditions of its
+    canonical pair read it."""
     d = u @ u.conj().T    # a fresh C-ordered product: reshape is a view
     d.reshape(-1)[::u.shape[0] + 1] -= 1.0
-    return float(np.abs(d).max())
+    return d
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """Max-entry norm of U U* - I; InvalidCouplingError unless U is a
+    non-empty square matrix of finite numbers."""
+    import numpy as np
+    u = _square(_numbers(u, "U", copy=False), "U")
+    if not np.isfinite(u).all():
+        raise InvalidCouplingError("U has non-finite entries")
+    return float(np.abs(_unitarity_gap(u)).max())
 
 
 def _symmetric(u: np.ndarray) -> bool:
@@ -139,8 +153,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly(a, what: str) -> np.ndarray:
-    """A fresh read-only complex array of ``a``; a bool array is refused
+def _numbers(a, what: str, copy: bool = True) -> np.ndarray:
+    """A complex array of ``a``, fresh if ``copy``; a bool array is refused
     (numpy reads a list that mixes bools and floats as floats), and so are
     one of strings or bytes (numpy would parse them) and one of objects
     that are not numbers."""
@@ -150,10 +164,24 @@ def _readonly(a, what: str) -> np.ndarray:
     if kind:
         raise InvalidCouplingError(f"{what} must hold numbers, not {kind}")
     try:
-        return _frozen(a.astype(complex))
+        return a.astype(complex, copy=copy)
     except TypeError as exc:
         raise InvalidCouplingError(f"{what} must hold numbers: {exc}") \
             from None
+
+
+def _readonly(a, what: str) -> np.ndarray:
+    """A fresh read-only complex array of ``a``, refused as _numbers
+    refuses it."""
+    return _frozen(_numbers(a, what))
+
+
+def _square(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` if it is a non-empty square matrix; else InvalidCouplingError."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InvalidCouplingError(
+            f"{what} must be a non-empty square matrix, got shape {a.shape}")
+    return a
 
 
 def _unchecked(cls, **fields):
@@ -214,10 +242,8 @@ def _instance(x, cls: type, what: str, error=InvalidCouplingError):
 
 
 def _unitary(u: np.ndarray) -> np.ndarray:
-    """A fresh complex matrix U, checked finite and unitary, read-only."""
-    import numpy as np
-    if not np.isfinite(u).all():
-        raise InvalidCouplingError("U has non-finite entries")
+    """A fresh complex array U, checked a finite unitary matrix,
+    read-only."""
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise InvalidCouplingError(
@@ -435,8 +461,11 @@ def _normalised(c: float, s: float) -> tuple[float, float]:
     return c / h, s / h
 
 
-def _half_angle(lam: complex, m: int) -> tuple[float, float, int]:
-    """(c, s, m) of an eigenvalue lambda, normalised to c^2 + s^2 = 1."""
+def _half_angle(cluster: list) -> tuple[float, float, int]:
+    """(c, s, m) of the mean lambda of the m eigenvalues of ``cluster``,
+    normalised to c^2 + s^2 = 1."""
+    m = len(cluster)
+    lam = sum(cluster) / m
     return (*_normalised(abs(1.0 + lam) / 2.0,
                          math.copysign(abs(1.0 - lam) / 2.0, lam.imag)), m)
 
@@ -457,14 +486,16 @@ def _decompose(u: np.ndarray) -> Eigenphases:
     import numpy as np
     lam, vec = np.linalg.eig(u)
     lam = lam.tolist()
-    order = sorted(range(len(lam)), key=lambda j: cmath.phase(lam[j]))
+    order = sorted(range(len(lam)),
+                   key=list(map(cmath.phase, lam)).__getitem__)
     clusters: list[list[complex]] = []
-    for z in (lam[j] for j in order):
+    for j in order:
+        z = lam[j]
         if clusters and abs(z - clusters[-1][-1]) <= DECOUPLED_EIGENVALUE_TOL:
             clusters[-1].append(z)
         else:
             clusters.append([z])
-    groups = tuple(_half_angle(sum(g) / len(g), len(g)) for g in clusters)
+    groups = tuple(map(_half_angle, clusters))
     v = _frozen(np.linalg.qr(vec[:, order])[0])
     return _unchecked(Eigenphases, groups=groups, v=v,
                       vh=_frozen(v.conj().T))
@@ -484,11 +515,7 @@ class VertexCoupling(_Record):
     _fields = ("u",)
 
     def __init__(self, u):
-        u = _readonly(u, "U")
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
-            raise InvalidCouplingError(
-                f"U must be a non-empty square matrix, got shape {u.shape}")
-        object.__setattr__(self, "u", _unitary(u))
+        object.__setattr__(self, "u", _unitary(_readonly(u, "U")))
 
     @classmethod
     def custom(cls, u) -> "VertexCoupling":
@@ -538,11 +565,8 @@ class ABPair(_Record):
     _fields = ("a", "b")
 
     def __init__(self, a, b):
-        a = _readonly(a, "A")
+        a = _square(_readonly(a, "A"), "A")
         b = _readonly(b, "B")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidCouplingError(
-                f"A must be a non-empty square matrix, got shape {a.shape}")
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
@@ -575,23 +599,17 @@ class ABPair(_Record):
 
     @functools.cached_property
     def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
-        """validate_ab's diagnostics and one SVD of the read-only (A, B)."""
+        """validate_ab's diagnostics and one SVD of the read-only (A, B)
+        of a pair made by hand."""
         import numpy as np
-        a, b, n = self.a, self.b, self.n
+        a, b = self.a, self.b
         sv = np.linalg.svd(np.concatenate((a, b), 1), compute_uv=False)
         top = sv.tolist()
-        # numerical rank: singular values above n * eps * largest
-        cut = n * math.ulp(1.0) * top[0]
-        rank = sum(x > cut for x in top)
         ab_star = a @ b.conj().T
         defect = float(np.abs(ab_star - ab_star.conj().T).max())
         # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
         # singular values of the block
-        min_eig = top[-1] ** 2
-        ok = (rank == n and min_eig > 0.0
-              and defect <= HERMITICITY_TOL * top[0] ** 2 / 4.0)
-        return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
-                             min_gram_eigenvalue=min_eig, ok=ok), sv
+        return _diagnostics(top, top[-1] ** 2, defect), sv
 
 
 class ABDiagnostics(NamedTuple):
@@ -602,6 +620,20 @@ class ABDiagnostics(NamedTuple):
     hermiticity_defect: float     # max-entry norm of A B* - (A B*)*
     min_gram_eigenvalue: float    # smallest eigenvalue of A A* + B B*
     ok: bool
+
+
+def _diagnostics(sv: list, min_eig: float, defect: float) -> ABDiagnostics:
+    """The diagnostics of a pair from the singular values ``sv`` of its
+    block (A, B), largest first, the smallest eigenvalue ``min_eig`` of
+    A A* + B B* and the Hermiticity defect."""
+    n = len(sv)
+    # numerical rank: singular values above n * eps * largest
+    cut = n * math.ulp(1.0) * sv[0]
+    rank = sum(x > cut for x in sv)
+    ok = (rank == n and min_eig > 0.0
+          and defect <= HERMITICITY_TOL * sv[0] ** 2 / 4.0)
+    return ABDiagnostics(n=n, rank=rank, hermiticity_defect=defect,
+                         min_gram_eigenvalue=min_eig, ok=ok)
 
 
 def make_coupling(family: str, n: int, param: float) -> VertexCoupling:
@@ -673,16 +705,24 @@ def validate_ab(ab: ABPair) -> ABDiagnostics:
     full rank); ``ok`` reads the defect relative to the size of (A, B) (see
     HERMITICITY_TOL).  Always returns; never raises on a failing pair.
 
-    The pair to_ab makes of exact phases takes no SVD: (A, B)(A, B)* =
-    2 (U U* + I) = 4 I and A B* = -i (U - U*) is Hermitian, so it has rank
-    n, defect 0 and Gram eigenvalue 4 exactly.  Any other pair is read
-    from one SVD of (A, B).
+    Every pair to_ab makes is read from D = U U* - I of its coupling and
+    forms neither A nor B: (A, B)(A, B)* = 2 (U U* + I) = 4 I + 2 D, so
+    the squared singular values of (A, B) are 4 + 2 eigvalsh(D), and
+    A B* - B A* = -2 i D, so the defect is 2 max |D|.  Exact phases have
+    D = 0: rank n, defect 0 and Gram eigenvalue 4, with no numpy.  Only
+    a pair made by hand takes one SVD of (A, B).
     """
     c = _instance(ab, ABPair, "pair")._coupling
-    if c is not None and c._phases is not None and c._phases.exact:
+    if c is None:
+        return ab._diagnosis[0]
+    if c._phases is not None and c._phases.exact:
         return ABDiagnostics(n=c.n, rank=c.n, hermiticity_defect=0.0,
                              min_gram_eigenvalue=4.0, ok=True)
-    return ab._diagnosis[0]
+    import numpy as np
+    d = _unitarity_gap(c.u)
+    gram = (4.0 + 2.0 * np.linalg.eigvalsh(d)).tolist()    # ascending
+    return _diagnostics(list(map(math.sqrt, reversed(gram))), gram[0],
+                        2.0 * float(np.abs(d).max()))
 
 
 def from_ab(ab: ABPair) -> VertexCoupling:

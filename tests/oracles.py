@@ -1,5 +1,6 @@
 """Test oracles: the sector tables of the star models, sampled sector
-differences, the kernel of deltas on the line, the decoupled projector
+differences, the kernel of deltas on the line, the Jost functions of
+half lines and the trace of their resolvents, the decoupled projector
 and the vertex-condition check, none of which the package computes.
 
 The convergence sweep evaluates its sector norms in closed form (see the
@@ -7,12 +8,14 @@ starcouplings.convergence docstring).  The helpers here sample the
 kernels themselves, one half-line sector at a time, so the tests can
 measure the same norms by quadrature (convergence.hs_norm) and reassemble
 a star kernel from its sectors; at n = 2 line_green gives a star's
-kernel with no U at all.  satisfies_vertex_condition is the
-oracle of from_ab round trips and of the kernels' vertex traces.  The
-oracles refuse what the package's entry points refuse (a bool, a NaN, a
-length out of range), so a test that builds a bad argument fails at the
-oracle instead of comparing NaN, and test_contract.py probes them as it
-probes the package.
+kernel with no U at all, and jost_trace and diagonal_trace, built on
+its propagation, give the trace of a difference of two half-line
+resolvents twice, from the Jost functions and from the kernel diagonal.
+satisfies_vertex_condition is the oracle of from_ab round trips and of
+the kernels' vertex traces.  The oracles refuse what the package's entry
+points refuse (a bool, a NaN, a length out of range), so a test that
+builds a bad argument fails at the oracle instead of comparing NaN, and
+test_contract.py probes them as it probes the package.
 """
 
 import math
@@ -161,6 +164,24 @@ def _sector_square(sector: SectorSpec, kappa: float, nodes: np.ndarray
     return square
 
 
+def _carry(k, coef, ordered, sign, until):
+    """The coefficients (A, B) of A e^{k x} + B e^{-k x}, given as ``coef``
+    outside the deltas (x_q, c_q) of ``ordered``, carried past each of
+    them up to ``until``, rightward (``sign`` 1) or leftward (-1): psi is
+    continuous at x_q and psi' jumps by c_q psi(x_q).  Plain mpmath
+    arithmetic at the caller's precision."""
+    for a, c in ordered:
+        if sign * (a - until) >= 0:
+            break
+        a = mpmath.mpf(a)
+        up, down = coef[0] * mpmath.exp(k * a), coef[1] * mpmath.exp(-k * a)
+        psi = up + down
+        dpsi = k * (up - down) + sign * c * psi
+        coef = ((psi + dpsi / k) * mpmath.exp(-k * a) / 2,
+                (psi - dpsi / k) * mpmath.exp(k * a) / 2)
+    return coef
+
+
 def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
     """The resolvent kernel at energy -kappa^2 of -d^2/dx^2 + sum_q c_q
     delta(x - x_q) on the real line, ``deltas`` the (x_q, c_q) pairs, in
@@ -179,29 +200,87 @@ def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
                      else _number(c, "delta strength")) for a, c in deltas)
     with mpmath.workdps(50):
         k = mpmath.mpf(kappa)
-
-        def carry(coef, ordered, sign, until):
-            # (A, B) past each delta of ``ordered`` up to ``until``
-            for a, c in ordered:
-                if sign * (a - until) >= 0:
-                    break
-                a = mpmath.mpf(a)
-                up, down = coef[0] * mpmath.exp(k * a), \
-                    coef[1] * mpmath.exp(-k * a)
-                psi = up + down
-                dpsi = k * (up - down) + sign * c * psi
-                coef = ((psi + dpsi / k) * mpmath.exp(-k * a) / 2,
-                        (psi - dpsi / k) * mpmath.exp(k * a) / 2)
-            return coef
-
         lo, hi = sorted((mpmath.mpf(x), mpmath.mpf(y)))
-        a_l, b_l = carry((1, 0), deltas, 1, lo)
-        a_r, b_r = carry((0, 1), deltas[::-1], -1, hi)
+        a_l, b_l = _carry(k, (1, 0), deltas, 1, lo)
+        a_r, b_r = _carry(k, (0, 1), deltas[::-1], -1, hi)
         # W, a constant, left of every delta, where psi_l = e^{kappa x}
-        wronskian = 2 * k * carry((0, 1), deltas[::-1], -1, -math.inf)[1]
+        wronskian = 2 * k * _carry(k, (0, 1), deltas[::-1], -1,
+                                   -math.inf)[1]
         psi_l = a_l * mpmath.exp(k * lo) + b_l * mpmath.exp(-k * lo)
         psi_r = a_r * mpmath.exp(k * hi) + b_r * mpmath.exp(-k * hi)
         return psi_l * psi_r / wronskian
+
+
+def _half_line(p, q, deltas) -> tuple:
+    """(p, q, deltas) of a half line with p psi'(0) = q psi(0) and deltas
+    (x_q, c_q), 0 < x_q, as mpmath numbers, the deltas sorted."""
+    deltas = sorted((_number(a, "delta position", positive=True), c)
+                    for a, c in deltas)
+    return mpmath.mpf(p), mpmath.mpf(q), [(mpmath.mpf(a), mpmath.mpf(c))
+                                          for a, c in deltas]
+
+
+def _jost(p, q, deltas, k):
+    """J(k) = p psi'(0) - q psi(0), psi = e^{-k x} beyond the deltas."""
+    a, b = _carry(k, (0, 1), deltas[::-1], -1, 0)
+    return p * k * (a - b) - q * (a + b)
+
+
+def jost_trace(p, q, deltas, kappa: float) -> mpmath.mpf:
+    """(1 / (2 kappa)) d/dkappa log J(kappa), in 40-digit mpmath, of the
+    half line of -d^2/dx^2 + sum_q c_q delta(x - x_q) with p psi'(0) =
+    q psi(0): J = p psi'(0) - q psi(0) is its Jost function, psi the
+    solution equal to e^{-kappa x} beyond every delta, carried to 0 by
+    line_green's propagation, and mpmath.diff takes the derivative.
+    By the perturbation determinant, the trace of the difference of two
+    such resolvents at energy -kappa^2 is the difference of their
+    jost_trace (each is diagonal_trace plus 1 / (4 kappa^2)).  p, q and
+    the strengths may be mpmath numbers."""
+    kappa = _number(kappa, "kappa", positive=True)
+    with mpmath.workdps(40):
+        p, q, deltas = _half_line(p, q, deltas)
+        k = mpmath.mpf(kappa)
+        return mpmath.diff(lambda k: _jost(p, q, deltas, k), k) \
+            / (2 * k * _jost(p, q, deltas, k))
+
+
+def diagonal_trace(p, q, deltas, kappa: float) -> mpmath.mpf:
+    """The integral over (0, inf) of G(x, x) - 1 / (2 kappa), G the kernel
+    of the half line of jost_trace, in 40-digit mpmath and in closed form,
+    no quadrature.  On a stretch between deltas the regular solution
+    phi (phi(0) = p, phi'(0) = q) is A e^{kappa x} + B e^{-kappa x}, carried
+    rightward, and psi is C e^{kappa x} + D e^{-kappa x}, carried leftward;
+    their Wronskian is 2 kappa (A D - B C), so
+
+        G(x, x) - 1 / (2 kappa) = (A C e^{2 kappa x} + 2 B C
+                                   + B D e^{-2 kappa x})
+                                  / (2 kappa (A D - B C)),
+
+    which integrates exactly; beyond the deltas C = 0 and only the
+    decaying term is left.  The free part 1 / (2 kappa) is taken out on
+    each stretch, in closed form, so no O(1) terms cancel, as they do in
+    a quadrature of a difference of two kernels at large x."""
+    kappa = _number(kappa, "kappa", positive=True)
+    with mpmath.workdps(40):
+        p, q, deltas = _half_line(p, q, deltas)
+        k = mpmath.mpf(kappa)
+        ends = [mpmath.mpf(0), *(a for a, _ in deltas)]
+        total = mpmath.mpf(0)
+        for lo, hi in zip(ends, ends[1:] + [None]):
+            mid = lo + 1 if hi is None else (lo + hi) / 2
+            a, b = _carry(k, ((p + q / k) / 2, (p - q / k) / 2), deltas, 1,
+                          mid)
+            c, d = _carry(k, (0, 1), deltas[::-1], -1, mid)
+            if hi is None:    # c = 0: only the decaying term is left
+                part = b * d * mpmath.exp(-2 * k * lo) / (2 * k)
+            else:
+                part = (a * c * (mpmath.exp(2 * k * hi)
+                                 - mpmath.exp(2 * k * lo))
+                        + b * d * (mpmath.exp(-2 * k * lo)
+                                   - mpmath.exp(-2 * k * hi))) / (2 * k) \
+                    + 2 * b * c * (hi - lo)
+            total += part / (2 * k * (a * d - b * c))
+        return total
 
 
 def line_delta_prime(beta: float, kappa: float, j: int, x: float, l: int,

@@ -17,11 +17,12 @@ CLI subcommand runs the same values in process through cli.main: a bad
 value must exit 2 or 3, an extreme one 0, 2, 3 or 4, and none may raise.
 
 Matrix and array arguments (U, A, B, psi, dpsi, sampled differences)
-are no rows of the scalar table; their constructors check shapes and
-finite entries (test_coupling), and an array of bools, which numpy would
-read as ones and zeros, is refused here (a list that mixes bools and
-floats is an array of floats before the package sees it), as are arrays
-of strings or bytes, which numpy would parse, and of other objects.  The
+are no rows of the scalar table.  Their own tables here refuse an array
+of bools, which numpy would read as ones and zeros (a list that mixes
+bools and floats is an array of floats before the package sees it),
+arrays of strings or bytes, which numpy would parse, and of other
+objects, a NaN or infinite entry, and a matrix that is not square or is
+empty.  The
 results name why they have no rows, and the record protocol closes the
 file's scalar part: checked inputs are records, results NamedTuples.
 """
@@ -251,6 +252,7 @@ BOOL_ARRAYS = [
      (C1, [True], [0.0])),
     ("satisfies_vertex_condition(dpsi)", oracles.satisfies_vertex_condition,
      (C1, [1.0], [False])),
+    ("unitarity_defect(u)", sc.unitarity_defect, ([[True]],)),
 ]
 
 #: matrix arguments that hold objects that are not numbers, one row per
@@ -260,6 +262,7 @@ OBJECT_ARRAYS = [
     ("custom(u)", sc.VertexCoupling.custom, ([[{1}]],)),
     ("ABPair(a)", sc.ABPair, ([[{}]], [[1.0]])),
     ("ABPair(b)", sc.ABPair, ([[1.0]], np.array([[object()]]))),
+    ("unitarity_defect(u)", sc.unitarity_defect, ([[{}]],)),
 ]
 
 #: matrix arguments of strings or bytes, one row per argument and kind:
@@ -272,7 +275,38 @@ STRING_ARRAYS = [
         ("VertexCoupling(u)", sc.VertexCoupling, lambda m: (m,)),
         ("custom(u)", sc.VertexCoupling.custom, lambda m: (m,)),
         ("ABPair(a)", sc.ABPair, lambda m: (m, [[1.0]])),
-        ("ABPair(b)", sc.ABPair, lambda m: ([[1.0]], m)))]
+        ("ABPair(b)", sc.ABPair, lambda m: ([[1.0]], m)),
+        ("unitarity_defect(u)", sc.unitarity_defect, lambda m: (m,)))]
+
+#: matrix and array arguments with a NaN or an infinite entry, one row per
+#: argument and value: unitarity_defect returned NaN and warned at inf
+NONFINITE_ARRAYS = [
+    (f"{label}:{name}", call, place(value))
+    for name, value in (("nan", math.nan), ("inf", math.inf),
+                        ("-inf", -math.inf))
+    for label, call, place in (
+        ("VertexCoupling(u)", sc.VertexCoupling, lambda x: ([[x]],)),
+        ("custom(u)", sc.VertexCoupling.custom, lambda x: ([[1.0, x]] * 2,)),
+        ("ABPair(a)", sc.ABPair, lambda x: ([[x]], [[1.0]])),
+        ("ABPair(b)", sc.ABPair, lambda x: ([[1.0]], [[x]])),
+        ("satisfies_vertex_condition(psi)",
+         oracles.satisfies_vertex_condition, lambda x: (C1, [x], [0.0])),
+        ("satisfies_vertex_condition(dpsi)",
+         oracles.satisfies_vertex_condition, lambda x: (C1, [1.0], [x])),
+        ("unitarity_defect(u)", sc.unitarity_defect, lambda x: ([[x]],)))]
+
+#: matrix arguments that are no non-empty square matrix, one row per
+#: argument and shape: unitarity_defect read a vector as a matrix and an
+#: empty one as unitary
+NON_SQUARE_ARRAYS = [
+    (f"{label}:{name}", call, place(value))
+    for name, value in (("vector", [1.0, 0.0]), ("empty", []),
+                        ("row", [[1.0, 0.0]]))
+    for label, call, place in (
+        ("VertexCoupling(u)", sc.VertexCoupling, lambda m: (m,)),
+        ("custom(u)", sc.VertexCoupling.custom, lambda m: (m,)),
+        ("ABPair(a)", sc.ABPair, lambda m: (m, m)),
+        ("unitarity_defect(u)", sc.unitarity_defect, lambda m: (m,)))]
 
 #: what the half-line entry points take as ``bc`` that is no one-edge
 #: VertexCoupling; a two-edge coupling raised AttributeError
@@ -429,6 +463,23 @@ def test_object_array_is_refused(call, args):
 def test_string_array_is_refused(call, args):
     with pytest.raises(InvalidCouplingError,
                        match="must hold numbers, not (strings|bytes)"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=label)
+    for label, call, args in NONFINITE_ARRAYS])
+def test_non_finite_array_is_refused(call, args):
+    with pytest.raises(InvalidCouplingError, match="finite"):
+        call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(call, args, id=label)
+    for label, call, args in NON_SQUARE_ARRAYS])
+def test_non_square_array_is_refused(call, args):
+    with pytest.raises(InvalidCouplingError,
+                       match="must be a non-empty square matrix"):
         call(*args)
 
 

@@ -380,11 +380,36 @@ class TestToAbPair:
                     assert abs(svd.min_gram_eigenvalue - 4.0) \
                         <= FAMILY_PAIR_GRAM
 
-    def test_haar_pair_is_diagnosed_by_its_svd(self):
-        # a decomposed U's pair reads the same SVD as a pair made by hand
-        c = VertexCoupling.custom(random_unitary(4, np.random.default_rng(7)))
-        pair = to_ab(c)
-        assert validate_ab(pair) == validate_ab(ABPair(pair.a, pair.b))
+    def test_decomposed_pair_is_read_from_the_unitarity_gap(
+            self, monkeypatch):
+        # the pair of a decomposed U is diagnosed from D = U U* - I with no
+        # A and no SVD, and agrees with the SVD of the same arrays within
+        # what the family pairs measured: custom Haar U, their rescalings
+        # (U formed from the mapped phases) and a U solved by from_ab
+        rng = np.random.default_rng(4747)
+        couplings = []
+        for n in range(1, 9):
+            haar = VertexCoupling.custom(random_unitary(n, rng))
+            couplings += [haar, *(rescale_length(haar, *r) for r in RATIOS)]
+            pair = to_ab(haar)
+            m = random_invertible(n, rng)
+            couplings.append(from_ab(ABPair(m @ pair.a, m @ pair.b)))
+        for c in couplings:
+            pair = to_ab(c)
+            with monkeypatch.context() as patched:
+                def refused(*args, **kwargs):
+                    raise AssertionError("an SVD of a canonical pair")
+
+                patched.setattr(np.linalg, "svd", refused)
+                diag = validate_ab(pair)
+            assert "a" not in vars(pair) and "b" not in vars(pair)
+            svd = validate_ab(ABPair(pair.a, pair.b))
+            assert (diag.n, diag.rank, diag.ok) == (svd.n, svd.rank, svd.ok)
+            assert diag.ok and diag.rank == c.n
+            assert abs(diag.hermiticity_defect - svd.hermiticity_defect) \
+                <= FAMILY_PAIR_DEFECT
+            assert abs(diag.min_gram_eigenvalue - svd.min_gram_eigenvalue) \
+                <= FAMILY_PAIR_GRAM
 
     def test_hand_made_pairs_keep_their_svd(self):
         # bit for bit the diagnostics of one SVD of (A, B), by the recipe
@@ -527,6 +552,34 @@ class TestValidateAB:
         assert diag.rank == 4
         assert diag.hermiticity_defect < 1e-12
         assert diag.min_gram_eigenvalue > 0
+
+    def test_pair_tolerance_is_twice_the_unitarity_tolerance(self):
+        # the canonical pair's defect is 2 unitarity_defect(U), so a U just
+        # inside UNITARITY_TOL gives a pair that passes, by to_ab or made
+        # by hand (it failed at 1e-12), and one just outside a pair that
+        # fails; VertexCoupling refuses that U, so its to_ab pair is built
+        # unchecked here
+        u = random_unitary(3, np.random.default_rng(0))
+        eye = np.eye(3)
+        for stretch, inside in ((2.8e-12, True), (2.9e-12, False)):
+            v = u.copy()
+            v[0, 0] *= 1.0 + stretch
+            defect = unitarity_defect(v)
+            assert 0.97 * UNITARITY_TOL < defect < 1.03 * UNITARITY_TOL
+            assert (defect <= UNITARITY_TOL) is inside
+            if inside:
+                c = VertexCoupling.custom(v)
+            else:
+                with pytest.raises(InvalidCouplingError, match="not unitary"):
+                    VertexCoupling.custom(v)
+                c = coupling_module._unchecked(VertexCoupling, u=v)
+            canonical = validate_ab(to_ab(c))
+            assert canonical.ok is inside
+            assert canonical.hermiticity_defect == 2.0 * defect
+            for scale in (1.0, 3e-4):
+                hand = validate_ab(ABPair(scale * (v - eye),
+                                          scale * 1j * (v + eye)))
+                assert hand.ok is inside and hand.rank == 3
 
     def test_zero_pair_fails_with_rank_zero(self):
         diag = validate_ab(ABPair(np.zeros((2, 2)), np.zeros((2, 2))))
