@@ -23,7 +23,13 @@ this module comes from the package, which loads only its defining module.
 Output is deterministic: JSON fields appear in fixed order, floats are
 written with 17 significant digits, complex entries as {"re": ..., "im":
 ...}.  Infinite parameters serialize as the strings "inf"/"-inf", NaN as
-null.  Results go to stdout, diagnostics to stderr.
+null.  Results go to stdout, diagnostics to stderr.  The CLI writes its
+JSON itself, from the plain Python values its subcommands build; a
+string is written as json.dumps writes it, and json is loaded only for
+one that is not printable ASCII free of quotes and backslashes.  So no
+subcommand loads json, numbers or cmath: none reads an eigenvalue's
+phase, and compare_kernels loads cmath only for a side that is not a
+finite float.
 
 Exit codes: 0 success, 2 flag/usage error, 3 numeric or validation
 failure (pole hit, inadmissible pair, budget exceeded), 4 convergence
@@ -34,9 +40,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
-import numbers
 import sys
 from collections import deque
 
@@ -89,26 +93,36 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _string(text: str) -> str:
+    """json.dumps of a str: printable ASCII with no quote or backslash is
+    its own encoding, and only any other string loads json."""
+    if text.isascii() and text.isprintable() and '"' not in text \
+            and "\\" not in text:
+        return f'"{text}"'
+    import json
+    return json.dumps(text)
+
+
 def _dumps(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    # numpy registers its scalar types with these: no numpy import here
-    if isinstance(obj, numbers.Integral):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _fmt_float(float(obj))
-    if isinstance(obj, numbers.Complex):
-        return _dumps({"re": float(obj.real), "im": float(obj.imag)})
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, complex):
+        return (f'{{"re": {_fmt_float(obj.real)}, '
+                f'"im": {_fmt_float(obj.imag)}}}')
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _string(obj)
     if isinstance(obj, dict):
-        parts = (f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items())
+        parts = [f"{_string(str(k))}: {_dumps(v)}" for k, v in obj.items()]
         return "{" + ", ".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-    if hasattr(obj, "tolist"):    # a numpy array
+        return "[" + ", ".join([_dumps(v) for v in obj]) + "]"
+    if hasattr(obj, "tolist"):    # a numpy scalar or array
         return _dumps(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

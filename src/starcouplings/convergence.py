@@ -76,9 +76,9 @@ fit sums in order from 0, as sum() did before Python 3.12 compensated it.
 A stage is invalid, with NaN norms and the reason, when a kernel it
 compares sits on a pole.  Target and base are one-edge conditions
 p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
-by the S-matrix guard of one edge, |p kappa + q| < ROBIN_POLE_TOL
-hypot(p, q) hypot(1, kappa), which holds wherever the kernels' Jost test,
-|p kappa + q| < ROBIN_POLE_TOL (|p| kappa + |q|), trips.
+as the kernels test them, by the Jost form |p kappa + q| < ROBIN_POLE_TOL
+(|p| kappa + |q|).  It is scale-free where p or q is 0: a Dirichlet base
+has no pole at any kappa, and a Neumann one none at any kappa > 0.
 """
 
 from __future__ import annotations
@@ -212,9 +212,8 @@ def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
 
 
 def _robin_pole(p: float, q: float, kappa: float) -> bool:
-    """Whether p psi'(0) = q psi(0) trips the kernels' pole guard."""
-    return abs(p * kappa + q) \
-        < ROBIN_POLE_TOL * math.hypot(p, q) * math.hypot(1.0, kappa)
+    """Whether p psi'(0) = q psi(0) trips the kernels' Jost test."""
+    return abs(p * kappa + q) < ROBIN_POLE_TOL * (abs(p) * kappa + abs(q))
 
 
 def convergence_sweep(family: str, beta: float, n: int, kappa: float,
@@ -251,7 +250,6 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
         if m > 0:
             pairs.append((c, 0.0 - s, _robin_pole(c, 0.0 - s, kappa)))
     four_kappa2 = 4.0 * kappa**2
-    robin_scale = ROBIN_POLE_TOL * math.hypot(1.0, kappa)
     k7, k6, k5, k4, k3, k2, k1 = _F_SERIES
 
     stages, fit = [], []
@@ -275,7 +273,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
                 # the base tau a^2 psi'(0) = -sigma psi(0); _robin_pole inline
                 p, q = tau * a * a, -sigma
                 if target_pole or abs(p * kappa + q) \
-                        < robin_scale * math.hypot(p, q):
+                        < ROBIN_POLE_TOL * (abs(p) * kappa + abs(q)):
                     what, (p, q) = ("target sector", (sigma, tau)) \
                         if target_pole else ("Robin kernel", (p, q))
                     raise PoleError(f"{what} pole: {p} psi'(0) = {q} psi(0) "

@@ -83,7 +83,6 @@ eigenphase cache, or a U from its phases, build equal ones).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -486,8 +485,9 @@ def _decompose(u: np.ndarray) -> Eigenphases:
     import numpy as np
     lam, vec = np.linalg.eig(u)
     lam = lam.tolist()
+    # atan2(imag, real) is cmath.phase, signed zeros included
     order = sorted(range(len(lam)),
-                   key=list(map(cmath.phase, lam)).__getitem__)
+                   key=[math.atan2(z.imag, z.real) for z in lam].__getitem__)
     clusters: list[list[complex]] = []
     for j in order:
         z = lam[j]

@@ -110,7 +110,6 @@ from scattering, and nothing from greens, whose kernels it checks.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -380,6 +379,7 @@ def fd_resolvent_star(model, kappa: float, grid: GridSpec) -> SampledKernel:
 
 def _finite_sides(exact, approx, point) -> None:
     """ValueError naming ``point`` and the first side that is not finite."""
+    import cmath    # loaded only for a side that is not a finite float
     for side, value in (("analytic", exact), ("finite-difference", approx)):
         if not cmath.isfinite(value):
             raise ValueError(f"the {side} kernel is {value} at sample "

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import starcouplings
 from starcouplings import (GridSpec, HalflineBC, PointInteraction,
@@ -22,7 +23,7 @@ from starcouplings import (GridSpec, HalflineBC, PointInteraction,
                            rescale_length, s_matrix, to_ab, unitarity_defect,
                            validate_ab)
 from starcouplings.coupling import FAMILIES
-from starcouplings.cli import _dumps, main
+from starcouplings.cli import _dumps, _string, main
 
 
 def run(capsys, *argv):
@@ -437,6 +438,17 @@ class TestConvergeCommand:
         assert all(s["norm_total"] is None for s in doc["stages"])
         assert "pole" in err.lower()
 
+    def test_dirichlet_base_at_large_kappa_has_no_pole(self, capsys):
+        # the complement sector's Dirichlet base has no bound state, but
+        # the guard |p kappa + q| < tol hypot(p, q) hypot(1, kappa) tripped
+        # on it for kappa above about 1e10, and this run exited 4
+        code, out, err = run(capsys, "converge", "--family",
+                             "delta-prime-s", "--n", "2", "--beta", "1",
+                             "--kappa", "1e12",
+                             "--a-list", "1e-9,1e-10,1e-11")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 5 and "nan" not in out
+
 
 # ======================================================================
 #  oracle-check
@@ -710,6 +722,72 @@ class TestDumps:
         assert _dumps(value) == text
 
 
+#: characters json.dumps escapes or keeps: quotes, backslashes, control
+#: characters, DEL, non-ASCII (lone surrogates included) and astral ones
+_CHARACTERS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xa0\u2028\ud800'
+                    '\U0001f600'),
+    st.characters(max_codepoint=0x7f),
+    st.characters(exclude_categories=()))
+_TEXT = st.text(_CHARACTERS, max_size=12)
+
+#: what json.dumps and the CLI write alike: no float, whose digits differ
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+def _complex_as_dict(obj):
+    """obj with each complex z replaced by {"re": z.real, "im": z.imag}."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {k: _complex_as_dict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_complex_as_dict(v) for v in obj]
+    return obj
+
+
+class TestJsonText:
+    """Strings are written as json.dumps writes them, with json loaded
+    only for a string that is not printable ASCII free of quotes and
+    backslashes; a complex is written in one step, as its dict was."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=_TEXT)
+    def test_strings_are_json_dumps(self, text):
+        assert _string(text) == json.dumps(text)
+        assert _dumps(text) == json.dumps(text)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(value=_PLAIN)
+    def test_nested_values_are_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(value=st.recursive(
+        st.complex_numbers() | st.floats() | _TEXT,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=10))
+    def test_complex_values_are_their_dicts(self, value):
+        assert _dumps(value) == _dumps(_complex_as_dict(value))
+
+    def test_plain_strings_load_no_json(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "json", None)
+        assert _dumps({"bc": "robin-scaled:2:1", "family": "delta-prime",
+                       "points": [{"a": 0.5, "c": -2.0}], "ok": True,
+                       "value": complex(1.5, -0.0), "": " ~"}) \
+            == ('{"bc": "robin-scaled:2:1", "family": "delta-prime", '
+                '"points": [{"a": 0.5, "c": -2}], "ok": true, '
+                '"value": {"re": 1.5, "im": -0}, "": " ~"}')
+        for text in ('"', "\\", "\n", "\x7f", "\xe9"):
+            with pytest.raises(ImportError):
+                _string(text)
+
+
 # ======================================================================
 #  determinism
 # ======================================================================
@@ -868,6 +946,28 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
                   "sys.exit(main(sys.argv[1:]))")
 
 
+#: runs the CLI on each run of its arguments (runs split at ";") and
+#: prints each exit code and which of json, numbers and cmath were loaded
+#: after it, all read before json is imported to print them
+_STDLIB_PROBE = """
+import contextlib, io, sys
+steps, argv = [], []
+for arg in [*sys.argv[1:], ";"]:
+    if arg != ";":
+        argv.append(arg)
+        continue
+    from starcouplings.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    steps.append([code, [m for m in ("json", "numbers", "cmath")
+                         if m in sys.modules]])
+    argv = []
+import json
+print(json.dumps(steps))
+"""
+
+
 #: one argv per subcommand, the package modules it loads besides coupling
 #: and errors
 _PACKAGE_MODULES = [
@@ -949,6 +1049,20 @@ class TestImportLayer:
             <= {*argvs[0], *argvs[2], *argvs[3], *argvs[5], *argvs[6]}
         assert [(code, names) for _, code, names
                 in _module_probe(prefix, argvs)] == [(0, [])] * 9
+
+    def test_subcommands_load_no_json_numbers_or_cmath(self):
+        # every subcommand, in one fresh interpreter: the coupling with
+        # --to-ab --validate, greens at a point (as JSON and plain) and on
+        # a grid, converge as CSV and JSON, oracle-check on a half line
+        # and on a star
+        argvs = [*_SUBCOMMAND_ARGVS, _PACKAGE_MODULES[-1][0],
+                 _FLOAT_ONLY_ARGVS[1][0], _FLOAT_ONLY_ARGVS[6][0]]
+        out = subprocess.run(
+            [sys.executable, "-c", _STDLIB_PROBE,
+             *[arg for argv in argvs for arg in [*argv, ";"]][:-1]],
+            env=_child_env(), capture_output=True, text=True, check=True,
+            timeout=120)
+        assert json.loads(out.stdout) == [[0, []]] * len(argvs)
 
     def test_linalg_error_is_a_value_error(self):
         # main() exits 3 on ValueError without naming numpy's LinAlgError

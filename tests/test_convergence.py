@@ -520,19 +520,20 @@ def _c2(sigma, tau, kappa):
         / (9 * (kappa * sigma + tau) ** 3)
 
 
-def _mp_transfer_shift(sigma, tau, kappa, a):
+def _mp_transfer_shift(sigma, tau, kappa, a, c=None):
     """dR(a) of the sector (sigma, tau) at 50 digits, by the direct
     transfer: u = p cosh(kappa x) + (q / kappa) sinh(kappa x) on [0, a]
     from the base p psi'(0) = q psi(0), (p, q) = (tau a^2, -sigma), the
-    jump u'(a+) = u'(a-) - u(a) / a of the satellite c = -1/a, then R_a =
-    e^{2 kappa a} (kappa u - u') / (kappa u + u') at a, minus the target's
-    R = (kappa sigma - tau) / (kappa sigma + tau)."""
+    jump u'(a+) = u'(a-) + c u(a) of the satellite, c = -1/a exactly
+    unless given, then R_a = e^{2 kappa a} (kappa u - u') / (kappa u + u')
+    at a, minus the target's R = (kappa sigma - tau) / (kappa sigma +
+    tau)."""
     with mpmath.workdps(50):
         sigma, tau, kappa, a = map(mpmath.mpf, (sigma, tau, kappa, a))
         p, q = tau * a * a, -sigma
         u = p * mpmath.cosh(kappa * a) + q / kappa * mpmath.sinh(kappa * a)
         du = p * kappa * mpmath.sinh(kappa * a) + q * mpmath.cosh(kappa * a) \
-            - u / a
+            + (-u / a if c is None else mpmath.mpf(c) * u)
         r_a = mpmath.exp(2 * kappa * a) * (kappa * u - du) / (kappa * u + du)
         return r_a - (kappa * sigma - tau) / (kappa * sigma + tau)
 
@@ -598,6 +599,34 @@ class TestErrorConstant:
                 want = self._predicted(sigma, tau, kappa, stage.a, GRID.L)
                 assert abs(got - want) <= 91 * stage.a**2 * want, \
                     (stage.a, sigma, tau, got, want)
+
+
+class TestFloatSatelliteShift:
+    """A satellite strength c = fl(-1/a), a relative error delta = 1 + c a
+    off -1/a, moves dR by |Delta dR / dR| = 2 kappa |delta| / ((kappa +
+    tau/sigma)^2 |C1| a^2) to first order: the effective Robin constant
+    shifts by delta / a, and R(B) = (kappa - B) / (kappa + B)."""
+
+    @pytest.mark.parametrize("sigma, tau", [(1.0, 2.0), (1.0, 0.0),
+                                            (1.0, 1.0), (-0.7, 2.0)])
+    def test_shift_matches_the_first_order_formula(self, sigma, tau):
+        # 36 cases, delta != 0 in each; |ratio - 1| measured at most
+        # 1.65e-4, the second-order term of the shift; the relative shift
+        # at 60 digits agrees with the 50-digit one here to 5e-35
+        for kappa in (0.5, 1.0, 2.0):
+            for a in (1e-5, 1e-6, 1e-7):
+                c = -1.0 / a
+                with mpmath.workdps(50):
+                    delta = 1 + mpmath.mpf(c) * mpmath.mpf(a)    # exact
+                    assert delta != 0
+                    exact = _mp_transfer_shift(sigma, tau, kappa, a)
+                    rounded = _mp_transfer_shift(sigma, tau, kappa, a, c=c)
+                    predicted = 2 * kappa * abs(delta) / (
+                        (kappa + mpmath.mpf(tau) / sigma) ** 2
+                        * abs(_c1(*map(mpmath.mpf, (sigma, tau, kappa))))
+                        * mpmath.mpf(a) ** 2)
+                    ratio = abs((rounded - exact) / exact) / predicted
+                assert abs(ratio - 1) <= 1e-3, (kappa, a, float(ratio))
 
 
 # ======================================================================
@@ -757,6 +786,39 @@ class TestClosedFormNorms:
         assert not rep.stages[0].valid
         assert "Robin kernel pole" in rep.stages[0].error
         assert rep.stages[1].valid
+
+    @pytest.mark.parametrize("family, n, beta", [
+        ("delta_prime", 3, 1.0), ("delta_prime", 2, -0.7),
+        ("delta_prime_s", 2, 1.0), ("delta_prime_s", 3, 1e3)])
+    def test_dirichlet_base_at_large_kappa_is_valid(self, family, n, beta):
+        # the guard |p kappa + q| < tol hypot(p, q) hypot(1, kappa) is not
+        # scale-free for p = 0: the Dirichlet base of the (1, 0) sector
+        # tripped it for kappa above about 1e10, and every stage here was
+        # invalid; the kernels' Jost test |p kappa + q| < tol (|p| kappa +
+        # |q|) does not trip.  Where kappa a <= 1e3 the sector norms match
+        # the 50-digit transfer to 2.8e-13 measured
+        kappa, grid = 1e12, GridSpec(12.0, 100)
+        rep = convergence_sweep(family, beta, n, kappa,
+                                [0.1, 1e-3, *(10.0 ** -e for e in
+                                              range(9, 17))], grid)
+        assert all(s.valid for s in rep.stages), rep.stages
+        pairs = [(beta, float(n)), (1.0, 0.0)]
+        if family == "delta_prime":
+            pairs.reverse()
+        for stage in rep.stages:
+            assert all(math.isfinite(v) and v > 0.0 for v in (
+                stage.norm_sym, stage.norm_comp, stage.norm_total))
+            if kappa * stage.a > 1e3:
+                continue
+            for got, (sigma, tau) in zip((stage.norm_sym, stage.norm_comp),
+                                         pairs):
+                with mpmath.workdps(50):
+                    k, a = mpmath.mpf(kappa), mpmath.mpf(stage.a)
+                    d_r = _mp_transfer_shift(sigma, tau, kappa, stage.a)
+                    want = abs(d_r) * mpmath.exp(-2 * k * a) \
+                        * -mpmath.expm1(-2 * k * (grid.L - a)) / (4 * k**2)
+                assert abs(got - want) <= 5e-13 * want, \
+                    (stage.a, sigma, tau, got, float(want))
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("factor", [0.5, 2.0])
