@@ -73,12 +73,21 @@ comprehension or generator, each a frame per call before Python 3.12, and
 builds its records positionally: a five-stage sweep enters 29 frames.  Its
 fit sums in order from 0, as sum() did before Python 3.12 compensated it.
 
-A stage is invalid, with NaN norms and the reason, when a kernel it
-compares sits on a pole.  Target and base are one-edge conditions
-p psi'(0) = q psi(0), (p, q) = (sigma, tau) and (tau a^2, -sigma), tested
-as the kernels test them, by the Jost form |p kappa + q| < ROBIN_POLE_TOL
-(|p| kappa + |q|).  It is scale-free where p or q is 0: a Dirichlet base
-has no pole at any kappa, and a Neumann one none at any kappa > 0.
+A stage is invalid, with NaN norms and the reason, when one of three
+tests trips, each in the kernels' Jost form |p kappa + q| < ROBIN_POLE_TOL
+(|p| kappa + |q|) for a one-edge condition p psi'(0) = q psi(0), which is
+scale-free where p or q is 0.  The target, (p, q) = (sigma, tau), is a
+kernel the stage compares.  The approximant, seen from x > a, obeys
+Q psi'(a) = P psi(a): _reflection_shift refuses |kappa Q + P| below
+ROBIN_POLE_TOL (kappa |Q| + |P|), so the refused band is about 1e-10
+relative in kappa at every a, and P = Q = 0 is refused too.  The base,
+(tau a^2, -sigma), is no kernel of the stage, and the approximant is
+regular at its bound state; its test guards a cancellation.  There
+kappa = sigma / (tau a^2), and once sinh x ~ cosh x P and Q share the
+vanishing factor tau kappa a^2 - sigma: without the test, stages on base
+poles read 7.6e-7 off at kappa a = 10, 1.0 off at kappa a = 1e3, and from
+kappa a ~ 26 P and Q round to 0.  A Dirichlet base has no pole at any
+kappa, and a Neumann one none at any kappa > 0.
 """
 
 from __future__ import annotations
@@ -89,9 +98,6 @@ from typing import NamedTuple
 from .coupling import (ROBIN_POLE_TOL, SCHEDULE_FAMILIES, GridSpec,
                        _family_table, _instance, _integer, _scale)
 from .errors import PoleError
-
-#: stages whose Krein denominator 1 + c G(a, a) falls below this are invalid
-KREIN_POLE_TOL = 1e-12
 
 
 class ApproximationStage(NamedTuple):
@@ -191,19 +197,17 @@ def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
     """dR(a) e^{-2 kappa a} for the sector pair (sigma, tau) from the
     factors of x = kappa a (see convergence_sweep and the module
     docstring).  Raises PoleError when the approximant kernel sits on a
-    pole: the Krein denominator 1 + c G(a, a) = (kappa + B) / (kappa + B_0),
-    with B = P / Q the effective Robin constant and B_0 = B + 1/a that of
-    the base, falls below KREIN_POLE_TOL."""
+    pole: seen from x > a it obeys Q psi'(a) = P psi(a), tested in the
+    kernels' Jost form, so P = Q = 0 is a pole too."""
     p = -tau * a * x * (ch - x * sh) - sigma * f
     q = tau * x * a * a * ch - sigma * a * sh
     pole = kappa * q + p
-    # a (kappa q + p) + q = x a (tau kappa a^2 - sigma): 1 + c G(a, a) is
-    # pole / (x (tau kappa a^2 - sigma)), compared without dividing
-    if abs(pole) < KREIN_POLE_TOL * abs(x * (tau * kappa * a * a - sigma)):
+    size = kappa * abs(q) + abs(p)
+    if not abs(pole) > ROBIN_POLE_TOL * size:
         raise PoleError(
-            f"Krein denominator |1 + c G(a,a)| below {KREIN_POLE_TOL}: "
-            f"energy -kappa^2 = {-kappa**2} sits on an eigenvalue of the "
-            "perturbed operator")
+            f"approximant pole: kappa Q + P = {pole:.3e} below "
+            f"{ROBIN_POLE_TOL} x its terms {size:.3e}: energy -kappa^2 = "
+            f"{-kappa**2} sits on an eigenvalue of the perturbed operator")
     num = em * (sigma * kappa**2 * q - tau * p) \
         + kappa * ep * (tau * tau * x * a * a * ch
                         + sigma * f * (tau * a + sigma)
@@ -270,7 +274,9 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
                 f = 0.5 * (x * (1.0 + math.exp(-2.0 * x)) - em)
             norms = [0.0, 0.0]            # n = 1 has no repeated sector
             for i, (sigma, tau, target_pole) in enumerate(pairs):
-                # the base tau a^2 psi'(0) = -sigma psi(0); _robin_pole inline
+                # the base tau a^2 psi'(0) = -sigma psi(0), _robin_pole
+                # inline: no kernel of the stage, but on its pole P and Q
+                # cancel (see the module docstring)
                 p, q = tau * a * a, -sigma
                 if target_pole or abs(p * kappa + q) \
                         < ROBIN_POLE_TOL * (abs(p) * kappa + abs(q)):

@@ -37,15 +37,14 @@ HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
 pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
 PointInteraction, ROBIN_POLE_TOL, check_points and _star live in
 coupling, which the finite-difference oracle reads instead of this module.
-Every value is the scalar one, in math: an array argument is a loop over
-its entries, and _halfline_rows reads an edge's kernel row by row at
-float nodes (for the CLI and the tests), each factor once per node.
+Every value is computed in math at number coordinates (coupling._number),
+and _halfline_rows reads an edge's kernel row by row at float nodes (for
+the CLI and the tests), each factor once per node: no numpy is named.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from functools import lru_cache
 from operator import add
@@ -56,8 +55,6 @@ from .coupling import (ROBIN_POLE_TOL, STAR_KINDS, PointInteraction,
                        _star, _symmetric, check_points, make_coupling)
 from .errors import PoleError
 
-#: the scalar argument types of a kernel, bool excepted
-_REAL = (int, float)
 #: past the first screen each edge is a Dirichlet half line, built once
 _DIRICHLET_EDGE = make_coupling("delta", 1, math.inf)
 
@@ -68,9 +65,9 @@ def vertex_kernel(coupling: VertexCoupling,
     """Evaluator (j, x, l, y) -> G_jl(x, y) of the star with vertex
     coupling ``coupling`` and the delta potentials ``points`` on every
     edge, at energy -kappa^2; the pole test runs here.  Edges are 0-based;
-    floats give a float (complex when U != U^T), numpy arguments the same
-    values entry by entry (a 0-d pair a float); each must be real (not
-    bool), finite and >= 0."""
+    floats give a float (complex when U != U^T), and a numpy scalar what
+    its float gives.  A coordinate must be a real number (not a bool, an
+    array or a complex), finite and >= 0; else ValueError."""
     n = _instance(coupling, VertexCoupling, "coupling").n
     kappa = _scale(kappa, "kappa")
     merged: dict[float, float] = {}    # strengths add, a screen wins
@@ -105,6 +102,12 @@ def vertex_kernel(coupling: VertexCoupling,
     phi0 = [base] + [f * math.expm1(-two * a) for a, f in falls]
     dphi0 = [-kappa * base] + [kappa * f * (1.0 + math.exp(-two * a))
                                for a, f in falls]
+    # repulsive points have no bound state: a solution carried past the
+    # doubles is a range failure, not a pole (as in the FD oracle)
+    if not all(map(math.isfinite, [k for _, k in u1s + u2s + falls]
+                   + phi0 + dphi0)):
+        raise ValueError("point interactions too strong for the kernel: "
+                         "the carried solutions leave the double range")
     f0, f1 = math.fsum(phi0), math.fsum(dphi0)
     phases, josts = coupling.eigenphases, []
     for c, s, _ in phases.groups:
@@ -130,26 +133,15 @@ def vertex_kernel(coupling: VertexCoupling,
                              for (c, s, _), jost in zip(phases.groups, josts)],
                             real)                   # gamma(j, l)
     phi = (base, falls)
-    screened, top = end < math.inf, sys.float_info.max
+    screened, inf = end < math.inf, math.inf
 
     def evaluate(j: int, x, l: int, y):
-        # plain ints and floats are tested first, by type alone
+        # int edges and float coordinates pass on their type alone
         if not (type(j) is type(l) is int and 0 <= j < n and 0 <= l < n):
             _integer("edge indices", j, l, high=n)
-        if not ((type(x) in _REAL and type(y) in _REAL) or (
-                isinstance(x, _REAL) and isinstance(y, _REAL)
-                and type(x) is not bool and type(y) is not bool)):
-            import numpy as np    # an array, numpy scalar or 0-d array
-            x, y = np.asarray(x), np.asarray(y)
-            if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
-                raise ValueError(f"kernel arguments must be real numbers, "
-                                 f"got dtypes {x.dtype} and {y.dtype}")
-            x, y = np.broadcast_arrays(x.astype(float), y.astype(float))
-            out = np.fromiter([evaluate(j, s, l, t) for s, t in zip(
-                x.ravel().tolist(), y.ravel().tolist())], kind, x.size)
-            return out.reshape(x.shape) if x.ndim else out.item()
-        # an int beyond the largest double has no float
-        if not (0.0 <= x <= top and 0.0 <= y <= top):
+        x = x if type(x) is float else _number(x, "kernel argument")
+        y = y if type(y) is float else _number(y, "kernel argument")
+        if not (0.0 <= x < inf and 0.0 <= y < inf):
             raise ValueError("kernel arguments must be finite and >= 0")
         beyond = None     # phi(end) = 0: nothing crosses a screen
         if screened and j == l and max(x, y) > end:
@@ -274,8 +266,8 @@ def _kernel(model, kappa: float):
 def halfline_kernel(bc: VertexCoupling, points, kappa: float):
     """Evaluator (x, y) -> resolvent kernel at energy -kappa^2 of the half
     line with the one-edge coupling ``bc`` (a HalflineBC) and any number
-    of point interactions.  Broadcasts over array arguments; values are
-    real."""
+    of point interactions, at number coordinates as vertex_kernel takes
+    them; values are real."""
     model = _star((bc, tuple(points)), 1)
     try:
         kernel = _kernel(model, kappa)

@@ -11,6 +11,9 @@ a star kernel from its sectors; at n = 2 line_green gives a star's
 kernel with no U at all, and jost_trace and diagonal_trace, built on
 its propagation, give the trace of a difference of two half-line
 resolvents twice, from the Jost functions and from the kernel diagonal.
+sector_transfer carries one sector of an approximant across its
+satellite with no closed form, and approximant_bound_state finds the
+approximant's eigenvalue on it.
 satisfies_vertex_condition is the oracle of from_ab round trips and of
 the kernels' vertex traces.  The oracles refuse what the package's entry
 points refuse (a bool, a NaN, a length out of range), so a test that
@@ -209,6 +212,40 @@ def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
         psi_l = a_l * mpmath.exp(k * lo) + b_l * mpmath.exp(-k * lo)
         psi_r = a_r * mpmath.exp(k * hi) + b_r * mpmath.exp(-k * hi)
         return psi_l * psi_r / wronskian
+
+
+def sector_transfer(sigma, tau, kappa, a, c=None) -> tuple:
+    """(u(a), u'(a+)) of one sector (sigma, tau) of an approximant, in
+    mpmath at the caller's precision: u = p cosh(kappa x) + (q / kappa)
+    sinh(kappa x) on [0, a] from the base p psi'(0) = q psi(0), (p, q) =
+    (tau a^2, -sigma), then the jump u'(a+) = u'(a-) + c u(a) of the
+    satellite, c = -1/a exactly unless given.  Any argument may be an
+    mpmath number."""
+    sigma, tau, kappa, a = map(mpmath.mpf, (sigma, tau, kappa, a))
+    p, q = tau * a * a, -sigma
+    u = p * mpmath.cosh(kappa * a) + q / kappa * mpmath.sinh(kappa * a)
+    du = p * kappa * mpmath.sinh(kappa * a) + q * mpmath.cosh(kappa * a) \
+        + (-u / a if c is None else mpmath.mpf(c) * u)
+    return u, du
+
+
+def approximant_bound_state(sigma, tau, a: float, guess: float
+                            ) -> mpmath.mpf:
+    """kappa_a of the sector (sigma, tau) at distance a, in 50-digit
+    mpmath: the root near ``guess`` of kappa u + u'(a+) of
+    sector_transfer, where the solution continues past the satellite as
+    u e^{-kappa (x - a)}, so that -kappa_a^2 is an eigenvalue of the
+    approximant (the pole of the sweep's dR, where kappa Q + P = 0)."""
+    sigma, tau = _number(sigma, "sigma"), _number(tau, "tau")
+    a = _number(a, "distance a", positive=True)
+    guess = _number(guess, "guess", positive=True)
+
+    def jost(k):
+        u, du = sector_transfer(sigma, tau, k, a)
+        return k * u + du
+
+    with mpmath.workdps(50):
+        return mpmath.findroot(jost, mpmath.mpf(guess))
 
 
 def _half_line(p, q, deltas) -> tuple:

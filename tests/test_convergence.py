@@ -32,9 +32,10 @@ import numpy as np
 import pytest
 
 from conftest import expected_norm
-from oracles import (SampledDifference, approximant_model, diagonal_trace,
-                     effective_robin, jost_trace, line_delta_prime,
-                     line_green, sector_decompose, sector_difference)
+from oracles import (SampledDifference, approximant_bound_state,
+                     approximant_model, diagonal_trace, effective_robin,
+                     jost_trace, line_delta_prime, line_green,
+                     sector_decompose, sector_difference, sector_transfer)
 from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            PointInteraction, PoleError, StarModel,
                            VertexCoupling, convergence_sweep, halfline_kernel,
@@ -246,29 +247,29 @@ class TestPointwiseLimits:
     def test_dirichlet_wall_turns_neumann(self):
         # |decorated - target| < 10 a e^{-kappa(x+y)} on [0.5, 5]^2
         bc = HalflineBC.dirichlet()
-        target = HalflineBC.neumann()
-        pts = np.linspace(0.5, 5.0, 12)
-        xg, yg = pts[:, None], pts[None, :]
-        envelope = 10.0 * np.exp(-KAPPA * (xg + yg))
+        target = halfline_kernel(HalflineBC.neumann(), (), KAPPA)
+        pts = np.linspace(0.5, 5.0, 12).tolist()
         for a in (0.01, 0.003, 0.001):
             point = PointInteraction(a=a, c=-1.0 / a)
-            diff = np.abs(halfline_kernel(bc, (point,), KAPPA)(xg, yg)
-                          - halfline_kernel(target, (), KAPPA)(xg, yg))
-            assert np.all(diff < a * envelope)
+            g = halfline_kernel(bc, (point,), KAPPA)
+            for x in pts:
+                for y in pts:
+                    assert abs(g(x, y) - target(x, y)) \
+                        < a * 10.0 * math.exp(-KAPPA * (x + y))
 
     def test_scheduled_robin_turns_robin_scaled(self):
         beta, n = 1.0, 2
-        target = HalflineBC.robin_scaled(n, beta)
-        pts = np.linspace(0.5, 5.0, 12)
-        xg, yg = pts[:, None], pts[None, :]
-        envelope = 10.0 * np.exp(-KAPPA * (xg + yg))
+        target = halfline_kernel(HalflineBC.robin_scaled(n, beta), (), KAPPA)
+        pts = np.linspace(0.5, 5.0, 12).tolist()
         for a in (0.01, 0.003, 0.001):
             st = schedule("delta_prime_s", beta, n, a)
             bc = HalflineBC.robin(st.per_channel_b)
             point = PointInteraction(a=a, c=st.c)
-            diff = np.abs(halfline_kernel(bc, (point,), KAPPA)(xg, yg)
-                          - halfline_kernel(target, (), KAPPA)(xg, yg))
-            assert np.all(diff < a * envelope)
+            g = halfline_kernel(bc, (point,), KAPPA)
+            for x in pts:
+                for y in pts:
+                    assert abs(g(x, y) - target(x, y)) \
+                        < a * 10.0 * math.exp(-KAPPA * (x + y))
 
     def test_symmetric_sector_difference_shrinks_linearly(self):
         beta, n = 1.0, 2
@@ -331,12 +332,13 @@ class TestSeparableOracle:
         lead_diff = sector_difference(targets[0], approxs[0], KAPPA, a, grid)
         rest_diff = sector_difference(targets[1], approxs[1], KAPPA, a, grid)
         nodes = lead_diff.x
-        xg, yg = nodes[:, None], nodes[None, :]
+        xs = nodes.tolist()
         total_sq = 0.0
         for j in range(n):
             for l in range(n):
-                d = star_green(a_model, KAPPA, j, xg, l, yg) \
-                    - star_green(t_model, KAPPA, j, xg, l, yg)
+                d = [[star_green(a_model, KAPPA, j, x, l, y)
+                      - star_green(t_model, KAPPA, j, x, l, y) for y in xs]
+                     for x in xs]
                 total_sq += hs_norm(SampledDifference(nodes, d)) ** 2
         combined = hs_norm(lead_diff) ** 2 + (n - 1) * hs_norm(rest_diff) ** 2
         assert total_sq == pytest.approx(combined, rel=1e-12)
@@ -365,9 +367,10 @@ class TestSeparableOracle:
                                               grid)
             fd_vals = np.array([[fd_approx.value(x, y) - fd_target.value(x, y)
                                  for y in nodes] for x in nodes])
-            xg, yg = nodes[:, None], nodes[None, :]
-            ana_vals = sector_green(a_sec, KAPPA, xg, yg) \
-                - sector_green(t_sec, KAPPA, xg, yg)
+            ana_vals = np.array([[sector_green(a_sec, KAPPA, x, y)
+                                  - sector_green(t_sec, KAPPA, x, y)
+                                  for y in nodes.tolist()]
+                                 for x in nodes.tolist()])
             fd_total_sq += mult * hs_norm(SampledDifference(nodes, fd_vals))**2
             ana_total_sq += mult * hs_norm(SampledDifference(nodes,
                                                              ana_vals))**2
@@ -522,18 +525,12 @@ def _c2(sigma, tau, kappa):
 
 def _mp_transfer_shift(sigma, tau, kappa, a, c=None):
     """dR(a) of the sector (sigma, tau) at 50 digits, by the direct
-    transfer: u = p cosh(kappa x) + (q / kappa) sinh(kappa x) on [0, a]
-    from the base p psi'(0) = q psi(0), (p, q) = (tau a^2, -sigma), the
-    jump u'(a+) = u'(a-) + c u(a) of the satellite, c = -1/a exactly
-    unless given, then R_a = e^{2 kappa a} (kappa u - u') / (kappa u + u')
-    at a, minus the target's R = (kappa sigma - tau) / (kappa sigma +
-    tau)."""
+    transfer oracles.sector_transfer (c = -1/a exactly unless given),
+    R_a = e^{2 kappa a} (kappa u - u') / (kappa u + u') at a, minus the
+    target's R = (kappa sigma - tau) / (kappa sigma + tau)."""
     with mpmath.workdps(50):
         sigma, tau, kappa, a = map(mpmath.mpf, (sigma, tau, kappa, a))
-        p, q = tau * a * a, -sigma
-        u = p * mpmath.cosh(kappa * a) + q / kappa * mpmath.sinh(kappa * a)
-        du = p * kappa * mpmath.sinh(kappa * a) + q * mpmath.cosh(kappa * a) \
-            + (-u / a if c is None else mpmath.mpf(c) * u)
+        u, du = sector_transfer(sigma, tau, kappa, a, c)
         r_a = mpmath.exp(2 * kappa * a) * (kappa * u - du) / (kappa * u + du)
         return r_a - (kappa * sigma - tau) / (kappa * sigma + tau)
 
@@ -627,6 +624,62 @@ class TestFloatSatelliteShift:
                         * mpmath.mpf(a) ** 2)
                     ratio = abs((rounded - exact) / exact) / predicted
                 assert abs(ratio - 1) <= 1e-3, (kappa, a, float(ratio))
+
+
+class TestApproximantBoundState:
+    """Norm-resolvent convergence moves eigenvalues too.  In a Robin
+    sector (sigma, tau) with sigma < 0 the target's bound state is kappa*
+    = -tau / sigma, and the approximant's, kappa_a (the 50-digit root of
+    oracles.approximant_bound_state), tends to it at first order:
+    (kappa_a - kappa*) / (a kappa*^2) -> -4/3.  The sweep's approximant
+    test refuses a band of about 1e-10 relative around kappa_a, at every
+    a."""
+
+    def test_bound_state_converges_at_first_order(self):
+        # (kappa_a - kappa*) / (a kappa*^2) + 4/3 measured d a kappa*, d
+        # from 1.46 (kappa* = 6, a = 1e-2) to 1.5556 (tending to 14/9); at
+        # a = 1e-6 the ratio reads -1.3333326 (kappa* = 0.5), -1.3333302
+        # (2) and -1.333324 (6)
+        for sigma, tau in ((-4.0, 2), (-1.5, 3), (-1.0, 2), (-0.5, 3),
+                           (-0.7, 2)):
+            for a in (1e-2, 1e-4, 1e-6):
+                kappa_a = approximant_bound_state(sigma, tau, a, -tau / sigma)
+                with mpmath.workdps(50):
+                    star = -tau / mpmath.mpf(sigma)
+                    ratio = (kappa_a - star) / (mpmath.mpf(a) * star**2)
+                    assert 0 < ratio + mpmath.mpf(4) / 3 <= 1.56 * a * star, \
+                        (sigma, tau, a, float(ratio))
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("sigma, tau", [(-4.0, 2), (-1.5, 3)])
+    def test_sweep_refuses_a_scale_free_band(self, family, sigma, tau):
+        # the Robin sector (beta, n) of both families: kappa_a (1 +- 1e-10)
+        # is refused and kappa_a (1 +- 1e-9) accepted at each a; there the
+        # norm is eps over the distance to the pole, measured within
+        # 3.24e-7 of the 50-digit transfer.  The Krein-form guard this
+        # replaced accepted 1e-10 at a = 1e-2 and refused 1e-9 at a = 1e-6
+        for a in (1e-2, 1e-4, 1e-6):
+            kappa_a = float(approximant_bound_state(sigma, tau, a,
+                                                    -tau / sigma))
+            for offset in (1e-10, -1e-10, 1e-9, -1e-9):
+                kappa = kappa_a * (1.0 + offset)
+                stage, = convergence_sweep(family, sigma, tau, kappa, [a],
+                                           GRID).stages
+                if abs(offset) < 1e-9:
+                    assert not stage.valid
+                    assert stage.error.startswith("approximant pole"), \
+                        stage.error
+                    continue
+                assert stage.valid, (a, offset, stage.error)
+                got = stage.norm_sym if family == "delta_prime_s" \
+                    else stage.norm_comp
+                with mpmath.workdps(50):
+                    k, a_mp = mpmath.mpf(kappa), mpmath.mpf(a)
+                    want = abs(_mp_transfer_shift(sigma, tau, kappa, a)) \
+                        * mpmath.exp(-2 * k * a_mp) \
+                        * -mpmath.expm1(-2 * k * (GRID.L - a_mp)) / (4 * k**2)
+                assert abs(got - want) <= 4e-7 * want, \
+                    (a, offset, got, float(want))
 
 
 # ======================================================================
@@ -776,13 +829,19 @@ class TestClosedFormNorms:
         rep = convergence_sweep("delta_prime_s", _krein_pole_beta(n, a), n,
                                 KAPPA, [a, 1e-2], GRID)
         assert not rep.stages[0].valid
-        assert "Krein" in rep.stages[0].error
+        assert rep.stages[0].error.startswith("approximant pole: kappa Q + P")
         assert rep.stages[1].valid
 
-    def test_base_robin_pole_marks_stage_invalid(self):
-        # beta = kappa n a^2 puts the scheduled Robin base at b = -kappa
-        rep = convergence_sweep("delta_prime_s", 0.02, 2, KAPPA, [0.1, 1e-2],
-                                GRID)
+    @pytest.mark.parametrize("kappa, a", [(KAPPA, 0.1), (1e4, 0.26),
+                                          (1e4, 1e-3)])
+    def test_base_robin_pole_marks_stage_invalid(self, kappa, a):
+        # beta = kappa n a^2 puts the scheduled Robin base at b = -kappa.
+        # The base kernel is never evaluated, but P and Q cancel there:
+        # without the base test the stage at kappa a = 10 was valid and
+        # 6.4e-7 off, and at kappa a = 2600 P = Q = 0
+        n = 2
+        rep = convergence_sweep("delta_prime_s", kappa * n * a * a, n, kappa,
+                                [a, a / 10], GRID)
         assert not rep.stages[0].valid
         assert "Robin kernel pole" in rep.stages[0].error
         assert rep.stages[1].valid
@@ -845,12 +904,7 @@ class TestClosedFormNorms:
     @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kappa, a", [
-        pytest.param(kappa, a, marks=pytest.mark.xfail(
-            strict=True, reason="the Krein guard trips: 1 + c G(a, a) is "
-            "about 2.5e-13 here, while the approximant's bound state is "
-            "5e-7 relative away and the closed form holds to 4e-10"))
-        if (kappa, a) == (0.5, 1e-6) else (kappa, a)
-        for kappa in (0.5, 1.0, 2.0)
+        (kappa, a) for kappa in (0.5, 1.0, 2.0)
         for a in (0.26, 0.24, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)])
     def test_stages_next_to_the_target_pole_are_valid(self, family, n, kappa,
                                                       a):
@@ -1101,7 +1155,7 @@ class TestStageLoop:
         assert [s.error.split(":")[0] for s in
                 (want[1].stages[0], want[2].stages[0], want[3].stages[0])] \
             == ["target sector pole", "Robin kernel pole",
-                "Krein denominator |1 + c G(a,a)| below 1e-12"]
+                "approximant pole"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep built an ApproximationStage")

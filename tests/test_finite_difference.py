@@ -843,6 +843,39 @@ class TestSolverInputs:
         with pytest.raises(ValueError, match="too strong"):
             _solve(coupling, points, kappa, GridSpec(12.0, 99))
 
+    @pytest.mark.parametrize("points,kappa", [
+        (tuple(PointInteraction(a, 1e100) for a in (0.5, 1.0, 1.5, 2.0)),
+         KAPPA),
+        (tuple(PointInteraction(a, 1e110) for a in (0.5, 1.0, 1.5)), KAPPA),
+        (tuple(PointInteraction(a, 1e110) for a in (1.5, 3.0, 4.5)), KAPPA),
+        ((PointInteraction(0.5, 1e160), PointInteraction(1.0, 1e160)), KAPPA),
+        ((PointInteraction(0.5, 1e308), PointInteraction(1.0, -1e308)),
+         KAPPA),
+        ((PointInteraction(1.5, 2e307),), 1e-3),
+    ], ids=["4x1e100", "3x1e110", "3x1e110-spread", "2x1e160",
+            "1e308-pair", "2e307-small-kappa"])
+    def test_kernel_refuses_walls_the_solver_refuses(self, points, kappa):
+        # repulsive points at a Neumann end have no bound state, yet the
+        # kernel's carried solutions left the doubles and its Jost test
+        # read NaN: a false PoleError, where the solver says "too strong"
+        coupling = HalflineBC.neumann()
+        for build in (lambda: _solve(coupling, points, kappa,
+                                     GridSpec(12.0, 99)),
+                      lambda: greens.vertex_kernel(coupling, points, kappa)):
+            with pytest.raises(ValueError, match="too strong"):
+                build()
+
+    def test_kernel_builds_walls_within_double_range(self):
+        # two points of 1e150 carry the solutions to about 1e300: both the
+        # kernel and the solver build, and every value is finite
+        points = (PointInteraction(0.5, 1e150), PointInteraction(1.0, 1e150))
+        coupling = HalflineBC.neumann()
+        kernel = greens.vertex_kernel(coupling, points, KAPPA)
+        sampled = _solve(coupling, points, KAPPA, GridSpec(12.0, 99))
+        for x, y in ((0.3, 0.7), (0.3, 2.0), (0.75, 0.75), (2.0, 5.0)):
+            assert math.isfinite(kernel(0, x, 0, y))
+            assert math.isfinite(sampled.value(x, y))
+
     def test_points_must_be_point_interactions(self):
         # before the check, the solver failed late with AttributeError;
         # both builds check in _star, and _solve takes its checked tuple
