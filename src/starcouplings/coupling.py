@@ -115,8 +115,8 @@ HERMITICITY_TOL = 2 * UNITARITY_TOL
 DECOUPLED_EIGENVALUE_TOL = 1e-9
 #: condition estimate beyond which A + iB counts as numerically singular
 SINGULAR_COND = 1e12
-#: Jost functions below this, relative to their terms, raise PoleError (the
-#: kernels), and the sweep's one-edge pole guard reads it too
+#: Jost functions below this, relative to their terms, raise PoleError: the
+#: kernels' pole test and all three of the sweep (target, base, approximant)
 ROBIN_POLE_TOL = 1e-10
 
 
@@ -137,13 +137,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     if not np.isfinite(u).all():
         raise InvalidCouplingError("U has non-finite entries")
     return float(np.abs(_unitarity_gap(u)).max())
-
-
-def _symmetric(u: np.ndarray) -> bool:
-    """Whether U = U^T exactly: the kernels and the finite-difference
-    solver are real exactly then."""
-    import numpy as np
-    return np.array_equal(u, u.T)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -537,6 +530,12 @@ class VertexCoupling(_Record):
             phases = _decompose(self.u)
             object.__setattr__(self, "_phases", phases)
         return phases
+
+    @functools.cached_property
+    def _real(self) -> bool:
+        """Whether U = U^T exactly, so that every kernel of U is real: exact
+        phases vouch for it with no U formed, any other U is compared once."""
+        return self.eigenphases.exact or bool((self.u == self.u.T).all())
 
 
 def _star(model, edges: int | None = None):

