@@ -54,9 +54,10 @@ f(x) = x cosh x - sinh x, s = sinh x, h = cosh x and E = e^{2x},
 
 dR is O(a) while the reflection constants are O(1); this form takes no
 difference of O(1) terms (f is summed as a series for small x, E - 1 is
-expm1), and it is evaluated with every hyperbolic factor scaled by e^{-x},
-so that dR e^{-2 kappa a} stays finite for large kappa a.  The tests
-sample the kernels themselves and gate this form against their quadrature.
+expm1, and for x >= 1/2 two O(x^3) terms that cancel are regrouped away),
+and it is evaluated with every hyperbolic factor scaled by e^{-x}, so that
+dR e^{-2 kappa a} stays finite for large kappa a.  The tests sample the
+kernels themselves and gate this form against their quadrature.
 
 Sector norms combine with multiplicities,
 
@@ -193,12 +194,12 @@ _F_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1))
 
 def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
                       x: float, em: float, ep: float, sh: float, ch: float,
-                      f: float) -> float:
+                      f: float, e2: float | None) -> float:
     """dR(a) e^{-2 kappa a} for the sector pair (sigma, tau) from the
-    factors of x = kappa a (see convergence_sweep and the module
-    docstring).  Raises PoleError when the approximant kernel sits on a
-    pole: seen from x > a it obeys Q psi'(a) = P psi(a), tested in the
-    kernels' Jost form, so P = Q = 0 is a pole too."""
+    factors of x = kappa a, e2 = e^{-2x} (None below x = 1/2), as
+    convergence_sweep forms them.  Raises PoleError when the approximant
+    kernel sits on a pole: seen from x > a it obeys Q psi'(a) = P psi(a),
+    tested in the kernels' Jost form, so P = Q = 0 is a pole too."""
     p = -tau * a * x * (ch - x * sh) - sigma * f
     q = tau * x * a * a * ch - sigma * a * sh
     pole = kappa * q + p
@@ -208,11 +209,15 @@ def _reflection_shift(sigma: float, tau: float, kappa: float, a: float,
             f"approximant pole: kappa Q + P = {pole:.3e} below "
             f"{ROBIN_POLE_TOL} x its terms {size:.3e}: energy -kappa^2 = "
             f"{-kappa**2} sits on an eigenvalue of the perturbed operator")
-    num = em * (sigma * kappa**2 * q - tau * p) \
-        + kappa * ep * (tau * tau * x * a * a * ch
-                        + sigma * f * (tau * a + sigma)
-                        - sigma * tau * a * x * x * sh)
-    return num / (pole * (sigma * kappa + tau))
+    den = pole * (sigma * kappa + tau)
+    if e2 is not None:    # em ch = ep sh, and ch^2 - sh^2 = e2
+        return (tau * tau * a * x * (em * ch + 2.0 * x * e2)
+                + sigma * sigma * kappa * (2.0 * x * e2 - em * ch)
+                + sigma * tau * f * (em + x * ep)) / den
+    return (em * (sigma * kappa**2 * q - tau * p)
+            + kappa * ep * (tau * tau * x * a * a * ch
+                            + sigma * f * (tau * a + sigma)
+                            - sigma * tau * a * x * x * sh)) / den
 
 
 def _robin_pole(p: float, q: float, kappa: float) -> bool:
@@ -267,11 +272,12 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
             ep = 2.0 - em                 # (E + 1) / E
             sh, ch = 0.5 * em, 0.5 * ep   # s, h times e^{-x}
             if x < 0.5:                   # f e^{-x} as a series in x^2
-                x2 = x * x
+                x2, e2 = x * x, None
                 f = ((((((k7 * x2 + k6) * x2 + k5) * x2 + k4) * x2 + k3) * x2
                       + k2) * x2 + k1) * x2 * x * math.exp(-x)
             else:
-                f = 0.5 * (x * (1.0 + math.exp(-2.0 * x)) - em)
+                e2 = math.exp(-2.0 * x)
+                f = 0.5 * (x * (1.0 + e2) - em)
             norms = [0.0, 0.0]            # n = 1 has no repeated sector
             for i, (sigma, tau, target_pole) in enumerate(pairs):
                 # the base tau a^2 psi'(0) = -sigma psi(0), _robin_pole
@@ -285,7 +291,7 @@ def convergence_sweep(family: str, beta: float, n: int, kappa: float,
                     raise PoleError(f"{what} pole: {p} psi'(0) = {q} psi(0) "
                                     f"has a bound state at kappa={kappa}")
                 norms[i] = abs(_reflection_shift(
-                    sigma, tau, kappa, a, x, em, ep, sh, ch, f)) * window
+                    sigma, tau, kappa, a, x, em, ep, sh, ch, f, e2)) * window
             lead, rest = norms
             total = math.sqrt(lead**2 + (n - 1) * rest**2)
             if total > 0.0:

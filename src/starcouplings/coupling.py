@@ -59,8 +59,8 @@ A coupling is its U and nothing else: it keeps no record of how it was
 built.
 
 Checks run where a matrix enters.  The public constructors (VertexCoupling
-and custom, ABPair) copy and check what comes from outside,
-and from_ab checks its solve of a pair made by hand; what the package
+and custom, ABPair) copy and check what comes from outside, and from_ab
+checks only the U it solves for from an admissible pair; what the package
 builds from checked data (a family U, a rescaled U, to_ab's pair, a
 decomposition) is valid by construction, neither copied nor checked
 again; the tests check it.  to_ab's pair keeps its coupling, which from_ab
@@ -113,8 +113,6 @@ HERMITICITY_TOL = 2 * UNITARITY_TOL
 #: Eigenphases merges eigenvalues this close, and bound_states drops those
 #: at +-1
 DECOUPLED_EIGENVALUE_TOL = 1e-9
-#: condition estimate beyond which A + iB counts as numerically singular
-SINGULAR_COND = 1e12
 #: Jost functions below this, relative to their terms, raise PoleError: the
 #: kernels' pole test and all three of the sweep (target, base, approximant)
 ROBIN_POLE_TOL = 1e-10
@@ -597,18 +595,18 @@ class ABPair(_Record):
             else self._coupling.n
 
     @functools.cached_property
-    def _diagnosis(self) -> tuple[ABDiagnostics, np.ndarray]:
-        """validate_ab's diagnostics and one SVD of the read-only (A, B)
-        of a pair made by hand."""
+    def _diagnosis(self) -> ABDiagnostics:
+        """validate_ab's diagnostics of a pair made by hand, from one SVD
+        of its read-only (A, B)."""
         import numpy as np
         a, b = self.a, self.b
-        sv = np.linalg.svd(np.concatenate((a, b), 1), compute_uv=False)
-        top = sv.tolist()
+        sv = np.linalg.svd(np.concatenate((a, b), 1),
+                           compute_uv=False).tolist()
         ab_star = a @ b.conj().T
         defect = float(np.abs(ab_star - ab_star.conj().T).max())
         # A A* + B B* is (A, B)(A, B)*: its eigenvalues are the squared
         # singular values of the block
-        return _diagnostics(top, top[-1] ** 2, defect), sv
+        return _diagnostics(sv, sv[-1] ** 2, defect)
 
 
 class ABDiagnostics(NamedTuple):
@@ -713,7 +711,7 @@ def validate_ab(ab: ABPair) -> ABDiagnostics:
     """
     c = _instance(ab, ABPair, "pair")._coupling
     if c is None:
-        return ab._diagnosis[0]
+        return ab._diagnosis
     if c._phases is not None and c._phases.exact:
         return ABDiagnostics(n=c.n, rank=c.n, hermiticity_defect=0.0,
                              min_gram_eigenvalue=4.0, ok=True)
@@ -730,24 +728,19 @@ def from_ab(ab: ABPair) -> VertexCoupling:
     The result defines the same solution set as the input condition, and a
     left multiplication of both matrices by an invertible M drops out.
     to_ab followed by from_ab is the identity: the pair to_ab makes keeps
-    its coupling, and from_ab returns it with no SVD, solve or check.  For
-    a pair made by hand, A + iB has the singular values of (A, B), as
-    (A + iB)(A + iB)* = A A* + B B*, so validate_ab's one SVD also guards
-    the solve, and the U solved for is checked finite and unitary.
+    its coupling, and from_ab returns it with no SVD, solve or check.  A
+    pair made by hand is refused only if validate_ab refuses it or the U
+    solved for is not finite and unitary: no test reads the condition of
+    (A, B), which M changes.
     """
     if _instance(ab, ABPair, "pair")._coupling is not None:
         return ab._coupling
-    diag, sv = ab._diagnosis
+    diag = ab._diagnosis
     if not diag.ok:
         raise InvalidCouplingError(
             f"inadmissible (A, B) pair: rank {diag.rank}/{diag.n}, "
             f"Hermiticity defect {diag.hermiticity_defect:.3e}, "
             f"min gram eigenvalue {diag.min_gram_eigenvalue:.3e}")
-    # full rank makes sv[-1] > 0
-    if sv[0] / sv[-1] > SINGULAR_COND:
-        raise InvalidCouplingError(
-            "A + iB is numerically singular (condition estimate "
-            f"{sv[0] / sv[-1]:.3e}); the admissibility conditions fail")
     import numpy as np
     ib = 1j * ab.b
     return _unchecked(VertexCoupling,

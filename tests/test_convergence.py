@@ -26,6 +26,7 @@ mpmath per sector, and against the package kernels on the whole star.
 import collections
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -523,12 +524,12 @@ def _c2(sigma, tau, kappa):
         / (9 * (kappa * sigma + tau) ** 3)
 
 
-def _mp_transfer_shift(sigma, tau, kappa, a, c=None):
-    """dR(a) of the sector (sigma, tau) at 50 digits, by the direct
+def _mp_transfer_shift(sigma, tau, kappa, a, c=None, dps=50):
+    """dR(a) of the sector (sigma, tau) at ``dps`` digits, by the direct
     transfer oracles.sector_transfer (c = -1/a exactly unless given),
     R_a = e^{2 kappa a} (kappa u - u') / (kappa u + u') at a, minus the
     target's R = (kappa sigma - tau) / (kappa sigma + tau)."""
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         sigma, tau, kappa, a = map(mpmath.mpf, (sigma, tau, kappa, a))
         u, du = sector_transfer(sigma, tau, kappa, a, c)
         r_a = mpmath.exp(2 * kappa * a) * (kappa * u - du) / (kappa * u + du)
@@ -680,6 +681,70 @@ class TestApproximantBoundState:
                         * -mpmath.expm1(-2 * k * (GRID.L - a_mp)) / (4 * k**2)
                 assert abs(got - want) <= 4e-7 * want, \
                     (a, offset, got, float(want))
+
+
+class TestSturmCount:
+    """The approximant's bound states, counted by Sturm oscillation theory
+    (ROADMAP item 35's first test slice).  In a sector (sigma, tau) the
+    approximant is the base tau a^2 psi'(0) = -sigma psi(0) plus the
+    satellite c = -1/a at a.  Its zero-energy solution starts at (u,
+    u')(0) = (c_k, -s_k) = (tau a^2, -sigma), is linear off the point, and
+    the point adds c u(a) to its slope; its zeros on (0, inf) number the
+    bound states, the zeros on kappa > 0 of the Jost function kappa u(a) +
+    u'(a+) of oracles.sector_transfer, found here by a 40-digit sign scan
+    of 320 log-spaced kappa from 1e-6 to 1e10, each root refined by
+    findroot.  The count takes the exact c = -1/a, in rationals: the
+    double fl(-1/a) leaves 1 + c a of order 1e-17 rather than 0, which
+    gives a Dirichlet-base sector one extremely weakly bound state when it
+    is negative, a caveat that belongs to ROADMAP item 32's exact gamma."""
+
+    #: the Robin sector's root at a = 0.1, 0.01, 0.001, digits as printed
+    #: in ROADMAP item 8's table; (1, 3) and (2, -4) at 0.1 and 0.01 are
+    #: not in it and were measured by this scan
+    ROOTS = {(2, -1.0): ("1.5689", "1.9479", "1.9947"),
+             (2, 1.0): ("50.0005", "5000.0", "500000.0"),
+             (3, -0.5): ("3.2304", "5.5515", "5.9523"),
+             (1, 3.0): ("300.00", "30000.0", "3000000.0"),
+             (2, -4.0): ("0.46851", "0.49669", "0.49967")}
+
+    @staticmethod
+    def _count(sigma, tau, a) -> int:
+        """Zeros on (0, inf) of the zero-energy solution, in rationals."""
+        a = Fraction(a)
+        u0, du0, c = Fraction(tau) * a * a, -Fraction(sigma), -1 / a
+        ua = u0 + du0 * a
+        du = du0 + c * ua    # u'(a+)
+        return int(du0 != 0 and 0 < -u0 / du0 <= a) \
+            + int(du != 0 and -ua / du > 0)
+
+    @staticmethod
+    def _scan(sigma, tau, a) -> list:
+        """The roots of the Jost function between sign changes of the scan,
+        scaled by e^{-kappa a}, which keeps its sign."""
+        def jost(k):
+            u, du = sector_transfer(sigma, tau, k, a)
+            return (k * u + du) * mpmath.exp(-k * a)
+
+        with mpmath.workdps(40):
+            ks = [mpmath.mpf(10) ** (-6 + 16 * mpmath.mpf(i) / 319)
+                  for i in range(320)]
+            js = list(map(jost, ks))
+            return [mpmath.findroot(jost, (lo, hi), solver="anderson")
+                    for lo, hi, j_lo, j_hi in zip(ks, ks[1:], js, js[1:])
+                    if j_lo * j_hi < 0]
+
+    @pytest.mark.parametrize("n, beta", list(ROOTS))
+    def test_count_matches_the_jost_sign_scan(self, n, beta):
+        # the Robin sector (beta, n) holds one state, converging for beta
+        # < 0 and escaping like beta / (n a^2) for beta > 0; the Dirichlet
+        # base (1, 0) none, as u'(a+) = 1 + c a = 0 sits at the threshold
+        robin, base = (beta, float(n)), (1.0, 0.0)
+        for a, want in zip((0.1, 0.01, 0.001), self.ROOTS[n, beta]):
+            roots = self._scan(*robin, a)
+            assert self._count(*robin, a) == len(roots) == 1, (a, roots)
+            assert self._count(*base, a) == len(self._scan(*base, a)) == 0
+            tol = 0.5 * 10.0 ** -len(want.partition(".")[2])
+            assert abs(roots[0] - mpmath.mpf(want)) <= tol, (a, roots[0])
 
 
 # ======================================================================
@@ -960,6 +1025,47 @@ class TestClosedFormNorms:
     def test_rejects_window_start_outside_grid(self, a_list):
         with pytest.raises(ValueError):
             convergence_sweep("delta_prime_s", 1.0, 2, KAPPA, a_list, GRID)
+
+
+class TestLargeKappaA:
+    """For x = kappa a >= 1/2 the sweep regroups the numerator of dR so
+    that no O(x^3) terms cancel (see the convergence docstring).  Its
+    sector norms then stay within a few eps of an 80-digit direct transfer
+    (oracles.sector_transfer) from kappa a = 1 to 1e11, where the direct
+    form lost digits linearly in x (2.8e-5 at x = 1e11 on these stages)."""
+
+    @pytest.mark.parametrize("family", SCHEDULE_FAMILIES)
+    @pytest.mark.parametrize("beta, n", [(1.0, 2), (-0.7, 2), (1.0, 3),
+                                         (3.0, 1), (1.0, 1), (0.0, 1),
+                                         (2.5, 4)])
+    def test_norms_match_the_80_digit_transfer(self, family, beta, n):
+        # kappa a = 1, 3, 10, ..., 1e11 at a = 0.37, 7e-4 and 4.1e-8, off
+        # every base pole kappa = sigma / (tau a^2): measured at most
+        # 1.4e-15 relative.  Random stages (x log-uniform on [1, 1e11], a on
+        # [1e-9, 1]) read up to 1.2e-14, and 5.0e-13 next to a base pole,
+        # where the guard's cancellation sets in
+        grid = GridSpec(12.0, 100)
+        pairs = [(beta, float(n)), (1.0, 0.0)]
+        if family == "delta_prime":
+            pairs.reverse()
+        for x in (m * 10.0**e for e in range(12) for m in (1.0, 3.0)):
+            for a in (0.37, 7e-4, 4.1e-8):
+                if x > 1e11:
+                    continue
+                stage, = convergence_sweep(family, beta, n, x / a, [a],
+                                           grid).stages
+                assert stage.valid, (x, a, stage.error)
+                norms = (stage.norm_sym, stage.norm_comp)[:1 if n == 1
+                                                           else 2]
+                for got, (sigma, tau) in zip(norms, pairs):
+                    with mpmath.workdps(80):
+                        k, a_mp = mpmath.mpf(x / a), mpmath.mpf(a)
+                        want = abs(_mp_transfer_shift(sigma, tau, x / a, a,
+                                                      dps=80)) \
+                            * mpmath.exp(-2 * k * a_mp) * -mpmath.expm1(
+                                -2 * k * (grid.L - a_mp)) / (4 * k * k)
+                    assert abs(got - want) <= 1e-14 * want, \
+                        (x, a, sigma, tau, got, float(want))
 
 
 # ======================================================================

@@ -22,7 +22,7 @@ from starcouplings.scattering import (REFINE_COND, _s_sectors, bound_states,
                                       s_matrix)
 from starcouplings import coupling as coupling_module
 from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, FAMILIES,
-                                    SINGULAR_COND, UNITARITY_TOL)
+                                    UNITARITY_TOL)
 
 RNG = np.random.default_rng(20260810)
 
@@ -307,11 +307,11 @@ class TestConversions:
             from_ab(bad)
         assert calls == [(3, 6), (2, 4)]
 
-    def test_from_ab_refuses_a_numerically_singular_pair(self):
+    def test_from_ab_solves_a_numerically_singular_pair(self):
         # diag(1, 1, eps) times a canonical pair keeps rank 3 and passes
-        # validate_ab, but A + iB gets the condition estimate 1 / eps:
-        # past SINGULAR_COND from_ab refuses it, below it returns U, within
-        # 2.3e-16 at eps = 1e-11 over 300 Haar draws
+        # validate_ab, and A + iB gets the condition 1 / eps, yet the
+        # solve returns U: within 2.3e-16 at eps = 1e-11 over 300 Haar
+        # draws.  A condition test refused eps = 1e-13; none is left
         u = random_unitary(3, np.random.default_rng(3))
         pair = to_ab(VertexCoupling(u))
         for eps in (1e-13, 1e-11):
@@ -319,13 +319,53 @@ class TestConversions:
             ab = ABPair(m @ pair.a, m @ pair.b)
             diag = validate_ab(ab)
             assert diag.ok and diag.rank == 3
-            if eps * SINGULAR_COND < 1.0:
-                with pytest.raises(InvalidCouplingError,
-                                   match=r"numerically singular \(condition "
-                                         r"estimate 1\.000e\+13\)"):
+            assert np.max(np.abs(from_ab(ab).u - u)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_rescaled_pairs_give_their_u(self, n):
+        # M = diag(1, ..., 1, 10^-p) Q, Q Haar, times a canonical pair: a
+        # left factor, so every pair validate_ab accepts solves to U; the
+        # worst |U - U_true| over 40 draws per (n, p) and seeds 0..3 was
+        # 1.4e-14 (n = 3 alone 3.3e-15).  The rank test refuses p = 16 (and
+        # p = 15 from n = 5, where sigma_min falls below n eps sigma_max)
+        rng = np.random.default_rng(36)
+        for p in range(17):
+            for _ in range(5):
+                u = random_unitary(n, rng)
+                pair = to_ab(VertexCoupling(u))
+                m = random_unitary(n, rng)
+                m[-1] *= 10.0 ** -p
+                ab = ABPair(m @ pair.a, m @ pair.b)
+                diag = validate_ab(ab)
+                if p == 16:
+                    assert diag.rank == n - 1 and not diag.ok
+                if not diag.ok:
+                    assert p >= 15
+                    with pytest.raises(InvalidCouplingError,
+                                       match="inadmissible"):
+                        from_ab(ab)
+                    continue
+                assert np.max(np.abs(from_ab(ab).u - u)) <= 3e-14, (p, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_mixed_pairs_are_refused_by_their_u(self, n):
+        # M = Q1 diag(1, ..., 1, 10^-p) Q2 mixes the small row into all of
+        # them: the solve loses about eps 10^p, and the U it gives fails
+        # the unitarity check (no draw of 40 per (n, p), seeds 0..3, was
+        # accepted from p = 6 on; at p = 5, 1 to 2 of 40 at n = 2)
+        rng = np.random.default_rng(37)
+        for p in range(6, 16):
+            for _ in range(3):
+                pair = to_ab(VertexCoupling(random_unitary(n, rng)))
+                d = np.ones(n)
+                d[-1] = 10.0 ** -p
+                m = (random_unitary(n, rng) * d) @ random_unitary(n, rng)
+                ab = ABPair(m @ pair.a, m @ pair.b)
+                # p = 15 may fall below the rank cut, as for rows rescaled
+                with pytest.raises(InvalidCouplingError, match=(
+                        "U is not unitary" if validate_ab(ab).ok
+                        else "inadmissible")):
                     from_ab(ab)
-            else:
-                assert np.max(np.abs(from_ab(ab).u - u)) <= 1e-15
 
     def test_from_ab_rejects_degenerate_pair(self):
         with pytest.raises(InvalidCouplingError):
