@@ -58,9 +58,12 @@ of its input; any other U is decomposed numerically, f(U) = V diag(f) V*.
 A coupling is its U and nothing else: it keeps no record of how it was
 built.
 
-Checks run where a matrix enters.  The public constructors (VertexCoupling
-and custom, ABPair) copy and check what comes from outside, and from_ab
-checks only the U it solves for from an admissible pair; what the package
+Checks run where a matrix enters, through one intake that converts it
+once into a fresh read-only complex array and refuses anything but a
+non-empty square matrix of finite numbers.  What comes from outside takes
+it: the U of VertexCoupling and custom, A and B of ABPair, the U of
+unitarity_defect, and the U that from_ab solves for from a pair made by
+hand; the U of a coupling is then checked unitary.  What the package
 builds from checked data (a family U, a rescaled U, to_ab's pair, a
 decomposition) is valid by construction, neither copied nor checked
 again; the tests check it.  to_ab's pair keeps its coupling, which from_ab
@@ -127,14 +130,10 @@ def _unitarity_gap(u: np.ndarray) -> np.ndarray:
     return d
 
 
-def unitarity_defect(u: np.ndarray) -> float:
+def unitarity_defect(u) -> float:
     """Max-entry norm of U U* - I; InvalidCouplingError unless U is a
     non-empty square matrix of finite numbers."""
-    import numpy as np
-    u = _square(_numbers(u, "U", copy=False), "U")
-    if not np.isfinite(u).all():
-        raise InvalidCouplingError("U has non-finite entries")
-    return float(np.abs(_unitarity_gap(u)).max())
+    return float(abs(_unitarity_gap(_matrix(u, "U"))).max())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -143,35 +142,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _numbers(a, what: str, copy: bool = True) -> np.ndarray:
-    """A complex array of ``a``, fresh if ``copy``; a bool array is refused
-    (numpy reads a list that mixes bools and floats as floats), and so are
-    one of strings or bytes (numpy would parse them) and one of objects
-    that are not numbers."""
+def _matrix(a, what: str) -> np.ndarray:
+    """The one intake of a matrix from outside: a fresh read-only complex
+    array of ``a``.  InvalidCouplingError unless ``a`` is a non-empty
+    square matrix of finite numbers; a bool array is refused (numpy reads
+    a list that mixes bools and floats as floats), and so are one of
+    strings or bytes (numpy would parse them) and one of objects that are
+    not numbers."""
     import numpy as np
     a = np.asarray(a)
     kind = {"b": "bools", "U": "strings", "S": "bytes"}.get(a.dtype.kind)
     if kind:
         raise InvalidCouplingError(f"{what} must hold numbers, not {kind}")
     try:
-        return a.astype(complex, copy=copy)
+        a = a.astype(complex)
     except TypeError as exc:
         raise InvalidCouplingError(f"{what} must hold numbers: {exc}") \
             from None
-
-
-def _readonly(a, what: str) -> np.ndarray:
-    """A fresh read-only complex array of ``a``, refused as _numbers
-    refuses it."""
-    return _frozen(_numbers(a, what))
-
-
-def _square(a: np.ndarray, what: str) -> np.ndarray:
-    """``a`` if it is a non-empty square matrix; else InvalidCouplingError."""
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidCouplingError(
             f"{what} must be a non-empty square matrix, got shape {a.shape}")
-    return a
+    if not np.isfinite(a).all():
+        raise InvalidCouplingError(f"{what} has non-finite entries")
+    return _frozen(a)
 
 
 def _unchecked(cls, **fields):
@@ -231,14 +224,14 @@ def _instance(x, cls: type, what: str, error=InvalidCouplingError):
     return x
 
 
-def _unitary(u: np.ndarray) -> np.ndarray:
-    """A fresh complex array U, checked a finite unitary matrix,
-    read-only."""
-    defect = unitarity_defect(u)
+def _unitary(u) -> np.ndarray:
+    """The intake of U, checked unitary."""
+    u = _matrix(u, "U")
+    defect = float(abs(_unitarity_gap(u)).max())
     if defect > UNITARITY_TOL:
         raise InvalidCouplingError(
             f"U is not unitary: defect {defect:.3e} > {UNITARITY_TOL}")
-    return _frozen(u)
+    return u
 
 
 #: lengths (a stage distance a, a point position, a grid length L) and
@@ -364,16 +357,16 @@ class GridSpec(_Value):
         """The grid with h halved (N -> 2N + 1); existing nodes survive."""
         return GridSpec(self.L, 2 * self.N + 1)
 
-    def node_index(self, x: float, *, minimum: int = 0) -> int:
-        """Index of the interior node nearest x, clamped to [minimum, N-1]."""
+    def node_index(self, x: float) -> int:
+        """Index of the interior node nearest x, clamped to [0, N-1]."""
         if type(x) is not float:    # the common case, tested first
             x = _number(x, "grid coordinate")
         if not 0.0 <= x <= self.L:
             raise ValueError(f"grid coordinate must be a real number in "
                              f"[0, {self.L}], got {x!r}")
         i = int(round(x / self.h)) - 1
-        if i < minimum:
-            return minimum
+        if i < 0:
+            return 0
         return i if i < self.N else self.N - 1
 
 
@@ -506,7 +499,7 @@ class VertexCoupling(_Record):
     _fields = ("u",)
 
     def __init__(self, u):
-        object.__setattr__(self, "u", _unitary(_readonly(u, "U")))
+        object.__setattr__(self, "u", _unitary(u))
 
     @classmethod
     def custom(cls, u) -> "VertexCoupling":
@@ -562,16 +555,11 @@ class ABPair(_Record):
     _fields = ("a", "b")
 
     def __init__(self, a, b):
-        a = _square(_readonly(a, "A"), "A")
-        b = _readonly(b, "B")
+        a, b = _matrix(a, "A"), _matrix(b, "B")
         if b.shape != a.shape:
             raise InvalidCouplingError(
                 f"A and B must have equal shapes, got {a.shape} and {b.shape}")
-        import numpy as np
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise InvalidCouplingError("A and B must have finite entries")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(a=a, b=b)
 
     @functools.cached_property
     def a(self) -> np.ndarray:

@@ -74,9 +74,9 @@ gamma_k phi:
 
 Gamma = sum_k gamma_k P_k: the reflected term stays apart from the
 direct one, so a value across two edges keeps its digits where it is far
-below the direct term.  As 4 v_k(0) - v_k(1) = 4 - d_0 in every sector,
-the vertex trace of a source at node j of edge l is M0 (4 Psi_1 - Psi_2)
-= (4 - d_0) h phi(j) sum_k (mu_k / W_k) P_k e_l.  A build factors
+below the direct term.  A build forms Gamma and nothing else over the
+edges; the vertex traces of a column, the ghost values M0 (4 Psi_1 -
+Psi_2), follow from value at the first two nodes.  A build factors
 nothing: a kernel holds O(n^2 + points) numbers (a family's forms no U and
 no matrix, just two numbers per sum over k), and a value costs O(points)
 scalar operations, whatever N; a kernel memoises the node of each float
@@ -112,7 +112,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # make_coupling and to_ab stay module attributes: the oracle workload of
 # benchmarks/ patches finite_difference.make_coupling and .to_ab
@@ -121,9 +121,6 @@ from .coupling import (GridSpec, PointInteraction,  # noqa: F401
                        make_coupling, to_ab)
 from .errors import PoleError
 from .scattering import one_plus_s_sectors
-
-if TYPE_CHECKING:    # numpy is imported where an array is made or read
-    import numpy as np
 
 #: origin stencils with sigma_min(D(3i / (2h))) below this, relative as in
 #: scattering.one_plus_s_sectors, raise PoleError
@@ -164,15 +161,13 @@ class SampledKernel:
     is kept off the first interior node, see module docstring).
     snap(...) takes the same arguments and returns the snapped ones, so
     analytic comparisons can be evaluated at identical points.
-    vertex_values(l, y) returns the n eliminated ghost values Psi_0 of the
-    kernel column for a source at (l, y), i.e. its traces at the vertex.
     """
 
     def __init__(self, grid: GridSpec, rho: float, excess: float,
                  loads: dict[int, float], coupling: VertexCoupling,
                  mus: list[float]):
         self.grid, self.n_edges = grid, coupling.n
-        self._rho, self._excess = rho, excess
+        self._rho = rho
         decay = math.exp(-rho)
         self._sine = -decay / math.expm1(-2.0 * rho)  # 1 / (2 sinh rho)
         # the point nodes p >= 1 in increasing order, t_p, A(p) and B(p)
@@ -198,7 +193,7 @@ class SampledKernel:
                                        norm))):
             raise ValueError(_TOO_STRONG)
         self._u0, self._u1 = u0, u1 = f0 / norm, f1 / norm
-        gamma, trace = [], []
+        gamma = []
         for k, mu in enumerate(mus):
             wronskian = (1.0 - 3.0 * mu + excess) * u0 \
                 + (1.0 - mu) * (df / norm)  # W_k / |f|
@@ -209,13 +204,10 @@ class SampledKernel:
                 raise ValueError(_TOO_STRONG)
             gamma.append(((1.0 - mu) * u0 + (2.0 + excess - 4.0 * mu) * u1)
                          / wronskian)
-            trace.append(mu / wronskian)
-        # (j, l) -> entry, real exactly when vertex_kernel's is: the
-        # reflection sum_k gamma_k P_k; and for vertex_values the trace map
-        # sum_k (mu_k / W_k) P_k, times |f|
-        phases, real = coupling.eigenphases, coupling._real
-        self._reflection, self._trace = (phases._entries(gamma, real),
-                                         phases._entries(trace, real))
+        # (j, l) -> the reflection sum_k gamma_k P_k, real exactly when
+        # vertex_kernel's is
+        self._reflection = coupling.eigenphases._entries(gamma,
+                                                         coupling._real)
         # node_index per float coordinate, phi and (A, B) per node
         self._index, self._phi_at, self._sides_at = {}, {}, {}
 
@@ -296,20 +288,6 @@ class SampledKernel:
             out += far * math.exp(rho * (lo - hi)) * (self._u0 * a
                                                       - self._u1 * b)
         return out
-
-    # kept with no caller in the package: it reads the private trace map,
-    # and the ghost-map trace tests compare against it
-    def vertex_values(self, edge_l: int, y: float) -> np.ndarray:
-        """Ghost values Psi_0 = M0 (4 Psi_1 - Psi_2) of the column for a
-        source at (edge_l, y): the kernel column's boundary trace."""
-        _integer("edge indices", edge_l, high=self.n_edges)
-        iy = self.grid.node_index(y, minimum=1)
-        import numpy as np
-        # 4 v_k(0) - v_k(1) = 4 - d_0 in every sector
-        scale = ((2.0 - self._excess) * self.grid.h * math.exp(
-            -self._rho * iy) * self._far_side(iy) / self._norm)
-        return scale * np.array([self._trace(e, edge_l)
-                                 for e in range(self.n_edges)])
 
 
 def _missed(table: dict, key, compute: Callable):

@@ -31,7 +31,7 @@ from starcouplings import (ApproximationStage, GridSpec, HalflineBC,
                            InvalidCouplingError, PointInteraction, PoleError,
                            StarModel, VertexCoupling)
 from starcouplings.coupling import (DECOUPLED_EIGENVALUE_TOL, _integer,
-                                    _number, _readonly, _scale)
+                                    _number, _scale)
 from starcouplings.greens import _halfline_rows
 
 
@@ -214,6 +214,41 @@ def line_green(deltas, kappa: float, x: float, y: float) -> mpmath.mpf:
         return psi_l * psi_r / wronskian
 
 
+def line_transfer(k: float, deltas=(), delta_primes=()) -> tuple:
+    """(r, t) at momentum k > 0 of -d^2/dx^2 on the real line with deltas
+    (x_q, c_q) and delta' interactions (x_q, beta_q), at distinct
+    positions, in 50-digit mpmath: psi = e^{ikx} + r e^{-ikx} left of
+    every interaction and t e^{ikx} right of them.  A delta jump keeps
+    psi and sets psi' += c psi, a delta' jump keeps psi' and sets psi +=
+    beta psi'.  The solution e^{ikx} right of every jump is carried
+    leftward across them, as its coefficients (A, B) of e^{ikx} and
+    e^{-ikx}, so t = 1 / A and r = B / A on the left.  No U, eigenphase
+    or sector enters.  A strength may be an mpmath number, as in
+    line_green."""
+    k = _number(k, "k", positive=True)
+    jumps = sorted(((_number(x, "jump position"), prime,
+                     s if isinstance(s, mpmath.mpf)
+                     else _number(s, "jump strength"))
+                    for prime, pairs in ((False, deltas), (True, delta_primes))
+                    for x, s in pairs), reverse=True)
+    if len({x for x, _, _ in jumps}) < len(jumps):
+        raise ValueError("line_transfer takes interactions at distinct "
+                         "positions")
+    with mpmath.workdps(50):
+        ik = mpmath.mpc(0, k)
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for x, prime, strength in jumps:
+            phase = mpmath.exp(ik * x)
+            psi, dpsi = a * phase + b / phase, ik * (a * phase - b / phase)
+            if prime:    # undo psi += beta psi', leftward
+                psi -= strength * dpsi
+            else:        # undo psi' += c psi
+                dpsi -= strength * psi
+            a, b = (psi + dpsi / ik) / (2 * phase), \
+                (psi - dpsi / ik) * phase / 2
+        return b / a, 1 / a
+
+
 def sector_transfer(sigma, tau, kappa, a, c=None) -> tuple:
     """(u(a), u'(a+)) of one sector (sigma, tau) of an approximant, in
     mpmath at the caller's precision: u = p cosh(kappa x) + (q / kappa)
@@ -351,6 +386,22 @@ def decoupled_projection(coupling: VertexCoupling) -> np.ndarray:
                          else 0j for c, _, _ in phases.groups])
 
 
+def _vector(values, what: str) -> np.ndarray:
+    """A complex array of ``values``, at least one-dimensional; refused as
+    the package refuses a matrix of bools (numpy reads a list that mixes
+    bools and floats as floats), of strings or bytes, or of objects that
+    are not numbers."""
+    a = np.atleast_1d(values)
+    kind = {"b": "bools", "U": "strings", "S": "bytes"}.get(a.dtype.kind)
+    if kind:
+        raise InvalidCouplingError(f"{what} must hold numbers, not {kind}")
+    try:
+        return a.astype(complex)
+    except TypeError as exc:
+        raise InvalidCouplingError(f"{what} must hold numbers: {exc}") \
+            from None
+
+
 def satisfies_vertex_condition(coupling: VertexCoupling, psi, dpsi,
                                tol: float = 1e-10) -> bool:
     """Whether the vertex values Psi(0) = psi and outward derivatives
@@ -364,8 +415,7 @@ def satisfies_vertex_condition(coupling: VertexCoupling, psi, dpsi,
     """
     if _number(tol, "tolerance") < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol!r}")
-    psi = _readonly(np.atleast_1d(psi), "psi")
-    dpsi = _readonly(np.atleast_1d(dpsi), "dpsi")
+    psi, dpsi = _vector(psi, "psi"), _vector(dpsi, "dpsi")
     if psi.shape != dpsi.shape or psi.ndim != 1:
         raise InvalidCouplingError(
             f"psi and dpsi must be equal-length vectors, got shapes "

@@ -1185,6 +1185,8 @@ class TestPublicNames:
         assert not hasattr(starcouplings.greens, "_reflection")
         assert not hasattr(HalflineBC, "reflection")
         assert not hasattr(starcouplings.StarModel, "is_target")
+        # a kernel column's vertex traces are M0 (4 Psi_1 - Psi_2) of value
+        assert not hasattr(starcouplings.SampledKernel, "vertex_values")
 
     #: test-only oracles that left the package for tests/oracles.py, by
     #: their old module (BoundaryValues went)

@@ -216,8 +216,6 @@ ROWS = [
         dict(j=0, x=1.5, l=1, y=2.0), ("j", "x", "l", "y"), label="value"),
     Row("fd_resolvent_star", lambda j, x, l, y: STAR.snap(j, x, l, y),
         dict(j=0, x=1.5, l=1, y=2.0), ("j", "x", "l", "y"), label="snap"),
-    Row("fd_resolvent_star", lambda l, y: STAR.vertex_values(l, y),
-        dict(l=1, y=2.0), ("l", "y"), label="vertex_values"),
     Row("compare_kernels",
         lambda x, y: sc.compare_kernels(sc.halfline_kernel(BC, (), 1.0),
                                         HALF, [(x, y)]),

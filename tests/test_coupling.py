@@ -400,7 +400,7 @@ class TestToAbPair:
 
         for name in ("svd", "solve"):
             monkeypatch.setattr(np.linalg, name, refused)
-        monkeypatch.setattr(coupling_module, "unitarity_defect", refused)
+        monkeypatch.setattr(coupling_module, "_matrix", refused)
         assert from_ab(to_ab(coupling)) is coupling
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -1221,21 +1221,22 @@ class TestValidByConstruction:
         assert np.max(np.abs(from_ab(made_pair).u - built.u)) <= 1e-15
 
     def test_only_matrices_from_outside_are_checked(self, monkeypatch):
-        # custom's argument and from_ab's solve of a pair made by hand come
-        # from outside the package: one unitarity check each; what the
-        # package builds from them, or from a family's phases, takes none,
-        # and from_ab of to_ab's pair solves nothing
+        # custom's argument, A and B of a pair made by hand and from_ab's
+        # solve of it come from outside the package: each takes the one
+        # matrix intake once; what the package builds from them, or from a
+        # family's phases, takes none, and from_ab of to_ab's pair solves
+        # nothing
         calls = []
-        defect = coupling_module.unitarity_defect
+        intake = coupling_module._matrix
 
-        def counted(u):
-            calls.append(u.shape)
-            return defect(u)
+        def counted(a, what):
+            calls.append((what, np.shape(a)))
+            return intake(a, what)
 
-        monkeypatch.setattr(coupling_module, "unitarity_defect", counted)
+        monkeypatch.setattr(coupling_module, "_matrix", counted)
         haar = VertexCoupling.custom(
             random_unitary(3, np.random.default_rng(2323)))
-        assert calls == [(3, 3)]
+        assert calls == [("U", (3, 3))]
         calls.clear()
         family = make_coupling("delta_prime_s", 3, 1.3)
         make_coupling("delta_prime_s", 2000, 1.3)
@@ -1245,5 +1246,8 @@ class TestValidByConstruction:
             assert from_ab(to_ab(c)) is c
         assert calls == []
         pair = to_ab(family)
-        from_ab(ABPair(pair.a, pair.b))
-        assert calls == [(3, 3)]
+        made = ABPair(pair.a, pair.b)
+        assert calls == [("A", (3, 3)), ("B", (3, 3))]
+        calls.clear()
+        from_ab(made)
+        assert calls == [("U", (3, 3))]

@@ -360,11 +360,16 @@ class TestStarSolver:
         assert stats.max_abs < 50.0 * grid.h**2
 
     def test_free_junction_kernel_continuous_at_vertex(self):
-        # vertex traces of the kernel column agree across edges
+        # vertex traces of the kernel column agree across edges: the ghost
+        # values M0 (4 Psi_1 - Psi_2), M0 from to_ab, of the column read at
+        # the first two nodes
         grid = GridSpec(12.0, 1999)
         m = StarModel(n=3, kind="central_delta", b=0.0)  # Kirchhoff
         sampled = fd_resolvent_star(m, KAPPA, grid)
-        traces = sampled.vertex_values(0, 1.5)
+        m0 = _to_ab_ghost_map(m[0], grid.h)[0].real
+        psi1, psi2 = (np.array([sampled.value(e, node * grid.h, 0, 1.5)
+                                for e in range(3)]) for node in (1, 2))
+        traces = m0 @ (4.0 * psi1 - psi2)
         assert np.ptp(traces) < 1e-6
 
     def test_star_kernel_symmetry(self):
@@ -613,7 +618,6 @@ class TestGhostMap:
             coupling = VertexCoupling.custom(_symmetric_unitary(n, rng))
             sampled = _solve(coupling, [], KAPPA, grid)
             assert type(sampled.value(n - 1, 0.5, 0, 1.5)) is float
-            assert sampled.vertex_values(0, 1.5).dtype == np.float64
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_guard_trips_wherever_the_to_ab_guard_trips(self, symmetric):
@@ -658,8 +662,8 @@ def _symmetric_unitary_with_phases(phases, rng):
 
 
 def _dense_kernel(coupling, points, kappa, grid):
-    """Kernel columns and M0 of the joint node-major operator
-    kron(T, I_n) - (4 M0, -M0) / h^2, every column by a dense solve."""
+    """Kernel columns of the joint node-major operator kron(T, I_n) -
+    (4 M0, -M0) / h^2, every column by a dense solve."""
     n, big_n, h = coupling.n, grid.N, grid.h
     m0, _ = _to_ab_ghost_map(coupling, h)
     if np.array_equal(coupling.u, coupling.u.T):
@@ -672,7 +676,7 @@ def _dense_kernel(coupling, points, kappa, grid):
     op = np.kron(t, np.eye(n, dtype=m0.dtype))
     op[:n, :n] -= 4.0 * m0 / h**2
     op[:n, n:2 * n] += m0 / h**2
-    return np.linalg.solve(op, np.eye(n * big_n) / h), m0
+    return np.linalg.solve(op, np.eye(n * big_n) / h)
 
 
 def _dense_cases():
@@ -729,7 +733,7 @@ class TestDenseReference:
                                              kappa):
         points = [DENSE_POINT] if with_point else []
         grid = DENSE_GRID
-        dense, m0 = _dense_kernel(coupling, points, kappa, grid)
+        dense = _dense_kernel(coupling, points, kappa, grid)
         sampled = _solve(coupling, points, kappa, grid)
         n, h = coupling.n, grid.h
         scale = np.max(np.abs(dense))
@@ -739,17 +743,13 @@ class TestDenseReference:
         sources = {1, 2, 3, near - 1, near, near + 1, grid.N // 2,
                    grid.N - 2, grid.N - 1}
         for l in range(n):
-            for iy in range(1, grid.N):
+            for iy in sorted(sources):
                 y = h * (iy + 1)
                 column = dense[:, iy * n + l]
-                trace = m0 @ (4.0 * column[:n] - column[n:2 * n])
-                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
+                got = [sampled.value(j, h * (ix + 1), l, y)
+                       for ix in range(grid.N) for j in range(n)]
+                assert np.max(np.abs(np.subtract(got, column))) \
                     <= 1e-12 * scale
-                if iy in sources:
-                    got = [sampled.value(j, h * (ix + 1), l, y)
-                           for ix in range(grid.N) for j in range(n)]
-                    assert np.max(np.abs(np.subtract(got, column))) \
-                        <= 1e-12 * scale
 
 
 def _dirichlet_edge_kappa(points, grid):
@@ -781,7 +781,7 @@ class TestDirichletEdgeEigenvalue:
         coupling, _ = (StarModel(n=n, kind=kind, beta=1.3)
                        if kind == "delta_prime_s"
                        else StarModel(n=n, kind=kind, b=-2.0))
-        dense, m0 = _dense_kernel(coupling, points, kappa, grid)
+        dense = _dense_kernel(coupling, points, kappa, grid)
         sampled = _solve(coupling, points, kappa, grid)
         h, scale = grid.h, np.max(np.abs(dense))
         for l in range(n):
@@ -791,9 +791,6 @@ class TestDirichletEdgeEigenvalue:
                 got = [sampled.value(j, h * (ix + 1), l, y)
                        for ix in range(grid.N) for j in range(n)]
                 assert np.max(np.abs(np.subtract(got, column))) \
-                    <= 1e-12 * scale
-                trace = m0 @ (4.0 * column[:n] - column[n:2 * n])
-                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
                     <= 1e-12 * scale
 
 
@@ -812,7 +809,6 @@ class TestSolverInputs:
         sampled = fd_resolvent_star((coupling, ()), KAPPA,
                                     GridSpec(12.0, 399))
         kind = float if n == 1 else complex
-        assert sampled.vertex_values(0, 1.5).dtype == np.dtype(kind)
         for j in range(n):
             for l in range(n):
                 value = sampled.value(j, 0.5, l, 1.5)
@@ -985,9 +981,6 @@ class TestEdgeIndices:
             for kernel in (sampled.value, sampled.snap, closed):
                 with pytest.raises(ValueError, match=message):
                     kernel(j, 1.0, l, 2.0)
-        for l in (-1, n, -n):
-            with pytest.raises(ValueError, match=message):
-                sampled.vertex_values(l, 2.0)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_non_integer_edges_raise_value_error(self, n):
@@ -1002,8 +995,6 @@ class TestEdgeIndices:
                 for kernel in (sampled.value, sampled.snap, closed):
                     with pytest.raises(ValueError, match=message):
                         kernel(j, 1.0, l, 2.0)
-            with pytest.raises(ValueError, match=message):
-                sampled.vertex_values(bad, 2.0)
         for j in (np.int64(n - 1), np.int32(0)):
             assert sampled.value(j, 1.0, 0, 2.0) \
                 == sampled.value(int(j), 1.0, 0, 2.0)
@@ -1121,9 +1112,6 @@ class TestWorkCount:
             y = grid.h * (iy + 1)
             for j in range(n):
                 sampled.value(j, 0.5, n // 2, y)
-        for l in range(n):
-            for y in (0.06, 1.5, 11.9):
-                sampled.vertex_values(l, y)
         assert calls == {"dgttrf": 0, "dgttrs": 0}
 
     def test_no_decomposition_or_solve_once_the_phases_are_known(
@@ -1151,8 +1139,21 @@ class TestWorkCount:
         for sampled in (fd_resolvent_star(model, KAPPA, grid),
                         _solve(custom, model[1], KAPPA, grid)):
             sampled.value(sampled.n_edges - 1, 0.5, 0, 2.01)
-            sampled.vertex_values(0, 1.5)
         assert calls == dict.fromkeys(calls, 0)
+
+    def test_decomposed_build_forms_one_projector_sum(self, monkeypatch):
+        # a build of a decomposed U forms the reflection sum_k gamma_k P_k,
+        # one n x n product, and no other sum over the projectors
+        calls = []
+        apply = coupling_module.Eigenphases.apply
+        monkeypatch.setattr(coupling_module.Eigenphases, "apply",
+                            lambda *a: calls.append("apply") or apply(*a))
+        haar = VertexCoupling(random_unitary(3, np.random.default_rng(5)))
+        sampled = _solve(haar, [PointInteraction(1.0, 2.0)], KAPPA,
+                         GridSpec(12.0, 399))
+        assert calls == ["apply"]
+        sampled.value(0, 0.5, 2, 2.01)
+        assert calls == ["apply"]
 
     def test_family_builds_form_no_matrix(self, monkeypatch):
         # a family's projector sums are two numbers each, and its closed-form
@@ -1170,7 +1171,6 @@ class TestWorkCount:
             sampled = fd_resolvent_star(model, KAPPA, grid)
             kernel(0, 0.5, 1, 2.01)
             sampled.value(0, 0.5, 1, 2.01)
-            sampled.vertex_values(1, 1.5)
             assert "u" not in model[0].__dict__
         assert calls == []
 
@@ -1275,7 +1275,6 @@ class TestLargeFamilyStar:
                       for l in edges for x, y in xy}
             fd_values = {sampled.snap(j, x, l, y): sampled.value(j, x, l, y)
                          for j in edges for l in edges for x, y in xy}
-            sampled.vertex_values(n - 1, 1.1)
             del coupling, kernel, sampled
             gc.collect()
             # the vertex memo keeps the model's coupling, which has
@@ -1379,23 +1378,15 @@ class TestSourceColumns:
         xs = (0.48, 0.96, 1.5, 2.01, 3.0)
         snapped = [sampled.snap(j, x, l, y) for j in sorted({0, n - 1})
                    for l in range(n) for x in (0.0, *xs) for y in xs]
-        sources = {grid.node_index(y, minimum=1) for *_, y in snapped}
+        sources = {max(1, grid.node_index(y)) for *_, y in snapped}
         columns, q = _source_columns(coupling, points, kappa, grid, sources)
-        m0 = _to_ab_ghost_map(coupling, grid.h)[0].real
         got, expected = [], []
         for j, x, l, y in snapped:
-            ix, iy = grid.node_index(x), grid.node_index(y, minimum=1)
+            ix, iy = grid.node_index(x), max(1, grid.node_index(y))
             got.append(sampled.value(j, x, l, y))
             expected.append(columns[iy][ix] @ (q[j] * q[l]))
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-9 * scale
-        for iy, g in columns.items():
-            y = grid.h * (iy + 1)
-            for l in range(n):
-                psi = (g[:2] * q[l]) @ q.T
-                trace = m0 @ (4.0 * psi[0] - psi[1])
-                assert np.max(np.abs(sampled.vertex_values(l, y) - trace)) \
-                    <= 1e-9 * scale
 
 
 # ======================================================================
@@ -1434,8 +1425,6 @@ class TestLargeKappa:
         assert max(map(abs, errors)) <= 50.0 * h**2
         # the diagonal is about 1 / (2 kappa), so an underflow fails above
         assert sampled.value(0, 1.5, 0, 1.5) > 0.25 / kappa
-        traces = sampled.vertex_values(0, 0.06)
-        assert np.all(np.isfinite(traces))
 
 
 # ======================================================================
@@ -1473,7 +1462,7 @@ def _exact_kernel(coupling, points, kappa, grid, snapped):
     eigsy, so Q is orthogonal to 40 digits too, and each sector matrix is
     solved by _thomas_columns."""
     m0 = _to_ab_ghost_map(coupling, grid.h)[0].real
-    n, sources = coupling.n, {grid.node_index(y, minimum=1)
+    n, sources = coupling.n, {max(1, grid.node_index(y))
                               for *_, y in snapped}
     with mpmath.workdps(40):
         lams, q = mpmath.eigsy(mpmath.matrix((0.5 * (m0 + m0.T)).tolist()))
@@ -1483,8 +1472,8 @@ def _exact_kernel(coupling, points, kappa, grid, snapped):
             diag[grid.node_index(point.a)] += mpmath.mpf(point.c) / h
         columns = [_thomas_columns(diag, lams[k], h, sources)
                    for k in range(n)]
-        return [sum(q[j, k] * q[l, k] * columns[k][grid.node_index(
-            y, minimum=1)][grid.node_index(x)] for k in range(n))
+        return [sum(q[j, k] * q[l, k] * columns[k][max(
+            1, grid.node_index(y))][grid.node_index(x)] for k in range(n))
                 for j, x, l, y in snapped]
 
 

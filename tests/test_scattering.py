@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import starcouplings
 from conftest import random_unitary
+from oracles import line_transfer
 from starcouplings import (InvalidCouplingError, PoleError, VertexCoupling,
                            bound_states, make_coupling, rescale_length,
                            s_matrix)
@@ -79,19 +80,42 @@ class TestSMatrix:
     def test_n2_delta_prime_is_the_line_delta_prime(self):
         # at n = 2 the star is the line cut at the vertex, and delta_prime
         # is its delta' interaction (psi' continuous, psi(0+) - psi(0-) =
-        # beta psi'(0)), whose amplitudes need no U: t = 1/(1 - i beta k/2),
-        # r = -(i beta k/2) t; delta_prime_s is its image under psi -> -psi
-        # on x < 0, so t changes sign.  Measured worst error 1.24e-16.
+        # beta psi'(0)), whose amplitudes (r, t) line_transfer carries
+        # with no U; delta_prime_s is its image under psi -> -psi on
+        # x < 0, so t changes sign.  Measured worst error 1.24e-16.
         for beta in (1.0, -0.7, 3.0):
             for k in (0.1, 1.0, 7.0):
-                t = 1.0 / (1.0 - 0.5j * beta * k)
-                r = -0.5j * beta * k * t
+                r, t = map(complex,
+                           line_transfer(k, delta_primes=[(0.0, beta)]))
                 for family, sign in (("delta_prime", 1.0),
                                      ("delta_prime_s", -1.0)):
                     s = s_matrix(make_coupling(family, 2, beta), k)
                     line = np.array([[r, sign * t], [sign * t, r]])
                     assert np.max(np.abs(s - line)) <= 2.5e-16, \
                         (family, beta, k)
+
+    def test_three_deltas_tend_to_delta_prime_s_at_first_order(self):
+        # Cheon-Shigehara: the line with -beta/a^2 at 0 and -1/a at +-a,
+        # in exact mpmath strengths, scatters as delta_prime_s at n = 2,
+        # (r, -t) of the line delta', with an error linear in a.  The
+        # order per decade a = 1e-2 .. 1e-5 was measured in [0.9977,
+        # 1.0019] over this grid (0.956 from a = 1e-1); at beta = 1, k = 1
+        # the error is 2.21e-2, 2.20e-3, 2.199e-4 and 2.199e-5
+        for beta in (1.0, -0.7, 3.0):
+            for k in (0.1, 1.0, 7.0):
+                s = s_matrix(make_coupling("delta_prime_s", 2, beta), k)
+                errors = []
+                for a in (1e-2, 1e-3, 1e-4, 1e-5):
+                    with mpmath.workdps(50):
+                        a_mp = mpmath.mpf(a)
+                        r, t = map(complex, line_transfer(
+                            k, deltas=[(-a, -1 / a_mp),
+                                       (0.0, -beta / a_mp**2),
+                                       (a, -1 / a_mp)]))
+                    errors.append(max(abs(r - s[0, 0]), abs(t - s[1, 0])))
+                for coarse, fine in zip(errors, errors[1:]):
+                    assert 0.99 <= math.log10(coarse / fine) <= 1.01, \
+                        (beta, k, errors)
 
     def test_rejects_nonpositive_momentum(self):
         c = make_coupling("delta", 2, 0.0)
