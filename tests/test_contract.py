@@ -212,6 +212,8 @@ ROWS = [
         dict(model=MODEL, kappa=1.0, grid=GRID), ("kappa",), then=_fd_value),
     Row("fd_resolvent_halfline", lambda x, y: HALF.value(x, y),
         dict(x=1.5, y=2.0), ("x", "y"), label="value"),
+    Row("fd_resolvent_halfline", lambda x, y: HALF.snap(x, y),
+        dict(x=1.5, y=2.0), ("x", "y"), label="snap"),
     Row("fd_resolvent_star", lambda j, x, l, y: STAR.value(j, x, l, y),
         dict(j=0, x=1.5, l=1, y=2.0), ("j", "x", "l", "y"), label="value"),
     Row("fd_resolvent_star", lambda j, x, l, y: STAR.snap(j, x, l, y),
